@@ -100,19 +100,18 @@ fn bench_engine_suite_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_regeneration(c: &mut Criterion) {
-    // The PR's reuse layers A/B'd on the relaxation-heavy gold circuit:
-    // cold derivation with trials regenerated from scratch vs derived
-    // incrementally from their predecessors, and the warm full-suite pass
-    // under the cache-only (PR-2) configuration vs the full stack
-    // (incremental + delta tier + projection memo).
+fn bench_cold_exploration(c: &mut Criterion) {
+    // Cold derivation of the relaxation-heavy gold circuit with every
+    // state-graph miss explored in marking space (the reference generator)
+    // vs σ-space (the allocation-free explorer), and the warm full-suite
+    // pass without vs with the projection memo.
     let bench = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let (stg, library) = load(&bench);
-    let mut group = c.benchmark_group("incremental");
+    let mut group = c.benchmark_group("cold_exploration");
     group.sample_size(10);
-    for (name, incremental) in [("cold_scratch", false), ("cold_incremental", true)] {
+    for (name, sigma_cold) in [("cold_marking", false), ("cold_sigma", true)] {
         let engine = Engine::new(EngineConfig {
-            incremental,
+            sigma_cold,
             memo_projection: false,
             ..EngineConfig::default()
         });
@@ -130,9 +129,8 @@ fn bench_incremental_regeneration(c: &mut Criterion) {
     }
     for (name, config) in [
         (
-            "warm_suite_cache_only",
+            "warm_suite_no_memo",
             EngineConfig {
-                incremental: false,
                 memo_projection: false,
                 ..EngineConfig::default()
             },
@@ -239,7 +237,7 @@ criterion_group!(
     bench_derivation,
     bench_engine_configs,
     bench_engine_suite_batch,
-    bench_incremental_regeneration,
+    bench_cold_exploration,
     bench_baseline_only,
     bench_order_ablation,
     bench_relax_sched

@@ -8,9 +8,7 @@
 //! state-graph cache shared across circuits); footers compare the
 //! engine's wall-clock against the seed's sequential uncached path, the
 //! cold-pass effect of σ-space exploration, and the warm-path effect of
-//! the reuse layers (incremental regeneration + classification,
-//! projection memo, conformance cache) against the cache-only
-//! configuration.
+//! the projection memo on top of the state-graph and conformance caches.
 //!
 //! `--json [PATH]` additionally writes the whole run — rows, per-stage
 //! wall times, cache-tier traffic, cold/warm suite totals — as one JSON
@@ -20,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use si_bench::table_row_report;
-use si_core::{derive_timing_constraints, Engine, EngineConfig, EngineReport};
+use si_core::{derive_timing_constraints, Engine, EngineConfig, EngineReport, StageMetrics};
 
 /// The PR 3 warm full-suite wall-clock this PR optimizes against
 /// (microseconds); kept in the JSON so the ratio is self-describing.
@@ -30,42 +28,14 @@ fn json_str(s: &str) -> String {
     format!("\"{}\"", si_lint::json_escape(s))
 }
 
-/// The per-stage/per-tier metrics of one engine run as a JSON fragment.
+/// The per-stage metrics of one engine run as a JSON fragment.
 fn report_json(out: &EngineReport) -> String {
-    let stages: Vec<String> = out
-        .stages
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{}}}",
-                json_str(s.stage.name()),
-                s.wall.as_micros(),
-                s.states_explored,
-                s.sg_cache_hits,
-                s.sg_cache_misses,
-                s.sg_delta_hits,
-                s.sg_inc_derived,
-                s.proj_memo_hits,
-                s.proj_memo_misses,
-                s.conf_cache_hits,
-                s.conf_cache_misses,
-                s.conf_inc_classified,
-            )
-        })
-        .collect();
+    let stages: Vec<String> = out.stages.iter().map(StageMetrics::json).collect();
     format!(
         "\"total_wall_us\":{},\"fanout_wall_us\":{},\"stages\":[{}]",
         out.total_wall.as_micros(),
         out.fanout_wall.as_micros(),
         stages.join(",")
-    )
-}
-
-fn cache_json(stats: &si_core::CacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"entries\":{},\"delta_hits\":{},\"delta_entries\":{},\"inc_derived\":{}}}",
-        stats.hits, stats.misses, stats.entries, stats.delta_hits, stats.delta_entries,
-        stats.inc_derived,
     )
 }
 
@@ -235,11 +205,9 @@ fn main() {
         cold_classic.as_secs_f64() / cold_sigma.as_secs_f64().max(1e-9),
     );
 
-    // The before/after of the reuse layers on the *warm* path: the PR-2
-    // configuration (structural SG cache only) against the full stack
-    // (incremental regeneration + classification, delta tier, projection
-    // memo, conformance cache). Each engine is primed by one cold suite
-    // pass, then timed warm.
+    // The projection memo's marginal win on the *warm* path: the state-graph
+    // and conformance caches alone against the full stack. Each engine is
+    // primed by one cold suite pass, then timed warm.
     let warm_suite = |config: EngineConfig| -> Duration {
         let engine = Engine::new(config);
         si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("priming pass failed: {e}"));
@@ -247,17 +215,14 @@ fn main() {
         si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("warm pass failed: {e}"));
         started.elapsed()
     };
-    let pr2_warm = warm_suite(EngineConfig {
-        incremental: false,
+    let no_memo_warm = warm_suite(EngineConfig {
         memo_projection: false,
-        incremental_classify: false,
-        sigma_cold: false,
         ..EngineConfig::default()
     });
     let full_warm = warm_suite(EngineConfig::default());
     println!(
-        "Warm suite: cache-only {pr2_warm:.2?} vs incremental+memoized {full_warm:.2?} ({:.2}x)",
-        pr2_warm.as_secs_f64() / full_warm.as_secs_f64().max(1e-9),
+        "Warm suite: without projection memo {no_memo_warm:.2?} vs full reuse {full_warm:.2?} ({:.2}x)",
+        no_memo_warm.as_secs_f64() / full_warm.as_secs_f64().max(1e-9),
     );
     println!(
         "Warm suite vs PR 3 baseline ({:.1} ms): {full_warm:.2?} ({:.2}x)",
@@ -267,20 +232,20 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = format!(
-            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"conformance\":{},\"suite\":{{\"engine_wall_us\":{},\"seed_wall_us\":{},\"cold_classic_us\":{},\"cold_sigma_us\":{},\"warm_cache_only_us\":{},\"warm_full_us\":{},\"pr3_warm_baseline_us\":{PR3_WARM_BASELINE_US},\"warm_vs_pr3\":{:.2}}}}}",
+            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"conformance\":{},\"suite\":{{\"engine_wall_us\":{},\"seed_wall_us\":{},\"cold_classic_us\":{},\"cold_sigma_us\":{},\"warm_no_memo_us\":{},\"warm_full_us\":{},\"pr3_warm_baseline_us\":{PR3_WARM_BASELINE_US},\"warm_vs_pr3\":{:.2}}}}}",
             engine.config().jobs,
             row_objects.join(","),
             pct(ta, tb),
             pct(t5a, t5b),
             pct(t3a, t3b),
-            cache_json(&cache),
-            cache_json(&projections),
-            cache_json(&conformance),
+            cache.json(),
+            projections.json(),
+            conformance.json(),
             engine_wall.as_micros(),
             seed_wall.as_micros(),
             cold_classic.as_micros(),
             cold_sigma.as_micros(),
-            pr2_warm.as_micros(),
+            no_memo_warm.as_micros(),
             full_warm.as_micros(),
             PR3_WARM_BASELINE_US as f64 / 1e6 / full_warm.as_secs_f64().max(1e-9),
         );

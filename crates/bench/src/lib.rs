@@ -11,8 +11,8 @@ use std::collections::BTreeSet;
 
 /// One-line per-stage metrics summary of an engine run, shared by the
 /// figure/table binaries so every driver reports the pipeline the same
-/// way (jobs, fan-out wall, projection memo and state-graph cache
-/// traffic, incremental derivations).
+/// way (jobs, fan-out wall, projection memo, state-graph and conformance
+/// cache traffic).
 pub fn engine_metrics_line(out: &EngineReport) -> String {
     let zero = |stage: Stage| {
         out.stage(stage)
@@ -23,8 +23,7 @@ pub fn engine_metrics_line(out: &EngineReport) -> String {
     let relax = zero(Stage::Relax);
     format!(
         "engine: {} jobs, fan-out {:.2?}; project {:.2?} (memo {}h/{}m), \
-         relax {:.2?} (SG {}h/{}m, {} delta hits, {} incremental; \
-         conf {}h/{}m, {} copied)",
+         relax {:.2?} (SG {}h/{}m, conf {}h/{}m)",
         out.jobs,
         out.fanout_wall,
         project.wall,
@@ -33,11 +32,8 @@ pub fn engine_metrics_line(out: &EngineReport) -> String {
         relax.wall,
         relax.sg_cache_hits,
         relax.sg_cache_misses,
-        relax.sg_delta_hits,
-        relax.sg_inc_derived,
         relax.conf_cache_hits,
         relax.conf_cache_misses,
-        relax.conf_inc_classified,
     )
 }
 

@@ -1,31 +1,26 @@
-//! Structural-hash memoization of state-graph generation and local-STG
-//! projection.
+//! Structural-hash memoization of state-graph generation, local-STG
+//! projection and conformance classification.
 //!
 //! The relaxation loop rebuilds local state graphs after every arc edit,
 //! and the same `MgStg` structure recurs across the conformance pre-check,
 //! the relaxation trials, the case-2 arc modification, OR-causality
 //! sub-STG vetting and conformance re-checks — and across repeated runs of
-//! the same circuit. [`SgCache`] memoizes [`StateGraph::of_mg`] in two
-//! tiers:
-//!
-//! 1. a *structural* tier keyed on the canonical [`SgKey`] of the input,
-//!    so any structurally identical MG (regardless of signal names or
-//!    restriction flags) is generated once;
-//! 2. a *delta* tier keyed on `(predecessor SgKey, ArcDelta)`, the name of
-//!    one relaxation edit, filled by [`SgCache::of_mg_from`]. A miss in
-//!    both tiers is answered by the incremental derivation
-//!    ([`StateGraph::of_mg_from`]) — re-exploring only the cone of states
-//!    the edited arc can affect — instead of a scratch exploration.
+//! the same circuit. [`SgCache`] memoizes state-graph generation keyed on
+//! the canonical [`SgKey`] of the input, so any structurally identical MG
+//! (regardless of signal names or restriction flags) is generated once.
+//! Every miss is a cold exploration: σ-space
+//! ([`StateGraph::of_mg_sigma`]) by default, marking-keyed
+//! ([`StateGraph::of_mg`]) when [`SgCache::with_sigma_cold`] is off.
 //!
 //! [`ProjCache`] plays the same role for [`MgStg::project_on_gate`]: warm
 //! runs of a circuit re-project identical components onto identical gates,
 //! and the projection's redundancy sweeps dominate the profile once state
-//! graphs are memoized. [`ConformanceCache`] is the third tier: it
-//! memoizes the four-case classification verdict itself, keyed on the
-//! complete functional input of [`crate::classify_states`] (the MG's
-//! [`SgKey`], the gate's covers and variable binding, the prerequisite
-//! sets and the relaxed transition), so repeated trials and warm suite
-//! runs skip the conformance sweep entirely.
+//! graphs are memoized. [`ConformanceCache`] memoizes the four-case
+//! classification verdict itself, keyed on the complete functional input
+//! of [`crate::classify_states`] (the MG's [`SgKey`], the gate's covers
+//! and variable binding, the prerequisite sets and the relaxed
+//! transition), so repeated trials and warm suite runs skip the
+//! conformance sweep entirely.
 //!
 //! The graph caches are budget-exact: a hit whose stored graph exceeds
 //! the caller's state budget reports the same budget-exhaustion error an
@@ -33,42 +28,27 @@
 //! behaviourally indistinguishable. Errors are never cached. All caches
 //! are `Sync` — one instance is shared across the parallel per-gate
 //! fan-out.
-//!
-//! [`SgCache`] also owns the cold-exploration policy: with
-//! [`SgCache::with_sigma_cold`] enabled, scratch generations route through
-//! the σ-space explorer [`StateGraph::of_mg_sigma`] (firing-count-vector
-//! keys, cheaper than packed-marking interleaving for weakly connected
-//! MGs) — bit-identical output, measurably faster cold runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use si_boolean::Cover;
-use si_stg::{
-    ArcDelta, MgStg, SgKey, SgMap, SignalId, SignalKind, StateGraph, StgError, TransitionLabel,
-};
+use si_stg::{MgStg, SgKey, SignalId, SignalKind, StateGraph, StgError, TransitionLabel};
 
 use crate::check::{ConformanceReport, RelaxationCase};
 use crate::local::LocalStg;
 
-/// Counters of a [`SgCache`] (or [`ProjCache`]), readable at any point of
-/// an engine run.
+/// Counters of a [`SgCache`], [`ProjCache`] or [`ConformanceCache`],
+/// readable at any point of an engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (either tier).
+    /// Lookups answered from the cache.
     pub hits: usize,
-    /// Lookups that generated (and stored) a new state graph.
+    /// Lookups that computed (and stored) a new entry.
     pub misses: usize,
-    /// Distinct state graphs currently stored in the structural tier.
+    /// Distinct entries currently stored.
     pub entries: usize,
-    /// Lookups answered from the delta tier specifically.
-    pub delta_hits: usize,
-    /// Deltas currently stored in the delta tier.
-    pub delta_entries: usize,
-    /// Misses answered by the incremental (delta-guided) derivation
-    /// instead of a scratch exploration.
-    pub inc_derived: usize,
 }
 
 impl CacheStats {
@@ -81,39 +61,24 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
 
-/// Where one [`SgCache`] lookup was answered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SgSource {
-    /// Served from the structural (tier-1) memo table.
-    Structural,
-    /// Served from the delta (tier-2) memo table.
-    Delta,
-    /// Generated by the delta-guided incremental derivation (a miss).
-    Incremental,
-    /// Generated by a scratch exploration (a miss).
-    Scratch,
-}
-
-impl SgSource {
-    /// Whether the lookup was a cache hit (no generation work).
-    pub fn is_hit(self) -> bool {
-        matches!(self, SgSource::Structural | SgSource::Delta)
+    /// The counters as one JSON object (`hits`, `misses`, `entries`).
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
+            self.hits, self.misses, self.entries
+        )
     }
 }
 
-/// A thread-safe two-tier memoization cache for [`StateGraph::of_mg`].
+/// A thread-safe memoization cache for [`StateGraph::of_mg`].
 #[derive(Debug, Default)]
 pub struct SgCache {
     enabled: bool,
     sigma_cold: bool,
     map: Mutex<HashMap<SgKey, Arc<StateGraph>>>,
-    delta: Mutex<HashMap<(SgKey, ArcDelta), Arc<StateGraph>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    delta_hits: AtomicUsize,
-    inc_derived: AtomicUsize,
 }
 
 impl SgCache {
@@ -191,95 +156,6 @@ impl SgCache {
         Ok((sg, false))
     }
 
-    /// The state graph of `mg` derived from its predecessor `parent` (one
-    /// relaxation edit earlier, with `parent_sg` = the parent's graph),
-    /// memoized in both tiers. Lookup order: the delta tier under
-    /// `(parent key, arc delta)`, then the structural tier under `mg`'s
-    /// own key, then the incremental derivation
-    /// ([`StateGraph::of_mg_from`]) — which itself falls back to a scratch
-    /// exploration when the edit is not delta-eligible. Every path yields
-    /// the result (and, budget-exactly, the errors) of an uncached
-    /// [`StateGraph::of_mg`] call.
-    ///
-    /// The returned [`SgMap`] is `Some` exactly when this call freshly
-    /// derived the graph through the delta path ([`SgSource::Incremental`])
-    /// — the affected-cone/correspondence data incremental conformance
-    /// classification consumes. Cache hits return `None`: a hit means the
-    /// whole classification can be answered from the [`ConformanceCache`]
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`StateGraph::of_mg`] under `budget`,
-    /// including the replayed [`si_petri::PetriError::StateBudgetExceeded`]
-    /// when a hit in either tier has more states than `budget` allows.
-    pub fn of_mg_from(
-        &self,
-        parent: &MgStg,
-        parent_sg: &Arc<StateGraph>,
-        mg: &MgStg,
-        budget: usize,
-    ) -> Result<(Arc<StateGraph>, SgSource, Option<SgMap>), StgError> {
-        if !self.enabled {
-            let (sg, map) = StateGraph::of_mg_from(parent, parent_sg, mg, budget)?;
-            let source = if map.is_some() {
-                SgSource::Incremental
-            } else {
-                SgSource::Scratch
-            };
-            return Ok((Arc::new(sg), source, map));
-        }
-        // Tier 2: the delta's name. Only sound when the two graphs share a
-        // transition space (then parent key + delta determine mg's key).
-        let delta_key = parent
-            .same_transition_space(mg)
-            .then(|| (parent.sg_key(), parent.arc_delta(mg)));
-        if let Some(k) = &delta_key {
-            if let Some(sg) = self.delta.lock().expect("sg cache poisoned").get(k) {
-                Self::replay_budget(sg, budget)?;
-                self.delta_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(sg), SgSource::Delta, None));
-            }
-        }
-        // Tier 1: the successor's own structural key.
-        let key = mg.sg_key();
-        if let Some(sg) = self.map.lock().expect("sg cache poisoned").get(&key) {
-            Self::replay_budget(sg, budget)?;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let sg = Arc::clone(sg);
-            if let Some(k) = delta_key {
-                self.delta
-                    .lock()
-                    .expect("sg cache poisoned")
-                    .insert(k, Arc::clone(&sg));
-            }
-            return Ok((sg, SgSource::Structural, None));
-        }
-        // Miss in both tiers: derive incrementally from the predecessor.
-        let (sg, map) = StateGraph::of_mg_from(parent, parent_sg, mg, budget)?;
-        let sg = Arc::new(sg);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if map.is_some() {
-            self.inc_derived.fetch_add(1, Ordering::Relaxed);
-        }
-        self.map
-            .lock()
-            .expect("sg cache poisoned")
-            .insert(key, Arc::clone(&sg));
-        if let Some(k) = delta_key {
-            self.delta
-                .lock()
-                .expect("sg cache poisoned")
-                .insert(k, Arc::clone(&sg));
-        }
-        let source = if map.is_some() {
-            SgSource::Incremental
-        } else {
-            SgSource::Scratch
-        };
-        Ok((sg, source, map))
-    }
-
     /// `of_mg` fails iff the reachable state count exceeds the budget;
     /// replay that outcome for cached graphs under smaller budgets.
     fn replay_budget(sg: &Arc<StateGraph>, budget: usize) -> Result<(), StgError> {
@@ -297,20 +173,14 @@ impl SgCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().expect("sg cache poisoned").len(),
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            delta_entries: self.delta.lock().expect("sg cache poisoned").len(),
-            inc_derived: self.inc_derived.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all stored graphs (both tiers) and resets the counters.
+    /// Drops all stored graphs and resets the counters.
     pub fn clear(&self) {
         self.map.lock().expect("sg cache poisoned").clear();
-        self.delta.lock().expect("sg cache poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.delta_hits.store(0, Ordering::Relaxed);
-        self.inc_derived.store(0, Ordering::Relaxed);
     }
 }
 
@@ -421,14 +291,12 @@ impl ProjCache {
         Ok((mg, false))
     }
 
-    /// Current counters (the delta fields are always zero: projections
-    /// have no delta tier).
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().expect("projection cache poisoned").len(),
-            ..CacheStats::default()
         }
     }
 
@@ -481,9 +349,9 @@ impl ConfKey {
 }
 
 /// A thread-safe memoization cache for the four-case conformance
-/// classification ([`crate::classify_states`]) — the third cache tier.
+/// classification ([`crate::classify_states`]).
 /// Where [`SgCache`] answers "what does this MG's state graph look like"
-/// and [`ProjCache`] "what does this projection look like", this tier
+/// and [`ProjCache`] "what does this projection look like", this cache
 /// answers the relaxation loop's actual question — "what is the verdict
 /// of this trial" — so a repeated trial (warm suite run, re-explored
 /// branch of the relaxation search) skips state sweep, pending DFS and
@@ -560,14 +428,12 @@ impl ConformanceCache {
             .insert(key, Arc::new((case, report.clone())));
     }
 
-    /// Current counters (the delta fields are always zero: verdicts have
-    /// no delta tier).
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().expect("conformance cache poisoned").len(),
-            ..CacheStats::default()
         }
     }
 
@@ -618,7 +484,6 @@ ack- req+
                 hits: 1,
                 misses: 1,
                 entries: 1,
-                ..CacheStats::default()
             }
         );
     }
@@ -666,93 +531,6 @@ ack- req+
         assert_eq!(cache.stats(), CacheStats::default());
         let (_, hit) = cache.of_mg(&mg, 100).expect("consistent");
         assert!(!hit);
-    }
-
-    /// The handshake plus a redundant ordering arc `req+ ⇒ req-`: the same
-    /// transition space, a one-arc delta, an unchanged behaviour.
-    fn handshake_child(parent: &MgStg) -> MgStg {
-        let reqp = parent.transition_by_label("req+").expect("present");
-        let reqm = parent.transition_by_label("req-").expect("present");
-        let mut child = parent.clone();
-        child.insert_arc(reqp, reqm, 0, false);
-        child
-    }
-
-    #[test]
-    fn delta_tier_memoizes_the_edit_and_replays_budgets() {
-        let cache = SgCache::new();
-        let parent = handshake_mg();
-        let (psg, _) = cache.of_mg(&parent, 100).expect("consistent");
-        let child = handshake_child(&parent);
-
-        let (first, source, map) = cache
-            .of_mg_from(&parent, &psg, &child, 100)
-            .expect("derives");
-        assert_eq!(
-            source,
-            SgSource::Incremental,
-            "cold edit derives incrementally"
-        );
-        assert!(
-            map.is_some(),
-            "fresh incremental derivation carries its affected-cone map"
-        );
-        assert_eq!(*first, StateGraph::of_mg(&child, 100).expect("consistent"));
-
-        let (second, source, map) = cache
-            .of_mg_from(&parent, &psg, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Delta, "repeated edit hits the delta tier");
-        assert!(map.is_none(), "cache hits carry no map");
-        assert!(Arc::ptr_eq(&first, &second));
-
-        let stats = cache.stats();
-        assert_eq!(stats.delta_hits, 1);
-        assert_eq!(stats.delta_entries, 1);
-        assert_eq!(stats.inc_derived, 1);
-
-        // Budget-exactness on the delta tier: a hit under a budget the
-        // graph exceeds must fail exactly like a scratch run.
-        let uncached = StateGraph::of_mg(&child, 2).expect_err("budget");
-        let hit = cache
-            .of_mg_from(&parent, &psg, &child, 2)
-            .expect_err("budget");
-        assert_eq!(hit, uncached);
-    }
-
-    #[test]
-    fn delta_lookup_falls_through_to_the_structural_tier() {
-        let cache = SgCache::new();
-        let parent = handshake_mg();
-        let (psg, _) = cache.of_mg(&parent, 100).expect("consistent");
-        let child = handshake_child(&parent);
-        // Prime the structural tier through the plain entry point.
-        cache.of_mg(&child, 100).expect("consistent");
-        let (_, source, map) = cache
-            .of_mg_from(&parent, &psg, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Structural);
-        assert!(map.is_none());
-        // The fall-through repopulates the delta tier for the next lookup.
-        let (_, source, _) = cache
-            .of_mg_from(&parent, &psg, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Delta);
-    }
-
-    #[test]
-    fn disabled_cache_still_derives_incrementally_without_storing() {
-        let cache = SgCache::disabled();
-        let parent = handshake_mg();
-        let psg = Arc::new(StateGraph::of_mg(&parent, 100).expect("consistent"));
-        let child = handshake_child(&parent);
-        let (sg, source, map) = cache
-            .of_mg_from(&parent, &psg, &child, 100)
-            .expect("derives");
-        assert_eq!(source, SgSource::Incremental);
-        assert!(map.is_some());
-        assert_eq!(*sg, StateGraph::of_mg(&child, 100).expect("consistent"));
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -818,7 +596,6 @@ y- x+
                 hits: 1,
                 misses: 2,
                 entries: 1,
-                ..CacheStats::default()
             }
         );
         cache.clear();

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use si_stg::{Polarity, SgMap, SignalId, StateGraph, TransitionLabel};
+use si_stg::{Polarity, SignalId, StateGraph, TransitionLabel};
 
 use crate::error::CoreError;
 use crate::local::LocalStg;
@@ -78,9 +78,7 @@ impl ConformanceReport {
 
 /// The purely *local* part of one state's conformance verdict: membership
 /// in the premature/lagging sets is a function of the state's own code,
-/// its own edge list and the shared label table only — exactly the data
-/// [`si_stg::SgMap`] guarantees unchanged for states outside the affected
-/// cone, which is what makes [`classify_states_from`] sound.
+/// its own edge list and the shared label table only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LocalVerdict {
     /// Conformant here.
@@ -124,9 +122,8 @@ fn local_verdict(local: &LocalStg, sg: &StateGraph, s: usize) -> LocalVerdict {
     }
 }
 
-/// The next output transition reachable from premature state `s` — the
-/// forward-path query that (unlike membership) must always be recomputed
-/// on the current graph.
+/// The next output transition reachable from premature state `s` — a
+/// forward-path query, unlike the local membership verdict.
 fn resolve_t_out(sg: &StateGraph, s: usize, o: SignalId, o_name: &str) -> Result<usize, CoreError> {
     sg.next_transition_of(s, o, o_name)
         .map_err(CoreError::from)?
@@ -149,63 +146,6 @@ pub fn conformance(local: &LocalStg, sg: &StateGraph) -> Result<ConformanceRepor
     let mut lagging = Vec::new();
     for s in 0..sg.state_count() {
         match local_verdict(local, sg, s) {
-            LocalVerdict::Clean => {}
-            LocalVerdict::Lagging => lagging.push(s),
-            LocalVerdict::Premature => premature.push((s, resolve_t_out(sg, s, o, o_name)?)),
-        }
-    }
-    Ok(ConformanceReport { premature, lagging })
-}
-
-/// Recomputes the conformance report of `sg` by copying the per-state
-/// verdicts of `parent_report` for every state outside `map`'s affected
-/// cone and re-evaluating only the cone itself.
-///
-/// Soundness: premature/lagging *membership* is purely local (own code,
-/// own edges, shared labels — see `LocalVerdict`), and [`si_stg::SgMap`]
-/// guarantees exactly that data unchanged for unaffected states. The
-/// forward-path `t_out` of a premature state is *not* copied — it is
-/// recomputed on the current graph, so the result (including any
-/// [`CoreError::Unresolved`]) is bit-identical to a scratch
-/// [`conformance`] sweep.
-///
-/// Contract: `parent_report` must be the [`conformance`] report of the
-/// *same gate context* over the parent graph `map` was derived against.
-/// A map whose length does not match `sg` falls back to the scratch sweep.
-///
-/// # Errors
-///
-/// Exactly the errors of [`conformance`] on `sg`.
-pub fn conformance_from(
-    local: &LocalStg,
-    sg: &StateGraph,
-    parent_report: &ConformanceReport,
-    map: &SgMap,
-) -> Result<ConformanceReport, CoreError> {
-    if map.parent_of.len() != sg.state_count() || map.affected.len() != sg.state_count() {
-        return conformance(local, sg);
-    }
-    let o = local.ctx.output;
-    let o_name = local.mg.signal_name(o);
-    let parent_premature: BTreeSet<usize> =
-        parent_report.premature.iter().map(|&(s, _)| s).collect();
-    let parent_lagging: BTreeSet<usize> = parent_report.lagging.iter().copied().collect();
-    let mut premature = Vec::new();
-    let mut lagging = Vec::new();
-    for s in 0..sg.state_count() {
-        let verdict = match map.parent_of[s] {
-            Some(p) if !map.affected[s] => {
-                if parent_premature.contains(&p) {
-                    LocalVerdict::Premature
-                } else if parent_lagging.contains(&p) {
-                    LocalVerdict::Lagging
-                } else {
-                    LocalVerdict::Clean
-                }
-            }
-            _ => local_verdict(local, sg, s),
-        };
-        match verdict {
             LocalVerdict::Clean => {}
             LocalVerdict::Lagging => lagging.push(s),
             LocalVerdict::Premature => premature.push((s, resolve_t_out(sg, s, o, o_name)?)),
@@ -332,39 +272,6 @@ fn classify_state_with(
     StateClass::Hazard
 }
 
-/// The four-case verdict of an already-computed conformance report: the
-/// per-state classification loop shared by [`classify_states`] and
-/// [`classify_states_from`].
-fn classify_report(
-    local: &LocalStg,
-    sg: &StateGraph,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-    relaxed: Option<usize>,
-    report: ConformanceReport,
-) -> (RelaxationCase, ConformanceReport) {
-    if report.is_conformant() {
-        return (RelaxationCase::Case1, report);
-    }
-    if report.premature.is_empty() {
-        return (RelaxationCase::LaggingOnly, report);
-    }
-    let relaxed_pair = relaxed.map(|x| (x, local.mg.label(x)));
-    let mut seen = Vec::new();
-    let mut any_or_causal = false;
-    for &(s, t_out) in &report.premature {
-        match classify_state_with(sg, s, t_out, epre, relaxed_pair, &mut seen) {
-            StateClass::Hazard => return (RelaxationCase::Case4, report),
-            StateClass::OrCausal => any_or_causal = true,
-            StateClass::Complete => {}
-        }
-    }
-    if any_or_causal {
-        (RelaxationCase::Case3, report)
-    } else {
-        (RelaxationCase::Case2, report)
-    }
-}
-
 /// Runs the full four-case criterion: conformance plus per-state
 /// classification (`Check` of Algorithm 4).
 ///
@@ -378,29 +285,27 @@ pub fn classify_states(
     relaxed: Option<usize>,
 ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
     let report = conformance(local, sg)?;
-    Ok(classify_report(local, sg, epre, relaxed, report))
-}
-
-/// The four-case criterion with the conformance sweep made incremental:
-/// verdicts of states outside `map`'s affected cone are copied from
-/// `parent_report` (see [`conformance_from`] for the contract and the
-/// soundness argument); only the cone is re-evaluated. Returns exactly
-/// what [`classify_states`] would — same `RelaxationCase`, same
-/// `ConformanceReport`, same errors.
-///
-/// # Errors
-///
-/// Exactly the errors of [`classify_states`] on the same inputs.
-pub fn classify_states_from(
-    local: &LocalStg,
-    sg: &StateGraph,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-    relaxed: Option<usize>,
-    parent_report: &ConformanceReport,
-    map: &SgMap,
-) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
-    let report = conformance_from(local, sg, parent_report, map)?;
-    Ok(classify_report(local, sg, epre, relaxed, report))
+    if report.is_conformant() {
+        return Ok((RelaxationCase::Case1, report));
+    }
+    if report.premature.is_empty() {
+        return Ok((RelaxationCase::LaggingOnly, report));
+    }
+    let relaxed_pair = relaxed.map(|x| (x, local.mg.label(x)));
+    let mut seen = Vec::new();
+    let mut any_or_causal = false;
+    for &(s, t_out) in &report.premature {
+        match classify_state_with(sg, s, t_out, epre, relaxed_pair, &mut seen) {
+            StateClass::Hazard => return Ok((RelaxationCase::Case4, report)),
+            StateClass::OrCausal => any_or_causal = true,
+            StateClass::Complete => {}
+        }
+    }
+    if any_or_causal {
+        Ok((RelaxationCase::Case3, report))
+    } else {
+        Ok((RelaxationCase::Case2, report))
+    }
 }
 
 #[cfg(test)]
@@ -581,65 +486,6 @@ o- x+
 
         let (case, _) = check_after_relax(&mut local, "x+", "z+");
         assert_eq!(case, RelaxationCase::Case4);
-    }
-
-    /// Relaxes `from ⇒ to`, derives the child SG incrementally, and checks
-    /// that verdict-copying classification equals the scratch sweep —
-    /// across all four outcome fixtures.
-    #[test]
-    fn classify_states_from_matches_scratch_across_cases() {
-        let case3 = "\
-.model case3
-.inputs x y
-.outputs o
-.graph
-x+ o+
-x+ y+
-o+ x-
-y+ x-
-x- y-
-y- o-
-o- x+
-.marking { <o-,x+> }
-.end
-";
-        let case4 = "\
-.model case4
-.inputs y z
-.outputs o
-.graph
-z+ y-
-y- z-
-z- o-
-o- y+
-y+ o+
-o+ z+
-.marking { <o+,z+> }
-.end
-";
-        let fixtures = [
-            (FIG_5_17, "o = x*y;", "x+", "y+"),
-            (case3, "o = x + y;", "x+", "y+"),
-            (case4, "o = y + z;", "z+", "y-"),
-        ];
-        for (text, eqn, from, to) in fixtures {
-            let mut local = build(text, eqn, "o");
-            let parent_mg = local.mg.clone();
-            let parent_sg = si_stg::StateGraph::of_mg(&parent_mg, 1000).expect("consistent");
-            let parent_report = conformance(&local, &parent_sg).expect("checks");
-            let epre = prerequisite_sets(&local);
-            let x = local.mg.transition_by_label(from).expect("present");
-            let y = local.mg.transition_by_label(to).expect("present");
-            relax_arc(&mut local.mg, x, y).expect("relaxes");
-            let (sg, map) = si_stg::StateGraph::of_mg_from(&parent_mg, &parent_sg, &local.mg, 1000)
-                .expect("derives");
-            let map = map.expect("single-arc relaxation is delta-eligible");
-            let scratch = classify_states(&local, &sg, &epre, Some(x)).expect("checks");
-            let incremental =
-                classify_states_from(&local, &sg, &epre, Some(x), &parent_report, &map)
-                    .expect("checks");
-            assert_eq!(incremental, scratch, "fixture {from} ⇒ {to}");
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{MgStg, SignalId, StateGraph, Stg};
 
 use crate::cache::{CacheStats, ConformanceCache, ProjCache, SgCache};
-use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
+use crate::check::{prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
 use crate::expand::{
@@ -94,31 +94,18 @@ pub struct EngineConfig {
     /// Worker threads for the per-gate fan-out: `1` = sequential in the
     /// calling thread, `0` = one per available CPU.
     pub jobs: usize,
-    /// Whether local state graphs are memoized.
+    /// Whether local state graphs and classification verdicts are
+    /// memoized ([`SgCache`] and [`ConformanceCache`]).
     pub cache: bool,
-    /// Whether each relaxation trial's state graph is derived
-    /// *incrementally* from its predecessor's — re-exploring only the cone
-    /// of states the edited arc can affect — instead of regenerated from
-    /// scratch. Output is bit-identical either way (the incremental path
-    /// replays budget-exhaustion and consistency errors exactly); the knob
-    /// exists as an escape hatch and for A/B measurement.
-    pub incremental: bool,
     /// Whether per-gate local-STG projections are memoized engine-wide
     /// (keyed on component structure + output + fan-in), which makes warm
     /// runs of a circuit skip the projection sweeps entirely.
     pub memo_projection: bool,
-    /// Whether each relaxation trial's conformance classification is
-    /// *incremental*: per-state verdicts of states outside the edit's
-    /// affected cone are copied from the predecessor trial's report, and
-    /// whole verdicts of repeated trials are answered from the
-    /// [`ConformanceCache`] (the cache tier additionally requires
-    /// [`EngineConfig::cache`]). Output is bit-identical either way; the
-    /// knob exists as an escape hatch and for A/B measurement.
-    pub incremental_classify: bool,
     /// Whether *cold* state-graph exploration uses σ-space
-    /// (firing-count-vector) keys ([`si_stg::StateGraph::of_mg_sigma`])
+    /// (firing-count-row) keys ([`si_stg::StateGraph::of_mg_sigma`])
     /// instead of packed-marking keys, for weakly connected MGs. Output is
-    /// bit-identical either way.
+    /// bit-identical either way; off, every miss runs the marking-keyed
+    /// reference generator.
     pub sigma_cold: bool,
     /// What to do with static-lint findings on source inputs
     /// ([`Engine::run_source`] only — [`Engine::run`] takes already-parsed
@@ -138,9 +125,8 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// Sequential but cached, incremental and projection-memoized:
-    /// identical output to the seed algorithm with every reuse layer
-    /// switched on.
+    /// Sequential but cached, projection-memoized and σ-keyed: identical
+    /// output to the seed algorithm with every reuse layer switched on.
     fn default() -> Self {
         Self {
             global_sg_budget: DEFAULT_GLOBAL_SG_BUDGET,
@@ -151,9 +137,7 @@ impl Default for EngineConfig {
             order: RelaxationOrder::TightestFirst,
             jobs: 1,
             cache: true,
-            incremental: true,
             memo_projection: true,
-            incremental_classify: true,
             sigma_cold: true,
             lint: LintPolicy::Warn,
             divergence_window: DEFAULT_DIVERGENCE_WINDOW,
@@ -163,17 +147,14 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The reference configuration: sequential, uncached, no incremental
-    /// regeneration or classification, no projection memo, no σ-space cold
-    /// exploration, no divergence bail-out — the exact code path of the
-    /// original monolithic driver. Differential tests compare every other
-    /// configuration against this one.
+    /// The reference configuration: sequential, uncached, no projection
+    /// memo, marking-keyed exploration, no divergence bail-out — the exact
+    /// code path of the original monolithic driver. Differential tests
+    /// compare every other configuration against this one.
     pub fn reference() -> Self {
         Self {
             cache: false,
-            incremental: false,
             memo_projection: false,
-            incremental_classify: false,
             sigma_cold: false,
             lint: LintPolicy::Off,
             divergence_policy: DivergencePolicy::Exhaust,
@@ -259,14 +240,8 @@ pub struct StageMetrics {
     pub states_explored: usize,
     /// Local state graphs answered from the shared cache.
     pub sg_cache_hits: usize,
-    /// Local state graphs generated (incrementally or from scratch).
+    /// Local state graphs generated by a cold exploration.
     pub sg_cache_misses: usize,
-    /// Cache hits answered by the delta tier (subset of
-    /// [`StageMetrics::sg_cache_hits`]).
-    pub sg_delta_hits: usize,
-    /// Misses answered by the incremental derivation instead of a scratch
-    /// exploration (subset of [`StageMetrics::sg_cache_misses`]).
-    pub sg_inc_derived: usize,
     /// Local-STG projections answered from the projection memo.
     pub proj_memo_hits: usize,
     /// Local-STG projections computed (and stored) by the stage.
@@ -275,9 +250,6 @@ pub struct StageMetrics {
     pub conf_cache_hits: usize,
     /// Classification verdicts computed fresh by the stage.
     pub conf_cache_misses: usize,
-    /// Fresh verdicts computed by verdict-copying incremental
-    /// classification (subset of [`StageMetrics::conf_cache_misses`]).
-    pub conf_inc_classified: usize,
     /// Distinct local-STG fingerprints recorded by the trial scheduler's
     /// progress ledger.
     pub sched_fingerprints: usize,
@@ -288,6 +260,39 @@ pub struct StageMetrics {
 }
 
 impl StageMetrics {
+    /// The stage's counters as `(name, value)` pairs in schema order —
+    /// the one counter set every JSON emitter renders.
+    pub fn counters(&self) -> [(&'static str, usize); 10] {
+        [
+            ("states_explored", self.states_explored),
+            ("sg_cache_hits", self.sg_cache_hits),
+            ("sg_cache_misses", self.sg_cache_misses),
+            ("proj_memo_hits", self.proj_memo_hits),
+            ("proj_memo_misses", self.proj_memo_misses),
+            ("conf_cache_hits", self.conf_cache_hits),
+            ("conf_cache_misses", self.conf_cache_misses),
+            ("sched_fingerprints", self.sched_fingerprints),
+            ("sched_cycle_bails", self.sched_cycle_bails),
+            ("sched_watchdog_bails", self.sched_watchdog_bails),
+        ]
+    }
+
+    /// The stage as one JSON object: `stage`, `wall_us`, then every
+    /// counter of [`StageMetrics::counters`].
+    pub fn json(&self) -> String {
+        use std::fmt::Write;
+        let mut s = format!(
+            "{{\"stage\":\"{}\",\"wall_us\":{}",
+            self.stage.name(),
+            self.wall.as_micros()
+        );
+        for (name, value) in self.counters() {
+            let _ = write!(s, ",\"{name}\":{value}");
+        }
+        s.push('}');
+        s
+    }
+
     fn timed(stage: Stage, wall: Duration) -> Self {
         Self {
             stage,
@@ -295,13 +300,10 @@ impl StageMetrics {
             states_explored: 0,
             sg_cache_hits: 0,
             sg_cache_misses: 0,
-            sg_delta_hits: 0,
-            sg_inc_derived: 0,
             proj_memo_hits: 0,
             proj_memo_misses: 0,
             conf_cache_hits: 0,
             conf_cache_misses: 0,
-            conf_inc_classified: 0,
             sched_fingerprints: 0,
             sched_cycle_bails: 0,
             sched_watchdog_bails: 0,
@@ -326,12 +328,6 @@ pub struct GateMetrics {
     pub sg_cache_hits: usize,
     /// Cache misses while processing this gate.
     pub sg_cache_misses: usize,
-    /// Delta-tier hits while processing this gate (subset of
-    /// [`GateMetrics::sg_cache_hits`]).
-    pub sg_delta_hits: usize,
-    /// Misses served by the incremental derivation (subset of
-    /// [`GateMetrics::sg_cache_misses`]).
-    pub sg_inc_derived: usize,
     /// Projections answered from the projection memo for this gate.
     pub proj_memo_hits: usize,
     /// Projections computed for this gate.
@@ -341,9 +337,6 @@ pub struct GateMetrics {
     pub conf_cache_hits: usize,
     /// Classification verdicts computed fresh for this gate.
     pub conf_cache_misses: usize,
-    /// Fresh verdicts computed by verdict-copying incremental
-    /// classification (subset of [`GateMetrics::conf_cache_misses`]).
-    pub conf_inc_classified: usize,
     /// Distinct local-STG fingerprints recorded by the trial scheduler's
     /// progress ledger for this gate.
     pub sched_fingerprints: usize,
@@ -485,10 +478,7 @@ impl Engine {
         } else {
             ProjCache::disabled()
         };
-        // The verdict cache is a reuse layer like the graph caches, so it
-        // obeys both switches: `cache` (memoize at all) and
-        // `incremental_classify` (reuse conformance work at all).
-        let conformance = if config.cache && config.incremental_classify {
+        let conformance = if config.cache {
             ConformanceCache::new()
         } else {
             ConformanceCache::disabled()
@@ -522,8 +512,8 @@ impl Engine {
         self.conformance.stats()
     }
 
-    /// Drops every memoized state graph (both tiers), projection and
-    /// classification verdict.
+    /// Drops every memoized state graph, projection and classification
+    /// verdict.
     pub fn clear_cache(&self) {
         self.cache.clear();
         self.projections.clear();
@@ -748,11 +738,8 @@ impl Engine {
             relax_metrics.states_explored += run.metrics.states_explored - project_states;
             relax_metrics.sg_cache_hits += run.metrics.sg_cache_hits - project_hits;
             relax_metrics.sg_cache_misses += run.metrics.sg_cache_misses - project_misses;
-            relax_metrics.sg_delta_hits += run.metrics.sg_delta_hits;
-            relax_metrics.sg_inc_derived += run.metrics.sg_inc_derived;
             relax_metrics.conf_cache_hits += run.metrics.conf_cache_hits - project_conf_hits;
             relax_metrics.conf_cache_misses += run.metrics.conf_cache_misses - project_conf_misses;
-            relax_metrics.conf_inc_classified += run.metrics.conf_inc_classified;
             relax_metrics.sched_fingerprints += run.metrics.sched_fingerprints;
             relax_metrics.sched_cycle_bails += run.metrics.sched_cycle_bails;
             relax_metrics.sched_watchdog_bails += run.metrics.sched_watchdog_bails;
@@ -854,13 +841,25 @@ impl Engine {
         let cfg = &self.config;
         let mut out = ExpandOutcome::default();
         let mut baseline: BTreeSet<Constraint> = BTreeSet::new();
-        let mut locals: Vec<(
-            LocalStg,
-            std::sync::Arc<StateGraph>,
-            crate::check::ConformanceReport,
-        )> = Vec::new();
+        let mut locals: Vec<LocalStg> = Vec::new();
         let mut proj_memo_hits = 0usize;
         let mut proj_memo_misses = 0usize;
+
+        let ectx = ExpandCtx {
+            oracle,
+            order: cfg.order,
+            iteration_budget: cfg.expand_budget,
+            sg_budget: cfg.local_sg_budget,
+            max_depth: cfg.max_depth,
+            cache: &self.cache,
+            conformance: &self.conformance,
+            divergence_window: cfg.divergence_window,
+            divergence_policy: cfg.divergence_policy,
+        };
+        let precheck = ExpandCtx {
+            sg_budget: cfg.global_sg_budget,
+            ..ectx
+        };
 
         let project_started = Instant::now();
         let gate = library.gate(name).ok_or_else(|| CoreError::MissingGate {
@@ -903,32 +902,15 @@ impl Engine {
             }
 
             // Precondition: the initial local STG must be conformant. The
-            // pre-check shares the engine cache (and the global budget, as
+            // pre-check shares the engine caches (and the global budget, as
             // the monolithic driver did).
-            let (sg, hit) = self.cache.of_mg(&local.mg, cfg.global_sg_budget)?;
-            if hit {
-                out.sg_cache_hits += 1;
-            } else {
-                out.sg_cache_misses += 1;
-                out.states_explored += sg.state_count();
-            }
-            let epre = prerequisite_sets(&local);
-            let (case, report) = match self.conformance.lookup(&local, &epre, None) {
-                Some(v) => {
-                    out.conf_cache_hits += 1;
-                    v
-                }
-                None => {
-                    out.conf_cache_misses += 1;
-                    let (case, report) = classify_states(&local, &sg, &epre, None)?;
-                    self.conformance.store(&local, &epre, None, case, &report);
-                    (case, report)
-                }
-            };
+            let sg = precheck.sg(&local.mg, &mut out)?;
+            let (case, _) =
+                precheck.classify(&local, &sg, &prerequisite_sets(&local), None, &mut out)?;
             if case != RelaxationCase::Case1 {
                 return Err(CoreError::NotConformant { gate: name.clone() });
             }
-            locals.push((local, sg, report));
+            locals.push(local);
         }
         let project_wall = project_started.elapsed();
         let project_traffic = (
@@ -940,24 +922,8 @@ impl Engine {
         );
 
         let relax_started = Instant::now();
-        let ectx = ExpandCtx {
-            oracle,
-            order: cfg.order,
-            iteration_budget: cfg.expand_budget,
-            sg_budget: cfg.local_sg_budget,
-            max_depth: cfg.max_depth,
-            cache: &self.cache,
-            conformance: &self.conformance,
-            incremental: cfg.incremental,
-            incremental_classify: cfg.incremental_classify,
-            divergence_window: cfg.divergence_window,
-            divergence_policy: cfg.divergence_policy,
-        };
-        for (local, sg, report) in locals {
-            // The pre-check's graph and report are the first predecessor:
-            // every trial after it regenerates — and reclassifies —
-            // incrementally.
-            expand_ctx(local, Some((sg, report)), &ectx, &mut out)?;
+        for local in locals {
+            expand_ctx(local, &ectx, &mut out)?;
         }
         let relax_wall = relax_started.elapsed();
 
@@ -969,13 +935,10 @@ impl Engine {
             states_explored: out.states_explored,
             sg_cache_hits: out.sg_cache_hits,
             sg_cache_misses: out.sg_cache_misses,
-            sg_delta_hits: out.sg_delta_hits,
-            sg_inc_derived: out.sg_inc_derived,
             proj_memo_hits,
             proj_memo_misses,
             conf_cache_hits: out.conf_cache_hits,
             conf_cache_misses: out.conf_cache_misses,
-            conf_inc_classified: out.conf_inc_classified,
             sched_fingerprints: out.sched_fingerprints,
             sched_cycle_bails: out.sched_cycle_bails,
             sched_watchdog_bails: out.sched_watchdog_bails,

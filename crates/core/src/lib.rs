@@ -28,13 +28,12 @@
 //!   (sequential, uncached; the differential reference);
 //! - [`Engine`] — the staged pipeline (parse → validate → decompose →
 //!   project → relax → merge) with an explicit [`EngineConfig`], three
-//!   memoization tiers shared across gates and runs (state graphs in
+//!   memoization caches shared across gates and runs (state graphs in
 //!   [`SgCache`], projections in [`ProjCache`], classification verdicts
-//!   in [`ConformanceCache`]), incremental regeneration *and*
-//!   classification under relaxation edits, a parallel per-gate fan-out,
-//!   and per-stage/per-gate metrics in the extended [`EngineReport`].
-//!   Output is bit-identical to the monolithic call for every
-//!   configuration.
+//!   in [`ConformanceCache`]), allocation-free σ-space exploration on
+//!   every state-graph miss, a parallel per-gate fan-out, and
+//!   per-stage/per-gate metrics in the extended [`EngineReport`]. Output
+//!   is bit-identical to the monolithic call for every configuration.
 //!
 //! # Example
 //!
@@ -82,10 +81,10 @@ mod relax;
 mod report;
 mod sched;
 
-pub use cache::{CacheStats, ConformanceCache, ProjCache, SgCache, SgSource};
+pub use cache::{CacheStats, ConformanceCache, ProjCache, SgCache};
 pub use check::{
-    classify_state, classify_states, classify_states_from, conformance, conformance_from,
-    is_pending, prerequisite_sets, ConformanceReport, RelaxationCase, StateClass,
+    classify_state, classify_states, conformance, is_pending, prerequisite_sets, ConformanceReport,
+    RelaxationCase, StateClass,
 };
 pub use constraint::{Constraint, ConstraintAtom};
 pub use engine::{
@@ -105,6 +104,4 @@ pub use relax::relax_arc;
 pub use report::{
     derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,
 };
-pub use sched::{
-    DivergenceKind, DivergencePolicy, DivergenceWitness, DEFAULT_DIVERGENCE_WINDOW,
-};
+pub use sched::{DivergenceKind, DivergencePolicy, DivergenceWitness, DEFAULT_DIVERGENCE_WINDOW};

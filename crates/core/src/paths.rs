@@ -113,30 +113,45 @@ impl AdversaryOracle {
             .collect()
     }
 
-    /// The tightest adversary path realizing `x* ⇒ y*`, if any causal path
-    /// exists at all.
-    pub fn path(&self, x: TransitionLabel, y: TransitionLabel) -> Option<AdversaryPath> {
+    /// Applies `read` to the memoized tightest path of `x* ⇒ y*`, searching
+    /// (outside the lock) and memoizing it first on a miss. A hit reads the
+    /// path in place, so key and level queries never clone its hops.
+    fn with_path<R>(
+        &self,
+        x: TransitionLabel,
+        y: TransitionLabel,
+        read: impl FnOnce(Option<&AdversaryPath>) -> R,
+    ) -> R {
         if let Some(hit) = self.memo.lock().expect("oracle memo poisoned").get(&(x, y)) {
-            return hit.clone();
+            return read(hit.as_ref());
         }
         let found = self.search(x, y, false).or_else(|| self.search(x, y, true));
+        let result = read(found.as_ref());
         self.memo
             .lock()
             .expect("oracle memo poisoned")
-            .insert((x, y), found.clone());
-        found
+            .insert((x, y), found);
+        result
+    }
+
+    /// The tightest adversary path realizing `x* ⇒ y*`, if any causal path
+    /// exists at all.
+    pub fn path(&self, x: TransitionLabel, y: TransitionLabel) -> Option<AdversaryPath> {
+        self.with_path(x, y, |p| p.cloned())
     }
 
     /// Sort key used by `find_tightest_arc` (Sec. 5.5): unknown paths sort
     /// last.
     pub fn weight_key(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
-        self.path(x, y).map_or((true, u32::MAX), |p| p.weight_key())
+        self.with_path(x, y, |p| {
+            p.map_or((true, u32::MAX), AdversaryPath::weight_key)
+        })
     }
 
     /// The Table 7.2 level of a constraint, `None` when the path crosses
     /// the environment or does not exist.
     pub fn level(&self, x: TransitionLabel, y: TransitionLabel) -> Option<u32> {
-        self.path(x, y).and_then(|p| p.level())
+        self.with_path(x, y, |p| p.and_then(AdversaryPath::level))
     }
 
     fn search(

@@ -96,7 +96,7 @@ pub struct DivergenceWitness {
     /// The relaxation iteration (1-based, as counted by
     /// [`ExpandOutcome::iterations`]) at which it fired.
     pub iteration: usize,
-    /// Up to [`WITNESS_ARCS`] most recent relaxed arcs, oldest first.
+    /// Up to eight (`WITNESS_ARCS`) most recent relaxed arcs, oldest first.
     pub arcs: Vec<String>,
 }
 

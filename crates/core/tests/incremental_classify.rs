@@ -1,55 +1,84 @@
-//! Property tests for incremental conformance classification: on a random
-//! local STG and a random single-arc edit, the copy-unaffected-verdicts
-//! path ([`classify_states_from`]) must agree with the from-scratch sweep
-//! ([`classify_states`]) *exactly* — the same [`RelaxationCase`], the same
-//! [`ConformanceReport`] (premature pairs and lagging states in the same
-//! order), and the same error — under generous and tight state budgets
-//! alike. The scratch sweep is the pinned reference; any divergence here
-//! is a soundness bug in the verdict-copying path.
+//! Property tests for classifying relaxation trials: on a random local STG
+//! and a random single-arc edit, the verdicts the relaxation loop works
+//! from — each trial's state graph served by the σ-cold [`SgCache`], its
+//! four-case classification served by the [`ConformanceCache`] — must
+//! agree with the from-scratch sweep ([`classify_states`] over the
+//! marking-keyed [`StateGraph::of_mg`]) *exactly*: the same
+//! [`RelaxationCase`], the same [`ConformanceReport`] (premature pairs and
+//! lagging states in the same order) and the same error, whether computed
+//! cold or answered from the caches, under generous and tight state
+//! budgets alike. The scratch sweep is the pinned reference; a divergence
+//! here means a cache key conflates two trials or the explorer drifted.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use si_core::{classify_states, classify_states_from, prerequisite_sets};
+use si_core::{
+    classify_states, prerequisite_sets, ConformanceCache, ConformanceReport, CoreError, LocalStg,
+    RelaxationCase, SgCache,
+};
 use si_corpus::strategies::{random_local_case, Edit, RandomLocal};
-use si_stg::StateGraph;
+use si_stg::{StateGraph, TransitionLabel};
 
 /// The shared [`si_corpus::strategies::random_local_case`] drives these
 /// properties: a random C-element local STG, a random single-arc
-/// [`Edit`], and a wrapped relaxed-transition index (the same generator
-/// family the incremental regeneration proptests in `si-stg` use).
+/// [`Edit`], and a wrapped relaxed-transition index.
 fn random_case() -> impl Strategy<Value = (RandomLocal, Edit, usize)> {
     random_local_case()
 }
 
-/// Runs one parent → edit → child round at `budget`, asserting the
-/// incremental classification reproduces the scratch one bit for bit.
+type Epre = BTreeMap<usize, BTreeSet<TransitionLabel>>;
+type Verdict = Result<(RelaxationCase, ConformanceReport), CoreError>;
+
+/// One trial's verdict the way the relaxation loop obtains it: the graph
+/// from the state-graph cache, the classification from the conformance
+/// cache when the trial repeats, swept and stored otherwise.
+fn served(
+    sgs: &SgCache,
+    conf: &ConformanceCache,
+    local: &LocalStg,
+    epre: &Epre,
+    relaxed: Option<usize>,
+    budget: usize,
+) -> Verdict {
+    let (sg, _) = sgs.of_mg(&local.mg, budget)?;
+    if let Some(hit) = conf.lookup(local, epre, relaxed) {
+        return Ok(hit);
+    }
+    let (case, report) = classify_states(local, &sg, epre, relaxed)?;
+    conf.store(local, epre, relaxed, case, &report);
+    Ok((case, report))
+}
+
+/// The same verdict from a fresh marking-keyed generation and sweep.
+fn scratch(local: &LocalStg, epre: &Epre, relaxed: Option<usize>, budget: usize) -> Verdict {
+    let sg = StateGraph::of_mg(&local.mg, budget)?;
+    classify_states(local, &sg, epre, relaxed)
+}
+
+/// Runs the parent and its edited child at `budget` through `sgs` and
+/// `conf`, asserting every served verdict reproduces the scratch one bit
+/// for bit.
 fn check_round(
     spec: &RandomLocal,
     edit: &Edit,
     relaxed_idx: usize,
     budget: usize,
+    sgs: &SgCache,
+    conf: &ConformanceCache,
 ) -> Result<(), TestCaseError> {
     let parent = spec.build();
-    let Ok(parent_sg) = StateGraph::of_mg(&parent.mg, budget) else {
-        return Ok(()); // no predecessor graph to classify from
-    };
-    let parent_epre = prerequisite_sets(&parent);
-    let Ok((_, parent_report)) = classify_states(&parent, &parent_sg, &parent_epre, None) else {
-        return Ok(()); // no parent verdicts to copy
-    };
     let child = edit.apply_local(&parent);
-    let Ok((child_sg, Some(map))) =
-        StateGraph::of_mg_from(&parent.mg, &parent_sg, &child.mg, budget)
-    else {
-        return Ok(()); // error or scratch fallback: no correspondence to reuse
-    };
-    let epre = prerequisite_sets(&child);
-    let ts = child.mg.transitions();
-    for relaxed in [None, Some(ts[relaxed_idx % ts.len()])] {
-        let scratch = classify_states(&child, &child_sg, &epre, relaxed);
-        let incremental =
-            classify_states_from(&child, &child_sg, &epre, relaxed, &parent_report, &map);
-        prop_assert_eq!(&incremental, &scratch);
+    for local in [&parent, &child] {
+        let epre = prerequisite_sets(local);
+        let ts = local.mg.transitions();
+        for relaxed in [None, Some(ts[relaxed_idx % ts.len()])] {
+            prop_assert_eq!(
+                served(sgs, conf, local, &epre, relaxed, budget),
+                scratch(local, &epre, relaxed, budget)
+            );
+        }
     }
     Ok(())
 }
@@ -57,20 +86,25 @@ fn check_round(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
+    /// A cold round, then a warm one answered from the caches.
     #[test]
     fn incremental_classification_matches_scratch((spec, edit, relaxed_idx) in random_case()) {
-        check_round(&spec, &edit, relaxed_idx, 10_000)?;
+        let (sgs, conf) = (SgCache::new().with_sigma_cold(true), ConformanceCache::new());
+        for _ in 0..2 {
+            check_round(&spec, &edit, relaxed_idx, 10_000, &sgs, &conf)?;
+        }
     }
 
-    /// Tight budgets shrink or kill the parent graph; whenever a
-    /// correspondence still exists, the verdict-copying path must keep
-    /// agreeing — including on the error values themselves.
+    /// Shrinking budgets over shared caches: a graph cached under a larger
+    /// budget must fail a smaller one exactly like a scratch generation,
+    /// and a cached verdict must never outlive its graph's budget.
     #[test]
     fn incremental_classification_matches_scratch_under_tight_budgets(
         (spec, edit, relaxed_idx) in random_case()
     ) {
-        for budget in [2usize, 3, 5, 9, 17, 33] {
-            check_round(&spec, &edit, relaxed_idx, budget)?;
+        let (sgs, conf) = (SgCache::new().with_sigma_cold(true), ConformanceCache::new());
+        for budget in [33usize, 17, 9, 5, 3, 2] {
+            check_round(&spec, &edit, relaxed_idx, budget, &sgs, &conf)?;
         }
     }
 }

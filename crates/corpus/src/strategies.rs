@@ -1,11 +1,10 @@
 //! Shared property-test strategies.
 //!
 //! The random-ring generators and the single-arc [`Edit`] space used by
-//! the incremental-regeneration proptests (`si-stg`) and the incremental
-//! classification proptests (`si-core`) live here once, instead of being
-//! duplicated per test file. The corpus generator itself is also exposed
-//! as a strategy ([`corpus_case`]) for end-to-end properties over whole
-//! circuits.
+//! the σ-space explorer proptests (`si-stg`) and the trial classification
+//! proptests (`si-core`) live here once, instead of being duplicated per
+//! test file. The corpus generator itself is also exposed as a strategy
+//! ([`corpus_case`]) for end-to-end properties over whole circuits.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -177,7 +176,7 @@ pub fn edit() -> impl Strategy<Value = Edit> {
 }
 
 /// A random ring MG plus a random single-arc edit — the case shape of
-/// the incremental state-graph regeneration proptests.
+/// the σ-space explorer proptests.
 pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
     let mg = (
         2usize..=5,
@@ -188,7 +187,7 @@ pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
 }
 
 /// A random local STG, a random single-arc edit, and a wrapped relaxed
-/// transition index — the case shape of the incremental classification
+/// transition index — the case shape of the trial classification
 /// proptests.
 pub fn random_local_case() -> impl Strategy<Value = (RandomLocal, Edit, usize)> {
     let local = (

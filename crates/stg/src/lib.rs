@@ -8,11 +8,12 @@
 //! format used by petrify-era tools, converts marked-graph components into
 //! the transition-level [`MgStg`] form that the relaxation engine
 //! manipulates, generates binary-coded state graphs ([`StateGraph`]) with
-//! the region machinery of thesis Sec. 3.4 — including the incremental
-//! regeneration ([`StateGraph::of_mg_from`]) that derives a single-arc
-//! edit's successor graph from its predecessor's — and implements the local-STG
-//! projection of Algorithm 1 together with the shortcut-place redundancy
-//! check of Algorithm 3.
+//! the region machinery of thesis Sec. 3.4 — including the allocation-free
+//! σ-space explorer ([`StateGraph::of_mg_sigma`]) that keys marked-graph
+//! states by normalized firing counts, checked against the marking-keyed
+//! [`StateGraph::of_mg`] — and implements the local-STG projection of
+//! Algorithm 1 together with the shortcut-place redundancy check of
+//! Algorithm 3.
 //!
 //! The `.g` front-end is layered for streaming: the incremental
 //! [`Lexer`] yields spanned tokens from `&str` chunks, the
@@ -36,12 +37,12 @@ mod tree;
 
 pub use events::{parse_events, EventParser, ParseEvent, ParseNodeKind};
 pub use lexer::{normalize_source, Lexer, Token, TokenKind};
-pub use mg::{ArcAttr, ArcDelta, MgStg, SgKey};
+pub use mg::{ArcAttr, MgStg, SgKey};
 pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,
     SpecSpans, IMEC_RAM_READ_SBUF_G,
 };
-pub use sg::{SgMap, SgState, StateGraph};
+pub use sg::{SgState, StateGraph};
 pub use signal::{Polarity, SignalId, SignalKind, TransitionLabel};
 pub use stg::{Stg, StgError, StgHealth};
 pub use tree::{tree_of_events, TreeBuilder};

@@ -42,34 +42,6 @@ pub struct SgKey {
     arcs: Vec<(usize, usize, u32)>,
 }
 
-/// The arc-level difference between two [`MgStg`]s sharing a transition
-/// space — the "delta" of one relaxation-loop edit, in canonical form.
-///
-/// Each entry records one arc whose token count differs between the
-/// predecessor and the successor graph (`None` = the arc is absent on
-/// that side), sorted by arc key. Restriction flags are ignored, matching
-/// [`SgKey`] semantics: they never influence state-graph generation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct ArcDelta {
-    /// `(src, dst, tokens before, tokens after)` per changed arc.
-    pub changes: Vec<(usize, usize, Option<u32>, Option<u32>)>,
-}
-
-impl ArcDelta {
-    /// Whether the two graphs have identical arc skeletons.
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Transition ids whose *enabling* the delta can affect: the
-    /// destination endpoints of every changed arc. Any transition outside
-    /// this set is enabled in the successor graph exactly where it was
-    /// enabled in the predecessor (its incoming arcs are untouched).
-    pub fn affected_dsts(&self) -> BTreeSet<usize> {
-        self.changes.iter().map(|&(_, dst, _, _)| dst).collect()
-    }
-}
-
 /// A marked-graph STG over transition-level arcs.
 ///
 /// Transition ids are stable across edits (removed transitions are
@@ -219,59 +191,13 @@ impl MgStg {
         self.initial_code = code;
     }
 
-    /// Whether `self` and `other` share a transition space: the same alive
-    /// transition ids with the same labels and the same initial code. Two
-    /// such graphs differ only by their [`ArcDelta`], so
-    /// `(self.sg_key(), self.arc_delta(other))` determines `other.sg_key()`
-    /// — the soundness condition for the delta tier of a state-graph cache.
-    pub fn same_transition_space(&self, other: &MgStg) -> bool {
-        self.initial_code == other.initial_code && self.transitions == other.transitions
-    }
-
-    /// The canonical arc-level difference `self → other` (token counts
-    /// only; restriction flags are excluded, as in [`SgKey`]).
-    pub fn arc_delta(&self, other: &MgStg) -> ArcDelta {
-        let mut changes = Vec::new();
-        let mut mine = self.arcs.iter().peekable();
-        let mut theirs = other.arcs.iter().peekable();
-        loop {
-            match (mine.peek(), theirs.peek()) {
-                (Some(&(&k1, a1)), Some(&(&k2, a2))) => {
-                    if k1 < k2 {
-                        changes.push((k1.0, k1.1, Some(a1.tokens), None));
-                        mine.next();
-                    } else if k2 < k1 {
-                        changes.push((k2.0, k2.1, None, Some(a2.tokens)));
-                        theirs.next();
-                    } else {
-                        if a1.tokens != a2.tokens {
-                            changes.push((k1.0, k1.1, Some(a1.tokens), Some(a2.tokens)));
-                        }
-                        mine.next();
-                        theirs.next();
-                    }
-                }
-                (Some(&(&k1, a1)), None) => {
-                    changes.push((k1.0, k1.1, Some(a1.tokens), None));
-                    mine.next();
-                }
-                (None, Some(&(&k2, a2))) => {
-                    changes.push((k2.0, k2.1, None, Some(a2.tokens)));
-                    theirs.next();
-                }
-                (None, None) => return ArcDelta { changes },
-            }
-        }
-    }
-
     /// Whether every alive transition lies in one weakly connected
     /// component of the arc graph (arcs taken as undirected edges).
     ///
     /// This is the condition under which a reachable marking determines the
     /// transition firing-count vector up to a constant shift, which lets
-    /// the incremental state-graph derivation
-    /// ([`crate::StateGraph::of_mg_from`]) identify states by normalized
-    /// firing counts instead of full markings.
+    /// the σ-space explorer ([`crate::StateGraph::of_mg_sigma`]) identify
+    /// states by normalized firing counts instead of full markings.
     pub fn arcs_weakly_connected(&self) -> bool {
         let alive = self.transitions();
         let Some(&start) = alive.first() else {

@@ -1,18 +1,11 @@
 //! Binary-coded state graphs and the region machinery of thesis Sec. 3.4.
 //!
-//! Besides the scratch generators ([`StateGraph::of_mg`],
-//! [`StateGraph::of_stg`]) this module implements the *incremental*
-//! regeneration used by the relaxation loop: [`StateGraph::of_mg_from`]
-//! derives the successor state graph of a single-arc edit from the
-//! predecessor's graph, re-exploring only the cone of states whose
-//! enabling conditions the edit can affect, while reproducing the scratch
-//! generator's output — including its failures — bit for bit. It also
-//! returns the parent↔child state correspondence and the affected cone as
-//! an [`SgMap`], so downstream per-state analyses (the conformance sweep)
-//! can reuse the unaffected states' verdicts. For *cold* exploration of
-//! weakly connected marked graphs, [`StateGraph::of_mg_sigma`] replaces
-//! the packed-marking state keys with the cheaper normalized
-//! firing-count-vector (σ-space) keys the delta path already uses.
+//! Marked-graph STGs have two generators that must agree bit for bit: the
+//! marking-keyed [`StateGraph::of_mg`], kept as the reference oracle, and
+//! the σ-space explorer [`StateGraph::of_mg_sigma`], which keys states by
+//! normalized firing-count rows interned in one flat arena and allocates
+//! nothing per edge. [`StateGraph::of_stg`] explores full (free-choice)
+//! STGs.
 
 use std::collections::HashMap;
 
@@ -20,86 +13,102 @@ use crate::mg::MgStg;
 use crate::signal::{Polarity, SignalId, TransitionLabel};
 use crate::stg::{Stg, StgError};
 
-/// Normalizes a firing-count vector to its canonical representative:
-/// firing counts are only determined up to a constant shift (one full
-/// cycle fires every transition once), so subtract the minimum over the
-/// alive transitions. Entries of dead transitions stay untouched (they
-/// are never fired and remain zero).
-fn normalized(sigma: &[i64], alive: &[usize]) -> Vec<i64> {
-    let min = alive
-        .iter()
-        .map(|&t| sigma[t])
-        .min()
-        .expect("alive set is non-empty");
-    let mut v = sigma.to_vec();
-    for &t in alive {
-        v[t] -= min;
-    }
-    v
+/// End of a [`RowIndex`] bucket chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// Buckets of a fresh [`RowIndex`] (a power of two).
+const INITIAL_BUCKETS: usize = 64;
+
+/// The default row hash: an Fx-style multiply-rotate over the entries.
+/// Bucket selection takes the product's top bits, which mix every entry.
+fn row_hash(row: &[i32]) -> u64 {
+    row.iter().fold(0u64, |h, &v| {
+        (h.rotate_left(5) ^ u64::from(v as u32)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
-/// The parent↔child state correspondence and the *affected cone* of one
-/// incremental derivation ([`StateGraph::of_mg_from`]).
-///
-/// The correspondence identifies states by normalized firing-count class:
-/// `parent_of[i]` is the predecessor state whose firing counts equal child
-/// state `i`'s (it is a partial bijection — both graphs dedup states by
-/// the same key).
-///
-/// The affected cone is the contract downstream verdict reuse rests on:
-/// `affected[i]` is `false` only when child state `i` has a parent
-/// counterpart `p = parent_of[i]` with the **same binary code and the
-/// same edge list** — elementwise equal transition ids, with each
-/// successor pair related by the correspondence — and the two graphs
-/// share their transition-label table. Every *local* per-state verdict
-/// (a function of the state's code, its own outgoing edges and the shared
-/// labels — excitedness, cover evaluation, premature/lagging membership)
-/// therefore coincides between `i` and `p` whenever `affected[i]` is
-/// `false`. Verdicts that traverse *paths* (next-transition-to-fire,
-/// pending-ness) are **not** covered by the contract and must be
-/// recomputed by the consumer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SgMap {
-    /// `parent_of[i]` = the parent state sharing child state `i`'s
-    /// normalized firing-count class, if any.
-    pub parent_of: Vec<Option<usize>>,
-    /// Whether child state `i` is in the affected cone (no parent
-    /// counterpart, or its code/edge list differs from the counterpart's
-    /// under the correspondence).
-    pub affected: Vec<bool>,
+/// Interns fixed-width `i32` rows in one flat arena: row `j` occupies
+/// `rows[j * width..(j + 1) * width]`. A power-of-two bucket table chains
+/// rows by hash, and a lookup compares the candidates element by element,
+/// so distinct rows that share a hash stay distinct entries. Interning a
+/// row appends to four vectors and allocates nothing else.
+struct RowIndex {
+    width: usize,
+    rows: Vec<i32>,
+    hashes: Vec<u64>,
+    next: Vec<u32>,
+    heads: Vec<u32>,
+    /// `64 - log2(heads.len())`: a hash's bucket is its top bits.
+    shift: u32,
+    hash: fn(&[i32]) -> u64,
 }
 
-impl SgMap {
-    /// Number of states outside the affected cone (whose local verdicts
-    /// the correspondence makes reusable).
-    pub fn unaffected_count(&self) -> usize {
-        self.affected.iter().filter(|&&a| !a).count()
-    }
-
-    /// Derives the cone from the exploration's correspondence vector:
-    /// child state `i` is affected iff it has no counterpart, the label
-    /// tables differ, its code differs, or its edge list differs
-    /// elementwise (transition ids, and successors related by
-    /// `parent_of`).
-    fn derive(child: &StateGraph, parent: &StateGraph, parent_of: Vec<Option<usize>>) -> Self {
-        let labels_match = child.labels == parent.labels;
-        let affected = (0..child.states.len())
-            .map(|i| match parent_of[i] {
-                None => true,
-                Some(p) => {
-                    !labels_match
-                        || child.states[i].code != parent.states[p].code
-                        || child.edges[i].len() != parent.edges[p].len()
-                        || child.edges[i]
-                            .iter()
-                            .zip(&parent.edges[p])
-                            .any(|(&(t, j), &(pt, pj))| t != pt || parent_of[j] != Some(pj))
-                }
-            })
-            .collect();
+impl RowIndex {
+    fn new(width: usize, hash: fn(&[i32]) -> u64) -> Self {
         Self {
-            parent_of,
-            affected,
+            width,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            heads: vec![NO_ROW; INITIAL_BUCKETS],
+            shift: 64 - INITIAL_BUCKETS.trailing_zeros(),
+            hash,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    fn row(&self, j: usize) -> &[i32] {
+        &self.rows[j * self.width..(j + 1) * self.width]
+    }
+
+    fn hash_of(&self, row: &[i32]) -> u64 {
+        (self.hash)(row)
+    }
+
+    fn bucket(&self, h: u64) -> usize {
+        (h >> self.shift) as usize
+    }
+
+    /// The entry equal to `row` (whose hash is `h`), if interned.
+    fn find(&self, row: &[i32], h: u64) -> Option<usize> {
+        let mut j = self.heads[self.bucket(h)];
+        while j != NO_ROW {
+            let k = j as usize;
+            if self.hashes[k] == h && self.row(k) == row {
+                return Some(k);
+            }
+            j = self.next[k];
+        }
+        None
+    }
+
+    /// Interns `row` (hash `h`, not yet present) and returns its entry.
+    fn insert(&mut self, row: &[i32], h: u64) -> usize {
+        if self.len() == self.heads.len() {
+            self.grow();
+        }
+        let j = self.len();
+        let b = self.bucket(h);
+        self.rows.extend_from_slice(row);
+        self.hashes.push(h);
+        self.next.push(self.heads[b]);
+        self.heads[b] = u32::try_from(j).expect("row index exceeds u32 entries");
+        j
+    }
+
+    /// Doubles the bucket table and rechains every entry.
+    fn grow(&mut self) {
+        let buckets = self.heads.len() * 2;
+        self.shift -= 1;
+        self.heads.clear();
+        self.heads.resize(buckets, NO_ROW);
+        for j in 0..self.len() {
+            let b = self.bucket(self.hashes[j]);
+            self.next[j] = self.heads[b];
+            self.heads[b] = j as u32;
         }
     }
 }
@@ -211,210 +220,18 @@ impl StateGraph {
         })
     }
 
-    /// Derives the state graph of `mg` from the predecessor `parent`'s
-    /// graph, re-exploring only the cone of states affected by the arc
-    /// delta between the two — the incremental regeneration behind each
-    /// relaxation-loop edit.
-    ///
-    /// `parent_sg` must be the graph [`StateGraph::of_mg`] returns for
-    /// `parent` (any budget it fits in). The contract is exact equivalence
-    /// with a scratch run: the returned graph is bit-identical to
-    /// `StateGraph::of_mg(mg, budget)` — same state indexing, same edge
-    /// order — and every failure (consistency violation, budget
-    /// exhaustion) is the error the scratch run would report, raised at
-    /// the same point of the exploration. The returned [`SgMap`] carries
-    /// the parent↔child state correspondence the delta path builds
-    /// internally plus the affected cone (see [`SgMap`] for the exact
-    /// reuse contract); it is `None` when the inputs were ineligible
-    /// (different alive-transition sets, or an arc skeleton that is not
-    /// weakly connected) and the result came from a scratch generation.
-    ///
-    /// The delta-guided path identifies states by *normalized firing-count
-    /// vectors* instead of full markings: in a weakly connected marked
-    /// graph a reachable marking determines the firing counts up to a
-    /// constant shift, so the count vector is a faithful state key shared
-    /// between predecessor and successor. A transition whose incoming arcs
-    /// the delta does not touch is enabled in the successor exactly where
-    /// the predecessor's graph has an edge for it — those verdicts (and
-    /// the successor states they lead to) are copied in O(1) per edge;
-    /// only transitions downstream of the edited arc, and states beyond
-    /// the predecessor's horizon, are recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`StateGraph::of_mg`] under `budget`.
-    pub fn of_mg_from(
-        parent: &MgStg,
-        parent_sg: &StateGraph,
-        mg: &MgStg,
-        budget: usize,
-    ) -> Result<(Self, Option<SgMap>), StgError> {
-        let alive = mg.transitions();
-        if parent.transitions() != alive || !mg.arcs_weakly_connected() {
-            return Ok((Self::of_mg(mg, budget)?, None));
-        }
-        let nt = alive.last().copied().expect("connected implies non-empty") + 1;
-
-        let mut labels: Vec<Option<TransitionLabel>> = Vec::new();
-        for &t in &alive {
-            while labels.len() <= t {
-                labels.push(None);
-            }
-            labels[t] = Some(mg.label(t));
-        }
-
-        // Transitions whose enabling the delta can affect (their incoming
-        // arcs changed); everything else inherits the parent's verdicts.
-        let delta = parent.arc_delta(mg);
-        let mut changed_dst = vec![false; nt];
-        for t in delta.affected_dsts() {
-            changed_dst[t] = true;
-        }
-        // Incoming arcs of each transition with token counts, for the
-        // firing-count enabling test `tokens + σ(src) − σ(dst) > 0`.
-        let mut preds_of: Vec<Vec<(usize, i64)>> = vec![Vec::new(); nt];
-        for ((a, b), attr) in mg.arcs() {
-            preds_of[b].push((a, i64::from(attr.tokens)));
-        }
-
-        // Recover the parent's firing-count vector per state (BFS over its
-        // edges from the initial state) and index states by the normalized
-        // vector.
-        let pn = parent_sg.states.len();
-        let mut parent_index: HashMap<Vec<i64>, usize> = HashMap::with_capacity(pn);
-        {
-            let mut sig: Vec<Vec<i64>> = vec![Vec::new(); pn];
-            sig[0] = vec![0i64; nt];
-            parent_index.insert(normalized(&sig[0], &alive), 0);
-            let mut stack = vec![0usize];
-            while let Some(p) = stack.pop() {
-                for &(t, j) in &parent_sg.edges[p] {
-                    if sig[j].is_empty() {
-                        let mut s = sig[p].clone();
-                        s[t] += 1;
-                        parent_index.insert(normalized(&s, &alive), j);
-                        sig[j] = s;
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-
-        // The successor exploration, mirroring `of_mg`'s loop exactly:
-        // same LIFO frontier, same ascending transition order, same
-        // consistency and budget checks at the same points.
-        let mut index: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut sigma: Vec<Vec<i64>> = vec![vec![0i64; nt]];
-        let mut states = vec![SgState {
-            code: mg.initial_code(),
-        }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-        let key0 = normalized(&sigma[0], &alive);
-        let mapped0 = parent_index.get(&key0).copied();
-        index.insert(key0, 0);
-        // `mapped[i]` = the parent state sharing child state `i`'s
-        // firing-count class; `child_of_parent` is the inverse.
-        let mut mapped: Vec<Option<usize>> = vec![mapped0];
-        let mut child_of_parent: Vec<Option<usize>> = vec![None; pn];
-        if let Some(p0) = mapped0 {
-            child_of_parent[p0] = Some(0);
-        }
-        let mut frontier = vec![0usize];
-
-        while let Some(i) = frontier.pop() {
-            let code = states[i].code;
-            let at_parent = mapped[i];
-            for &t in &alive {
-                let (enabled, parent_succ) = match at_parent {
-                    Some(p) if !changed_dst[t] => {
-                        match parent_sg.edges[p].iter().find(|&&(u, _)| u == t) {
-                            Some(&(_, pj)) => (true, Some(pj)),
-                            None => (false, None),
-                        }
-                    }
-                    _ => {
-                        let s = &sigma[i];
-                        let enabled = preds_of[t].iter().all(|&(a, tok)| tok + s[a] - s[t] > 0);
-                        (enabled, None)
-                    }
-                };
-                if !enabled {
-                    continue;
-                }
-                let label = mg.label(t);
-                let bit = 1u64 << label.signal.0;
-                let before = code & bit != 0;
-                if before == label.polarity.target_value() {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
-                }
-                let next_code = code ^ bit;
-                let known = parent_succ.and_then(|pj| child_of_parent[pj]);
-                let j = match known {
-                    Some(j) => j,
-                    None => {
-                        let mut s2 = sigma[i].clone();
-                        s2[t] += 1;
-                        let key = normalized(&s2, &alive);
-                        match index.get(&key) {
-                            Some(&j) => {
-                                if let Some(pj) = parent_succ {
-                                    child_of_parent[pj] = Some(j);
-                                }
-                                j
-                            }
-                            None => {
-                                if states.len() >= budget {
-                                    return Err(StgError::Petri(
-                                        si_petri::PetriError::StateBudgetExceeded { budget },
-                                    ));
-                                }
-                                let j = states.len();
-                                let pm = match parent_succ {
-                                    Some(pj) => Some(pj),
-                                    None => parent_index.get(&key).copied(),
-                                };
-                                if let Some(pp) = pm {
-                                    child_of_parent[pp] = Some(j);
-                                }
-                                mapped.push(pm);
-                                index.insert(key, j);
-                                sigma.push(s2);
-                                states.push(SgState { code: next_code });
-                                edges.push(Vec::new());
-                                frontier.push(j);
-                                j
-                            }
-                        }
-                    }
-                };
-                if states[j].code != next_code {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
-                }
-                edges[i].push((t, j));
-            }
-        }
-        let sg = Self {
-            states,
-            edges,
-            labels,
-        };
-        let map = SgMap::derive(&sg, parent_sg, mapped);
-        Ok((sg, Some(map)))
-    }
-
     /// Generates the state graph of a *weakly connected* marked-graph STG
-    /// using normalized firing-count vectors (σ-space) as state keys — the
-    /// cheaper identification [`StateGraph::of_mg_from`] already uses for
-    /// its delta path, applied to cold (no-predecessor) exploration. In a
-    /// weakly connected marked graph a reachable marking determines the
-    /// firing counts up to a constant shift, so the normalized vector is a
-    /// faithful state key; enabledness reduces to the per-arc test
-    /// `tokens + σ(src) − σ(dst) > 0`, with no marking maps cloned per
-    /// state.
+    /// in σ-space: a state is keyed by its normalized firing-count row
+    /// instead of its marking. In a weakly connected marked graph a
+    /// reachable marking determines the firing counts up to a constant
+    /// shift, so the row with its minimum subtracted is a faithful key,
+    /// and enabledness reduces to the per-arc test
+    /// `tokens + σ(src) − σ(dst) > 0`.
+    ///
+    /// Rows hold one `i32` per alive transition and live in one flat
+    /// arena behind a chained hash index; predecessor arcs are CSR lists;
+    /// successor rows are built in one reused scratch row. Exploring an
+    /// edge allocates nothing.
     ///
     /// The output contract is exact equivalence with [`StateGraph::of_mg`]:
     /// the same LIFO frontier and ascending transition order visit the
@@ -427,60 +244,83 @@ impl StateGraph {
     ///
     /// Exactly the errors of [`StateGraph::of_mg`] under `budget`.
     pub fn of_mg_sigma(mg: &MgStg, budget: usize) -> Result<Self, StgError> {
+        Self::explore_sigma(mg, budget, row_hash)
+    }
+
+    /// [`StateGraph::of_mg_sigma`] under an explicit row hash.
+    fn explore_sigma(mg: &MgStg, budget: usize, hash: fn(&[i32]) -> u64) -> Result<Self, StgError> {
         if !mg.arcs_weakly_connected() {
             return Self::of_mg(mg, budget);
         }
         let alive = mg.transitions();
-        let nt = alive.last().copied().expect("connected implies non-empty") + 1;
-        let mut labels: Vec<Option<TransitionLabel>> = Vec::new();
-        for &t in &alive {
-            while labels.len() <= t {
-                labels.push(None);
-            }
+        let width = alive.len();
+        let mut labels: Vec<Option<TransitionLabel>> =
+            vec![None; alive.last().map_or(0, |&t| t + 1)];
+        // Row column of each alive transition id.
+        let mut column = vec![0usize; labels.len()];
+        for (k, &t) in alive.iter().enumerate() {
             labels[t] = Some(mg.label(t));
+            column[t] = k;
         }
-        let mut preds_of: Vec<Vec<(usize, i64)>> = vec![Vec::new(); nt];
+        // Incoming arcs of every column as CSR: `preds[start[k]..start[k +
+        // 1]]` lists `(source column, tokens)`.
+        let mut start = vec![0usize; width + 1];
+        for ((_, b), _) in mg.arcs() {
+            start[column[b] + 1] += 1;
+        }
+        for k in 0..width {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut preds = vec![(0usize, 0i64); start[width]];
         for ((a, b), attr) in mg.arcs() {
-            preds_of[b].push((a, i64::from(attr.tokens)));
+            let k = column[b];
+            preds[fill[k]] = (column[a], i64::from(attr.tokens));
+            fill[k] += 1;
         }
+        let inconsistent = |label: TransitionLabel| StgError::Inconsistent {
+            signal: mg.signal_name(label.signal).to_string(),
+        };
 
-        let mut index: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut sigma: Vec<Vec<i64>> = vec![vec![0i64; nt]];
+        let mut index = RowIndex::new(width, hash);
         let mut states = vec![SgState {
             code: mg.initial_code(),
         }];
         let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-        index.insert(normalized(&sigma[0], &alive), 0);
+        let mut cur = vec![0i32; width];
+        let mut scratch = vec![0i32; width];
+        index.insert(&cur, index.hash_of(&cur));
         let mut frontier = vec![0usize];
 
         while let Some(i) = frontier.pop() {
+            cur.copy_from_slice(index.row(i));
             let code = states[i].code;
-            for &t in &alive {
-                let enabled = {
-                    let s = &sigma[i];
-                    preds_of[t].iter().all(|&(a, tok)| tok + s[a] - s[t] > 0)
-                };
-                if !enabled {
+            for (k, &t) in alive.iter().enumerate() {
+                let here = i64::from(cur[k]);
+                if !preds[start[k]..start[k + 1]]
+                    .iter()
+                    .all(|&(a, tokens)| tokens + i64::from(cur[a]) - here > 0)
+                {
                     continue;
                 }
                 let label = mg.label(t);
                 let bit = 1u64 << label.signal.0;
-                let before = code & bit != 0;
-                if before == label.polarity.target_value() {
-                    return Err(StgError::Inconsistent {
-                        signal: mg.signal_name(label.signal).to_string(),
-                    });
+                if (code & bit != 0) == label.polarity.target_value() {
+                    return Err(inconsistent(label));
                 }
                 let next_code = code ^ bit;
-                let mut s2 = sigma[i].clone();
-                s2[t] += 1;
-                let key = normalized(&s2, &alive);
-                let j = match index.get(&key) {
-                    Some(&j) => {
+                // The successor row: one more firing of `t`, renormalized
+                // (the minimum is 1 exactly when `t` held the only 0).
+                scratch.copy_from_slice(&cur);
+                scratch[k] += 1;
+                if !scratch.contains(&0) {
+                    scratch.iter_mut().for_each(|v| *v -= 1);
+                }
+                let h = index.hash_of(&scratch);
+                let j = match index.find(&scratch, h) {
+                    Some(j) => {
                         if states[j].code != next_code {
-                            return Err(StgError::Inconsistent {
-                                signal: mg.signal_name(label.signal).to_string(),
-                            });
+                            return Err(inconsistent(label));
                         }
                         j
                     }
@@ -490,9 +330,7 @@ impl StateGraph {
                                 si_petri::PetriError::StateBudgetExceeded { budget },
                             ));
                         }
-                        let j = states.len();
-                        index.insert(key, j);
-                        sigma.push(s2);
+                        let j = index.insert(&scratch, h);
                         states.push(SgState { code: next_code });
                         edges.push(Vec::new());
                         frontier.push(j);
@@ -907,157 +745,166 @@ o- x+
         (parent, child)
     }
 
-    #[test]
-    fn incremental_regeneration_matches_scratch_after_relaxation_edit() {
-        let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
-        let scratch = StateGraph::of_mg(&child, 1000).expect("consistent");
-        let (inc, map) =
-            StateGraph::of_mg_from(&parent, &parent_sg, &child, 1000).expect("derives");
-        let map = map.expect("a relaxation edit must take the delta path");
-        assert_eq!(inc, scratch);
-        assert!(
-            inc.state_count() > parent_sg.state_count(),
-            "relaxation grows the interleaving space: {} vs {}",
-            inc.state_count(),
-            parent_sg.state_count()
-        );
-        assert_sg_map_contract(&inc, &parent_sg, &map);
-    }
-
-    /// Checks the [`SgMap`] reuse contract against its definition: every
-    /// unaffected child state has a parent counterpart with the same code
-    /// and an elementwise-identical edge list under the correspondence.
-    fn assert_sg_map_contract(child: &StateGraph, parent: &StateGraph, map: &SgMap) {
-        assert_eq!(map.parent_of.len(), child.state_count());
-        assert_eq!(map.affected.len(), child.state_count());
-        for i in 0..child.state_count() {
-            if map.affected[i] {
-                continue;
-            }
-            let p = map.parent_of[i].expect("unaffected implies mapped");
-            assert_eq!(child.states[i].code, parent.states[p].code, "state {i}");
-            assert_eq!(
-                child.edges[i].len(),
-                parent.edges[p].len(),
-                "state {i} edge count"
-            );
-            for (&(t, j), &(pt, pj)) in child.edges[i].iter().zip(&parent.edges[p]) {
-                assert_eq!(t, pt, "state {i}");
-                assert_eq!(map.parent_of[j], Some(pj), "state {i} successor");
-                assert_eq!(child.label(t), parent.label(pt), "state {i} label");
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_regeneration_matches_scratch_after_token_move() {
+    /// The handshake advanced by one firing of `req+`: the token moves
+    /// from `<ack-, req+>` to `<req+, ack+>` and the initial code flips
+    /// `req`.
+    fn handshake_token_moved() -> MgStg {
         let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        // Advance the cycle by one firing of req+: the token moves from
-        // <ack-, req+> to <req+, ack+> and the initial code flips req.
         let reqp = mg.transition_by_label("req+").expect("present");
         let ackp = mg.transition_by_label("ack+").expect("present");
         let ackm = mg.transition_by_label("ack-").expect("present");
-        let mut child = mg.clone();
-        child.remove_arc(reqp, ackp);
-        child.insert_arc(reqp, ackp, 1, false);
-        child.remove_arc(ackm, reqp);
-        child.insert_arc(ackm, reqp, 0, false);
-        child.set_initial_code(1);
-        let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
-        let map = map.expect("delta path");
-        assert_eq!(inc, scratch);
-        assert_sg_map_contract(&inc, &parent_sg, &map);
-        // The token move shifts every code, so no verdict is reusable.
-        assert_eq!(map.unaffected_count(), 0);
+        let mut moved = mg.clone();
+        moved.remove_arc(reqp, ackp);
+        moved.insert_arc(reqp, ackp, 1, false);
+        moved.remove_arc(ackm, reqp);
+        moved.insert_arc(ackm, reqp, 0, false);
+        moved.set_initial_code(1);
+        moved
     }
 
-    #[test]
-    fn incremental_regeneration_replays_failures_exactly() {
-        // Under every budget — including ones neither graph fits in — the
-        // incremental derivation must reproduce the scratch result, Ok or
-        // Err alike.
-        let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg(&parent, 1000).expect("consistent");
-        for budget in 1..=10 {
-            let scratch = StateGraph::of_mg(&child, budget);
-            let inc = StateGraph::of_mg_from(&parent, &parent_sg, &child, budget).map(|(sg, _)| sg);
-            assert_eq!(inc, scratch, "budget {budget}");
-        }
-        // An inconsistent edit (removing y+'s only ordering toward o+
-        // leaves o+ racing) must fail identically on both paths.
+    /// The relaxed chain with `y+ ⇒ o+` replaced by `o- ⇒ o+`: `o+` races
+    /// ahead of `y+`, an inconsistent edit.
+    fn chain_inconsistent() -> MgStg {
+        let (parent, _) = chain_and_relaxed();
         let mut bad = parent.clone();
         let yp = bad.transition_by_label("y+").expect("present");
         let op = bad.transition_by_label("o+").expect("present");
         let om = bad.transition_by_label("o-").expect("present");
         bad.remove_arc(yp, op);
         bad.insert_arc(om, op, 1, false);
-        let scratch = StateGraph::of_mg(&bad, 1000);
-        let inc = StateGraph::of_mg_from(&parent, &parent_sg, &bad, 1000).map(|(sg, _)| sg);
-        assert!(scratch.is_err(), "edit must be inconsistent");
-        assert_eq!(inc, scratch);
-    }
-
-    #[test]
-    fn incremental_regeneration_falls_back_on_alive_mismatch() {
-        // Projecting the handshake down to the ack cycle removes both req
-        // transitions: the alive sets differ, so the delta path must
-        // decline and the scratch fallback must still match.
-        let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        let reqp = mg.transition_by_label("req+").expect("present");
-        let reqm = mg.transition_by_label("req-").expect("present");
-        let ackp = mg.transition_by_label("ack+").expect("present");
-        let ackm = mg.transition_by_label("ack-").expect("present");
-        let mut child = mg.clone();
-        child.remove_transition(reqp);
-        child.remove_transition(reqm);
-        child.insert_arc(ackp, ackm, 0, false);
-        child.insert_arc(ackm, ackp, 1, false);
-        let scratch = StateGraph::of_mg(&child, 100).expect("consistent");
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
-        assert!(
-            map.is_none(),
-            "a removed transition must force the fallback"
-        );
-        assert_eq!(inc, scratch);
-    }
-
-    #[test]
-    fn sg_map_leaves_undisturbed_states_unaffected() {
-        // A redundant ordering arc (req+ ⇒ req-) changes no reachable
-        // behaviour: every state keeps its code and edge list, so the
-        // affected cone must be empty and the correspondence total.
-        let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        let reqp = mg.transition_by_label("req+").expect("present");
-        let reqm = mg.transition_by_label("req-").expect("present");
-        let mut child = mg.clone();
-        child.insert_arc(reqp, reqm, 0, false);
-        let (inc, map) = StateGraph::of_mg_from(&mg, &parent_sg, &child, 100).expect("derives");
-        let map = map.expect("delta path");
-        assert_eq!(inc, StateGraph::of_mg(&child, 100).expect("consistent"));
-        assert_eq!(map.unaffected_count(), inc.state_count());
-        assert_sg_map_contract(&inc, &parent_sg, &map);
+        bad
     }
 
     #[test]
     fn sigma_cold_generation_matches_marking_keyed_generation() {
         let (_, mg) = handshake_mg();
-        let (parent, child) = chain_and_relaxed();
-        for mg in [&mg, &parent, &child] {
+        let (parent, _) = chain_and_relaxed();
+        for mg in [&mg, &parent] {
             assert_eq!(
                 StateGraph::of_mg_sigma(mg, 1000).expect("consistent"),
                 StateGraph::of_mg(mg, 1000).expect("consistent")
             );
+            // Budget failures replay at the same point.
+            for budget in 1..=6 {
+                assert_eq!(
+                    StateGraph::of_mg_sigma(mg, budget),
+                    StateGraph::of_mg(mg, budget),
+                    "budget {budget}"
+                );
+            }
         }
-        // Budget and consistency failures replay at the same point.
+    }
+
+    // Every relaxation trial regenerates the local graph of an edited MG
+    // through the σ explorer; the marking-keyed generator is the reference.
+
+    #[test]
+    fn incremental_regeneration_matches_scratch_after_relaxation_edit() {
+        let (parent, child) = chain_and_relaxed();
+        let parent_sg = StateGraph::of_mg_sigma(&parent, 1000).expect("consistent");
+        let regenerated = StateGraph::of_mg_sigma(&child, 1000).expect("consistent");
+        assert_eq!(
+            regenerated,
+            StateGraph::of_mg(&child, 1000).expect("consistent")
+        );
+        assert!(
+            regenerated.state_count() > parent_sg.state_count(),
+            "relaxation grows the interleaving space: {} vs {}",
+            regenerated.state_count(),
+            parent_sg.state_count()
+        );
+    }
+
+    #[test]
+    fn incremental_regeneration_matches_scratch_after_token_move() {
+        let (_, mg) = handshake_mg();
+        let parent_sg = StateGraph::of_mg_sigma(&mg, 100).expect("consistent");
+        let moved = handshake_token_moved();
+        let regenerated = StateGraph::of_mg_sigma(&moved, 100).expect("consistent");
+        assert_eq!(
+            regenerated,
+            StateGraph::of_mg(&moved, 100).expect("consistent")
+        );
+        // The same cycle entered one firing later: as many states, but the
+        // initial code has `req` high.
+        assert_eq!(regenerated.state_count(), parent_sg.state_count());
+        assert_ne!(regenerated.code(0), parent_sg.code(0));
+    }
+
+    #[test]
+    fn incremental_regeneration_replays_failures_exactly() {
+        // Under every budget — including ones neither graph fits in — the
+        // regenerated child must reproduce the scratch result, Ok or Err
+        // alike.
+        let (_, child) = chain_and_relaxed();
         for budget in 1..=10 {
             let scratch = StateGraph::of_mg(&child, budget);
             let sigma = StateGraph::of_mg_sigma(&child, budget);
             assert_eq!(sigma, scratch, "budget {budget}");
+        }
+        // An inconsistent edit (removing y+'s only ordering toward o+
+        // leaves o+ racing) must fail identically on both paths.
+        let bad = chain_inconsistent();
+        let scratch = StateGraph::of_mg(&bad, 1000);
+        assert!(scratch.is_err(), "edit must be inconsistent");
+        assert_eq!(StateGraph::of_mg_sigma(&bad, 1000), scratch);
+    }
+
+    #[test]
+    fn sigma_generation_falls_back_on_disconnected_arcs() {
+        // Two independent handshakes side by side: the arc skeleton is not
+        // weakly connected, so firing counts are no faithful key and the
+        // explorer must hand over to the marking-keyed generator.
+        let (stg, _) = handshake_mg();
+        let mut mg = MgStg::empty_like(&stg);
+        for s in [SignalId(0), SignalId(1)] {
+            let up = mg.add_transition(TransitionLabel::new(s, Polarity::Plus, 1));
+            let down = mg.add_transition(TransitionLabel::new(s, Polarity::Minus, 1));
+            mg.insert_arc(up, down, 0, false);
+            mg.insert_arc(down, up, 1, false);
+        }
+        assert!(!mg.arcs_weakly_connected());
+        let sg = StateGraph::of_mg_sigma(&mg, 100).expect("consistent");
+        assert_eq!(sg.state_count(), 4);
+        assert_eq!(sg, StateGraph::of_mg(&mg, 100).expect("consistent"));
+    }
+
+    #[test]
+    fn row_index_keeps_colliding_rows_distinct() {
+        // Every row hashes alike: distinct rows must still intern as
+        // distinct entries, past several bucket-table doublings.
+        let rows: Vec<[i32; 3]> = (0..300).map(|n| [n % 7, n / 7, 3 - n % 4]).collect();
+        for hash in [(|_: &[i32]| 42) as fn(&[i32]) -> u64, row_hash] {
+            let mut index = RowIndex::new(3, hash);
+            for (n, row) in rows.iter().enumerate() {
+                let h = index.hash_of(row);
+                assert_eq!(index.find(row, h), None, "row {n} is new");
+                assert_eq!(index.insert(row, h), n);
+            }
+            assert_eq!(index.len(), rows.len());
+            for (n, row) in rows.iter().enumerate() {
+                assert_eq!(index.find(row, index.hash_of(row)), Some(n));
+                assert_eq!(index.row(n), row);
+            }
+            assert_eq!(index.find(&[9, 9, 9], index.hash_of(&[9, 9, 9])), None);
+        }
+    }
+
+    #[test]
+    fn sigma_generation_under_one_hash_matches_marking_keyed_generation() {
+        // With every row in one bucket chain the explorer leans on the
+        // element-wise comparison alone — graphs and errors must not move.
+        let (_, mg) = handshake_mg();
+        let (parent, child) = chain_and_relaxed();
+        let moved = handshake_token_moved();
+        let bad = chain_inconsistent();
+        for mg in [&mg, &parent, &child, &moved, &bad] {
+            for budget in [3, 1000] {
+                assert_eq!(
+                    StateGraph::explore_sigma(mg, budget, |_| 0),
+                    StateGraph::of_mg(mg, budget)
+                );
+            }
         }
     }
 

@@ -14,7 +14,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use si_core::{CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder};
+use si_core::{
+    CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder, StageMetrics,
+};
 use si_lint::LintReport;
 use si_redress::suite::BatchError;
 
@@ -47,16 +49,8 @@ OPTIONS:
         --order <ORDER>   relaxation order: tightest (default), lex or
                           contraction (prefer arcs whose relaxation
                           inserts the fewest new bypass arcs)
-        --no-cache        disable state-graph memoization
-        --no-incremental  regenerate every relaxation trial's state graph
-                          from scratch instead of deriving it from its
-                          predecessor's (escape hatch; output is identical)
-        --no-incremental-classify
-                          re-classify every state of every trial from
-                          scratch instead of copying verdicts of states
-                          the edit did not touch, and disable the
-                          conformance verdict cache (escape hatch; output
-                          is identical)
+        --no-cache        disable state-graph and conformance-verdict
+                          memoization
         --no-sigma-cold   explore cold state graphs in the classic
                           marking space instead of the σ (firing count)
                           space (escape hatch; output is identical)
@@ -134,8 +128,6 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
                 }
             },
             "--no-cache" => config.cache = false,
-            "--no-incremental" => config.incremental = false,
-            "--no-incremental-classify" => config.incremental_classify = false,
             "--no-sigma-cold" => config.sigma_cold = false,
             "--no-memo" => config.memo_projection = false,
             flag if flag.starts_with('-') => {
@@ -312,29 +304,10 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         let parts: Vec<String> = set.iter().map(|c| json_str(&c.to_string())).collect();
         format!("[{}]", parts.join(","))
     };
-    let stages = json_list(&out.stages, |s| {
-        format!(
-            "{{\"stage\":{},\"wall_us\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
-            json_str(s.stage.name()),
-            s.wall.as_micros(),
-            s.states_explored,
-            s.sg_cache_hits,
-            s.sg_cache_misses,
-            s.sg_delta_hits,
-            s.sg_inc_derived,
-            s.proj_memo_hits,
-            s.proj_memo_misses,
-            s.conf_cache_hits,
-            s.conf_cache_misses,
-            s.conf_inc_classified,
-            s.sched_fingerprints,
-            s.sched_cycle_bails,
-            s.sched_watchdog_bails,
-        )
-    });
+    let stages = json_list(&out.stages, StageMetrics::json);
     let gates = json_list(&out.gates, |g| {
         format!(
-            "{{\"gate\":{},\"project_us\":{},\"relax_us\":{},\"iterations\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"sg_delta_hits\":{},\"sg_inc_derived\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"conf_inc_classified\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
+            "{{\"gate\":{},\"project_us\":{},\"relax_us\":{},\"iterations\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
             json_str(&g.gate),
             g.project_wall.as_micros(),
             g.relax_wall.as_micros(),
@@ -342,13 +315,10 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
             g.states_explored,
             g.sg_cache_hits,
             g.sg_cache_misses,
-            g.sg_delta_hits,
-            g.sg_inc_derived,
             g.proj_memo_hits,
             g.proj_memo_misses,
             g.conf_cache_hits,
             g.conf_cache_misses,
-            g.conf_inc_classified,
             g.sched_fingerprints,
             g.sched_cycle_bails,
             g.sched_watchdog_bails,
@@ -361,7 +331,7 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         si_lint::json_diagnostics(&out.lint, ""),
     );
     format!(
-        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"jobs\":{},\"lint\":{},\"stages\":{},\"gates\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"delta_hits\":{},\"delta_entries\":{},\"inc_derived\":{}}},\"projections\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"conformance\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\"fanout_wall_us\":{},\"total_wall_us\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"jobs\":{},\"lint\":{},\"stages\":{},\"gates\":{},\"cache\":{},\"projections\":{},\"conformance\":{},\"fanout_wall_us\":{},\"total_wall_us\":{},\"elapsed_seconds\":{elapsed:.6}}}",
         constraints(&out.report.baseline),
         constraints(&out.report.constraints),
         !out.report.constraints.is_empty(),
@@ -371,18 +341,9 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         lint,
         stages,
         gates,
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.entries,
-        out.cache.delta_hits,
-        out.cache.delta_entries,
-        out.cache.inc_derived,
-        out.projections.hits,
-        out.projections.misses,
-        out.projections.entries,
-        out.conformance.hits,
-        out.conformance.misses,
-        out.conformance.entries,
+        out.cache.json(),
+        out.projections.json(),
+        out.conformance.json(),
         out.fanout_wall.as_micros(),
         out.total_wall.as_micros(),
     )

@@ -4,10 +4,9 @@
 //! canonical [`CorpusSpec::from_seed`] derivation), checks the
 //! generator's validity guarantee (zero lint errors), synthesizes its
 //! complex-gate netlist, and runs the **full-featured engine**
-//! ([`EngineConfig::default`]: caches, incremental regeneration,
-//! incremental classification, σ-cold exploration) against the pinned
-//! **reference engine** ([`EngineConfig::reference`]: sequential,
-//! uncached, from-scratch). Any difference in the derived constraint
+//! ([`EngineConfig::default`]: caches, projection memo, σ-space
+//! exploration) against the pinned **reference engine**
+//! ([`EngineConfig::reference`]: sequential, uncached, marking-keyed). Any difference in the derived constraint
 //! sets, per-gate verdicts or error values is a soundness bug in one of
 //! the reuse layers; the harness then *minimizes* the spec (fewer
 //! signals, choices, forks; two-phase; no OR tail) while the divergence

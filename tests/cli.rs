@@ -118,7 +118,6 @@ fn check_hazard_help_exits_zero() {
         assert!(stdout.contains("--jobs"));
         assert!(stdout.contains("--format"));
         assert!(stdout.contains("--lint"));
-        assert!(stdout.contains("--no-incremental-classify"));
         assert!(stdout.contains("--no-sigma-cold"));
         assert!(stdout.contains("EXIT CODES"));
     }
@@ -181,10 +180,10 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
     assert!(stdout.contains("\"cache\":{"));
     assert!(stdout.contains("\"projections\":{"));
     assert!(stdout.contains("\"conformance\":{"));
-    assert!(stdout.contains("\"sg_delta_hits\""));
-    assert!(stdout.contains("\"proj_memo_hits\""));
-    assert!(stdout.contains("\"conf_cache_hits\""));
-    assert!(stdout.contains("\"conf_inc_classified\""));
+    // Stage objects carry the one counter set, scheduler counters included.
+    for counter in ["proj_memo_hits", "conf_cache_hits", "sched_watchdog_bails"] {
+        assert!(stdout.contains(&format!("\"{counter}\"")), "{counter}");
+    }
 
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);
@@ -219,12 +218,9 @@ fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
     let parallel = constraint_lines(&["--jobs", "4"]);
     assert_eq!(sequential.len(), 31);
     assert_eq!(sequential, parallel);
-    // The incremental-regeneration and projection-memo escape hatches
-    // must not change a single constraint line either.
-    let scratch = constraint_lines(&["--no-incremental", "--no-memo"]);
-    assert_eq!(sequential, scratch);
-    // Nor the incremental-classification and σ-space escape hatches.
-    let classic = constraint_lines(&["--no-incremental-classify", "--no-sigma-cold"]);
+    // The projection-memo and σ-space escape hatches must not change a
+    // single constraint line either.
+    let classic = constraint_lines(&["--no-memo", "--no-sigma-cold"]);
     assert_eq!(sequential, classic);
     let fully_reused = constraint_lines(&[]);
     assert_eq!(sequential, fully_reused);
@@ -257,17 +253,16 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
     };
     let default = constraint_lines(&["--bench", "imec-ram-read-sbuf"]);
     assert_eq!(default.len(), 31, "19 baseline + 12 derived");
-    // The CI smoke diff in miniature: the incremental path and its escape
-    // hatch must print identical reports.
-    let scratch = constraint_lines(&["--bench", "imec-ram-read-sbuf", "--no-incremental"]);
-    assert_eq!(default, scratch);
-    let classic = constraint_lines(&[
+    // The CI smoke diff in miniature: the default engine and the
+    // marking-keyed reference path must print identical reports.
+    let reference = constraint_lines(&[
         "--bench",
         "imec-ram-read-sbuf",
-        "--no-incremental-classify",
         "--no-sigma-cold",
+        "--no-cache",
+        "--no-memo",
     ]);
-    assert_eq!(default, classic);
+    assert_eq!(default, reference);
 
     // Unknown names are runtime errors (2); mixing --bench with paths is
     // a usage error (3).

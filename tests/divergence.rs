@@ -24,7 +24,7 @@ fn seed_189() -> (si_redress::stg::Stg, si_redress::boolean::GateLibrary) {
 #[test]
 fn seed_189_verdict_is_identical_across_the_differential_matrix() {
     let (stg, library) = seed_189();
-    // A small watchdog window keeps 64 full derivations affordable in
+    // A small watchdog window keeps 32 full derivations affordable in
     // debug builds; the window is held constant across the matrix, so
     // the determinism claim is exercised in full. (The default-window
     // verdict and its sub-second wall clock are pinned by the golden
@@ -40,30 +40,23 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
         matches!(&expected, CoreError::Diverged { gate, .. } if gate == "o2"),
         "got: {expected}"
     );
-    for incremental in [false, true] {
-        for memo_projection in [false, true] {
-            for cache in [false, true] {
-                for sigma_cold in [false, true] {
-                    for jobs in [1usize, 4] {
-                        let config = EngineConfig {
-                            incremental,
-                            memo_projection,
-                            cache,
-                            // Exercised through `cache` pairing; holding it
-                            // equal to `incremental` keeps the matrix at 32
-                            // configs while still covering both values.
-                            incremental_classify: incremental,
-                            sigma_cold,
-                            jobs,
-                            divergence_window: window,
-                            ..EngineConfig::default()
-                        };
-                        let engine = Engine::new(config);
-                        let cold = engine.run(&stg, &library).expect_err("diverges");
-                        assert_eq!(cold, expected, "cold run diverged under {config:?}");
-                        let warm = engine.run(&stg, &library).expect_err("diverges");
-                        assert_eq!(warm, expected, "warm run diverged under {config:?}");
-                    }
+    for memo_projection in [false, true] {
+        for cache in [false, true] {
+            for sigma_cold in [false, true] {
+                for jobs in [1usize, 4] {
+                    let config = EngineConfig {
+                        memo_projection,
+                        cache,
+                        sigma_cold,
+                        jobs,
+                        divergence_window: window,
+                        ..EngineConfig::default()
+                    };
+                    let engine = Engine::new(config);
+                    let cold = engine.run(&stg, &library).expect_err("diverges");
+                    assert_eq!(cold, expected, "cold run diverged under {config:?}");
+                    let warm = engine.run(&stg, &library).expect_err("diverges");
+                    assert_eq!(warm, expected, "warm run diverged under {config:?}");
                 }
             }
         }
@@ -153,7 +146,11 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
             assert!(relax > 0, "{}: scheduler never observed", bench.name);
         }
         let off_sched: usize = off.gates.iter().map(|g| g.sched_fingerprints).sum();
-        assert_eq!(off_sched, 0, "{}: exhaust policy must not fingerprint", bench.name);
+        assert_eq!(
+            off_sched, 0,
+            "{}: exhaust policy must not fingerprint",
+            bench.name
+        );
     }
     for (spec, seed) in corpus_fixture_specs() {
         let circuit = generate(&spec, seed);
@@ -189,15 +186,12 @@ fn exhaust_policy_keeps_the_historical_budget_semantics() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random corpus circuits under an aggressively small watchdog
     /// window (8): trips are common, and whatever the verdict —
     /// convergence, divergence or any other error — it must be
-    /// payload-identical across cache/incremental/parallel configs,
+    /// payload-identical across cache/parallel configs,
     /// cold and warm.
     #[test]
     fn random_circuits_agree_on_the_verdict_under_a_tiny_window(

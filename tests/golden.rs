@@ -5,9 +5,9 @@
 //! classifications.
 //!
 //! The files are generated from the *pinned sequential reference path*
-//! (`derive_timing_constraints`, uncached, non-incremental); the test then
-//! runs the full-featured engine (incremental regeneration, delta-tier
-//! cache, projection memo) and requires its output to be bit-identical.
+//! (`derive_timing_constraints`: uncached, marking-keyed); the test then
+//! runs the full-featured engine (σ-space exploration, caches, projection
+//! memo) and requires its output to be bit-identical.
 //! Any divergence between the fast path and the reference is caught here,
 //! suite-wide.
 //!
@@ -91,7 +91,7 @@ fn golden_snapshots_pin_the_reference_output_for_every_benchmark() {
             "golden snapshot mismatch for `{}` ({}).\n{}\n\
              If the output change is intentional, regenerate the snapshots\n\
              with `UPDATE_GOLDEN=1 cargo test --test golden` and review the\n\
-             diff; otherwise the incremental/memoized engine has diverged\n\
+             diff; otherwise the memoized σ-space engine has diverged\n\
              from the pinned sequential reference.",
             bench.name,
             path.display(),

@@ -100,56 +100,6 @@ fn bench_engine_suite_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cold_exploration(c: &mut Criterion) {
-    // Cold derivation of the relaxation-heavy gold circuit with every
-    // state-graph miss explored in marking space (the reference generator)
-    // vs σ-space (the allocation-free explorer), and the warm full-suite
-    // pass without vs with the projection memo.
-    let bench = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
-    let (stg, library) = load(&bench);
-    let mut group = c.benchmark_group("cold_exploration");
-    group.sample_size(10);
-    for (name, sigma_cold) in [("cold_marking", false), ("cold_sigma", true)] {
-        let engine = Engine::new(EngineConfig {
-            sigma_cold,
-            memo_projection: false,
-            ..EngineConfig::default()
-        });
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                engine.clear_cache();
-                engine
-                    .run(&stg, &library)
-                    .expect("derives")
-                    .report
-                    .constraints
-                    .len()
-            })
-        });
-    }
-    for (name, config) in [
-        (
-            "warm_suite_no_memo",
-            EngineConfig {
-                memo_projection: false,
-                ..EngineConfig::default()
-            },
-        ),
-        ("warm_suite_full_reuse", EngineConfig::default()),
-    ] {
-        let engine = Engine::new(config);
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("priming pass failed: {e}"));
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                si_suite::run_suite(&engine)
-                    .unwrap_or_else(|e| panic!("warm suite failed: {e}"))
-                    .len()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_baseline_only(c: &mut Criterion) {
     // The baseline (Keller et al.) set needs only projection, no
     // relaxation loop: the gap to the full derivation is the cost of the
@@ -237,7 +187,6 @@ criterion_group!(
     bench_derivation,
     bench_engine_configs,
     bench_engine_suite_batch,
-    bench_cold_exploration,
     bench_baseline_only,
     bench_order_ablation,
     bench_relax_sched

@@ -5,24 +5,16 @@
 //! the total after/before ratio — the paper's headline ≈40 % reduction.
 //!
 //! All rows run through **one shared engine** (parallel per-gate fan-out,
-//! state-graph cache shared across circuits); footers compare the
-//! engine's wall-clock against the seed's sequential uncached path, the
-//! cold-pass effect of σ-space exploration, and the warm-path effect of
-//! the projection memo on top of the state-graph and conformance caches.
+//! reuse stack shared across circuits); the footer reports its cache
+//! traffic. Timing lives in `perfbench/`, which measures repeated passes
+//! end to end.
 //!
-//! `--json [PATH]` additionally writes the whole run — rows, per-stage
-//! wall times, cache-tier traffic, cold/warm suite totals — as one JSON
-//! object (default `BENCH_table72.json`), so future changes diff perf
-//! machine-readably instead of quoting footer text.
-
-use std::time::{Duration, Instant};
+//! `--json [PATH]` additionally writes the whole run — rows with their
+//! per-stage wall times and counters, totals, cache-tier traffic — as one
+//! JSON object (default `BENCH_table72.json`).
 
 use si_bench::table_row_report;
-use si_core::{derive_timing_constraints, Engine, EngineConfig, EngineReport, StageMetrics};
-
-/// The PR 3 warm full-suite wall-clock this PR optimizes against
-/// (microseconds); kept in the JSON so the ratio is self-describing.
-const PR3_WARM_BASELINE_US: u64 = 6800;
+use si_core::{Engine, EngineConfig, EngineReport, StageMetrics};
 
 fn json_str(s: &str) -> String {
     format!("\"{}\"", si_lint::json_escape(s))
@@ -77,7 +69,6 @@ fn main() {
     let (mut tb, mut ta) = (0usize, 0usize);
     let (mut t5b, mut t5a, mut t3b, mut t3a) = (0usize, 0usize, 0usize, 0usize);
     let mut row_objects: Vec<String> = Vec::new();
-    let engine_started = Instant::now();
     for bench in si_suite::benchmarks() {
         match table_row_report(&engine, &bench) {
             Ok((row, out)) => {
@@ -128,7 +119,6 @@ fn main() {
     );
     println!("Thesis totals for reference: 63.9% (all), 60.0% (<=5), 57.5% (<=3)");
 
-    let engine_wall = engine_started.elapsed();
     let cache = engine.cache_stats();
     let projections = engine.projection_stats();
     let conformance = engine.conformance_stats();
@@ -152,87 +142,9 @@ fn main() {
         conformance.entries,
     );
 
-    // The before/after comparison of the refactor: the same thirteen
-    // rows through the seed's sequential uncached path — including the
-    // constraint-level classification the engine loop pays for, so both
-    // sides measure the same load + derive + classify scope. A circuit
-    // that fails to load or derive panics with its name — a partial seed
-    // run would make the ratio below apples-to-oranges.
-    let seed_started = Instant::now();
-    for bench in si_suite::benchmarks() {
-        let (stg, library) = bench
-            .circuit()
-            .unwrap_or_else(|e| panic!("benchmark `{}` failed to load: {e}", bench.name));
-        let report = derive_timing_constraints(&stg, &library)
-            .unwrap_or_else(|e| panic!("benchmark `{}` failed to derive: {e}", bench.name));
-        let oracle = si_core::AdversaryOracle::new(&stg);
-        for level in [5u32, 3] {
-            std::hint::black_box(report.constraints_within_level(
-                &report.baseline,
-                &oracle,
-                &stg,
-                level,
-            ));
-            std::hint::black_box(report.constraints_within_level(
-                &report.constraints,
-                &oracle,
-                &stg,
-                level,
-            ));
-        }
-    }
-    let seed_wall = seed_started.elapsed();
-    println!(
-        "Suite wall-clock: engine {engine_wall:.2?} vs seed sequential {seed_wall:.2?} ({:.2}x)",
-        seed_wall.as_secs_f64() / engine_wall.as_secs_f64().max(1e-9),
-    );
-
-    // Cold pass: a fresh engine's first full-suite run, classic marking
-    // keys vs σ (firing count vector) keys — this PR's cold-side change.
-    let cold_suite = |config: EngineConfig| -> Duration {
-        let engine = Engine::new(config);
-        let started = Instant::now();
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("cold pass failed: {e}"));
-        started.elapsed()
-    };
-    let cold_classic = cold_suite(EngineConfig {
-        sigma_cold: false,
-        ..EngineConfig::default()
-    });
-    let cold_sigma = cold_suite(EngineConfig::default());
-    println!(
-        "Cold suite: marking-keyed {cold_classic:.2?} vs sigma-keyed {cold_sigma:.2?} ({:.2}x)",
-        cold_classic.as_secs_f64() / cold_sigma.as_secs_f64().max(1e-9),
-    );
-
-    // The projection memo's marginal win on the *warm* path: the state-graph
-    // and conformance caches alone against the full stack. Each engine is
-    // primed by one cold suite pass, then timed warm.
-    let warm_suite = |config: EngineConfig| -> Duration {
-        let engine = Engine::new(config);
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("priming pass failed: {e}"));
-        let started = Instant::now();
-        si_suite::run_suite(&engine).unwrap_or_else(|e| panic!("warm pass failed: {e}"));
-        started.elapsed()
-    };
-    let no_memo_warm = warm_suite(EngineConfig {
-        memo_projection: false,
-        ..EngineConfig::default()
-    });
-    let full_warm = warm_suite(EngineConfig::default());
-    println!(
-        "Warm suite: without projection memo {no_memo_warm:.2?} vs full reuse {full_warm:.2?} ({:.2}x)",
-        no_memo_warm.as_secs_f64() / full_warm.as_secs_f64().max(1e-9),
-    );
-    println!(
-        "Warm suite vs PR 3 baseline ({:.1} ms): {full_warm:.2?} ({:.2}x)",
-        PR3_WARM_BASELINE_US as f64 / 1000.0,
-        PR3_WARM_BASELINE_US as f64 / 1e6 / full_warm.as_secs_f64().max(1e-9),
-    );
-
     if let Some(path) = json_path {
         let json = format!(
-            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"conformance\":{},\"suite\":{{\"engine_wall_us\":{},\"seed_wall_us\":{},\"cold_classic_us\":{},\"cold_sigma_us\":{},\"warm_no_memo_us\":{},\"warm_full_us\":{},\"pr3_warm_baseline_us\":{PR3_WARM_BASELINE_US},\"warm_vs_pr3\":{:.2}}}}}",
+            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{},\"conformance\":{}}}",
             engine.config().jobs,
             row_objects.join(","),
             pct(ta, tb),
@@ -241,13 +153,6 @@ fn main() {
             cache.json(),
             projections.json(),
             conformance.json(),
-            engine_wall.as_micros(),
-            seed_wall.as_micros(),
-            cold_classic.as_micros(),
-            cold_sigma.as_micros(),
-            no_memo_warm.as_micros(),
-            full_warm.as_micros(),
-            PR3_WARM_BASELINE_US as f64 / 1e6 / full_warm.as_secs_f64().max(1e-9),
         );
         if let Err(e) = std::fs::write(&path, json + "\n") {
             eprintln!("table_7_2: cannot write `{path}`: {e}");

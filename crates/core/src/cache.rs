@@ -1,5 +1,5 @@
 //! Structural-hash memoization of state-graph generation, local-STG
-//! projection and conformance classification.
+//! projection and conformance classification — the engine's reuse stack.
 //!
 //! The relaxation loop rebuilds local state graphs after every arc edit,
 //! and the same `MgStg` structure recurs across the conformance pre-check,
@@ -8,9 +8,7 @@
 //! the same circuit. [`SgCache`] memoizes state-graph generation keyed on
 //! the canonical [`SgKey`] of the input, so any structurally identical MG
 //! (regardless of signal names or restriction flags) is generated once.
-//! Every miss is a cold exploration: σ-space
-//! ([`StateGraph::of_mg_sigma`]) by default, marking-keyed
-//! ([`StateGraph::of_mg`]) when [`SgCache::with_sigma_cold`] is off.
+//! Every miss is one σ-space exploration ([`StateGraph::of_mg_sigma`]).
 //!
 //! [`ProjCache`] plays the same role for [`MgStg::project_on_gate`]: warm
 //! runs of a circuit re-project identical components onto identical gates,
@@ -22,21 +20,28 @@
 //! transition), so repeated trials and warm suite runs skip the
 //! conformance sweep entirely.
 //!
-//! The graph caches are budget-exact: a hit whose stored graph exceeds
-//! the caller's state budget reports the same budget-exhaustion error an
-//! uncached generation would, so cached and uncached runs are
-//! behaviourally indistinguishable. Errors are never cached. All caches
-//! are `Sync` — one instance is shared across the parallel per-gate
-//! fan-out.
+//! The three share one memo with one counting rule: a hit when a stored
+//! value is served, a miss when a computed value is stored, neither on an
+//! error — errors are never cached. The graph cache is budget-exact: a hit
+//! whose stored graph exceeds the caller's state budget reports the same
+//! budget-exhaustion error an uncached generation would, so cached and
+//! uncached runs are behaviourally indistinguishable. All caches are
+//! `Sync` — one instance is shared across the parallel per-gate fan-out.
+//!
+//! The engine holds the three caches and its decompose memo as one
+//! `Caches` bundle when [`crate::EngineConfig::cache`] is on, and no
+//! bundle at all when it is off.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use si_boolean::Cover;
-use si_stg::{MgStg, SgKey, SignalId, SignalKind, StateGraph, StgError, TransitionLabel};
+use si_stg::{MgStg, SgKey, SignalId, SignalKind, StateGraph, Stg, StgError, TransitionLabel};
 
-use crate::check::{ConformanceReport, RelaxationCase};
+use crate::check::{classify_states, ConformanceReport, RelaxationCase};
+use crate::error::CoreError;
 use crate::local::LocalStg;
 
 /// Counters of a [`SgCache`], [`ProjCache`] or [`ConformanceCache`],
@@ -71,59 +76,76 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe memoization cache for [`StateGraph::of_mg`].
-#[derive(Debug, Default)]
-pub struct SgCache {
-    enabled: bool,
-    sigma_cold: bool,
-    map: Mutex<HashMap<SgKey, Arc<StateGraph>>>,
+/// The memo behind every cache: a mutex map of shared values plus hit and
+/// miss counters.
+#[derive(Debug)]
+struct Memo<K, V> {
+    map: Mutex<HashMap<K, Arc<V>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
-impl SgCache {
-    /// A live cache.
-    pub fn new() -> Self {
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
         Self {
-            enabled: true,
-            ..Self::default()
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    /// The value stored under `key` once `replay` accepts it (a hit), or
+    /// else `compute`'s value, stored (a miss). The boolean is `true` on a
+    /// hit. An error from either closure is returned as is: counted as
+    /// neither, stored nowhere.
+    fn get_or_compute<E>(
+        &self,
+        key: K,
+        replay: impl FnOnce(&V) -> Result<(), E>,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        if let Some(value) = self.lock().get(&key) {
+            replay(value)?;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(value), true));
+        }
+        // Compute outside the lock: concurrent gates may race on the same
+        // key, in which case the last insert wins — both values are
+        // identical, so either Arc is valid.
+        let value = Arc::new(compute()?);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.lock().insert(key, Arc::clone(&value));
+        Ok((value, false))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Arc<V>>> {
+        self.map.lock().expect("cache poisoned")
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.lock().len(),
         }
     }
 
-    /// A pass-through cache: every call generates from scratch and stores
-    /// nothing (the seed's uncached behaviour, byte for byte).
-    pub fn disabled() -> Self {
-        Self::default()
+    fn clear(&self) {
+        self.lock().clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
+}
 
-    /// Routes scratch generations through the σ-space explorer
-    /// ([`StateGraph::of_mg_sigma`]) when `on`. Applies to both the
-    /// enabled and the pass-through cache; output is bit-identical either
-    /// way.
-    pub fn with_sigma_cold(mut self, on: bool) -> Self {
-        self.sigma_cold = on;
-        self
-    }
+/// A thread-safe memoization cache for state-graph generation: every miss
+/// is one σ-space exploration ([`StateGraph::of_mg_sigma`]), bit-identical
+/// to [`StateGraph::of_mg`].
+#[derive(Debug, Default)]
+pub struct SgCache(Memo<SgKey, StateGraph>);
 
-    /// Whether lookups are served from the memo table.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Whether scratch generations use σ-space (firing-count-vector) keys.
-    pub fn sigma_cold(&self) -> bool {
-        self.sigma_cold
-    }
-
-    /// One scratch generation, honouring the σ-cold policy.
-    fn generate(&self, mg: &MgStg, budget: usize) -> Result<StateGraph, StgError> {
-        if self.sigma_cold {
-            StateGraph::of_mg_sigma(mg, budget)
-        } else {
-            StateGraph::of_mg(mg, budget)
-        }
-    }
-
+impl SgCache {
     /// The state graph of `mg`, memoized. The boolean is `true` on a cache
     /// hit.
     ///
@@ -135,52 +157,32 @@ impl SgCache {
     /// `budget` allows, which is precisely when an uncached generation
     /// would have failed.
     pub fn of_mg(&self, mg: &MgStg, budget: usize) -> Result<(Arc<StateGraph>, bool), StgError> {
-        if !self.enabled {
-            return Ok((Arc::new(self.generate(mg, budget)?), false));
-        }
-        let key = mg.sg_key();
-        if let Some(sg) = self.map.lock().expect("sg cache poisoned").get(&key) {
-            Self::replay_budget(sg, budget)?;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(sg), true));
-        }
-        // Generate outside the lock: concurrent gates may race on the same
-        // key, in which case the last insert wins — both values are
-        // identical, so either Arc is valid.
-        let sg = Arc::new(self.generate(mg, budget)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .expect("sg cache poisoned")
-            .insert(key, Arc::clone(&sg));
-        Ok((sg, false))
-    }
-
-    /// `of_mg` fails iff the reachable state count exceeds the budget;
-    /// replay that outcome for cached graphs under smaller budgets.
-    fn replay_budget(sg: &Arc<StateGraph>, budget: usize) -> Result<(), StgError> {
-        if sg.state_count() > budget {
-            return Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
-                budget,
-            }));
-        }
-        Ok(())
+        self.0.get_or_compute(
+            mg.sg_key(),
+            // Generation fails iff the reachable state count exceeds the
+            // budget; replay that outcome for graphs cached under a larger
+            // one.
+            |sg| {
+                if sg.state_count() > budget {
+                    Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
+                        budget,
+                    }))
+                } else {
+                    Ok(())
+                }
+            },
+            || StateGraph::of_mg_sigma(mg, budget),
+        )
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("sg cache poisoned").len(),
-        }
+        self.0.stats()
     }
 
     /// Drops all stored graphs and resets the counters.
     pub fn clear(&self) {
-        self.map.lock().expect("sg cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.0.clear();
     }
 }
 
@@ -228,33 +230,9 @@ impl ProjKey {
 /// engine-level projection memo that makes warm runs of a circuit skip
 /// the per-gate hiding/redundancy sweeps entirely.
 #[derive(Debug, Default)]
-pub struct ProjCache {
-    enabled: bool,
-    map: Mutex<HashMap<ProjKey, Arc<MgStg>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
+pub struct ProjCache(Memo<ProjKey, MgStg>);
 
 impl ProjCache {
-    /// A live cache.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// A pass-through cache: every call projects from scratch and stores
-    /// nothing.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether lookups are served from the memo table.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The projection of `component` onto `output` + `fanin`, memoized.
     /// The boolean is `true` on a cache hit. The returned graph is an
     /// owned clone — the relaxation loop mutates it freely.
@@ -269,42 +247,22 @@ impl ProjCache {
         output: SignalId,
         fanin: &[SignalId],
     ) -> Result<(MgStg, bool), StgError> {
-        if !self.enabled {
-            return Ok((component.project_on_gate(output, fanin)?, false));
-        }
-        let key = ProjKey::of(component, output, fanin);
-        if let Some(mg) = self
-            .map
-            .lock()
-            .expect("projection cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(((**mg).clone(), true));
-        }
-        let mg = component.project_on_gate(output, fanin)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .expect("projection cache poisoned")
-            .insert(key, Arc::new(mg.clone()));
-        Ok((mg, false))
+        let (mg, hit) = self.0.get_or_compute(
+            ProjKey::of(component, output, fanin),
+            |_| Ok(()),
+            || component.project_on_gate(output, fanin),
+        )?;
+        Ok(((*mg).clone(), hit))
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("projection cache poisoned").len(),
-        }
+        self.0.stats()
     }
 
     /// Drops all stored projections and resets the counters.
     pub fn clear(&self) {
-        self.map.lock().expect("projection cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.0.clear();
     }
 }
 
@@ -355,93 +313,105 @@ impl ConfKey {
 /// answers the relaxation loop's actual question — "what is the verdict
 /// of this trial" — so a repeated trial (warm suite run, re-explored
 /// branch of the relaxation search) skips state sweep, pending DFS and
-/// all. Errors are never cached.
+/// all.
 #[derive(Debug, Default)]
-pub struct ConformanceCache {
-    enabled: bool,
-    map: Mutex<HashMap<ConfKey, Arc<(RelaxationCase, ConformanceReport)>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
+pub struct ConformanceCache(Memo<ConfKey, (RelaxationCase, ConformanceReport)>);
 
 impl ConformanceCache {
-    /// A live cache.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// A pass-through cache: every lookup misses and stores nothing.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether lookups are served from the memo table.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The cached verdict of `(local, epre, relaxed)`, if present.
-    /// Counts a hit or a miss; a miss should be followed by [`Self::store`]
-    /// once the verdict is computed.
-    pub fn lookup(
+    /// The verdict [`crate::classify_states`] gives for `(local, sg,
+    /// epre, relaxed)`, memoized. `sg` must be the state graph of
+    /// `local.mg`: the key is built from `local` alone. The boolean is
+    /// `true` on a cache hit.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`crate::classify_states`]. Errors are never
+    /// cached.
+    pub fn classify(
         &self,
         local: &LocalStg,
+        sg: &StateGraph,
         epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
         relaxed: Option<usize>,
-    ) -> Option<(RelaxationCase, ConformanceReport)> {
-        if !self.enabled {
-            return None;
-        }
-        let key = ConfKey::of(local, epre, relaxed);
-        if let Some(v) = self
-            .map
-            .lock()
-            .expect("conformance cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((v.0, v.1.clone()));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Stores a freshly computed verdict. No-op when disabled.
-    pub fn store(
-        &self,
-        local: &LocalStg,
-        epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-        relaxed: Option<usize>,
-        case: RelaxationCase,
-        report: &ConformanceReport,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let key = ConfKey::of(local, epre, relaxed);
-        self.map
-            .lock()
-            .expect("conformance cache poisoned")
-            .insert(key, Arc::new((case, report.clone())));
+    ) -> Result<((RelaxationCase, ConformanceReport), bool), CoreError> {
+        let (verdict, hit) = self.0.get_or_compute(
+            ConfKey::of(local, epre, relaxed),
+            |_| Ok(()),
+            || classify_states(local, sg, epre, relaxed),
+        )?;
+        Ok(((verdict.0, verdict.1.clone()), hit))
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("conformance cache poisoned").len(),
-        }
+        self.0.stats()
     }
 
     /// Drops all stored verdicts and resets the counters.
     pub fn clear(&self) {
-        self.map.lock().expect("conformance cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.0.clear();
+    }
+}
+
+/// The decompose stage's result: the MG components and the global state
+/// count.
+pub(crate) type Decomposition = (Vec<MgStg>, usize);
+
+/// Distinct specifications the decompose memo admits; beyond this the
+/// stage is recomputed (never evicted mid-scan) so a pathological caller
+/// cannot grow the memo without bound.
+const DECOMPOSE_MEMO_CAP: usize = 64;
+
+/// The engine's whole reuse stack, held iff
+/// [`crate::EngineConfig::cache`] is on: the three caches plus the
+/// decompose memo, shared across gates, runs and circuits.
+#[derive(Debug, Default)]
+pub(crate) struct Caches {
+    /// Local state graphs.
+    pub sg: SgCache,
+    /// Per-gate local-STG projections.
+    pub projections: ProjCache,
+    /// Classification verdicts.
+    pub conformance: ConformanceCache,
+    /// Decompose-stage results by specification value. A linear scan
+    /// suffices: the corpus is a dozen specifications and the derived
+    /// `PartialEq` rejects non-matches on the name field first.
+    decompositions: Mutex<Vec<(Stg, Arc<Decomposition>)>>,
+}
+
+impl Caches {
+    /// The decompose stage of `stg`, memoized by specification value: the
+    /// MG components and the global state count are pure functions of the
+    /// specification (under the engine's fixed budgets), so a warm engine
+    /// re-running the same [`Stg`] skips the decomposition sweep and the
+    /// global reachability walk. Only successes are stored; errors are
+    /// recomputed (and re-reported) every run.
+    pub(crate) fn decompose(
+        &self,
+        stg: &Stg,
+        compute: impl FnOnce() -> Result<Decomposition, CoreError>,
+    ) -> Result<Arc<Decomposition>, CoreError> {
+        let lock = || self.decompositions.lock().expect("decompose memo poisoned");
+        if let Some((_, cached)) = lock().iter().find(|(spec, _)| spec == stg) {
+            return Ok(Arc::clone(cached));
+        }
+        let result = Arc::new(compute()?);
+        let mut entries = lock();
+        if entries.len() < DECOMPOSE_MEMO_CAP && !entries.iter().any(|(spec, _)| spec == stg) {
+            entries.push((stg.clone(), Arc::clone(&result)));
+        }
+        Ok(result)
+    }
+
+    /// Drops every memoized value and resets the counters.
+    pub(crate) fn clear(&self) {
+        self.sg.clear();
+        self.projections.clear();
+        self.conformance.clear();
+        self.decompositions
+            .lock()
+            .expect("decompose memo poisoned")
+            .clear();
     }
 }
 
@@ -471,7 +441,7 @@ ack- req+
 
     #[test]
     fn second_lookup_hits_and_shares_the_graph() {
-        let cache = SgCache::new();
+        let cache = SgCache::default();
         let mg = handshake_mg();
         let (first, hit1) = cache.of_mg(&mg, 100).expect("consistent");
         let (second, hit2) = cache.of_mg(&mg, 100).expect("consistent");
@@ -490,16 +460,21 @@ ack- req+
 
     #[test]
     fn cached_result_equals_uncached() {
-        let cache = SgCache::new();
+        // Every miss is a σ-space exploration: its graph and its budget
+        // error must both equal the marking-keyed generator's.
+        let cache = SgCache::default();
         let mg = handshake_mg();
         let (cached, _) = cache.of_mg(&mg, 100).expect("consistent");
         let direct = StateGraph::of_mg(&mg, 100).expect("consistent");
         assert_eq!(*cached, direct);
+        let err = SgCache::default().of_mg(&mg, 2).expect_err("budget");
+        let uncached = StateGraph::of_mg(&mg, 2).expect_err("budget");
+        assert_eq!(err, uncached);
     }
 
     #[test]
     fn hit_replays_budget_exhaustion_exactly() {
-        let cache = SgCache::new();
+        let cache = SgCache::default();
         let mg = handshake_mg(); // 4 states
         cache.of_mg(&mg, 100).expect("consistent");
         // A smaller budget that an uncached run would exhaust must fail
@@ -512,18 +487,8 @@ ack- req+
     }
 
     #[test]
-    fn disabled_cache_stores_nothing() {
-        let cache = SgCache::disabled();
-        let mg = handshake_mg();
-        let (_, hit1) = cache.of_mg(&mg, 100).expect("consistent");
-        let (_, hit2) = cache.of_mg(&mg, 100).expect("consistent");
-        assert!(!hit1 && !hit2);
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
     fn clear_resets_counters_and_entries() {
-        let cache = SgCache::new();
+        let cache = SgCache::default();
         let mg = handshake_mg();
         cache.of_mg(&mg, 100).expect("consistent");
         cache.of_mg(&mg, 100).expect("consistent");
@@ -534,26 +499,21 @@ ack- req+
     }
 
     #[test]
-    fn sigma_cold_cache_generates_identical_graphs() {
-        let mg = handshake_mg();
-        let direct = StateGraph::of_mg(&mg, 100).expect("consistent");
-        for cache in [
-            SgCache::new().with_sigma_cold(true),
-            SgCache::disabled().with_sigma_cold(true),
-        ] {
-            assert!(cache.sigma_cold());
-            let (sg, _) = cache.of_mg(&mg, 100).expect("consistent");
-            assert_eq!(*sg, direct);
-            // Budget exhaustion replays identically through the σ path.
-            let err = cache.of_mg(&mg, 2).expect_err("budget");
-            let uncached = StateGraph::of_mg(&mg, 2).expect_err("budget");
-            assert_eq!(err, uncached);
-        }
+    fn errors_count_as_neither_hit_nor_miss() {
+        let memo: Memo<u8, u8> = Memo::default();
+        let accept = |_: &u8| Ok(());
+        assert!(memo.get_or_compute(1, accept, || Err(())).is_err());
+        assert_eq!(memo.stats(), CacheStats::default());
+        assert!(memo.get_or_compute(1, accept, || Ok(7)).is_ok());
+        // A stored value the replay rejects is not served either.
+        assert!(memo.get_or_compute(1, |_| Err(()), || Ok(7)).is_err());
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
     }
 
     #[test]
     fn conformance_cache_round_trips_verdicts() {
-        use crate::check::{classify_states, prerequisite_sets};
+        use crate::check::prerequisite_sets;
         use crate::local::GateContext;
         use si_boolean::{parse_eqn, GateLibrary};
 
@@ -580,32 +540,27 @@ y- x+
         let local = LocalStg::project_from(&mg, &ctx).expect("projects");
         let sg = StateGraph::of_mg(&local.mg, 1000).expect("consistent");
         let epre = prerequisite_sets(&local);
-        let (case, report) = classify_states(&local, &sg, &epre, None).expect("checks");
+        let direct = classify_states(&local, &sg, &epre, None).expect("checks");
 
-        let cache = ConformanceCache::new();
-        assert!(cache.lookup(&local, &epre, None).is_none());
-        cache.store(&local, &epre, None, case, &report);
-        let (case2, report2) = cache.lookup(&local, &epre, None).expect("hit");
-        assert_eq!(case2, case);
-        assert_eq!(report2, report);
+        let cache = ConformanceCache::default();
+        let (first, hit1) = cache.classify(&local, &sg, &epre, None).expect("checks");
+        let (second, hit2) = cache.classify(&local, &sg, &epre, None).expect("checks");
+        assert!(!hit1 && hit2);
+        assert_eq!(first, direct);
+        assert_eq!(second, direct);
         // A different relaxed id is a different entry.
-        assert!(cache.lookup(&local, &epre, Some(0)).is_none());
+        let (_, hit3) = cache.classify(&local, &sg, &epre, Some(0)).expect("checks");
+        assert!(!hit3);
         assert_eq!(
             cache.stats(),
             CacheStats {
                 hits: 1,
                 misses: 2,
-                entries: 1,
+                entries: 2,
             }
         );
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
-        // Disabled: never hits, never counts.
-        let off = ConformanceCache::disabled();
-        assert!(off.lookup(&local, &epre, None).is_none());
-        off.store(&local, &epre, None, case, &report);
-        assert!(off.lookup(&local, &epre, None).is_none());
-        assert_eq!(off.stats(), CacheStats::default());
     }
 
     #[test]
@@ -613,7 +568,7 @@ y- x+
         let mg = handshake_mg();
         let req = mg.signal_by_name("req").expect("declared");
         let ack = mg.signal_by_name("ack").expect("declared");
-        let cache = ProjCache::new();
+        let cache = ProjCache::default();
         let direct = mg.project_on_gate(ack, &[req]).expect("projects");
         let (first, hit1) = cache.project_on_gate(&mg, ack, &[req]).expect("projects");
         let (second, hit2) = cache.project_on_gate(&mg, ack, &[req]).expect("projects");
@@ -625,11 +580,5 @@ y- x+
         // A different fan-in is a different entry.
         let (_, hit3) = cache.project_on_gate(&mg, ack, &[]).expect("projects");
         assert!(!hit3);
-        // Disabled: always a miss, nothing stored.
-        let off = ProjCache::disabled();
-        let (p, hit) = off.project_on_gate(&mg, ack, &[req]).expect("projects");
-        assert!(!hit);
-        assert_eq!(p, direct);
-        assert_eq!(off.stats(), CacheStats::default());
     }
 }

@@ -14,12 +14,15 @@
 //! 1. **[`EngineConfig`]** gathers every budget and policy knob that used
 //!    to be a magic constant scattered across the crates (state-graph
 //!    budgets, iteration budget, OR-causality recursion depth, relaxation
-//!    order, job count, cache switch).
-//! 2. **State-graph memoization** ([`SgCache`]): local state graphs are
-//!    keyed by the canonical [`si_stg::SgKey`] of their `MgStg` and shared
-//!    across the relaxation loop, the OR-causality sub-STG checks, the
-//!    conformance re-checks — and across circuits when one engine serves a
-//!    whole batch.
+//!    order, job count, the reuse switch).
+//! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
+//!    σ-space exploration on every state-graph miss, the state-graph,
+//!    projection and conformance caches ([`crate::SgCache`],
+//!    [`crate::ProjCache`], [`crate::ConformanceCache`]) and the decompose
+//!    memo, shared across the relaxation loop, the OR-causality sub-STG
+//!    checks, the conformance re-checks — and across circuits when one
+//!    engine serves a whole batch. Off, the engine runs the reference
+//!    path with nothing memoized.
 //! 3. **Parallel per-gate fan-out**: gates are independent (the same
 //!    independence that per-block timing extraction under process
 //!    variations exploits), so the projection + relaxation of each gate
@@ -32,13 +35,13 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{MgStg, SignalId, StateGraph, Stg};
 
-use crate::cache::{CacheStats, ConformanceCache, ProjCache, SgCache};
+use crate::cache::{CacheStats, Caches, Decomposition};
 use crate::check::{prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
@@ -94,19 +97,16 @@ pub struct EngineConfig {
     /// Worker threads for the per-gate fan-out: `1` = sequential in the
     /// calling thread, `0` = one per available CPU.
     pub jobs: usize,
-    /// Whether local state graphs and classification verdicts are
-    /// memoized ([`SgCache`] and [`ConformanceCache`]).
+    /// The one reuse switch. On, the engine runs its whole reuse stack:
+    /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
+    /// state-graph miss, the state-graph, projection and conformance
+    /// caches ([`crate::SgCache`], [`crate::ProjCache`],
+    /// [`crate::ConformanceCache`]) and the decompose memo, all shared
+    /// across gates and runs. Off, it runs the reference path:
+    /// [`si_stg::StateGraph::of_mg`], [`si_stg::MgStg::project_on_gate`]
+    /// and [`crate::classify_states`] on every call, nothing memoized.
+    /// Output is bit-identical either way.
     pub cache: bool,
-    /// Whether per-gate local-STG projections are memoized engine-wide
-    /// (keyed on component structure + output + fan-in), which makes warm
-    /// runs of a circuit skip the projection sweeps entirely.
-    pub memo_projection: bool,
-    /// Whether *cold* state-graph exploration uses σ-space
-    /// (firing-count-row) keys ([`si_stg::StateGraph::of_mg_sigma`])
-    /// instead of packed-marking keys, for weakly connected MGs. Output is
-    /// bit-identical either way; off, every miss runs the marking-keyed
-    /// reference generator.
-    pub sigma_cold: bool,
     /// What to do with static-lint findings on source inputs
     /// ([`Engine::run_source`] only — [`Engine::run`] takes already-parsed
     /// inputs and never lints).
@@ -125,8 +125,8 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// Sequential but cached, projection-memoized and σ-keyed: identical
-    /// output to the seed algorithm with every reuse layer switched on.
+    /// Sequential with the whole reuse stack on: identical output to the
+    /// seed algorithm.
     fn default() -> Self {
         Self {
             global_sg_budget: DEFAULT_GLOBAL_SG_BUDGET,
@@ -137,8 +137,6 @@ impl Default for EngineConfig {
             order: RelaxationOrder::TightestFirst,
             jobs: 1,
             cache: true,
-            memo_projection: true,
-            sigma_cold: true,
             lint: LintPolicy::Warn,
             divergence_window: DEFAULT_DIVERGENCE_WINDOW,
             divergence_policy: DivergencePolicy::Bail,
@@ -147,15 +145,13 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The reference configuration: sequential, uncached, no projection
-    /// memo, marking-keyed exploration, no divergence bail-out — the exact
-    /// code path of the original monolithic driver. Differential tests
-    /// compare every other configuration against this one.
+    /// The reference configuration: sequential, the reference path (no
+    /// reuse stack), no divergence bail-out — the exact code path of the
+    /// original monolithic driver. Differential tests compare every other
+    /// configuration against this one.
     pub fn reference() -> Self {
         Self {
             cache: false,
-            memo_projection: false,
-            sigma_cold: false,
             lint: LintPolicy::Off,
             divergence_policy: DivergencePolicy::Exhaust,
             ..Self::default()
@@ -399,9 +395,9 @@ struct GateRun {
 
 /// The staged, cacheable, parallelizable derivation pipeline.
 ///
-/// An engine owns its [`SgCache`]; running several circuits (or the same
-/// circuit repeatedly) through one engine shares the cache across all of
-/// them.
+/// An engine owns its reuse stack (under [`EngineConfig::cache`]); running
+/// several circuits (or the same circuit repeatedly) through one engine
+/// shares it across all of them.
 ///
 /// # Example
 ///
@@ -436,25 +432,9 @@ struct GateRun {
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    cache: SgCache,
-    projections: ProjCache,
-    conformance: ConformanceCache,
-    decompositions: Mutex<Vec<DecomposeEntry>>,
+    /// The reuse stack; `None` runs the reference path.
+    caches: Option<Caches>,
 }
-
-/// One memoized decompose-stage result: the MG components and the global
-/// state count are pure functions of the specification (under the
-/// engine's fixed budgets), so a warm engine re-running the same [`Stg`]
-/// — batch drivers, repeated suite passes — skips the decomposition sweep
-/// and the global reachability walk. A linear scan suffices: the corpus
-/// is a dozen specifications and the derived `PartialEq` rejects
-/// non-matches on the name field first.
-type DecomposeEntry = (Stg, Arc<(Vec<MgStg>, usize)>);
-
-/// Distinct specifications memoized per engine; beyond this the stage is
-/// recomputed (never evicted mid-scan) so a pathological caller cannot
-/// grow the memo without bound.
-const DECOMPOSE_MEMO_CAP: usize = 64;
 
 impl Default for Engine {
     /// An engine under [`EngineConfig::default`] — with a live cache, as
@@ -467,28 +447,9 @@ impl Default for Engine {
 impl Engine {
     /// An engine under `config`.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = if config.cache {
-            SgCache::new()
-        } else {
-            SgCache::disabled()
-        };
-        let cache = cache.with_sigma_cold(config.sigma_cold);
-        let projections = if config.memo_projection {
-            ProjCache::new()
-        } else {
-            ProjCache::disabled()
-        };
-        let conformance = if config.cache {
-            ConformanceCache::new()
-        } else {
-            ConformanceCache::disabled()
-        };
         Self {
             config,
-            cache,
-            projections,
-            conformance,
-            decompositions: Mutex::new(Vec::new()),
+            caches: config.cache.then(Caches::default),
         }
     }
 
@@ -497,54 +458,48 @@ impl Engine {
         &self.config
     }
 
-    /// Current cache counters.
+    /// Current state-graph cache counters (zero on the reference path).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.caches
+            .as_ref()
+            .map_or_else(CacheStats::default, |c| c.sg.stats())
     }
 
-    /// Current projection-memo counters.
+    /// Current projection-memo counters (zero on the reference path).
     pub fn projection_stats(&self) -> CacheStats {
-        self.projections.stats()
+        self.caches
+            .as_ref()
+            .map_or_else(CacheStats::default, |c| c.projections.stats())
     }
 
-    /// Current conformance-cache counters.
+    /// Current conformance-cache counters (zero on the reference path).
     pub fn conformance_stats(&self) -> CacheStats {
-        self.conformance.stats()
+        self.caches
+            .as_ref()
+            .map_or_else(CacheStats::default, |c| c.conformance.stats())
     }
 
-    /// Drops every memoized state graph, projection and classification
-    /// verdict.
+    /// Drops every memoized state graph, projection, classification
+    /// verdict and decomposition.
     pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.projections.clear();
-        self.conformance.clear();
-        self.decompositions
-            .lock()
-            .expect("decompose memo poisoned")
-            .clear();
+        if let Some(caches) = &self.caches {
+            caches.clear();
+        }
     }
 
-    /// The decompose stage, memoized by specification value when the
-    /// cache is enabled. Only successes are stored; errors are recomputed
-    /// (and re-reported) every run.
-    fn decompose(&self, stg: &Stg) -> Result<Arc<(Vec<MgStg>, usize)>, CoreError> {
+    /// The decompose stage: MG components plus the whole-STG state count,
+    /// memoized by the reuse stack when there is one.
+    fn decompose(&self, stg: &Stg) -> Result<Arc<Decomposition>, CoreError> {
         let cfg = &self.config;
-        if cfg.cache {
-            let entries = self.decompositions.lock().expect("decompose memo poisoned");
-            if let Some((_, cached)) = entries.iter().find(|(spec, _)| spec == stg) {
-                return Ok(Arc::clone(cached));
-            }
+        let compute = || -> Result<Decomposition, CoreError> {
+            let components = stg.mg_components(cfg.allocation_cap)?;
+            let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
+            Ok((components, state_count))
+        };
+        match &self.caches {
+            Some(caches) => caches.decompose(stg, compute),
+            None => compute().map(Arc::new),
         }
-        let components = stg.mg_components(cfg.allocation_cap)?;
-        let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
-        let result = Arc::new((components, state_count));
-        if cfg.cache {
-            let mut entries = self.decompositions.lock().expect("decompose memo poisoned");
-            if entries.len() < DECOMPOSE_MEMO_CAP && !entries.iter().any(|(spec, _)| spec == stg) {
-                entries.push((stg.clone(), Arc::clone(&result)));
-            }
-        }
-        Ok(result)
     }
 
     /// Runs the pipeline from source text: parse and validate stages, then
@@ -764,9 +719,9 @@ impl Engine {
             ],
             lint: si_lint::LintReport::default(),
             gates,
-            cache: self.cache.stats(),
-            projections: self.projections.stats(),
-            conformance: self.conformance.stats(),
+            cache: self.cache_stats(),
+            projections: self.projection_stats(),
+            conformance: self.conformance_stats(),
             jobs,
             fanout_wall,
             total_wall: started.elapsed(),
@@ -851,8 +806,7 @@ impl Engine {
             iteration_budget: cfg.expand_budget,
             sg_budget: cfg.local_sg_budget,
             max_depth: cfg.max_depth,
-            cache: &self.cache,
-            conformance: &self.conformance,
+            caches: self.caches.as_ref(),
             divergence_window: cfg.divergence_window,
             divergence_policy: cfg.divergence_policy,
         };
@@ -877,9 +831,12 @@ impl Engine {
             {
                 continue;
             }
-            let (mg, proj_hit) = self
-                .projections
-                .project_on_gate(component, ctx.output, &ctx.fanin)?;
+            let (mg, proj_hit) = match &self.caches {
+                Some(caches) => caches
+                    .projections
+                    .project_on_gate(component, ctx.output, &ctx.fanin)?,
+                None => (component.project_on_gate(ctx.output, &ctx.fanin)?, false),
+            };
             if proj_hit {
                 proj_memo_hits += 1;
             } else {
@@ -1154,6 +1111,32 @@ b+ a+
         );
         let warm_project = warm.stage(Stage::Project).expect("ran");
         assert_eq!(warm_project.conf_cache_misses, 0, "{warm_project:?}");
+    }
+
+    #[test]
+    fn reference_engine_memoizes_nothing() {
+        // `reference()` is the differential oracle: it must store nothing,
+        // so a second run explores every graph again.
+        let (stg, lib) = celem();
+        let engine = Engine::new(EngineConfig::reference());
+        let first = engine.run(&stg, &lib).expect("derives");
+        let second = engine.run(&stg, &lib).expect("derives");
+        assert_eq!(first.report, second.report);
+        for stats in [
+            engine.cache_stats(),
+            engine.projection_stats(),
+            engine.conformance_stats(),
+        ] {
+            assert_eq!(stats, CacheStats::default());
+        }
+        let explored = |out: &EngineReport| -> usize {
+            [Stage::Project, Stage::Relax]
+                .iter()
+                .map(|&stage| out.stage(stage).expect("ran").states_explored)
+                .sum()
+        };
+        assert!(explored(&second) > 0);
+        assert_eq!(explored(&second), explored(&first));
     }
 
     #[test]

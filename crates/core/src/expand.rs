@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use si_stg::{StateGraph, TransitionLabel};
 
-use crate::cache::{ConformanceCache, SgCache};
+use crate::cache::Caches;
 use crate::check::{
     classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase,
 };
@@ -43,10 +43,9 @@ pub(crate) const DEFAULT_LOCAL_SG_BUDGET: usize = 200_000;
 pub(crate) const DEFAULT_MAX_DEPTH: usize = 32;
 
 /// Everything one relaxation run needs besides the local STG itself: the
-/// oracle, the engine limits and the shared state-graph cache. One
-/// instance is built per gate by the engine (or by the [`expand`] /
-/// [`expand_with_order`] compatibility wrappers) and threaded through the
-/// whole recursion.
+/// oracle, the engine limits and the engine's reuse stack. One instance is
+/// built per gate by the engine (or by the [`expand`] compatibility
+/// wrapper) and threaded through the whole recursion.
 #[derive(Clone, Copy)]
 pub(crate) struct ExpandCtx<'a> {
     /// Adversary-path oracle of the implementation STG.
@@ -59,10 +58,8 @@ pub(crate) struct ExpandCtx<'a> {
     pub sg_budget: usize,
     /// Maximum OR-causality recursion depth.
     pub max_depth: usize,
-    /// Shared memoization cache for local state graphs.
-    pub cache: &'a SgCache,
-    /// Shared memoization cache for classification verdicts.
-    pub conformance: &'a ConformanceCache,
+    /// The engine's reuse stack; `None` runs the reference path.
+    pub caches: Option<&'a Caches>,
     /// Sliding-window length of the trial scheduler's contraction
     /// watchdog (0 disables the watchdog; the progress ledger still runs).
     pub divergence_window: usize,
@@ -72,39 +69,40 @@ pub(crate) struct ExpandCtx<'a> {
 }
 
 impl<'a> ExpandCtx<'a> {
-    /// A context with the engine-default limits and private caches.
+    /// A tightest-first context with the engine-default limits.
     pub fn with_defaults(
         oracle: &'a AdversaryOracle,
-        order: RelaxationOrder,
         iteration_budget: usize,
-        cache: &'a SgCache,
-        conformance: &'a ConformanceCache,
+        caches: Option<&'a Caches>,
     ) -> Self {
         Self {
             oracle,
-            order,
+            order: RelaxationOrder::TightestFirst,
             iteration_budget,
             sg_budget: DEFAULT_LOCAL_SG_BUDGET,
             max_depth: DEFAULT_MAX_DEPTH,
-            cache,
-            conformance,
+            caches,
             divergence_window: DEFAULT_DIVERGENCE_WINDOW,
-            // The compatibility wrappers (and through them the monolithic
-            // `derive_timing_constraints`) keep the historical
-            // exhaust-the-budget semantics: they are the differential
-            // oracle the scheduler is measured against.
+            // The compatibility wrapper (and through it the monolithic
+            // `derive_timing_constraints`) keeps the historical
+            // exhaust-the-budget semantics: it is the differential oracle
+            // the scheduler is measured against.
             divergence_policy: DivergencePolicy::Exhaust,
         }
     }
 
-    /// Memoized local state-graph generation, recording cache traffic and
-    /// exploration work into `out`.
+    /// The local state graph of `mg` — from the reuse stack when there is
+    /// one, the marking-keyed reference generation otherwise — recording
+    /// cache traffic and exploration work into `out`.
     pub(crate) fn sg(
         &self,
         mg: &si_stg::MgStg,
         out: &mut ExpandOutcome,
     ) -> Result<Arc<StateGraph>, CoreError> {
-        let (sg, hit) = self.cache.of_mg(mg, self.sg_budget)?;
+        let (sg, hit) = match self.caches {
+            Some(caches) => caches.sg.of_mg(mg, self.sg_budget)?,
+            None => (Arc::new(StateGraph::of_mg(mg, self.sg_budget)?), false),
+        };
         if hit {
             out.sg_cache_hits += 1;
         } else {
@@ -114,9 +112,9 @@ impl<'a> ExpandCtx<'a> {
         Ok(sg)
     }
 
-    /// Classification of one trial: answered from the conformance cache
-    /// when the trial repeats, swept otherwise. Fresh verdicts are stored
-    /// back; errors never are.
+    /// Classification of one trial: from the conformance cache when there
+    /// is one (answered when the trial repeats, swept and stored
+    /// otherwise), a plain sweep on the reference path.
     pub(crate) fn classify(
         &self,
         trial: &LocalStg,
@@ -125,14 +123,16 @@ impl<'a> ExpandCtx<'a> {
         relaxed: Option<usize>,
         out: &mut ExpandOutcome,
     ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
-        if let Some(v) = self.conformance.lookup(trial, epre, relaxed) {
+        let (verdict, hit) = match self.caches {
+            Some(caches) => caches.conformance.classify(trial, sg, epre, relaxed)?,
+            None => (classify_states(trial, sg, epre, relaxed)?, false),
+        };
+        if hit {
             out.conf_cache_hits += 1;
-            return Ok(v);
+        } else {
+            out.conf_cache_misses += 1;
         }
-        out.conf_cache_misses += 1;
-        let (case, report) = classify_states(trial, sg, epre, relaxed)?;
-        self.conformance.store(trial, epre, relaxed, case, &report);
-        Ok((case, report))
+        Ok(verdict)
     }
 }
 
@@ -363,7 +363,8 @@ fn find_next_arc(
 
 /// Expands one local STG to a fixpoint, accumulating constraints into
 /// `out` (Algorithm 4). Sub-STGs from OR-causality decompositions are
-/// processed recursively.
+/// processed recursively. Runs the reference path: tightest arc first,
+/// nothing memoized.
 ///
 /// # Errors
 ///
@@ -375,26 +376,7 @@ pub fn expand(
     budget: usize,
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
-    expand_with_order(local, oracle, budget, RelaxationOrder::TightestFirst, out)
-}
-
-/// [`expand`] with an explicit relaxation-order policy (for the Sec. 5.5
-/// ablation).
-///
-/// # Errors
-///
-/// Same as [`expand`].
-pub fn expand_with_order(
-    local: LocalStg,
-    oracle: &AdversaryOracle,
-    budget: usize,
-    order: RelaxationOrder,
-    out: &mut ExpandOutcome,
-) -> Result<(), CoreError> {
-    let cache = SgCache::disabled();
-    let conf = ConformanceCache::disabled();
-    let ctx = ExpandCtx::with_defaults(oracle, order, budget, &cache, &conf);
-    expand_ctx(local, &ctx, out)
+    expand_ctx(local, &ExpandCtx::with_defaults(oracle, budget, None), out)
 }
 
 /// Expands one local STG under an explicit engine context — the entry
@@ -689,6 +671,23 @@ mod tests {
     use si_boolean::{parse_eqn, GateLibrary};
     use si_stg::{parse_astg, MgStg};
 
+    /// A two-input AND gate's handshake: `x+ ⇒ y+ ⇒ o+`, then `x-` drops
+    /// the output before `y-`.
+    const AND2: &str = "\
+.model and2
+.inputs x y
+.outputs o
+.graph
+x+ y+
+y+ o+
+o+ x-
+x- o-
+o- y-
+y- x+
+.marking { <y-,x+> }
+.end
+";
+
     fn build(stg_text: &str, eqn: &str, gate: &str) -> (LocalStg, AdversaryOracle) {
         let stg = parse_astg(stg_text).expect("valid STG");
         let lib = GateLibrary::from_netlist(&parse_eqn(eqn).expect("valid EQN"));
@@ -705,21 +704,7 @@ mod tests {
         // the cross-cycle ordering y- ⇒ x+ is load-bearing: if the next
         // cycle's x+ overtakes the previous cycle's y-, the gate sees
         // x·y = 1 and pulses early. Exactly one constraint must survive.
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
+        let (local, oracle) = build(AND2, "o = x*y;", "o");
         let mut out = ExpandOutcome::default();
         expand(local, &oracle, 1000, &mut out).expect("expands");
         let rendered: Vec<String> = out.constraints.iter().map(|c| c.to_string()).collect();
@@ -793,21 +778,7 @@ o- x+
 
     #[test]
     fn iteration_budget_is_enforced() {
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
+        let (local, oracle) = build(AND2, "o = x*y;", "o");
         let mut out = ExpandOutcome::default();
         let err = expand(local, &oracle, 1, &mut out);
         assert!(matches!(
@@ -818,91 +789,66 @@ y- x+
 
     #[test]
     fn cached_expansion_matches_uncached_bit_for_bit() {
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
+        let (local, oracle) = build(AND2, "o = x*y;", "o");
         let mut plain = ExpandOutcome::default();
         expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
 
-        let cache = SgCache::new();
-        let conf = ConformanceCache::disabled();
-        let ctx =
-            ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache, &conf);
-        let mut cached = ExpandOutcome::default();
-        expand_ctx(local.clone(), &ctx, &mut cached).expect("expands");
-        assert_eq!(plain.constraints, cached.constraints);
-        assert_eq!(plain.trace, cached.trace);
-        assert_eq!(plain.iterations, cached.iterations);
-
-        // A second run over the same local STG is answered from the cache.
-        let mut warm = ExpandOutcome::default();
-        expand_ctx(local, &ctx, &mut warm).expect("expands");
-        assert_eq!(plain.constraints, warm.constraints);
-        assert!(warm.sg_cache_hits > 0, "warm run should hit: {warm:?}");
-        assert_eq!(warm.sg_cache_misses, 0);
-        assert_eq!(warm.states_explored, 0);
-    }
-
-    #[test]
-    fn incremental_classification_matches_plain_bit_for_bit() {
-        let text = "\
-.model and2
-.inputs x y
-.outputs o
-.graph
-x+ y+
-y+ o+
-o+ x-
-x- o-
-o- y-
-y- x+
-.marking { <y-,x+> }
-.end
-";
-        let (local, oracle) = build(text, "o = x*y;", "o");
-        let mut plain = ExpandOutcome::default();
-        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
-
-        // Verdicts reused through the conformance cache alone: every trial
-        // still regenerates its graph.
-        let cache = SgCache::disabled();
-        let conf = ConformanceCache::new();
-        let ctx =
-            ExpandCtx::with_defaults(&oracle, RelaxationOrder::TightestFirst, 1000, &cache, &conf);
+        // A cold run through the reuse stack equals the reference path.
+        let caches = Caches::default();
+        let ctx = ExpandCtx::with_defaults(&oracle, 1000, Some(&caches));
         let mut cold = ExpandOutcome::default();
         expand_ctx(local.clone(), &ctx, &mut cold).expect("expands");
         assert_eq!(plain.constraints, cold.constraints);
         assert_eq!(plain.trace, cold.trace);
         assert_eq!(plain.iterations, cold.iterations);
         assert!(
-            cold.conf_cache_misses > 0,
-            "a cold run must sweep its trials: {cold:?}"
+            cold.sg_cache_misses > 0 && cold.conf_cache_misses > 0,
+            "a cold run must explore and sweep its trials: {cold:?}"
         );
 
-        // A warm re-run answers every verdict from the conformance cache —
-        // no sweep at all.
+        // A warm re-run answers every graph and every verdict from the
+        // stack: no exploration, no sweep.
         let mut warm = ExpandOutcome::default();
         expand_ctx(local, &ctx, &mut warm).expect("expands");
         assert_eq!(plain.constraints, warm.constraints);
         assert_eq!(plain.trace, warm.trace);
         assert!(
+            warm.sg_cache_hits > 0 && warm.conf_cache_hits > 0,
+            "a warm run must hit both caches: {warm:?}"
+        );
+        assert_eq!(warm.sg_cache_misses, 0);
+        assert_eq!(warm.conf_cache_misses, 0);
+        assert_eq!(warm.states_explored, 0);
+    }
+
+    #[test]
+    fn incremental_classification_matches_plain_bit_for_bit() {
+        let (local, oracle) = build(AND2, "o = x*y;", "o");
+        let mut plain = ExpandOutcome::default();
+        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
+
+        let caches = Caches::default();
+        let ctx = ExpandCtx::with_defaults(&oracle, 1000, Some(&caches));
+        let mut cold = ExpandOutcome::default();
+        expand_ctx(local.clone(), &ctx, &mut cold).expect("expands");
+        assert_eq!(plain.constraints, cold.constraints);
+
+        // With the graphs dropped, every trial regenerates its graph, yet
+        // every verdict is still answered from the conformance cache: its
+        // key is the local STG, not the graph the trial happened to get.
+        caches.sg.clear();
+        let mut warm = ExpandOutcome::default();
+        expand_ctx(local, &ctx, &mut warm).expect("expands");
+        assert_eq!(plain.constraints, warm.constraints);
+        assert_eq!(plain.trace, warm.trace);
+        assert_eq!(plain.iterations, warm.iterations);
+        assert!(
             warm.conf_cache_hits > 0,
             "a warm run must hit the conformance cache: {warm:?}"
         );
         assert_eq!(warm.conf_cache_misses, 0);
-        assert!(warm.states_explored > 0, "graphs are not cached: {warm:?}");
+        assert_eq!(warm.sg_cache_hits, 0);
+        assert!(warm.states_explored > 0, "graphs were dropped: {warm:?}");
     }
 
     #[test]

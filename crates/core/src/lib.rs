@@ -27,13 +27,16 @@
 //! - [`derive_timing_constraints`] — the classic monolithic call
 //!   (sequential, uncached; the differential reference);
 //! - [`Engine`] — the staged pipeline (parse → validate → decompose →
-//!   project → relax → merge) with an explicit [`EngineConfig`], three
-//!   memoization caches shared across gates and runs (state graphs in
-//!   [`SgCache`], projections in [`ProjCache`], classification verdicts
-//!   in [`ConformanceCache`]), allocation-free σ-space exploration on
-//!   every state-graph miss, a parallel per-gate fan-out, and
-//!   per-stage/per-gate metrics in the extended [`EngineReport`]. Output
-//!   is bit-identical to the monolithic call for every configuration.
+//!   project → relax → merge) with an explicit [`EngineConfig`], a
+//!   parallel per-gate fan-out, per-stage/per-gate metrics in the
+//!   extended [`EngineReport`], and one reuse stack behind one switch
+//!   ([`EngineConfig::cache`]): allocation-free σ-space exploration on
+//!   every state-graph miss, and three memoization caches shared across
+//!   gates and runs (state graphs in [`SgCache`], projections in
+//!   [`ProjCache`], classification verdicts in [`ConformanceCache`]).
+//!   With the switch off the engine runs the reference path, nothing
+//!   memoized. Output is bit-identical to the monolithic call for every
+//!   configuration.
 //!
 //! # Example
 //!
@@ -91,7 +94,7 @@ pub use engine::{
     Engine, EngineConfig, EngineReport, GateMetrics, LintPolicy, Stage, StageMetrics,
 };
 pub use error::CoreError;
-pub use expand::{expand, expand_with_order, ExpandOutcome, RelaxationOrder, TraceEvent};
+pub use expand::{expand, ExpandOutcome, RelaxationOrder, TraceEvent};
 pub use local::{ArcType, GateContext, LocalStg};
 pub use orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,

@@ -1,7 +1,8 @@
 //! Property tests for classifying relaxation trials: on a random local STG
 //! and a random single-arc edit, the verdicts the relaxation loop works
-//! from — each trial's state graph served by the σ-cold [`SgCache`], its
-//! four-case classification served by the [`ConformanceCache`] — must
+//! from — each trial's state graph served by the [`SgCache`] (σ-space
+//! exploration on every miss), its four-case classification served by the
+//! [`ConformanceCache`] — must
 //! agree with the from-scratch sweep ([`classify_states`] over the
 //! marking-keyed [`StateGraph::of_mg`]) *exactly*: the same
 //! [`RelaxationCase`], the same [`ConformanceReport`] (premature pairs and
@@ -43,12 +44,7 @@ fn served(
     budget: usize,
 ) -> Verdict {
     let (sg, _) = sgs.of_mg(&local.mg, budget)?;
-    if let Some(hit) = conf.lookup(local, epre, relaxed) {
-        return Ok(hit);
-    }
-    let (case, report) = classify_states(local, &sg, epre, relaxed)?;
-    conf.store(local, epre, relaxed, case, &report);
-    Ok((case, report))
+    Ok(conf.classify(local, &sg, epre, relaxed)?.0)
 }
 
 /// The same verdict from a fresh marking-keyed generation and sweep.
@@ -89,7 +85,7 @@ proptest! {
     /// A cold round, then a warm one answered from the caches.
     #[test]
     fn incremental_classification_matches_scratch((spec, edit, relaxed_idx) in random_case()) {
-        let (sgs, conf) = (SgCache::new().with_sigma_cold(true), ConformanceCache::new());
+        let (sgs, conf) = (SgCache::default(), ConformanceCache::default());
         for _ in 0..2 {
             check_round(&spec, &edit, relaxed_idx, 10_000, &sgs, &conf)?;
         }
@@ -102,7 +98,7 @@ proptest! {
     fn incremental_classification_matches_scratch_under_tight_budgets(
         (spec, edit, relaxed_idx) in random_case()
     ) {
-        let (sgs, conf) = (SgCache::new().with_sigma_cold(true), ConformanceCache::new());
+        let (sgs, conf) = (SgCache::default(), ConformanceCache::default());
         for budget in [33usize, 17, 9, 5, 3, 2] {
             check_round(&spec, &edit, relaxed_idx, budget, &sgs, &conf)?;
         }

@@ -49,12 +49,10 @@ OPTIONS:
         --order <ORDER>   relaxation order: tightest (default), lex or
                           contraction (prefer arcs whose relaxation
                           inserts the fewest new bypass arcs)
-        --no-cache        disable state-graph and conformance-verdict
-                          memoization
-        --no-sigma-cold   explore cold state graphs in the classic
-                          marking space instead of the σ (firing count)
-                          space (escape hatch; output is identical)
-        --no-memo         disable the local-STG projection memo
+        --no-cache        run the reference path: marking-keyed state
+                          graphs, no state-graph, projection,
+                          conformance or decompose memo (escape hatch;
+                          output is identical)
     -h, --help            print this help and exit
 
 EXIT CODES:
@@ -128,8 +126,6 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
                 }
             },
             "--no-cache" => config.cache = false,
-            "--no-sigma-cold" => config.sigma_cold = false,
-            "--no-memo" => config.memo_projection = false,
             flag if flag.starts_with('-') => {
                 return ArgsOutcome::Error(format!("unknown option `{flag}`"))
             }

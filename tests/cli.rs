@@ -118,19 +118,28 @@ fn check_hazard_help_exits_zero() {
         assert!(stdout.contains("--jobs"));
         assert!(stdout.contains("--format"));
         assert!(stdout.contains("--lint"));
-        assert!(stdout.contains("--no-sigma-cold"));
+        assert!(stdout.contains("--no-cache"));
+        // `cache` is the one reuse switch: no per-layer flags.
+        assert!(!stdout.contains("--no-memo"));
+        assert!(!stdout.contains("--no-sigma-cold"));
         assert!(stdout.contains("EXIT CODES"));
     }
 }
 
 #[test]
 fn check_hazard_rejects_unknown_options() {
-    let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-        .args(["--frobnicate", "a.g", "b.eqn"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("--frobnicate"));
+    // The removed per-layer reuse flags are unknown options now.
+    for flag in ["--frobnicate", "--no-memo", "--no-sigma-cold"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
+            .args([flag, "a.g", "b.eqn"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(3), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&output.stderr).contains(flag),
+            "{flag}"
+        );
+    }
 }
 
 #[test]
@@ -214,19 +223,19 @@ fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
             .map(str::to_string)
             .collect()
     };
-    let sequential = constraint_lines(&["--no-cache", "--jobs", "1"]);
-    let parallel = constraint_lines(&["--jobs", "4"]);
-    assert_eq!(sequential.len(), 31);
-    assert_eq!(sequential, parallel);
-    // The projection-memo and σ-space escape hatches must not change a
-    // single constraint line either.
-    let classic = constraint_lines(&["--no-memo", "--no-sigma-cold"]);
-    assert_eq!(sequential, classic);
-    let fully_reused = constraint_lines(&[]);
-    assert_eq!(sequential, fully_reused);
-    // Neither must the strict lint pre-flight (the spec is clean).
-    let linted = constraint_lines(&["--lint"]);
-    assert_eq!(sequential, linted);
+    // Every run is compared against the reference path (`--no-cache`).
+    let reference = constraint_lines(&["--no-cache", "--jobs", "1"]);
+    assert_eq!(reference.len(), 31);
+    for args in [
+        &["--jobs", "4"][..],
+        &["--no-cache", "--jobs", "4"],
+        &[],
+        // The strict lint pre-flight must not change a line either (the
+        // spec is clean).
+        &["--lint"],
+    ] {
+        assert_eq!(constraint_lines(args), reference, "{args:?}");
+    }
 
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);
@@ -254,14 +263,8 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
     let default = constraint_lines(&["--bench", "imec-ram-read-sbuf"]);
     assert_eq!(default.len(), 31, "19 baseline + 12 derived");
     // The CI smoke diff in miniature: the default engine and the
-    // marking-keyed reference path must print identical reports.
-    let reference = constraint_lines(&[
-        "--bench",
-        "imec-ram-read-sbuf",
-        "--no-sigma-cold",
-        "--no-cache",
-        "--no-memo",
-    ]);
+    // reference path must print identical reports.
+    let reference = constraint_lines(&["--bench", "imec-ram-read-sbuf", "--no-cache"]);
     assert_eq!(default, reference);
 
     // Unknown names are runtime errors (2); mixing --bench with paths is

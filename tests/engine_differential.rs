@@ -3,10 +3,10 @@
 //! **bit-identical** to the sequential uncached path (the seed's
 //! monolithic driver) — same baseline, same derived constraints, same
 //! per-gate breakdown, same trace, same iteration counts. The
-//! configuration matrix below covers every combination of the reuse
-//! layers (`cache`, `memo_projection`, `sigma_cold`) with the job-count
-//! dimension, cold and warm, so no knob can silently diverge from the
-//! reference path.
+//! configuration matrix below covers the one reuse switch (`cache`: the
+//! whole reuse stack vs the reference path) with the job-count dimension,
+//! cold and warm, so no configuration can silently diverge from the
+//! reference.
 
 use si_redress::core::{Engine, EngineConfig, RelaxationOrder, Stage};
 use si_redress::prelude::*;
@@ -31,40 +31,33 @@ fn parallel_memoized_engine_is_bit_identical_to_the_sequential_uncached_path() {
 
 #[test]
 fn every_reuse_layer_configuration_is_bit_identical_to_the_reference() {
-    // {cache} × {memo_projection} × {sigma_cold} × {jobs 1, jobs 4}, cold
-    // and warm: 16 configurations per benchmark, every one compared
-    // against the sequential uncached reference — and the warm re-run
-    // (the all-hits path) compared again, because memo bugs typically
-    // only bite on the second pass.
+    // {cache} × {jobs 1, jobs 4}, cold and warm: 4 configurations per
+    // benchmark, every one compared against the sequential uncached
+    // reference — and the warm re-run (the all-hits path) compared again,
+    // because memo bugs typically only bite on the second pass.
     for bench in si_redress::suite::benchmarks() {
         let (stg, library) = bench.circuit().expect("loads");
         let reference = derive_timing_constraints(&stg, &library).expect("derives");
         for cache in [false, true] {
-            for memo_projection in [false, true] {
-                for sigma_cold in [false, true] {
-                    for jobs in [1usize, 4] {
-                        let config = EngineConfig {
-                            cache,
-                            memo_projection,
-                            sigma_cold,
-                            jobs,
-                            ..EngineConfig::default()
-                        };
-                        let engine = Engine::new(config);
-                        let cold = engine.run(&stg, &library).expect("derives");
-                        assert_eq!(
-                            cold.report, reference,
-                            "{}: cold run diverged under {config:?}",
-                            bench.name
-                        );
-                        let warm = engine.run(&stg, &library).expect("derives");
-                        assert_eq!(
-                            warm.report, reference,
-                            "{}: warm run diverged under {config:?}",
-                            bench.name
-                        );
-                    }
-                }
+            for jobs in [1usize, 4] {
+                let config = EngineConfig {
+                    cache,
+                    jobs,
+                    ..EngineConfig::default()
+                };
+                let engine = Engine::new(config);
+                let cold = engine.run(&stg, &library).expect("derives");
+                assert_eq!(
+                    cold.report, reference,
+                    "{}: cold run diverged under {config:?}",
+                    bench.name
+                );
+                let warm = engine.run(&stg, &library).expect("derives");
+                assert_eq!(
+                    warm.report, reference,
+                    "{}: warm run diverged under {config:?}",
+                    bench.name
+                );
             }
         }
     }

@@ -79,27 +79,6 @@ fn bench_engine_configs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_suite_batch(c: &mut Criterion) {
-    // The full 13-benchmark batch through one shared engine — the
-    // headline wall-clock number of the staged refactor.
-    let mut group = c.benchmark_group("suite_batch");
-    group.sample_size(10);
-    for (name, config) in [
-        ("sequential_uncached", EngineConfig::reference()),
-        ("parallel_cached", EngineConfig::parallel(0)),
-    ] {
-        group.bench_function(name, |b| {
-            let engine = Engine::new(config);
-            b.iter(|| {
-                si_suite::run_suite(&engine)
-                    .unwrap_or_else(|e| panic!("suite batch failed: {e}"))
-                    .len()
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_baseline_only(c: &mut Criterion) {
     // The baseline (Keller et al.) set needs only projection, no
     // relaxation loop: the gap to the full derivation is the cost of the
@@ -186,7 +165,6 @@ criterion_group!(
     benches,
     bench_derivation,
     bench_engine_configs,
-    bench_engine_suite_batch,
     bench_baseline_only,
     bench_order_ablation,
     bench_relax_sched

@@ -2,11 +2,10 @@
 //! (90 → 32 nm) on a one-million-gate die, for the unbuffered fork
 //! (`un-buf`) and the fork with one repeater on the direct wire (`buf-1`).
 //! The constraint set is the FIFO's, as in the thesis simulation. The
-//! derivation runs through the shared staged [`Engine`] (like the table
-//! binaries), so it reports per-stage metrics and benefits from the
-//! state-graph/projection caches.
+//! derivation runs through the staged [`Engine`], like the table
+//! binaries.
 
-use si_bench::{engine_metrics_line, strong_constraint_gates};
+use si_bench::strong_constraint_gates;
 use si_core::{Engine, EngineConfig};
 use si_sim::{circuit_error_rate, ErrorRateConfig, ForkStyle, NODES};
 
@@ -42,5 +41,4 @@ fn main() {
     }
     println!("\nExpected shape (thesis): both series rise as the node shrinks;");
     println!("buf-1 lies above un-buf at every node.");
-    println!("{}", engine_metrics_line(&out));
 }

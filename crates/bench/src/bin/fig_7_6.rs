@@ -1,9 +1,9 @@
 //! Regenerates thesis Fig. 7.6: circuit error rate versus die scale
 //! (0.5 M → 4 M gates) at the 90 nm node, `un-buf` and `buf-1` series.
-//! The derivation runs through the shared staged [`Engine`], reporting
-//! per-stage metrics like the table binaries.
+//! The derivation runs through the staged [`Engine`], like the table
+//! binaries.
 
-use si_bench::{engine_metrics_line, strong_constraint_gates};
+use si_bench::strong_constraint_gates;
 use si_core::{Engine, EngineConfig};
 use si_sim::{circuit_error_rate, ErrorRateConfig, ForkStyle, NODES};
 
@@ -40,5 +40,4 @@ fn main() {
         );
     }
     println!("\nExpected shape (thesis): error rate grows with the gate count.");
-    println!("{}", engine_metrics_line(&out));
 }

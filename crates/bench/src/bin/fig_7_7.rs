@@ -5,7 +5,6 @@
 //! Fig. 7.4). Padding positions come from the Sec. 5.7 greedy planner;
 //! the pad magnitude counters the maximum direct-wire delay at each node.
 
-use si_bench::engine_metrics_line;
 use si_core::{plan_padding, AdversaryOracle, Engine, EngineConfig, PaddingPosition};
 use si_sim::{cycle_time, DelayAssignment, NODES};
 use si_stg::MgStg;
@@ -13,8 +12,7 @@ use si_stg::MgStg;
 fn main() {
     let bench = si_suite::benchmark("fifo").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
-    // The shared staged engine (like the table binaries): per-stage
-    // metrics plus the state-graph and projection caches.
+    // The staged engine, like the table binaries.
     let engine = Engine::new(EngineConfig::parallel(0));
     let out = engine.run(&stg, &library).expect("derives");
     let report = &out.report;
@@ -59,5 +57,4 @@ fn main() {
     }
     println!("\nExpected shape (thesis): the repeater penalty dominates the");
     println!("current-starved penalty at every node.");
-    println!("{}", engine_metrics_line(&out));
 }

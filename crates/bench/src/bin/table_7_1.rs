@@ -71,9 +71,6 @@ fn main() {
                 TraceEvent::Fallback { gate, reason } => {
                     println!("  [{gate}] fallback: {reason}");
                 }
-                TraceEvent::Diverged { gate, witness } => {
-                    println!("  [{gate}] diverged: {witness}");
-                }
             }
         }
     } else {

@@ -10,26 +10,11 @@
 //! end to end.
 //!
 //! `--json [PATH]` additionally writes the whole run — rows with their
-//! per-stage wall times and counters, totals, cache-tier traffic — as one
-//! JSON object (default `BENCH_table72.json`).
+//! stage and gate metrics, totals, cache-tier traffic — as one JSON object
+//! (default `BENCH_table72.json`).
 
-use si_bench::table_row_report;
-use si_core::{Engine, EngineConfig, EngineReport, StageMetrics};
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", si_lint::json_escape(s))
-}
-
-/// The per-stage metrics of one engine run as a JSON fragment.
-fn report_json(out: &EngineReport) -> String {
-    let stages: Vec<String> = out.stages.iter().map(StageMetrics::json).collect();
-    format!(
-        "\"total_wall_us\":{},\"fanout_wall_us\":{},\"stages\":[{}]",
-        out.total_wall.as_micros(),
-        out.fanout_wall.as_micros(),
-        stages.join(",")
-    )
-}
+use si_bench::table_row;
+use si_core::{Engine, EngineConfig};
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -70,7 +55,7 @@ fn main() {
     let (mut t5b, mut t5a, mut t3b, mut t3a) = (0usize, 0usize, 0usize, 0usize);
     let mut row_objects: Vec<String> = Vec::new();
     for bench in si_suite::benchmarks() {
-        match table_row_report(&engine, &bench) {
+        match table_row(&engine, &bench) {
             Ok((row, out)) => {
                 tb += row.before;
                 ta += row.after;
@@ -84,8 +69,8 @@ fn main() {
                     row.after, row.lvl5.0, row.lvl5.1, row.lvl3.0, row.lvl3.1, row.cpu
                 );
                 row_objects.push(format!(
-                    "{{\"name\":{},\"inputs\":{},\"outputs\":{},\"gates\":{},\"states\":{},\"before\":{},\"after\":{},\"lvl5_before\":{},\"lvl5_after\":{},\"lvl3_before\":{},\"lvl3_after\":{},\"cpu_seconds\":{:.6},{}}}",
-                    json_str(&row.name),
+                    "{{\"name\":\"{}\",\"inputs\":{},\"outputs\":{},\"gates\":{},\"states\":{},\"before\":{},\"after\":{},\"lvl5_before\":{},\"lvl5_after\":{},\"lvl3_before\":{},\"lvl3_after\":{},\"cpu_seconds\":{:.6},\"metrics\":{{{}}}}}",
+                    si_lint::json_escape(&row.name),
                     row.inputs,
                     row.outputs,
                     row.gates,
@@ -97,7 +82,7 @@ fn main() {
                     row.lvl3.0,
                     row.lvl3.1,
                     row.cpu,
-                    report_json(&out),
+                    out.metrics_json(),
                 ));
             }
             Err(e) => println!("{:<20} ERROR: {e}", bench.name),

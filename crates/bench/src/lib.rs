@@ -1,41 +1,13 @@
 //! Shared plumbing for the table/figure regeneration binaries and the
 //! Criterion benches. Each binary in `src/bin/` regenerates one table or
-//! figure of the paper's evaluation chapter; see `EXPERIMENTS.md` at the
-//! workspace root for paper-vs-measured notes.
+//! figure of the paper's evaluation chapter. Paper-vs-measured notes: the
+//! README's "Gold reproduction target" section (the imec row) and
+//! `table_7_2`'s footer, which prints the thesis totals next to the
+//! measured ones.
 
-use si_core::{
-    AdversaryOracle, Constraint, ConstraintReport, Engine, EngineConfig, EngineReport, Stage,
-};
+use si_core::{AdversaryOracle, Constraint, ConstraintReport, Engine, EngineReport};
 use si_stg::Stg;
 use std::collections::BTreeSet;
-
-/// One-line per-stage metrics summary of an engine run, shared by the
-/// figure/table binaries so every driver reports the pipeline the same
-/// way (jobs, fan-out wall, projection memo, state-graph and conformance
-/// cache traffic).
-pub fn engine_metrics_line(out: &EngineReport) -> String {
-    let zero = |stage: Stage| {
-        out.stage(stage)
-            .copied()
-            .unwrap_or_else(|| panic!("stage {} missing from report", stage.name()))
-    };
-    let project = zero(Stage::Project);
-    let relax = zero(Stage::Relax);
-    format!(
-        "engine: {} jobs, fan-out {:.2?}; project {:.2?} (memo {}h/{}m), \
-         relax {:.2?} (SG {}h/{}m, conf {}h/{}m)",
-        out.jobs,
-        out.fanout_wall,
-        project.wall,
-        project.proj_memo_hits,
-        project.proj_memo_misses,
-        relax.wall,
-        relax.sg_cache_hits,
-        relax.sg_cache_misses,
-        relax.conf_cache_hits,
-        relax.conf_cache_misses,
-    )
-}
 
 /// A derived row of Table 7.2.
 #[derive(Debug, Clone)]
@@ -62,38 +34,16 @@ pub struct TableRow {
     pub cpu: f64,
 }
 
-/// Runs the full derivation for one benchmark through a fresh sequential
-/// [`Engine`] and classifies constraint levels (Table 7.2 columns).
+/// Runs the full derivation for one benchmark through `engine` and
+/// classifies constraint levels (Table 7.2 columns), keeping the whole
+/// [`EngineReport`] for machine-readable output (`table_7_2 --json`).
+/// Batch drivers share one engine (one cache, one job pool) across all
+/// thirteen rows.
 ///
 /// # Errors
 ///
 /// Propagates derivation errors as strings (harness-level reporting).
-pub fn table_row(bench: &si_suite::Benchmark) -> Result<(TableRow, ConstraintReport), String> {
-    table_row_with(&Engine::new(EngineConfig::default()), bench)
-}
-
-/// [`table_row`] through a caller-supplied engine: batch drivers share one
-/// engine (one cache, one job pool) across all thirteen rows.
-///
-/// # Errors
-///
-/// Propagates derivation errors as strings (harness-level reporting).
-pub fn table_row_with(
-    engine: &Engine,
-    bench: &si_suite::Benchmark,
-) -> Result<(TableRow, ConstraintReport), String> {
-    let (row, out) = table_row_report(engine, bench)?;
-    Ok((row, out.report))
-}
-
-/// [`table_row_with`] keeping the whole [`EngineReport`] — per-stage wall
-/// times and cache traffic included — for machine-readable bench output
-/// (`table_7_2 --json`).
-///
-/// # Errors
-///
-/// Propagates derivation errors as strings (harness-level reporting).
-pub fn table_row_report(
+pub fn table_row(
     engine: &Engine,
     bench: &si_suite::Benchmark,
 ) -> Result<(TableRow, EngineReport), String> {
@@ -151,11 +101,12 @@ fn label_of(stg: &Stg, c: &Constraint, before: bool) -> Option<si_stg::Transitio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use si_core::EngineConfig;
 
     #[test]
     fn gold_row_matches_thesis_table() {
         let bench = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
-        let (row, _) = table_row(&bench).expect("derives");
+        let (row, _) = table_row(&Engine::default(), &bench).expect("derives");
         assert_eq!((row.before, row.after, row.states), (19, 12, 112));
         assert_eq!((row.inputs, row.outputs, row.gates), (5, 5, 11));
     }
@@ -164,9 +115,9 @@ mod tests {
     fn shared_engine_row_matches_fresh_engine_row() {
         let bench = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
         let engine = Engine::new(EngineConfig::parallel(2));
-        let (row, report) = table_row_with(&engine, &bench).expect("derives");
-        let (fresh_row, fresh_report) = table_row(&bench).expect("derives");
-        assert_eq!(report, fresh_report);
+        let (row, out) = table_row(&engine, &bench).expect("derives");
+        let (fresh_row, fresh) = table_row(&Engine::default(), &bench).expect("derives");
+        assert_eq!(out.report, fresh.report);
         assert_eq!(
             (row.before, row.after, row.states),
             (fresh_row.before, fresh_row.after, fresh_row.states)
@@ -176,7 +127,7 @@ mod tests {
     #[test]
     fn level_buckets_are_nested() {
         for bench in si_suite::benchmarks() {
-            let (row, _) = table_row(&bench).expect("derives");
+            let (row, _) = table_row(&Engine::default(), &bench).expect("derives");
             assert!(
                 row.lvl3.0 <= row.lvl5.0 && row.lvl5.0 <= row.before,
                 "{row:?}"

@@ -220,7 +220,10 @@ impl Stage {
     }
 }
 
-/// Wall time and state-graph traffic of one pipeline stage.
+/// Wall time and work counters of one pipeline stage — the one metrics
+/// record. A gate's share of the fanned-out stages is the same record
+/// ([`GateMetrics::project`], [`GateMetrics::relax`]), and so is the
+/// relaxation loop's own tally ([`ExpandOutcome::metrics`]).
 ///
 /// For the fanned-out stages ([`Stage::Project`], [`Stage::Relax`]) `wall`
 /// is the *aggregate* across gates — comparable between job counts; the
@@ -249,44 +252,12 @@ pub struct StageMetrics {
     /// Distinct local-STG fingerprints recorded by the trial scheduler's
     /// progress ledger.
     pub sched_fingerprints: usize,
-    /// Gates aborted by the scheduler's repeated-state cycle detector.
-    pub sched_cycle_bails: usize,
-    /// Gates aborted by the scheduler's contraction watchdog.
-    pub sched_watchdog_bails: usize,
 }
 
 impl StageMetrics {
-    /// The stage's counters as `(name, value)` pairs in schema order —
-    /// the one counter set every JSON emitter renders.
-    pub fn counters(&self) -> [(&'static str, usize); 10] {
-        [
-            ("states_explored", self.states_explored),
-            ("sg_cache_hits", self.sg_cache_hits),
-            ("sg_cache_misses", self.sg_cache_misses),
-            ("proj_memo_hits", self.proj_memo_hits),
-            ("proj_memo_misses", self.proj_memo_misses),
-            ("conf_cache_hits", self.conf_cache_hits),
-            ("conf_cache_misses", self.conf_cache_misses),
-            ("sched_fingerprints", self.sched_fingerprints),
-            ("sched_cycle_bails", self.sched_cycle_bails),
-            ("sched_watchdog_bails", self.sched_watchdog_bails),
-        ]
-    }
-
-    /// The stage as one JSON object: `stage`, `wall_us`, then every
-    /// counter of [`StageMetrics::counters`].
-    pub fn json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = format!(
-            "{{\"stage\":\"{}\",\"wall_us\":{}",
-            self.stage.name(),
-            self.wall.as_micros()
-        );
-        for (name, value) in self.counters() {
-            let _ = write!(s, ",\"{name}\":{value}");
-        }
-        s.push('}');
-        s
+    /// An all-zero record for `stage`.
+    pub fn new(stage: Stage) -> Self {
+        Self::timed(stage, Duration::ZERO)
     }
 
     fn timed(stage: Stage, wall: Duration) -> Self {
@@ -301,50 +272,73 @@ impl StageMetrics {
             conf_cache_hits: 0,
             conf_cache_misses: 0,
             sched_fingerprints: 0,
-            sched_cycle_bails: 0,
-            sched_watchdog_bails: 0,
         }
+    }
+
+    /// Adds `other`'s wall time and counters to this record (its `stage`
+    /// is kept).
+    pub fn add(&mut self, other: &StageMetrics) {
+        self.wall += other.wall;
+        self.states_explored += other.states_explored;
+        self.sg_cache_hits += other.sg_cache_hits;
+        self.sg_cache_misses += other.sg_cache_misses;
+        self.proj_memo_hits += other.proj_memo_hits;
+        self.proj_memo_misses += other.proj_memo_misses;
+        self.conf_cache_hits += other.conf_cache_hits;
+        self.conf_cache_misses += other.conf_cache_misses;
+        self.sched_fingerprints += other.sched_fingerprints;
+    }
+
+    /// The counters as `(name, value)` pairs in schema order — the one
+    /// list of counter names every JSON emitter and doc table follows.
+    pub fn counters(&self) -> [(&'static str, usize); 8] {
+        [
+            ("states_explored", self.states_explored),
+            ("sg_cache_hits", self.sg_cache_hits),
+            ("sg_cache_misses", self.sg_cache_misses),
+            ("proj_memo_hits", self.proj_memo_hits),
+            ("proj_memo_misses", self.proj_memo_misses),
+            ("conf_cache_hits", self.conf_cache_hits),
+            ("conf_cache_misses", self.conf_cache_misses),
+            ("sched_fingerprints", self.sched_fingerprints),
+        ]
+    }
+
+    /// The record as one JSON object: `stage`, `wall_us`, then every
+    /// counter of [`StageMetrics::counters`].
+    pub fn json(&self) -> String {
+        use std::fmt::Write;
+        let mut s = format!(
+            "{{\"stage\":\"{}\",\"wall_us\":{}",
+            self.stage.name(),
+            self.wall.as_micros()
+        );
+        for (name, value) in self.counters() {
+            let _ = write!(s, ",\"{name}\":{value}");
+        }
+        s.push('}');
+        s
     }
 }
 
-/// Per-gate breakdown of the fan-out stages.
+/// Per-gate breakdown of the fan-out stages: the gate's share of
+/// [`Stage::Project`] and of [`Stage::Relax`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateMetrics {
     /// The gate's output signal.
     pub gate: String,
-    /// Projection + baseline + conformance pre-check time.
-    pub project_wall: Duration,
-    /// Relaxation-loop time.
-    pub relax_wall: Duration,
     /// Relaxation iterations.
     pub iterations: usize,
-    /// States generated for this gate (cache misses only).
-    pub states_explored: usize,
-    /// Cache hits while processing this gate.
-    pub sg_cache_hits: usize,
-    /// Cache misses while processing this gate.
-    pub sg_cache_misses: usize,
-    /// Projections answered from the projection memo for this gate.
-    pub proj_memo_hits: usize,
-    /// Projections computed for this gate.
-    pub proj_memo_misses: usize,
-    /// Classification verdicts answered from the conformance cache for
-    /// this gate.
-    pub conf_cache_hits: usize,
-    /// Classification verdicts computed fresh for this gate.
-    pub conf_cache_misses: usize,
-    /// Distinct local-STG fingerprints recorded by the trial scheduler's
-    /// progress ledger for this gate.
-    pub sched_fingerprints: usize,
-    /// Loop instances of this gate aborted by the repeated-state cycle
-    /// detector.
-    pub sched_cycle_bails: usize,
-    /// Loop instances of this gate aborted by the contraction watchdog.
-    pub sched_watchdog_bails: usize,
+    /// Projection, baseline and conformance pre-check.
+    pub project: StageMetrics,
+    /// The relaxation loop.
+    pub relax: StageMetrics,
 }
 
 /// The extended result of an engine run: the classic [`ConstraintReport`]
-/// plus stage, gate and cache metrics.
+/// plus stage and gate metrics. Engine-lifetime cache totals come from
+/// [`Engine::cache_stats`], [`Engine::projection_stats`] and
+/// [`Engine::conformance_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
     /// The derivation result — bit-identical to the sequential monolithic
@@ -358,13 +352,6 @@ pub struct EngineReport {
     pub lint: si_lint::LintReport,
     /// Per-gate metrics in gate order.
     pub gates: Vec<GateMetrics>,
-    /// Cache counters accumulated over the engine's lifetime (shared
-    /// across runs of the same engine).
-    pub cache: CacheStats,
-    /// Projection-memo counters accumulated over the engine's lifetime.
-    pub projections: CacheStats,
-    /// Conformance-cache counters accumulated over the engine's lifetime.
-    pub conformance: CacheStats,
     /// Worker threads actually used by the fan-out.
     pub jobs: usize,
     /// Wall-clock of the whole fan-out (projection + relaxation).
@@ -378,19 +365,42 @@ impl EngineReport {
     pub fn stage(&self, stage: Stage) -> Option<&StageMetrics> {
         self.stages.iter().find(|s| s.stage == stage)
     }
+
+    /// The run's metrics as JSON object members, for a caller to place
+    /// inside its own object: `jobs`, `fanout_wall_us`, `total_wall_us`,
+    /// `stages` (one [`StageMetrics::json`] object each) and `gates`
+    /// (`gate`, `iterations`, and the `project` and `relax` records).
+    pub fn metrics_json(&self) -> String {
+        let stages: Vec<String> = self.stages.iter().map(StageMetrics::json).collect();
+        let gates: Vec<String> = self
+            .gates
+            .iter()
+            .map(|g| {
+                format!(
+                    "{{\"gate\":\"{}\",\"iterations\":{},\"project\":{},\"relax\":{}}}",
+                    si_lint::json_escape(&g.gate),
+                    g.iterations,
+                    g.project.json(),
+                    g.relax.json()
+                )
+            })
+            .collect();
+        format!(
+            "\"jobs\":{},\"fanout_wall_us\":{},\"total_wall_us\":{},\"stages\":[{}],\"gates\":[{}]",
+            self.jobs,
+            self.fanout_wall.as_micros(),
+            self.total_wall.as_micros(),
+            stages.join(","),
+            gates.join(",")
+        )
+    }
 }
 
 /// What one gate's fan-out unit produces.
 struct GateRun {
-    name: String,
     baseline: BTreeSet<Constraint>,
     outcome: ExpandOutcome,
     metrics: GateMetrics,
-    /// Cache traffic of the projection phase alone — `(sg hits, sg
-    /// misses, states_explored, conf hits, conf misses)` — so the stage
-    /// metrics can attribute the conformance pre-check to
-    /// [`Stage::Project`], not [`Stage::Relax`].
-    project_traffic: (usize, usize, usize, usize, usize),
 }
 
 /// The staged, cacheable, parallelizable derivation pipeline.
@@ -488,12 +498,18 @@ impl Engine {
     }
 
     /// The decompose stage: MG components plus the whole-STG state count,
-    /// memoized by the reuse stack when there is one.
-    fn decompose(&self, stg: &Stg) -> Result<Arc<Decomposition>, CoreError> {
+    /// memoized by the reuse stack when there is one. The states count
+    /// into `metrics` only when the whole-STG graph is actually explored.
+    fn decompose(
+        &self,
+        stg: &Stg,
+        metrics: &mut StageMetrics,
+    ) -> Result<Arc<Decomposition>, CoreError> {
         let cfg = &self.config;
-        let compute = || -> Result<Decomposition, CoreError> {
+        let mut compute = || -> Result<Decomposition, CoreError> {
             let components = stg.mg_components(cfg.allocation_cap)?;
             let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
+            metrics.states_explored += state_count;
             Ok((components, state_count))
         };
         match &self.caches {
@@ -632,10 +648,10 @@ impl Engine {
         // (the Table 7.2 state-count column).
         let t = Instant::now();
         let oracle = AdversaryOracle::new(stg);
-        let decomposed = self.decompose(stg)?;
+        let mut decompose_metrics = StageMetrics::new(Stage::Decompose);
+        let decomposed = self.decompose(stg, &mut decompose_metrics)?;
         let (components, state_count) = (&decomposed.0, decomposed.1);
-        let mut decompose_metrics = StageMetrics::timed(Stage::Decompose, t.elapsed());
-        decompose_metrics.states_explored = state_count;
+        decompose_metrics.wall = t.elapsed();
 
         // One fan-out unit per gate signal; binding happens inside the
         // unit so that, as in the sequential driver, the error of the
@@ -662,42 +678,20 @@ impl Engine {
         let mut trace = Vec::new();
         let mut iterations = 0usize;
         let mut gates = Vec::new();
-        let mut project_metrics = StageMetrics::timed(Stage::Project, Duration::ZERO);
-        let mut relax_metrics = StageMetrics::timed(Stage::Relax, Duration::ZERO);
+        let mut project_metrics = StageMetrics::new(Stage::Project);
+        let mut relax_metrics = StageMetrics::new(Stage::Relax);
         for run in runs {
             baseline.extend(run.baseline.iter().cloned());
             constraints.extend(run.outcome.constraints.iter().cloned());
             iterations += run.outcome.iterations;
             trace.extend(run.outcome.trace.iter().cloned());
             per_gate.push(GateReport {
-                gate: run.name,
+                gate: run.metrics.gate.clone(),
                 baseline: run.baseline,
                 derived: run.outcome.constraints,
             });
-            let (
-                project_hits,
-                project_misses,
-                project_states,
-                project_conf_hits,
-                project_conf_misses,
-            ) = run.project_traffic;
-            project_metrics.wall += run.metrics.project_wall;
-            project_metrics.sg_cache_hits += project_hits;
-            project_metrics.sg_cache_misses += project_misses;
-            project_metrics.states_explored += project_states;
-            project_metrics.proj_memo_hits += run.metrics.proj_memo_hits;
-            project_metrics.proj_memo_misses += run.metrics.proj_memo_misses;
-            project_metrics.conf_cache_hits += project_conf_hits;
-            project_metrics.conf_cache_misses += project_conf_misses;
-            relax_metrics.wall += run.metrics.relax_wall;
-            relax_metrics.states_explored += run.metrics.states_explored - project_states;
-            relax_metrics.sg_cache_hits += run.metrics.sg_cache_hits - project_hits;
-            relax_metrics.sg_cache_misses += run.metrics.sg_cache_misses - project_misses;
-            relax_metrics.conf_cache_hits += run.metrics.conf_cache_hits - project_conf_hits;
-            relax_metrics.conf_cache_misses += run.metrics.conf_cache_misses - project_conf_misses;
-            relax_metrics.sched_fingerprints += run.metrics.sched_fingerprints;
-            relax_metrics.sched_cycle_bails += run.metrics.sched_cycle_bails;
-            relax_metrics.sched_watchdog_bails += run.metrics.sched_watchdog_bails;
+            project_metrics.add(&run.metrics.project);
+            relax_metrics.add(&run.metrics.relax);
             gates.push(run.metrics);
         }
         let merge_metrics = StageMetrics::timed(Stage::Merge, t.elapsed());
@@ -719,9 +713,6 @@ impl Engine {
             ],
             lint: si_lint::LintReport::default(),
             gates,
-            cache: self.cache_stats(),
-            projections: self.projection_stats(),
-            conformance: self.conformance_stats(),
             jobs,
             fanout_wall,
             total_wall: started.elapsed(),
@@ -794,11 +785,9 @@ impl Engine {
         oracle: &AdversaryOracle,
     ) -> Result<GateRun, CoreError> {
         let cfg = &self.config;
-        let mut out = ExpandOutcome::default();
         let mut baseline: BTreeSet<Constraint> = BTreeSet::new();
         let mut locals: Vec<LocalStg> = Vec::new();
-        let mut proj_memo_hits = 0usize;
-        let mut proj_memo_misses = 0usize;
+        let mut project = StageMetrics::new(Stage::Project);
 
         let ectx = ExpandCtx {
             oracle,
@@ -838,9 +827,9 @@ impl Engine {
                 None => (component.project_on_gate(ctx.output, &ctx.fanin)?, false),
             };
             if proj_hit {
-                proj_memo_hits += 1;
+                project.proj_memo_hits += 1;
             } else {
-                proj_memo_misses += 1;
+                project.proj_memo_misses += 1;
             }
             let local = LocalStg {
                 mg,
@@ -861,51 +850,33 @@ impl Engine {
             // Precondition: the initial local STG must be conformant. The
             // pre-check shares the engine caches (and the global budget, as
             // the monolithic driver did).
-            let sg = precheck.sg(&local.mg, &mut out)?;
+            let sg = precheck.sg(&local.mg, &mut project)?;
             let (case, _) =
-                precheck.classify(&local, &sg, &prerequisite_sets(&local), None, &mut out)?;
+                precheck.classify(&local, &sg, &prerequisite_sets(&local), None, &mut project)?;
             if case != RelaxationCase::Case1 {
                 return Err(CoreError::NotConformant { gate: name.clone() });
             }
             locals.push(local);
         }
-        let project_wall = project_started.elapsed();
-        let project_traffic = (
-            out.sg_cache_hits,
-            out.sg_cache_misses,
-            out.states_explored,
-            out.conf_cache_hits,
-            out.conf_cache_misses,
-        );
+        project.wall = project_started.elapsed();
 
         let relax_started = Instant::now();
+        let mut out = ExpandOutcome::default();
         for local in locals {
             expand_ctx(local, &ectx, &mut out)?;
         }
-        let relax_wall = relax_started.elapsed();
+        out.metrics.wall = relax_started.elapsed();
 
         let metrics = GateMetrics {
             gate: name.clone(),
-            project_wall,
-            relax_wall,
             iterations: out.iterations,
-            states_explored: out.states_explored,
-            sg_cache_hits: out.sg_cache_hits,
-            sg_cache_misses: out.sg_cache_misses,
-            proj_memo_hits,
-            proj_memo_misses,
-            conf_cache_hits: out.conf_cache_hits,
-            conf_cache_misses: out.conf_cache_misses,
-            sched_fingerprints: out.sched_fingerprints,
-            sched_cycle_bails: out.sched_cycle_bails,
-            sched_watchdog_bails: out.sched_watchdog_bails,
+            project,
+            relax: out.metrics,
         };
         Ok(GateRun {
-            name: name.clone(),
             baseline,
             outcome: out,
             metrics,
-            project_traffic,
         })
     }
 }
@@ -1094,6 +1065,7 @@ b+ a+
         let (stg, lib) = celem();
         let engine = Engine::new(EngineConfig::default());
         let cold = engine.run(&stg, &lib).expect("derives");
+        let (cold_sg, cold_conf) = (engine.cache_stats(), engine.conformance_stats());
         let warm = engine.run(&stg, &lib).expect("derives");
         assert_eq!(cold.report, warm.report);
         let warm_relax = warm.stage(Stage::Relax).expect("ran");
@@ -1101,13 +1073,13 @@ b+ a+
             warm_relax.sg_cache_misses, 0,
             "second run must be fully cached: {warm_relax:?}"
         );
-        assert!(warm.cache.hits > cold.cache.hits);
+        assert!(engine.cache_stats().hits > cold_sg.hits);
         // The warm pre-check answers its verdicts from the conformance
         // cache — no sweep at all.
         assert!(
-            warm.conformance.hits > cold.conformance.hits,
+            engine.conformance_stats().hits > cold_conf.hits,
             "warm run must hit the conformance cache: {:?}",
-            warm.conformance
+            engine.conformance_stats()
         );
         let warm_project = warm.stage(Stage::Project).expect("ran");
         assert_eq!(warm_project.conf_cache_misses, 0, "{warm_project:?}");

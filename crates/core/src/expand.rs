@@ -25,6 +25,7 @@ use crate::check::{
     classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase,
 };
 use crate::constraint::{Constraint, ConstraintAtom};
+use crate::engine::{Stage, StageMetrics};
 use crate::error::CoreError;
 use crate::local::LocalStg;
 use crate::orcausality::{
@@ -93,21 +94,21 @@ impl<'a> ExpandCtx<'a> {
 
     /// The local state graph of `mg` — from the reuse stack when there is
     /// one, the marking-keyed reference generation otherwise — recording
-    /// cache traffic and exploration work into `out`.
+    /// cache traffic and exploration work into `metrics`.
     pub(crate) fn sg(
         &self,
         mg: &si_stg::MgStg,
-        out: &mut ExpandOutcome,
+        metrics: &mut StageMetrics,
     ) -> Result<Arc<StateGraph>, CoreError> {
         let (sg, hit) = match self.caches {
             Some(caches) => caches.sg.of_mg(mg, self.sg_budget)?,
             None => (Arc::new(StateGraph::of_mg(mg, self.sg_budget)?), false),
         };
         if hit {
-            out.sg_cache_hits += 1;
+            metrics.sg_cache_hits += 1;
         } else {
-            out.sg_cache_misses += 1;
-            out.states_explored += sg.state_count();
+            metrics.sg_cache_misses += 1;
+            metrics.states_explored += sg.state_count();
         }
         Ok(sg)
     }
@@ -121,16 +122,16 @@ impl<'a> ExpandCtx<'a> {
         sg: &StateGraph,
         epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
         relaxed: Option<usize>,
-        out: &mut ExpandOutcome,
+        metrics: &mut StageMetrics,
     ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
         let (verdict, hit) = match self.caches {
             Some(caches) => caches.conformance.classify(trial, sg, epre, relaxed)?,
             None => (classify_states(trial, sg, epre, relaxed)?, false),
         };
         if hit {
-            out.conf_cache_hits += 1;
+            metrics.conf_cache_hits += 1;
         } else {
-            out.conf_cache_misses += 1;
+            metrics.conf_cache_misses += 1;
         }
         Ok(verdict)
     }
@@ -195,14 +196,6 @@ pub enum TraceEvent {
         /// Why the fallback fired.
         reason: String,
     },
-    /// The trial scheduler classified the relaxation loop as diverging
-    /// and the gate bailed out.
-    Diverged {
-        /// The gate being expanded.
-        gate: String,
-        /// The rendered [`crate::DivergenceWitness`].
-        witness: String,
-    },
 }
 
 impl std::fmt::Display for TraceEvent {
@@ -225,15 +218,12 @@ impl std::fmt::Display for TraceEvent {
             TraceEvent::Fallback { gate, reason } => {
                 write!(f, "fallback [{gate}] {reason}")
             }
-            TraceEvent::Diverged { gate, witness } => {
-                write!(f, "diverge [{gate}] {witness}")
-            }
         }
     }
 }
 
 /// Accumulated result of expanding one or more local STGs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpandOutcome {
     /// The derived relative timing constraints (`Rt` of Algorithm 4).
     pub constraints: BTreeSet<Constraint>,
@@ -241,26 +231,20 @@ pub struct ExpandOutcome {
     pub trace: Vec<TraceEvent>,
     /// Total relaxation iterations across all (sub-)STGs.
     pub iterations: usize,
-    /// States actually generated (cache misses only) by local state-graph
-    /// construction.
-    pub states_explored: usize,
-    /// Local state graphs answered from the shared cache.
-    pub sg_cache_hits: usize,
-    /// Local state graphs generated from scratch.
-    pub sg_cache_misses: usize,
-    /// Classification verdicts answered from the conformance cache.
-    pub conf_cache_hits: usize,
-    /// Classification verdicts computed fresh (a sweep ran).
-    pub conf_cache_misses: usize,
-    /// Distinct local-STG fingerprints the trial scheduler's progress
-    /// ledger recorded (0 under [`DivergencePolicy::Exhaust`]).
-    pub sched_fingerprints: usize,
-    /// Gates aborted by the ledger's cycle detector (repeated σ-key with
-    /// an unchanged guaranteed set).
-    pub sched_cycle_bails: usize,
-    /// Gates aborted by the contraction watchdog (a full window without a
-    /// new strict minimum of the relaxable-arc count).
-    pub sched_watchdog_bails: usize,
+    /// State-graph, conformance-cache and scheduler counters of the loop
+    /// (a [`Stage::Relax`] record; the engine sets its `wall`).
+    pub metrics: StageMetrics,
+}
+
+impl Default for ExpandOutcome {
+    fn default() -> Self {
+        Self {
+            constraints: BTreeSet::new(),
+            trace: Vec::new(),
+            iterations: 0,
+            metrics: StageMetrics::new(Stage::Relax),
+        }
+    }
 }
 
 fn atom(local: &LocalStg, label: TransitionLabel) -> ConstraintAtom {
@@ -438,8 +422,8 @@ fn expand_at(
         let epre = prerequisite_sets(local);
         let mut trial = local.clone();
         relax_arc(&mut trial.mg, x, y)?;
-        let sg = ctx.sg(&trial.mg, out)?;
-        let (case, report) = ctx.classify(&trial, &sg, &epre, Some(x), out)?;
+        let sg = ctx.sg(&trial.mg, &mut out.metrics)?;
+        let (case, report) = ctx.classify(&trial, &sg, &epre, Some(x), &mut out.metrics)?;
         out.trace.push(TraceEvent::Relaxed {
             gate: gate.clone(),
             arc: arc_text.clone(),
@@ -460,10 +444,6 @@ fn expand_at(
                 sg.state_count(),
                 out,
             ) {
-                out.trace.push(TraceEvent::Diverged {
-                    gate: gate.clone(),
-                    witness: witness.to_string(),
-                });
                 return Err(CoreError::Diverged { gate, witness });
             }
         }
@@ -480,8 +460,9 @@ fn expand_at(
                 if trial.mg.arc(x, t_out).is_some_and(|a| !a.restriction) {
                     let mut modified = trial.clone();
                     relax_arc(&mut modified.mg, x, t_out)?;
-                    let sg2 = ctx.sg(&modified.mg, out)?;
-                    let (case2, _) = ctx.classify(&modified, &sg2, &epre, Some(x), out)?;
+                    let sg2 = ctx.sg(&modified.mg, &mut out.metrics)?;
+                    let (case2, _) =
+                        ctx.classify(&modified, &sg2, &epre, Some(x), &mut out.metrics)?;
                     if case2 == RelaxationCase::Case1 {
                         out.trace.push(TraceEvent::MadeConcurrentWithOutput {
                             gate: gate.clone(),
@@ -575,7 +556,7 @@ fn recurse(
     }
     // Verify conformance of each sub-STG before committing to them.
     for sub in &subs {
-        let sg = ctx.sg(&sub.mg, out)?;
+        let sg = ctx.sg(&sub.mg, &mut out.metrics)?;
         if !conformance(sub, &sg)?.is_conformant() {
             out.trace.push(TraceEvent::Fallback {
                 gate: gate_name(local),
@@ -802,7 +783,7 @@ o- x+
         assert_eq!(plain.trace, cold.trace);
         assert_eq!(plain.iterations, cold.iterations);
         assert!(
-            cold.sg_cache_misses > 0 && cold.conf_cache_misses > 0,
+            cold.metrics.sg_cache_misses > 0 && cold.metrics.conf_cache_misses > 0,
             "a cold run must explore and sweep its trials: {cold:?}"
         );
 
@@ -813,12 +794,12 @@ o- x+
         assert_eq!(plain.constraints, warm.constraints);
         assert_eq!(plain.trace, warm.trace);
         assert!(
-            warm.sg_cache_hits > 0 && warm.conf_cache_hits > 0,
+            warm.metrics.sg_cache_hits > 0 && warm.metrics.conf_cache_hits > 0,
             "a warm run must hit both caches: {warm:?}"
         );
-        assert_eq!(warm.sg_cache_misses, 0);
-        assert_eq!(warm.conf_cache_misses, 0);
-        assert_eq!(warm.states_explored, 0);
+        assert_eq!(warm.metrics.sg_cache_misses, 0);
+        assert_eq!(warm.metrics.conf_cache_misses, 0);
+        assert_eq!(warm.metrics.states_explored, 0);
     }
 
     #[test]
@@ -843,12 +824,15 @@ o- x+
         assert_eq!(plain.trace, warm.trace);
         assert_eq!(plain.iterations, warm.iterations);
         assert!(
-            warm.conf_cache_hits > 0,
+            warm.metrics.conf_cache_hits > 0,
             "a warm run must hit the conformance cache: {warm:?}"
         );
-        assert_eq!(warm.conf_cache_misses, 0);
-        assert_eq!(warm.sg_cache_hits, 0);
-        assert!(warm.states_explored > 0, "graphs were dropped: {warm:?}");
+        assert_eq!(warm.metrics.conf_cache_misses, 0);
+        assert_eq!(warm.metrics.sg_cache_hits, 0);
+        assert!(
+            warm.metrics.states_explored > 0,
+            "graphs were dropped: {warm:?}"
+        );
     }
 
     #[test]

@@ -151,8 +151,8 @@ impl TrialScheduler {
     /// arc that was relaxed and the trial's state-graph size) into both
     /// detectors. Returns the witness if either detector fires under
     /// [`DivergencePolicy::Bail`]; a no-op under
-    /// [`DivergencePolicy::Exhaust`]. Counters for ledger growth and
-    /// bail causes accumulate into `out`.
+    /// [`DivergencePolicy::Exhaust`]. Ledger growth counts into
+    /// `out.metrics`.
     pub(crate) fn observe(
         &mut self,
         fingerprint: u64,
@@ -186,11 +186,10 @@ impl TrialScheduler {
         match self.ledger.entry(fingerprint) {
             Entry::Vacant(v) => {
                 v.insert(guaranteed_len);
-                out.sched_fingerprints += 1;
+                out.metrics.sched_fingerprints += 1;
             }
             Entry::Occupied(mut o) => {
                 if *o.get() == guaranteed_len {
-                    out.sched_cycle_bails += 1;
                     return Some(self.witness(DivergenceKind::RepeatedState, out.iterations));
                 }
                 o.insert(guaranteed_len);
@@ -208,7 +207,6 @@ impl TrialScheduler {
         if self.window > 0 && self.since_min >= self.window {
             let oldest = self.ring.front().expect("window elapsed");
             if sg_states >= oldest.sg_states {
-                out.sched_watchdog_bails += 1;
                 return Some(self.witness(DivergenceKind::NonContraction, out.iterations));
             }
         }
@@ -253,9 +251,7 @@ mod tests {
         // The same state over and over: both detectors would fire.
         let w = drive(&mut sched, &mut out, (0..100).map(|_| (7, 0, 5, 10)));
         assert_eq!(w, None);
-        assert_eq!(out.sched_fingerprints, 0);
-        assert_eq!(out.sched_cycle_bails, 0);
-        assert_eq!(out.sched_watchdog_bails, 0);
+        assert_eq!(out.metrics.sched_fingerprints, 0);
     }
 
     #[test]
@@ -270,8 +266,7 @@ mod tests {
         .expect("cycle detected");
         assert_eq!(w.kind, DivergenceKind::RepeatedState);
         assert_eq!(w.iteration, 3);
-        assert_eq!(out.sched_cycle_bails, 1);
-        assert_eq!(out.sched_fingerprints, 2);
+        assert_eq!(out.metrics.sched_fingerprints, 2);
     }
 
     #[test]
@@ -282,7 +277,6 @@ mod tests {
         // loop state did not repeat.
         let w = drive(&mut sched, &mut out, [(1, 0, 5, 10), (1, 1, 4, 10)]);
         assert_eq!(w, None);
-        assert_eq!(out.sched_cycle_bails, 0);
     }
 
     #[test]
@@ -298,7 +292,6 @@ mod tests {
         )
         .expect("watchdog fired");
         assert_eq!(w.kind, DivergenceKind::NonContraction);
-        assert_eq!(out.sched_watchdog_bails, 1);
         assert!(!w.arcs.is_empty() && w.arcs.len() <= 4);
     }
 
@@ -313,7 +306,6 @@ mod tests {
             (0..30).map(|i| (i as u64, 0, 100 - i / 3, 10 + i)),
         );
         assert_eq!(w, None);
-        assert_eq!(out.sched_watchdog_bails, 0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Circuit-level sharded batch execution over *generated* corpora.
+//! The batch front end: circuit-level sharded execution of a manifest —
+//! generated corpora and the bundled benchmarks alike
+//! ([`Benchmark::entry`](crate::Benchmark::entry) makes a Table 7.2
+//! circuit a manifest row).
 //!
-//! [`run_suite`](crate::run_suite) parallelizes inside one circuit
-//! (per-gate fan-out); a synthetic corpus is the opposite shape — many
-//! small circuits — so [`run_corpus`] shards across *circuits* instead:
-//! `jobs` scoped workers pull manifest rows off a shared atomic cursor
-//! (the same work-stealing scheme as the engine's gate pool) and run them
-//! through **one shared engine**, so the structural `SgCache` /
-//! `ProjCache` / `ConformanceCache` tiers are shared across shards —
-//! shape-identical circuits pay for exploration once, whichever worker
-//! meets them first.
+//! The engine parallelizes inside one circuit (per-gate fan-out); a
+//! synthetic corpus is the opposite shape — many small circuits — so
+//! [`run_corpus`] shards across *circuits* instead: `jobs` scoped workers
+//! pull manifest rows off a shared atomic cursor (the same work-stealing
+//! scheme as the engine's gate pool) and run them through **one shared
+//! engine**, so the structural `SgCache` / `ProjCache` /
+//! `ConformanceCache` tiers are shared across shards — shape-identical
+//! circuits pay for exploration once, whichever worker meets them first.
 //!
-//! The row-order merge contract of `run_suite` is preserved: results land
-//! in manifest order, and each row's *payload* (constraint report, lint
-//! findings, error value) is bit-identical to a sequential
+//! Results land in manifest order, and each row's *payload* (constraint
+//! report, lint findings, error value) is bit-identical to a sequential
 //! single-engine loop over the same manifest — sharding affects wall
 //! clock and cache traffic only. `tests/corpus_differential.rs` pins
 //! this for jobs 1, 4 and 8, cold and warm.
@@ -107,8 +108,8 @@ impl Error for CorpusError {
 }
 
 /// One row's outcome: every row completes independently (a corpus run
-/// never aborts on the first failure, unlike `run_suite` — defective
-/// rows are part of the differential contract).
+/// never aborts on the first failure — defective rows are part of the
+/// differential contract).
 pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 
 /// Runs one manifest row through `engine`: lint pre-flight under the
@@ -273,18 +274,51 @@ b- a+
         );
         // The two copies are shape-identical, so between them the shared
         // structural cache serves at least one of the repeat lookups.
-        assert!(a.report.cache.hits + b.report.cache.hits > 0);
+        assert!(engine.cache_stats().hits > 0);
         assert_eq!(a.report.report, b.report.report);
     }
 
     #[test]
+    fn bundled_benchmarks_run_as_manifest_rows() {
+        let engine = Engine::new(EngineConfig::default());
+        let fifo = crate::benchmark("fifo").expect("bundled").entry();
+        let first = run_corpus_entry(&engine, &fifo).expect("derives");
+        let cold = engine.cache_stats();
+        let second = run_corpus_entry(&engine, &fifo).expect("derives");
+        assert_eq!(first.report.report, second.report.report);
+        // The second pass reuses the first pass's state graphs.
+        assert!(engine.cache_stats().hits > cold.hits);
+        // The bundled suite lints error-free, so Warn carries no errors.
+        assert_eq!(first.lint.error_count(), 0);
+    }
+
+    #[test]
     fn deny_policy_fails_defective_rows_without_aborting_the_run() {
-        let engine = Engine::new(EngineConfig {
-            lint: LintPolicy::Deny,
-            ..EngineConfig::default()
+        let mut manifest = tiny_manifest();
+        // A fixed-netlist row whose STG uses the undeclared signal `b`:
+        // lint error SI004.
+        manifest.push(CorpusEntry {
+            name: "undeclared".into(),
+            stg_text: ".model undeclared\n.inputs a\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n".into(),
+            eqn_text: Some("b = a;".into()),
         });
-        let rows = run_corpus(&engine, &tiny_manifest(), 1);
+        let engine = |lint| {
+            Engine::new(EngineConfig {
+                lint,
+                ..EngineConfig::default()
+            })
+        };
+        let rows = run_corpus(&engine(LintPolicy::Deny), &manifest, 1);
         assert!(rows[0].is_ok());
-        assert!(matches!(rows[2], Err(CorpusError::Lint { .. })));
+        for row in &rows[2..] {
+            assert!(matches!(row, Err(CorpusError::Lint { .. })), "{row:?}");
+        }
+        // Off skips the pre-flight; the strict parser then rejects the
+        // same rows at load time instead.
+        let rows = run_corpus(&engine(LintPolicy::Off), &manifest, 1);
+        assert!(rows[0].is_ok());
+        for row in &rows[2..] {
+            assert!(matches!(row, Err(CorpusError::Load { .. })), "{row:?}");
+        }
     }
 }

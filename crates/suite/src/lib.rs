@@ -36,12 +36,10 @@ use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{parse_astg, Stg};
 use si_synth::synthesize;
 
-mod batch;
 mod circuits;
 mod corpus;
 mod extra;
 
-pub use batch::{run_benchmark, run_suite, BatchEntry, BatchError};
 pub use circuits::FIFO_G;
 pub use corpus::{
     run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome, CorpusRow,
@@ -98,11 +96,11 @@ impl Benchmark {
     }
 
     /// [`Benchmark::circuit`] under an explicit synthesis state budget —
-    /// batch runs take it from their engine's configuration.
+    /// table drivers take it from their engine's configuration.
     ///
     /// Parsing and synthesis are pure functions of the (static) source
     /// texts and the budget, so successful results are memoized
-    /// process-wide: repeated suite passes — warm benchmarks, batch
+    /// process-wide: repeated suite passes — warm benchmarks, table
     /// drivers, differential test matrices — pay for synthesis once per
     /// `(texts, budget)` instead of once per call. Failures are never
     /// cached.
@@ -140,6 +138,28 @@ impl Benchmark {
         Ok((stg, library))
     }
 
+    /// The benchmark as a manifest row: [`run_corpus_entry`] and
+    /// [`run_corpus`] run it like any corpus row, lint pre-flight included.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use si_core::{Engine, EngineConfig};
+    ///
+    /// let engine = Engine::new(EngineConfig::parallel(2));
+    /// let imec = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
+    /// let row = si_suite::run_corpus_entry(&engine, &imec.entry()).expect("derives");
+    /// assert_eq!(row.report.report.baseline.len(), 19);
+    /// assert_eq!(row.report.report.constraints.len(), 12);
+    /// ```
+    pub fn entry(&self) -> CorpusEntry {
+        CorpusEntry {
+            name: self.name.to_string(),
+            stg_text: self.stg_text.to_string(),
+            eqn_text: self.eqn_text.map(str::to_string),
+        }
+    }
+
     /// Parses only the STG.
     ///
     /// # Errors
@@ -175,4 +195,59 @@ pub fn benchmarks() -> Vec<Benchmark> {
 /// Finds a benchmark by name.
 pub fn benchmark(name: &str) -> Option<Benchmark> {
     circuits::all().into_iter().find(|b| b.name == name)
+}
+
+/// The batch path of a bundled [`Benchmark`]: [`Benchmark::entry`] makes
+/// it a manifest row, and [`run_corpus_entry`] runs it.
+#[cfg(test)]
+mod batch {
+    mod tests {
+        use si_core::{Engine, EngineConfig, LintPolicy};
+
+        use crate::{run_corpus_entry, Benchmark, CorpusError};
+
+        #[test]
+        fn deny_policy_blocks_defective_specs_before_derivation() {
+            let bench = Benchmark {
+                name: "defective",
+                // Undeclared signal `b`: lint error SI004.
+                stg_text: "\
+.model defective
+.inputs a
+.graph
+a+ b+
+b+ a-
+a- b-
+b- a+
+.marking { <b-,a+> }
+.end
+",
+                eqn_text: Some("b = a;"),
+            };
+            let engine = |lint| {
+                Engine::new(EngineConfig {
+                    lint,
+                    ..EngineConfig::default()
+                })
+            };
+            let deny = engine(LintPolicy::Deny);
+            match run_corpus_entry(&deny, &bench.entry()) {
+                Err(CorpusError::Lint { name, errors }) => {
+                    assert_eq!(name, "defective");
+                    assert!(errors > 0);
+                }
+                other => panic!("expected CorpusError::Lint, got {other:?}"),
+            }
+            // Blocked before derivation: no state graph was looked up.
+            assert_eq!(deny.cache_stats().misses, 0);
+            // Off skips the pre-flight; the strict parser then rejects it at
+            // load time instead.
+            let off = engine(LintPolicy::Off);
+            assert!(matches!(
+                run_corpus_entry(&off, &bench.entry()),
+                Err(CorpusError::Load { .. })
+            ));
+            assert_eq!(off.cache_stats().misses, 0);
+        }
+    }
 }

@@ -14,11 +14,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use si_core::{
-    CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder, StageMetrics,
-};
+use si_core::{CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder};
 use si_lint::LintReport;
-use si_redress::suite::BatchError;
+use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError};
 
 const USAGE: &str = "\
 usage: check_hazard [OPTIONS] <stg.g> <netlist.eqn>
@@ -182,89 +180,81 @@ fn report_lint(report: &LintReport, source: &str, origin: &str) {
     }
 }
 
+/// Resolves a `--bench` name to one manifest row: a bundled Table 7.2
+/// benchmark, or `corpus:<seed>` — the seeded corpus circuit exactly as
+/// `si_fuzz` and `corpus_bench` build it (canonical spec at 12 signals
+/// max, synthesized netlist).
+fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
+    let Some(seed) = name.strip_prefix("corpus:") else {
+        return si_redress::suite::benchmark(name)
+            .map(|bench| bench.entry())
+            .ok_or_else(|| format!("no bundled benchmark named `{name}`"));
+    };
+    let seed: u64 = seed
+        .parse()
+        .map_err(|_| format!("`{name}`: expected `corpus:<seed>` with a numeric seed"))?;
+    let spec = si_redress::corpus::CorpusSpec::from_seed(seed, 12);
+    Ok(CorpusEntry {
+        name: si_redress::corpus::corpus_name(seed),
+        stg_text: si_redress::corpus::generate(&spec, seed).g_text,
+        eqn_text: None,
+    })
+}
+
 fn run(args: &Args) -> Result<bool, String> {
     let started = Instant::now();
     let engine = Engine::new(args.config);
-    let out = match &args.source {
+    // The `.g` text, its origin, and the run — or the error count of a
+    // failed lint pre-flight.
+    let (stg_text, origin, outcome) = match &args.source {
         Source::Files { stg_path, eqn_path } => {
-            let stg_text = std::fs::read_to_string(stg_path)
-                .map_err(|e| format!("cannot read `{stg_path}`: {e}"))?;
-            let eqn_text = std::fs::read_to_string(eqn_path)
-                .map_err(|e| format!("cannot read `{eqn_path}`: {e}"))?;
-            match engine.run_source(&stg_text, &eqn_text) {
-                Ok(out) => {
-                    report_lint(&out.lint, &stg_text, stg_path);
-                    out
-                }
-                Err(CoreError::Lint { errors, .. }) => {
-                    // Re-lint for the full findings: the engine error only
-                    // carries the first one.
-                    let report = si_lint::lint_text_with(
-                        &stg_text,
-                        &si_lint::LintOptions {
-                            state_budget: Some(args.config.global_sg_budget),
-                        },
-                    );
-                    report_lint(&report, &stg_text, stg_path);
-                    return Err(format!(
-                        "`{stg_path}` failed the lint pre-flight with {errors} error(s)"
-                    ));
-                }
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-        Source::Bench(name) if name.starts_with("corpus:") => {
-            let seed: u64 = name["corpus:".len()..]
-                .parse()
-                .map_err(|_| format!("`{name}`: expected `corpus:<seed>` with a numeric seed"))?;
-            // Mirror the fuzz harness exactly: canonical spec derivation,
-            // fuzz signal bound, divergence bail-out at the default
-            // budget — so a fuzz reproducer's circuit can be inspected
-            // under the same knobs.
-            let engine = Engine::new(si_redress::corpus::harness_config(args.config));
-            let spec = si_redress::corpus::CorpusSpec::from_seed(seed, 12);
-            let circuit = si_redress::corpus::generate(&spec, seed);
-            let entry = si_redress::suite::CorpusEntry {
-                name: si_redress::corpus::corpus_name(seed),
-                stg_text: circuit.g_text,
-                eqn_text: None,
+            let read = |path: &String| {
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
             };
-            match si_redress::suite::run_corpus_entry(&engine, &entry) {
-                Ok(row) => {
-                    report_lint(&row.lint, &entry.stg_text, &entry.name);
-                    let mut out = row.report;
-                    out.lint = row.lint;
-                    out
-                }
+            let (stg_text, eqn_text) = (read(stg_path)?, read(eqn_path)?);
+            let outcome = match engine.run_source(&stg_text, &eqn_text) {
+                Ok(out) => Ok(out),
+                Err(CoreError::Lint { errors, .. }) => Err(errors),
                 Err(e) => return Err(e.to_string()),
-            }
+            };
+            (stg_text, stg_path.clone(), outcome)
         }
         Source::Bench(name) => {
-            let bench = si_redress::suite::benchmark(name)
-                .ok_or_else(|| format!("no bundled benchmark named `{name}`"))?;
-            match si_redress::suite::run_benchmark(&engine, &bench) {
-                Ok(entry) => {
-                    report_lint(&entry.lint, bench.stg_text, name);
-                    let mut out = entry.report;
-                    out.lint = entry.lint;
-                    out
-                }
-                Err(BatchError::Lint { report, .. }) => {
-                    report_lint(&report, bench.stg_text, name);
-                    return Err(format!(
-                        "benchmark `{name}` failed the lint pre-flight with {} error(s)",
-                        report.error_count()
-                    ));
-                }
+            let entry = bench_entry(name)?;
+            let outcome = match run_corpus_entry(&engine, &entry) {
+                Ok(row) => Ok(EngineReport {
+                    lint: row.lint,
+                    ..row.report
+                }),
+                Err(CorpusError::Lint { errors, .. }) => Err(errors),
                 Err(e) => return Err(e.to_string()),
-            }
+            };
+            (entry.stg_text, entry.name, outcome)
         }
     };
+    let out = match outcome {
+        Ok(out) => out,
+        Err(errors) => {
+            // Re-lint for the full findings: the error only carries the
+            // count.
+            let report = si_lint::lint_text_with(
+                &stg_text,
+                &si_lint::LintOptions {
+                    state_budget: Some(args.config.global_sg_budget),
+                },
+            );
+            report_lint(&report, &stg_text, &origin);
+            return Err(format!(
+                "`{origin}` failed the lint pre-flight with {errors} error(s)"
+            ));
+        }
+    };
+    report_lint(&out.lint, &stg_text, &origin);
     let elapsed = started.elapsed().as_secs_f64();
 
     match args.format {
         Format::Text => print_text(&out, elapsed),
-        Format::Json => println!("{}", render_json(&out, elapsed)),
+        Format::Json => println!("{}", render_json(&out, &engine, elapsed)),
         Format::Sexp => print!("{}", out.report.sexp()),
     }
     Ok(!out.report.constraints.is_empty())
@@ -284,42 +274,17 @@ fn print_text(out: &EngineReport, elapsed: f64) {
     println!("The running time for this program is {elapsed:.6} seconds");
 }
 
-/// Minimal JSON string escaping (the identifiers here are plain ASCII,
-/// but be correct anyway).
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", si_lint::json_escape(s))
-}
-
-fn json_list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
-    let parts: Vec<String> = items.iter().map(f).collect();
-    format!("[{}]", parts.join(","))
-}
-
-fn render_json(out: &EngineReport, elapsed: f64) -> String {
+/// The report as one JSON object: both constraint sets, the verdict, the
+/// lint findings, the run's metrics ([`EngineReport::metrics_json`]) and
+/// the engine's cache totals.
+fn render_json(out: &EngineReport, engine: &Engine, elapsed: f64) -> String {
     let constraints = |set: &std::collections::BTreeSet<si_core::Constraint>| {
-        let parts: Vec<String> = set.iter().map(|c| json_str(&c.to_string())).collect();
+        let parts: Vec<String> = set
+            .iter()
+            .map(|c| format!("\"{}\"", si_lint::json_escape(&c.to_string())))
+            .collect();
         format!("[{}]", parts.join(","))
     };
-    let stages = json_list(&out.stages, StageMetrics::json);
-    let gates = json_list(&out.gates, |g| {
-        format!(
-            "{{\"gate\":{},\"project_us\":{},\"relax_us\":{},\"iterations\":{},\"states_explored\":{},\"sg_cache_hits\":{},\"sg_cache_misses\":{},\"proj_memo_hits\":{},\"proj_memo_misses\":{},\"conf_cache_hits\":{},\"conf_cache_misses\":{},\"sched_fingerprints\":{},\"sched_cycle_bails\":{},\"sched_watchdog_bails\":{}}}",
-            json_str(&g.gate),
-            g.project_wall.as_micros(),
-            g.relax_wall.as_micros(),
-            g.iterations,
-            g.states_explored,
-            g.sg_cache_hits,
-            g.sg_cache_misses,
-            g.proj_memo_hits,
-            g.proj_memo_misses,
-            g.conf_cache_hits,
-            g.conf_cache_misses,
-            g.sched_fingerprints,
-            g.sched_cycle_bails,
-            g.sched_watchdog_bails,
-        )
-    });
     let lint = format!(
         "{{\"errors\":{},\"warnings\":{},\"diagnostics\":{}}}",
         out.lint.error_count(),
@@ -327,20 +292,16 @@ fn render_json(out: &EngineReport, elapsed: f64) -> String {
         si_lint::json_diagnostics(&out.lint, ""),
     );
     format!(
-        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"jobs\":{},\"lint\":{},\"stages\":{},\"gates\":{},\"cache\":{},\"projections\":{},\"conformance\":{},\"fanout_wall_us\":{},\"total_wall_us\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"conformance\":{},\"elapsed_seconds\":{elapsed:.6}}}",
         constraints(&out.report.baseline),
         constraints(&out.report.constraints),
         !out.report.constraints.is_empty(),
         out.report.state_count,
         out.report.iterations,
-        out.jobs,
         lint,
-        stages,
-        gates,
-        out.cache.json(),
-        out.projections.json(),
-        out.conformance.json(),
-        out.fanout_wall.as_micros(),
-        out.total_wall.as_micros(),
+        out.metrics_json(),
+        engine.cache_stats().json(),
+        engine.projection_stats().json(),
+        engine.conformance_stats().json(),
     )
 }

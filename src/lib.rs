@@ -67,6 +67,5 @@ pub mod prelude {
     pub use si_lint::{lint_text, LintReport};
     pub use si_sim::{simulate, DelayModel};
     pub use si_stg::{parse_astg, MgStg, Polarity, SignalKind, StateGraph, Stg};
-    pub use si_suite::run_suite;
     pub use si_synth::synthesize;
 }

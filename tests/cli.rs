@@ -9,6 +9,8 @@
 use std::io::Write;
 use std::process::Command;
 
+use si_redress::core::{Stage, StageMetrics};
+
 fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("si-redress-cli-{}-{name}", std::process::id()));
@@ -189,9 +191,21 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
     assert!(stdout.contains("\"cache\":{"));
     assert!(stdout.contains("\"projections\":{"));
     assert!(stdout.contains("\"conformance\":{"));
-    // Stage objects carry the one counter set, scheduler counters included.
-    for counter in ["proj_memo_hits", "conf_cache_hits", "sched_watchdog_bails"] {
-        assert!(stdout.contains(&format!("\"{counter}\"")), "{counter}");
+    // Every counter of the one metrics record appears once per stage
+    // object and twice per gate object (its project and relax records).
+    let section = |key: &str| -> &str {
+        let start = stdout.find(&format!("\"{key}\":[")).expect(key);
+        let rest = &stdout[start..];
+        &rest[..rest.find(']').expect("array closes")]
+    };
+    let (stages, gates) = (section("stages"), section("gates"));
+    assert_eq!(stages.matches("\"stage\":").count(), 7);
+    let gate_count = gates.matches("\"gate\":").count();
+    assert_eq!(gate_count, 11, "one object per imec gate");
+    for (name, _) in StageMetrics::new(Stage::Lint).counters() {
+        let key = format!("\"{name}\":");
+        assert_eq!(stages.matches(&key).count(), 7, "{name}");
+        assert_eq!(gates.matches(&key).count(), 2 * gate_count, "{name}");
     }
 
     let _ = std::fs::remove_file(stg_path);
@@ -361,4 +375,32 @@ b- a+
         .contains("The timing constraints for this circuit to work correctly are:"));
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);
+}
+
+#[test]
+fn perf_doc_field_table_lists_exactly_the_metrics_record() {
+    // docs/perf.md documents the JSON fields of one metrics record:
+    // `wall_us` plus every counter name, in schema order.
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/perf.md"))
+        .expect("docs/perf.md");
+    let rows = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Field | Meaning |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'));
+    // The backticked names of each row's first cell.
+    let documented: Vec<&str> = rows
+        .flat_map(|row| {
+            let cell = row.split('|').nth(1).expect("first cell");
+            cell.split('`').skip(1).step_by(2)
+        })
+        .collect();
+    let mut expected = vec!["wall_us"];
+    expected.extend(
+        StageMetrics::new(Stage::Lint)
+            .counters()
+            .iter()
+            .map(|&(name, _)| name),
+    );
+    assert_eq!(documented, expected);
 }

@@ -136,10 +136,10 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
         // The ledger was live (it observed every iteration) even though
         // nothing tripped.
         if on.report.iterations > 0 {
-            let relax: usize = on.gates.iter().map(|g| g.sched_fingerprints).sum();
+            let relax: usize = on.gates.iter().map(|g| g.relax.sched_fingerprints).sum();
             assert!(relax > 0, "{}: scheduler never observed", bench.name);
         }
-        let off_sched: usize = off.gates.iter().map(|g| g.sched_fingerprints).sum();
+        let off_sched: usize = off.gates.iter().map(|g| g.relax.sched_fingerprints).sum();
         assert_eq!(
             off_sched, 0,
             "{}: exhaust policy must not fingerprint",

@@ -8,7 +8,9 @@
 //! cold and warm, so no configuration can silently diverge from the
 //! reference.
 
-use si_redress::core::{Engine, EngineConfig, RelaxationOrder, Stage};
+use std::time::Duration;
+
+use si_redress::core::{Engine, EngineConfig, RelaxationOrder, Stage, StageMetrics};
 use si_redress::prelude::*;
 
 #[test]
@@ -80,9 +82,9 @@ fn reuse_layers_engage_on_a_warm_run() {
         "a warm run must answer every projection from the memo: {project:?}"
     );
     assert!(
-        warm.projections.hits >= project.proj_memo_hits,
+        engine.projection_stats().hits >= project.proj_memo_hits,
         "engine-level projection counters must cover the warm run: {:?}",
-        warm.projections
+        engine.projection_stats()
     );
     let relax = warm.stage(Stage::Relax).expect("ran");
     assert!(
@@ -90,26 +92,36 @@ fn reuse_layers_engage_on_a_warm_run() {
         "a warm run must answer every classification from the verdict cache: {relax:?}"
     );
     assert!(
-        warm.conformance.hits >= relax.conf_cache_hits,
+        engine.conformance_stats().hits >= relax.conf_cache_hits,
         "engine-level conformance counters must cover the warm run: {:?}",
-        warm.conformance
+        engine.conformance_stats()
     );
-    for stage in [project, relax] {
+    let decompose = warm.stage(Stage::Decompose).expect("ran");
+    for stage in [decompose, project, relax] {
         assert_eq!(stage.sg_cache_misses, 0, "{stage:?}");
         assert_eq!(stage.states_explored, 0, "{stage:?}");
     }
 }
 
+/// The thirteen bundled benchmarks as manifest rows.
+fn suite_manifest() -> Vec<si_redress::suite::CorpusEntry> {
+    si_redress::suite::benchmarks()
+        .iter()
+        .map(|bench| bench.entry())
+        .collect()
+}
+
 #[test]
 fn batch_entry_point_matches_per_circuit_runs() {
     let engine = Engine::new(EngineConfig::parallel(2));
-    let entries = si_redress::suite::run_suite(&engine).expect("batch derives");
-    assert_eq!(entries.len(), 13);
-    for entry in &entries {
-        let bench = si_redress::suite::benchmark(entry.name).expect("bundled");
+    let rows = si_redress::suite::run_corpus(&engine, &suite_manifest(), 2);
+    assert_eq!(rows.len(), 13);
+    for row in rows {
+        let row = row.expect("derives");
+        let bench = si_redress::suite::benchmark(&row.name).expect("bundled");
         let (stg, library) = bench.circuit().expect("loads");
         let reference = derive_timing_constraints(&stg, &library).expect("derives");
-        assert_eq!(entry.report.report, reference, "{}", entry.name);
+        assert_eq!(row.report.report, reference, "{}", row.name);
     }
 }
 
@@ -119,7 +131,9 @@ fn memoization_pays_off_within_a_single_suite_pass() {
     // conformance pre-checks, relaxation trials and re-checks. Over the
     // whole corpus the shared cache must serve a visible share of lookups.
     let engine = Engine::new(EngineConfig::default());
-    si_redress::suite::run_suite(&engine).expect("batch derives");
+    for row in si_redress::suite::run_corpus(&engine, &suite_manifest(), 1) {
+        row.expect("derives");
+    }
     let stats = engine.cache_stats();
     assert!(
         stats.hits > 0,
@@ -148,26 +162,57 @@ fn relaxation_order_is_respected_under_parallel_fanout() {
 
 #[test]
 fn engine_report_metrics_are_coherent() {
+    // The stage records are the sums of the gate records, counter by
+    // counter, under every engine configuration, cold and warm.
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
-    let engine = Engine::new(EngineConfig::parallel(4));
-    let out = engine.run(&stg, &library).expect("derives");
-    assert_eq!(out.gates.len(), out.report.per_gate.len());
-    // Gate totals split across the project (pre-check) and relax stages.
-    let project = out.stage(Stage::Project).expect("ran");
-    let relax = out.stage(Stage::Relax).expect("ran");
-    let gate_iterations: usize = out.gates.iter().map(|g| g.iterations).sum();
-    assert_eq!(gate_iterations, out.report.iterations);
-    let gate_misses: usize = out.gates.iter().map(|g| g.sg_cache_misses).sum();
-    assert_eq!(gate_misses, project.sg_cache_misses + relax.sg_cache_misses);
-    assert!(
-        project.sg_cache_misses + project.sg_cache_hits > 0,
-        "the conformance pre-check generates SGs in the project stage: {project:?}"
-    );
-    // The decompose stage carries the Table 7.2 state count.
-    assert_eq!(
-        out.stage(Stage::Decompose).expect("ran").states_explored,
-        112
-    );
-    assert!(out.jobs >= 2, "parallel config must fan out: {}", out.jobs);
+    for cache in [false, true] {
+        for jobs in [1usize, 4] {
+            let config = EngineConfig {
+                cache,
+                jobs,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(config);
+            for pass in ["cold", "warm"] {
+                let out = engine.run(&stg, &library).expect("derives");
+                assert_eq!(out.jobs, jobs, "{config:?}");
+                assert_eq!(out.gates.len(), out.report.per_gate.len());
+                let gate_iterations: usize = out.gates.iter().map(|g| g.iterations).sum();
+                assert_eq!(gate_iterations, out.report.iterations);
+                for stage in [Stage::Project, Stage::Relax] {
+                    let parts: Vec<&StageMetrics> = out
+                        .gates
+                        .iter()
+                        .map(|g| match stage {
+                            Stage::Project => &g.project,
+                            _ => &g.relax,
+                        })
+                        .collect();
+                    assert!(parts.iter().all(|part| part.stage == stage));
+                    let reported = out.stage(stage).expect("ran");
+                    let wall: Duration = parts.iter().map(|part| part.wall).sum();
+                    assert_eq!(wall, reported.wall);
+                    for (i, (name, value)) in reported.counters().into_iter().enumerate() {
+                        let total: usize = parts.iter().map(|part| part.counters()[i].1).sum();
+                        assert_eq!(total, value, "{stage:?} {name}, {pass}, {config:?}");
+                    }
+                }
+                let project = out.stage(Stage::Project).expect("ran");
+                assert!(
+                    project.sg_cache_misses + project.sg_cache_hits > 0,
+                    "the conformance pre-check generates SGs in the project stage: {project:?}"
+                );
+                // The decompose stage explores the Table 7.2 state count
+                // unless its memo answers.
+                let explored = if cache && pass == "warm" { 0 } else { 112 };
+                assert_eq!(
+                    out.stage(Stage::Decompose).expect("ran").states_explored,
+                    explored,
+                    "{pass}, {config:?}"
+                );
+                assert_eq!(out.report.state_count, 112);
+            }
+        }
+    }
 }

@@ -248,7 +248,7 @@ pub fn insert_arc_with_token_rule(
     dst: usize,
     restriction: bool,
 ) {
-    let tokens = u32::from(mg.min_token_path(dst, src, false) == Some(0));
+    let tokens = u32::from(mg.has_path_within(dst, src, 0, false));
     mg.insert_arc(src, dst, tokens, restriction);
 }
 

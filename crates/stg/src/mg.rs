@@ -7,6 +7,7 @@
 //! relaxation engine needs (precedence, concurrency, liveness, safeness and
 //! the Algorithm 3 shortcut-place redundancy check).
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
@@ -394,71 +395,48 @@ impl MgStg {
     /// `(a, b)` is removed from the graph entirely, as in the Algorithm 3
     /// shortcut-place construction. `a == b` asks for the lightest cycle
     /// through `a`.
+    ///
+    /// A yes/no question about the weight is cheaper to ask through
+    /// [`MgStg::has_path_within`].
     pub fn min_token_path(&self, a: usize, b: usize, exclude_direct: bool) -> Option<u32> {
-        self.min_token_path_in(&self.succ_adjacency(), a, b, exclude_direct)
-    }
-
-    /// Successor adjacency indexed by transition id — the Dijkstra helper's
-    /// input, hoisted out of loops that query many paths on one graph (the
-    /// naive whole-map scan per relaxation step made redundancy sweeps over
-    /// big MGs quadratic in practice).
-    fn succ_adjacency(&self) -> Vec<Vec<(usize, u32)>> {
-        let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.transitions.len()];
-        for (&(src, dst), attr) in &self.arcs {
-            succs[src].push((dst, attr.tokens));
+        let mut paths = PathIndex::new(self);
+        if exclude_direct {
+            paths.hide(a, b);
         }
-        succs
+        paths.min_tokens(a, b)
     }
 
-    /// [`MgStg::min_token_path`] over a prebuilt adjacency.
-    fn min_token_path_in(
+    /// Whether a non-empty directed path from `a` to `b` carries at most
+    /// `max_tokens` tokens — `min_token_path(a, b, exclude_direct)` being
+    /// at most `max_tokens`, answered by a search that stops at `b` or at
+    /// the bound instead of computing the minimum.
+    pub fn has_path_within(
         &self,
-        succs: &[Vec<(usize, u32)>],
         a: usize,
         b: usize,
+        max_tokens: u32,
         exclude_direct: bool,
-    ) -> Option<u32> {
-        let blocked = exclude_direct.then_some((a, b));
-        let mut dist: Vec<Option<u32>> = vec![None; self.transitions.len()];
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-        // Seed with the arcs leaving `a` so that paths are non-empty; `a`
-        // itself gets a distance only if reached again through a cycle.
-        for &(dst, tokens) in &succs[a] {
-            if blocked == Some((a, dst)) {
-                continue;
-            }
-            if dist[dst].is_none_or(|seen| tokens < seen) {
-                dist[dst] = Some(tokens);
-                heap.push(std::cmp::Reverse((tokens, dst)));
-            }
+    ) -> bool {
+        let mut paths = PathIndex::new(self);
+        if exclude_direct {
+            paths.hide(a, b);
         }
-        while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
-            if dist[n].is_some_and(|seen| d > seen) {
-                continue;
-            }
-            for &(dst, tokens) in &succs[n] {
-                if blocked == Some((n, dst)) {
-                    continue;
-                }
-                let nd = d + tokens;
-                if dist[dst].is_none_or(|seen| nd < seen) {
-                    dist[dst] = Some(nd);
-                    heap.push(std::cmp::Reverse((nd, dst)));
-                }
-            }
-        }
-        dist[b]
+        paths.within(a, b, max_tokens)
     }
 
     /// Whether `a` must fire before `b` in the current cycle: a token-free
     /// directed path `a → b` exists.
     pub fn precedes(&self, a: usize, b: usize) -> bool {
-        a != b && self.min_token_path(a, b, false) == Some(0)
+        a != b && self.has_path_within(a, b, 0, false)
     }
 
     /// Whether `a` and `b` are concurrent (neither precedes the other).
     pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        a != b && !self.precedes(a, b) && !self.precedes(b, a)
+        if a == b {
+            return false;
+        }
+        let mut paths = PathIndex::new(self);
+        !paths.within(a, b, 0) && !paths.within(b, a, 0)
     }
 
     /// Whether the MG is live: strongly connected over alive transitions
@@ -525,13 +503,13 @@ impl MgStg {
     /// token in any reachable marking. For a live MG the bound of place
     /// `(a, b)` is `tokens(a, b) + min-token-path(b → a)`.
     pub fn is_safe(&self) -> bool {
-        let adj = self.succ_adjacency();
-        self.arcs.iter().all(|(&(a, b), attr)| {
-            match self.min_token_path_in(&adj, b, a, false) {
+        let paths = PathIndex::new(self);
+        self.arcs
+            .iter()
+            .all(|(&(a, b), attr)| match paths.min_tokens(b, a) {
                 Some(back) => attr.tokens + back <= 1,
                 None => attr.tokens <= 1, // no cycle: bound is the initial count
-            }
-        })
+            })
     }
 
     /// The Algorithm 3 redundancy check for the implicit place on arc
@@ -539,52 +517,45 @@ impl MgStg {
     /// carries no more tokens than the arc itself, or the arc is a marked
     /// self-loop ("loop-only place").
     pub fn is_redundant_arc(&self, src: usize, dst: usize) -> bool {
-        self.is_redundant_arc_in(&self.succ_adjacency(), src, dst)
-    }
-
-    /// [`MgStg::is_redundant_arc`] over a prebuilt adjacency (which must
-    /// mirror the current arc set).
-    fn is_redundant_arc_in(&self, adj: &[Vec<(usize, u32)>], src: usize, dst: usize) -> bool {
         let Some(attr) = self.arc(src, dst) else {
             return false;
         };
-        if src == dst {
-            return attr.tokens >= 1;
-        }
-        match self.min_token_path_in(adj, src, dst, true) {
-            Some(weight) => weight <= attr.tokens,
-            None => false,
-        }
+        let mut paths = PathIndex::new(self);
+        let e = paths.arc_index(src, dst).expect("the arc exists");
+        paths.sweep_arc(e, src, dst, attr.tokens)
     }
 
     /// Removes every redundant non-restriction arc (thesis Sec. 5.3.3);
-    /// returns the removed arcs.
+    /// returns the removed arcs in removal order.
+    ///
+    /// One pass in arc-key order, each arc tested against the arcs still
+    /// present at its turn, is exact: it removes the same arcs, in the
+    /// same order, as repeating the pass until a round removes nothing.
+    /// An arc's test asks only whether some *other* path carries at most
+    /// the arc's tokens, and removing arcs only removes paths. So an arc
+    /// found non-redundant stays non-redundant for the rest of the pass,
+    /// and a second pass would remove nothing. (A self-loop's test reads
+    /// its own token count alone.)
+    ///
+    /// Each test is a bounded search ([`MgStg::has_path_within`]) over one
+    /// flat successor list built per sweep, with one scratch buffer shared
+    /// by every candidate. A removed arc is hidden from the later searches
+    /// by a flag and leaves the arc map at the end of the pass.
     pub fn eliminate_redundant_arcs(&mut self) -> Vec<(usize, usize)> {
-        let mut removed = Vec::new();
-        loop {
-            let candidates: Vec<(usize, usize)> = self
-                .arcs
-                .iter()
-                .filter(|&(_, attr)| !attr.restriction)
-                .map(|(&k, _)| k)
-                .collect();
-            // One adjacency per sweep, patched in place on removal: the
-            // per-candidate Dijkstras dominate projection, so they must not
-            // each rescan the whole arc map.
-            let mut adj = self.succ_adjacency();
-            let mut changed = false;
-            for (a, b) in candidates {
-                if self.arcs.contains_key(&(a, b)) && self.is_redundant_arc_in(&adj, a, b) {
-                    self.remove_arc(a, b);
-                    adj[a].retain(|&(d, _)| d != b);
-                    removed.push((a, b));
-                    changed = true;
-                }
-            }
-            if !changed {
-                return removed;
-            }
+        let mut paths = PathIndex::new(self);
+        let removed: Vec<(usize, usize)> = self
+            .arcs
+            .iter()
+            .enumerate()
+            .filter(|&(e, (&(a, b), attr))| {
+                !attr.restriction && paths.sweep_arc(e, a, b, attr.tokens)
+            })
+            .map(|(_, (&k, _))| k)
+            .collect();
+        for k in &removed {
+            self.arcs.remove(k);
         }
+        removed
     }
 
     /// The initial marking as a map from arcs to token counts.
@@ -628,6 +599,146 @@ impl MgStg {
             }
         }
         next
+    }
+}
+
+/// The arcs of an [`MgStg`] as flat successor lists (compressed sparse
+/// rows), with the scratch of the path searches over them. The arcs
+/// leaving `t` are `succ[start[t]..start[t + 1]]` as `(dst, tokens)`;
+/// because the arc map is keyed `(src, dst)`, entry `e` of `succ` is arc
+/// `e` of [`MgStg::arcs`]. An arc whose `live` flag is clear is invisible
+/// to every search.
+struct PathIndex {
+    start: Vec<usize>,
+    succ: Vec<(usize, u32)>,
+    live: Vec<bool>,
+    /// Per transition, the fewest tokens [`PathIndex::within`] has reached
+    /// it with (`u32::MAX` = unreached); reset through `touched` after
+    /// each search.
+    best: Vec<u32>,
+    touched: Vec<usize>,
+    stack: Vec<(usize, u32)>,
+}
+
+impl PathIndex {
+    fn new(mg: &MgStg) -> Self {
+        let n = mg.transitions.len();
+        let mut start = vec![0usize; n + 1];
+        for &(src, _) in mg.arcs.keys() {
+            start[src + 1] += 1;
+        }
+        for t in 0..n {
+            start[t + 1] += start[t];
+        }
+        let succ: Vec<(usize, u32)> = mg.arcs.iter().map(|(&(_, b), a)| (b, a.tokens)).collect();
+        Self {
+            start,
+            live: vec![true; succ.len()],
+            succ,
+            best: vec![u32::MAX; n],
+            touched: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// The index of arc `a ⇒ b`, if present.
+    fn arc_index(&self, a: usize, b: usize) -> Option<usize> {
+        let first = self.start[a];
+        self.succ[first..self.start[a + 1]]
+            .binary_search_by_key(&b, |&(dst, _)| dst)
+            .ok()
+            .map(|i| first + i)
+    }
+
+    /// Hides arc `a ⇒ b` from every later search.
+    fn hide(&mut self, a: usize, b: usize) {
+        if let Some(e) = self.arc_index(a, b) {
+            self.live[e] = false;
+        }
+    }
+
+    /// The Algorithm 3 test of arc `e`, which is `a ⇒ b` holding `tokens`:
+    /// a marked self-loop, or another path `a → b` with at most `tokens`
+    /// tokens. Leaves the arc hidden iff it is redundant.
+    fn sweep_arc(&mut self, e: usize, a: usize, b: usize, tokens: u32) -> bool {
+        self.live[e] = false;
+        let redundant = if a == b {
+            tokens >= 1
+        } else {
+            self.within(a, b, tokens)
+        };
+        self.live[e] = !redundant;
+        redundant
+    }
+
+    /// Whether a non-empty path `a → b` over live arcs carries at most
+    /// `bound` tokens. A depth-first search that never extends a path
+    /// past `bound` tokens and revisits a transition only when reaching it
+    /// with fewer tokens than before, so each transition is expanded at
+    /// most `bound + 1` times; it stops at the first arrival at `b`.
+    fn within(&mut self, a: usize, b: usize, bound: u32) -> bool {
+        let found = self.search(a, b, bound);
+        for &t in &self.touched {
+            self.best[t] = u32::MAX;
+        }
+        self.touched.clear();
+        self.stack.clear();
+        found
+    }
+
+    fn search(&mut self, a: usize, b: usize, bound: u32) -> bool {
+        // The seed entry records no arrival at `a`, so the paths searched
+        // are non-empty: `a` is reached only if a cycle leads back to it.
+        self.stack.push((a, 0));
+        while let Some((n, d)) = self.stack.pop() {
+            if d > self.best[n] {
+                continue; // superseded by a cheaper arrival
+            }
+            for e in self.start[n]..self.start[n + 1] {
+                let (dst, tokens) = self.succ[e];
+                if !self.live[e] || tokens > bound - d {
+                    continue;
+                }
+                if dst == b {
+                    return true;
+                }
+                let nd = d + tokens;
+                if nd < self.best[dst] {
+                    if self.best[dst] == u32::MAX {
+                        self.touched.push(dst);
+                    }
+                    self.best[dst] = nd;
+                    self.stack.push((dst, nd));
+                }
+            }
+        }
+        false
+    }
+
+    /// Minimum tokens over non-empty paths `a → b` on live arcs
+    /// (Dijkstra); `a == b` asks for the lightest cycle through `a`.
+    fn min_tokens(&self, a: usize, b: usize) -> Option<u32> {
+        let mut dist: Vec<Option<u32>> = vec![None; self.start.len() - 1];
+        // Start from `a` at distance 0 without giving it one, so that paths
+        // are non-empty: `a` gets a distance only if a cycle reaches it.
+        let mut heap = BinaryHeap::from([Reverse((0, a))]);
+        while let Some(Reverse((d, n))) = heap.pop() {
+            if dist[n].is_some_and(|seen| d > seen) {
+                continue;
+            }
+            for e in self.start[n]..self.start[n + 1] {
+                let (dst, tokens) = self.succ[e];
+                if !self.live[e] {
+                    continue;
+                }
+                let nd = d + tokens;
+                if dist[dst].is_none_or(|seen| nd < seen) {
+                    dist[dst] = Some(nd);
+                    heap.push(Reverse((nd, dst)));
+                }
+            }
+        }
+        dist[b]
     }
 }
 

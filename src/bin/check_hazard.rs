@@ -32,10 +32,12 @@ OPTIONS:
                           none) instead of reading the two files;
                           `corpus:<seed>` runs the seeded synthetic
                           corpus circuit for that seed instead — the
-                          canonical spec derivation at 12 signals max,
-                          synthesized netlist, and the corpus-harness
-                          divergence bail-out, exactly as `si_fuzz` and
-                          `corpus_bench` name them
+                          canonical spec derivation at 12 signals max
+                          (`si_fuzz`'s default bound), synthesized
+                          netlist, and the corpus-harness divergence
+                          bail-out; `corpus_bench` and perfbench draw
+                          at most 10 signals, so there the same seed
+                          names a different circuit
         --lint            strict lint pre-flight: refuse to derive when
                           the specification has lint errors (the default
                           policy only reports them on stderr)
@@ -181,9 +183,11 @@ fn report_lint(report: &LintReport, source: &str, origin: &str) {
 }
 
 /// Resolves a `--bench` name to one manifest row: a bundled Table 7.2
-/// benchmark, or `corpus:<seed>` — the seeded corpus circuit exactly as
-/// `si_fuzz` and `corpus_bench` build it (canonical spec at 12 signals
-/// max, synthesized netlist).
+/// benchmark, or `corpus:<seed>` — the seeded corpus circuit of the
+/// canonical spec at 12 signals max, with a synthesized netlist. That is
+/// `si_fuzz`'s default bound; `corpus_bench` (by default) and perfbench
+/// draw at most 10 signals, so for them the same seed names a different
+/// circuit.
 fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
     let Some(seed) = name.strip_prefix("corpus:") else {
         return si_redress::suite::benchmark(name)

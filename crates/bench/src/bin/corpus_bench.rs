@@ -8,7 +8,10 @@
 //! 1. **sequential reference** — a fresh engine, an explicit
 //!    `run_corpus_entry` loop in manifest order;
 //! 2. **sharded cold** — a fresh engine, `--jobs` worker shards;
-//! 3. **sharded warm** — the same engine again (structural caches hot).
+//! 3. **sharded second pass** — the same engine again. The structural
+//!    caches store a graph on its second request, so this pass stores
+//!    what the cold one asked for once; it is not yet warm (the JSON
+//!    still names its wall `shard_warm_wall_us`).
 //!
 //! Every sharded row's payload (constraint report, lint findings, error
 //! value) is asserted **bit-identical** to the sequential reference —
@@ -129,7 +132,7 @@ fn main() -> ExitCode {
         .collect();
     let seq_wall = seq_started.elapsed();
 
-    // Sharded, cold then warm, on one fresh engine.
+    // Sharded, cold then a second pass, on one fresh engine.
     let shard_engine = Engine::new(harness_config(EngineConfig::default()));
     let cold_started = Instant::now();
     let cold = run_corpus(&shard_engine, &manifest, jobs);

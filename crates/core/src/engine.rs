@@ -16,13 +16,13 @@
 //!    budgets, iteration budget, OR-causality recursion depth, relaxation
 //!    order, job count, the reuse switch).
 //! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
-//!    σ-space exploration on every state-graph miss, the state-graph,
-//!    projection and conformance caches ([`crate::SgCache`],
-//!    [`crate::ProjCache`], [`crate::ConformanceCache`]) and the decompose
-//!    memo, shared across the relaxation loop, the OR-causality sub-STG
-//!    checks, the conformance re-checks — and across circuits when one
-//!    engine serves a whole batch. Off, the engine runs the reference
-//!    path with nothing memoized.
+//!    σ-space exploration on every state-graph miss, the state-graph and
+//!    projection caches ([`crate::SgCache`], [`crate::ProjCache`], which
+//!    store a value on its second request) and the decompose memo, shared
+//!    across the relaxation loop, the OR-causality sub-STG checks, the
+//!    conformance pre-checks — and across circuits when one engine serves
+//!    a whole batch. Off, the engine runs the reference path with nothing
+//!    memoized.
 //! 3. **Parallel per-gate fan-out**: gates are independent (the same
 //!    independence that per-block timing extraction under process
 //!    variations exploits), so the projection + relaxation of each gate
@@ -42,7 +42,7 @@ use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{MgStg, SignalId, StateGraph, Stg};
 
 use crate::cache::{CacheStats, Caches, Decomposition};
-use crate::check::{prerequisite_sets, RelaxationCase};
+use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
 use crate::expand::{
@@ -99,12 +99,12 @@ pub struct EngineConfig {
     pub jobs: usize,
     /// The one reuse switch. On, the engine runs its whole reuse stack:
     /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
-    /// state-graph miss, the state-graph, projection and conformance
-    /// caches ([`crate::SgCache`], [`crate::ProjCache`],
-    /// [`crate::ConformanceCache`]) and the decompose memo, all shared
-    /// across gates and runs. Off, it runs the reference path:
-    /// [`si_stg::StateGraph::of_mg`], [`si_stg::MgStg::project_on_gate`]
-    /// and [`crate::classify_states`] on every call, nothing memoized.
+    /// state-graph miss, the state-graph and projection caches
+    /// ([`crate::SgCache`], [`crate::ProjCache`]; each stores a value on
+    /// its second request) and the decompose memo, all shared across gates
+    /// and runs. Off, it runs the reference path:
+    /// [`si_stg::StateGraph::of_mg`] and
+    /// [`si_stg::MgStg::project_on_gate`] on every call, nothing memoized.
     /// Output is bit-identical either way.
     pub cache: bool,
     /// What to do with static-lint findings on source inputs
@@ -243,12 +243,8 @@ pub struct StageMetrics {
     pub sg_cache_misses: usize,
     /// Local-STG projections answered from the projection memo.
     pub proj_memo_hits: usize,
-    /// Local-STG projections computed (and stored) by the stage.
+    /// Local-STG projections computed by the stage.
     pub proj_memo_misses: usize,
-    /// Classification verdicts answered from the conformance cache.
-    pub conf_cache_hits: usize,
-    /// Classification verdicts computed fresh by the stage.
-    pub conf_cache_misses: usize,
     /// Distinct local-STG fingerprints recorded by the trial scheduler's
     /// progress ledger.
     pub sched_fingerprints: usize,
@@ -269,8 +265,6 @@ impl StageMetrics {
             sg_cache_misses: 0,
             proj_memo_hits: 0,
             proj_memo_misses: 0,
-            conf_cache_hits: 0,
-            conf_cache_misses: 0,
             sched_fingerprints: 0,
         }
     }
@@ -284,22 +278,18 @@ impl StageMetrics {
         self.sg_cache_misses += other.sg_cache_misses;
         self.proj_memo_hits += other.proj_memo_hits;
         self.proj_memo_misses += other.proj_memo_misses;
-        self.conf_cache_hits += other.conf_cache_hits;
-        self.conf_cache_misses += other.conf_cache_misses;
         self.sched_fingerprints += other.sched_fingerprints;
     }
 
     /// The counters as `(name, value)` pairs in schema order — the one
     /// list of counter names every JSON emitter and doc table follows.
-    pub fn counters(&self) -> [(&'static str, usize); 8] {
+    pub fn counters(&self) -> [(&'static str, usize); 6] {
         [
             ("states_explored", self.states_explored),
             ("sg_cache_hits", self.sg_cache_hits),
             ("sg_cache_misses", self.sg_cache_misses),
             ("proj_memo_hits", self.proj_memo_hits),
             ("proj_memo_misses", self.proj_memo_misses),
-            ("conf_cache_hits", self.conf_cache_hits),
-            ("conf_cache_misses", self.conf_cache_misses),
             ("sched_fingerprints", self.sched_fingerprints),
         ]
     }
@@ -337,8 +327,7 @@ pub struct GateMetrics {
 
 /// The extended result of an engine run: the classic [`ConstraintReport`]
 /// plus stage and gate metrics. Engine-lifetime cache totals come from
-/// [`Engine::cache_stats`], [`Engine::projection_stats`] and
-/// [`Engine::conformance_stats`].
+/// [`Engine::cache_stats`] and [`Engine::projection_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
     /// The derivation result — bit-identical to the sequential monolithic
@@ -482,15 +471,16 @@ impl Engine {
             .map_or_else(CacheStats::default, |c| c.projections.stats())
     }
 
-    /// Current conformance-cache counters (zero on the reference path).
+    /// Always zero. The engine no longer memoizes classification verdicts:
+    /// a conformance sweep costs less than building and hashing its key,
+    /// so the cache was deleted (see `docs/perf.md`, "Admission"). Kept so
+    /// that callers written against it still build.
     pub fn conformance_stats(&self) -> CacheStats {
-        self.caches
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.conformance.stats())
+        CacheStats::default()
     }
 
-    /// Drops every memoized state graph, projection, classification
-    /// verdict and decomposition.
+    /// Drops every memoized state graph, projection and decomposition,
+    /// and forgets which graphs and projections were requested once.
     pub fn clear_cache(&self) {
         if let Some(caches) = &self.caches {
             caches.clear();
@@ -851,8 +841,7 @@ impl Engine {
             // pre-check shares the engine caches (and the global budget, as
             // the monolithic driver did).
             let sg = precheck.sg(&local.mg, &mut project)?;
-            let (case, _) =
-                precheck.classify(&local, &sg, &prerequisite_sets(&local), None, &mut project)?;
+            let (case, _) = classify_states(&local, &sg, &prerequisite_sets(&local), None)?;
             if case != RelaxationCase::Case1 {
                 return Err(CoreError::NotConformant { gate: name.clone() });
             }
@@ -1062,27 +1051,25 @@ b+ a+
 
     #[test]
     fn shared_engine_reuses_the_cache_across_runs() {
+        // The cold run marks its graphs, the second run stores them, and
+        // the third run is answered from the cache.
         let (stg, lib) = celem();
         let engine = Engine::new(EngineConfig::default());
         let cold = engine.run(&stg, &lib).expect("derives");
-        let (cold_sg, cold_conf) = (engine.cache_stats(), engine.conformance_stats());
+        let admitting = engine.run(&stg, &lib).expect("derives");
+        assert_eq!(cold.report, admitting.report);
+        let stored = engine.cache_stats();
+        assert!(stored.entries > 0, "{stored:?}");
         let warm = engine.run(&stg, &lib).expect("derives");
         assert_eq!(cold.report, warm.report);
-        let warm_relax = warm.stage(Stage::Relax).expect("ran");
-        assert_eq!(
-            warm_relax.sg_cache_misses, 0,
-            "second run must be fully cached: {warm_relax:?}"
-        );
-        assert!(engine.cache_stats().hits > cold_sg.hits);
-        // The warm pre-check answers its verdicts from the conformance
-        // cache — no sweep at all.
-        assert!(
-            engine.conformance_stats().hits > cold_conf.hits,
-            "warm run must hit the conformance cache: {:?}",
-            engine.conformance_stats()
-        );
-        let warm_project = warm.stage(Stage::Project).expect("ran");
-        assert_eq!(warm_project.conf_cache_misses, 0, "{warm_project:?}");
+        for stage in [Stage::Project, Stage::Relax] {
+            let metrics = warm.stage(stage).expect("ran");
+            assert_eq!(
+                metrics.sg_cache_misses, 0,
+                "third run must be fully cached: {metrics:?}"
+            );
+        }
+        assert!(engine.cache_stats().hits > stored.hits);
     }
 
     #[test]
@@ -1094,11 +1081,7 @@ b+ a+
         let first = engine.run(&stg, &lib).expect("derives");
         let second = engine.run(&stg, &lib).expect("derives");
         assert_eq!(first.report, second.report);
-        for stats in [
-            engine.cache_stats(),
-            engine.projection_stats(),
-            engine.conformance_stats(),
-        ] {
+        for stats in [engine.cache_stats(), engine.projection_stats()] {
             assert_eq!(stats, CacheStats::default());
         }
         let explored = |out: &EngineReport| -> usize {

@@ -21,9 +21,7 @@ use std::sync::Arc;
 use si_stg::{StateGraph, TransitionLabel};
 
 use crate::cache::Caches;
-use crate::check::{
-    classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase,
-};
+use crate::check::{classify_states, conformance, prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::engine::{Stage, StageMetrics};
 use crate::error::CoreError;
@@ -111,29 +109,6 @@ impl<'a> ExpandCtx<'a> {
             metrics.states_explored += sg.state_count();
         }
         Ok(sg)
-    }
-
-    /// Classification of one trial: from the conformance cache when there
-    /// is one (answered when the trial repeats, swept and stored
-    /// otherwise), a plain sweep on the reference path.
-    pub(crate) fn classify(
-        &self,
-        trial: &LocalStg,
-        sg: &StateGraph,
-        epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-        relaxed: Option<usize>,
-        metrics: &mut StageMetrics,
-    ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
-        let (verdict, hit) = match self.caches {
-            Some(caches) => caches.conformance.classify(trial, sg, epre, relaxed)?,
-            None => (classify_states(trial, sg, epre, relaxed)?, false),
-        };
-        if hit {
-            metrics.conf_cache_hits += 1;
-        } else {
-            metrics.conf_cache_misses += 1;
-        }
-        Ok(verdict)
     }
 }
 
@@ -423,7 +398,7 @@ fn expand_at(
         let mut trial = local.clone();
         relax_arc(&mut trial.mg, x, y)?;
         let sg = ctx.sg(&trial.mg, &mut out.metrics)?;
-        let (case, report) = ctx.classify(&trial, &sg, &epre, Some(x), &mut out.metrics)?;
+        let (case, report) = classify_states(&trial, &sg, &epre, Some(x))?;
         out.trace.push(TraceEvent::Relaxed {
             gate: gate.clone(),
             arc: arc_text.clone(),
@@ -461,8 +436,7 @@ fn expand_at(
                     let mut modified = trial.clone();
                     relax_arc(&mut modified.mg, x, t_out)?;
                     let sg2 = ctx.sg(&modified.mg, &mut out.metrics)?;
-                    let (case2, _) =
-                        ctx.classify(&modified, &sg2, &epre, Some(x), &mut out.metrics)?;
+                    let (case2, _) = classify_states(&modified, &sg2, &epre, Some(x))?;
                     if case2 == RelaxationCase::Case1 {
                         out.trace.push(TraceEvent::MadeConcurrentWithOutput {
                             gate: gate.clone(),
@@ -774,65 +748,34 @@ o- x+
         let mut plain = ExpandOutcome::default();
         expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
 
-        // A cold run through the reuse stack equals the reference path.
+        // A cold run and an admitting run through the reuse stack equal
+        // the reference path; the cold one explores every trial.
         let caches = Caches::default();
         let ctx = ExpandCtx::with_defaults(&oracle, 1000, Some(&caches));
-        let mut cold = ExpandOutcome::default();
-        expand_ctx(local.clone(), &ctx, &mut cold).expect("expands");
-        assert_eq!(plain.constraints, cold.constraints);
-        assert_eq!(plain.trace, cold.trace);
-        assert_eq!(plain.iterations, cold.iterations);
-        assert!(
-            cold.metrics.sg_cache_misses > 0 && cold.metrics.conf_cache_misses > 0,
-            "a cold run must explore and sweep its trials: {cold:?}"
-        );
+        for pass in ["cold", "admitting"] {
+            let mut run = ExpandOutcome::default();
+            expand_ctx(local.clone(), &ctx, &mut run).expect("expands");
+            assert_eq!(plain.constraints, run.constraints, "{pass}");
+            assert_eq!(plain.trace, run.trace, "{pass}");
+            assert_eq!(plain.iterations, run.iterations, "{pass}");
+            assert!(
+                pass != "cold" || run.metrics.sg_cache_misses > 0,
+                "a cold run must explore its trials: {run:?}"
+            );
+        }
 
-        // A warm re-run answers every graph and every verdict from the
-        // stack: no exploration, no sweep.
+        // A warm re-run answers every graph from the stack: no
+        // exploration.
         let mut warm = ExpandOutcome::default();
         expand_ctx(local, &ctx, &mut warm).expect("expands");
         assert_eq!(plain.constraints, warm.constraints);
         assert_eq!(plain.trace, warm.trace);
         assert!(
-            warm.metrics.sg_cache_hits > 0 && warm.metrics.conf_cache_hits > 0,
-            "a warm run must hit both caches: {warm:?}"
+            warm.metrics.sg_cache_hits > 0,
+            "a warm run must hit the cache: {warm:?}"
         );
         assert_eq!(warm.metrics.sg_cache_misses, 0);
-        assert_eq!(warm.metrics.conf_cache_misses, 0);
         assert_eq!(warm.metrics.states_explored, 0);
-    }
-
-    #[test]
-    fn incremental_classification_matches_plain_bit_for_bit() {
-        let (local, oracle) = build(AND2, "o = x*y;", "o");
-        let mut plain = ExpandOutcome::default();
-        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
-
-        let caches = Caches::default();
-        let ctx = ExpandCtx::with_defaults(&oracle, 1000, Some(&caches));
-        let mut cold = ExpandOutcome::default();
-        expand_ctx(local.clone(), &ctx, &mut cold).expect("expands");
-        assert_eq!(plain.constraints, cold.constraints);
-
-        // With the graphs dropped, every trial regenerates its graph, yet
-        // every verdict is still answered from the conformance cache: its
-        // key is the local STG, not the graph the trial happened to get.
-        caches.sg.clear();
-        let mut warm = ExpandOutcome::default();
-        expand_ctx(local, &ctx, &mut warm).expect("expands");
-        assert_eq!(plain.constraints, warm.constraints);
-        assert_eq!(plain.trace, warm.trace);
-        assert_eq!(plain.iterations, warm.iterations);
-        assert!(
-            warm.metrics.conf_cache_hits > 0,
-            "a warm run must hit the conformance cache: {warm:?}"
-        );
-        assert_eq!(warm.metrics.conf_cache_misses, 0);
-        assert_eq!(warm.metrics.sg_cache_hits, 0);
-        assert!(
-            warm.metrics.states_explored > 0,
-            "graphs were dropped: {warm:?}"
-        );
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //!   parallel per-gate fan-out, per-stage/per-gate metrics in the
 //!   extended [`EngineReport`], and one reuse stack behind one switch
 //!   ([`EngineConfig::cache`]): allocation-free σ-space exploration on
-//!   every state-graph miss, and three memoization caches shared across
+//!   every state-graph miss, and two memoization caches shared across
 //!   gates and runs (state graphs in [`SgCache`], projections in
-//!   [`ProjCache`], classification verdicts in [`ConformanceCache`]).
-//!   With the switch off the engine runs the reference path, nothing
-//!   memoized. Output is bit-identical to the monolithic call for every
+//!   [`ProjCache`]), each storing a value on its second request. With the
+//!   switch off the engine runs the reference path, nothing memoized.
+//!   Output is bit-identical to the monolithic call for every
 //!   configuration.
 //!
 //! # Example
@@ -84,7 +84,7 @@ mod relax;
 mod report;
 mod sched;
 
-pub use cache::{CacheStats, ConformanceCache, ProjCache, SgCache};
+pub use cache::{CacheStats, ProjCache, SgCache};
 pub use check::{
     classify_state, classify_states, conformance, is_pending, prerequisite_sets, ConformanceReport,
     RelaxationCase, StateClass,

@@ -1,23 +1,23 @@
 //! Property tests for classifying relaxation trials: on a random local STG
 //! and a random single-arc edit, the verdicts the relaxation loop works
 //! from — each trial's state graph served by the [`SgCache`] (σ-space
-//! exploration on every miss), its four-case classification served by the
-//! [`ConformanceCache`] — must
-//! agree with the from-scratch sweep ([`classify_states`] over the
-//! marking-keyed [`StateGraph::of_mg`]) *exactly*: the same
-//! [`RelaxationCase`], the same [`ConformanceReport`] (premature pairs and
-//! lagging states in the same order) and the same error, whether computed
-//! cold or answered from the caches, under generous and tight state
-//! budgets alike. The scratch sweep is the pinned reference; a divergence
-//! here means a cache key conflates two trials or the explorer drifted.
+//! exploration on every miss, stored on the second request), then swept
+//! by [`classify_states`] — must agree with the from-scratch sweep
+//! ([`classify_states`] over the marking-keyed [`StateGraph::of_mg`])
+//! *exactly*: the same [`RelaxationCase`], the same [`ConformanceReport`]
+//! (premature pairs and lagging states in the same order) and the same
+//! error, whether the graph was computed cold, computed and stored, or
+//! answered from the cache, under generous and tight state budgets alike.
+//! The scratch sweep is the pinned reference; a divergence here means the
+//! cache conflates two graphs or the explorer drifted.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use si_core::{
-    classify_states, prerequisite_sets, ConformanceCache, ConformanceReport, CoreError, LocalStg,
-    RelaxationCase, SgCache,
+    classify_states, prerequisite_sets, ConformanceReport, CoreError, LocalStg, RelaxationCase,
+    SgCache,
 };
 use si_corpus::strategies::{random_local_case, Edit, RandomLocal};
 use si_stg::{StateGraph, TransitionLabel};
@@ -33,18 +33,16 @@ type Epre = BTreeMap<usize, BTreeSet<TransitionLabel>>;
 type Verdict = Result<(RelaxationCase, ConformanceReport), CoreError>;
 
 /// One trial's verdict the way the relaxation loop obtains it: the graph
-/// from the state-graph cache, the classification from the conformance
-/// cache when the trial repeats, swept and stored otherwise.
+/// from the state-graph cache, then a sweep.
 fn served(
     sgs: &SgCache,
-    conf: &ConformanceCache,
     local: &LocalStg,
     epre: &Epre,
     relaxed: Option<usize>,
     budget: usize,
 ) -> Verdict {
     let (sg, _) = sgs.of_mg(&local.mg, budget)?;
-    Ok(conf.classify(local, &sg, epre, relaxed)?.0)
+    classify_states(local, &sg, epre, relaxed)
 }
 
 /// The same verdict from a fresh marking-keyed generation and sweep.
@@ -53,16 +51,14 @@ fn scratch(local: &LocalStg, epre: &Epre, relaxed: Option<usize>, budget: usize)
     classify_states(local, &sg, epre, relaxed)
 }
 
-/// Runs the parent and its edited child at `budget` through `sgs` and
-/// `conf`, asserting every served verdict reproduces the scratch one bit
-/// for bit.
+/// Runs the parent and its edited child at `budget` through `sgs`,
+/// asserting every served verdict reproduces the scratch one bit for bit.
 fn check_round(
     spec: &RandomLocal,
     edit: &Edit,
     relaxed_idx: usize,
     budget: usize,
     sgs: &SgCache,
-    conf: &ConformanceCache,
 ) -> Result<(), TestCaseError> {
     let parent = spec.build();
     let child = edit.apply_local(&parent);
@@ -71,7 +67,7 @@ fn check_round(
         let ts = local.mg.transitions();
         for relaxed in [None, Some(ts[relaxed_idx % ts.len()])] {
             prop_assert_eq!(
-                served(sgs, conf, local, &epre, relaxed, budget),
+                served(sgs, local, &epre, relaxed, budget),
                 scratch(local, &epre, relaxed, budget)
             );
         }
@@ -82,25 +78,26 @@ fn check_round(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// A cold round, then a warm one answered from the caches.
+    /// A cold round, an admitting one that stores the graphs, then a warm
+    /// one answered from the cache.
     #[test]
     fn incremental_classification_matches_scratch((spec, edit, relaxed_idx) in random_case()) {
-        let (sgs, conf) = (SgCache::default(), ConformanceCache::default());
-        for _ in 0..2 {
-            check_round(&spec, &edit, relaxed_idx, 10_000, &sgs, &conf)?;
+        let sgs = SgCache::default();
+        for _ in 0..3 {
+            check_round(&spec, &edit, relaxed_idx, 10_000, &sgs)?;
         }
     }
 
-    /// Shrinking budgets over shared caches: a graph cached under a larger
-    /// budget must fail a smaller one exactly like a scratch generation,
-    /// and a cached verdict must never outlive its graph's budget.
+    /// Shrinking budgets over one shared cache: a graph cached under a
+    /// larger budget must fail a smaller one exactly like a scratch
+    /// generation.
     #[test]
     fn incremental_classification_matches_scratch_under_tight_budgets(
         (spec, edit, relaxed_idx) in random_case()
     ) {
-        let (sgs, conf) = (SgCache::default(), ConformanceCache::default());
+        let sgs = SgCache::default();
         for budget in [33usize, 17, 9, 5, 3, 2] {
-            check_round(&spec, &edit, relaxed_idx, budget, &sgs, &conf)?;
+            check_round(&spec, &edit, relaxed_idx, budget, &sgs)?;
         }
     }
 }

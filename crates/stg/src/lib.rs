@@ -37,7 +37,7 @@ mod tree;
 
 pub use events::{parse_events, EventParser, ParseEvent, ParseNodeKind};
 pub use lexer::{normalize_source, Lexer, Token, TokenKind};
-pub use mg::{ArcAttr, MgStg, SgKey};
+pub use mg::{extend_fingerprint, ArcAttr, MgStg, SgKey};
 pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,
     SpecSpans, IMEC_RAM_READ_SBUF_G,

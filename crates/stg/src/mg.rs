@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use si_petri::MgComponent;
 
+use crate::sg::mix_word;
 use crate::signal::{SignalId, SignalKind, TransitionLabel};
 use crate::stg::{SignalDecl, Stg, StgError};
 
@@ -41,6 +42,30 @@ pub struct SgKey {
     initial_code: u64,
     transitions: Vec<(usize, TransitionLabel)>,
     arcs: Vec<(usize, usize, u32)>,
+}
+
+impl SgKey {
+    /// Whether this is `mg`'s key: the same answer as `*self ==
+    /// mg.sg_key()`, found by walking `mg`'s transitions and arc map in
+    /// place, with no allocation.
+    pub fn matches(&self, mg: &MgStg) -> bool {
+        self.initial_code == mg.initial_code
+            && self.arcs.len() == mg.arcs.len()
+            && self.transitions.iter().copied().eq(mg.key_transitions())
+            && self.arcs.iter().copied().eq(mg.key_arcs())
+    }
+}
+
+/// Extends `fingerprint` with `words`, one multiply-rotate step per word,
+/// then folds the result's high half into its low half — the mixing of
+/// [`MgStg::sg_fingerprint`], which is this function applied to the key
+/// content from 0. For memo keys that add content to a marked graph's
+/// fingerprint.
+pub fn extend_fingerprint(fingerprint: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    let h = words.into_iter().fold(fingerprint, mix_word);
+    // The last product mixes its input only upward, and a hash table
+    // picks buckets by the low bits: fold the high half into them.
+    h ^ (h >> 32)
 }
 
 /// A marked-graph STG over transition-level arcs.
@@ -134,57 +159,58 @@ impl MgStg {
     pub fn sg_key(&self) -> SgKey {
         SgKey {
             initial_code: self.initial_code,
-            transitions: (0..self.transitions.len())
-                .filter_map(|t| self.transitions[t].map(|l| (t, l)))
-                .collect(),
-            arcs: self
-                .arcs
-                .iter()
-                .map(|(&(a, b), attr)| (a, b, attr.tokens))
-                .collect(),
+            transitions: self.key_transitions().collect(),
+            arcs: self.key_arcs().collect(),
         }
+    }
+
+    /// The alive transitions with their labels, as [`SgKey`] lists them.
+    fn key_transitions(&self) -> impl Iterator<Item = (usize, TransitionLabel)> + '_ {
+        self.transitions
+            .iter()
+            .enumerate()
+            .filter_map(|(t, label)| label.map(|l| (t, l)))
+    }
+
+    /// The arc skeleton with token counts, as [`SgKey`] lists it.
+    fn key_arcs(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+        self.arcs.iter().map(|(&(a, b), attr)| (a, b, attr.tokens))
     }
 
     /// A cheap 64-bit fingerprint of exactly the content [`MgStg::sg_key`]
     /// canonicalizes — the initial code, the alive transitions with ids
-    /// and labels, and the arc skeleton with token counts — computed by
-    /// streaming FNV-1a with no allocation, stable across runs and
-    /// platforms.
+    /// and labels, and the arc skeleton with token counts — computed with
+    /// no allocation, stable across runs and platforms. Each value is one
+    /// 64-bit word folded in by the multiply-rotate step of the state-row
+    /// hash; a final mix spreads the result into the low bits.
     ///
     /// Equal [`SgKey`]s always yield equal fingerprints; the converse
-    /// holds only up to 64-bit collision odds, so use the fingerprint
-    /// where a (vanishingly unlikely, but deterministic) false merge is
-    /// tolerable — e.g. the relaxation scheduler's progress ledger, which
-    /// fingerprints every visited graph once per iteration and must not
-    /// pay `sg_key`'s two `Vec` allocations there.
+    /// holds only up to 64-bit collision odds. The engine's memo uses the
+    /// fingerprint only to pick a slot and compares the stored key
+    /// ([`SgKey::matches`]); the relaxation scheduler's progress ledger
+    /// uses it alone, where a (vanishingly unlikely, but deterministic)
+    /// false merge is tolerable and `sg_key`'s two `Vec` allocations per
+    /// iteration are not.
     pub fn sg_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.initial_code);
-        for (t, label) in self.transitions.iter().enumerate() {
-            if let Some(l) = label {
-                mix(t as u64);
-                mix(l.signal.0 as u64);
-                mix(match l.polarity {
-                    crate::Polarity::Plus => 1,
-                    crate::Polarity::Minus => 2,
-                });
-                mix(u64::from(l.occurrence));
-            }
-        }
-        for (&(a, b), attr) in &self.arcs {
-            mix(a as u64);
-            mix(b as u64);
-            mix(u64::from(attr.tokens));
-        }
-        h
+        let transitions = self.key_transitions().flat_map(|(t, l)| {
+            let polarity = match l.polarity {
+                crate::Polarity::Plus => 1,
+                crate::Polarity::Minus => 2,
+            };
+            [
+                t as u64,
+                l.signal.0 as u64,
+                polarity,
+                u64::from(l.occurrence),
+            ]
+        });
+        let arcs = self
+            .key_arcs()
+            .flat_map(|(a, b, tokens)| [a as u64, b as u64, u64::from(tokens)]);
+        let words = std::iter::once(self.initial_code)
+            .chain(transitions)
+            .chain(arcs);
+        extend_fingerprint(0, words)
     }
 
     /// Overrides the initial state code.

@@ -19,12 +19,17 @@ const NO_ROW: u32 = u32::MAX;
 /// Buckets of a fresh [`RowIndex`] (a power of two).
 const INITIAL_BUCKETS: usize = 64;
 
-/// The default row hash: an Fx-style multiply-rotate over the entries.
-/// Bucket selection takes the product's top bits, which mix every entry.
+/// One step of the Fx-style multiply-rotate word hash behind the row
+/// index and [`MgStg::sg_fingerprint`]. The product mixes every input bit
+/// upward, into the top bits of the result.
+pub(crate) fn mix_word(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The default row hash: [`mix_word`] over the entries. Bucket selection
+/// takes the product's top bits, which mix every entry.
 fn row_hash(row: &[i32]) -> u64 {
-    row.iter().fold(0u64, |h, &v| {
-        (h.rotate_left(5) ^ u64::from(v as u32)).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
+    row.iter().fold(0, |h, &v| mix_word(h, u64::from(v as u32)))
 }
 
 /// Interns fixed-width `i32` rows in one flat arena: row `j` occupies

@@ -8,18 +8,22 @@
 //! [`run_corpus`] shards across *circuits* instead: `jobs` scoped workers
 //! pull manifest rows off a shared atomic cursor (the same work-stealing
 //! scheme as the engine's gate pool) and run them through **one shared
-//! engine**, so the structural `SgCache` / `ProjCache` /
-//! `ConformanceCache` tiers are shared across shards — shape-identical
-//! circuits pay for exploration once, whichever worker meets them first.
+//! engine**, so the structural `SgCache` / `ProjCache` tiers are shared
+//! across shards — a graph that shape-identical circuits request twice is
+//! stored, whichever worker meets it, and served from then on.
 //!
 //! Results land in manifest order, and each row's *payload* (constraint
 //! report, lint findings, error value) is bit-identical to a sequential
 //! single-engine loop over the same manifest — sharding affects wall
 //! clock and cache traffic only. `tests/corpus_differential.rs` pins
-//! this for jobs 1, 4 and 8, cold and warm.
+//! this for jobs 1, 4 and 8, over a cold, an admitting and a warm pass.
+//! A row that panics becomes a [`CorpusError::Panicked`] in its own slot;
+//! the other rows still run.
 
+use std::any::Any;
 use std::error::Error;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use si_boolean::{parse_eqn, GateLibrary};
@@ -79,6 +83,14 @@ pub enum CorpusError {
         /// The engine error.
         source: CoreError,
     },
+    /// Running the row panicked. [`run_corpus`] catches the panic, so the
+    /// other rows of the manifest still run.
+    Panicked {
+        /// The manifest row name.
+        name: String,
+        /// The panic message.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CorpusError {
@@ -93,6 +105,9 @@ impl fmt::Display for CorpusError {
             ),
             CorpusError::Derive { name, source } => {
                 write!(f, "corpus row `{name}` failed to derive: {source}")
+            }
+            CorpusError::Panicked { name, detail } => {
+                write!(f, "corpus row `{name}` panicked: {detail}")
             }
         }
     }
@@ -167,9 +182,28 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
 /// sequential in the calling thread). Results are returned in manifest
 /// row order regardless of which worker ran which row, and every row's
 /// payload is identical to what a sequential loop over
-/// [`run_corpus_entry`] produces.
+/// [`run_corpus_entry`] produces. A row that panics comes back as
+/// [`CorpusError::Panicked`].
 #[must_use]
 pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec<CorpusOutcome> {
+    shard(manifest, jobs, |entry| run_corpus_entry(engine, entry))
+}
+
+/// Runs `run` on every row of `manifest` over `jobs` workers, each row
+/// under `catch_unwind`, and returns the outcomes in manifest order.
+fn shard(
+    manifest: &[CorpusEntry],
+    jobs: usize,
+    run: impl Fn(&CorpusEntry) -> CorpusOutcome + Sync,
+) -> Vec<CorpusOutcome> {
+    let contained = |entry: &CorpusEntry| {
+        catch_unwind(AssertUnwindSafe(|| run(entry))).unwrap_or_else(|payload| {
+            Err(CorpusError::Panicked {
+                name: entry.name.clone(),
+                detail: panic_message(payload.as_ref()),
+            })
+        })
+    };
     let requested = if jobs == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -177,10 +211,7 @@ pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec
     };
     let jobs = requested.min(manifest.len()).max(1);
     if jobs <= 1 {
-        return manifest
-            .iter()
-            .map(|entry| run_corpus_entry(engine, entry))
-            .collect();
+        return manifest.iter().map(contained).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<CorpusOutcome>> = (0..manifest.len()).map(|_| None).collect();
@@ -194,12 +225,13 @@ pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec
                         if i >= manifest.len() {
                             return mine;
                         }
-                        mine.push((i, run_corpus_entry(engine, &manifest[i])));
+                        mine.push((i, contained(&manifest[i])));
                     }
                 })
             })
             .collect();
         for handle in handles {
+            // Every row is contained, so a worker cannot panic.
             for (i, outcome) in handle.join().expect("corpus worker panicked") {
                 slots[i] = Some(outcome);
             }
@@ -209,6 +241,15 @@ pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec
         .into_iter()
         .map(|slot| slot.expect("every manifest row was claimed"))
         .collect()
+}
+
+/// The message of a caught panic: its `&str` or `String` payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with a non-string payload".to_string())
 }
 
 #[cfg(test)]
@@ -265,17 +306,56 @@ b- a+
 
     #[test]
     fn shards_share_one_cache_across_rows() {
+        // Three copies of the ring, each requesting its one local state
+        // graph once (a buffer gate has nothing to relax). Each copy makes
+        // one request, so the graph can only be stored by a request from
+        // another row, whichever shard runs it: the first request marks
+        // it, the second stores it. Run sequentially, the third copy is
+        // served from the cache; sharded, it may instead race the second.
+        let mut manifest = tiny_manifest();
+        manifest[2] = manifest[0].clone();
+        manifest[2].name = "ring-third".into();
+        for jobs in [1, 2] {
+            let engine = Engine::new(EngineConfig::default());
+            let rows = run_corpus(&engine, &manifest, jobs);
+            let reports: Vec<_> = rows
+                .iter()
+                .map(|row| &row.as_ref().expect("derives").report.report)
+                .collect();
+            assert!(reports.iter().all(|r| *r == reports[0]), "jobs {jobs}");
+            let stats = engine.cache_stats();
+            assert_eq!(stats.hits + stats.misses, 3, "jobs {jobs}: {stats:?}");
+            assert_eq!(stats.entries, 1, "jobs {jobs}: {stats:?}");
+            if jobs == 1 {
+                assert_eq!(stats.hits, 1, "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_row_is_contained_in_its_slot() {
         let engine = Engine::new(EngineConfig::default());
-        let manifest = tiny_manifest();
-        let rows = run_corpus(&engine, &manifest, 2);
-        let (a, b) = (
-            rows[0].as_ref().expect("derives"),
-            rows[1].as_ref().expect("derives"),
-        );
-        // The two copies are shape-identical, so between them the shared
-        // structural cache serves at least one of the repeat lookups.
-        assert!(engine.cache_stats().hits > 0);
-        assert_eq!(a.report.report, b.report.report);
+        let mut manifest = tiny_manifest();
+        manifest[2] = manifest[0].clone();
+        manifest[2].name = "ring-third".into();
+        for jobs in [1, 2] {
+            let rows = shard(&manifest, jobs, |entry| {
+                assert!(entry.name != "ring-again", "injected fault");
+                run_corpus_entry(&engine, entry)
+            });
+            assert_eq!(rows.len(), 3, "jobs {jobs}");
+            assert!(rows[0].is_ok(), "jobs {jobs}");
+            match &rows[1] {
+                Err(CorpusError::Panicked { name, detail }) => {
+                    assert_eq!(name, "ring-again");
+                    assert_eq!(detail, "injected fault");
+                }
+                other => panic!("jobs {jobs}: expected Panicked, got {other:?}"),
+            }
+            assert!(rows[2].is_ok(), "jobs {jobs}");
+        }
+        // The engine the panic interrupted keeps serving rows.
+        assert!(run_corpus(&engine, &manifest, 2).iter().all(Result::is_ok));
     }
 
     #[test]
@@ -286,7 +366,8 @@ b- a+
         let cold = engine.cache_stats();
         let second = run_corpus_entry(&engine, &fifo).expect("derives");
         assert_eq!(first.report.report, second.report.report);
-        // The second pass reuses the first pass's state graphs.
+        // The second pass is served the graphs the first pass requested
+        // twice, which the first pass stored.
         assert!(engine.cache_stats().hits > cold.hits);
         // The bundled suite lints error-free, so Warn carries no errors.
         assert_eq!(first.lint.error_count(), 0);

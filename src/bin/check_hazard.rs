@@ -50,9 +50,9 @@ OPTIONS:
                           contraction (prefer arcs whose relaxation
                           inserts the fewest new bypass arcs)
         --no-cache        run the reference path: marking-keyed state
-                          graphs, no state-graph, projection,
-                          conformance or decompose memo (escape hatch;
-                          output is identical)
+                          graphs, no state-graph, projection or
+                          decompose memo (escape hatch; output is
+                          identical)
     -h, --help            print this help and exit
 
 EXIT CODES:
@@ -296,7 +296,7 @@ fn render_json(out: &EngineReport, engine: &Engine, elapsed: f64) -> String {
         si_lint::json_diagnostics(&out.lint, ""),
     );
     format!(
-        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"conformance\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"elapsed_seconds\":{elapsed:.6}}}",
         constraints(&out.report.baseline),
         constraints(&out.report.constraints),
         !out.report.constraints.is_empty(),
@@ -306,6 +306,5 @@ fn render_json(out: &EngineReport, engine: &Engine, elapsed: f64) -> String {
         out.metrics_json(),
         engine.cache_stats().json(),
         engine.projection_stats().json(),
-        engine.conformance_stats().json(),
     )
 }

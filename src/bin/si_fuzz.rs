@@ -307,8 +307,8 @@ fn main() -> ExitCode {
     }
     .max(1);
 
-    // The scan phase shares one warm full-featured engine across all
-    // workers — exactly how a corpus batch exercises the reuse tiers —
+    // The scan phase shares one full-featured engine across all workers
+    // and seeds — exactly how a corpus batch exercises the reuse tiers —
     // while the reference engine is stateless by construction. Hits are
     // re-verified with fresh cold engines before being reported. Both
     // sides run with the divergence bail-out forced on (see

@@ -5,7 +5,8 @@
 //! manifest order and every row's payload — constraint report, lint
 //! findings, error value — is bit-identical to an explicit sequential
 //! [`run_corpus_entry`] loop over the same manifest on a fresh engine.
-//! This suite pins that for jobs 1, 4 and 8, cold and warm, over a
+//! This suite pins that for jobs 1, 4 and 8, over a cold, an admitting
+//! and a warm pass (the caches store a graph on its second request), on a
 //! generated manifest that deliberately includes defective rows (parse
 //! failures, lint-rejected specs) so the error path is part of the
 //! contract too.
@@ -80,7 +81,7 @@ fn sharded_runs_match_the_sequential_reference_cold_and_warm() {
     );
     for jobs in [1, 4, 8] {
         let shard_engine = engine();
-        for pass in ["cold", "warm"] {
+        for pass in ["cold", "admitting", "warm"] {
             let rows = run_corpus(&shard_engine, &manifest, jobs);
             assert_eq!(rows.len(), seq.len());
             for (i, (row, reference)) in rows.iter().zip(&seq).enumerate() {

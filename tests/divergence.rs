@@ -1,8 +1,8 @@
 //! Divergence determinism: the trial scheduler's `Diverged` verdict is a
 //! *semantic* output, so it must be bit-identical — same gate, same
 //! detector, same iteration, same trailing arc sequence — across every
-//! engine configuration, cold and warm, exactly like the constraint sets
-//! are. And on circuits that do converge, the scheduler must be
+//! engine configuration, over cold, admitting and warm runs, exactly like
+//! the constraint sets are. And on circuits that do converge, the scheduler must be
 //! invisible: scheduler-on output ≡ scheduler-off output on all bundled
 //! benchmarks and corpus golden fixtures.
 
@@ -48,11 +48,13 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
                 divergence_window: window,
                 ..EngineConfig::default()
             };
+            // The caches store a graph on its second request: the second
+            // run stores what the first one marked, and the third is warm.
             let engine = Engine::new(config);
-            let cold = engine.run(&stg, &library).expect_err("diverges");
-            assert_eq!(cold, expected, "cold run diverged under {config:?}");
-            let warm = engine.run(&stg, &library).expect_err("diverges");
-            assert_eq!(warm, expected, "warm run diverged under {config:?}");
+            for pass in ["cold", "admitting", "warm"] {
+                let err = engine.run(&stg, &library).expect_err("diverges");
+                assert_eq!(err, expected, "{pass} run diverged under {config:?}");
+            }
         }
     }
 }
@@ -179,14 +181,42 @@ fn exhaust_policy_keeps_the_historical_budget_semantics() {
     );
 }
 
+#[test]
+fn an_exhausting_gate_does_not_fill_the_cache() {
+    // Corpus seed 156 at 10 signals pumps tokens into gate `o2`: every
+    // trial asks for a new, larger state graph, once. Under `Exhaust` the
+    // loop burns its whole budget, and a cache that stored every graph on
+    // its first request held 759 of them after 500 iterations (693 MB of
+    // resident memory after 2 000). Admission on the second request keeps
+    // almost none.
+    let spec = CorpusSpec::from_seed(156, 10);
+    let circuit = generate(&spec, 156);
+    let library = synthesize(&circuit.stg, EngineConfig::default().global_sg_budget)
+        .expect("seed 156 synthesizes");
+    let engine = Engine::new(EngineConfig {
+        divergence_policy: DivergencePolicy::Exhaust,
+        expand_budget: 500,
+        ..EngineConfig::default()
+    });
+    let err = engine
+        .run(&circuit.stg, &library)
+        .expect_err("never converges");
+    assert!(
+        matches!(&err, CoreError::IterationBudgetExceeded { gate, .. } if gate == "o2"),
+        "got: {err}"
+    );
+    let stats = engine.cache_stats();
+    assert!(stats.entries <= 2, "{stats:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random corpus circuits under an aggressively small watchdog
     /// window (8): trips are common, and whatever the verdict —
     /// convergence, divergence or any other error — it must be
-    /// payload-identical across cache/parallel configs,
-    /// cold and warm.
+    /// payload-identical across cache/parallel configs, over a cold, an
+    /// admitting and a warm run.
     #[test]
     fn random_circuits_agree_on_the_verdict_under_a_tiny_window(
         (spec, seed) in strategies::corpus_case()
@@ -214,8 +244,11 @@ proptest! {
         };
         let engine = Engine::new(configs[0]);
         let expected = render(&engine.run(&circuit.stg, &library));
-        let warm = render(&engine.run(&circuit.stg, &library));
-        prop_assert_eq!(&warm, &expected);
+        // An admitting run, then a warm one.
+        for _ in 0..2 {
+            let again = render(&engine.run(&circuit.stg, &library));
+            prop_assert_eq!(&again, &expected);
+        }
         for config in &configs[1..] {
             let cold = render(&Engine::new(*config).run(&circuit.stg, &library));
             prop_assert_eq!(&cold, &expected);

@@ -237,9 +237,11 @@ fn golden_snapshot_pins_the_seed_189_divergence() {
         elapsed < std::time::Duration::from_secs(1),
         "seed 189 must bail in under a second at the default budget, took {elapsed:?}"
     );
-    // A second, warm run of the same engine must reach the identical
-    // verdict: the scheduler's inputs are cache-independent.
-    assert_eq!(err, engine.run(&circuit.stg, &library).expect_err("warm"));
+    // An admitting and a warm run of the same engine must reach the
+    // identical verdict: the scheduler's inputs are cache-independent.
+    for pass in ["admitting", "warm"] {
+        assert_eq!(err, engine.run(&circuit.stg, &library).expect_err(pass));
+    }
 
     let path = golden_path(name);
     let rendered = format!("{}{err}\n", header(name));
@@ -299,6 +301,7 @@ fn corpus_outcome(engine: &Engine, seed: u64) -> (&'static str, String) {
                     ..
                 } => "diverged",
                 CorpusError::Derive { .. } => "derive",
+                CorpusError::Panicked { .. } => "panicked",
             };
             (kind, e.to_string())
         }

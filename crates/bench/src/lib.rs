@@ -1,6 +1,6 @@
-//! Shared plumbing for the table/figure regeneration binaries and the
-//! Criterion benches. Each binary in `src/bin/` regenerates one table or
-//! figure of the paper's evaluation chapter. Paper-vs-measured notes: the
+//! Shared plumbing for the table/figure regeneration binaries. Each
+//! binary in `src/bin/` regenerates one table or figure of the paper's
+//! evaluation chapter. Paper-vs-measured notes: the
 //! README's "Gold reproduction target" section (the imec row) and
 //! `table_7_2`'s footer, which prints the thesis totals next to the
 //! measured ones.

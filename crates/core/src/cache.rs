@@ -105,7 +105,7 @@ trait Request<K> {
 /// function of the graph, so inputs whose fingerprints collide would
 /// collide under any table hasher; a slot's `Vec` keeps their keys apart.
 #[derive(Default)]
-struct PassThrough(u64);
+pub(crate) struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn finish(&self) -> u64 {

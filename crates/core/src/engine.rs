@@ -52,7 +52,7 @@ use crate::expand::{
 use crate::local::{GateContext, LocalStg};
 use crate::paths::AdversaryOracle;
 use crate::report::{ConstraintReport, GateReport};
-use crate::sched::{DivergencePolicy, DEFAULT_DIVERGENCE_WINDOW};
+use crate::sched::DivergencePolicy;
 
 /// Default per-gate relaxation-iteration budget (convergence is proven;
 /// this guards malformed inputs).
@@ -111,16 +111,10 @@ pub struct EngineConfig {
     /// ([`Engine::run_source`] only — [`Engine::run`] takes already-parsed
     /// inputs and never lints).
     pub lint: LintPolicy,
-    /// Sliding-window length of the trial scheduler's contraction
-    /// watchdog: the loop bails when no new strict minimum of the
-    /// relaxable-arc count appears for this many iterations while the
-    /// trial state graph is not shrinking. `0` disables the watchdog (the
-    /// repeated-state ledger still runs).
-    pub divergence_window: usize,
-    /// What the relaxation loop does when the trial scheduler detects a
+    /// What the relaxation loop does when its covering ledger detects a
     /// non-converging gate: bail with [`CoreError::Diverged`]
-    /// (the default) or exhaust the iteration budget (the historical
-    /// behaviour, kept by [`EngineConfig::reference`]).
+    /// (the default) or keep no ledger and exhaust the iteration budget
+    /// (the historical behaviour, kept by [`EngineConfig::reference`]).
     pub divergence_policy: DivergencePolicy,
 }
 
@@ -138,7 +132,6 @@ impl Default for EngineConfig {
             jobs: 1,
             cache: true,
             lint: LintPolicy::Warn,
-            divergence_window: DEFAULT_DIVERGENCE_WINDOW,
             divergence_policy: DivergencePolicy::Bail,
         }
     }
@@ -245,8 +238,8 @@ pub struct StageMetrics {
     pub proj_memo_hits: usize,
     /// Local-STG projections computed by the stage.
     pub proj_memo_misses: usize,
-    /// Distinct local-STG fingerprints recorded by the trial scheduler's
-    /// progress ledger.
+    /// Distinct keys (local-STG skeleton plus guaranteed-set size)
+    /// recorded by the relaxation loop's covering ledger.
     pub sched_fingerprints: usize,
 }
 
@@ -786,7 +779,6 @@ impl Engine {
             sg_budget: cfg.local_sg_budget,
             max_depth: cfg.max_depth,
             caches: self.caches.as_ref(),
-            divergence_window: cfg.divergence_window,
             divergence_policy: cfg.divergence_policy,
         };
         let precheck = ExpandCtx {

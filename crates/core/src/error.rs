@@ -68,15 +68,17 @@ pub enum CoreError {
         /// The exhausted budget.
         budget: usize,
     },
-    /// The trial scheduler classified the per-gate relaxation loop as
+    /// The covering ledger classified the per-gate relaxation loop as
     /// non-converging under [`DivergencePolicy::Bail`](crate::DivergencePolicy::Bail):
-    /// the gate would burn its whole iteration budget without reaching a
-    /// fixpoint. Deterministic — the same circuit diverges with the same
-    /// witness under every engine configuration.
+    /// a loop state came back covering an earlier one, a repeated state
+    /// (proof of a cycle) or a token pump (a heuristic). Deterministic —
+    /// the same circuit diverges with the same witness under every engine
+    /// configuration.
     Diverged {
         /// The gate being expanded.
         gate: String,
-        /// Which detector fired, when, and the trailing arc sequence.
+        /// Which sign the ledger saw, when, the covered earlier iteration
+        /// and the arcs whose tokens grew.
         witness: DivergenceWitness,
     },
     /// A relaxation produced a state the four-case criterion cannot

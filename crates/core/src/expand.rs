@@ -28,11 +28,11 @@ use crate::error::CoreError;
 use crate::local::LocalStg;
 use crate::orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,
-    initial_restrictions, or_causality_decomposition,
+    initial_restrictions, or_causality_decomposition, Restriction,
 };
 use crate::paths::AdversaryOracle;
 use crate::relax::relax_arc;
-use crate::sched::{DivergencePolicy, TrialScheduler, DEFAULT_DIVERGENCE_WINDOW};
+use crate::sched::{CoveringLedger, DivergencePolicy};
 
 /// Default state-graph generation budget for local STGs
 /// ([`crate::EngineConfig::local_sg_budget`]).
@@ -59,11 +59,8 @@ pub(crate) struct ExpandCtx<'a> {
     pub max_depth: usize,
     /// The engine's reuse stack; `None` runs the reference path.
     pub caches: Option<&'a Caches>,
-    /// Sliding-window length of the trial scheduler's contraction
-    /// watchdog (0 disables the watchdog; the progress ledger still runs).
-    pub divergence_window: usize,
-    /// Whether the trial scheduler bails on detected divergence or lets
-    /// the loop exhaust its iteration budget.
+    /// Whether the loop keeps a covering ledger and bails on detected
+    /// divergence, or lets the loop exhaust its iteration budget.
     pub divergence_policy: DivergencePolicy,
 }
 
@@ -81,11 +78,10 @@ impl<'a> ExpandCtx<'a> {
             sg_budget: DEFAULT_LOCAL_SG_BUDGET,
             max_depth: DEFAULT_MAX_DEPTH,
             caches,
-            divergence_window: DEFAULT_DIVERGENCE_WINDOW,
             // The compatibility wrapper (and through it the monolithic
             // `derive_timing_constraints`) keeps the historical
             // exhaust-the-budget semantics: it is the differential oracle
-            // the scheduler is measured against.
+            // the ledger is measured against.
             divergence_policy: DivergencePolicy::Exhaust,
         }
     }
@@ -122,13 +118,6 @@ pub enum RelaxationOrder {
     TightestFirst,
     /// Naive textual order of arc labels — the ablation baseline.
     Lexicographic,
-    /// Contraction first: prefer the arc whose relaxation inserts the
-    /// fewest new bypass arcs into the MG (the best proxy for "does not
-    /// grow the state graph" that needs no trial), tightness as the
-    /// tie-break. Pairs with the trial scheduler: picking low-growth arcs
-    /// first keeps converging gates converging and exposes true
-    /// non-contraction sooner.
-    ContractionFirst,
 }
 
 /// One step of the relaxation trace (the thesis Fig. 7.3 narrative).
@@ -206,7 +195,7 @@ pub struct ExpandOutcome {
     pub trace: Vec<TraceEvent>,
     /// Total relaxation iterations across all (sub-)STGs.
     pub iterations: usize,
-    /// State-graph, conformance-cache and scheduler counters of the loop
+    /// State-graph and covering-ledger counters of the loop
     /// (a [`Stage::Relax`] record; the engine sets its `wall`).
     pub metrics: StageMetrics,
 }
@@ -243,30 +232,15 @@ fn emit_constraint(local: &mut LocalStg, x: usize, y: usize, out: &mut ExpandOut
     local.mark_guaranteed(x, y);
 }
 
-/// Net bypass-arc count `relax_arc` would insert when relaxing `x ⇒ y`:
-/// the preds(x) ⇒ y and x ⇒ succs(y) arcs not already present, minus the
-/// removed arc itself. A cheap static proxy for how much the trial grows
-/// the MG (and with it the local state graph) — computed without cloning
-/// or relaxing anything.
-fn relaxation_growth(mg: &si_stg::MgStg, x: usize, y: usize) -> i64 {
-    let mut inserted = -1i64;
-    for b in mg.preds(x) {
-        if b != y && mg.arc(b, y).is_none() {
-            inserted += 1;
-        }
-    }
-    for d in mg.succs(y) {
-        if d != x && mg.arc(x, d).is_none() {
-            inserted += 1;
-        }
-    }
-    inserted
+/// The conservative case-4 treatment of a dead end: record why in the
+/// trace, then pin the ordering `x ⇒ y` by a constraint.
+fn fall_back(local: &mut LocalStg, x: usize, y: usize, out: &mut ExpandOutcome, reason: &str) {
+    out.trace.push(TraceEvent::Fallback {
+        gate: gate_name(local),
+        reason: reason.to_string(),
+    });
+    emit_constraint(local, x, y, out);
 }
-
-/// Sort weight of one relaxable arc: bypass-arc growth (zero unless the
-/// order is [`RelaxationOrder::ContractionFirst`]), then the adversary
-/// path's [`AdversaryOracle::weight_key`].
-type ArcWeight = (i64, (bool, u32));
 
 /// Picks the next arc to relax under the chosen policy (Sec. 5.5) from
 /// the caller-supplied relaxable set; weight ties break by label text for
@@ -281,19 +255,15 @@ fn find_next_arc(
     // label_string(b))`, but renders label text only on weight ties and
     // into reused buffers — this runs once per relaxation iteration over
     // every relaxable arc, so per-arc `String`s dominate otherwise.
-    let mut best: Option<(ArcWeight, (usize, usize))> = None;
+    let mut best: Option<((bool, u32), (usize, usize))> = None;
     let (mut best_a, mut best_b) = (String::new(), String::new());
     let (mut cand_a, mut cand_b) = (String::new(), String::new());
     for &(a, b) in arcs {
         let weight = match order {
             RelaxationOrder::TightestFirst => {
-                (0, oracle.weight_key(local.mg.label(a), local.mg.label(b)))
+                oracle.weight_key(local.mg.label(a), local.mg.label(b))
             }
-            RelaxationOrder::Lexicographic => (0, (false, 0)),
-            RelaxationOrder::ContractionFirst => (
-                relaxation_growth(&local.mg, a, b),
-                oracle.weight_key(local.mg.label(a), local.mg.label(b)),
-            ),
+            RelaxationOrder::Lexicographic => (false, 0),
         };
         let better = match best {
             None => true,
@@ -356,10 +326,9 @@ fn expand_at(
     depth: usize,
 ) -> Result<(), CoreError> {
     let gate = gate_name(local);
-    // One scheduler per loop instance: every decomposition sub-STG and
-    // every fallback resume (each constraint emitted is progress) starts
-    // with a fresh ledger and watchdog window.
-    let mut sched = TrialScheduler::new(ctx.divergence_policy, ctx.divergence_window);
+    // One ledger per loop instance: every decomposition sub-STG and every
+    // fallback resume (each constraint emitted is progress) starts afresh.
+    let mut ledger = CoveringLedger::for_policy(ctx.divergence_policy);
     // The arc label is rendered into this buffer, reused across
     // iterations; the trace clones it once, exact-size.
     let mut arc_text = String::new();
@@ -380,19 +349,6 @@ fn expand_at(
         arc_text.push_str(" => ");
         local.mg.write_label(y, &mut arc_text);
 
-        // The scheduler observes the *pre-trial* loop state; captured
-        // here, consumed after classification so the trace still records
-        // the iteration that tripped it. All inputs are cache- and
-        // parallelism-independent, so a divergence verdict is identical
-        // across the whole engine configuration matrix.
-        let observed = (ctx.divergence_policy == DivergencePolicy::Bail).then(|| {
-            (
-                local.mg.sg_fingerprint(),
-                local.guaranteed.len(),
-                arcs.len(),
-            )
-        });
-
         // Epre is computed on the STG *before* this relaxation.
         let epre = prerequisite_sets(local);
         let mut trial = local.clone();
@@ -410,15 +366,11 @@ fn expand_at(
                 RelaxationCase::LaggingOnly => "lagging",
             },
         });
-        if let Some((fingerprint, guaranteed, relaxable)) = observed {
-            if let Some(witness) = sched.observe(
-                fingerprint,
-                guaranteed,
-                relaxable,
-                &arc_text,
-                sg.state_count(),
-                out,
-            ) {
+        // The ledger observes the *pre-trial* loop state — `local` is
+        // untouched until the `match` below — after classification, so
+        // the trace still records the iteration that tripped it.
+        if let Some(ledger) = &mut ledger {
+            if let Some(witness) = ledger.observe(&local.mg, local.guaranteed.len(), out) {
                 return Err(CoreError::Diverged { gate, witness });
             }
         }
@@ -448,29 +400,15 @@ fn expand_at(
                     // OR-causality in case 2: decompose from the modified
                     // STG, with candidates judged on the SG before the
                     // modification (thesis Sec. 6.1.1).
-                    match decompose(&trial, &sg, &modified, t_out, x, &epre)? {
-                        Some(subs) => {
-                            out.trace.push(TraceEvent::Decomposed {
-                                gate: gate.clone(),
-                                parts: subs.len(),
-                            });
-                            return recurse(subs, local, x, y, ctx, out, depth);
-                        }
-                        None => {
-                            out.trace.push(TraceEvent::Fallback {
-                                gate: gate.clone(),
-                                reason: "case-2 decomposition dead end".to_string(),
-                            });
-                            emit_constraint(local, x, y, out);
-                        }
+                    let subs = decompose(&trial, &sg, &modified, t_out, x, &epre)
+                        .map(|(sol, cands)| build_sub_stgs_case2(&modified, t_out, &sol, &cands));
+                    match subs {
+                        Some(subs) => return recurse(subs, local, x, y, ctx, out, depth),
+                        None => fall_back(local, x, y, out, "case-2 decomposition dead end"),
                     }
                 } else {
                     // No x ⇒ o arc to relax: conservative fallback.
-                    out.trace.push(TraceEvent::Fallback {
-                        gate: gate.clone(),
-                        reason: "case 2 without an x => o arc".to_string(),
-                    });
-                    emit_constraint(local, x, y, out);
+                    fall_back(local, x, y, out, "case 2 without an x => o arc");
                 }
             }
             RelaxationCase::Case3 | RelaxationCase::LaggingOnly => {
@@ -479,38 +417,26 @@ fn expand_at(
                     None => match first_lagging_output(&trial, &sg, &report.lagging) {
                         Some(t) => t,
                         None => {
-                            out.trace.push(TraceEvent::Fallback {
-                                gate: gate.clone(),
-                                reason: "lagging state without output transition".to_string(),
-                            });
-                            emit_constraint(local, x, y, out);
+                            fall_back(local, x, y, out, "lagging state without output transition");
                             continue;
                         }
                     },
                 };
-                match decompose_case3(&trial, &sg, t_out, x, &epre)? {
-                    Some(subs) => {
-                        out.trace.push(TraceEvent::Decomposed {
-                            gate: gate.clone(),
-                            parts: subs.len(),
-                        });
-                        return recurse(subs, local, x, y, ctx, out, depth);
-                    }
-                    None => {
-                        out.trace.push(TraceEvent::Fallback {
-                            gate: gate.clone(),
-                            reason: "case-3 decomposition dead end".to_string(),
-                        });
-                        emit_constraint(local, x, y, out);
-                    }
+                let subs = decompose(&trial, &sg, &trial, t_out, x, &epre)
+                    .map(|(sol, cands)| build_sub_stgs_case3(&trial, t_out, &sol, &cands))
+                    .transpose()?;
+                match subs {
+                    Some(subs) => return recurse(subs, local, x, y, ctx, out, depth),
+                    None => fall_back(local, x, y, out, "case-3 decomposition dead end"),
                 }
             }
         }
     }
 }
 
-/// Recurses into sub-STGs; if any sub-STG is itself non-conformant the
-/// whole decomposition is abandoned in favour of the case-4 constraint.
+/// Records the decomposition and recurses into its sub-STGs; if any
+/// sub-STG is itself non-conformant the whole decomposition is abandoned
+/// in favour of the case-4 constraint.
 fn recurse(
     subs: Vec<LocalStg>,
     local: &mut LocalStg,
@@ -520,23 +446,19 @@ fn recurse(
     out: &mut ExpandOutcome,
     depth: usize,
 ) -> Result<(), CoreError> {
+    out.trace.push(TraceEvent::Decomposed {
+        gate: gate_name(local),
+        parts: subs.len(),
+    });
     if depth + 1 >= ctx.max_depth {
-        out.trace.push(TraceEvent::Fallback {
-            gate: gate_name(local),
-            reason: "decomposition depth limit".to_string(),
-        });
-        emit_constraint(local, x, y, out);
+        fall_back(local, x, y, out, "decomposition depth limit");
         return expand_at(local, ctx, out, depth);
     }
     // Verify conformance of each sub-STG before committing to them.
     for sub in &subs {
         let sg = ctx.sg(&sub.mg, &mut out.metrics)?;
         if !conformance(sub, &sg)?.is_conformant() {
-            out.trace.push(TraceEvent::Fallback {
-                gate: gate_name(local),
-                reason: "non-conformant sub-STG".to_string(),
-            });
-            emit_constraint(local, x, y, out);
+            fall_back(local, x, y, out, "non-conformant sub-STG");
             return expand_at(local, ctx, out, depth);
         }
     }
@@ -558,8 +480,17 @@ fn first_lagging_output(local: &LocalStg, sg: &StateGraph, lagging: &[usize]) ->
     None
 }
 
-/// Case-2 OR-causality decomposition: candidates from `sg_before` (the SG
-/// before the `x ⇒ o` modification), sub-STGs built on `base` (after it).
+/// One OR-causality solution: the clause each sub-STG keeps, with the
+/// order restrictions that isolate it.
+type Solution = Vec<(usize, BTreeSet<Restriction>)>;
+
+/// OR-causality decomposition (thesis Ch. 6): candidate clauses and
+/// transitions judged on `(before, sg_before)`, initial restrictions read
+/// from `base`. Returns the solution and the candidate map, or `None` at a
+/// dead end (fewer than two candidate clauses, or no solution); the caller
+/// builds the sub-STGs on `base`. Case 2 passes the STG before the
+/// `x ⇒ o` modification as `before` and the modified one as `base`
+/// (thesis Sec. 6.1.1); case 3 passes the relaxed STG as both.
 fn decompose(
     before: &LocalStg,
     sg_before: &StateGraph,
@@ -567,12 +498,12 @@ fn decompose(
     t_out: usize,
     x: usize,
     epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-) -> Result<Option<Vec<LocalStg>>, CoreError> {
+) -> Option<(Solution, BTreeMap<usize, BTreeSet<usize>>)> {
     let empty = BTreeSet::new();
     let e = epre.get(&t_out).unwrap_or(&empty);
     let clauses = find_candidate_clauses(before, sg_before, t_out, e);
     if clauses.len() < 2 {
-        return Ok(None);
+        return None;
     }
     let direction = before.mg.label(t_out).polarity;
     let mut cands = BTreeMap::new();
@@ -583,40 +514,7 @@ fn decompose(
     let all: BTreeSet<usize> = cands.values().flatten().copied().collect();
     let init = initial_restrictions(base, &all);
     let solution = or_causality_decomposition(&cands, &init);
-    if solution.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(build_sub_stgs_case2(base, t_out, &solution, &cands)))
-}
-
-/// Case-3 OR-causality decomposition: candidates and sub-STGs both on the
-/// current (relaxed) STG.
-fn decompose_case3(
-    local: &LocalStg,
-    sg: &StateGraph,
-    t_out: usize,
-    x: usize,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-) -> Result<Option<Vec<LocalStg>>, CoreError> {
-    let empty = BTreeSet::new();
-    let e = epre.get(&t_out).unwrap_or(&empty);
-    let clauses = find_candidate_clauses(local, sg, t_out, e);
-    if clauses.len() < 2 {
-        return Ok(None);
-    }
-    let direction = local.mg.label(t_out).polarity;
-    let mut cands = BTreeMap::new();
-    for c in clauses {
-        let set = find_candidate_transitions(local, c, t_out, x, direction);
-        cands.insert(c, set);
-    }
-    let all: BTreeSet<usize> = cands.values().flatten().copied().collect();
-    let init = initial_restrictions(local, &all);
-    let solution = or_causality_decomposition(&cands, &init);
-    if solution.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(build_sub_stgs_case3(local, t_out, &solution, &cands)?))
+    (!solution.is_empty()).then_some((solution, cands))
 }
 
 #[cfg(test)]

@@ -107,4 +107,4 @@ pub use relax::relax_arc;
 pub use report::{
     derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,
 };
-pub use sched::{DivergenceKind, DivergencePolicy, DivergenceWitness, DEFAULT_DIVERGENCE_WINDOW};
+pub use sched::{DivergenceKind, DivergencePolicy, DivergenceWitness};

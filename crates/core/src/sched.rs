@@ -1,54 +1,56 @@
-//! The convergence-aware trial scheduler guarding the per-gate
-//! relaxation loop (Algorithm 4).
+//! The covering ledger guarding the per-gate relaxation loop
+//! (Algorithm 4).
 //!
 //! The loop `find_next_arc → clone → relax → classify` has no inherent
-//! termination guarantee: on adversarial circuits (canonical specimen:
-//! corpus seed 189, gate `o2`) the relaxable-arc count oscillates forever
-//! while the local state graph grows linearly, so the loop burns whatever
-//! iteration budget it is given — the default 20 000 budget means hours on
-//! a single gate. The scheduler watches every iteration through two
-//! complementary detectors and, under [`DivergencePolicy::Bail`], aborts
-//! the gate with a deterministic [`crate::CoreError::Diverged`] carrying a
-//! [`DivergenceWitness`]:
+//! termination guarantee. `relax_arc` gives a bypass arc the sum of the
+//! tokens on the two arcs it replaces, and on some circuits (canonical
+//! specimen: corpus seed 189, gate `o2`) the loop then cycles through a
+//! few arcs, each round adding tokens and growing the local state graph.
+//! Such a loop burns whatever iteration budget it is given: the default
+//! 20 000 means hours on one gate. Under [`DivergencePolicy::Bail`] one
+//! covering ledger, in the spirit of Karp–Miller coverability trees
+//! (Karp & Miller, 1969), watches every iteration and aborts the gate
+//! with a deterministic [`crate::CoreError::Diverged`] carrying a
+//! [`DivergenceWitness`].
 //!
-//! - **progress ledger** — a fingerprint map over every visited local STG
-//!   (via [`si_stg::MgStg::sg_fingerprint`], the streaming digest of
-//!   exactly what `sg_key` canonicalizes) paired with the size of the
-//!   guaranteed-arc set. Within one loop instance the guaranteed set only
-//!   grows, so an equal size implies an equal set; a repeated
-//!   (fingerprint, size) pair therefore means the *entire* loop state
-//!   repeated and the deterministic loop will cycle forever →
-//!   [`DivergenceKind::RepeatedState`].
-//! - **contraction watchdog** — a sliding window over the last
-//!   `divergence_window` iterations. A converging loop keeps making new
-//!   strict minima of the relaxable-arc count on its way to zero; when no
-//!   new strict minimum appears for a full window *and* the trial state
-//!   graph has not shrunk across that window, the loop is classified as
-//!   non-contracting → [`DivergenceKind::NonContraction`]. This catches
-//!   the seed-189 shape, where the relaxable count oscillates in a band
-//!   and `sg_key` never repeats because the graph keeps growing.
+//! The ledger keys each pre-trial loop state by its *skeleton*: the local
+//! STG without token counts ([`si_stg::MgStg::skeleton_fingerprint`]: the
+//! initial code, the alive transitions with ids and labels, the arcs with
+//! their restriction flags) plus the size of the guaranteed-arc set.
+//! Within one loop instance the guaranteed set only grows, so its size
+//! identifies it. Under each key the ledger keeps the token vectors
+//! ([`si_stg::MgStg::arc_tokens`]) of the earlier visits. The loop bails
+//! when the current vector *covers* one of them: at least as many tokens
+//! on every arc.
 //!
-//! Both detectors observe only values that are independent of caching and
-//! parallelism (the arc sequence, relaxable-arc counts, state-graph
-//! sizes), so a `Diverged` verdict is bit-identical across the whole
-//! engine configuration matrix, warm or cold.
+//! - **Equal vectors give [`DivergenceKind::RepeatedState`], a proof.**
+//!   The loop is a deterministic function of (local STG, guaranteed set),
+//!   so a state that comes back repeats its trials forever. The only
+//!   caveat is a 64-bit collision of skeleton keys.
+//! - **A vector larger on some arc gives [`DivergenceKind::TokenPump`], a
+//!   heuristic.** In a Petri net a covering marking lets the firing
+//!   sequence that reached it repeat, because firing is monotone in
+//!   tokens. Here the next arc and its case are read off the local state
+//!   graph, which changes with the tokens, so covering does not imply
+//!   that the loop repeats. The verdict rests on evidence: on corpus seeds
+//!   1..=1200 at 10 and 12 signals it fires on exactly the rows that do
+//!   not converge under [`DivergencePolicy::Exhaust`], and `si_fuzz`
+//!   audits every bail it scans (`docs/diagnostics.md`, `Diverged`).
+//!
+//! The ledger observes only the loop state, which is independent of
+//! caching and parallelism, so a `Diverged` verdict is bit-identical
+//! across the whole engine configuration matrix, warm or cold.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
 
+use si_stg::{extend_fingerprint, MgStg};
+
+use crate::cache::PassThrough;
 use crate::expand::ExpandOutcome;
 
-/// Default sliding-window length for the contraction watchdog
-/// ([`crate::EngineConfig::divergence_window`]). Sized so the oscillating
-/// specimen (seed 189: band of width ≤ 4, period ≤ 7) trips within ~130
-/// iterations — well under a second — while every bundled benchmark and
-/// corpus fixture converges long before a window elapses without progress.
-pub const DEFAULT_DIVERGENCE_WINDOW: usize = 128;
-
-/// How many trailing arc labels a [`DivergenceWitness`] carries.
-const WITNESS_ARCS: usize = 8;
-
-/// What the relaxation loop does when the trial scheduler detects a
+/// What the relaxation loop does when the covering ledger detects a
 /// non-converging gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DivergencePolicy {
@@ -56,188 +58,212 @@ pub enum DivergencePolicy {
     /// the engine default.
     #[default]
     Bail,
-    /// Ignore the detectors and relax until the iteration budget is
-    /// exhausted — the historical behaviour, kept by
-    /// [`crate::EngineConfig::reference`] (and the plain
-    /// [`crate::expand`] entry points) so the differential oracle is
-    /// scheduler-free.
+    /// Keep no ledger and relax until the iteration budget is exhausted —
+    /// the historical behaviour, kept by [`crate::EngineConfig::reference`]
+    /// (and the plain [`crate::expand`] entry points) so the differential
+    /// oracle is ledger-free.
     Exhaust,
 }
 
-/// Which detector classified the loop as diverging.
+/// Which sign of divergence the ledger saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DivergenceKind {
-    /// The progress ledger saw the exact loop state — STG fingerprint plus
-    /// guaranteed-set size — a second time: a true cycle.
+    /// The loop state came back with the same token vector: a true
+    /// cycle, proven.
     RepeatedState,
-    /// The contraction watchdog saw a full window without a new strict
-    /// minimum of the relaxable-arc count, with a non-shrinking trial
-    /// state graph.
-    NonContraction,
+    /// The loop state came back with a token vector that covers the
+    /// earlier one and is larger on at least one arc: a heuristic sign of
+    /// non-termination, not a proof.
+    TokenPump,
 }
 
 impl std::fmt::Display for DivergenceKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DivergenceKind::RepeatedState => write!(f, "repeated state"),
-            DivergenceKind::NonContraction => write!(f, "non-contracting window"),
+            DivergenceKind::TokenPump => write!(f, "token pump"),
         }
     }
 }
 
 /// The evidence attached to a [`crate::CoreError::Diverged`] verdict:
-/// which detector fired, at which relaxation iteration, and the trailing
-/// arc sequence (up to eight most recent `x* => y*` labels, oldest
-/// first) — the repeating pattern a human needs to see.
+/// which sign the ledger saw, at which relaxation iteration, which earlier
+/// iteration's loop state it covers, and the arcs whose tokens grew in
+/// between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceWitness {
-    /// Which detector fired.
+    /// Which sign the ledger saw.
     pub kind: DivergenceKind,
     /// The relaxation iteration (1-based, as counted by
     /// [`ExpandOutcome::iterations`]) at which it fired.
     pub iteration: usize,
-    /// Up to eight (`WITNESS_ARCS`) most recent relaxed arcs, oldest first.
+    /// The earlier iteration whose loop state this one covers.
+    pub since: usize,
+    /// The arcs (`x* => y*`, in arc-key order) holding more tokens than at
+    /// `since`; empty for [`DivergenceKind::RepeatedState`].
     pub arcs: Vec<String>,
 }
 
 impl std::fmt::Display for DivergenceWitness {
     /// Stable one-line rendering — golden snapshots pin it.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at iteration {}", self.kind, self.iteration)?;
+        let relation = match self.kind {
+            DivergenceKind::RepeatedState => "repeats",
+            DivergenceKind::TokenPump => "covers",
+        };
+        write!(
+            f,
+            "{} at iteration {} ({relation} iteration {})",
+            self.kind, self.iteration, self.since
+        )?;
         if !self.arcs.is_empty() {
-            write!(f, "; trailing arcs: {}", self.arcs.join(", "))?;
+            write!(f, "; growing arcs: {}", self.arcs.join(", "))?;
         }
         Ok(())
     }
 }
 
-/// One watchdog sample: the arc relaxed this iteration and the trial
-/// state graph's size.
-struct Sample {
-    arc: String,
-    sg_states: usize,
+/// One observed pre-trial loop state.
+struct Visit {
+    /// The relaxation iteration that observed it.
+    iteration: usize,
+    /// The previous visit with the same skeleton key.
+    prev: Option<usize>,
+    /// Its token vector's place in [`CoveringLedger::tokens`].
+    tokens: Range<usize>,
 }
 
-/// Per-loop-instance convergence monitor. The relaxation loop constructs
-/// one scheduler per [`expand_at`](crate::expand) invocation — each
-/// decomposition sub-STG, and each fallback resume (constraint emission is
-/// progress), starts with a fresh ledger and window.
-pub(crate) struct TrialScheduler {
-    policy: DivergencePolicy,
-    window: usize,
-    /// STG fingerprint → guaranteed-set size at the last visit.
-    ledger: HashMap<u64, usize>,
-    /// The last `window` samples, oldest first.
-    ring: VecDeque<Sample>,
-    /// Smallest relaxable-arc count seen so far.
-    min_relaxable: usize,
-    /// Iterations since `min_relaxable` last strictly decreased.
-    since_min: usize,
+/// Per-loop-instance divergence monitor. The relaxation loop builds one
+/// ledger per [`expand_at`](crate::expand) invocation, and only under
+/// [`DivergencePolicy::Bail`]: each decomposition sub-STG, and each
+/// fallback resume (constraint emission is progress), starts afresh.
+pub(crate) struct CoveringLedger {
+    /// Skeleton key → index of its latest visit in `visits`.
+    latest: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    /// Every visit in iteration order, chained per key.
+    visits: Vec<Visit>,
+    /// The visits' token vectors, packed end to end.
+    tokens: Vec<u32>,
 }
 
-impl TrialScheduler {
-    pub(crate) fn new(policy: DivergencePolicy, window: usize) -> Self {
-        Self {
-            policy,
-            window,
-            ledger: HashMap::new(),
-            ring: VecDeque::new(),
-            min_relaxable: usize::MAX,
-            since_min: 0,
-        }
+impl CoveringLedger {
+    /// The ledger of one loop instance under `policy`; `None` under
+    /// [`DivergencePolicy::Exhaust`], which never fingerprints.
+    pub(crate) fn for_policy(policy: DivergencePolicy) -> Option<Self> {
+        (policy == DivergencePolicy::Bail).then(|| Self {
+            latest: HashMap::default(),
+            visits: Vec::new(),
+            tokens: Vec::new(),
+        })
     }
 
-    /// Feeds one completed iteration (the state *before* the trial, the
-    /// arc that was relaxed and the trial's state-graph size) into both
-    /// detectors. Returns the witness if either detector fires under
-    /// [`DivergencePolicy::Bail`]; a no-op under
-    /// [`DivergencePolicy::Exhaust`]. Ledger growth counts into
+    /// Records the pre-trial loop state — `mg` with a guaranteed set of
+    /// `guaranteed` arcs — at iteration `out.iterations`. Returns the
+    /// witness when its token vector covers an earlier visit's on the same
+    /// skeleton, naming the most recent such visit. New keys count into
     /// `out.metrics`.
     pub(crate) fn observe(
         &mut self,
-        fingerprint: u64,
-        guaranteed_len: usize,
-        relaxable: usize,
-        arc_text: &str,
-        sg_states: usize,
+        mg: &MgStg,
+        guaranteed: usize,
         out: &mut ExpandOutcome,
     ) -> Option<DivergenceWitness> {
-        if self.policy == DivergencePolicy::Exhaust {
-            return None;
+        let key = extend_fingerprint(mg.skeleton_fingerprint(), [guaranteed as u64]);
+        let start = self.tokens.len();
+        self.tokens.extend(mg.arc_tokens());
+        let current = &self.tokens[start..];
+        let prev = self.latest.get(&key).copied();
+        if prev.is_none() {
+            out.metrics.sched_fingerprints += 1;
         }
-        // Rotate the watchdog window, reusing the evicted sample's string
-        // so the steady state allocates nothing.
-        if self.window > 0 {
-            if self.ring.len() == self.window {
-                let mut s = self.ring.pop_front().expect("ring is full");
-                s.arc.clear();
-                s.arc.push_str(arc_text);
-                s.sg_states = sg_states;
-                self.ring.push_back(s);
-            } else {
-                self.ring.push_back(Sample {
-                    arc: arc_text.to_string(),
-                    sg_states,
+        let mut earlier = prev;
+        while let Some(index) = earlier {
+            let visit = &self.visits[index];
+            let old = &self.tokens[visit.tokens.clone()];
+            if old.len() == current.len() && current.iter().zip(old).all(|(new, old)| new >= old) {
+                let arcs: Vec<String> = mg
+                    .arcs()
+                    .zip(current.iter().zip(old))
+                    .filter(|(_, (new, old))| new > old)
+                    .map(|(((a, b), _), _)| {
+                        format!("{} => {}", mg.label_string(a), mg.label_string(b))
+                    })
+                    .collect();
+                return Some(DivergenceWitness {
+                    kind: if arcs.is_empty() {
+                        DivergenceKind::RepeatedState
+                    } else {
+                        DivergenceKind::TokenPump
+                    },
+                    iteration: out.iterations,
+                    since: visit.iteration,
+                    arcs,
                 });
             }
+            earlier = visit.prev;
         }
-        // Progress ledger: a revisit with an unchanged guaranteed-set size
-        // is an exact repetition of the loop state.
-        match self.ledger.entry(fingerprint) {
-            Entry::Vacant(v) => {
-                v.insert(guaranteed_len);
-                out.metrics.sched_fingerprints += 1;
-            }
-            Entry::Occupied(mut o) => {
-                if *o.get() == guaranteed_len {
-                    return Some(self.witness(DivergenceKind::RepeatedState, out.iterations));
-                }
-                o.insert(guaranteed_len);
-            }
-        }
-        // Contraction watchdog: equal-to-minimum does NOT reset the
-        // counter — an oscillating band keeps touching its floor without
-        // ever contracting below it.
-        if relaxable < self.min_relaxable {
-            self.min_relaxable = relaxable;
-            self.since_min = 0;
-        } else {
-            self.since_min += 1;
-        }
-        if self.window > 0 && self.since_min >= self.window {
-            let oldest = self.ring.front().expect("window elapsed");
-            if sg_states >= oldest.sg_states {
-                return Some(self.witness(DivergenceKind::NonContraction, out.iterations));
-            }
-        }
+        self.latest.insert(key, self.visits.len());
+        self.visits.push(Visit {
+            iteration: out.iterations,
+            prev,
+            tokens: start..self.tokens.len(),
+        });
         None
-    }
-
-    fn witness(&self, kind: DivergenceKind, iteration: usize) -> DivergenceWitness {
-        let skip = self.ring.len().saturating_sub(WITNESS_ARCS);
-        DivergenceWitness {
-            kind,
-            iteration,
-            arcs: self.ring.iter().skip(skip).map(|s| s.arc.clone()).collect(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use si_stg::parse_astg;
 
-    /// Runs `steps` iterations of `(fingerprint, glen, relaxable,
-    /// sg_states)` through a scheduler and returns the first witness.
-    fn drive(
-        sched: &mut TrialScheduler,
-        out: &mut ExpandOutcome,
-        steps: impl IntoIterator<Item = (u64, usize, usize, usize)>,
-    ) -> Option<DivergenceWitness> {
-        for (fp, glen, relaxable, sg) in steps {
+    /// A three-signal ring: `a+ ⇒ b+ ⇒ c+ ⇒ a- ⇒ b- ⇒ c- ⇒ a+`.
+    fn ring() -> MgStg {
+        let stg = parse_astg(
+            "\
+.model ring
+.inputs a b
+.outputs c
+.graph
+a+ b+
+b+ c+
+c+ a-
+a- b-
+b- c-
+c- a+
+.marking { <c-,a+> }
+.end
+",
+        )
+        .expect("valid STG");
+        MgStg::from_stg_mg(&stg).expect("marked graph")
+    }
+
+    /// `mg` with `tokens` on the arc `src ⇒ dst` (rendered labels).
+    fn with_tokens(mg: &MgStg, src: &str, dst: &str, tokens: u32) -> MgStg {
+        let (a, b) = (
+            mg.transition_by_label(src).expect("src"),
+            mg.transition_by_label(dst).expect("dst"),
+        );
+        let mut mg = mg.clone();
+        let attr = mg.remove_arc(a, b).expect("arc exists");
+        mg.insert_arc(a, b, tokens, attr.restriction);
+        mg
+    }
+
+    /// The ring with its token moved from `c- ⇒ a+` to `a+ ⇒ b+`: one arc
+    /// up, another down, so neither token vector covers the other.
+    fn moved(mg: &MgStg) -> MgStg {
+        with_tokens(&with_tokens(mg, "a+", "b+", 1), "c-", "a+", 0)
+    }
+
+    /// Feeds `(mg, guaranteed)` loop states to a fresh ledger, one per
+    /// iteration, and returns the first witness.
+    fn drive(states: &[(&MgStg, usize)], out: &mut ExpandOutcome) -> Option<DivergenceWitness> {
+        let mut ledger = CoveringLedger::for_policy(DivergencePolicy::Bail).expect("bail");
+        for &(mg, guaranteed) in states {
             out.iterations += 1;
-            let arc = format!("a{fp} => b{fp}");
-            if let Some(w) = sched.observe(fp, glen, relaxable, &arc, sg, out) {
+            if let Some(w) = ledger.observe(mg, guaranteed, out) {
                 return Some(w);
             }
         }
@@ -246,103 +272,60 @@ mod tests {
 
     #[test]
     fn exhaust_policy_never_trips() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Exhaust, 2);
-        let mut out = ExpandOutcome::default();
-        // The same state over and over: both detectors would fire.
-        let w = drive(&mut sched, &mut out, (0..100).map(|_| (7, 0, 5, 10)));
-        assert_eq!(w, None);
-        assert_eq!(out.metrics.sched_fingerprints, 0);
+        // No ledger, so nothing fingerprints and nothing trips.
+        assert!(CoveringLedger::for_policy(DivergencePolicy::Exhaust).is_none());
+        assert!(CoveringLedger::for_policy(DivergencePolicy::Bail).is_some());
     }
 
     #[test]
     fn repeated_state_trips_the_ledger() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 64);
+        let mg = ring();
+        let other = moved(&mg);
         let mut out = ExpandOutcome::default();
-        let w = drive(
-            &mut sched,
-            &mut out,
-            [(1, 0, 5, 10), (2, 0, 5, 12), (1, 0, 5, 10)],
-        )
-        .expect("cycle detected");
+        // The second state does not cover the first; the third is the
+        // first again.
+        let w = drive(&[(&mg, 0), (&other, 0), (&mg, 0)], &mut out).expect("cycle detected");
         assert_eq!(w.kind, DivergenceKind::RepeatedState);
-        assert_eq!(w.iteration, 3);
-        assert_eq!(out.metrics.sched_fingerprints, 2);
+        assert_eq!((w.iteration, w.since), (3, 1));
+        assert!(w.arcs.is_empty());
+        assert_eq!(
+            w.to_string(),
+            "repeated state at iteration 3 (repeats iteration 1)"
+        );
+        // One skeleton, visited three times.
+        assert_eq!(out.metrics.sched_fingerprints, 1);
+    }
+
+    #[test]
+    fn a_covering_vector_is_a_token_pump() {
+        let mg = ring();
+        let pumped = with_tokens(&mg, "b+", "c+", 2);
+        let mut out = ExpandOutcome::default();
+        let w = drive(&[(&mg, 0), (&pumped, 0)], &mut out).expect("pump detected");
+        assert_eq!(w.kind, DivergenceKind::TokenPump);
+        assert_eq!((w.iteration, w.since), (2, 1));
+        assert_eq!(w.arcs, vec!["b+ => c+"]);
+        assert_eq!(
+            w.to_string(),
+            "token pump at iteration 2 (covers iteration 1); growing arcs: b+ => c+"
+        );
+    }
+
+    #[test]
+    fn incomparable_token_vectors_give_no_verdict() {
+        let mg = ring();
+        let mut out = ExpandOutcome::default();
+        assert_eq!(drive(&[(&mg, 0), (&moved(&mg), 0)], &mut out), None);
     }
 
     #[test]
     fn a_grown_guaranteed_set_is_progress_not_a_cycle() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 64);
+        let mg = ring();
+        let pumped = with_tokens(&mg, "b+", "c+", 1);
         let mut out = ExpandOutcome::default();
-        // Same fingerprint, but the guaranteed set grew in between: the
-        // loop state did not repeat.
-        let w = drive(&mut sched, &mut out, [(1, 0, 5, 10), (1, 1, 4, 10)]);
-        assert_eq!(w, None);
-    }
-
-    #[test]
-    fn stalled_minimum_trips_the_watchdog() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 4);
-        let mut out = ExpandOutcome::default();
-        // Relaxable oscillates in a band touching its floor; the SG grows.
-        let band = [3usize, 5, 4, 3, 6, 3, 5, 4];
-        let w = drive(
-            &mut sched,
-            &mut out,
-            (0..20).map(|i| (i as u64, 0, band[i % band.len()], 10 + i)),
-        )
-        .expect("watchdog fired");
-        assert_eq!(w.kind, DivergenceKind::NonContraction);
-        assert!(!w.arcs.is_empty() && w.arcs.len() <= 4);
-    }
-
-    #[test]
-    fn fresh_minima_keep_the_watchdog_quiet() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 4);
-        let mut out = ExpandOutcome::default();
-        // Every 3rd iteration contracts strictly: converging behaviour.
-        let w = drive(
-            &mut sched,
-            &mut out,
-            (0..30).map(|i| (i as u64, 0, 100 - i / 3, 10 + i)),
-        );
-        assert_eq!(w, None);
-    }
-
-    #[test]
-    fn a_shrinking_state_graph_vetoes_the_watchdog() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 4);
-        let mut out = ExpandOutcome::default();
-        // No new minima, but the SG is strictly shrinking across the
-        // window — that is contraction in the other currency.
-        let w = drive(
-            &mut sched,
-            &mut out,
-            (0..6).map(|i| (i as u64, 0, 5, 100 - i)),
-        );
-        assert_eq!(w, None);
-    }
-
-    #[test]
-    fn witness_arcs_are_capped_and_oldest_first() {
-        let mut sched = TrialScheduler::new(DivergencePolicy::Bail, 32);
-        let mut out = ExpandOutcome::default();
-        let w = drive(
-            &mut sched,
-            &mut out,
-            (0..40).map(|i| (i as u64, 0, 5, 10 + i)),
-        )
-        .expect("watchdog fired");
-        assert_eq!(w.arcs.len(), WITNESS_ARCS);
-        let first: Vec<&str> = w.arcs[0].split(' ').collect();
-        let last: Vec<&str> = w.arcs[WITNESS_ARCS - 1].split(' ').collect();
-        assert!(first[0] < last[0], "oldest first: {:?}", w.arcs);
-        assert_eq!(
-            w.to_string(),
-            format!(
-                "non-contracting window at iteration {}; trailing arcs: {}",
-                w.iteration,
-                w.arcs.join(", ")
-            )
-        );
+        // The same arc skeleton, equal or covering tokens, but the
+        // guaranteed set grew in between: a new loop state.
+        assert_eq!(drive(&[(&mg, 0), (&mg, 1), (&pumped, 2)], &mut out), None);
+        assert_eq!(out.metrics.sched_fingerprints, 3);
     }
 }

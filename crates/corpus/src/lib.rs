@@ -42,12 +42,13 @@ pub use spec::{
 ///
 /// A small fraction of generated circuits (high-concurrency fork shapes —
 /// `corpus-000000bd`, seed 189, is the canonical specimen) drive the
-/// per-gate relaxation loop into superlinear blowup: each trial grows the
-/// local STG, so exhausting an iteration budget translates to hours on
-/// one circuit. Historically harnesses capped `expand_budget` at 400;
-/// since the trial scheduler landed they run at the real default budget
-/// and rely on [`si_core::DivergencePolicy::Bail`], which aborts a
-/// non-converging gate within one watchdog window. Divergences surface as
+/// per-gate relaxation loop into a token pump: each round adds tokens and
+/// grows the local state graph, so exhausting an iteration budget
+/// translates to hours on one circuit. Historically harnesses capped
+/// `expand_budget` at 400; they now run at the real default budget and
+/// rely on [`si_core::DivergencePolicy::Bail`], whose covering ledger
+/// aborts such a gate once a loop state comes back covering an earlier
+/// one (within 100 iterations on every corpus row). Divergences surface as
 /// ordinary deterministic [`si_core::CoreError::Diverged`] values, which
 /// differential comparison covers like any other payload — the verdict
 /// (gate and witness) is independent of caching, parallelism and warmth,

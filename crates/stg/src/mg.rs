@@ -187,11 +187,30 @@ impl MgStg {
     /// Equal [`SgKey`]s always yield equal fingerprints; the converse
     /// holds only up to 64-bit collision odds. The engine's memo uses the
     /// fingerprint only to pick a slot and compares the stored key
-    /// ([`SgKey::matches`]); the relaxation scheduler's progress ledger
-    /// uses it alone, where a (vanishingly unlikely, but deterministic)
-    /// false merge is tolerable and `sg_key`'s two `Vec` allocations per
-    /// iteration are not.
+    /// ([`SgKey::matches`]).
     pub fn sg_fingerprint(&self) -> u64 {
+        self.fingerprint_with(|attr| u64::from(attr.tokens))
+    }
+
+    /// The token-free counterpart of [`MgStg::sg_fingerprint`]: the same
+    /// word stream with each arc's restriction flag in place of its token
+    /// count. Two graphs that differ only in their tokens share it; their
+    /// token vectors ([`MgStg::arc_tokens`]) tell them apart. The
+    /// relaxation loop's covering ledger keys its visits by it.
+    pub fn skeleton_fingerprint(&self) -> u64 {
+        self.fingerprint_with(|attr| u64::from(attr.restriction))
+    }
+
+    /// The token count of every arc, in arc-key order (the order of
+    /// [`MgStg::arcs`]).
+    pub fn arc_tokens(&self) -> impl Iterator<Item = u32> + '_ {
+        self.arcs.values().map(|attr| attr.tokens)
+    }
+
+    /// The one word stream behind both fingerprints: the initial code, the
+    /// alive transitions with ids and labels, then per arc its endpoints
+    /// and `arc_word` of its attributes.
+    fn fingerprint_with(&self, arc_word: impl Fn(ArcAttr) -> u64) -> u64 {
         let transitions = self.key_transitions().flat_map(|(t, l)| {
             let polarity = match l.polarity {
                 crate::Polarity::Plus => 1,
@@ -205,8 +224,9 @@ impl MgStg {
             ]
         });
         let arcs = self
-            .key_arcs()
-            .flat_map(|(a, b, tokens)| [a as u64, b as u64, u64::from(tokens)]);
+            .arcs
+            .iter()
+            .flat_map(|(&(a, b), &attr)| [a as u64, b as u64, arc_word(attr)]);
         let words = std::iter::once(self.initial_code)
             .chain(transitions)
             .chain(arcs);
@@ -855,6 +875,36 @@ mod tests {
         restricted.insert_arc(names["b-"], names["a-"], 0, true);
         assert_eq!(restricted.sg_key(), mg.sg_key());
         assert_eq!(restricted.sg_fingerprint(), before);
+    }
+
+    #[test]
+    fn skeleton_fingerprint_swaps_tokens_for_restriction_flags() {
+        let (mg, names) = sr_latch_local();
+        let skeleton = mg.skeleton_fingerprint();
+        assert_ne!(skeleton, mg.sg_fingerprint());
+        // Tokens are not part of the skeleton; `arc_tokens` carries them,
+        // one per arc in arc-key order.
+        let mut tokens = mg.clone();
+        tokens.remove_arc(names["b-"], names["a-"]);
+        tokens.insert_arc(names["b-"], names["a-"], 3, false);
+        assert_eq!(tokens.skeleton_fingerprint(), skeleton);
+        let grown: Vec<(u32, u32)> = mg.arc_tokens().zip(tokens.arc_tokens()).collect();
+        assert_eq!(grown.len(), mg.arc_count());
+        let changed: Vec<(usize, usize)> = mg
+            .arcs()
+            .zip(&grown)
+            .filter(|(_, (old, new))| old != new)
+            .map(|((arc, _), _)| arc)
+            .collect();
+        assert_eq!(changed, vec![(names["b-"], names["a-"])]);
+        // Restriction flags and the arc structure are.
+        let mut restricted = mg.clone();
+        restricted.remove_arc(names["b-"], names["a-"]);
+        restricted.insert_arc(names["b-"], names["a-"], 0, true);
+        assert_ne!(restricted.skeleton_fingerprint(), skeleton);
+        let mut edited = mg.clone();
+        edited.remove_arc(names["b-"], names["a-"]);
+        assert_ne!(edited.skeleton_fingerprint(), skeleton);
     }
 
     #[test]

@@ -46,9 +46,7 @@ OPTIONS:
     -f, --format <FMT>    output format: text (default), json or sexp
                           (the S-expression constraint report of
                           docs/interchange.md)
-        --order <ORDER>   relaxation order: tightest (default), lex or
-                          contraction (prefer arcs whose relaxation
-                          inserts the fewest new bypass arcs)
+        --order <ORDER>   relaxation order: tightest (default) or lex
         --no-cache        run the reference path: marking-keyed state
                           graphs, no state-graph, projection or
                           decompose memo (escape hatch; output is
@@ -118,12 +116,7 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
             "--order" => match it.next().map(String::as_str) {
                 Some("tightest") => config.order = RelaxationOrder::TightestFirst,
                 Some("lex") => config.order = RelaxationOrder::Lexicographic,
-                Some("contraction") => config.order = RelaxationOrder::ContractionFirst,
-                _ => {
-                    return ArgsOutcome::Error(
-                        "--order expects `tightest`, `lex` or `contraction`".into(),
-                    )
-                }
+                _ => return ArgsOutcome::Error("--order expects `tightest` or `lex`".into()),
             },
             "--no-cache" => config.cache = false,
             flag if flag.starts_with('-') => {

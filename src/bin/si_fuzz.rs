@@ -27,8 +27,14 @@
 //! `docs/interchange.md`) bit-identically. A divergence is minimized and
 //! reported through the same reproducer machinery as an engine mismatch.
 //!
-//! Exit codes: `0` no divergence, `1` divergence found (reproducer on
-//! stdout and in the artifact file), `3` usage error.
+//! Every bail is audited too: a seed whose full-featured payload is
+//! `Diverged` re-runs on a fresh default engine under
+//! [`DivergencePolicy::Exhaust`] for [`AUDIT_BUDGET`] iterations. The
+//! covering ledger's token-pump sign is a heuristic, so a bailed seed that
+//! converges there is a fault, minimized and reported like the others.
+//!
+//! Exit codes: `0` no fault, `1` fault found (reproducer on stdout and in
+//! the artifact file), `3` usage error.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,8 +42,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use si_corpus::{generate, harness_config, CorpusSpec, GeneratedCircuit, MarkingStyle, Reproducer};
-use si_redress::core::{ConstraintReport, CoreError, Engine, EngineConfig};
+use si_redress::boolean::GateLibrary;
+use si_redress::core::{ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig};
 use si_redress::lint::LintOptions;
+use si_redress::stg::Stg;
 use si_redress::synth::synthesize;
 
 const USAGE: &str = "\
@@ -48,7 +56,9 @@ Differential fuzzing: seeded synthetic circuits through the full-featured
 engine vs the pinned sequential reference; any divergence in constraints,
 verdicts or error values fails the run with a minimized reproducer. The
 S-expression interchange round-trip is checked on every seed as a cheap
-extra oracle under the same contract.
+extra oracle under the same contract, and every `Diverged` bail is
+re-run under the Exhaust policy for 1000 iterations: a bail that
+converges there fails the run too.
 
 OPTIONS:
         --seeds <N>        number of seeds to scan (default 1000)
@@ -64,8 +74,8 @@ OPTIONS:
     -h, --help             print this help and exit
 
 EXIT CODES:
-    0    no divergence over the scanned seeds
-    1    divergence found; reproducer printed and written to the artifact
+    0    no fault over the scanned seeds
+    1    fault found; reproducer printed and written to the artifact
     3    usage error
 ";
 
@@ -118,13 +128,37 @@ fn parse_num(s: &str) -> Result<u64, String> {
 /// times and cache counters are config-dependent by design and excluded.
 type Payload = Result<ConstraintReport, CoreError>;
 
+/// The iteration budget of the bail audit's `Exhaust` re-run. Every corpus
+/// bail at 12 signals exhausts it in 0.4–1.4 s (release build, 2-vCPU
+/// host), which keeps the CI scan short.
+const AUDIT_BUDGET: usize = 1000;
+
 /// Synthesizes the netlist once and runs it through both engines (they
-/// share the same state budget, so one library serves both).
-fn payloads(full: &Engine, reference: &Engine, c: &GeneratedCircuit) -> Option<(Payload, Payload)> {
+/// share the same state budget, so one library serves both). Returns
+/// both payloads, plus the bail audit's when the full-featured one is
+/// `Diverged`.
+fn payloads(
+    full: &Engine,
+    reference: &Engine,
+    c: &GeneratedCircuit,
+) -> Option<(Payload, Payload, Option<Payload>)> {
     let library = synthesize(&c.stg, full.config().global_sg_budget).ok()?;
     let a = full.run(&c.stg, &library).map(|report| report.report);
     let b = reference.run(&c.stg, &library).map(|report| report.report);
-    Some((a, b))
+    let audit = matches!(a, Err(CoreError::Diverged { .. })).then(|| audit(&c.stg, &library));
+    Some((a, b, audit))
+}
+
+/// Re-runs a bailed circuit on a fresh default engine that keeps no
+/// ledger and relaxes for at most [`AUDIT_BUDGET`] iterations per gate.
+fn audit(stg: &Stg, library: &GateLibrary) -> Payload {
+    Engine::new(EngineConfig {
+        divergence_policy: DivergencePolicy::Exhaust,
+        expand_budget: AUDIT_BUDGET,
+        ..EngineConfig::default()
+    })
+    .run(stg, library)
+    .map(|report| report.report)
 }
 
 /// What went wrong on one seed.
@@ -133,6 +167,9 @@ enum Fault {
     Guarantee(usize),
     /// Full-featured and reference engines disagree.
     Diverged(Box<Payload>, Box<Payload>),
+    /// The full-featured engine bailed, but the audit's `Exhaust` re-run
+    /// converges.
+    BailConverged(Box<Payload>, Box<ConstraintReport>),
     /// The S-expression interchange round-trip lost or changed a fact.
     SexpRoundTrip(String),
 }
@@ -181,12 +218,18 @@ fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<Fault> {
     if let Some(detail) = sexp_divergence(&c.g_text) {
         return Some(Fault::SexpRoundTrip(detail));
     }
-    let (full, reference) = payloads(
+    let (full, reference, audit) = payloads(
         &Engine::new(harness_config(EngineConfig::default())),
         &Engine::new(harness_config(EngineConfig::reference())),
         &c,
     )?;
-    (full != reference).then(|| Fault::Diverged(Box::new(full), Box::new(reference)))
+    if full != reference {
+        return Some(Fault::Diverged(Box::new(full), Box::new(reference)));
+    }
+    match audit {
+        Some(Ok(report)) => Some(Fault::BailConverged(Box::new(full), Box::new(report))),
+        _ => None,
+    }
 }
 
 /// Greedily shrinks the spec while the fault persists: fewer signals,
@@ -239,6 +282,9 @@ fn describe(fault: &Fault) -> String {
         }
         Fault::Diverged(full, reference) => format!(
             "engine diverges from reference\n--- full-featured ---\n{full:?}\n--- reference ---\n{reference:?}"
+        ),
+        Fault::BailConverged(bail, report) => format!(
+            "bail converges under Exhaust ({AUDIT_BUDGET} iterations)\n--- full-featured ---\n{bail:?}\n--- exhaust ---\n{report:?}"
         ),
         Fault::SexpRoundTrip(detail) => {
             format!("sexp round-trip oracle violated: {detail}")
@@ -294,7 +340,7 @@ fn main() -> ExitCode {
                 ExitCode::from(1)
             }
             None => {
-                println!("ok: {repro} shows no divergence (or is skipped by synthesis)");
+                println!("ok: {repro} shows no fault (or is skipped by synthesis)");
                 ExitCode::SUCCESS
             }
         };
@@ -313,16 +359,19 @@ fn main() -> ExitCode {
     // re-verified with fresh cold engines before being reported. Both
     // sides run with the divergence bail-out forced on (see
     // `si_corpus::harness_config`) at the real default iteration budget:
-    // pathological fork shapes abort deterministically within one
-    // watchdog window instead of spending hours in one circuit's
+    // token pumps abort deterministically once the covering ledger sees a
+    // loop state come back, instead of spending hours in one circuit's
     // relaxation loop, and the `Diverged` verdict is itself a compared
-    // payload.
+    // payload. Each bail is then audited on the same worker, under
+    // `Exhaust` on a fresh engine.
     let full = Engine::new(harness_config(EngineConfig::default()));
     let reference = Engine::new(harness_config(EngineConfig::reference()));
     let next = AtomicU64::new(args.start);
     let end = args.start.saturating_add(args.seeds);
     let compared = AtomicU64::new(0);
     let skipped = AtomicU64::new(0);
+    let audited = AtomicU64::new(0);
+    let converged = AtomicU64::new(0);
     let suspects: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     let started = Instant::now();
 
@@ -345,12 +394,20 @@ fn main() -> ExitCode {
                     suspects.lock().expect("suspects").push(seed);
                     continue;
                 }
-                let Some((a, b)) = payloads(&full, &reference, &c) else {
+                let Some((a, b, audit)) = payloads(&full, &reference, &c) else {
                     skipped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 };
                 compared.fetch_add(1, Ordering::Relaxed);
-                if a != b {
+                let mut fault = a != b;
+                if let Some(audit) = audit {
+                    audited.fetch_add(1, Ordering::Relaxed);
+                    if audit.is_ok() {
+                        converged.fetch_add(1, Ordering::Relaxed);
+                        fault = true;
+                    }
+                }
+                if fault {
                     suspects.lock().expect("suspects").push(seed);
                 }
             });
@@ -374,6 +431,11 @@ fn main() -> ExitCode {
         end,
         started.elapsed().as_secs_f64(),
         suspects.len(),
+    );
+    println!(
+        "audited {} bails under Exhaust ({AUDIT_BUDGET} iterations): {} converged",
+        audited.load(Ordering::Relaxed),
+        converged.load(Ordering::Relaxed),
     );
     match (confirmed, suspects.is_empty()) {
         (Some(&seed), _) => report_fault(seed, args.max_signals, &args.artifact),

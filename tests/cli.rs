@@ -130,16 +130,23 @@ fn check_hazard_help_exits_zero() {
 
 #[test]
 fn check_hazard_rejects_unknown_options() {
-    // The removed per-layer reuse flags are unknown options now.
-    for flag in ["--frobnicate", "--no-memo", "--no-sigma-cold"] {
+    // The removed per-layer reuse flags are unknown options now, and the
+    // removed `contraction` order is an unknown `--order` value.
+    for args in [
+        &["--frobnicate"][..],
+        &["--no-memo"],
+        &["--no-sigma-cold"],
+        &["--order", "contraction"],
+    ] {
         let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-            .args([flag, "a.g", "b.eqn"])
+            .args(args)
+            .args(["a.g", "b.eqn"])
             .output()
             .expect("binary runs");
-        assert_eq!(output.status.code(), Some(3), "{flag}");
+        assert_eq!(output.status.code(), Some(3), "{args:?}");
         assert!(
-            String::from_utf8_lossy(&output.stderr).contains(flag),
-            "{flag}"
+            String::from_utf8_lossy(&output.stderr).contains(args[0]),
+            "{args:?}"
         );
     }
 }

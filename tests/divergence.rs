@@ -1,10 +1,11 @@
-//! Divergence determinism: the trial scheduler's `Diverged` verdict is a
-//! *semantic* output, so it must be bit-identical — same gate, same
-//! detector, same iteration, same trailing arc sequence — across every
-//! engine configuration, over cold, admitting and warm runs, exactly like
-//! the constraint sets are. And on circuits that do converge, the scheduler must be
-//! invisible: scheduler-on output ≡ scheduler-off output on all bundled
-//! benchmarks and corpus golden fixtures.
+//! Divergence determinism: the covering ledger's `Diverged` verdict is a
+//! *semantic* output, so it must be bit-identical — same gate, same sign,
+//! same iteration, same covered iteration, same growing arcs — across
+//! every engine configuration, over cold, admitting and warm runs, exactly
+//! like the constraint sets are. And on circuits that do converge, the
+//! ledger must be invisible: ledger-on output ≡ ledger-off output on all
+//! bundled benchmarks, the corpus golden fixtures and the one converging
+//! corpus row that ever puts two tokens on an arc.
 
 use proptest::prelude::*;
 use si_redress::core::{CoreError, DivergencePolicy, Engine, EngineConfig};
@@ -24,20 +25,15 @@ fn seed_189() -> (si_redress::stg::Stg, si_redress::boolean::GateLibrary) {
 #[test]
 fn seed_189_verdict_is_identical_across_the_differential_matrix() {
     let (stg, library) = seed_189();
-    // A small watchdog window keeps 8 full derivations affordable in
-    // debug builds; the window is held constant across the matrix, so
-    // the determinism claim is exercised in full. (The default-window
-    // verdict and its sub-second wall clock are pinned by the golden
-    // suite.)
-    let window = 16;
-    let expected = Engine::new(EngineConfig {
-        divergence_window: window,
-        ..EngineConfig::default()
-    })
-    .run(&stg, &library)
-    .expect_err("seed 189 must diverge");
+    // The ledger bails at iteration 67, so the whole matrix stays
+    // affordable in debug builds. (The verdict's rendering and its
+    // sub-second wall clock are pinned by the golden suite.)
+    let expected = Engine::new(EngineConfig::default())
+        .run(&stg, &library)
+        .expect_err("seed 189 must diverge");
     assert!(
-        matches!(&expected, CoreError::Diverged { gate, .. } if gate == "o2"),
+        matches!(&expected, CoreError::Diverged { gate, witness }
+            if gate == "o2" && witness.iteration == 67),
         "got: {expected}"
     );
     for cache in [false, true] {
@@ -45,7 +41,6 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
             let config = EngineConfig {
                 cache,
                 jobs,
-                divergence_window: window,
                 ..EngineConfig::default()
             };
             // The caches store a graph on its second request: the second
@@ -119,7 +114,10 @@ fn corpus_fixture_specs() -> Vec<(CorpusSpec, u64)> {
 fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
     // On every bundled benchmark and corpus golden fixture the loop
     // converges, so Bail vs Exhaust must be indistinguishable — the
-    // scheduler may only ever change the outcome of a diverging gate.
+    // ledger may only ever change the outcome of a diverging gate. So
+    // does corpus seed 822 at 12 signals, the one corpus row that puts a
+    // second token on an arc (at iteration 235) and then converges: the
+    // ledger must not mistake it for a pump.
     let bail = Engine::new(EngineConfig::default());
     assert_eq!(
         bail.config().divergence_policy,
@@ -139,7 +137,7 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
         // nothing tripped.
         if on.report.iterations > 0 {
             let relax: usize = on.gates.iter().map(|g| g.relax.sched_fingerprints).sum();
-            assert!(relax > 0, "{}: scheduler never observed", bench.name);
+            assert!(relax > 0, "{}: ledger never observed", bench.name);
         }
         let off_sched: usize = off.gates.iter().map(|g| g.relax.sched_fingerprints).sum();
         assert_eq!(
@@ -148,7 +146,8 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
             bench.name
         );
     }
-    for (spec, seed) in corpus_fixture_specs() {
+    let near_miss = (CorpusSpec::from_seed(822, 12), 822);
+    for (spec, seed) in corpus_fixture_specs().into_iter().chain([near_miss]) {
         let circuit = generate(&spec, seed);
         let library = synthesize(&circuit.stg, EngineConfig::default().global_sg_budget)
             .expect("fixture synthesizes");
@@ -165,7 +164,7 @@ fn exhaust_policy_keeps_the_historical_budget_semantics() {
     // burn-the-budget behaviour, erroring with the budget rather than a
     // divergence verdict. Pinned at the old 400-iteration harness cap —
     // the default 20 000 budget is exactly the hours-long tarpit the
-    // scheduler exists to avoid.
+    // ledger exists to avoid.
     let (stg, library) = seed_189();
     let config = EngineConfig {
         expand_budget: 400,
@@ -209,16 +208,39 @@ fn an_exhausting_gate_does_not_fill_the_cache() {
     assert!(stats.entries <= 2, "{stats:?}");
 }
 
+#[test]
+fn si_fuzz_audits_every_bail_under_exhaust() {
+    // Corpus seed 387 at 12 signals bails as a token pump at iteration
+    // 15. The fuzz scan re-runs it on a fresh engine under `Exhaust` for
+    // 1000 iterations, where it does not converge either: one audit, no
+    // fault.
+    let artifact = std::env::temp_dir().join(format!(
+        "si-redress-divergence-{}-si_fuzz_failure.txt",
+        std::process::id()
+    ));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_si_fuzz"))
+        .args(["--start", "387", "--seeds", "1", "--max-signals", "12"])
+        .arg("--artifact")
+        .arg(&artifact)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("audited 1 bails under Exhaust (1000 iterations): 0 converged"),
+        "{stdout}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random corpus circuits under an aggressively small watchdog
-    /// window (8): trips are common, and whatever the verdict —
-    /// convergence, divergence or any other error — it must be
-    /// payload-identical across cache/parallel configs, over a cold, an
-    /// admitting and a warm run.
+    /// Random corpus circuits: whatever the verdict — convergence,
+    /// divergence or any other error — it must be payload-identical
+    /// across cache/parallel configs, over a cold, an admitting and a warm
+    /// run.
     #[test]
-    fn random_circuits_agree_on_the_verdict_under_a_tiny_window(
+    fn random_circuits_agree_on_the_verdict_across_configurations(
         (spec, seed) in strategies::corpus_case()
     ) {
         let circuit = generate(&spec, seed);
@@ -228,15 +250,13 @@ proptest! {
             // pinned elsewhere.
             return Ok(());
         };
-        let window = 8;
         let configs = [
-            EngineConfig { divergence_window: window, ..EngineConfig::default() },
+            EngineConfig::default(),
             EngineConfig {
-                divergence_window: window,
                 divergence_policy: DivergencePolicy::Bail,
                 ..EngineConfig::reference()
             },
-            EngineConfig { divergence_window: window, ..EngineConfig::parallel(4) },
+            EngineConfig::parallel(4),
         ];
         let render = |r: &Result<si_redress::core::EngineReport, CoreError>| match r {
             Ok(out) => format!("ok|{:?}|{:?}", out.report.constraints, out.report.trace),

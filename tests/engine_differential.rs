@@ -169,7 +169,6 @@ fn relaxation_order_is_respected_under_parallel_fanout() {
     for order in [
         RelaxationOrder::TightestFirst,
         RelaxationOrder::Lexicographic,
-        RelaxationOrder::ContractionFirst,
     ] {
         let reference =
             si_redress::core::derive_timing_constraints_with_order(&stg, &library, order)

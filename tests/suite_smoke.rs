@@ -1,7 +1,6 @@
 //! Smoke test over the bundled benchmark corpus: every Table 7.2 entry
-//! must load and synthesize. The criterion benches also panic with the
-//! circuit name when a load fails; this test is the first line of
-//! defence, reporting every broken circuit at once.
+//! must load and synthesize. This test is the first line of defence,
+//! reporting every broken circuit at once.
 
 #[test]
 fn all_bundled_benchmarks_load() {

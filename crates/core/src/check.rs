@@ -93,7 +93,7 @@ fn local_verdict(local: &LocalStg, sg: &StateGraph, s: usize) -> LocalVerdict {
     let o = local.ctx.output;
     let code = sg.code(s);
     if sg.is_excited(s, o) {
-        for &(t, _) in &sg.edges[s] {
+        for &(t, _) in sg.edges(s) {
             let l = sg.label(t);
             if l.signal != o {
                 continue;
@@ -210,7 +210,7 @@ fn pending_of(
     let mut stack = vec![state];
     seen[state] = true;
     'dfs: while let Some(s) = stack.pop() {
-        for &(t, j) in &sg.edges[s] {
+        for &(t, j) in sg.edges(s) {
             if t == t_out {
                 continue; // stop at the output transition
             }

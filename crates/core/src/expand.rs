@@ -471,7 +471,7 @@ fn recurse(
 fn first_lagging_output(local: &LocalStg, sg: &StateGraph, lagging: &[usize]) -> Option<usize> {
     let o = local.ctx.output;
     for &s in lagging {
-        for &(t, _) in &sg.edges[s] {
+        for &(t, _) in sg.edges(s) {
             if sg.label(t).signal == o {
                 return Some(t);
             }

@@ -68,7 +68,7 @@ pub fn find_candidate_clauses(
                 if !in_qr(s) || f(s) {
                     continue;
                 }
-                for &(_, s2) in &sg.edges[s] {
+                for &(_, s2) in sg.edges(s) {
                     if in_qr(s2) && f(s2) && cube.eval(local.ctx.pack(sg.code(s2))) {
                         is_candidate = true;
                         break 'scan;

@@ -7,10 +7,12 @@
 //! labels over [`si_petri::PetriNet`], parses and writes the textual `.g`
 //! format used by petrify-era tools, converts marked-graph components into
 //! the transition-level [`MgStg`] form that the relaxation engine
-//! manipulates, generates binary-coded state graphs ([`StateGraph`]) with
-//! the region machinery of thesis Sec. 3.4 — including the allocation-free
-//! σ-space explorer ([`StateGraph::of_mg_sigma`]) that keys marked-graph
-//! states by normalized firing counts, checked against the marking-keyed
+//! manipulates, generates binary-coded state graphs ([`StateGraph`], every
+//! edge in one flat array read per state through [`StateGraph::edges`])
+//! with the region machinery of thesis Sec. 3.4 — including the σ-space
+//! explorer ([`StateGraph::of_mg_sigma`]) that keys marked-graph states by
+//! normalized firing counts, works in per-thread scratch buffers and
+//! allocates only the graph it returns, checked against the marking-keyed
 //! [`StateGraph::of_mg`] — and implements the local-STG projection of
 //! Algorithm 1 together with the shortcut-place redundancy check of
 //! Algorithm 3.

@@ -51,7 +51,7 @@ impl SgKey {
     pub fn matches(&self, mg: &MgStg) -> bool {
         self.initial_code == mg.initial_code
             && self.arcs.len() == mg.arcs.len()
-            && self.transitions.iter().copied().eq(mg.key_transitions())
+            && self.transitions.iter().copied().eq(mg.alive_labels())
             && self.arcs.iter().copied().eq(mg.key_arcs())
     }
 }
@@ -66,6 +66,37 @@ pub fn extend_fingerprint(fingerprint: u64, words: impl IntoIterator<Item = u64>
     // The last product mixes its input only upward, and a hash table
     // picks buckets by the low bits: fold the high half into them.
     h ^ (h >> 32)
+}
+
+/// Whether `edges`, taken as undirected, connect all of `nodes` (false
+/// for no nodes): union-find over `parent`, one entry per node id below
+/// `ids`, which the caller may reuse across calls.
+pub(crate) fn weakly_connected(
+    parent: &mut Vec<usize>,
+    ids: usize,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+    nodes: impl IntoIterator<Item = usize>,
+) -> bool {
+    fn root(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            // Path halving: point `x` at its grandparent as we climb.
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    parent.clear();
+    parent.extend(0..ids);
+    for (a, b) in edges {
+        let (ra, rb) = (root(parent, a), root(parent, b));
+        parent[ra] = rb;
+    }
+    let mut nodes = nodes.into_iter();
+    let Some(first) = nodes.next() else {
+        return false;
+    };
+    let r = root(parent, first);
+    nodes.all(|n| root(parent, n) == r)
 }
 
 /// A marked-graph STG over transition-level arcs.
@@ -159,13 +190,14 @@ impl MgStg {
     pub fn sg_key(&self) -> SgKey {
         SgKey {
             initial_code: self.initial_code,
-            transitions: self.key_transitions().collect(),
+            transitions: self.alive_labels().collect(),
             arcs: self.key_arcs().collect(),
         }
     }
 
-    /// The alive transitions with their labels, as [`SgKey`] lists them.
-    fn key_transitions(&self) -> impl Iterator<Item = (usize, TransitionLabel)> + '_ {
+    /// The alive transitions with their labels, ascending, as [`SgKey`]
+    /// lists them.
+    pub(crate) fn alive_labels(&self) -> impl Iterator<Item = (usize, TransitionLabel)> + '_ {
         self.transitions
             .iter()
             .enumerate()
@@ -211,7 +243,7 @@ impl MgStg {
     /// alive transitions with ids and labels, then per arc its endpoints
     /// and `arc_word` of its attributes.
     fn fingerprint_with(&self, arc_word: impl Fn(ArcAttr) -> u64) -> u64 {
-        let transitions = self.key_transitions().flat_map(|(t, l)| {
+        let transitions = self.alive_labels().flat_map(|(t, l)| {
             let polarity = match l.polarity {
                 crate::Polarity::Plus => 1,
                 crate::Polarity::Minus => 2,
@@ -246,27 +278,12 @@ impl MgStg {
     /// the σ-space explorer ([`crate::StateGraph::of_mg_sigma`]) identify
     /// states by normalized firing counts instead of full markings.
     pub fn arcs_weakly_connected(&self) -> bool {
-        let alive = self.transitions();
-        let Some(&start) = alive.first() else {
-            return false;
-        };
-        let mut undirected: Vec<Vec<usize>> = vec![Vec::new(); self.transitions.len()];
-        for &(a, b) in self.arcs.keys() {
-            undirected[a].push(b);
-            undirected[b].push(a);
-        }
-        let mut seen = vec![false; self.transitions.len()];
-        seen[start] = true;
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            for &m in &undirected[n] {
-                if !seen[m] {
-                    seen[m] = true;
-                    stack.push(m);
-                }
-            }
-        }
-        alive.iter().all(|&t| seen[t])
+        weakly_connected(
+            &mut Vec::new(),
+            self.transitions.len(),
+            self.arcs.keys().copied(),
+            self.alive_labels().map(|(t, _)| t),
+        )
     }
 
     /// Number of signals in the signal table.
@@ -299,9 +316,7 @@ impl MgStg {
 
     /// Alive transition ids, ascending.
     pub fn transitions(&self) -> Vec<usize> {
-        (0..self.transitions.len())
-            .filter(|&i| self.transitions[i].is_some())
-            .collect()
+        self.alive_labels().map(|(t, _)| t).collect()
     }
 
     /// Whether transition `t` is alive.

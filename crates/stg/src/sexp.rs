@@ -218,7 +218,7 @@ pub fn write_state_graph(sg: &StateGraph, names: &[String]) -> String {
         w.close();
     }
     for i in 0..sg.state_count() {
-        for &(t, j) in &sg.edges[i] {
+        for &(t, j) in sg.edges(i) {
             w.open("edge");
             w.atom(&i.to_string());
             w.string(&sg.label(t).display(names).to_string());

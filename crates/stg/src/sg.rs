@@ -1,15 +1,20 @@
 //! Binary-coded state graphs and the region machinery of thesis Sec. 3.4.
 //!
-//! Marked-graph STGs have two generators that must agree bit for bit: the
-//! marking-keyed [`StateGraph::of_mg`], kept as the reference oracle, and
-//! the σ-space explorer [`StateGraph::of_mg_sigma`], which keys states by
-//! normalized firing-count rows interned in one flat arena and allocates
-//! nothing per edge. [`StateGraph::of_stg`] explores full (free-choice)
-//! STGs.
+//! A [`StateGraph`] keeps every edge in one flat array, one contiguous
+//! run per state, read through [`StateGraph::edges`]; all generators fill
+//! it through one builder. Marked-graph STGs have two generators that
+//! must agree bit for bit: the marking-keyed [`StateGraph::of_mg`], kept
+//! as the reference oracle, and the σ-space explorer
+//! [`StateGraph::of_mg_sigma`], which keys states by normalized
+//! firing-count rows interned in one flat arena, hashes a successor row
+//! in O(1) from its parent's hash, and works in buffers reused per thread,
+//! so it allocates only the graph it returns. [`StateGraph::of_stg`]
+//! explores full (free-choice) STGs.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::mg::MgStg;
+use crate::mg::{weakly_connected, MgStg};
 use crate::signal::{Polarity, SignalId, TransitionLabel};
 use crate::stg::{Stg, StgError};
 
@@ -19,46 +24,70 @@ const NO_ROW: u32 = u32::MAX;
 /// Buckets of a fresh [`RowIndex`] (a power of two).
 const INITIAL_BUCKETS: usize = 64;
 
-/// One step of the Fx-style multiply-rotate word hash behind the row
-/// index and [`MgStg::sg_fingerprint`]. The product mixes every input bit
-/// upward, into the top bits of the result.
+/// Row-arena bytes past which an exploration frees the σ-explorer
+/// scratch instead of keeping it for the thread's next call; every other
+/// buffer grows with the state count too. The largest corpus graph (903
+/// states × 16 columns) takes 56 KiB of rows and about 200 KiB of
+/// scratch in all, so only outliers give their buffers back.
+const SCRATCH_RETAIN_ROW_BYTES: usize = 256 * 1024;
+
+/// One step of the Fx-style multiply-rotate word hash behind
+/// [`MgStg::sg_fingerprint`] and the row index's buckets. The product
+/// mixes every input bit upward, into the top bits of the result.
 pub(crate) fn mix_word(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// The default row hash: [`mix_word`] over the entries. Bucket selection
-/// takes the product's top bits, which mix every entry.
-fn row_hash(row: &[i32]) -> u64 {
-    row.iter().fold(0, |h, &v| mix_word(h, u64::from(v as u32)))
+/// The default weight of row column `k` (a SplitMix64 output). A row's
+/// hash is `Σ w[k] · row[k]`: linear, so one firing changes it by one
+/// weight, and with pairwise unrelated 64-bit weights distinct rows
+/// collide only by chance.
+fn column_weight(k: usize) -> u64 {
+    let z = (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Interns fixed-width `i32` rows in one flat arena: row `j` occupies
-/// `rows[j * width..(j + 1) * width]`. A power-of-two bucket table chains
-/// rows by hash, and a lookup compares the candidates element by element,
-/// so distinct rows that share a hash stay distinct entries. Interning a
-/// row appends to four vectors and allocates nothing else.
+/// `rows[j * width..(j + 1) * width]`. The caller supplies each row's
+/// hash. A power-of-two bucket table chains rows by the top bits of the
+/// mixed hash, and a lookup compares the candidates element by element,
+/// so distinct rows that share a hash stay distinct entries. [`clear`]
+/// keeps every buffer's capacity.
+///
+/// [`clear`]: RowIndex::clear
 struct RowIndex {
     width: usize,
     rows: Vec<i32>,
     hashes: Vec<u64>,
     next: Vec<u32>,
     heads: Vec<u32>,
-    /// `64 - log2(heads.len())`: a hash's bucket is its top bits.
+    /// `64 - log2(heads.len())`: a hash's bucket is its mix's top bits.
     shift: u32,
-    hash: fn(&[i32]) -> u64,
 }
 
 impl RowIndex {
-    fn new(width: usize, hash: fn(&[i32]) -> u64) -> Self {
+    const fn new() -> Self {
         Self {
-            width,
+            width: 0,
             rows: Vec::new(),
             hashes: Vec::new(),
             next: Vec::new(),
-            heads: vec![NO_ROW; INITIAL_BUCKETS],
+            heads: Vec::new(),
             shift: 64 - INITIAL_BUCKETS.trailing_zeros(),
-            hash,
         }
+    }
+
+    /// Empties the index for rows of `width` entries.
+    fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.rows.clear();
+        self.hashes.clear();
+        self.next.clear();
+        self.heads.clear();
+        self.heads.resize(INITIAL_BUCKETS, NO_ROW);
+        self.shift = 64 - INITIAL_BUCKETS.trailing_zeros();
     }
 
     fn len(&self) -> usize {
@@ -69,12 +98,17 @@ impl RowIndex {
         &self.rows[j * self.width..(j + 1) * self.width]
     }
 
-    fn hash_of(&self, row: &[i32]) -> u64 {
-        (self.hash)(row)
+    /// Heap bytes the row arena holds.
+    fn row_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<i32>()
+    }
+
+    fn hash(&self, j: usize) -> u64 {
+        self.hashes[j]
     }
 
     fn bucket(&self, h: u64) -> usize {
-        (h >> self.shift) as usize
+        (mix_word(0, h) >> self.shift) as usize
     }
 
     /// The entry equal to `row` (whose hash is `h`), if interned.
@@ -129,13 +163,297 @@ pub struct SgState {
 /// A state graph: reachable markings of an STG with consistent binary codes
 /// (thesis Sec. 3.4). State 0 is the initial state. Edge labels are the
 /// transition ids of the source [`MgStg`] or [`Stg`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every edge lives in one flat array, each state's edges in one
+/// contiguous run ([`StateGraph::edges`]). The runs follow the order in
+/// which the generator expanded the states; equality compares states,
+/// labels and each state's run, so it does not depend on that order.
+#[derive(Debug, Clone)]
 pub struct StateGraph {
     /// States; index 0 is the initial state.
-    pub states: Vec<SgState>,
-    /// `edges[i]` lists `(transition id, successor state)` pairs.
-    pub edges: Vec<Vec<(usize, usize)>>,
+    states: Vec<SgState>,
+    /// `(transition id, successor state)` pairs, one run per state.
+    edges: Vec<(usize, usize)>,
+    /// `spans[i]` is the `start..end` of state `i`'s run in `edges`: one
+    /// span per state, which is why no field is public.
+    spans: Vec<(u32, u32)>,
     labels: Vec<Option<TransitionLabel>>,
+}
+
+impl PartialEq for StateGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.states == other.states
+            && self.labels == other.labels
+            && (0..self.states.len()).all(|i| self.edges(i) == other.edges(i))
+    }
+}
+
+impl Eq for StateGraph {}
+
+/// Fills a [`StateGraph`]: a generator numbers each state as it
+/// discovers it ([`SgBuilder::add_state`]), then expands the states one
+/// at a time in any order, opening a state's edge run with
+/// [`SgBuilder::expand`] and appending to it with [`SgBuilder::edge`].
+/// [`SgBuilder::graph`] copies the result out exactly sized, so one
+/// builder can serve many graphs.
+struct SgBuilder {
+    states: Vec<SgState>,
+    edges: Vec<(usize, usize)>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl SgBuilder {
+    const fn new() -> Self {
+        Self {
+            states: Vec::new(),
+            edges: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.states.clear();
+        self.edges.clear();
+        self.spans.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn code(&self, i: usize) -> u64 {
+        self.states[i].code
+    }
+
+    /// Numbers a newly discovered state.
+    fn add_state(&mut self, code: u64) -> usize {
+        self.states.push(SgState { code });
+        self.spans.push((0, 0));
+        self.states.len() - 1
+    }
+
+    /// Opens state `i`'s edge run at the end of the edge array.
+    fn expand(&mut self, i: usize) {
+        let at = u32::try_from(self.edges.len()).expect("state graph exceeds u32 edges");
+        self.spans[i] = (at, at);
+    }
+
+    /// Appends edge `(t, j)` to the run of `i`, the state last expanded.
+    fn edge(&mut self, i: usize, t: usize, j: usize) {
+        self.edges.push((t, j));
+        self.spans[i].1 += 1;
+    }
+
+    fn graph(&self, labels: Vec<Option<TransitionLabel>>) -> StateGraph {
+        StateGraph {
+            states: self.states.clone(),
+            edges: self.edges.clone(),
+            spans: self.spans.clone(),
+            labels,
+        }
+    }
+}
+
+/// The σ explorer's working buffers. Each thread keeps one between
+/// calls, reset at the start of every exploration, so a warmed-up thread
+/// explores without allocating anything but the graph it returns.
+struct SigmaScratch {
+    /// Alive transition ids, ascending: row column `k` is `alive[k]`.
+    alive: Vec<usize>,
+    /// Label of every column.
+    column_labels: Vec<TransitionLabel>,
+    /// Row column of each alive transition id.
+    column: Vec<usize>,
+    /// The arcs as `(source column, target column, tokens)`.
+    arcs: Vec<(usize, usize, i64)>,
+    /// Union-find parents of the weak-connectivity check, per column.
+    parent: Vec<usize>,
+    /// Incoming arcs of every column as CSR: `preds[start[k]..start[k +
+    /// 1]]` lists `(source column, tokens)`.
+    start: Vec<usize>,
+    preds: Vec<(usize, i64)>,
+    /// Row-hash weight of every column.
+    weights: Vec<u64>,
+    index: RowIndex,
+    /// Zero entries of every interned row.
+    zeros: Vec<usize>,
+    /// The row being expanded, and its successor under construction.
+    cur: Vec<i32>,
+    next: Vec<i32>,
+    frontier: Vec<usize>,
+    graph: SgBuilder,
+}
+
+thread_local! {
+    static SIGMA_SCRATCH: RefCell<SigmaScratch> = const { RefCell::new(SigmaScratch::new()) };
+}
+
+impl SigmaScratch {
+    const fn new() -> Self {
+        Self {
+            alive: Vec::new(),
+            column_labels: Vec::new(),
+            column: Vec::new(),
+            arcs: Vec::new(),
+            parent: Vec::new(),
+            start: Vec::new(),
+            preds: Vec::new(),
+            weights: Vec::new(),
+            index: RowIndex::new(),
+            zeros: Vec::new(),
+            cur: Vec::new(),
+            next: Vec::new(),
+            frontier: Vec::new(),
+            graph: SgBuilder::new(),
+        }
+    }
+
+    /// [`StateGraph::explore_sigma`] in these buffers.
+    fn explore(
+        &mut self,
+        mg: &MgStg,
+        budget: usize,
+        weight: fn(usize) -> u64,
+    ) -> Result<StateGraph, StgError> {
+        let Self {
+            alive,
+            column_labels,
+            column,
+            arcs,
+            parent,
+            start,
+            preds,
+            weights,
+            index,
+            zeros,
+            cur,
+            next,
+            frontier,
+            graph,
+        } = self;
+        alive.clear();
+        column_labels.clear();
+        for (t, label) in mg.alive_labels() {
+            alive.push(t);
+            column_labels.push(label);
+        }
+        let width = alive.len();
+        let ids = alive.last().map_or(0, |&t| t + 1);
+        column.clear();
+        column.resize(ids, 0);
+        for (k, &t) in alive.iter().enumerate() {
+            column[t] = k;
+        }
+        arcs.clear();
+        arcs.extend(
+            mg.arcs()
+                .map(|((a, b), attr)| (column[a], column[b], i64::from(attr.tokens))),
+        );
+        if !weakly_connected(
+            parent,
+            width,
+            arcs.iter().map(|&(a, b, _)| (a, b)),
+            0..width,
+        ) {
+            return StateGraph::of_mg(mg, budget);
+        }
+        start.clear();
+        start.resize(width + 1, 0);
+        for &(_, b, _) in arcs.iter() {
+            start[b + 1] += 1;
+        }
+        for k in 0..width {
+            start[k + 1] += start[k];
+        }
+        preds.clear();
+        preds.resize(start[width], (0, 0));
+        // Fill with `start[k]` as column k's cursor, which leaves it at
+        // column k's end; shifting the array back restores the starts.
+        for &(a, b, tokens) in arcs.iter() {
+            preds[start[b]] = (a, tokens);
+            start[b] += 1;
+        }
+        start.copy_within(0..width, 1);
+        start[0] = 0;
+        weights.clear();
+        weights.extend((0..width).map(weight));
+        let weight_sum = weights.iter().fold(0u64, |s, &w| s.wrapping_add(w));
+        let inconsistent = |label: TransitionLabel| StgError::Inconsistent {
+            signal: mg.signal_name(label.signal).to_string(),
+        };
+
+        index.clear(width);
+        zeros.clear();
+        graph.clear();
+        frontier.clear();
+        cur.clear();
+        cur.resize(width, 0);
+        next.clear();
+        next.resize(width, 0);
+        // State 0 is the all-zero row, whose hash is 0.
+        index.insert(cur, 0);
+        zeros.push(width);
+        graph.add_state(mg.initial_code());
+        frontier.push(0);
+
+        while let Some(i) = frontier.pop() {
+            cur.copy_from_slice(index.row(i));
+            let (h, row_zeros, code) = (index.hash(i), zeros[i], graph.code(i));
+            graph.expand(i);
+            for k in 0..width {
+                let here = i64::from(cur[k]);
+                if !preds[start[k]..start[k + 1]]
+                    .iter()
+                    .all(|&(a, tokens)| tokens + i64::from(cur[a]) - here > 0)
+                {
+                    continue;
+                }
+                let label = column_labels[k];
+                let bit = 1u64 << label.signal.0;
+                if (code & bit != 0) == label.polarity.target_value() {
+                    return Err(inconsistent(label));
+                }
+                let next_code = code ^ bit;
+                // The successor row: one more firing of column k. It
+                // renormalizes (every entry drops by one) exactly when k
+                // held the row's only 0, and its hash follows suit.
+                let renormalize = cur[k] == 0 && row_zeros == 1;
+                next.copy_from_slice(cur);
+                next[k] += 1;
+                let mut next_hash = h.wrapping_add(weights[k]);
+                if renormalize {
+                    next.iter_mut().for_each(|v| *v -= 1);
+                    next_hash = next_hash.wrapping_sub(weight_sum);
+                }
+                let j = match index.find(next, next_hash) {
+                    Some(j) => {
+                        if graph.code(j) != next_code {
+                            return Err(inconsistent(label));
+                        }
+                        j
+                    }
+                    None => {
+                        if graph.len() >= budget {
+                            return Err(StgError::Petri(
+                                si_petri::PetriError::StateBudgetExceeded { budget },
+                            ));
+                        }
+                        let j = index.insert(next, next_hash);
+                        zeros.push(next.iter().filter(|&&v| v == 0).count());
+                        graph.add_state(next_code);
+                        frontier.push(j);
+                        j
+                    }
+                };
+                graph.edge(i, alive[k], j);
+            }
+        }
+        let mut labels = vec![None; ids];
+        for (&t, &label) in alive.iter().zip(column_labels.iter()) {
+            labels[t] = Some(label);
+        }
+        Ok(graph.graph(labels))
+    }
 }
 
 impl StateGraph {
@@ -166,16 +484,15 @@ impl StateGraph {
         let m0 = mg.initial_marking();
         let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
         let mut markings = vec![m0.clone()];
-        let mut states = vec![SgState {
-            code: mg.initial_code(),
-        }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
+        let mut graph = SgBuilder::new();
+        graph.add_state(mg.initial_code());
         index.insert(pack(&m0), 0);
         let mut frontier = vec![0usize];
 
         while let Some(i) = frontier.pop() {
             let m = markings[i].clone();
-            let code = states[i].code;
+            let code = graph.code(i);
+            graph.expand(i);
             for &t in &alive {
                 if !mg.enabled_in(t, &m) {
                     continue;
@@ -193,7 +510,7 @@ impl StateGraph {
                 let key = pack(&next_m);
                 let j = match index.get(&key) {
                     Some(&j) => {
-                        if states[j].code != next_code {
+                        if graph.code(j) != next_code {
                             return Err(StgError::Inconsistent {
                                 signal: mg.signal_name(label.signal).to_string(),
                             });
@@ -208,21 +525,16 @@ impl StateGraph {
                         }
                         let j = markings.len();
                         markings.push(next_m);
-                        states.push(SgState { code: next_code });
-                        edges.push(Vec::new());
+                        graph.add_state(next_code);
                         index.insert(key, j);
                         frontier.push(j);
                         j
                     }
                 };
-                edges[i].push((t, j));
+                graph.edge(i, t, j);
             }
         }
-        Ok(Self {
-            states,
-            edges,
-            labels,
-        })
+        Ok(graph.graph(labels))
     }
 
     /// Generates the state graph of a *weakly connected* marked-graph STG
@@ -234,9 +546,14 @@ impl StateGraph {
     /// `tokens + σ(src) − σ(dst) > 0`.
     ///
     /// Rows hold one `i32` per alive transition and live in one flat
-    /// arena behind a chained hash index; predecessor arcs are CSR lists;
-    /// successor rows are built in one reused scratch row. Exploring an
-    /// edge allocates nothing.
+    /// arena behind a chained hash index; predecessor arcs are CSR lists.
+    /// A row's hash is linear in its entries, so a successor's hash is its
+    /// parent's plus the fired column's weight, minus the weight sum when
+    /// the row renormalizes — which a per-row zero count decides. Every
+    /// buffer lives in a per-thread scratch reset at the start of each
+    /// call; the graph is copied out of it exactly sized, so a call
+    /// allocates only the graph it returns. A call that grows the scratch
+    /// past a fixed size frees it afterwards.
     ///
     /// The output contract is exact equivalence with [`StateGraph::of_mg`]:
     /// the same LIFO frontier and ascending transition order visit the
@@ -249,106 +566,23 @@ impl StateGraph {
     ///
     /// Exactly the errors of [`StateGraph::of_mg`] under `budget`.
     pub fn of_mg_sigma(mg: &MgStg, budget: usize) -> Result<Self, StgError> {
-        Self::explore_sigma(mg, budget, row_hash)
+        Self::explore_sigma(mg, budget, column_weight)
     }
 
-    /// [`StateGraph::of_mg_sigma`] under an explicit row hash.
-    fn explore_sigma(mg: &MgStg, budget: usize, hash: fn(&[i32]) -> u64) -> Result<Self, StgError> {
-        if !mg.arcs_weakly_connected() {
-            return Self::of_mg(mg, budget);
-        }
-        let alive = mg.transitions();
-        let width = alive.len();
-        let mut labels: Vec<Option<TransitionLabel>> =
-            vec![None; alive.last().map_or(0, |&t| t + 1)];
-        // Row column of each alive transition id.
-        let mut column = vec![0usize; labels.len()];
-        for (k, &t) in alive.iter().enumerate() {
-            labels[t] = Some(mg.label(t));
-            column[t] = k;
-        }
-        // Incoming arcs of every column as CSR: `preds[start[k]..start[k +
-        // 1]]` lists `(source column, tokens)`.
-        let mut start = vec![0usize; width + 1];
-        for ((_, b), _) in mg.arcs() {
-            start[column[b] + 1] += 1;
-        }
-        for k in 0..width {
-            start[k + 1] += start[k];
-        }
-        let mut fill = start.clone();
-        let mut preds = vec![(0usize, 0i64); start[width]];
-        for ((a, b), attr) in mg.arcs() {
-            let k = column[b];
-            preds[fill[k]] = (column[a], i64::from(attr.tokens));
-            fill[k] += 1;
-        }
-        let inconsistent = |label: TransitionLabel| StgError::Inconsistent {
-            signal: mg.signal_name(label.signal).to_string(),
-        };
-
-        let mut index = RowIndex::new(width, hash);
-        let mut states = vec![SgState {
-            code: mg.initial_code(),
-        }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
-        let mut cur = vec![0i32; width];
-        let mut scratch = vec![0i32; width];
-        index.insert(&cur, index.hash_of(&cur));
-        let mut frontier = vec![0usize];
-
-        while let Some(i) = frontier.pop() {
-            cur.copy_from_slice(index.row(i));
-            let code = states[i].code;
-            for (k, &t) in alive.iter().enumerate() {
-                let here = i64::from(cur[k]);
-                if !preds[start[k]..start[k + 1]]
-                    .iter()
-                    .all(|&(a, tokens)| tokens + i64::from(cur[a]) - here > 0)
-                {
-                    continue;
-                }
-                let label = mg.label(t);
-                let bit = 1u64 << label.signal.0;
-                if (code & bit != 0) == label.polarity.target_value() {
-                    return Err(inconsistent(label));
-                }
-                let next_code = code ^ bit;
-                // The successor row: one more firing of `t`, renormalized
-                // (the minimum is 1 exactly when `t` held the only 0).
-                scratch.copy_from_slice(&cur);
-                scratch[k] += 1;
-                if !scratch.contains(&0) {
-                    scratch.iter_mut().for_each(|v| *v -= 1);
-                }
-                let h = index.hash_of(&scratch);
-                let j = match index.find(&scratch, h) {
-                    Some(j) => {
-                        if states[j].code != next_code {
-                            return Err(inconsistent(label));
-                        }
-                        j
-                    }
-                    None => {
-                        if states.len() >= budget {
-                            return Err(StgError::Petri(
-                                si_petri::PetriError::StateBudgetExceeded { budget },
-                            ));
-                        }
-                        let j = index.insert(&scratch, h);
-                        states.push(SgState { code: next_code });
-                        edges.push(Vec::new());
-                        frontier.push(j);
-                        j
-                    }
-                };
-                edges[i].push((t, j));
+    /// [`StateGraph::of_mg_sigma`] under explicit row-hash column weights,
+    /// in this thread's scratch.
+    fn explore_sigma(
+        mg: &MgStg,
+        budget: usize,
+        weight: fn(usize) -> u64,
+    ) -> Result<Self, StgError> {
+        SIGMA_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let result = scratch.explore(mg, budget, weight);
+            if scratch.index.row_bytes() > SCRATCH_RETAIN_ROW_BYTES {
+                *scratch = SigmaScratch::new();
             }
-        }
-        Ok(Self {
-            states,
-            edges,
-            labels,
+            result
         })
     }
 
@@ -373,14 +607,15 @@ impl StateGraph {
         let m0 = net.initial_marking();
         let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
         let mut markings = vec![m0.clone()];
-        let mut states = vec![SgState { code: code0 }];
-        let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
+        let mut graph = SgBuilder::new();
+        graph.add_state(code0);
         index.insert(m0, 0);
         let mut frontier = vec![0usize];
 
         while let Some(i) = frontier.pop() {
             let m = markings[i].clone();
-            let code = states[i].code;
+            let code = graph.code(i);
+            graph.expand(i);
             for t in net.enabled_transitions(&m) {
                 let label = stg.label(t);
                 let bit = 1u64 << label.signal.0;
@@ -393,7 +628,7 @@ impl StateGraph {
                 let next_m = net.fire(t, &m);
                 let j = match index.get(&next_m) {
                     Some(&j) => {
-                        if states[j].code != next_code {
+                        if graph.code(j) != next_code {
                             return Err(StgError::Inconsistent {
                                 signal: stg.signal_name(label.signal).to_string(),
                             });
@@ -408,26 +643,29 @@ impl StateGraph {
                         }
                         let j = markings.len();
                         markings.push(next_m.clone());
-                        states.push(SgState { code: next_code });
-                        edges.push(Vec::new());
+                        graph.add_state(next_code);
                         index.insert(next_m, j);
                         frontier.push(j);
                         j
                     }
                 };
-                edges[i].push((t.0, j));
+                graph.edge(i, t.0, j);
             }
         }
-        Ok(Self {
-            states,
-            edges,
-            labels,
-        })
+        Ok(graph.graph(labels))
     }
 
     /// Number of states.
     pub fn state_count(&self) -> usize {
         self.states.len()
+    }
+
+    /// The edges leaving state `i`: `(transition id, successor state)`
+    /// pairs in the order the generator found them (ascending transition
+    /// id for marked graphs).
+    pub fn edges(&self, i: usize) -> &[(usize, usize)] {
+        let (start, end) = self.spans[i];
+        &self.edges[start as usize..end as usize]
     }
 
     /// Label of transition id `t`.
@@ -452,14 +690,14 @@ impl StateGraph {
     /// Whether `signal` is excited in state `i` (some transition of the
     /// signal is enabled).
     pub fn is_excited(&self, i: usize, signal: SignalId) -> bool {
-        self.edges[i]
+        self.edges(i)
             .iter()
             .any(|&(t, _)| self.label(t).signal == signal)
     }
 
     /// The successor of state `i` by transition `t`, if enabled there.
     pub fn successor_by(&self, i: usize, t: usize) -> Option<usize> {
-        self.edges[i]
+        self.edges(i)
             .iter()
             .find(|&&(u, _)| u == t)
             .map(|&(_, j)| j)
@@ -469,7 +707,7 @@ impl StateGraph {
     /// particular occurrence.
     pub fn er_of_transition(&self, t: usize) -> Vec<usize> {
         (0..self.states.len())
-            .filter(|&i| self.edges[i].iter().any(|&(u, _)| u == t))
+            .filter(|&i| self.edges(i).iter().any(|&(u, _)| u == t))
             .collect()
     }
 
@@ -477,7 +715,7 @@ impl StateGraph {
     pub fn er_states(&self, signal: SignalId, polarity: Polarity) -> Vec<usize> {
         (0..self.states.len())
             .filter(|&i| {
-                self.edges[i].iter().any(|&(t, _)| {
+                self.edges(i).iter().any(|&(t, _)| {
                     let l = self.label(t);
                     l.signal == signal && l.polarity == polarity
                 })
@@ -505,35 +743,48 @@ impl StateGraph {
         self.connected_components(&self.qr_states(signal, value))
     }
 
+    /// The components of the subgraph `members` induce, edges taken as
+    /// undirected, in order of their first member: linear in states plus
+    /// edges.
     fn connected_components(&self, members: &[usize]) -> Vec<Vec<usize>> {
-        let member_set: std::collections::BTreeSet<usize> = members.iter().copied().collect();
-        let mut assigned: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
+        let n = self.states.len();
+        // Predecessors of every state as CSR: `preds[start[j]..start[j +
+        // 1]]` lists the sources of `j`'s incoming edges.
+        let mut start = vec![0usize; n + 1];
+        for &(_, j) in &self.edges {
+            start[j + 1] += 1;
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut fill = start.clone();
+        let mut preds = vec![0usize; self.edges.len()];
+        for i in 0..n {
+            for &(_, j) in self.edges(i) {
+                preds[fill[j]] = i;
+                fill[j] += 1;
+            }
+        }
+        let mut member = vec![false; n];
+        for &s in members {
+            member[s] = true;
+        }
+        let mut assigned = vec![false; n];
         let mut components: Vec<Vec<usize>> = Vec::new();
-        for &start in members {
-            if assigned.contains_key(&start) {
+        for &first in members {
+            if assigned[first] {
                 continue;
             }
-            let id = components.len();
+            assigned[first] = true;
             let mut component = Vec::new();
-            let mut stack = vec![start];
-            assigned.insert(start, id);
+            let mut stack = vec![first];
             while let Some(s) = stack.pop() {
                 component.push(s);
-                // Undirected adjacency restricted to the member set.
-                for &(_, j) in &self.edges[s] {
-                    if member_set.contains(&j) && !assigned.contains_key(&j) {
-                        assigned.insert(j, id);
+                let succs = self.edges(s).iter().map(|&(_, j)| j);
+                for j in succs.chain(preds[start[s]..start[s + 1]].iter().copied()) {
+                    if member[j] && !assigned[j] {
+                        assigned[j] = true;
                         stack.push(j);
-                    }
-                }
-                for (p, outs) in self.edges.iter().enumerate() {
-                    if member_set.contains(&p)
-                        && !assigned.contains_key(&p)
-                        && outs.iter().any(|&(_, j)| j == s)
-                    {
-                        assigned.insert(p, id);
-                        stack.push(p);
                     }
                 }
             }
@@ -562,7 +813,7 @@ impl StateGraph {
         seen[i] = true;
         let mut found: Option<usize> = None;
         while let Some(s) = stack.pop() {
-            for &(t, j) in &self.edges[s] {
+            for &(t, j) in self.edges(s) {
                 if self.label(t).signal == signal {
                     match found {
                         None => found = Some(t),
@@ -874,31 +1125,42 @@ o- x+
         assert_eq!(sg, StateGraph::of_mg(&mg, 100).expect("consistent"));
     }
 
+    /// The linear row hash under column weights `weight`.
+    fn linear_hash(row: &[i32], weight: fn(usize) -> u64) -> u64 {
+        row.iter().enumerate().fold(0u64, |h, (k, &v)| {
+            h.wrapping_add(weight(k).wrapping_mul(v as u64))
+        })
+    }
+
     #[test]
     fn row_index_keeps_colliding_rows_distinct() {
-        // Every row hashes alike: distinct rows must still intern as
-        // distinct entries, past several bucket-table doublings.
+        // Under all-zero weights every row hashes alike: distinct rows
+        // must still intern as distinct entries, past several
+        // bucket-table doublings, and a cleared index starts over.
         let rows: Vec<[i32; 3]> = (0..300).map(|n| [n % 7, n / 7, 3 - n % 4]).collect();
-        for hash in [(|_: &[i32]| 42) as fn(&[i32]) -> u64, row_hash] {
-            let mut index = RowIndex::new(3, hash);
+        let mut index = RowIndex::new();
+        for weight in [(|_| 0) as fn(usize) -> u64, column_weight] {
+            index.clear(3);
             for (n, row) in rows.iter().enumerate() {
-                let h = index.hash_of(row);
+                let h = linear_hash(row, weight);
                 assert_eq!(index.find(row, h), None, "row {n} is new");
                 assert_eq!(index.insert(row, h), n);
             }
             assert_eq!(index.len(), rows.len());
             for (n, row) in rows.iter().enumerate() {
-                assert_eq!(index.find(row, index.hash_of(row)), Some(n));
+                assert_eq!(index.find(row, linear_hash(row, weight)), Some(n));
                 assert_eq!(index.row(n), row);
             }
-            assert_eq!(index.find(&[9, 9, 9], index.hash_of(&[9, 9, 9])), None);
+            let absent = [9, 9, 9];
+            assert_eq!(index.find(&absent, linear_hash(&absent, weight)), None);
         }
     }
 
     #[test]
     fn sigma_generation_under_one_hash_matches_marking_keyed_generation() {
-        // With every row in one bucket chain the explorer leans on the
-        // element-wise comparison alone — graphs and errors must not move.
+        // All-zero column weights hash every row to 0, putting every row
+        // in one bucket chain: the explorer leans on the element-wise
+        // comparison alone — graphs and errors must not move.
         let (_, mg) = handshake_mg();
         let (parent, child) = chain_and_relaxed();
         let moved = handshake_token_moved();
@@ -911,6 +1173,60 @@ o- x+
                 );
             }
         }
+    }
+
+    /// `k` output handshakes forked from and joined into one input:
+    /// `a+ → (b0+ ∥ … ∥ bk-1+) → a- → (b0- ∥ … ∥ bk-1-) → a+`, whose
+    /// concurrency yields `2^(k + 1)` states over `2k + 2` columns.
+    fn fork_join(k: usize) -> MgStg {
+        let mut stg = Stg::new("fork-join");
+        let a = stg.add_signal("a", SignalKind::Input);
+        let outputs: Vec<SignalId> = (0..k)
+            .map(|i| stg.add_signal(format!("b{i}"), SignalKind::Output))
+            .collect();
+        let mut mg = MgStg::empty_like(&stg);
+        let up = mg.add_transition(TransitionLabel::new(a, Polarity::Plus, 1));
+        let down = mg.add_transition(TransitionLabel::new(a, Polarity::Minus, 1));
+        for b in outputs {
+            let b_up = mg.add_transition(TransitionLabel::new(b, Polarity::Plus, 1));
+            let b_down = mg.add_transition(TransitionLabel::new(b, Polarity::Minus, 1));
+            mg.insert_arc(up, b_up, 0, false);
+            mg.insert_arc(b_up, down, 0, false);
+            mg.insert_arc(down, b_down, 0, false);
+            mg.insert_arc(b_down, up, 1, false);
+        }
+        mg
+    }
+
+    #[test]
+    fn sigma_scratch_is_kept_for_small_graphs_and_released_after_large_ones() {
+        // Bytes of the row arena and edges of the edge array: any
+        // retained scratch holds both.
+        let retained = || {
+            SIGMA_SCRATCH.with(|cell| {
+                let scratch = cell.borrow();
+                (scratch.index.row_bytes(), scratch.graph.edges.capacity())
+            })
+        };
+        let large = fork_join(12);
+        let small = fork_join(3);
+        let explore = |mg: &MgStg| StateGraph::of_mg_sigma(mg, 100_000).expect("consistent");
+        // Start from a released scratch, whatever ran on this thread before.
+        assert_eq!(explore(&large).state_count(), 1 << 13);
+        assert_eq!(retained(), (0, 0), "a large exploration frees the scratch");
+        assert_eq!(
+            explore(&small),
+            StateGraph::of_mg(&small, 100).expect("consistent")
+        );
+        let kept = retained();
+        assert!(
+            kept.0 > 0 && kept.1 > 0 && kept.0 <= SCRATCH_RETAIN_ROW_BYTES,
+            "a small exploration keeps its buffers: {kept:?}"
+        );
+        explore(&large);
+        assert_eq!(retained(), (0, 0));
+        explore(&small);
+        assert_eq!(retained(), kept, "the same graph regrows the same buffers");
     }
 
     #[test]

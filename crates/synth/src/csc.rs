@@ -32,7 +32,7 @@ impl Error for CscViolation {}
 /// The "next value" a signal takes from a state: its current value unless an
 /// enabled transition changes it.
 pub(crate) fn next_value(sg: &StateGraph, state: usize, signal: SignalId) -> bool {
-    for &(t, _) in &sg.edges[state] {
+    for &(t, _) in sg.edges(state) {
         let l = sg.label(t);
         if l.signal == signal {
             return l.polarity == Polarity::Plus;

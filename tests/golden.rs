@@ -22,10 +22,14 @@
 use std::fs;
 use std::path::PathBuf;
 
-use si_redress::core::{derive_timing_constraints, CoreError, Engine, EngineConfig};
+use si_redress::core::{
+    derive_timing_constraints, CoreError, Engine, EngineConfig, GateContext, LocalStg,
+};
 use si_redress::corpus::{
     corpus_name, generate, generate_named, harness_config, CorpusSpec, MarkingStyle,
 };
+use si_redress::stg::sexp::write_state_graph;
+use si_redress::stg::{MgStg, StateGraph};
 use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError};
 use si_redress::synth::synthesize;
 
@@ -376,6 +380,68 @@ fn golden_corpus_outcomes_pin_every_benchmark_row() {
     );
 }
 
+/// The gate whose σ-explored local graph the state-graph golden dumps:
+/// the one with the most local states (8).
+const DUMPED_GATE: &str = "i0";
+
+/// Pins `si_stg::sexp::write_state_graph` on `imec-ram-read-sbuf`: the
+/// full state graph (`StateGraph::of_stg`, 112 states) and the local
+/// graph of one gate's projection. The dump lists every state's code and
+/// every edge in per-state order, so it pins the generators' state
+/// numbering and edge order along with the format. Like the other
+/// snapshots, the file comes from the reference path (the local graph
+/// from the marking-keyed `StateGraph::of_mg`) and the test renders the
+/// σ-explored graph the engine uses.
+#[test]
+fn golden_state_graph_dump_pins_imec_ram_read_sbuf() {
+    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
+    let name = "imec-ram-read-sbuf-state-graph";
+    let bench = si_redress::suite::benchmarks()
+        .into_iter()
+        .find(|b| b.name == "imec-ram-read-sbuf")
+        .expect("bundled benchmark");
+    let (stg, library) = bench.circuit().expect("loads");
+    let budget = EngineConfig::default().global_sg_budget;
+    let full = StateGraph::of_stg(&stg, budget).expect("consistent");
+    assert_eq!(full.state_count(), 112);
+    let gate = library.gate(DUMPED_GATE).expect("gate of the netlist");
+    let ctx = GateContext::bind(gate, &stg).expect("binds");
+    let mg = MgStg::from_stg_mg(&stg).expect("marked graph");
+    let local = LocalStg::project_from(&mg, &ctx).expect("projects");
+    let names = stg.signal_names();
+    let dump = |local_sg: &StateGraph| {
+        format!(
+            "# State-graph dump (`write_state_graph`) of benchmark `imec-ram-read-sbuf`:\n\
+             # the full graph (`StateGraph::of_stg`), then the σ-explored local\n\
+             # graph (`StateGraph::of_mg_sigma`) of gate `{DUMPED_GATE}`. Regenerate with:\n\
+             #   UPDATE_GOLDEN=1 cargo test --test golden\n{}{}",
+            write_state_graph(&full, &names),
+            write_state_graph(local_sg, &names),
+        )
+    };
+    let path = golden_path(name);
+    if update {
+        let reference = StateGraph::of_mg(&local.mg, budget).expect("consistent");
+        fs::write(&path, dump(&reference))
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    }
+    let rendered = dump(&StateGraph::of_mg_sigma(&local.mg, budget).expect("consistent"));
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden snapshot `{}`: {e}\n\
+             run `UPDATE_GOLDEN=1 cargo test --test golden` to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered,
+        expected,
+        "state-graph dump drifted for `{name}` ({}).\n{}",
+        path.display(),
+        first_diff(&rendered, &expected),
+    );
+}
+
 #[test]
 fn golden_directory_has_no_stale_snapshots() {
     // Every file in tests/golden must correspond to a bundled benchmark:
@@ -388,6 +454,7 @@ fn golden_directory_has_no_stale_snapshots() {
     names.extend(corpus_fixtures().iter().map(|(name, _, _)| *name));
     names.push("corpus-000000bd-diverged");
     names.push("corpus-outcomes");
+    names.push("imec-ram-read-sbuf-state-graph");
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for entry in fs::read_dir(&dir).expect("golden directory exists") {
         let path = entry.expect("readable entry").path();

@@ -14,7 +14,7 @@
 //! (default `BENCH_table72.json`).
 
 use si_bench::table_row;
-use si_core::{Engine, EngineConfig};
+use si_core::{worker_count, Engine, EngineConfig};
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -108,10 +108,7 @@ fn main() {
     let projections = engine.projection_stats();
     println!();
     let jobs = match engine.config().jobs {
-        0 => format!(
-            "auto ({})",
-            std::thread::available_parallelism().map_or(1, usize::from)
-        ),
+        0 => format!("auto ({})", worker_count(0, usize::MAX)),
         n => n.to_string(),
     };
     println!(

@@ -43,9 +43,9 @@
 //! held, and a lock poisoned by a panic elsewhere is taken over as is, so
 //! one panicking corpus row cannot disable the cache for the others.
 //!
-//! The engine holds the two caches and its decompose memo as one `Caches`
-//! bundle when [`crate::EngineConfig::cache`] is on, and no bundle at all
-//! when it is off.
+//! The engine holds the two caches as one `Caches` bundle when
+//! [`crate::EngineConfig::cache`] is on, and no bundle at all when it is
+//! off.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -53,9 +53,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use si_stg::{extend_fingerprint, MgStg, SgKey, SignalId, SignalKind, StateGraph, Stg, StgError};
-
-use crate::error::CoreError;
+use si_stg::{extend_fingerprint, MgStg, SgKey, SignalId, SignalKind, StateGraph, StgError};
 
 /// Counters of a [`SgCache`] or [`ProjCache`], readable at any point of an
 /// engine run.
@@ -411,67 +409,23 @@ impl ProjCache {
     }
 }
 
-/// The decompose stage's result: the MG components and the global state
-/// count.
-pub(crate) type Decomposition = (Vec<MgStg>, usize);
-
-/// Distinct specifications the decompose memo admits; beyond this the
-/// stage is recomputed (never evicted mid-scan) so a pathological caller
-/// cannot grow the memo without bound.
-const DECOMPOSE_MEMO_CAP: usize = 64;
-
 /// The engine's whole reuse stack, held iff
-/// [`crate::EngineConfig::cache`] is on: the two caches plus the decompose
-/// memo, shared across gates, runs and circuits.
+/// [`crate::EngineConfig::cache`] is on: the two caches, shared across
+/// gates, runs and circuits.
 #[derive(Debug, Default)]
 pub(crate) struct Caches {
     /// Local state graphs.
     pub sg: SgCache,
     /// Per-gate local-STG projections.
     pub projections: ProjCache,
-    /// Decompose-stage results by specification value. A linear scan
-    /// suffices: the corpus is a dozen specifications and the derived
-    /// `PartialEq` rejects non-matches on the name field first.
-    decompositions: Mutex<Vec<(Stg, Arc<Decomposition>)>>,
 }
 
 impl Caches {
-    /// The decompose stage of `stg`, memoized by specification value: the
-    /// MG components and the global state count are pure functions of the
-    /// specification (under the engine's fixed budgets), so a warm engine
-    /// re-running the same [`Stg`] skips the decomposition sweep and the
-    /// global reachability walk. Only successes are stored; errors are
-    /// recomputed (and re-reported) every run.
-    pub(crate) fn decompose(
-        &self,
-        stg: &Stg,
-        compute: impl FnOnce() -> Result<Decomposition, CoreError>,
-    ) -> Result<Arc<Decomposition>, CoreError> {
-        let lock = || {
-            self.decompositions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        };
-        if let Some((_, cached)) = lock().iter().find(|(spec, _)| spec == stg) {
-            return Ok(Arc::clone(cached));
-        }
-        let result = Arc::new(compute()?);
-        let mut entries = lock();
-        if entries.len() < DECOMPOSE_MEMO_CAP && !entries.iter().any(|(spec, _)| spec == stg) {
-            entries.push((stg.clone(), Arc::clone(&result)));
-        }
-        Ok(result)
-    }
-
     /// Drops every memoized value and `Seen` mark, and resets the
     /// counters.
     pub(crate) fn clear(&self) {
         self.sg.clear();
         self.projections.clear();
-        self.decompositions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
     }
 }
 

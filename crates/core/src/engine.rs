@@ -11,54 +11,53 @@
 //!
 //! with three production-minded additions:
 //!
-//! 1. **[`EngineConfig`]** gathers every budget and policy knob that used
-//!    to be a magic constant scattered across the crates (state-graph
-//!    budgets, iteration budget, OR-causality recursion depth, relaxation
-//!    order, job count, the reuse switch).
+//! 1. **[`EngineConfig`]** gathers the knobs a caller sets (whole-STG
+//!    state budget, iteration budget, relaxation order, job count, the
+//!    reuse switch, the lint and divergence policies). The limits nobody
+//!    tunes — the local state budget, the MG-decomposition allocation cap
+//!    and the OR-causality recursion depth — are constants.
 //! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
-//!    σ-space exploration on every state-graph miss, the state-graph and
-//!    projection caches ([`crate::SgCache`], [`crate::ProjCache`], which
-//!    store a value on its second request) and the decompose memo, shared
-//!    across the relaxation loop, the OR-causality sub-STG checks, the
-//!    conformance pre-checks — and across circuits when one engine serves
-//!    a whole batch. Off, the engine runs the reference path with nothing
+//!    σ-space exploration on every state-graph miss and the state-graph
+//!    and projection caches ([`crate::SgCache`], [`crate::ProjCache`],
+//!    which store a value on its second request), shared across the
+//!    relaxation loop, the OR-causality sub-STG checks, the conformance
+//!    pre-checks — and across circuits when one engine serves a whole
+//!    batch. Off, the engine runs the reference path with nothing
 //!    memoized.
 //! 3. **Parallel per-gate fan-out**: gates are independent (the same
 //!    independence that per-block timing extraction under process
 //!    variations exploits), so the projection + relaxation of each gate
-//!    runs on a `std::thread::scope` worker pool. Results are merged in
-//!    gate order, so the output is bit-identical to the sequential path —
-//!    constraint sets, per-gate reports, trace, iteration counts and all.
+//!    runs on the crate's one worker pool ([`crate::try_par_map`]).
+//!    Results are merged in gate order, so the output is bit-identical to
+//!    the sequential path — constraint sets, per-gate reports, trace,
+//!    iteration counts and all.
 //!
 //! Per-stage and per-gate metrics (wall time, states explored, cache
 //! traffic) ride along in the extended [`EngineReport`].
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use si_boolean::{parse_eqn, GateLibrary};
 use si_stg::{MgStg, SignalId, StateGraph, Stg};
 
-use crate::cache::{CacheStats, Caches, Decomposition};
+use crate::cache::{CacheStats, Caches};
 use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
-use crate::expand::{
-    expand_ctx, ExpandCtx, ExpandOutcome, RelaxationOrder, DEFAULT_LOCAL_SG_BUDGET,
-    DEFAULT_MAX_DEPTH,
-};
+use crate::expand::{expand_ctx, ExpandCtx, ExpandOutcome, RelaxationOrder, LOCAL_SG_BUDGET};
 use crate::local::{GateContext, LocalStg};
 use crate::paths::AdversaryOracle;
+use crate::pool::{try_par_map, worker_count};
 use crate::report::{ConstraintReport, GateReport};
 use crate::sched::DivergencePolicy;
 
 /// Default per-gate relaxation-iteration budget (convergence is proven;
 /// this guards malformed inputs).
 pub const DEFAULT_EXPAND_BUDGET: usize = 20_000;
-/// Default allocation cap for Hack's MG decomposition.
-pub const DEFAULT_ALLOCATION_CAP: usize = 4096;
+/// Allocation cap for Hack's MG decomposition.
+const ALLOCATION_CAP: usize = 4096;
 /// Default state budget for whole-STG state graphs (also the validation
 /// and conformance pre-check budget).
 pub const DEFAULT_GLOBAL_SG_BUDGET: usize = 1_000_000;
@@ -84,14 +83,8 @@ pub struct EngineConfig {
     /// State budget for whole-STG state graphs, STG validation and the
     /// per-gate conformance pre-check.
     pub global_sg_budget: usize,
-    /// State budget per local state graph inside the relaxation loop.
-    pub local_sg_budget: usize,
     /// Relaxation-iteration budget per gate.
     pub expand_budget: usize,
-    /// Allocation cap for Hack's MG decomposition.
-    pub allocation_cap: usize,
-    /// Maximum OR-causality recursion depth.
-    pub max_depth: usize,
     /// Arc-picking policy of the relaxation loop.
     pub order: RelaxationOrder,
     /// Worker threads for the per-gate fan-out: `1` = sequential in the
@@ -101,8 +94,8 @@ pub struct EngineConfig {
     /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
     /// state-graph miss, the state-graph and projection caches
     /// ([`crate::SgCache`], [`crate::ProjCache`]; each stores a value on
-    /// its second request) and the decompose memo, all shared across gates
-    /// and runs. Off, it runs the reference path:
+    /// its second request), both shared across gates and runs. Off, it
+    /// runs the reference path:
     /// [`si_stg::StateGraph::of_mg`] and
     /// [`si_stg::MgStg::project_on_gate`] on every call, nothing memoized.
     /// Output is bit-identical either way.
@@ -124,10 +117,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             global_sg_budget: DEFAULT_GLOBAL_SG_BUDGET,
-            local_sg_budget: DEFAULT_LOCAL_SG_BUDGET,
             expand_budget: DEFAULT_EXPAND_BUDGET,
-            allocation_cap: DEFAULT_ALLOCATION_CAP,
-            max_depth: DEFAULT_MAX_DEPTH,
             order: RelaxationOrder::TightestFirst,
             jobs: 1,
             cache: true,
@@ -163,16 +153,6 @@ impl EngineConfig {
     /// The same configuration under a different relaxation order.
     pub fn with_order(self, order: RelaxationOrder) -> Self {
         Self { order, ..self }
-    }
-
-    /// The effective worker count for `n` gates.
-    fn effective_jobs(&self, n: usize) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.jobs
-        };
-        requested.min(n).max(1)
     }
 }
 
@@ -472,84 +452,28 @@ impl Engine {
         CacheStats::default()
     }
 
-    /// Drops every memoized state graph, projection and decomposition,
-    /// and forgets which graphs and projections were requested once.
+    /// Drops every memoized state graph and projection, and forgets which
+    /// were requested once.
     pub fn clear_cache(&self) {
         if let Some(caches) = &self.caches {
             caches.clear();
         }
     }
 
-    /// The decompose stage: MG components plus the whole-STG state count,
-    /// memoized by the reuse stack when there is one. The states count
-    /// into `metrics` only when the whole-STG graph is actually explored.
-    fn decompose(
-        &self,
-        stg: &Stg,
-        metrics: &mut StageMetrics,
-    ) -> Result<Arc<Decomposition>, CoreError> {
-        let cfg = &self.config;
-        let mut compute = || -> Result<Decomposition, CoreError> {
-            let components = stg.mg_components(cfg.allocation_cap)?;
-            let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
-            metrics.states_explored += state_count;
-            Ok((components, state_count))
-        };
-        match &self.caches {
-            Some(caches) => caches.decompose(stg, compute),
-            None => compute().map(Arc::new),
-        }
-    }
-
-    /// Runs the pipeline from source text: parse and validate stages, then
-    /// [`Engine::run`].
+    /// Runs the pipeline from source text: lint, parse and validate
+    /// stages, then [`Engine::run`]. One lenient parse feeds both the lint
+    /// pre-flight and the strict gate.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Parse`] / [`CoreError::NotWellFormed`] from the two
-    /// extra stages, plus everything [`Engine::run`] reports.
+    /// [`CoreError::Lint`] (under [`LintPolicy::Deny`]),
+    /// [`CoreError::Parse`] / [`CoreError::NotWellFormed`] from the extra
+    /// stages, plus everything [`Engine::run`] reports.
     pub fn run_source(&self, stg_text: &str, eqn_text: &str) -> Result<EngineReport, CoreError> {
         let started = Instant::now();
-        let t = Instant::now();
         let parsed = si_stg::parse_astg_lenient(stg_text);
-        let lenient_wall = t.elapsed();
-        self.run_parsed(parsed, lenient_wall, eqn_text, started)
-    }
+        let lenient_wall = started.elapsed();
 
-    /// Runs the pipeline from an already-produced [`si_stg::ParseEvent`]
-    /// stream — the entry point for the streaming front-end, where a
-    /// server feeds `.g` chunks through an
-    /// [`si_stg::EventParser`] (or replays an interchange dump via
-    /// [`si_stg::sexp::read_events`]) instead of handing over one string.
-    /// The events are folded into the same lenient parse
-    /// [`Engine::run_source`] builds, so the output — lint findings,
-    /// stage list, constraints — is identical.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Engine::run_source`].
-    pub fn run_events(
-        &self,
-        events: &[si_stg::ParseEvent],
-        eqn_text: &str,
-    ) -> Result<EngineReport, CoreError> {
-        let started = Instant::now();
-        let t = Instant::now();
-        let parsed = si_stg::tree_of_events(events);
-        let lenient_wall = t.elapsed();
-        self.run_parsed(parsed, lenient_wall, eqn_text, started)
-    }
-
-    /// Shared tail of [`Engine::run_source`]/[`Engine::run_events`]: one
-    /// lenient parse feeds both the lint pre-flight and the strict gate,
-    /// so the two entry points cannot drift apart.
-    fn run_parsed(
-        &self,
-        parsed: si_stg::LenientParse,
-        lenient_wall: std::time::Duration,
-        eqn_text: &str,
-        started: Instant,
-    ) -> Result<EngineReport, CoreError> {
         // Stage: lint — the static pre-flight over the recovered parse.
         // It sees *every* defect in one pass (the lenient parser
         // recovers), where the strict gate below stops at the first.
@@ -631,10 +555,12 @@ impl Engine {
         // (the Table 7.2 state-count column).
         let t = Instant::now();
         let oracle = AdversaryOracle::new(stg);
-        let mut decompose_metrics = StageMetrics::new(Stage::Decompose);
-        let decomposed = self.decompose(stg, &mut decompose_metrics)?;
-        let (components, state_count) = (&decomposed.0, decomposed.1);
-        decompose_metrics.wall = t.elapsed();
+        let components = stg.mg_components(ALLOCATION_CAP)?;
+        let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
+        let decompose_metrics = StageMetrics {
+            states_explored: state_count,
+            ..StageMetrics::timed(Stage::Decompose, t.elapsed())
+        };
 
         // One fan-out unit per gate signal; binding happens inside the
         // unit so that, as in the sequential driver, the error of the
@@ -648,8 +574,10 @@ impl Engine {
 
         // Stages: project + relax, fanned out per gate.
         let fanout_started = Instant::now();
-        let jobs = cfg.effective_jobs(gate_jobs.len());
-        let runs = self.run_gates(stg, library, &gate_jobs, components, &oracle, jobs)?;
+        let jobs = worker_count(cfg.jobs, gate_jobs.len());
+        let runs = try_par_map(&gate_jobs, jobs, |job| {
+            self.run_gate(stg, library, job, &components, &oracle)
+        })?;
         let fanout_wall = fanout_started.elapsed();
 
         // Stage: merge, in gate order — bit-identical to the sequential
@@ -702,60 +630,6 @@ impl Engine {
         })
     }
 
-    /// Executes the per-gate units, sequentially or on a scoped worker
-    /// pool, returning the results in gate order. On failure the error of
-    /// the *lowest-indexed* failing gate is reported, matching the
-    /// sequential path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_gates(
-        &self,
-        stg: &Stg,
-        library: &GateLibrary,
-        gate_jobs: &[(SignalId, String)],
-        components: &[MgStg],
-        oracle: &AdversaryOracle,
-        jobs: usize,
-    ) -> Result<Vec<GateRun>, CoreError> {
-        if jobs <= 1 {
-            return gate_jobs
-                .iter()
-                .map(|job| self.run_gate(stg, library, job, components, oracle))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<GateRun, CoreError>>> =
-            (0..gate_jobs.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= gate_jobs.len() {
-                                return mine;
-                            }
-                            mine.push((
-                                i,
-                                self.run_gate(stg, library, &gate_jobs[i], components, oracle),
-                            ));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("gate worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        let mut runs = Vec::with_capacity(slots.len());
-        for slot in slots {
-            runs.push(slot.expect("every gate index was claimed")?);
-        }
-        Ok(runs)
-    }
-
     /// One fan-out unit: bind the gate, project its local STGs from every
     /// relevant MG component, record the baseline, pre-check conformance,
     /// then run the relaxation loop.
@@ -776,8 +650,7 @@ impl Engine {
             oracle,
             order: cfg.order,
             iteration_budget: cfg.expand_budget,
-            sg_budget: cfg.local_sg_budget,
-            max_depth: cfg.max_depth,
+            sg_budget: LOCAL_SG_BUDGET,
             caches: self.caches.as_ref(),
             divergence_policy: cfg.divergence_policy,
         };
@@ -790,7 +663,7 @@ impl Engine {
         let gate = library.gate(name).ok_or_else(|| CoreError::MissingGate {
             signal: name.clone(),
         })?;
-        let ctx = std::sync::Arc::new(GateContext::bind(gate, stg)?);
+        let ctx = Arc::new(GateContext::bind(gate, stg)?);
         let ctx = &ctx;
         for component in components {
             // Components that do not exercise this gate's output are
@@ -991,21 +864,6 @@ b- a+
             .collect();
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[1], reports[2]);
-    }
-
-    #[test]
-    fn run_events_matches_run_source() {
-        // Feeding a pre-parsed event stream must land on the same report
-        // and the same seven stages as parsing the text in-process.
-        let engine = Engine::new(EngineConfig::default());
-        let from_text = engine.run_source(CELEM, CELEM_EQN).expect("derives");
-        let events = si_stg::parse_events(CELEM);
-        let from_events = engine.run_events(&events, CELEM_EQN).expect("derives");
-        assert_eq!(from_events.report, from_text.report);
-        assert_eq!(from_events.lint.diagnostics, from_text.lint.diagnostics);
-        let stages =
-            |out: &EngineReport| -> Vec<Stage> { out.stages.iter().map(|s| s.stage).collect() };
-        assert_eq!(stages(&from_events), stages(&from_text));
     }
 
     #[test]

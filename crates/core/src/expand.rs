@@ -34,12 +34,11 @@ use crate::paths::AdversaryOracle;
 use crate::relax::relax_arc;
 use crate::sched::{CoveringLedger, DivergencePolicy};
 
-/// Default state-graph generation budget for local STGs
-/// ([`crate::EngineConfig::local_sg_budget`]).
-pub(crate) const DEFAULT_LOCAL_SG_BUDGET: usize = 200_000;
-/// Default maximum OR-causality recursion depth
-/// ([`crate::EngineConfig::max_depth`]).
-pub(crate) const DEFAULT_MAX_DEPTH: usize = 32;
+/// State-graph generation budget for local STGs inside the relaxation
+/// loop.
+pub(crate) const LOCAL_SG_BUDGET: usize = 200_000;
+/// Maximum OR-causality recursion depth.
+const MAX_DEPTH: usize = 32;
 
 /// Everything one relaxation run needs besides the local STG itself: the
 /// oracle, the engine limits and the engine's reuse stack. One instance is
@@ -55,8 +54,6 @@ pub(crate) struct ExpandCtx<'a> {
     pub iteration_budget: usize,
     /// State budget per local state graph.
     pub sg_budget: usize,
-    /// Maximum OR-causality recursion depth.
-    pub max_depth: usize,
     /// The engine's reuse stack; `None` runs the reference path.
     pub caches: Option<&'a Caches>,
     /// Whether the loop keeps a covering ledger and bails on detected
@@ -75,8 +72,7 @@ impl<'a> ExpandCtx<'a> {
             oracle,
             order: RelaxationOrder::TightestFirst,
             iteration_budget,
-            sg_budget: DEFAULT_LOCAL_SG_BUDGET,
-            max_depth: DEFAULT_MAX_DEPTH,
+            sg_budget: LOCAL_SG_BUDGET,
             caches,
             // The compatibility wrapper (and through it the monolithic
             // `derive_timing_constraints`) keeps the historical
@@ -450,7 +446,7 @@ fn recurse(
         gate: gate_name(local),
         parts: subs.len(),
     });
-    if depth + 1 >= ctx.max_depth {
+    if depth + 1 >= MAX_DEPTH {
         fall_back(local, x, y, out, "decomposition depth limit");
         return expand_at(local, ctx, out, depth);
     }

@@ -80,6 +80,7 @@ mod local;
 mod orcausality;
 mod padding;
 mod paths;
+mod pool;
 mod relax;
 mod report;
 mod sched;
@@ -103,6 +104,7 @@ pub use orcausality::{
 };
 pub use padding::{plan_padding, PaddingPlan, PaddingPosition};
 pub use paths::{AdversaryOracle, AdversaryPath};
+pub use pool::{par_map, try_par_map, worker_count};
 pub use relax::relax_arc;
 pub use report::{
     derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,

@@ -119,11 +119,11 @@ impl CorpusSpec {
         }
     }
 
-    /// The canonical seed → spec derivation used by `si_fuzz`,
-    /// `corpus_bench` and `check_hazard --bench corpus:<seed>`: the spec
-    /// itself is drawn from the seed (on a stream distinct from
-    /// [`generate`]'s), biased towards pure marked graphs and two-phase
-    /// bursts, with signal count in `2..=max_signals`.
+    /// The canonical seed → spec derivation used by `si_fuzz`, perfbench
+    /// and `check_hazard --bench corpus:<seed>`: the spec itself is drawn
+    /// from the seed (on a stream distinct from [`generate`]'s), biased
+    /// towards pure marked graphs and two-phase bursts, with signal count
+    /// in `2..=max_signals`.
     #[must_use]
     pub fn from_seed(seed: u64, max_signals: usize) -> CorpusSpec {
         let mut rng = CorpusRng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1));

@@ -5,31 +5,31 @@
 //!
 //! The engine parallelizes inside one circuit (per-gate fan-out); a
 //! synthetic corpus is the opposite shape — many small circuits — so
-//! [`run_corpus`] shards across *circuits* instead: `jobs` scoped workers
-//! pull manifest rows off a shared atomic cursor (the same work-stealing
-//! scheme as the engine's gate pool) and run them through **one shared
-//! engine**, so the structural `SgCache` / `ProjCache` tiers are shared
-//! across shards — a graph that shape-identical circuits request twice is
-//! stored, whichever worker meets it, and served from then on.
+//! [`run_corpus`] shards across *circuits* instead, on the same worker
+//! pool that fans out the engine's gates ([`si_core::par_map`]). Every
+//! row runs through **one shared engine**, so the structural `SgCache` /
+//! `ProjCache` tiers are shared across shards — a graph that
+//! shape-identical circuits request twice is stored, whichever worker
+//! meets it, and served from then on.
 //!
 //! Results land in manifest order, and each row's *payload* (constraint
 //! report, lint findings, error value) is bit-identical to a sequential
 //! single-engine loop over the same manifest — sharding affects wall
 //! clock and cache traffic only. `tests/corpus_differential.rs` pins
-//! this for jobs 1, 4 and 8, over a cold, an admitting and a warm pass.
-//! A row that panics becomes a [`CorpusError::Panicked`] in its own slot;
-//! the other rows still run.
+//! this for jobs 1, 4 and 8, over a cold, an admitting and a warm pass,
+//! and `si_fuzz -j N` checks it on every scan against the reference
+//! engine. A row that panics becomes a [`CorpusError::Panicked`] in its
+//! own slot; the other rows still run.
 
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use si_boolean::{parse_eqn, GateLibrary};
-use si_core::{CoreError, Engine, EngineReport, LintPolicy};
+use si_core::{par_map, CoreError, Engine, EngineReport, LintPolicy};
 use si_lint::{LintOptions, LintReport};
-use si_stg::parse_astg;
+use si_stg::parse_astg_lenient;
 use si_synth::synthesize;
 
 /// One corpus manifest row: an owned circuit source (generated corpora
@@ -127,9 +127,10 @@ impl Error for CorpusError {
 /// differential contract).
 pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 
-/// Runs one manifest row through `engine`: lint pre-flight under the
-/// engine's [`LintPolicy`], strict parse, netlist (fixed or synthesized
-/// under the engine's global state budget), derivation.
+/// Runs one manifest row through `engine`: one lenient parse, the lint
+/// pre-flight over it under the engine's [`LintPolicy`], the strict
+/// verdict (the parse's first fatal defect), netlist (fixed or
+/// synthesized under the engine's global state budget), derivation.
 ///
 /// # Errors
 ///
@@ -137,11 +138,12 @@ pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 /// [`CorpusError::Derive`].
 pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
     let policy = engine.config().lint;
+    let parsed = parse_astg_lenient(&entry.stg_text);
     let lint = if policy == LintPolicy::Off {
         LintReport::default()
     } else {
-        si_lint::lint_text_with(
-            &entry.stg_text,
+        si_lint::lint_parsed(
+            &parsed,
             &LintOptions {
                 state_budget: Some(engine.config().global_sg_budget),
             },
@@ -157,7 +159,10 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
         name: entry.name.clone(),
         detail,
     };
-    let stg = parse_astg(&entry.stg_text).map_err(|e| load(e.to_string()))?;
+    if let Some(e) = parsed.first_fatal() {
+        return Err(load(e.to_string()));
+    }
+    let stg = parsed.stg;
     let library = match &entry.eqn_text {
         Some(text) => GateLibrary::from_netlist(&parse_eqn(text).map_err(|e| load(e.to_string()))?),
         None => {
@@ -178,11 +183,11 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
 }
 
 /// Runs a whole corpus manifest through one shared `engine`, sharded
-/// across `jobs` worker threads (`0` = available parallelism, `1` =
-/// sequential in the calling thread). Results are returned in manifest
-/// row order regardless of which worker ran which row, and every row's
-/// payload is identical to what a sequential loop over
-/// [`run_corpus_entry`] produces. A row that panics comes back as
+/// across `jobs` workers of the pool ([`si_core::worker_count`]: `0` =
+/// one per CPU, `1` = sequential in the calling thread). Results are
+/// returned in manifest row order regardless of which worker ran which
+/// row, and every row's payload is identical to what a sequential loop
+/// over [`run_corpus_entry`] produces. A row that panics comes back as
 /// [`CorpusError::Panicked`].
 #[must_use]
 pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec<CorpusOutcome> {
@@ -196,51 +201,14 @@ fn shard(
     jobs: usize,
     run: impl Fn(&CorpusEntry) -> CorpusOutcome + Sync,
 ) -> Vec<CorpusOutcome> {
-    let contained = |entry: &CorpusEntry| {
+    par_map(manifest, jobs, |entry| {
         catch_unwind(AssertUnwindSafe(|| run(entry))).unwrap_or_else(|payload| {
             Err(CorpusError::Panicked {
                 name: entry.name.clone(),
                 detail: panic_message(payload.as_ref()),
             })
         })
-    };
-    let requested = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        jobs
-    };
-    let jobs = requested.min(manifest.len()).max(1);
-    if jobs <= 1 {
-        return manifest.iter().map(contained).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<CorpusOutcome>> = (0..manifest.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= manifest.len() {
-                            return mine;
-                        }
-                        mine.push((i, contained(&manifest[i])));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Every row is contained, so a worker cannot panic.
-            for (i, outcome) in handle.join().expect("corpus worker panicked") {
-                slots[i] = Some(outcome);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every manifest row was claimed"))
-        .collect()
+    })
 }
 
 /// The message of a caught panic: its `&str` or `String` payload.

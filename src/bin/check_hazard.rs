@@ -35,9 +35,9 @@ OPTIONS:
                           canonical spec derivation at 12 signals max
                           (`si_fuzz`'s default bound), synthesized
                           netlist, and the corpus-harness divergence
-                          bail-out; `corpus_bench` and perfbench draw
-                          at most 10 signals, so there the same seed
-                          names a different circuit
+                          bail-out; perfbench draws at most 10
+                          signals, so there the same seed names a
+                          different circuit
         --lint            strict lint pre-flight: refuse to derive when
                           the specification has lint errors (the default
                           policy only reports them on stderr)
@@ -48,9 +48,8 @@ OPTIONS:
                           docs/interchange.md)
         --order <ORDER>   relaxation order: tightest (default) or lex
         --no-cache        run the reference path: marking-keyed state
-                          graphs, no state-graph, projection or
-                          decompose memo (escape hatch; output is
-                          identical)
+                          graphs, no state-graph cache or projection
+                          memo (escape hatch; output is identical)
     -h, --help            print this help and exit
 
 EXIT CODES:
@@ -178,9 +177,8 @@ fn report_lint(report: &LintReport, source: &str, origin: &str) {
 /// Resolves a `--bench` name to one manifest row: a bundled Table 7.2
 /// benchmark, or `corpus:<seed>` — the seeded corpus circuit of the
 /// canonical spec at 12 signals max, with a synthesized netlist. That is
-/// `si_fuzz`'s default bound; `corpus_bench` (by default) and perfbench
-/// draw at most 10 signals, so for them the same seed names a different
-/// circuit.
+/// `si_fuzz`'s default bound; perfbench draws at most 10 signals, so for
+/// it the same seed names a different circuit.
 fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
     let Some(seed) = name.strip_prefix("corpus:") else {
         return si_redress::suite::benchmark(name)

@@ -1,16 +1,19 @@
 //! `si_fuzz` — the differential fuzz harness over the synthetic corpus.
 //!
-//! For every seed, generates a circuit ([`si_corpus::generate`] under the
-//! canonical [`CorpusSpec::from_seed`] derivation), checks the
-//! generator's validity guarantee (zero lint errors), synthesizes its
-//! complex-gate netlist, and runs the **full-featured engine**
-//! ([`EngineConfig::default`]: caches, projection memo, σ-space
-//! exploration) against the pinned **reference engine**
-//! ([`EngineConfig::reference`]: sequential, uncached, marking-keyed). Any difference in the derived constraint
-//! sets, per-gate verdicts or error values is a soundness bug in one of
-//! the reuse layers; the harness then *minimizes* the spec (fewer
-//! signals, choices, forks; two-phase; no OR tail) while the divergence
-//! persists and prints a one-line reproducer:
+//! Turns the scanned seeds into a manifest of generated circuits
+//! ([`si_corpus::generate`] under the canonical [`CorpusSpec::from_seed`]
+//! derivation, netlists synthesized by the runner) and runs it through
+//! [`si_suite::run_corpus`], sharded over `-j` workers: once on the pinned
+//! **reference engine** ([`EngineConfig::reference`]: uncached,
+//! marking-keyed), then three times — cold, admitting, warm — on one
+//! shared **full-featured engine** ([`EngineConfig::default`]: σ-space
+//! exploration and both caches). Every row of every full pass must match
+//! the reference row: the same constraint report (baseline and relaxed
+//! sets, per-gate cases) or the same error value. A difference is a
+//! soundness bug in one of the reuse layers or in the sharded runner; the
+//! harness then *minimizes* the spec (fewer signals, choices, forks;
+//! two-phase; no OR tail) while the fault persists and prints a one-line
+//! reproducer:
 //!
 //! ```text
 //! seed=42 signals=7 choices=1 or=60 fork=3 interleave=0 marking=place
@@ -18,54 +21,57 @@
 //!
 //! Replay it with `si_fuzz --replay 'seed=42 signals=7 …'`. Circuits the
 //! synthesizer rejects (CSC conflicts in interleaved mode, input-only
-//! bursts) are counted and skipped — both engines need the same netlist
-//! to compare.
+//! bursts) are counted as skipped.
 //!
-//! A cheap extra oracle rides along on every scanned seed: the generated
-//! spec's parse-event stream must survive the S-expression interchange
-//! round-trip (`parse → events → sexp → reader → tree`,
-//! `docs/interchange.md`) bit-identically. A divergence is minimized and
-//! reported through the same reproducer machinery as an engine mismatch.
+//! Two cheap oracles ride along on every seed. The full-featured engine
+//! lints under [`LintPolicy::Deny`], so a generated circuit with a lint
+//! error — a break of the generator's validity guarantee — fails as
+//! [`CorpusError::Lint`]. And the spec's parse-event stream must survive
+//! the S-expression interchange round-trip (`parse → events → sexp →
+//! reader → tree`, `docs/interchange.md`) bit-identically. Either fault
+//! is minimized and reported like an engine mismatch.
 //!
-//! Every bail is audited too: a seed whose full-featured payload is
-//! `Diverged` re-runs on a fresh default engine under
+//! Every bail is audited too: the rows whose cold full-featured outcome
+//! is `Diverged` run once more through `run_corpus`, on an engine under
 //! [`DivergencePolicy::Exhaust`] for [`AUDIT_BUDGET`] iterations. The
 //! covering ledger's token-pump sign is a heuristic, so a bailed seed that
 //! converges there is a fault, minimized and reported like the others.
+//!
+//! Minimization and replay judge one seed at a time with
+//! [`run_corpus_entry`] on fresh engines, immune to shared-cache state.
 //!
 //! Exit codes: `0` no fault, `1` fault found (reproducer on stdout and in
 //! the artifact file), `3` usage error.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use si_corpus::{generate, harness_config, CorpusSpec, GeneratedCircuit, MarkingStyle, Reproducer};
-use si_redress::boolean::GateLibrary;
-use si_redress::core::{ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig};
-use si_redress::lint::LintOptions;
-use si_redress::stg::Stg;
-use si_redress::synth::synthesize;
+use si_corpus::{corpus_name, generate, harness_config, CorpusSpec, MarkingStyle, Reproducer};
+use si_redress::core::{
+    par_map, ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig, LintPolicy,
+};
+use si_redress::suite::{run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome};
 
 const USAGE: &str = "\
 usage: si_fuzz [OPTIONS]
        si_fuzz --replay '<reproducer line>'
 
 Differential fuzzing: seeded synthetic circuits through the full-featured
-engine vs the pinned sequential reference; any divergence in constraints,
-verdicts or error values fails the run with a minimized reproducer. The
-S-expression interchange round-trip is checked on every seed as a cheap
-extra oracle under the same contract, and every `Diverged` bail is
-re-run under the Exhaust policy for 1000 iterations: a bail that
-converges there fails the run too.
+engine (a cold, an admitting and a warm sharded pass on one shared
+engine) vs the pinned reference; any divergence in constraints, verdicts
+or error values fails the run with a minimized reproducer. The
+generator's zero-lint-errors guarantee and the S-expression interchange
+round-trip are checked on every seed as cheap extra oracles under the
+same contract, and every `Diverged` bail is re-run under the Exhaust
+policy for 1000 iterations: a bail that converges there fails the run
+too.
 
 OPTIONS:
         --seeds <N>        number of seeds to scan (default 1000)
         --start <S>        first seed (default 1)
         --max-signals <K>  upper signal-count bound for generated
                            circuits (default 12, clamped to 2..=24)
-    -j, --jobs <N>         parallel fuzz workers sharing one full-featured
+    -j, --jobs <N>         workers each pass is sharded over, sharing one
                            engine (default 1, 0 = one per CPU)
         --artifact <PATH>  where to write the reproducer on failure
                            (default si_fuzz_failure.txt)
@@ -125,53 +131,61 @@ fn parse_num(s: &str) -> Result<u64, String> {
 
 /// The semantic payload compared across engines: the constraint report
 /// (baseline + relaxed sets, per-gate cases) or the error value. Wall
-/// times and cache counters are config-dependent by design and excluded.
-type Payload = Result<ConstraintReport, CoreError>;
+/// times, cache counters and lint findings are config-dependent by design
+/// and excluded.
+fn payload(outcome: &CorpusOutcome) -> Result<&ConstraintReport, &CorpusError> {
+    outcome.as_ref().map(|row| &row.report.report)
+}
 
 /// The iteration budget of the bail audit's `Exhaust` re-run. Every corpus
 /// bail at 12 signals exhausts it in 0.4–1.4 s (release build, 2-vCPU
 /// host), which keeps the CI scan short.
 const AUDIT_BUDGET: usize = 1000;
 
-/// Synthesizes the netlist once and runs it through both engines (they
-/// share the same state budget, so one library serves both). Returns
-/// both payloads, plus the bail audit's when the full-featured one is
-/// `Diverged`.
-fn payloads(
-    full: &Engine,
-    reference: &Engine,
-    c: &GeneratedCircuit,
-) -> Option<(Payload, Payload, Option<Payload>)> {
-    let library = synthesize(&c.stg, full.config().global_sg_budget).ok()?;
-    let a = full.run(&c.stg, &library).map(|report| report.report);
-    let b = reference.run(&c.stg, &library).map(|report| report.report);
-    let audit = matches!(a, Err(CoreError::Diverged { .. })).then(|| audit(&c.stg, &library));
-    Some((a, b, audit))
+/// The full-featured engine: the whole reuse stack, the corpus harness's
+/// divergence bail-out, and the strict lint policy, under which a
+/// generated circuit with a lint error fails as [`CorpusError::Lint`].
+fn full_config() -> EngineConfig {
+    harness_config(EngineConfig {
+        lint: LintPolicy::Deny,
+        ..EngineConfig::default()
+    })
 }
 
-/// Re-runs a bailed circuit on a fresh default engine that keeps no
-/// ledger and relaxes for at most [`AUDIT_BUDGET`] iterations per gate.
-fn audit(stg: &Stg, library: &GateLibrary) -> Payload {
-    Engine::new(EngineConfig {
+/// The pinned reference engine, under the same divergence bail-out.
+fn reference_config() -> EngineConfig {
+    harness_config(EngineConfig::reference())
+}
+
+/// The bail audit's engine: no ledger, at most [`AUDIT_BUDGET`] relaxation
+/// iterations per gate.
+fn audit_config() -> EngineConfig {
+    EngineConfig {
         divergence_policy: DivergencePolicy::Exhaust,
         expand_budget: AUDIT_BUDGET,
         ..EngineConfig::default()
-    })
-    .run(stg, library)
-    .map(|report| report.report)
+    }
 }
 
-/// What went wrong on one seed.
-enum Fault {
-    /// The generator's zero-lint-errors guarantee broke.
-    Guarantee(usize),
-    /// Full-featured and reference engines disagree.
-    Diverged(Box<Payload>, Box<Payload>),
-    /// The full-featured engine bailed, but the audit's `Exhaust` re-run
-    /// converges.
-    BailConverged(Box<Payload>, Box<ConstraintReport>),
-    /// The S-expression interchange round-trip lost or changed a fact.
-    SexpRoundTrip(String),
+/// The manifest row of `(spec, seed)`: the generated `.g` text under the
+/// seed's canonical name, its netlist left to the runner to synthesize.
+fn entry(spec: &CorpusSpec, seed: u64) -> CorpusEntry {
+    CorpusEntry {
+        name: corpus_name(seed),
+        stg_text: generate(spec, seed).g_text,
+        eqn_text: None,
+    }
+}
+
+/// Whether the covering ledger bailed the row.
+fn bailed(outcome: &CorpusOutcome) -> bool {
+    matches!(
+        outcome,
+        Err(CorpusError::Derive {
+            source: CoreError::Diverged { .. },
+            ..
+        })
+    )
 }
 
 /// The interchange oracle: the spec's event stream, dumped to the sexp
@@ -201,35 +215,51 @@ fn sexp_divergence(g_text: &str) -> Option<String> {
     None
 }
 
-/// Checks one `(spec, seed)` case with **fresh, cold** engines — the
-/// verification and minimization oracle, immune to shared-cache state.
-fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<Fault> {
-    let c = generate(spec, seed);
-    let budget = harness_config(EngineConfig::default()).global_sg_budget;
-    let lint = si_redress::lint::lint_text_with(
-        &c.g_text,
-        &LintOptions {
-            state_budget: Some(budget),
-        },
-    );
-    if lint.error_count() > 0 {
-        return Some(Fault::Guarantee(lint.error_count()));
+/// Describes the first fault one seed's outcomes show: a broken lint
+/// guarantee, the sexp oracle's finding, a full-featured outcome that
+/// differs from the reference, or an audited bail that converges.
+fn fault(
+    sexp: Option<&str>,
+    full: &CorpusOutcome,
+    reference: &CorpusOutcome,
+    audit: Option<&CorpusOutcome>,
+) -> Option<String> {
+    if let Err(CorpusError::Lint { errors, .. }) = full {
+        return Some(format!(
+            "generator validity guarantee violated: {errors} lint error(s)"
+        ));
     }
-    if let Some(detail) = sexp_divergence(&c.g_text) {
-        return Some(Fault::SexpRoundTrip(detail));
+    if let Some(detail) = sexp {
+        return Some(format!("sexp round-trip oracle violated: {detail}"));
     }
-    let (full, reference, audit) = payloads(
-        &Engine::new(harness_config(EngineConfig::default())),
-        &Engine::new(harness_config(EngineConfig::reference())),
-        &c,
-    )?;
+    let (full, reference) = (payload(full), payload(reference));
     if full != reference {
-        return Some(Fault::Diverged(Box::new(full), Box::new(reference)));
+        return Some(format!(
+            "engine diverges from reference\n--- full-featured ---\n{full:?}\n--- reference ---\n{reference:?}"
+        ));
     }
     match audit {
-        Some(Ok(report)) => Some(Fault::BailConverged(Box::new(full), Box::new(report))),
+        Some(Ok(row)) => Some(format!(
+            "bail converges under Exhaust ({AUDIT_BUDGET} iterations)\n--- full-featured ---\n{full:?}\n--- exhaust ---\n{:?}",
+            row.report.report
+        )),
         _ => None,
     }
+}
+
+/// Checks one `(spec, seed)` case with **fresh, cold** engines — the
+/// verification and minimization oracle, immune to shared-cache state.
+fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<String> {
+    let entry = entry(spec, seed);
+    let full = run_corpus_entry(&Engine::new(full_config()), &entry);
+    let reference = run_corpus_entry(&Engine::new(reference_config()), &entry);
+    let audit = bailed(&full).then(|| run_corpus_entry(&Engine::new(audit_config()), &entry));
+    fault(
+        sexp_divergence(&entry.stg_text).as_deref(),
+        &full,
+        &reference,
+        audit.as_ref(),
+    )
 }
 
 /// Greedily shrinks the spec while the fault persists: fewer signals,
@@ -275,23 +305,6 @@ fn minimize(spec: CorpusSpec, seed: u64) -> CorpusSpec {
     }
 }
 
-fn describe(fault: &Fault) -> String {
-    match fault {
-        Fault::Guarantee(errors) => {
-            format!("generator validity guarantee violated: {errors} lint error(s)")
-        }
-        Fault::Diverged(full, reference) => format!(
-            "engine diverges from reference\n--- full-featured ---\n{full:?}\n--- reference ---\n{reference:?}"
-        ),
-        Fault::BailConverged(bail, report) => format!(
-            "bail converges under Exhaust ({AUDIT_BUDGET} iterations)\n--- full-featured ---\n{bail:?}\n--- exhaust ---\n{report:?}"
-        ),
-        Fault::SexpRoundTrip(detail) => {
-            format!("sexp round-trip oracle violated: {detail}")
-        }
-    }
-}
-
 /// Reports one verified fault: minimize, print, write the artifact.
 fn report_fault(seed: u64, max_signals: usize, artifact: &str) -> ExitCode {
     let spec = CorpusSpec::from_seed(seed, max_signals);
@@ -304,11 +317,10 @@ fn report_fault(seed: u64, max_signals: usize, artifact: &str) -> ExitCode {
     let c = generate(&min_spec, seed);
     let body = format!(
         "si_fuzz divergence\nreproducer: {repro}\nreplay: si_fuzz --replay '{repro}'\n\n{}\n\n--- minimized circuit ---\n{}",
-        describe(&fault),
-        c.g_text
+        fault, c.g_text
     );
     println!("FAIL {repro}");
-    println!("{}", describe(&fault));
+    println!("{fault}");
     if let Err(e) = std::fs::write(artifact, &body) {
         eprintln!("si_fuzz: cannot write artifact `{artifact}`: {e}");
     } else {
@@ -336,7 +348,7 @@ fn main() -> ExitCode {
         return match fault_of(&repro.spec, repro.seed) {
             Some(fault) => {
                 println!("FAIL {repro}");
-                println!("{}", describe(&fault));
+                println!("{fault}");
                 ExitCode::from(1)
             }
             None => {
@@ -346,96 +358,79 @@ fn main() -> ExitCode {
         };
     }
 
-    let jobs = if args.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        args.jobs
-    }
-    .max(1);
-
-    // The scan phase shares one full-featured engine across all workers
-    // and seeds — exactly how a corpus batch exercises the reuse tiers —
-    // while the reference engine is stateless by construction. Hits are
-    // re-verified with fresh cold engines before being reported. Both
-    // sides run with the divergence bail-out forced on (see
+    // One manifest, sharded over the workers in every pass. The reference
+    // engine is stateless by construction; the full-featured engine is
+    // shared by its three passes — exactly how a corpus batch exercises
+    // the reuse stack — and its caches store a graph on its second
+    // request, so the passes are cold, admitting and warm. Both sides run
+    // with the divergence bail-out forced on (see
     // `si_corpus::harness_config`) at the real default iteration budget:
     // token pumps abort deterministically once the covering ledger sees a
-    // loop state come back, instead of spending hours in one circuit's
-    // relaxation loop, and the `Diverged` verdict is itself a compared
-    // payload. Each bail is then audited on the same worker, under
-    // `Exhaust` on a fresh engine.
-    let full = Engine::new(harness_config(EngineConfig::default()));
-    let reference = Engine::new(harness_config(EngineConfig::reference()));
-    let next = AtomicU64::new(args.start);
-    let end = args.start.saturating_add(args.seeds);
-    let compared = AtomicU64::new(0);
-    let skipped = AtomicU64::new(0);
-    let audited = AtomicU64::new(0);
-    let converged = AtomicU64::new(0);
-    let suspects: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    // loop state come back, and the `Diverged` verdict is itself a
+    // compared payload. Suspects are re-verified with fresh cold engines
+    // before being reported.
     let started = Instant::now();
-
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let seed = next.fetch_add(1, Ordering::Relaxed);
-                if seed >= end {
-                    return;
-                }
-                let spec = CorpusSpec::from_seed(seed, args.max_signals);
-                let c = generate(&spec, seed);
-                let lint = si_redress::lint::lint_text_with(
-                    &c.g_text,
-                    &LintOptions {
-                        state_budget: Some(full.config().global_sg_budget),
-                    },
-                );
-                if lint.error_count() > 0 || sexp_divergence(&c.g_text).is_some() {
-                    suspects.lock().expect("suspects").push(seed);
-                    continue;
-                }
-                let Some((a, b, audit)) = payloads(&full, &reference, &c) else {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                compared.fetch_add(1, Ordering::Relaxed);
-                let mut fault = a != b;
-                if let Some(audit) = audit {
-                    audited.fetch_add(1, Ordering::Relaxed);
-                    if audit.is_ok() {
-                        converged.fetch_add(1, Ordering::Relaxed);
-                        fault = true;
-                    }
-                }
-                if fault {
-                    suspects.lock().expect("suspects").push(seed);
-                }
-            });
+    let end = args.start.saturating_add(args.seeds);
+    let seeds: Vec<u64> = (args.start..end).collect();
+    let (manifest, sexp): (Vec<CorpusEntry>, Vec<Option<String>>) =
+        par_map(&seeds, args.jobs, |&seed| {
+            let entry = entry(&CorpusSpec::from_seed(seed, args.max_signals), seed);
+            let sexp = sexp_divergence(&entry.stg_text);
+            (entry, sexp)
+        })
+        .into_iter()
+        .unzip();
+    let reference = run_corpus(&Engine::new(reference_config()), &manifest, args.jobs);
+    let mut rerun_diverged = vec![false; manifest.len()];
+    let cold = {
+        let full = Engine::new(full_config());
+        let cold = run_corpus(&full, &manifest, args.jobs);
+        // The admitting and warm passes are judged as they finish and
+        // dropped, and so is the engine's warm cache, before the audits.
+        for _ in ["admitting", "warm"] {
+            let pass = run_corpus(&full, &manifest, args.jobs);
+            for (i, outcome) in pass.iter().enumerate() {
+                rerun_diverged[i] |= fault(None, outcome, &reference[i], None).is_some();
+            }
         }
-    });
+        cold
+    };
+    let bails: Vec<usize> = (0..manifest.len()).filter(|&i| bailed(&cold[i])).collect();
+    let audit_manifest: Vec<CorpusEntry> = bails.iter().map(|&i| manifest[i].clone()).collect();
+    let audits = run_corpus(&Engine::new(audit_config()), &audit_manifest, args.jobs);
+    let suspects: Vec<u64> = (0..manifest.len())
+        .filter(|&i| {
+            let audit = bails.binary_search(&i).ok().map(|k| &audits[k]);
+            rerun_diverged[i] || fault(sexp[i].as_deref(), &cold[i], &reference[i], audit).is_some()
+        })
+        .map(|i| seeds[i])
+        .collect();
+    // Generated circuits always parse, so a load error is the
+    // synthesizer's rejection: nothing to relax.
+    let skipped = reference
+        .iter()
+        .filter(|outcome| matches!(outcome, Err(CorpusError::Load { .. })))
+        .count();
 
-    let mut suspects = suspects.into_inner().expect("suspects");
-    suspects.sort_unstable();
     // Re-verify cold: a warm-engine hit that a cold run cannot reproduce
     // would itself be a bug, but the reproducer must stand alone.
     let confirmed = suspects
         .iter()
         .find(|&&seed| fault_of(&CorpusSpec::from_seed(seed, args.max_signals), seed).is_some());
 
-    let compared = compared.load(Ordering::Relaxed);
-    let skipped = skipped.load(Ordering::Relaxed);
     println!(
-        "scanned {} seeds [{}..{}) in {:.1}s: {compared} compared, {skipped} skipped (synthesis), {} divergent",
+        "scanned {} seeds [{}..{}) in {:.1}s: {} compared, {skipped} skipped (synthesis), {} divergent",
         args.seeds,
         args.start,
         end,
         started.elapsed().as_secs_f64(),
+        manifest.len() - skipped,
         suspects.len(),
     );
     println!(
         "audited {} bails under Exhaust ({AUDIT_BUDGET} iterations): {} converged",
-        audited.load(Ordering::Relaxed),
-        converged.load(Ordering::Relaxed),
+        audits.len(),
+        audits.iter().filter(|audit| audit.is_ok()).count(),
     );
     match (confirmed, suspects.is_empty()) {
         (Some(&seed), _) => report_fault(seed, args.max_signals, &args.artifact),

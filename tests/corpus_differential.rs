@@ -59,10 +59,9 @@ fn manifest(seeds: std::ops::RangeInclusive<u64>, max_signals: usize) -> Vec<Cor
 }
 
 fn engine() -> Engine {
-    // The corpus-harness divergence bail-out, exactly as
-    // `si_fuzz`/`corpus_bench` run: pathological relaxation shapes become
-    // deterministic `Diverged` errors, which the payload comparison
-    // covers like any other row.
+    // The corpus-harness divergence bail-out, exactly as `si_fuzz` runs:
+    // pathological relaxation shapes become deterministic `Diverged`
+    // errors, which the payload comparison covers like any other row.
     Engine::new(harness_config(EngineConfig::default()))
 }
 

@@ -211,9 +211,8 @@ fn an_exhausting_gate_does_not_fill_the_cache() {
 #[test]
 fn si_fuzz_audits_every_bail_under_exhaust() {
     // Corpus seed 387 at 12 signals bails as a token pump at iteration
-    // 15. The fuzz scan re-runs it on a fresh engine under `Exhaust` for
-    // 1000 iterations, where it does not converge either: one audit, no
-    // fault.
+    // 15. The fuzz scan re-runs it under `Exhaust` for 1000 iterations,
+    // where it does not converge either: one audit, no fault.
     let artifact = std::env::temp_dir().join(format!(
         "si-redress-divergence-{}-si_fuzz_failure.txt",
         std::process::id()

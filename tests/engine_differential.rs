@@ -97,11 +97,14 @@ fn reuse_layers_engage_on_a_warm_run() {
         "engine-level state-graph counters must cover the warm run: {:?}",
         engine.cache_stats()
     );
-    let decompose = warm.stage(Stage::Decompose).expect("ran");
-    for stage in [decompose, project, relax] {
+    for stage in [project, relax] {
         assert_eq!(stage.sg_cache_misses, 0, "{stage:?}");
         assert_eq!(stage.states_explored, 0, "{stage:?}");
     }
+    // Nothing memoizes the decompose stage: every run explores the
+    // whole-STG graph, Table 7.2's 112 states.
+    let decompose = warm.stage(Stage::Decompose).expect("ran");
+    assert_eq!(decompose.states_explored, 112, "{decompose:?}");
 }
 
 /// The thirteen bundled benchmarks as manifest rows.
@@ -224,12 +227,10 @@ fn engine_report_metrics_are_coherent() {
                     "the conformance pre-check generates SGs in the project stage: {project:?}"
                 );
                 // The decompose stage explores the Table 7.2 state count
-                // unless its memo, which stores on the first request,
-                // answers.
-                let explored = if cache && pass != "cold" { 0 } else { 112 };
+                // on every run.
                 assert_eq!(
                     out.stage(Stage::Decompose).expect("ran").states_explored,
-                    explored,
+                    112,
                     "{pass}, {config:?}"
                 );
                 assert_eq!(out.report.state_count, 112);

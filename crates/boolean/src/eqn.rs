@@ -14,6 +14,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::gate::MAX_GATE_SUPPORT;
+
 /// One gate equation: output name and sum-of-products over
 /// `(input name, positive)` literals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +69,8 @@ fn is_name_char(c: char) -> bool {
 /// # Errors
 ///
 /// Returns [`ParseEqnError`] on malformed input (missing `=`, brackets,
-/// conflicting literals, empty terms, duplicate gate outputs).
+/// conflicting literals, empty terms, duplicate gate outputs, a gate over
+/// more than [`MAX_GATE_SUPPORT`] distinct signals).
 pub fn parse_eqn(text: &str) -> Result<Netlist, ParseEqnError> {
     let mut gates: Vec<EqnGate> = Vec::new();
     let mut pending = String::new();
@@ -156,6 +159,19 @@ fn parse_statement(stmt: &str, line: usize) -> Result<EqnGate, ParseEqnError> {
     }
     if terms.is_empty() {
         return Err(err("empty right-hand side".into()));
+    }
+    let mut support: Vec<&str> = terms
+        .iter()
+        .flatten()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    support.sort_unstable();
+    support.dedup();
+    if support.len() > MAX_GATE_SUPPORT {
+        return Err(err(format!(
+            "gate `{output}` reads {} distinct signals; a gate's support is capped at {MAX_GATE_SUPPORT}",
+            support.len()
+        )));
     }
     Ok(EqnGate {
         output: output.to_string(),
@@ -259,6 +275,30 @@ prnot = i4* precharged + i4 * prnot + precharged * prnot;
         let net = parse_eqn(text).expect("valid");
         let written = write_eqn(&net);
         assert_eq!(parse_eqn(&written).expect("valid"), net);
+    }
+
+    #[test]
+    fn rejects_a_gate_wider_than_the_support_cap() {
+        let wide = |n: usize| {
+            let literals: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+            format!("# header\nok = a0;\ny = {};\n", literals.join("*"))
+        };
+        assert!(parse_eqn(&wide(MAX_GATE_SUPPORT)).is_ok());
+        let err = parse_eqn(&wide(MAX_GATE_SUPPORT + 1)).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(
+            err.message,
+            "gate `y` reads 21 distinct signals; a gate's support is capped at 20"
+        );
+        // A signal read in several terms, or in both polarities, counts once.
+        let repeated = format!(
+            "y = {} + a0';",
+            (0..20)
+                .map(|i| format!("a{i}"))
+                .collect::<Vec<_>>()
+                .join("*")
+        );
+        assert!(parse_eqn(&repeated).is_ok());
     }
 
     #[test]

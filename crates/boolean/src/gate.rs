@@ -7,6 +7,11 @@ use crate::cube::Cube;
 use crate::eqn::{EqnGate, Netlist};
 use crate::qm::{expand_cover, irredundant_cover, MAX_EXACT_VARS};
 
+/// The most support variables a gate may have: building one enumerates
+/// all `2^n` minterms of its support. [`parse_eqn`](crate::parse_eqn)
+/// rejects a wider gate.
+pub const MAX_GATE_SUPPORT: usize = 20;
+
 /// A gate: a single-output Boolean (possibly sequential) element described
 /// by an irredundant prime cover of its on-set (`f↑`, the pull-up function)
 /// and of its off-set (`f↓`, the pull-down function) — thesis Sec. 2.1.
@@ -34,10 +39,13 @@ impl Gate {
     ///
     /// # Panics
     ///
-    /// Panics if the support exceeds 20 variables.
+    /// Panics if the support exceeds [`MAX_GATE_SUPPORT`] variables.
     pub fn from_up_cover(output: impl Into<String>, vars: Vec<String>, up: Cover) -> Self {
         let n = vars.len();
-        assert!(n <= 20, "gate support is capped at 20 variables");
+        assert!(
+            n <= MAX_GATE_SUPPORT,
+            "gate support is capped at {MAX_GATE_SUPPORT} variables"
+        );
         let off: Vec<u64> = (0..(1u64 << n)).filter(|&s| !up.eval(s)).collect();
         let on: Vec<u64> = (0..(1u64 << n)).filter(|&s| up.eval(s)).collect();
         // Re-minimize the on-set too, so `up` is an irredundant prime cover.
@@ -114,7 +122,8 @@ impl GateLibrary {
     ///
     /// # Panics
     ///
-    /// Panics if a gate's support exceeds 20 variables.
+    /// Panics if a gate's support exceeds [`MAX_GATE_SUPPORT`] variables,
+    /// which no netlist from [`parse_eqn`](crate::parse_eqn) has.
     pub fn from_netlist(netlist: &Netlist) -> Self {
         let gates = netlist.gates.iter().map(gate_from_eqn).collect();
         Self { gates }

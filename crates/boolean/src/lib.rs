@@ -30,5 +30,5 @@ mod qm;
 pub use cover::Cover;
 pub use cube::Cube;
 pub use eqn::{parse_eqn, write_eqn, EqnGate, Netlist, ParseEqnError};
-pub use gate::{Gate, GateLibrary};
+pub use gate::{Gate, GateLibrary, MAX_GATE_SUPPORT};
 pub use qm::{expand_cover, irredundant_cover, prime_implicants, MAX_EXACT_VARS};

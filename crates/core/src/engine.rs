@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use si_boolean::{parse_eqn, GateLibrary};
-use si_stg::{MgStg, SignalId, StateGraph, Stg};
+use si_stg::{MgStg, SignalId, Stg, StgAnalysis};
 
 use crate::cache::{CacheStats, Caches};
 use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
@@ -165,9 +165,10 @@ pub enum Stage {
     /// `.g`/`.eqn` text to [`Stg`] + [`GateLibrary`] (source entry only).
     Parse,
     /// Liveness/safeness/free-choice/consistency of the STG (source entry
-    /// only).
+    /// only), read off the run's one whole-STG walk.
     Validate,
-    /// Hack's MG decomposition plus the whole-STG state graph.
+    /// Hack's MG decomposition plus the whole-STG state count, read off
+    /// the run's walk ([`Engine::run`] makes the walk here).
     Decompose,
     /// Per-gate binding, local-STG projection, baseline extraction and the
     /// conformance pre-check.
@@ -461,8 +462,10 @@ impl Engine {
     }
 
     /// Runs the pipeline from source text: lint, parse and validate
-    /// stages, then [`Engine::run`]. One lenient parse feeds both the lint
-    /// pre-flight and the strict gate.
+    /// stages, then [`Engine::run_analyzed`]. One lenient parse feeds both
+    /// the lint pre-flight and the strict gate, and one whole-STG walk
+    /// ([`Stg::analyze`], in the validate stage) feeds both validation and
+    /// the derivation.
     ///
     /// # Errors
     ///
@@ -517,8 +520,11 @@ impl Engine {
         let library = GateLibrary::from_netlist(&netlist);
         let parse_metrics = StageMetrics::timed(Stage::Parse, lenient_wall + t.elapsed());
 
+        // Stage: validate, on the run's one whole-STG walk, which the
+        // derivation then reads too.
         let t = Instant::now();
-        let health = stg.validate(self.config.global_sg_budget)?;
+        let analysis = stg.analyze(self.config.global_sg_budget)?;
+        let health = analysis.health()?;
         if !health.is_well_formed() {
             return Err(CoreError::NotWellFormed {
                 name: stg.name.clone(),
@@ -528,9 +534,12 @@ impl Engine {
                 ),
             });
         }
-        let validate_metrics = StageMetrics::timed(Stage::Validate, t.elapsed());
+        let validate_metrics = StageMetrics {
+            states_explored: analysis.state_count(),
+            ..StageMetrics::timed(Stage::Validate, t.elapsed())
+        };
 
-        let mut out = self.run(&stg, &library)?;
+        let mut out = self.run_analyzed(&stg, &analysis, &library)?;
         out.lint = lint;
         out.stages
             .splice(0..0, [lint_metrics, parse_metrics, validate_metrics]);
@@ -539,7 +548,9 @@ impl Engine {
     }
 
     /// Runs the pipeline on a parsed circuit: decompose → project → relax
-    /// → merge.
+    /// → merge. The decompose stage walks the whole STG once
+    /// ([`Stg::analyze`]) and counts the walk's states; then
+    /// [`Engine::run_analyzed`].
     ///
     /// # Errors
     ///
@@ -549,18 +560,44 @@ impl Engine {
     /// decomposition and state-graph failures.
     pub fn run(&self, stg: &Stg, library: &GateLibrary) -> Result<EngineReport, CoreError> {
         let started = Instant::now();
+        let analysis = stg.analyze(self.config.global_sg_budget)?;
+        let walk = started.elapsed();
+        let mut out = self.run_analyzed(stg, &analysis, library)?;
+        let decompose = out
+            .stages
+            .iter_mut()
+            .find(|s| s.stage == Stage::Decompose)
+            .expect("every run decomposes");
+        decompose.wall += walk;
+        decompose.states_explored = analysis.state_count();
+        out.total_wall = started.elapsed();
+        Ok(out)
+    }
+
+    /// [`Engine::run`] on the circuit's whole-STG walk, made once per run
+    /// by the caller (`analysis` must be `stg`'s). The decompose stage
+    /// then explores no states: it reads the state count and the MG
+    /// components' initial code off the walk.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    pub fn run_analyzed(
+        &self,
+        stg: &Stg,
+        analysis: &StgAnalysis,
+        library: &GateLibrary,
+    ) -> Result<EngineReport, CoreError> {
+        let started = Instant::now();
         let cfg = &self.config;
 
-        // Stage: decompose. MG components plus the whole-STG state graph
-        // (the Table 7.2 state-count column).
+        // Stage: decompose. MG components, starting at the walk's initial
+        // code, plus the whole-STG state count (the Table 7.2 column).
         let t = Instant::now();
         let oracle = AdversaryOracle::new(stg);
-        let components = stg.mg_components(ALLOCATION_CAP)?;
-        let state_count = StateGraph::of_stg(stg, cfg.global_sg_budget)?.state_count();
-        let decompose_metrics = StageMetrics {
-            states_explored: state_count,
-            ..StageMetrics::timed(Stage::Decompose, t.elapsed())
-        };
+        let components = stg.mg_components(analysis, ALLOCATION_CAP)?;
+        let state_count = analysis.state_graph()?.state_count();
+        let decompose_metrics = StageMetrics::timed(Stage::Decompose, t.elapsed());
 
         // One fan-out unit per gate signal; binding happens inside the
         // unit so that, as in the sequential driver, the error of the
@@ -794,7 +831,11 @@ c- a+ b+
                 Stage::Merge,
             ]
         );
-        assert_eq!(out.stage(Stage::Decompose).expect("ran").states_explored, 8);
+        // The validate stage walks the whole STG once; decompose reads the
+        // walk and explores nothing.
+        assert_eq!(out.stage(Stage::Validate).expect("ran").states_explored, 8);
+        assert_eq!(out.stage(Stage::Decompose).expect("ran").states_explored, 0);
+        assert_eq!(out.report.state_count, 8);
         // CELEM is clean, so the default Warn policy reports nothing.
         assert!(out.lint.is_clean());
     }

@@ -71,8 +71,9 @@ proptest! {
         let reparsed = parse_astg(&written).expect("writer output strict-parses");
         prop_assert_eq!(&write_astg(&reparsed), &written);
         let keys = |stg: &si_stg::Stg| {
+            let analysis = stg.analyze(PROBE_BUDGET).expect("probe fits");
             let mut keys: Vec<_> = stg
-                .mg_components(PROBE_BUDGET)
+                .mg_components(&analysis, PROBE_BUDGET)
                 .expect("decomposes")
                 .iter()
                 .map(|mg| {

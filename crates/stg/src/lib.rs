@@ -7,9 +7,11 @@
 //! labels over [`si_petri::PetriNet`], parses and writes the textual `.g`
 //! format used by petrify-era tools, converts marked-graph components into
 //! the transition-level [`MgStg`] form that the relaxation engine
-//! manipulates, generates binary-coded state graphs ([`StateGraph`], every
-//! edge in one flat array read per state through [`StateGraph::edges`])
-//! with the region machinery of thesis Sec. 3.4 — including the σ-space
+//! manipulates, walks a whole STG's reachable markings once per run
+//! ([`Stg::analyze`]: the state graph, the initial code, liveness and
+//! safeness in one [`StgAnalysis`]), generates binary-coded state graphs
+//! ([`StateGraph`], every edge in one flat array read per state through
+//! [`StateGraph::edges`]) with the region machinery of thesis Sec. 3.4 — including the σ-space
 //! explorer ([`StateGraph::of_mg_sigma`]) that keys marked-graph states by
 //! normalized firing counts, works in per-thread scratch buffers and
 //! allocates only the graph it returns, checked against the marking-keyed
@@ -36,6 +38,7 @@ mod sg;
 mod signal;
 mod stg;
 mod tree;
+mod walk;
 
 pub use events::{parse_events, EventParser, ParseEvent, ParseNodeKind};
 pub use lexer::{normalize_source, Lexer, Token, TokenKind};
@@ -48,3 +51,4 @@ pub use sg::{SgState, StateGraph};
 pub use signal::{Polarity, SignalId, SignalKind, TransitionLabel};
 pub use stg::{Stg, StgError, StgHealth};
 pub use tree::{tree_of_events, TreeBuilder};
+pub use walk::{whole_stg_walks, StgAnalysis};

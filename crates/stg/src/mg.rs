@@ -118,7 +118,9 @@ pub struct MgStg {
 }
 
 impl MgStg {
-    /// Builds the transition-level view of one MG component of `stg`.
+    /// Builds the transition-level view of one MG component of `stg`,
+    /// starting at `initial_code`, the whole STG's initial code
+    /// ([`crate::StgAnalysis::initial_code`]).
     ///
     /// Parallel places between the same transition pair merge to the
     /// binding (minimum-token) constraint.
@@ -126,16 +128,12 @@ impl MgStg {
     /// # Errors
     ///
     /// [`StgError::MalformedMarkedGraph`] if a place of the component is
-    /// dangling, and any error from [`Stg::initial_values`].
-    pub fn from_component(stg: &Stg, comp: &MgComponent) -> Result<Self, StgError> {
-        let values = stg.initial_values()?;
-        let mut initial_code = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            if v {
-                initial_code |= 1u64 << i;
-            }
-        }
-
+    /// dangling.
+    pub fn from_component(
+        stg: &Stg,
+        comp: &MgComponent,
+        initial_code: u64,
+    ) -> Result<Self, StgError> {
         let mut mg = Self {
             name: stg.name.clone(),
             signals: Arc::new(stg.signals.clone()),
@@ -168,9 +166,10 @@ impl MgStg {
     }
 
     /// Builds an `MgStg` directly (used by tests and builders); the caller
-    /// supplies the signal table of the owning [`Stg`] via `stg`.
+    /// supplies the signal table of the owning [`Stg`] via `stg`, whose
+    /// walk may visit at most 1 000 000 markings.
     pub fn from_stg_mg(stg: &Stg) -> Result<Self, StgError> {
-        let comps = stg.mg_components(4096)?;
+        let comps = stg.mg_components(&stg.analyze(1_000_000)?, 4096)?;
         match comps.len() {
             1 => Ok(comps.into_iter().next().expect("checked")),
             n => Err(StgError::MalformedMarkedGraph {

@@ -9,7 +9,8 @@
 //! firing-count rows interned in one flat arena, hashes a successor row
 //! in O(1) from its parent's hash, and works in buffers reused per thread,
 //! so it allocates only the graph it returns. [`StateGraph::of_stg`]
-//! explores full (free-choice) STGs.
+//! keeps the graph of a full (free-choice) STG's one walk
+//! ([`Stg::analyze`](crate::Stg::analyze)).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -42,7 +43,7 @@ pub(crate) fn mix_word(h: u64, word: u64) -> u64 {
 /// hash is `Σ w[k] · row[k]`: linear, so one firing changes it by one
 /// weight, and with pairwise unrelated 64-bit weights distinct rows
 /// collide only by chance.
-fn column_weight(k: usize) -> u64 {
+pub(crate) fn column_weight(k: usize) -> u64 {
     let z = (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -57,7 +58,7 @@ fn column_weight(k: usize) -> u64 {
 /// keeps every buffer's capacity.
 ///
 /// [`clear`]: RowIndex::clear
-struct RowIndex {
+pub(crate) struct RowIndex {
     width: usize,
     rows: Vec<i32>,
     hashes: Vec<u64>,
@@ -68,7 +69,7 @@ struct RowIndex {
 }
 
 impl RowIndex {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             width: 0,
             rows: Vec::new(),
@@ -80,7 +81,7 @@ impl RowIndex {
     }
 
     /// Empties the index for rows of `width` entries.
-    fn clear(&mut self, width: usize) {
+    pub(crate) fn clear(&mut self, width: usize) {
         self.width = width;
         self.rows.clear();
         self.hashes.clear();
@@ -90,11 +91,11 @@ impl RowIndex {
         self.shift = 64 - INITIAL_BUCKETS.trailing_zeros();
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.next.len()
     }
 
-    fn row(&self, j: usize) -> &[i32] {
+    pub(crate) fn row(&self, j: usize) -> &[i32] {
         &self.rows[j * self.width..(j + 1) * self.width]
     }
 
@@ -103,7 +104,7 @@ impl RowIndex {
         self.rows.capacity() * std::mem::size_of::<i32>()
     }
 
-    fn hash(&self, j: usize) -> u64 {
+    pub(crate) fn hash(&self, j: usize) -> u64 {
         self.hashes[j]
     }
 
@@ -112,7 +113,7 @@ impl RowIndex {
     }
 
     /// The entry equal to `row` (whose hash is `h`), if interned.
-    fn find(&self, row: &[i32], h: u64) -> Option<usize> {
+    pub(crate) fn find(&self, row: &[i32], h: u64) -> Option<usize> {
         let mut j = self.heads[self.bucket(h)];
         while j != NO_ROW {
             let k = j as usize;
@@ -125,7 +126,7 @@ impl RowIndex {
     }
 
     /// Interns `row` (hash `h`, not yet present) and returns its entry.
-    fn insert(&mut self, row: &[i32], h: u64) -> usize {
+    pub(crate) fn insert(&mut self, row: &[i32], h: u64) -> usize {
         if self.len() == self.heads.len() {
             self.grow();
         }
@@ -171,13 +172,13 @@ pub struct SgState {
 #[derive(Debug, Clone)]
 pub struct StateGraph {
     /// States; index 0 is the initial state.
-    states: Vec<SgState>,
+    pub(crate) states: Vec<SgState>,
     /// `(transition id, successor state)` pairs, one run per state.
-    edges: Vec<(usize, usize)>,
+    pub(crate) edges: Vec<(usize, usize)>,
     /// `spans[i]` is the `start..end` of state `i`'s run in `edges`: one
     /// span per state, which is why no field is public.
-    spans: Vec<(u32, u32)>,
-    labels: Vec<Option<TransitionLabel>>,
+    pub(crate) spans: Vec<(u32, u32)>,
+    pub(crate) labels: Vec<Option<TransitionLabel>>,
 }
 
 impl PartialEq for StateGraph {
@@ -196,14 +197,14 @@ impl Eq for StateGraph {}
 /// [`SgBuilder::expand`] and appending to it with [`SgBuilder::edge`].
 /// [`SgBuilder::graph`] copies the result out exactly sized, so one
 /// builder can serve many graphs.
-struct SgBuilder {
+pub(crate) struct SgBuilder {
     states: Vec<SgState>,
     edges: Vec<(usize, usize)>,
     spans: Vec<(u32, u32)>,
 }
 
 impl SgBuilder {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             states: Vec::new(),
             edges: Vec::new(),
@@ -221,25 +222,25 @@ impl SgBuilder {
         self.states.len()
     }
 
-    fn code(&self, i: usize) -> u64 {
+    pub(crate) fn code(&self, i: usize) -> u64 {
         self.states[i].code
     }
 
     /// Numbers a newly discovered state.
-    fn add_state(&mut self, code: u64) -> usize {
+    pub(crate) fn add_state(&mut self, code: u64) -> usize {
         self.states.push(SgState { code });
         self.spans.push((0, 0));
         self.states.len() - 1
     }
 
     /// Opens state `i`'s edge run at the end of the edge array.
-    fn expand(&mut self, i: usize) {
+    pub(crate) fn expand(&mut self, i: usize) {
         let at = u32::try_from(self.edges.len()).expect("state graph exceeds u32 edges");
         self.spans[i] = (at, at);
     }
 
     /// Appends edge `(t, j)` to the run of `i`, the state last expanded.
-    fn edge(&mut self, i: usize, t: usize, j: usize) {
+    pub(crate) fn edge(&mut self, i: usize, t: usize, j: usize) {
         self.edges.push((t, j));
         self.spans[i].1 += 1;
     }
@@ -249,6 +250,16 @@ impl SgBuilder {
             states: self.states.clone(),
             edges: self.edges.clone(),
             spans: self.spans.clone(),
+            labels,
+        }
+    }
+
+    /// The graph, moving this builder's buffers into it.
+    pub(crate) fn into_graph(self, labels: Vec<Option<TransitionLabel>>) -> StateGraph {
+        StateGraph {
+            states: self.states,
+            edges: self.edges,
+            spans: self.spans,
             labels,
         }
     }
@@ -586,73 +597,16 @@ impl StateGraph {
         })
     }
 
-    /// Generates the state graph of a full (possibly free-choice) STG.
+    /// Generates the state graph of a full (possibly free-choice) STG:
+    /// [`Stg::analyze`]'s one walk, keeping only the graph.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StateGraph::of_mg`], plus errors from
-    /// [`Stg::initial_values`].
+    /// Budget exhaustion, then [`StgAnalysis::state_graph`]'s errors.
+    ///
+    /// [`StgAnalysis::state_graph`]: crate::StgAnalysis::state_graph
     pub fn of_stg(stg: &Stg, budget: usize) -> Result<Self, StgError> {
-        let values = stg.initial_values()?;
-        let mut code0 = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            if v {
-                code0 |= 1u64 << i;
-            }
-        }
-        let net = stg.net();
-        let labels: Vec<Option<TransitionLabel>> =
-            net.transitions().map(|t| Some(stg.label(t))).collect();
-
-        let m0 = net.initial_marking();
-        let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut markings = vec![m0.clone()];
-        let mut graph = SgBuilder::new();
-        graph.add_state(code0);
-        index.insert(m0, 0);
-        let mut frontier = vec![0usize];
-
-        while let Some(i) = frontier.pop() {
-            let m = markings[i].clone();
-            let code = graph.code(i);
-            graph.expand(i);
-            for t in net.enabled_transitions(&m) {
-                let label = stg.label(t);
-                let bit = 1u64 << label.signal.0;
-                if (code & bit != 0) == label.polarity.target_value() {
-                    return Err(StgError::Inconsistent {
-                        signal: stg.signal_name(label.signal).to_string(),
-                    });
-                }
-                let next_code = code ^ bit;
-                let next_m = net.fire(t, &m);
-                let j = match index.get(&next_m) {
-                    Some(&j) => {
-                        if graph.code(j) != next_code {
-                            return Err(StgError::Inconsistent {
-                                signal: stg.signal_name(label.signal).to_string(),
-                            });
-                        }
-                        j
-                    }
-                    None => {
-                        if markings.len() >= budget {
-                            return Err(StgError::Petri(
-                                si_petri::PetriError::StateBudgetExceeded { budget },
-                            ));
-                        }
-                        let j = markings.len();
-                        markings.push(next_m.clone());
-                        graph.add_state(next_code);
-                        index.insert(next_m, j);
-                        frontier.push(j);
-                        j
-                    }
-                };
-                graph.edge(i, t.0, j);
-            }
-        }
-        Ok(graph.graph(labels))
+        stg.analyze(budget)?.into_state_graph()
     }
 
     /// Number of states.

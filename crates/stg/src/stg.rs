@@ -5,6 +5,7 @@ use si_petri::{decompose_into_mg_components, PetriError, PetriNet, TransitionId}
 
 use crate::mg::MgStg;
 use crate::signal::{Polarity, SignalId, SignalKind, TransitionLabel};
+use crate::walk::StgAnalysis;
 
 /// Errors produced by STG-level analyses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,6 +223,10 @@ impl Stg {
     /// transition is falling starts at 1, rising starts at 0 (consistency
     /// makes the first polarity path-independent).
     ///
+    /// A walk of its own, over at most 1 000 000 markings. A run reads the
+    /// initial values off its one walk instead
+    /// ([`StgAnalysis::initial_code`](crate::StgAnalysis::initial_code)).
+    ///
     /// # Errors
     ///
     /// [`StgError::DeadSignal`] if some signal never fires (the STG is not
@@ -232,6 +237,7 @@ impl Stg {
                 count: self.signals.len(),
             });
         }
+        crate::walk::count_walk();
         // For each signal, the first transition reachable along any path
         // determines the initial value; consistency makes the polarity
         // path-independent, which is verified here. A per-signal BFS over
@@ -277,16 +283,24 @@ impl Stg {
     }
 
     /// Decomposes the (free-choice) STG into marked-graph STG components
-    /// (thesis Sec. 5.2.1), capping allocation enumeration at `cap`.
+    /// (thesis Sec. 5.2.1), capping allocation enumeration at `cap`. Every
+    /// component starts at the initial code of `analysis`, this STG's
+    /// walk.
     ///
     /// # Errors
     ///
-    /// Propagates decomposition errors and malformed-component errors.
-    pub fn mg_components(&self, cap: usize) -> Result<Vec<MgStg>, StgError> {
+    /// Decomposition errors, then the initial code's error, then
+    /// malformed-component errors.
+    pub fn mg_components(
+        &self,
+        analysis: &StgAnalysis,
+        cap: usize,
+    ) -> Result<Vec<MgStg>, StgError> {
         let comps = decompose_into_mg_components(&self.net, cap)?;
+        let initial_code = analysis.initial_code()?;
         comps
             .iter()
-            .map(|c| MgStg::from_component(self, c))
+            .map(|c| MgStg::from_component(self, c, initial_code))
             .collect()
     }
 
@@ -297,40 +311,15 @@ impl Stg {
 
     /// Checks the well-formedness properties the thesis flow assumes:
     /// liveness, safeness, free choice and consistency, plus basic size
-    /// statistics. `budget` bounds the state exploration.
+    /// statistics. `budget` bounds the state exploration: one walk
+    /// ([`Stg::analyze`]), whose [`StgAnalysis::health`] this is.
     ///
     /// # Errors
     ///
     /// Propagates state-budget exhaustion; individual property failures
     /// are reported in the returned [`StgHealth`], not as errors.
     pub fn validate(&self, budget: usize) -> Result<StgHealth, StgError> {
-        let live = self.net.is_live(budget)?;
-        let safe = self.net.is_safe(budget)?;
-        let free_choice = self.net.is_free_choice();
-        let consistent = match crate::sg::StateGraph::of_stg(self, budget) {
-            Ok(sg) => {
-                return Ok(StgHealth {
-                    live,
-                    safe,
-                    free_choice,
-                    consistent: true,
-                    states: Some(sg.state_count()),
-                    transitions: self.net.transition_count(),
-                    signals: self.signal_count(),
-                })
-            }
-            Err(StgError::Inconsistent { .. }) => false,
-            Err(e) => return Err(e),
-        };
-        Ok(StgHealth {
-            live,
-            safe,
-            free_choice,
-            consistent,
-            states: None,
-            transitions: self.net.transition_count(),
-            signals: self.signal_count(),
-        })
+        self.analyze(budget)?.health()
     }
 }
 

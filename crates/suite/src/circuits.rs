@@ -486,7 +486,8 @@ mod tests {
             .stg()
             .expect("parses");
         assert!(stg.net().is_free_choice());
-        let comps = stg.mg_components(64).expect("decomposes");
+        let analysis = stg.analyze(1_000_000).expect("bounded");
+        let comps = stg.mg_components(&analysis, 64).expect("decomposes");
         assert_eq!(comps.len(), 2);
     }
 

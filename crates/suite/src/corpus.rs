@@ -30,7 +30,7 @@ use si_boolean::{parse_eqn, GateLibrary};
 use si_core::{par_map, CoreError, Engine, EngineReport, LintPolicy};
 use si_lint::{LintOptions, LintReport};
 use si_stg::parse_astg_lenient;
-use si_synth::synthesize;
+use si_synth::{synthesize_sg, SynthError};
 
 /// One corpus manifest row: an owned circuit source (generated corpora
 /// are not `'static`, unlike the bundled [`Benchmark`](crate::Benchmark)
@@ -129,8 +129,10 @@ pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 
 /// Runs one manifest row through `engine`: one lenient parse, the lint
 /// pre-flight over it under the engine's [`LintPolicy`], the strict
-/// verdict (the parse's first fatal defect), netlist (fixed or
-/// synthesized under the engine's global state budget), derivation.
+/// verdict (the parse's first fatal defect), one whole-STG walk under the
+/// engine's global state budget ([`si_stg::Stg::analyze`]), netlist (fixed
+/// or synthesized from the walk's state graph), derivation on the same
+/// walk ([`Engine::run_analyzed`]).
 ///
 /// # Errors
 ///
@@ -162,19 +164,34 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
     if let Some(e) = parsed.first_fatal() {
         return Err(load(e.to_string()));
     }
+    let derive = |source: CoreError| CorpusError::Derive {
+        name: entry.name.clone(),
+        source,
+    };
     let stg = parsed.stg;
-    let library = match &entry.eqn_text {
-        Some(text) => GateLibrary::from_netlist(&parse_eqn(text).map_err(|e| load(e.to_string()))?),
+    // The row's one whole-STG walk, read by synthesis and the engine. Its
+    // failures are load errors where synthesis would have walked, and
+    // derivation errors where the engine would have.
+    let budget = engine.config().global_sg_budget;
+    let (analysis, library) = match &entry.eqn_text {
+        Some(text) => {
+            let netlist = parse_eqn(text).map_err(|e| load(e.to_string()))?;
+            let analysis = stg.analyze(budget).map_err(|e| derive(e.into()))?;
+            (analysis, GateLibrary::from_netlist(&netlist))
+        }
         None => {
-            synthesize(&stg, engine.config().global_sg_budget).map_err(|e| load(e.to_string()))?
+            let analysis = stg.analyze(budget).map_err(|e| load(e.to_string()))?;
+            let library = analysis
+                .state_graph()
+                .map_err(SynthError::from)
+                .and_then(|sg| synthesize_sg(&stg, sg))
+                .map_err(|e| load(e.to_string()))?;
+            (analysis, library)
         }
     };
     let report = engine
-        .run(&stg, &library)
-        .map_err(|source| CorpusError::Derive {
-            name: entry.name.clone(),
-            source,
-        })?;
+        .run_analyzed(&stg, &analysis, &library)
+        .map_err(derive)?;
     Ok(CorpusRow {
         name: entry.name.clone(),
         report,

@@ -38,4 +38,4 @@ mod synth;
 
 pub use csc::{check_csc, CscViolation};
 pub use error::SynthError;
-pub use synth::{synthesize, verify_implements};
+pub use synth::{synthesize, synthesize_sg, verify_implements};

@@ -12,7 +12,8 @@ use crate::error::SynthError;
 const MAX_SUPPORT: usize = 16;
 
 /// Synthesizes a complex-gate implementation for every non-input signal of
-/// `stg`, exploring at most `budget` states.
+/// `stg`, exploring at most `budget` states: one walk
+/// ([`StateGraph::of_stg`]), then [`synthesize_sg`].
 ///
 /// # Errors
 ///
@@ -21,12 +22,22 @@ const MAX_SUPPORT: usize = 16;
 /// - [`SynthError::SupportTooLarge`] when a gate would need more than 16
 ///   support variables.
 pub fn synthesize(stg: &Stg, budget: usize) -> Result<GateLibrary, SynthError> {
-    let sg = StateGraph::of_stg(stg, budget)?;
-    check_csc(stg, &sg)?;
+    synthesize_sg(stg, &StateGraph::of_stg(stg, budget)?)
+}
 
+/// Synthesizes a complex-gate implementation for every non-input signal of
+/// `stg` from `sg`, its whole state graph — the graph of the run's one
+/// walk ([`si_stg::StgAnalysis::state_graph`]).
+///
+/// # Errors
+///
+/// [`SynthError::Csc`] and [`SynthError::SupportTooLarge`], as
+/// [`synthesize`].
+pub fn synthesize_sg(stg: &Stg, sg: &StateGraph) -> Result<GateLibrary, SynthError> {
+    check_csc(stg, sg)?;
     let mut gates = Vec::new();
     for a in stg.gate_signals() {
-        gates.push(synthesize_signal(stg, &sg, a)?);
+        gates.push(synthesize_signal(stg, sg, a)?);
     }
     Ok(GateLibrary { gates })
 }

@@ -16,7 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stg.net().is_free_choice()
     );
 
-    let components = stg.mg_components(64)?;
+    // One walk of the reachable markings gives every component its
+    // initial signal values.
+    let components = stg.mg_components(&stg.analyze(100_000)?, 64)?;
     println!(
         "Hack decomposition yields {} MG components:",
         components.len()

@@ -347,6 +347,30 @@ fn check_hazard_reports_parse_errors() {
 }
 
 #[test]
+fn check_hazard_rejects_a_gate_over_twenty_inputs_with_a_parse_error() {
+    // A 21-input gate cannot be loaded (its covers enumerate every
+    // minterm of the support): the EQN reader rejects it at its line,
+    // and the run exits 2 instead of panicking.
+    let inputs: Vec<String> = (0..21).map(|i| format!("i{i}")).collect();
+    let eqn = format!("{CELEM_EQN}w = {};\n", inputs.join("*"));
+    let stg_path = write_temp("wide.g", CELEM_G);
+    let eqn_path = write_temp("wide.eqn", &eqn);
+    let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
+        .arg(&stg_path)
+        .arg(&eqn_path)
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        "check_hazard: cannot parse EQN netlist: eqn parse error at line 2: gate `w` reads 21 \
+         distinct signals; a gate's support is capped at 20\n"
+    );
+    let _ = std::fs::remove_file(stg_path);
+    let _ = std::fs::remove_file(eqn_path);
+}
+
+#[test]
 fn check_hazard_lint_gate_blocks_defective_specs_with_diagnostics() {
     // Undeclared signal `b` (SI004) plus an unknown section (SI002): the
     // lenient parser recovers past both, so the lint pre-flight reports

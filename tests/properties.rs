@@ -255,3 +255,263 @@ proptest! {
         let _ = si_redress::lint::render_json(&report, "random-ring.g");
     }
 }
+
+/// One edit of a corpus STG: each can break a different well-formedness
+/// property.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// One more token on a place.
+    AddToken(usize),
+    /// One token off a marked place, onto another place.
+    MoveToken(usize, usize),
+    /// One token off a marked place.
+    RemoveToken(usize),
+    /// The arc from a place into its `k`-th consumer is dropped.
+    DropConsumer(usize, usize),
+    /// The arc into a place from its `k`-th producer is dropped.
+    DropProducer(usize, usize),
+    /// A transition's polarity is flipped.
+    FlipPolarity(usize),
+}
+
+/// A copy of `stg` with `mutation` applied, rebuilt through the public
+/// construction API.
+fn mutate(stg: &Stg, mutation: Mutation) -> Stg {
+    let net = stg.net();
+    let mut out = Stg::new(stg.name.clone());
+    for s in stg.signal_ids() {
+        out.add_signal(stg.signal_name(s), stg.signal_kind(s));
+    }
+    for t in net.transitions() {
+        let mut label = stg.label(t);
+        if matches!(mutation, Mutation::FlipPolarity(u) if u == t.0) {
+            label.polarity = match label.polarity {
+                Polarity::Plus => Polarity::Minus,
+                Polarity::Minus => Polarity::Plus,
+            };
+        }
+        out.add_transition(label);
+    }
+    let m0 = net.initial_marking();
+    for p in net.places() {
+        let tokens = match mutation {
+            Mutation::AddToken(q) if q == p.0 => m0[p.0] + 1,
+            Mutation::MoveToken(from, _) | Mutation::RemoveToken(from) if from == p.0 => {
+                m0[p.0] - 1
+            }
+            Mutation::MoveToken(_, to) if to == p.0 => m0[p.0] + 1,
+            _ => m0[p.0],
+        };
+        let q = out.net_mut().add_place(net.place_name(p), tokens);
+        for (k, &t) in net.place_pre(p).iter().enumerate() {
+            if !matches!(mutation, Mutation::DropProducer(r, j) if r == p.0 && j == k) {
+                out.net_mut().add_arc_tp(t, q);
+            }
+        }
+        for (k, &t) in net.place_post(p).iter().enumerate() {
+            if !matches!(mutation, Mutation::DropConsumer(r, j) if r == p.0 && j == k) {
+                out.net_mut().add_arc_pt(q, t);
+            }
+        }
+    }
+    out
+}
+
+/// The state graph as the separate analyses built it: the initial values
+/// from `Stg::initial_values`, then a marking walk (LIFO frontier,
+/// transitions in id order) that checks every code. Returns each state's
+/// code and edges.
+#[allow(clippy::type_complexity)]
+fn reference_state_graph(
+    stg: &Stg,
+    budget: usize,
+) -> Result<(Vec<u64>, Vec<Vec<(usize, usize)>>), si_redress::stg::StgError> {
+    use si_redress::petri::PetriError;
+    use si_redress::stg::StgError;
+    let values = stg.initial_values()?;
+    let code0 = (0..values.len())
+        .filter(|&i| values[i])
+        .fold(0u64, |code, i| code | 1u64 << i);
+    let net = stg.net();
+    let mut index = std::collections::HashMap::new();
+    let mut markings = vec![net.initial_marking()];
+    index.insert(markings[0].clone(), 0usize);
+    let mut codes = vec![code0];
+    let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new()];
+    let mut frontier = vec![0usize];
+    while let Some(i) = frontier.pop() {
+        let m = markings[i].clone();
+        for t in net.enabled_transitions(&m) {
+            let label = stg.label(t);
+            let bit = 1u64 << label.signal.0;
+            let inconsistent = || StgError::Inconsistent {
+                signal: stg.signal_name(label.signal).to_string(),
+            };
+            if (codes[i] & bit != 0) == label.polarity.target_value() {
+                return Err(inconsistent());
+            }
+            let next = net.fire(t, &m);
+            let j = match index.get(&next) {
+                Some(&j) if codes[j] != codes[i] ^ bit => return Err(inconsistent()),
+                Some(&j) => j,
+                None => {
+                    if markings.len() >= budget {
+                        return Err(StgError::Petri(PetriError::StateBudgetExceeded { budget }));
+                    }
+                    index.insert(next.clone(), markings.len());
+                    markings.push(next);
+                    codes.push(codes[i] ^ bit);
+                    edges.push(Vec::new());
+                    frontier.push(markings.len() - 1);
+                    markings.len() - 1
+                }
+            };
+            edges[i].push((t.0, j));
+        }
+    }
+    Ok((codes, edges))
+}
+
+/// `Stg::validate` as the separate analyses computed it: `is_live` and
+/// `is_safe` on the net, then the reference state graph.
+fn reference_health(
+    stg: &Stg,
+    budget: usize,
+) -> Result<si_redress::stg::StgHealth, si_redress::stg::StgError> {
+    use si_redress::stg::{StgError, StgHealth};
+    let live = stg.net().is_live(budget)?;
+    let safe = stg.net().is_safe(budget)?;
+    let (consistent, states) = match reference_state_graph(stg, budget) {
+        Ok((codes, _)) => (true, Some(codes.len())),
+        Err(StgError::Inconsistent { .. }) => (false, None),
+        Err(e) => return Err(e),
+    };
+    Ok(StgHealth {
+        live,
+        safe,
+        free_choice: stg.net().is_free_choice(),
+        consistent,
+        states,
+        transitions: stg.net().transition_count(),
+        signals: stg.signal_count(),
+    })
+}
+
+/// Corpus STGs at 6–12 signals, each with a draw of every mutation kind.
+fn walk_inputs() -> Vec<(String, Stg)> {
+    use si_redress::corpus::{generate, CorpusRng, CorpusSpec};
+    let mut inputs = Vec::new();
+    for seed in 1..=200u64 {
+        let spec = CorpusSpec::from_seed(seed, 12);
+        if spec.signals < 6 {
+            continue;
+        }
+        let stg = generate(&spec, seed).stg;
+        let net = stg.net();
+        let mut rng = CorpusRng::new(seed);
+        let places = net.place_count();
+        let marked: Vec<usize> = (0..places)
+            .filter(|&p| net.initial_marking()[p] > 0)
+            .collect();
+        let mut mutations = vec![
+            Mutation::AddToken(rng.range(0, places - 1)),
+            Mutation::FlipPolarity(rng.range(0, net.transition_count() - 1)),
+        ];
+        if !marked.is_empty() {
+            let from = marked[rng.range(0, marked.len() - 1)];
+            mutations.push(Mutation::RemoveToken(from));
+            mutations.push(Mutation::MoveToken(from, rng.range(0, places - 1)));
+        }
+        let p = rng.range(0, places - 1);
+        let place = si_redress::petri::PlaceId(p);
+        if !net.place_post(place).is_empty() {
+            let k = rng.range(0, net.place_post(place).len() - 1);
+            mutations.push(Mutation::DropConsumer(p, k));
+        }
+        if !net.place_pre(place).is_empty() {
+            let k = rng.range(0, net.place_pre(place).len() - 1);
+            mutations.push(Mutation::DropProducer(p, k));
+        }
+        for mutation in mutations {
+            inputs.push((format!("seed {seed} {mutation:?}"), mutate(&stg, mutation)));
+        }
+        inputs.push((format!("seed {seed}"), stg));
+    }
+    inputs
+}
+
+/// The one whole-STG walk (`Stg::analyze`, behind `StateGraph::of_stg`
+/// and `Stg::validate`) against the separate analyses it replaced, on
+/// corpus STGs and mutations of them at a small and a large budget.
+/// Within the budget the state graph, the initial code, the health
+/// summary and every error agree; over it, the walk reports the budget.
+#[test]
+fn one_walk_agrees_with_the_separate_analyses() {
+    use si_redress::petri::PetriError;
+    use si_redress::stg::StgError;
+    let mut seen = std::collections::BTreeMap::<&str, usize>::new();
+    for (name, stg) in walk_inputs() {
+        for budget in [16, 2_000] {
+            let analysis = stg.analyze(budget);
+            if stg.net().reachability(budget).is_err() {
+                let over = Err(StgError::Petri(PetriError::StateBudgetExceeded { budget }));
+                assert_eq!(analysis.map(|_| ()), over, "{name} at {budget}");
+                assert_eq!(StateGraph::of_stg(&stg, budget).map(|_| ()), over);
+                assert_eq!(stg.validate(budget).map(|_| ()), over);
+                *seen.entry("over budget").or_default() += 1;
+                continue;
+            }
+            let analysis = analysis.expect("fits the budget");
+            let expected_code = stg.initial_values().map(|values| {
+                (0..values.len())
+                    .filter(|&i| values[i])
+                    .fold(0u64, |code, i| code | 1u64 << i)
+            });
+            assert_eq!(analysis.initial_code(), expected_code, "{name} at {budget}");
+            let health = reference_health(&stg, budget);
+            assert_eq!(stg.validate(budget), health, "{name} at {budget}");
+            assert_eq!(analysis.health(), health, "{name} at {budget}");
+            match (
+                StateGraph::of_stg(&stg, budget),
+                reference_state_graph(&stg, budget),
+            ) {
+                (Ok(sg), Ok((codes, edges))) => {
+                    assert_eq!(sg.state_count(), codes.len(), "{name} at {budget}");
+                    for (i, (code, out)) in codes.iter().zip(&edges).enumerate() {
+                        assert_eq!(sg.code(i), *code, "{name} at {budget}: state {i}");
+                        assert_eq!(sg.edges(i), &out[..], "{name} at {budget}: state {i}");
+                    }
+                    for t in stg.net().transitions() {
+                        assert_eq!(sg.label(t.0), stg.label(t));
+                    }
+                }
+                (new, reference) => assert_eq!(new.map(|_| ()), reference.map(|_| ())),
+            }
+            let h = health.as_ref();
+            for (kind, hit) in [
+                ("inconsistent", h.is_ok_and(|h| !h.consistent)),
+                ("dead signal", matches!(h, Err(StgError::DeadSignal { .. }))),
+                ("unsafe", h.is_ok_and(|h| !h.safe)),
+                ("not live", h.is_ok_and(|h| !h.live)),
+                ("well-formed", h.is_ok_and(|h| h.is_well_formed())),
+            ] {
+                if hit {
+                    *seen.entry(kind).or_default() += 1;
+                }
+            }
+        }
+    }
+    for kind in [
+        "over budget",
+        "inconsistent",
+        "dead signal",
+        "unsafe",
+        "not live",
+        "well-formed",
+    ] {
+        assert!(
+            seen.get(kind).is_some_and(|&n| n > 0),
+            "no {kind} input: {seen:?}"
+        );
+    }
+}

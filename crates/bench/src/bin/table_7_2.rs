@@ -6,11 +6,14 @@
 //!
 //! All rows run through **one shared engine** (parallel per-gate fan-out,
 //! reuse stack shared across circuits); the footer reports its cache
-//! traffic. Timing lives in `perfbench/`, which measures repeated passes
-//! end to end.
+//! traffic. The CPU column is one run of the row from `.g` text to report
+//! through the text front end (`si_suite::run_corpus_entry`: lint, parse,
+//! synthesis, validation, derivation); repeated timing lives in
+//! `perfbench/`.
 //!
 //! `--json [PATH]` additionally writes the whole run — rows with their
-//! stage and gate metrics, totals, cache-tier traffic — as one JSON object
+//! stage and gate metrics (the front end's lint, parse and validate
+//! stages first), totals, cache-tier traffic — as one JSON object
 //! (default `BENCH_table72.json`).
 
 use si_bench::table_row;

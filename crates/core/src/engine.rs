@@ -5,9 +5,13 @@
 //! same computation as an explicit pipeline
 //!
 //! ```text
-//! parse → validate → MG decomposition → per-gate local-STG projection
-//!       → relaxation → constraint merge
+//! lint → parse → validate → MG decomposition → per-gate local-STG projection
+//!      → relaxation → constraint merge
 //! ```
+//!
+//! whose first three stages belong to the one text front end,
+//! `si_suite::run_corpus_entry`; the engine runs the rest
+//! ([`Engine::run`], [`Engine::run_analyzed`]).
 //!
 //! with three production-minded additions:
 //!
@@ -39,8 +43,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_boolean::{parse_eqn, GateLibrary};
-use si_stg::{MgStg, SignalId, Stg, StgAnalysis};
+use si_boolean::GateLibrary;
+use si_stg::{MgStg, SignalId, Stg, StgAnalysis, ALLOCATION_CAP, DEFAULT_GLOBAL_SG_BUDGET};
 
 use crate::cache::{CacheStats, Caches};
 use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
@@ -56,24 +60,21 @@ use crate::sched::DivergencePolicy;
 /// Default per-gate relaxation-iteration budget (convergence is proven;
 /// this guards malformed inputs).
 pub const DEFAULT_EXPAND_BUDGET: usize = 20_000;
-/// Allocation cap for Hack's MG decomposition.
-const ALLOCATION_CAP: usize = 4096;
-/// Default state budget for whole-STG state graphs (also the validation
-/// and conformance pre-check budget).
-pub const DEFAULT_GLOBAL_SG_BUDGET: usize = 1_000_000;
 
-/// What the engine does with static-lint findings on its source inputs
-/// (the pre-flight [`Stage::Lint`] of [`Engine::run_source`]).
+/// What the text front end (`si_suite::run_corpus_entry`) does with
+/// static-lint findings on the `.g` source (its pre-flight
+/// [`Stage::Lint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintPolicy {
     /// Skip the lint stage entirely.
     Off,
-    /// Lint and report the findings in [`EngineReport::lint`], but never
-    /// block the run — parse/validate still reject what they always did.
+    /// Lint and report the findings with the row (`CorpusRow::lint`), but
+    /// never block the run — parse/validate still reject what they always
+    /// did.
     #[default]
     Warn,
-    /// Lint, and fail fast with [`CoreError::Lint`] on any
-    /// error-severity finding, before the strict parse even runs.
+    /// Lint, and fail fast with `CorpusError::Lint` on any
+    /// error-severity finding, before the strict parse verdict.
     Deny,
 }
 
@@ -100,9 +101,9 @@ pub struct EngineConfig {
     /// [`si_stg::MgStg::project_on_gate`] on every call, nothing memoized.
     /// Output is bit-identical either way.
     pub cache: bool,
-    /// What to do with static-lint findings on source inputs
-    /// ([`Engine::run_source`] only — [`Engine::run`] takes already-parsed
-    /// inputs and never lints).
+    /// What to do with static-lint findings on source text (the text
+    /// front end, `si_suite::run_corpus_entry`, only — [`Engine::run`]
+    /// takes already-parsed inputs and never lints).
     pub lint: LintPolicy,
     /// What the relaxation loop does when its covering ledger detects a
     /// non-converging gate: bail with [`CoreError::Diverged`]
@@ -156,16 +157,18 @@ impl EngineConfig {
     }
 }
 
-/// The pipeline stages, in execution order.
+/// The pipeline stages, in execution order. The first three are
+/// recorded by the text front end (`si_suite::run_corpus_entry`) only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Static lint pre-flight over the `.g` source text (source entry
-    /// only; skipped under [`LintPolicy::Off`] but always listed).
+    /// Static lint pre-flight over the `.g` source text (skipped under
+    /// [`LintPolicy::Off`] but always listed).
     Lint,
-    /// `.g`/`.eqn` text to [`Stg`] + [`GateLibrary`] (source entry only).
+    /// `.g`/`.eqn` text to [`Stg`] + [`GateLibrary`], synthesis of a
+    /// netlist the row does not give included.
     Parse,
-    /// Liveness/safeness/free-choice/consistency of the STG (source entry
-    /// only), read off the run's one whole-STG walk.
+    /// Liveness/safeness/free-choice/consistency of the STG, read off the
+    /// run's one whole-STG walk, which this stage makes.
     Validate,
     /// Hack's MG decomposition plus the whole-STG state count, read off
     /// the run's walk ([`Engine::run`] makes the walk here).
@@ -230,7 +233,8 @@ impl StageMetrics {
         Self::timed(stage, Duration::ZERO)
     }
 
-    fn timed(stage: Stage, wall: Duration) -> Self {
+    /// A record for `stage` with wall time `wall` and zero counters.
+    pub fn timed(stage: Stage, wall: Duration) -> Self {
         Self {
             stage,
             wall,
@@ -309,10 +313,6 @@ pub struct EngineReport {
     pub report: ConstraintReport,
     /// Per-stage metrics in execution order.
     pub stages: Vec<StageMetrics>,
-    /// Findings of the static lint pre-flight ([`Engine::run_source`]
-    /// under [`LintPolicy::Warn`]/[`LintPolicy::Deny`]; empty otherwise —
-    /// [`Engine::run`] never lints).
-    pub lint: si_lint::LintReport,
     /// Per-gate metrics in gate order.
     pub gates: Vec<GateMetrics>,
     /// Worker threads actually used by the fan-out.
@@ -461,92 +461,6 @@ impl Engine {
         }
     }
 
-    /// Runs the pipeline from source text: lint, parse and validate
-    /// stages, then [`Engine::run_analyzed`]. One lenient parse feeds both
-    /// the lint pre-flight and the strict gate, and one whole-STG walk
-    /// ([`Stg::analyze`], in the validate stage) feeds both validation and
-    /// the derivation.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Lint`] (under [`LintPolicy::Deny`]),
-    /// [`CoreError::Parse`] / [`CoreError::NotWellFormed`] from the extra
-    /// stages, plus everything [`Engine::run`] reports.
-    pub fn run_source(&self, stg_text: &str, eqn_text: &str) -> Result<EngineReport, CoreError> {
-        let started = Instant::now();
-        let parsed = si_stg::parse_astg_lenient(stg_text);
-        let lenient_wall = started.elapsed();
-
-        // Stage: lint — the static pre-flight over the recovered parse.
-        // It sees *every* defect in one pass (the lenient parser
-        // recovers), where the strict gate below stops at the first.
-        let t = Instant::now();
-        let lint = if self.config.lint == LintPolicy::Off {
-            si_lint::LintReport::default()
-        } else {
-            let opts = si_lint::LintOptions {
-                state_budget: Some(self.config.global_sg_budget),
-            };
-            si_lint::lint_parsed(&parsed, &opts)
-        };
-        let lint_metrics = StageMetrics::timed(Stage::Lint, t.elapsed());
-        if self.config.lint == LintPolicy::Deny && lint.has_errors() {
-            let first = lint
-                .diagnostics
-                .iter()
-                .find(|d| d.severity == si_lint::Severity::Error)
-                .expect("has_errors");
-            return Err(CoreError::Lint {
-                name: lint.model.clone(),
-                errors: lint.error_count(),
-                detail: format!("{}[{}]: {}", first.severity, first.code, first.message),
-            });
-        }
-
-        // Strict gate: the first fatal defect fails the run, exactly as
-        // `parse_astg` always has.
-        let t = Instant::now();
-        if let Some(e) = parsed.first_fatal() {
-            return Err(CoreError::Parse {
-                what: "STG",
-                detail: e.to_string(),
-            });
-        }
-        let stg = parsed.stg;
-        let netlist = parse_eqn(eqn_text).map_err(|e| CoreError::Parse {
-            what: "EQN netlist",
-            detail: e.to_string(),
-        })?;
-        let library = GateLibrary::from_netlist(&netlist);
-        let parse_metrics = StageMetrics::timed(Stage::Parse, lenient_wall + t.elapsed());
-
-        // Stage: validate, on the run's one whole-STG walk, which the
-        // derivation then reads too.
-        let t = Instant::now();
-        let analysis = stg.analyze(self.config.global_sg_budget)?;
-        let health = analysis.health()?;
-        if !health.is_well_formed() {
-            return Err(CoreError::NotWellFormed {
-                name: stg.name.clone(),
-                detail: format!(
-                    "live: {}, safe: {}, free-choice: {}, consistent: {}",
-                    health.live, health.safe, health.free_choice, health.consistent
-                ),
-            });
-        }
-        let validate_metrics = StageMetrics {
-            states_explored: analysis.state_count(),
-            ..StageMetrics::timed(Stage::Validate, t.elapsed())
-        };
-
-        let mut out = self.run_analyzed(&stg, &analysis, &library)?;
-        out.lint = lint;
-        out.stages
-            .splice(0..0, [lint_metrics, parse_metrics, validate_metrics]);
-        out.total_wall = started.elapsed();
-        Ok(out)
-    }
-
     /// Runs the pipeline on a parsed circuit: decompose → project → relax
     /// → merge. The decompose stage walks the whole STG once
     /// ([`Stg::analyze`]) and counts the walk's states; then
@@ -659,7 +573,6 @@ impl Engine {
                 relax_metrics,
                 merge_metrics,
             ],
-            lint: si_lint::LintReport::default(),
             gates,
             jobs,
             fanout_wall,
@@ -776,6 +689,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::report::derive_timing_constraints;
+    use si_boolean::parse_eqn;
     use si_stg::parse_astg;
 
     const CELEM: &str = "\
@@ -812,132 +726,6 @@ c- a+ b+
             let out = Engine::new(config).run(&stg, &lib).expect("derives");
             assert_eq!(out.report, reference, "{config:?}");
         }
-    }
-
-    #[test]
-    fn run_source_goes_through_all_seven_stages() {
-        let engine = Engine::new(EngineConfig::default());
-        let out = engine.run_source(CELEM, CELEM_EQN).expect("derives");
-        let stages: Vec<Stage> = out.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(
-            stages,
-            vec![
-                Stage::Lint,
-                Stage::Parse,
-                Stage::Validate,
-                Stage::Decompose,
-                Stage::Project,
-                Stage::Relax,
-                Stage::Merge,
-            ]
-        );
-        // The validate stage walks the whole STG once; decompose reads the
-        // walk and explores nothing.
-        assert_eq!(out.stage(Stage::Validate).expect("ran").states_explored, 8);
-        assert_eq!(out.stage(Stage::Decompose).expect("ran").states_explored, 0);
-        assert_eq!(out.report.state_count, 8);
-        // CELEM is clean, so the default Warn policy reports nothing.
-        assert!(out.lint.is_clean());
-    }
-
-    #[test]
-    fn lint_policy_governs_the_pre_flight() {
-        // An undeclared signal (`b`) plus an intact ring: lint error.
-        let dirty = "\
-.model dirty
-.inputs a
-.graph
-a+ b+
-b+ a-
-a- b-
-b- a+
-.marking { <b-,a+> }
-.end
-";
-        // Deny fails fast with the lint verdict, before the strict parse.
-        let deny = Engine::new(EngineConfig {
-            lint: LintPolicy::Deny,
-            ..EngineConfig::default()
-        });
-        match deny.run_source(dirty, "a = b;") {
-            Err(CoreError::Lint {
-                name,
-                errors,
-                detail,
-            }) => {
-                assert_eq!(name, "dirty");
-                assert_eq!(errors, 1);
-                assert!(detail.contains("SI004"), "{detail}");
-            }
-            other => panic!("expected CoreError::Lint, got {other:?}"),
-        }
-        // Warn lets the strict parser reject it exactly as before.
-        let warn = Engine::new(EngineConfig::default());
-        assert!(matches!(
-            warn.run_source(dirty, "a = b;"),
-            Err(CoreError::Parse { what: "STG", .. })
-        ));
-        // Off skips linting entirely on a clean input.
-        let off = Engine::new(EngineConfig {
-            lint: LintPolicy::Off,
-            ..EngineConfig::default()
-        });
-        let out = off.run_source(CELEM, CELEM_EQN).expect("derives");
-        assert!(out.lint.is_clean());
-        assert_eq!(out.stages[0].stage, Stage::Lint);
-    }
-
-    #[test]
-    fn lint_stage_never_changes_the_derived_constraints() {
-        // The engine output on lint-clean inputs must be bit-identical
-        // across all three policies.
-        let reports: Vec<_> = [LintPolicy::Off, LintPolicy::Warn, LintPolicy::Deny]
-            .into_iter()
-            .map(|lint| {
-                Engine::new(EngineConfig {
-                    lint,
-                    ..EngineConfig::default()
-                })
-                .run_source(CELEM, CELEM_EQN)
-                .expect("derives")
-                .report
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[1], reports[2]);
-    }
-
-    #[test]
-    fn run_source_reports_parse_and_validation_errors() {
-        let engine = Engine::new(EngineConfig::default());
-        assert!(matches!(
-            engine.run_source(".model broken\n.inputs a\n", "a = b;"),
-            Err(CoreError::Parse { what: "STG", .. })
-        ));
-        assert!(matches!(
-            engine.run_source(CELEM, "c = a*b +;"),
-            Err(CoreError::Parse {
-                what: "EQN netlist",
-                ..
-            })
-        ));
-        // An inconsistent STG parses but fails validation: `a` rises twice
-        // in a row, so rising/falling transitions never alternate.
-        let inconsistent = "\
-.model bad
-.inputs a
-.outputs b
-.graph
-a+ a+/2
-a+/2 b+
-b+ a+
-.marking { <b+,a+> }
-.end
-";
-        assert!(matches!(
-            engine.run_source(inconsistent, "b = a;"),
-            Err(CoreError::NotWellFormed { .. })
-        ));
     }
 
     #[test]

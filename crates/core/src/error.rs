@@ -10,27 +10,9 @@ use crate::sched::DivergenceWitness;
 pub enum CoreError {
     /// An STG-level analysis failed.
     Stg(StgError),
-    /// An input artefact failed to parse (engine parse stage).
-    Parse {
-        /// What was being parsed (`"STG"`, `"EQN netlist"`).
-        what: &'static str,
-        /// The underlying parser message.
-        detail: String,
-    },
-    /// The specification failed the static lint pre-flight under
-    /// [`LintPolicy::Deny`](crate::LintPolicy::Deny) (engine lint stage).
-    Lint {
-        /// The STG's model name.
-        name: String,
-        /// How many error-severity findings the linter reported.
-        errors: usize,
-        /// The first error's message (the full set is in the
-        /// [`EngineReport::lint`](crate::EngineReport::lint) the CLI
-        /// renders; errors cannot carry it, so they carry the headline).
-        detail: String,
-    },
     /// The STG parsed but is not well formed: not live, unsafe,
-    /// non-free-choice or inconsistent (engine validate stage).
+    /// non-free-choice or inconsistent (the text front end's validate
+    /// stage).
     NotWellFormed {
         /// The STG's model name.
         name: String,
@@ -96,15 +78,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::Stg(e) => write!(f, "{e}"),
-            CoreError::Parse { what, detail } => write!(f, "cannot parse {what}: {detail}"),
-            CoreError::Lint {
-                name,
-                errors,
-                detail,
-            } => write!(
-                f,
-                "STG `{name}` failed the lint pre-flight with {errors} error(s); first: {detail}"
-            ),
             CoreError::NotWellFormed { name, detail } => {
                 write!(f, "STG `{name}` is not well formed ({detail})")
             }

@@ -49,6 +49,6 @@ pub use parse::{
 };
 pub use sg::{SgState, StateGraph};
 pub use signal::{Polarity, SignalId, SignalKind, TransitionLabel};
-pub use stg::{Stg, StgError, StgHealth};
+pub use stg::{Stg, StgError, StgHealth, ALLOCATION_CAP, DEFAULT_GLOBAL_SG_BUDGET};
 pub use tree::{tree_of_events, TreeBuilder};
 pub use walk::{whole_stg_walks, StgAnalysis};

@@ -15,7 +15,7 @@ use si_petri::MgComponent;
 
 use crate::sg::mix_word;
 use crate::signal::{SignalId, SignalKind, TransitionLabel};
-use crate::stg::{SignalDecl, Stg, StgError};
+use crate::stg::{SignalDecl, Stg, StgError, ALLOCATION_CAP, DEFAULT_GLOBAL_SG_BUDGET};
 
 /// Attributes of an arc (implicit place) of an [`MgStg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,9 +167,9 @@ impl MgStg {
 
     /// Builds an `MgStg` directly (used by tests and builders); the caller
     /// supplies the signal table of the owning [`Stg`] via `stg`, whose
-    /// walk may visit at most 1 000 000 markings.
+    /// walk may visit at most [`DEFAULT_GLOBAL_SG_BUDGET`] markings.
     pub fn from_stg_mg(stg: &Stg) -> Result<Self, StgError> {
-        let comps = stg.mg_components(&stg.analyze(1_000_000)?, 4096)?;
+        let comps = stg.mg_components(&stg.analyze(DEFAULT_GLOBAL_SG_BUDGET)?, ALLOCATION_CAP)?;
         match comps.len() {
             1 => Ok(comps.into_iter().next().expect("checked")),
             n => Err(StgError::MalformedMarkedGraph {

@@ -7,6 +7,14 @@ use crate::mg::MgStg;
 use crate::signal::{Polarity, SignalId, SignalKind, TransitionLabel};
 use crate::walk::StgAnalysis;
 
+/// Default state budget of a whole-STG walk: the engine's default
+/// whole-STG budget, and the budget of the walks that take none
+/// ([`Stg::initial_values`], [`MgStg::from_stg_mg`]).
+pub const DEFAULT_GLOBAL_SG_BUDGET: usize = 1_000_000;
+
+/// Allocation cap of Hack's MG decomposition ([`Stg::mg_components`]).
+pub const ALLOCATION_CAP: usize = 4096;
+
 /// Errors produced by STG-level analyses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StgError {
@@ -223,8 +231,8 @@ impl Stg {
     /// transition is falling starts at 1, rising starts at 0 (consistency
     /// makes the first polarity path-independent).
     ///
-    /// A walk of its own, over at most 1 000 000 markings. A run reads the
-    /// initial values off its one walk instead
+    /// A walk of its own, over at most [`DEFAULT_GLOBAL_SG_BUDGET`]
+    /// markings. A run reads the initial values off its one walk instead
     /// ([`StgAnalysis::initial_code`](crate::StgAnalysis::initial_code)).
     ///
     /// # Errors
@@ -243,7 +251,7 @@ impl Stg {
         // path-independent, which is verified here. A per-signal BFS over
         // the reachability graph handles free choice (a deterministic
         // firing sequence could starve one branch).
-        let reach = self.net.reachability(1_000_000)?;
+        let reach = self.net.reachability(DEFAULT_GLOBAL_SG_BUDGET)?;
         let mut values = Vec::with_capacity(self.signals.len());
         for s in 0..self.signals.len() {
             let mut polarity: Option<Polarity> = None;

@@ -25,9 +25,10 @@ use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use si_boolean::{parse_eqn, GateLibrary};
-use si_core::{par_map, CoreError, Engine, EngineReport, LintPolicy};
+use si_core::{par_map, CoreError, Engine, EngineReport, LintPolicy, Stage, StageMetrics};
 use si_lint::{LintOptions, LintReport};
 use si_stg::parse_astg_lenient;
 use si_synth::{synthesize_sg, SynthError};
@@ -127,31 +128,43 @@ impl Error for CorpusError {
 /// differential contract).
 pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 
-/// Runs one manifest row through `engine`: one lenient parse, the lint
-/// pre-flight over it under the engine's [`LintPolicy`], the strict
-/// verdict (the parse's first fatal defect), one whole-STG walk under the
-/// engine's global state budget ([`si_stg::Stg::analyze`]), netlist (fixed
-/// or synthesized from the walk's state graph), derivation on the same
-/// walk ([`Engine::run_analyzed`]).
+/// Runs one manifest row through `engine` — the one text front end: one
+/// lenient parse, the lint pre-flight over it under the engine's
+/// [`LintPolicy`], the strict verdict (the parse's first fatal defect), a
+/// fixed netlist, one whole-STG walk under the engine's global state
+/// budget ([`si_stg::Stg::analyze`]), validation on the walk (live, safe,
+/// free-choice, consistent), a netlist synthesized from the walk's state
+/// graph when the row gives none, and derivation on the same walk
+/// ([`Engine::run_analyzed`]). The report lists the lint, parse
+/// (synthesis included) and validate stages before the engine's.
 ///
 /// # Errors
 ///
-/// [`CorpusError::Load`], [`CorpusError::Lint`] or
-/// [`CorpusError::Derive`].
+/// [`CorpusError::Lint`] under [`LintPolicy::Deny`]; [`CorpusError::Load`]
+/// for a parse or synthesis failure; [`CorpusError::Derive`] for a walk
+/// failure, an STG that is not well formed
+/// ([`CoreError::NotWellFormed`]) and every engine error.
 pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
-    let policy = engine.config().lint;
+    let started = Instant::now();
+    let config = engine.config();
     let parsed = parse_astg_lenient(&entry.stg_text);
-    let lint = if policy == LintPolicy::Off {
+    let lenient_wall = started.elapsed();
+
+    // Stage: lint, over the recovered parse. It sees every defect in one
+    // pass, where the strict verdict below stops at the first.
+    let t = Instant::now();
+    let lint = if config.lint == LintPolicy::Off {
         LintReport::default()
     } else {
         si_lint::lint_parsed(
             &parsed,
             &LintOptions {
-                state_budget: Some(engine.config().global_sg_budget),
+                state_budget: Some(config.global_sg_budget),
             },
         )
     };
-    if policy == LintPolicy::Deny && lint.has_errors() {
+    let lint_metrics = StageMetrics::timed(Stage::Lint, t.elapsed());
+    if config.lint == LintPolicy::Deny && lint.has_errors() {
         return Err(CorpusError::Lint {
             name: entry.name.clone(),
             errors: lint.error_count(),
@@ -161,37 +174,70 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
         name: entry.name.clone(),
         detail,
     };
-    if let Some(e) = parsed.first_fatal() {
-        return Err(load(e.to_string()));
-    }
     let derive = |source: CoreError| CorpusError::Derive {
         name: entry.name.clone(),
         source,
     };
+
+    // Stage: parse — the strict verdict and a fixed netlist here,
+    // synthesis after validation.
+    let t = Instant::now();
+    if let Some(e) = parsed.first_fatal() {
+        return Err(load(e.to_string()));
+    }
     let stg = parsed.stg;
-    // The row's one whole-STG walk, read by synthesis and the engine. Its
-    // failures are load errors where synthesis would have walked, and
-    // derivation errors where the engine would have.
-    let budget = engine.config().global_sg_budget;
-    let (analysis, library) = match &entry.eqn_text {
-        Some(text) => {
-            let netlist = parse_eqn(text).map_err(|e| load(e.to_string()))?;
-            let analysis = stg.analyze(budget).map_err(|e| derive(e.into()))?;
-            (analysis, GateLibrary::from_netlist(&netlist))
-        }
-        None => {
-            let analysis = stg.analyze(budget).map_err(|e| load(e.to_string()))?;
-            let library = analysis
-                .state_graph()
-                .map_err(SynthError::from)
-                .and_then(|sg| synthesize_sg(&stg, sg))
-                .map_err(|e| load(e.to_string()))?;
-            (analysis, library)
-        }
+    let netlist = entry
+        .eqn_text
+        .as_deref()
+        .map(parse_eqn)
+        .transpose()
+        .map_err(|e| load(e.to_string()))?;
+    let mut parse_wall = lenient_wall + t.elapsed();
+
+    // Stage: validate, on the row's one whole-STG walk, which synthesis
+    // and the derivation then read too.
+    let t = Instant::now();
+    let analysis = stg
+        .analyze(config.global_sg_budget)
+        .map_err(|e| derive(e.into()))?;
+    let health = analysis.health().map_err(|e| derive(e.into()))?;
+    if !health.is_well_formed() {
+        return Err(derive(CoreError::NotWellFormed {
+            name: stg.name.clone(),
+            detail: format!(
+                "live: {}, safe: {}, free-choice: {}, consistent: {}",
+                health.live, health.safe, health.free_choice, health.consistent
+            ),
+        }));
+    }
+    let validate_metrics = StageMetrics {
+        states_explored: analysis.state_count(),
+        ..StageMetrics::timed(Stage::Validate, t.elapsed())
     };
-    let report = engine
+
+    let t = Instant::now();
+    let library = match netlist {
+        Some(netlist) => GateLibrary::from_netlist(&netlist),
+        None => analysis
+            .state_graph()
+            .map_err(SynthError::from)
+            .and_then(|sg| synthesize_sg(&stg, sg))
+            .map_err(|e| load(e.to_string()))?,
+    };
+    parse_wall += t.elapsed();
+
+    let mut report = engine
         .run_analyzed(&stg, &analysis, &library)
         .map_err(derive)?;
+    report.stages.splice(
+        0..0,
+        [
+            lint_metrics,
+            StageMetrics::timed(Stage::Parse, parse_wall),
+            validate_metrics,
+        ],
+    );
+    report.total_wall = started.elapsed();
     Ok(CorpusRow {
         name: entry.name.clone(),
         report,
@@ -242,6 +288,41 @@ mod tests {
     use super::*;
     use si_core::EngineConfig;
 
+    const CELEM: &str = "\
+.model celem
+.inputs a b
+.outputs c
+.graph
+a+ c+
+b+ c+
+c+ a- b-
+a- c-
+b- c-
+c- a+ b+
+.marking { <c-,a+> <c-,b+> }
+.end
+";
+    const CELEM_EQN: &str = "c = a*b + a*c + b*c;";
+    /// A handshake ring over the undeclared signal `b`: lint error SI004.
+    const UNDECLARED: &str =
+        ".model undeclared\n.inputs a\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n";
+
+    /// A manifest row of `.g` text and an optional netlist.
+    fn row(name: &str, stg_text: &str, eqn_text: Option<&str>) -> CorpusEntry {
+        CorpusEntry {
+            name: name.into(),
+            stg_text: stg_text.into(),
+            eqn_text: eqn_text.map(str::to_string),
+        }
+    }
+
+    fn engine_with(lint: LintPolicy) -> Engine {
+        Engine::new(EngineConfig {
+            lint,
+            ..EngineConfig::default()
+        })
+    }
+
     fn tiny_manifest() -> Vec<CorpusEntry> {
         // A handshake ring, a second copy under a different name (cache
         // sharing pays off on the repeat), and one defective row.
@@ -258,21 +339,13 @@ b- a+
 .end
 ";
         vec![
-            CorpusEntry {
-                name: "ring".into(),
-                stg_text: ring.into(),
-                eqn_text: Some("b = a;".into()),
-            },
-            CorpusEntry {
-                name: "ring-again".into(),
-                stg_text: ring.into(),
-                eqn_text: Some("b = a;".into()),
-            },
-            CorpusEntry {
-                name: "defective".into(),
-                stg_text: ".model broken\n.inputs a\n.graph\na+ c+\n.marking { }\n.end\n".into(),
-                eqn_text: None,
-            },
+            row("ring", ring, Some("b = a;")),
+            row("ring-again", ring, Some("b = a;")),
+            row(
+                "defective",
+                ".model broken\n.inputs a\n.graph\na+ c+\n.marking { }\n.end\n",
+                None,
+            ),
         ]
     }
 
@@ -361,30 +434,124 @@ b- a+
     #[test]
     fn deny_policy_fails_defective_rows_without_aborting_the_run() {
         let mut manifest = tiny_manifest();
-        // A fixed-netlist row whose STG uses the undeclared signal `b`:
-        // lint error SI004.
-        manifest.push(CorpusEntry {
-            name: "undeclared".into(),
-            stg_text: ".model undeclared\n.inputs a\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking { <b-,a+> }\n.end\n".into(),
-            eqn_text: Some("b = a;".into()),
-        });
-        let engine = |lint| {
-            Engine::new(EngineConfig {
-                lint,
-                ..EngineConfig::default()
-            })
-        };
-        let rows = run_corpus(&engine(LintPolicy::Deny), &manifest, 1);
+        manifest.push(row("undeclared", UNDECLARED, Some("b = a;")));
+        let rows = run_corpus(&engine_with(LintPolicy::Deny), &manifest, 1);
         assert!(rows[0].is_ok());
         for row in &rows[2..] {
             assert!(matches!(row, Err(CorpusError::Lint { .. })), "{row:?}");
         }
         // Off skips the pre-flight; the strict parser then rejects the
         // same rows at load time instead.
-        let rows = run_corpus(&engine(LintPolicy::Off), &manifest, 1);
+        let rows = run_corpus(&engine_with(LintPolicy::Off), &manifest, 1);
         assert!(rows[0].is_ok());
         for row in &rows[2..] {
             assert!(matches!(row, Err(CorpusError::Load { .. })), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn run_source_goes_through_all_seven_stages() {
+        let engine = Engine::new(EngineConfig::default());
+        let out =
+            run_corpus_entry(&engine, &row("celem", CELEM, Some(CELEM_EQN))).expect("derives");
+        let stages: Vec<Stage> = out.report.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(
+            stages,
+            vec![
+                Stage::Lint,
+                Stage::Parse,
+                Stage::Validate,
+                Stage::Decompose,
+                Stage::Project,
+                Stage::Relax,
+                Stage::Merge,
+            ]
+        );
+        // The validate stage walks the whole STG once; decompose reads the
+        // walk and explores nothing.
+        let states = |stage| out.report.stage(stage).expect("ran").states_explored;
+        assert_eq!((states(Stage::Validate), states(Stage::Decompose)), (8, 0));
+        assert_eq!(out.report.report.state_count, 8);
+        // CELEM is clean, so the default Warn policy reports nothing.
+        assert!(out.lint.is_clean());
+    }
+
+    #[test]
+    fn lint_policy_governs_the_pre_flight() {
+        let dirty = row("dirty", UNDECLARED, Some("a = b;"));
+        // Deny fails fast with the lint verdict, before the strict parse.
+        match run_corpus_entry(&engine_with(LintPolicy::Deny), &dirty) {
+            Err(CorpusError::Lint { name, errors }) => {
+                assert_eq!(name, "dirty");
+                assert_eq!(errors, 1);
+            }
+            other => panic!("expected CorpusError::Lint, got {other:?}"),
+        }
+        // Warn lets the strict parser reject it exactly as before.
+        assert!(matches!(
+            run_corpus_entry(&engine_with(LintPolicy::Warn), &dirty),
+            Err(CorpusError::Load { .. })
+        ));
+        // Off skips linting but still lists the stage.
+        let out = run_corpus_entry(
+            &engine_with(LintPolicy::Off),
+            &row("celem", CELEM, Some(CELEM_EQN)),
+        )
+        .expect("derives");
+        assert!(out.lint.is_clean());
+        assert_eq!(out.report.stages[0].stage, Stage::Lint);
+    }
+
+    #[test]
+    fn lint_stage_never_changes_the_derived_constraints() {
+        // The output on lint-clean inputs must be bit-identical across all
+        // three policies.
+        let reports: Vec<_> = [LintPolicy::Off, LintPolicy::Warn, LintPolicy::Deny]
+            .into_iter()
+            .map(|lint| {
+                run_corpus_entry(&engine_with(lint), &row("celem", CELEM, Some(CELEM_EQN)))
+                    .expect("derives")
+                    .report
+                    .report
+            })
+            .collect();
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!(reports[1], reports[2]);
+    }
+
+    #[test]
+    fn run_source_reports_parse_and_validation_errors() {
+        let engine = Engine::new(EngineConfig::default());
+        for entry in [
+            row("broken", ".model broken\n.inputs a\n", Some("a = b;")),
+            row("bad-eqn", CELEM, Some("c = a*b +;")),
+        ] {
+            let outcome = run_corpus_entry(&engine, &entry);
+            assert!(
+                matches!(outcome, Err(CorpusError::Load { .. })),
+                "{outcome:?}"
+            );
+        }
+        // Two STGs that parse but fail validation, with a fixed netlist
+        // and with a synthesized one. In the first, `a` rises twice in a
+        // row, so rising/falling transitions never alternate; the second
+        // deadlocks after one cycle.
+        let inconsistent = ".model bad\n.inputs a\n.outputs b\n.graph\na+ a+/2\na+/2 b+\nb+ a+\n.marking { <b+,a+> }\n.end\n";
+        let deadlock = ".model deadlock\n.inputs a\n.outputs b\n.graph\np0 a+\na+ b+\nb+ a-\na- b-\nb- p1\n.marking { p0 }\n.end\n";
+        for stg_text in [inconsistent, deadlock] {
+            for eqn_text in [Some("b = a;"), None] {
+                let outcome = run_corpus_entry(&engine, &row("bad", stg_text, eqn_text));
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(CorpusError::Derive {
+                            source: CoreError::NotWellFormed { .. },
+                            ..
+                        })
+                    ),
+                    "{eqn_text:?}: {outcome:?}"
+                );
+            }
         }
     }
 }

@@ -27,13 +27,11 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 use si_boolean::{parse_eqn, GateLibrary};
-use si_stg::{parse_astg, Stg};
+use si_stg::{parse_astg, Stg, DEFAULT_GLOBAL_SG_BUDGET};
 use si_synth::synthesize;
 
 mod circuits;
@@ -84,42 +82,15 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Parses the STG and produces the gate library (fixed or synthesized)
-    /// under the default synthesis state budget
-    /// ([`si_core::EngineConfig::global_sg_budget`]'s default).
+    /// Parses the STG and produces the gate library (fixed, or synthesized
+    /// under the default whole-STG budget,
+    /// [`si_stg::DEFAULT_GLOBAL_SG_BUDGET`]). Nothing is memoized: the
+    /// measured path is [`Benchmark::entry`] through [`run_corpus_entry`].
     ///
     /// # Errors
     ///
     /// Wraps parse/synthesis failures in [`LoadBenchmarkError`].
     pub fn circuit(&self) -> Result<(Stg, GateLibrary), LoadBenchmarkError> {
-        self.circuit_with_budget(si_core::EngineConfig::default().global_sg_budget)
-    }
-
-    /// [`Benchmark::circuit`] under an explicit synthesis state budget —
-    /// table drivers take it from their engine's configuration.
-    ///
-    /// Parsing and synthesis are pure functions of the (static) source
-    /// texts and the budget, so successful results are memoized
-    /// process-wide: repeated suite passes — warm benchmarks, table
-    /// drivers, differential test matrices — pay for synthesis once per
-    /// `(texts, budget)` instead of once per call. Failures are never
-    /// cached.
-    ///
-    /// # Errors
-    ///
-    /// Wraps parse/synthesis failures in [`LoadBenchmarkError`].
-    pub fn circuit_with_budget(
-        &self,
-        budget: usize,
-    ) -> Result<(Stg, GateLibrary), LoadBenchmarkError> {
-        let key = (self.stg_text, self.eqn_text, budget);
-        if let Some(cached) = circuit_memo()
-            .lock()
-            .expect("circuit memo poisoned")
-            .get(&key)
-        {
-            return Ok(cached.clone());
-        }
         let wrap = |e: Box<dyn Error + Send + Sync>| LoadBenchmarkError {
             name: self.name,
             source: e,
@@ -129,12 +100,8 @@ impl Benchmark {
             Some(text) => {
                 GateLibrary::from_netlist(&parse_eqn(text).map_err(|e| wrap(Box::new(e)))?)
             }
-            None => synthesize(&stg, budget).map_err(|e| wrap(Box::new(e)))?,
+            None => synthesize(&stg, DEFAULT_GLOBAL_SG_BUDGET).map_err(|e| wrap(Box::new(e)))?,
         };
-        let mut memo = circuit_memo().lock().expect("circuit memo poisoned");
-        if memo.len() < CIRCUIT_MEMO_CAP {
-            memo.insert(key, (stg.clone(), library.clone()));
-        }
         Ok((stg, library))
     }
 
@@ -171,20 +138,6 @@ impl Benchmark {
             source: Box::new(e),
         })
     }
-}
-
-/// Memoized circuits, keyed by source texts + synthesis budget. The keys
-/// are `&'static str`, so equality is by content: any two benchmarks with
-/// the same sources share one entry.
-type CircuitKey = (&'static str, Option<&'static str>, usize);
-
-/// Distinct circuits memoized process-wide; beyond this, loads are
-/// recomputed (the bundled corpus plus the extended set is well under).
-const CIRCUIT_MEMO_CAP: usize = 64;
-
-fn circuit_memo() -> &'static Mutex<HashMap<CircuitKey, (Stg, GateLibrary)>> {
-    static MEMO: OnceLock<Mutex<HashMap<CircuitKey, (Stg, GateLibrary)>>> = OnceLock::new();
-    MEMO.get_or_init(Mutex::default)
 }
 
 /// The thirteen benchmarks of Table 7.2, in the table's row order.

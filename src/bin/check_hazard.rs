@@ -6,6 +6,11 @@
 //! report or as machine-readable JSON with per-stage/per-gate metrics
 //! and the lint pre-flight's diagnostics.
 //!
+//! The two files and a `--bench` name alike become one manifest row, run
+//! by one call of the text front end, `si_suite::run_corpus_entry` (lint,
+//! parse, validate, then the engine's stages); every failure of that call
+//! is printed as its `CorpusError` rendering.
+//!
 //! Exit codes are meaningful: `0` when the circuit needs no relative
 //! timing constraints, `1` when a hazard was found (the derived set is
 //! non-empty), `2` on parse/lint/IO/derivation errors, `3` on usage
@@ -14,9 +19,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use si_core::{CoreError, Engine, EngineConfig, EngineReport, LintPolicy, RelaxationOrder};
+use si_core::{Engine, EngineConfig, LintPolicy, RelaxationOrder};
 use si_lint::LintReport;
-use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError};
+use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError, CorpusRow};
 
 const USAGE: &str = "\
 usage: check_hazard [OPTIONS] <stg.g> <netlist.eqn>
@@ -199,80 +204,65 @@ fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
 fn run(args: &Args) -> Result<bool, String> {
     let started = Instant::now();
     let engine = Engine::new(args.config);
-    // The `.g` text, its origin, and the run — or the error count of a
-    // failed lint pre-flight.
-    let (stg_text, origin, outcome) = match &args.source {
+    let entry = match &args.source {
         Source::Files { stg_path, eqn_path } => {
             let read = |path: &String| {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
             };
-            let (stg_text, eqn_text) = (read(stg_path)?, read(eqn_path)?);
-            let outcome = match engine.run_source(&stg_text, &eqn_text) {
-                Ok(out) => Ok(out),
-                Err(CoreError::Lint { errors, .. }) => Err(errors),
-                Err(e) => return Err(e.to_string()),
-            };
-            (stg_text, stg_path.clone(), outcome)
+            CorpusEntry {
+                name: stg_path.clone(),
+                stg_text: read(stg_path)?,
+                eqn_text: Some(read(eqn_path)?),
+            }
         }
-        Source::Bench(name) => {
-            let entry = bench_entry(name)?;
-            let outcome = match run_corpus_entry(&engine, &entry) {
-                Ok(row) => Ok(EngineReport {
-                    lint: row.lint,
-                    ..row.report
-                }),
-                Err(CorpusError::Lint { errors, .. }) => Err(errors),
-                Err(e) => return Err(e.to_string()),
-            };
-            (entry.stg_text, entry.name, outcome)
-        }
+        Source::Bench(name) => bench_entry(name)?,
     };
-    let out = match outcome {
-        Ok(out) => out,
-        Err(errors) => {
+    let row = run_corpus_entry(&engine, &entry).map_err(|e| {
+        if let CorpusError::Lint { .. } = e {
             // Re-lint for the full findings: the error only carries the
             // count.
             let report = si_lint::lint_text_with(
-                &stg_text,
+                &entry.stg_text,
                 &si_lint::LintOptions {
                     state_budget: Some(args.config.global_sg_budget),
                 },
             );
-            report_lint(&report, &stg_text, &origin);
-            return Err(format!(
-                "`{origin}` failed the lint pre-flight with {errors} error(s)"
-            ));
+            report_lint(&report, &entry.stg_text, &entry.name);
         }
-    };
-    report_lint(&out.lint, &stg_text, &origin);
+        e.to_string()
+    })?;
+    report_lint(&row.lint, &entry.stg_text, &entry.name);
     let elapsed = started.elapsed().as_secs_f64();
 
     match args.format {
-        Format::Text => print_text(&out, elapsed),
-        Format::Json => println!("{}", render_json(&out, &engine, elapsed)),
-        Format::Sexp => print!("{}", out.report.sexp()),
+        Format::Text => print_text(&row, elapsed),
+        Format::Json => println!("{}", render_json(&row, &engine, elapsed)),
+        Format::Sexp => print!("{}", row.report.report.sexp()),
     }
-    Ok(!out.report.constraints.is_empty())
+    Ok(!row.report.report.constraints.is_empty())
 }
 
-fn print_text(out: &EngineReport, elapsed: f64) {
+fn print_text(row: &CorpusRow, elapsed: f64) {
+    let report = &row.report.report;
     println!("The timing constraints in the original specification are:");
-    for c in &out.report.baseline {
+    for c in &report.baseline {
         println!("{c}");
     }
     println!();
     println!("The timing constraints for this circuit to work correctly are:");
-    for c in &out.report.constraints {
+    for c in &report.constraints {
         println!("{c}");
     }
     println!();
     println!("The running time for this program is {elapsed:.6} seconds");
 }
 
-/// The report as one JSON object: both constraint sets, the verdict, the
-/// lint findings, the run's metrics ([`EngineReport::metrics_json`]) and
-/// the engine's cache totals.
-fn render_json(out: &EngineReport, engine: &Engine, elapsed: f64) -> String {
+/// The row as one JSON object: both constraint sets, the verdict, the
+/// lint findings, the run's metrics
+/// ([`si_core::EngineReport::metrics_json`]) and the engine's cache
+/// totals.
+fn render_json(row: &CorpusRow, engine: &Engine, elapsed: f64) -> String {
+    let out = &row.report;
     let constraints = |set: &std::collections::BTreeSet<si_core::Constraint>| {
         let parts: Vec<String> = set
             .iter()
@@ -282,9 +272,9 @@ fn render_json(out: &EngineReport, engine: &Engine, elapsed: f64) -> String {
     };
     let lint = format!(
         "{{\"errors\":{},\"warnings\":{},\"diagnostics\":{}}}",
-        out.lint.error_count(),
-        out.lint.warning_count(),
-        si_lint::json_diagnostics(&out.lint, ""),
+        row.lint.error_count(),
+        row.lint.warning_count(),
+        si_lint::json_diagnostics(&row.lint, ""),
     );
     format!(
         "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"elapsed_seconds\":{elapsed:.6}}}",

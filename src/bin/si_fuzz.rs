@@ -23,13 +23,16 @@
 //! synthesizer rejects (CSC conflicts in interleaved mode, input-only
 //! bursts) are counted as skipped.
 //!
-//! Two cheap oracles ride along on every seed. The full-featured engine
-//! lints under [`LintPolicy::Deny`], so a generated circuit with a lint
-//! error — a break of the generator's validity guarantee — fails as
-//! [`CorpusError::Lint`]. And the spec's parse-event stream must survive
-//! the S-expression interchange round-trip (`parse → events → sexp →
-//! reader → tree`, `docs/interchange.md`) bit-identically. Either fault
-//! is minimized and reported like an engine mismatch.
+//! Two cheap oracles ride along on every seed. The generator's validity
+//! guarantee: the full-featured engine lints under [`LintPolicy::Deny`],
+//! so a generated circuit with a lint error fails as
+//! [`CorpusError::Lint`], and the front end validates every row, so one
+//! that is not live, safe, free-choice and consistent fails as
+//! [`CoreError::NotWellFormed`]; either breaks the guarantee. And the
+//! spec's parse-event stream must survive the S-expression interchange
+//! round-trip (`parse → events → sexp → reader → tree`,
+//! `docs/interchange.md`) bit-identically. Every such fault is minimized
+//! and reported like an engine mismatch.
 //!
 //! Every bail is audited too: the rows whose cold full-featured outcome
 //! is `Diverged` run once more through `run_corpus`, on an engine under
@@ -60,11 +63,11 @@ Differential fuzzing: seeded synthetic circuits through the full-featured
 engine (a cold, an admitting and a warm sharded pass on one shared
 engine) vs the pinned reference; any divergence in constraints, verdicts
 or error values fails the run with a minimized reproducer. The
-generator's zero-lint-errors guarantee and the S-expression interchange
-round-trip are checked on every seed as cheap extra oracles under the
-same contract, and every `Diverged` bail is re-run under the Exhaust
-policy for 1000 iterations: a bail that converges there fails the run
-too.
+generator's validity guarantee (zero lint errors, a well-formed STG)
+and the S-expression interchange round-trip are checked on every seed
+as cheap extra oracles under the same contract, and every `Diverged`
+bail is re-run under the Exhaust policy for 1000 iterations: a bail
+that converges there fails the run too.
 
 OPTIONS:
         --seeds <N>        number of seeds to scan (default 1000)
@@ -215,19 +218,26 @@ fn sexp_divergence(g_text: &str) -> Option<String> {
     None
 }
 
-/// Describes the first fault one seed's outcomes show: a broken lint
-/// guarantee, the sexp oracle's finding, a full-featured outcome that
-/// differs from the reference, or an audited bail that converges.
+/// Describes the first fault one seed's outcomes show: a broken validity
+/// guarantee (a lint error, an STG that is not well formed), the sexp
+/// oracle's finding, a full-featured outcome that differs from the
+/// reference, or an audited bail that converges.
 fn fault(
     sexp: Option<&str>,
     full: &CorpusOutcome,
     reference: &CorpusOutcome,
     audit: Option<&CorpusOutcome>,
 ) -> Option<String> {
-    if let Err(CorpusError::Lint { errors, .. }) = full {
-        return Some(format!(
-            "generator validity guarantee violated: {errors} lint error(s)"
-        ));
+    let invalid = match full {
+        Err(CorpusError::Lint { errors, .. }) => Some(format!("{errors} lint error(s)")),
+        Err(CorpusError::Derive {
+            source: source @ CoreError::NotWellFormed { .. },
+            ..
+        }) => Some(source.to_string()),
+        _ => None,
+    };
+    if let Some(detail) = invalid {
+        return Some(format!("generator validity guarantee violated: {detail}"));
     }
     if let Some(detail) = sexp {
         return Some(format!("sexp round-trip oracle violated: {detail}"));

@@ -15,7 +15,7 @@
 //!   error-recovering, span-carrying parser), state graphs, projection;
 //! - [`lint`]: the static specification analyzer — stable `SI0xx`
 //!   diagnostic codes with spans, fix hints, text/JSON renderers — run as
-//!   the engine's pre-flight stage and by the `si_lint` binary;
+//!   the text front end's pre-flight stage and by the `si_lint` binary;
 //! - [`boolean`]: cubes/covers, exact two-level minimization, the EQN
 //!   netlist format;
 //! - [`synth`]: SG-based complex-gate synthesis (the petrify stand-in);
@@ -29,7 +29,9 @@
 //!   `(spec, seed)` → valid `.g`, plus the shared proptest strategies)
 //!   behind the `si_fuzz` differential harness;
 //! - [`suite`]: the thirteen-benchmark corpus of the paper's Table 7.2,
-//!   and the circuit-level sharded [`suite::run_corpus`] runner.
+//!   the one text front end ([`suite::run_corpus_entry`]: `.g` text to
+//!   constraint report) and the circuit-level sharded
+//!   [`suite::run_corpus`] runner over it.
 //!
 //! # Quickstart
 //!

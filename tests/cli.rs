@@ -157,63 +157,67 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
     let stg_path = write_temp("imec-json.g", bench.stg_text);
     let eqn_path = write_temp("imec-json.eqn", bench.eqn_text.expect("verbatim netlist"));
 
-    let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-        .args(["--jobs", "4", "--format", "json"])
-        .arg(&stg_path)
-        .arg(&eqn_path)
-        .output()
-        .expect("binary runs");
-    assert_eq!(
-        output.status.code(),
-        Some(1),
-        "stderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    // One JSON object with the thesis numbers and the stage metrics.
-    assert!(stdout.trim_start().starts_with('{'), "not JSON: {stdout}");
-    assert!(stdout.contains("\"state_count\":112"));
-    assert!(stdout.contains("\"jobs\":4"));
-    assert!(stdout.contains("\"hazard\":true"));
-    // The lint pre-flight payload: the gold circuit is clean.
-    assert!(stdout.contains("\"lint\":{\"errors\":0,\"warnings\":0,\"diagnostics\":[]}"));
-    for stage in [
-        "lint",
-        "parse",
-        "validate",
-        "decompose",
-        "project",
-        "relax",
-        "merge",
-    ] {
-        assert!(
-            stdout.contains(&format!("\"stage\":\"{stage}\"")),
-            "{stage}"
+    // The files and the bundled benchmark take the same front end.
+    let files = [stg_path.as_os_str(), eqn_path.as_os_str()];
+    let bench_args = ["--bench", "imec-ram-read-sbuf"].map(std::ffi::OsStr::new);
+    for input in [&files[..], &bench_args[..]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
+            .args(["--jobs", "4", "--format", "json"])
+            .args(input)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{input:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
         );
-    }
-    assert!(stdout.contains("\"i0: precharged+ < wenin+\""));
-    assert!(stdout.contains("\"csc0: wsldin- < i8-\""));
-    // 19 baseline + 12 derived constraint strings.
-    assert_eq!(stdout.matches(" < ").count(), 31);
-    assert!(stdout.contains("\"cache\":{"));
-    assert!(stdout.contains("\"projections\":{"));
-    // The conformance cache is gone, and so is its JSON object.
-    assert!(!stdout.contains("\"conformance\""));
-    // Every counter of the one metrics record appears once per stage
-    // object and twice per gate object (its project and relax records).
-    let section = |key: &str| -> &str {
-        let start = stdout.find(&format!("\"{key}\":[")).expect(key);
-        let rest = &stdout[start..];
-        &rest[..rest.find(']').expect("array closes")]
-    };
-    let (stages, gates) = (section("stages"), section("gates"));
-    assert_eq!(stages.matches("\"stage\":").count(), 7);
-    let gate_count = gates.matches("\"gate\":").count();
-    assert_eq!(gate_count, 11, "one object per imec gate");
-    for (name, _) in StageMetrics::new(Stage::Lint).counters() {
-        let key = format!("\"{name}\":");
-        assert_eq!(stages.matches(&key).count(), 7, "{name}");
-        assert_eq!(gates.matches(&key).count(), 2 * gate_count, "{name}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        // One JSON object with the thesis numbers and the stage metrics.
+        assert!(stdout.trim_start().starts_with('{'), "not JSON: {stdout}");
+        assert!(stdout.contains("\"state_count\":112"));
+        assert!(stdout.contains("\"jobs\":4"));
+        assert!(stdout.contains("\"hazard\":true"));
+        // The lint pre-flight payload: the gold circuit is clean.
+        assert!(stdout.contains("\"lint\":{\"errors\":0,\"warnings\":0,\"diagnostics\":[]}"));
+        for stage in [
+            "lint",
+            "parse",
+            "validate",
+            "decompose",
+            "project",
+            "relax",
+            "merge",
+        ] {
+            assert!(
+                stdout.contains(&format!("\"stage\":\"{stage}\"")),
+                "{input:?}: {stage}"
+            );
+        }
+        assert!(stdout.contains("\"i0: precharged+ < wenin+\""));
+        assert!(stdout.contains("\"csc0: wsldin- < i8-\""));
+        // 19 baseline + 12 derived constraint strings.
+        assert_eq!(stdout.matches(" < ").count(), 31, "{input:?}");
+        assert!(stdout.contains("\"cache\":{"));
+        assert!(stdout.contains("\"projections\":{"));
+        // The conformance cache is gone, and so is its JSON object.
+        assert!(!stdout.contains("\"conformance\""));
+        // Every counter of the one metrics record appears once per stage
+        // object and twice per gate object (its project and relax records).
+        let section = |key: &str| -> &str {
+            let start = stdout.find(&format!("\"{key}\":[")).expect(key);
+            let rest = &stdout[start..];
+            &rest[..rest.find(']').expect("array closes")]
+        };
+        let (stages, gates) = (section("stages"), section("gates"));
+        assert_eq!(stages.matches("\"stage\":").count(), 7, "{input:?}");
+        let gate_count = gates.matches("\"gate\":").count();
+        assert_eq!(gate_count, 11, "one object per imec gate");
+        for (name, _) in StageMetrics::new(Stage::Lint).counters() {
+            let key = format!("\"{name}\":");
+            assert_eq!(stages.matches(&key).count(), 7, "{name}");
+            assert_eq!(gates.matches(&key).count(), 2 * gate_count, "{name}");
+        }
     }
 
     let _ = std::fs::remove_file(stg_path);
@@ -363,8 +367,11 @@ fn check_hazard_rejects_a_gate_over_twenty_inputs_with_a_parse_error() {
     assert_eq!(output.status.code(), Some(2));
     assert_eq!(
         String::from_utf8_lossy(&output.stderr),
-        "check_hazard: cannot parse EQN netlist: eqn parse error at line 2: gate `w` reads 21 \
-         distinct signals; a gate's support is capped at 20\n"
+        format!(
+            "check_hazard: corpus row `{}` failed to load: eqn parse error at line 2: gate `w` \
+             reads 21 distinct signals; a gate's support is capped at 20\n",
+            stg_path.display()
+        )
     );
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);

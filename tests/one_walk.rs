@@ -1,4 +1,4 @@
-//! One whole-STG walk per run: the text front ends, the engine and
+//! One whole-STG walk per run: the text front end, the engine and
 //! synthesis read one `Stg::analyze` walk, counted by
 //! `si_stg::whole_stg_walks`. The fork/join family below is where the
 //! walks in front of the derivation used to dominate: its state space
@@ -88,14 +88,6 @@ fn a_run_walks_the_whole_stg_once() {
     let engine = Engine::new(EngineConfig::default());
     let (g, eqn) = fork_join(4);
 
-    // `run_source`: validate makes the walk, the derivation reads it.
-    let (n, out) = walks(|| engine.run_source(&g, &eqn));
-    let out = out.expect("derives");
-    assert_eq!(n, 1);
-    assert_eq!(out.report.state_count, 52);
-    let states = |stage| out.stage(stage).expect("ran").states_explored;
-    assert_eq!((states(Stage::Validate), states(Stage::Decompose)), (52, 0));
-
     // `Engine::run`: the decompose stage makes the walk.
     let stg = parse_astg(&g).expect("valid");
     let library = si_redress::boolean::GateLibrary::from_netlist(
@@ -112,7 +104,7 @@ fn a_run_walks_the_whole_stg_once() {
     );
 
     // `run_corpus_entry`, with a fixed netlist and with a synthesized one:
-    // synthesis and the engine read one walk.
+    // validate makes the walk, synthesis and the derivation read it.
     let fixed = CorpusEntry {
         name: "fork-join-4".into(),
         stg_text: g.clone(),
@@ -125,7 +117,10 @@ fn a_run_walks_the_whole_stg_once() {
     for entry in [&fixed, &synthesized] {
         let (n, row) = walks(|| run_corpus_entry(&engine, entry));
         assert_eq!(n, 1, "{:?}", entry.eqn_text);
-        assert_eq!(row.expect("derives").report.report.state_count, 52);
+        let out = row.expect("derives").report;
+        assert_eq!(out.report.state_count, 52);
+        let states = |stage| out.stage(stage).expect("ran").states_explored;
+        assert_eq!((states(Stage::Validate), states(Stage::Decompose)), (52, 0));
     }
 
     // A synthesized corpus row, whatever its outcome, walks once too.
@@ -150,7 +145,7 @@ fn fastest(reps: usize, mut run: impl FnMut() -> Duration) -> Duration {
 }
 
 /// The walls in front of the derivation on fork/join circuits, against
-/// one whole-STG walk: `run_source`'s validate and decompose stages
+/// one whole-STG walk: `run_corpus_entry`'s validate and decompose stages
 /// together take at most two walks. A timing probe, so not part of the
 /// default run:
 ///
@@ -168,6 +163,11 @@ fn validate_and_decompose_take_at_most_two_walks() {
     for k in [8, 10, 12] {
         let (g, eqn) = fork_join(k);
         let stg = parse_astg(&g).expect("valid");
+        let entry = CorpusEntry {
+            name: format!("fork-join-{k}"),
+            stg_text: g,
+            eqn_text: Some(eqn),
+        };
         let budget = engine.config().global_sg_budget;
         let walk = fastest(3, || {
             let t = Instant::now();
@@ -179,7 +179,7 @@ fn validate_and_decompose_take_at_most_two_walks() {
         let mut stages = [Duration::MAX; 3];
         let mut states = 0;
         for _ in 0..3 {
-            let out = engine.run_source(&g, &eqn).expect("derives");
+            let out = run_corpus_entry(&engine, &entry).expect("derives").report;
             let wall = |stage| out.stage(stage).expect("ran").wall;
             let walls = [
                 wall(Stage::Validate),

@@ -1,15 +1,15 @@
-//! The event-stream layer of the `.g` front-end: [`Token`]s from the
-//! [`Lexer`](crate::lexer::Lexer) in, a flat stream of [`ParseEvent`]s
-//! out. Every fact the lenient parser reports — section structure for
+//! The event-stream layer of the `.g` front-end: the lexer's [`Token`]s
+//! in, a flat stream of [`ParseEvent`]s out. Every fact the lenient
+//! parser reports — section structure for
 //! [`SpecSpans`](crate::parse::SpecSpans), declaration and node tokens,
 //! every syntactic [`ParseAstgError`](crate::parse::ParseAstgError) —
 //! rides the stream in source order, so folding it (see
-//! [`TreeBuilder`](crate::tree::TreeBuilder)) reproduces the single-pass
-//! parser bit for bit, and serializing it (see [`crate::sexp`]) loses
-//! nothing.
+//! [`tree_of_events`](crate::tree::tree_of_events)) builds the parse and
+//! serializing it (see [`crate::sexp::write_events`]) dumps it whole.
 
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 use crate::parse::{ParseAstgError, ParseErrorKind, Span};
+use crate::signal::SignalKind;
 
 /// The kind of a structural node in the parse tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +49,13 @@ impl ParseNodeKind {
     }
 }
 
-/// One event of the streaming front-end. `Open`/`Close` pairs nest
-/// (document ⊃ sections ⊃ graph lines); `Token` carries the payload
-/// words; `Defect` carries a lenient-parse diagnostic at its exact
-/// position in the stream — defect *order* is part of the contract.
+/// One event of the front-end. `Open`/`Close` pairs nest (document ⊃
+/// sections ⊃ graph lines); `Token` carries the payload words, borrowed
+/// from the source; `Defect` carries a lenient-parse diagnostic at its
+/// exact position in the stream — defect *order* is part of the
+/// contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseEvent {
+pub enum ParseEvent<'a> {
     /// A structural node opens at `span`.
     Open {
         /// What opens.
@@ -70,198 +71,141 @@ pub enum ParseEvent {
     },
     /// A payload token ([`TokenKind::Model`], [`TokenKind::Name`],
     /// [`TokenKind::Node`] or [`TokenKind::MarkingEntry`]).
-    Token(Token),
+    Token(Token<'a>),
     /// A syntactic defect, in stream order.
     Defect(ParseAstgError),
 }
 
-/// Streams [`ParseEvent`]s from `.g` chunks: an incremental
-/// [`Lexer`] plus the structural bookkeeping that turns its flat token
-/// list into a nested open/close stream.
-#[derive(Debug, Default)]
-pub struct EventParser {
-    lexer: Lexer,
-    /// Scratch token buffer, reused across feeds.
-    tokens: Vec<Token>,
-    /// Open nodes above the document, innermost last.
+/// The event stream under construction: the events so far and the open
+/// nodes above the document, innermost last.
+struct Nesting<'a> {
+    out: Vec<ParseEvent<'a>>,
     stack: Vec<ParseNodeKind>,
-    /// Whether `Open(Document)` was emitted.
-    started: bool,
-    /// Whether a `.graph` directive was seen (else `finish` reports the
-    /// missing-section defect, after everything else — matching the
-    /// single-pass parser).
-    saw_graph: bool,
 }
 
-impl EventParser {
-    /// A fresh event parser.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            lexer: Lexer::new(),
-            tokens: Vec::new(),
-            stack: Vec::new(),
-            started: false,
-            saw_graph: false,
-        }
-    }
-
-    /// Feeds one chunk and returns the events it completes. Chunks may
-    /// split anywhere on a UTF-8 boundary.
-    pub fn feed(&mut self, chunk: &str) -> Vec<ParseEvent> {
-        let mut out = Vec::new();
-        self.start(&mut out);
-        let mut tokens = std::mem::take(&mut self.tokens);
-        tokens.clear();
-        self.lexer.feed(chunk, &mut tokens);
-        for token in tokens.drain(..) {
-            self.token(token, &mut out);
-        }
-        self.tokens = tokens;
-        out
-    }
-
-    /// Flushes the final line, closes every open node and ends the
-    /// document.
-    pub fn finish(mut self) -> Vec<ParseEvent> {
-        let mut out = Vec::new();
-        self.start(&mut out);
-        let lexer = std::mem::take(&mut self.lexer);
-        let mut tokens = std::mem::take(&mut self.tokens);
-        lexer.finish(&mut tokens);
-        for token in tokens.drain(..) {
-            self.token(token, &mut out);
-        }
-        self.close_to(false, &mut out);
-        if !self.saw_graph {
-            out.push(ParseEvent::Defect(ParseAstgError {
-                kind: ParseErrorKind::Syntax,
-                span: Span::point(0, 1, 1),
-                message: "missing `.graph` section".to_string(),
-            }));
-        }
-        out.push(ParseEvent::Close {
-            kind: ParseNodeKind::Document,
-        });
-        out
-    }
-
-    fn start(&mut self, out: &mut Vec<ParseEvent>) {
-        if !self.started {
-            self.started = true;
-            out.push(ParseEvent::Open {
-                kind: ParseNodeKind::Document,
-                span: Span::point(0, 1, 1),
-            });
-        }
-    }
-
+impl<'a> Nesting<'a> {
     /// Closes open nodes, innermost first, stopping at the document.
     /// With `keep_graph`, an open `.graph` section survives — per-line
     /// nodes close at the next line, the section only at `.marking`,
-    /// another `.graph`, `.end` or EOF (mirroring the single-pass
-    /// parser's `in_graph` flag).
-    fn close_to(&mut self, keep_graph: bool, out: &mut Vec<ParseEvent>) {
+    /// another `.graph`, `.end` or the end of the text.
+    fn close_to(&mut self, keep_graph: bool) {
         while let Some(&kind) = self.stack.last() {
             if keep_graph && kind == ParseNodeKind::Graph {
                 break;
             }
             self.stack.pop();
-            out.push(ParseEvent::Close { kind });
+            self.out.push(ParseEvent::Close { kind });
         }
     }
 
-    fn open(&mut self, kind: ParseNodeKind, span: Span, out: &mut Vec<ParseEvent>) {
+    fn open(&mut self, kind: ParseNodeKind, span: Span) {
         self.stack.push(kind);
-        out.push(ParseEvent::Open { kind, span });
+        self.out.push(ParseEvent::Open { kind, span });
     }
 
-    fn defect(kind: ParseErrorKind, span: Span, message: String, out: &mut Vec<ParseEvent>) {
-        out.push(ParseEvent::Defect(ParseAstgError {
+    fn defect(&mut self, kind: ParseErrorKind, span: Span, message: String) {
+        self.out.push(ParseEvent::Defect(ParseAstgError {
             kind,
             span,
             message,
         }));
     }
 
-    fn token(&mut self, token: Token, out: &mut Vec<ParseEvent>) {
+    fn token(&mut self, token: Token<'a>) {
         match token.kind {
             TokenKind::Model => {
-                self.close_to(true, out);
-                self.open(ParseNodeKind::Model, token.span, out);
-                out.push(ParseEvent::Token(token));
+                self.close_to(true);
+                self.open(ParseNodeKind::Model, token.span);
+                self.out.push(ParseEvent::Token(token));
             }
             TokenKind::Decl(kind) => {
-                self.close_to(true, out);
+                self.close_to(true);
                 let node = match kind {
-                    crate::signal::SignalKind::Input => ParseNodeKind::Inputs,
-                    crate::signal::SignalKind::Output => ParseNodeKind::Outputs,
-                    crate::signal::SignalKind::Internal => ParseNodeKind::Internal,
+                    SignalKind::Input => ParseNodeKind::Inputs,
+                    SignalKind::Output => ParseNodeKind::Outputs,
+                    SignalKind::Internal => ParseNodeKind::Internal,
                 };
-                self.open(node, token.span, out);
+                self.open(node, token.span);
             }
             TokenKind::Name | TokenKind::Node | TokenKind::MarkingEntry => {
-                out.push(ParseEvent::Token(token));
+                self.out.push(ParseEvent::Token(token));
             }
             TokenKind::Graph => {
-                self.close_to(false, out);
-                self.saw_graph = true;
-                self.open(ParseNodeKind::Graph, token.span, out);
+                self.close_to(false);
+                self.open(ParseNodeKind::Graph, token.span);
             }
             TokenKind::GraphLine => {
-                self.close_to(true, out);
-                self.open(ParseNodeKind::GraphLine, token.span, out);
+                self.close_to(true);
+                self.open(ParseNodeKind::GraphLine, token.span);
             }
             TokenKind::Marking => {
-                self.close_to(false, out);
-                self.open(ParseNodeKind::Marking, token.span, out);
+                self.close_to(false);
+                self.open(ParseNodeKind::Marking, token.span);
             }
-            TokenKind::MarkingMalformed => Self::defect(
+            TokenKind::MarkingMalformed => self.defect(
                 ParseErrorKind::Syntax,
                 token.span,
                 "marking must be wrapped in `{ ... }`".to_string(),
-                out,
             ),
             TokenKind::Dummy => {
-                self.close_to(true, out);
-                Self::defect(
+                self.close_to(true);
+                self.defect(
                     ParseErrorKind::DummyUnsupported,
                     token.span,
                     "`.dummy` transitions are not supported".to_string(),
-                    out,
                 );
             }
             TokenKind::Unknown => {
-                self.close_to(true, out);
-                Self::defect(
+                self.close_to(true);
+                self.defect(
                     ParseErrorKind::UnknownSection,
                     token.span,
                     format!("unknown section `{}`", token.text),
-                    out,
                 );
             }
             TokenKind::Junk => {
-                self.close_to(true, out);
-                Self::defect(
+                self.close_to(true);
+                self.defect(
                     ParseErrorKind::Syntax,
                     token.span,
                     format!("unexpected line outside `.graph`: `{}`", token.text),
-                    out,
                 );
             }
-            TokenKind::End => self.close_to(false, out),
+            TokenKind::End => self.close_to(false),
         }
     }
 }
 
-/// The full event stream of `text` in one shot — the streaming
-/// front-end's equivalent of handing the source to the parser whole.
+/// The full event stream of `text`: the document opens, every token
+/// becomes its events in source order, and a text without a `.graph`
+/// directive gets its missing-section defect last, just before the
+/// document closes.
 #[must_use]
-pub fn parse_events(text: &str) -> Vec<ParseEvent> {
-    let mut parser = EventParser::new();
-    let mut out = parser.feed(text);
-    out.extend(parser.finish());
-    out
+pub fn parse_events(text: &str) -> Vec<ParseEvent<'_>> {
+    let mut nesting = Nesting {
+        out: vec![ParseEvent::Open {
+            kind: ParseNodeKind::Document,
+            span: Span::point(0, 1, 1),
+        }],
+        stack: Vec::new(),
+    };
+    let mut saw_graph = false;
+    for token in lex(text) {
+        saw_graph |= token.kind == TokenKind::Graph;
+        nesting.token(token);
+    }
+    nesting.close_to(false);
+    if !saw_graph {
+        nesting.defect(
+            ParseErrorKind::Syntax,
+            Span::point(0, 1, 1),
+            "missing `.graph` section".to_string(),
+        );
+    }
+    nesting.out.push(ParseEvent::Close {
+        kind: ParseNodeKind::Document,
+    });
+    nesting.out
 }
 
 #[cfg(test)]

@@ -1,19 +1,17 @@
-//! The incremental lexer of the `.g` front-end: feeds of `&str` chunks in,
-//! spanned [`Token`]s out — no whole-input requirement, so a server mode
-//! can stream large specifications.
+//! The lexer of the `.g` front-end: one whole source text in, spanned
+//! [`Token`]s that borrow it out.
 //!
 //! The lexer is line-oriented (the `.g` format anchors every construct to
 //! a line) and mode-aware: directive classification decides how the rest
 //! of the line is tokenized (`.model` keeps its whole trimmed rest as one
 //! name, `.marking` bodies group `<a+,b->` entries with their internal
 //! whitespace, declaration and graph lines split on whitespace). Line
-//! endings are normalized in this layer: CRLF becomes LF before any span
-//! is computed, so a CRLF specification produces byte-for-byte the same
-//! tokens — spans included — as its LF twin (see [`normalize_source`] for
-//! the text those spans index). Columns count **characters**, not bytes,
-//! so diagnostics align on non-ASCII names.
-
-use std::borrow::Cow;
+//! endings are normalized in this layer: a line's trailing `\r` is
+//! dropped before any span is computed, so byte offsets index the text
+//! with every CRLF replaced by LF, and a CRLF specification produces
+//! byte-for-byte the same tokens — spans included — as its LF twin.
+//! Columns count **characters**, not bytes, so diagnostics align on
+//! non-ASCII names.
 
 use crate::parse::Span;
 use crate::signal::SignalKind;
@@ -57,205 +55,159 @@ pub enum TokenKind {
     End,
 }
 
-/// One spanned token. The text is owned so downstream layers (events,
-/// tree builder, interchange dumps) never need the source buffer — the
-/// property that makes the front-end streamable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+/// One spanned token, its text a slice of the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// What the token is.
     pub kind: TokenKind,
     /// The token's text (empty for pure markers).
-    pub text: String,
+    pub text: &'a str,
     /// Where it lives in the (CRLF-normalized) source.
     pub span: Span,
 }
 
-/// The text a [`Lexer`]'s spans index: the input with CRLF line endings
-/// normalized to LF. Borrowed (free) when the input already is LF-only.
-#[must_use]
-pub fn normalize_source(text: &str) -> Cow<'_, str> {
-    if text.contains("\r\n") {
-        Cow::Owned(text.replace("\r\n", "\n"))
-    } else {
-        Cow::Borrowed(text)
+/// The tokens of `text`, line by line, up to and including `.end`
+/// (everything after it is ignored). A missing final newline is
+/// tolerated.
+pub(crate) fn lex(text: &str) -> Vec<Token<'_>> {
+    let mut out = Vec::new();
+    let mut in_graph = false;
+    // Byte offset of the current line in the CRLF-normalized source.
+    let mut abs = 0;
+    for (i, raw) in text.split('\n').enumerate() {
+        let raw = raw.strip_suffix('\r').unwrap_or(raw);
+        if lex_line(raw, abs, i + 1, &mut in_graph, &mut out) {
+            break;
+        }
+        abs += raw.len() + 1;
     }
+    out
 }
 
-/// The incremental `.g` lexer. Feed chunks with [`Lexer::feed`] (complete
-/// lines are tokenized as soon as their newline arrives; a partial tail
-/// is buffered), then flush the final unterminated line with
-/// [`Lexer::finish`].
-#[derive(Debug, Default)]
-pub struct Lexer {
-    /// The buffered partial line (no newline seen yet).
-    buf: String,
-    /// Byte offset of `buf` in the normalized source.
+/// Classifies and tokenizes one complete (newline-free) line; returns
+/// whether it was the `.end` line.
+fn lex_line<'a>(
+    raw: &'a str,
     abs: usize,
-    /// 1-based line number of `buf`.
-    line: usize,
-    /// Whether we are inside the `.graph` section.
-    in_graph: bool,
-    /// Whether `.end` was seen (everything after is ignored).
-    done: bool,
-}
-
-impl Lexer {
-    /// A fresh lexer at offset 0, line 1.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            buf: String::new(),
-            abs: 0,
-            line: 1,
-            in_graph: false,
-            done: false,
-        }
+    lineno: usize,
+    in_graph: &mut bool,
+    out: &mut Vec<Token<'a>>,
+) -> bool {
+    let line = raw.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return false;
     }
-
-    /// Feeds one chunk, appending the tokens of every line the chunk
-    /// completes to `out`. Chunks may split lines — and even CRLF pairs —
-    /// anywhere on a UTF-8 boundary.
-    pub fn feed(&mut self, chunk: &str, out: &mut Vec<Token>) {
-        self.buf.push_str(chunk);
-        while let Some(pos) = self.buf.find('\n') {
-            let rest = self.buf.split_off(pos + 1);
-            let mut raw = std::mem::replace(&mut self.buf, rest);
-            raw.pop(); // the '\n'
-            if raw.ends_with('\r') {
-                raw.pop(); // CRLF → LF: spans index the normalized text
-            }
-            let (abs, lineno) = (self.abs, self.line);
-            self.abs += raw.len() + 1;
-            self.line += 1;
-            if !self.done {
-                self.lex_line(&raw, abs, lineno, out);
-            }
-        }
-    }
-
-    /// Flushes the final line when the input does not end in a newline.
-    pub fn finish(mut self, out: &mut Vec<Token>) {
-        if !self.buf.is_empty() && !self.done {
-            let raw = std::mem::take(&mut self.buf);
-            self.lex_line(&raw, self.abs, self.line, out);
-        }
-    }
-
-    /// Classifies and tokenizes one complete (newline-free) line.
-    fn lex_line(&mut self, raw: &str, abs: usize, lineno: usize, out: &mut Vec<Token>) {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return;
-        }
-        let lead = raw.len() - raw.trim_start().len();
-        let lead_chars = raw[..lead].chars().count();
-        let line_span = Span {
-            start: abs + lead,
-            end: abs + lead + line.len(),
-            line: lineno,
-            col: lead_chars + 1,
-        };
-        let marker = |kind: TokenKind, text: &str| Token {
+    let lead = raw.len() - raw.trim_start().len();
+    let lead_chars = raw[..lead].chars().count();
+    let line_span = Span {
+        start: abs + lead,
+        end: abs + lead + line.len(),
+        line: lineno,
+        col: lead_chars + 1,
+    };
+    let mut marker = |kind: TokenKind, text: &'a str| {
+        out.push(Token {
             kind,
-            text: text.to_string(),
+            text,
             span: line_span,
-        };
+        });
+    };
 
-        if let Some(rest) = line.strip_prefix(".model") {
-            out.push(marker(TokenKind::Model, rest.trim()));
-            return;
-        }
-        if line.starts_with(".dummy") {
-            out.push(marker(TokenKind::Dummy, ""));
-            return;
-        }
-        for (directive, kind) in [
-            (".inputs", SignalKind::Input),
-            (".outputs", SignalKind::Output),
-            (".internal", SignalKind::Internal),
-        ] {
-            if let Some(rest) = line.strip_prefix(directive) {
-                out.push(marker(TokenKind::Decl(kind), ""));
-                words(
-                    rest,
-                    abs + lead + directive.len(),
-                    lead_chars + directive.len(),
-                    lineno,
-                    TokenKind::Name,
-                    out,
-                );
-                return;
-            }
-        }
-        if line == ".graph" {
-            self.in_graph = true;
-            out.push(marker(TokenKind::Graph, ""));
-            return;
-        }
-        if let Some(rest) = line.strip_prefix(".marking") {
-            self.in_graph = false;
-            out.push(marker(TokenKind::Marking, ""));
-            lex_marking(
+    if let Some(rest) = line.strip_prefix(".model") {
+        marker(TokenKind::Model, rest.trim());
+        return false;
+    }
+    if line.starts_with(".dummy") {
+        marker(TokenKind::Dummy, "");
+        return false;
+    }
+    for (directive, kind) in [
+        (".inputs", SignalKind::Input),
+        (".outputs", SignalKind::Output),
+        (".internal", SignalKind::Internal),
+    ] {
+        if let Some(rest) = line.strip_prefix(directive) {
+            marker(TokenKind::Decl(kind), "");
+            words(
                 rest,
-                abs + lead + ".marking".len(),
-                lead_chars + ".marking".len(),
+                abs + lead + directive.len(),
+                lead_chars + directive.len(),
                 lineno,
+                TokenKind::Name,
                 out,
             );
-            return;
+            return false;
         }
-        if line == ".end" {
-            self.done = true;
-            out.push(marker(TokenKind::End, ""));
-            return;
-        }
-        if line.starts_with('.') {
-            out.push(marker(TokenKind::Unknown, line));
-            return;
-        }
-        if !self.in_graph {
-            out.push(marker(TokenKind::Junk, line));
-            return;
-        }
-        out.push(marker(TokenKind::GraphLine, ""));
-        words(line, abs + lead, lead_chars, lineno, TokenKind::Node, out);
     }
+    if line == ".graph" {
+        *in_graph = true;
+        marker(TokenKind::Graph, "");
+        return false;
+    }
+    if let Some(rest) = line.strip_prefix(".marking") {
+        *in_graph = false;
+        marker(TokenKind::Marking, "");
+        lex_marking(
+            rest,
+            abs + lead + ".marking".len(),
+            lead_chars + ".marking".len(),
+            lineno,
+            out,
+        );
+        return false;
+    }
+    if line == ".end" {
+        marker(TokenKind::End, "");
+        return true;
+    }
+    if line.starts_with('.') {
+        marker(TokenKind::Unknown, line);
+        return false;
+    }
+    if !*in_graph {
+        marker(TokenKind::Junk, line);
+        return false;
+    }
+    marker(TokenKind::GraphLine, "");
+    words(line, abs + lead, lead_chars, lineno, TokenKind::Node, out);
+    false
 }
 
 /// Whitespace-separated words of `s` as `kind` tokens. `abs` is the byte
 /// offset of `s` in the normalized source, `col0` the number of
 /// characters preceding `s` on its line, `lineno` the 1-based line.
-fn words(s: &str, abs: usize, col0: usize, lineno: usize, kind: TokenKind, out: &mut Vec<Token>) {
+fn words<'a>(
+    s: &'a str,
+    abs: usize,
+    col0: usize,
+    lineno: usize,
+    kind: TokenKind,
+    out: &mut Vec<Token<'a>>,
+) {
+    let mut push = |b: usize, end: usize, bc: usize| {
+        out.push(Token {
+            kind,
+            text: &s[b..end],
+            span: Span {
+                start: abs + b,
+                end: abs + end,
+                line: lineno,
+                col: col0 + bc + 1,
+            },
+        });
+    };
     let mut start: Option<(usize, usize)> = None; // (byte, char) of word start
     for (chars_seen, (i, c)) in s.char_indices().enumerate() {
         if c.is_whitespace() {
             if let Some((b, bc)) = start.take() {
-                out.push(Token {
-                    kind,
-                    text: s[b..i].to_string(),
-                    span: Span {
-                        start: abs + b,
-                        end: abs + i,
-                        line: lineno,
-                        col: col0 + bc + 1,
-                    },
-                });
+                push(b, i, bc);
             }
         } else if start.is_none() {
             start = Some((i, chars_seen));
         }
     }
     if let Some((b, bc)) = start {
-        out.push(Token {
-            kind,
-            text: s[b..].to_string(),
-            span: Span {
-                start: abs + b,
-                end: abs + s.len(),
-                line: lineno,
-                col: col0 + bc + 1,
-            },
-        });
+        push(b, s.len(), bc);
     }
 }
 
@@ -263,7 +215,13 @@ fn words(s: &str, abs: usize, col0: usize, lineno: usize, kind: TokenKind, out: 
 /// `=k`, internal whitespace allowed inside the angle brackets) and bare
 /// place names. A body not wrapped in `{ ... }` yields one
 /// [`TokenKind::MarkingMalformed`] marker spanning the trimmed rest.
-fn lex_marking(rest: &str, abs: usize, col0: usize, lineno: usize, out: &mut Vec<Token>) {
+fn lex_marking<'a>(
+    rest: &'a str,
+    abs: usize,
+    col0: usize,
+    lineno: usize,
+    out: &mut Vec<Token<'a>>,
+) {
     let trimmed = rest.trim();
     let lead = rest.len() - rest.trim_start().len();
     let lead_chars = rest[..lead].chars().count();
@@ -271,7 +229,7 @@ fn lex_marking(rest: &str, abs: usize, col0: usize, lineno: usize, out: &mut Vec
     let Some(body) = body else {
         out.push(Token {
             kind: TokenKind::MarkingMalformed,
-            text: String::new(),
+            text: "",
             span: Span {
                 start: abs + lead,
                 end: abs + lead + trimmed.len(),
@@ -318,7 +276,7 @@ fn lex_marking(rest: &str, abs: usize, col0: usize, lineno: usize, out: &mut Vec
         }
         out.push(Token {
             kind: TokenKind::MarkingEntry,
-            text: token.to_string(),
+            text: token,
             span: Span {
                 start: body_abs + start,
                 end: body_abs + end,
@@ -332,30 +290,6 @@ fn lex_marking(rest: &str, abs: usize, col0: usize, lineno: usize, out: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lex(text: &str) -> Vec<Token> {
-        let mut lexer = Lexer::new();
-        let mut out = Vec::new();
-        lexer.feed(text, &mut out);
-        lexer.finish(&mut out);
-        out
-    }
-
-    #[test]
-    fn chunk_boundaries_are_invisible() {
-        let text = ".model x\r\n.inputs a b\n.graph\na+ b+\n.end\n";
-        let whole = lex(text);
-        for step in 1..=5 {
-            let mut lexer = Lexer::new();
-            let mut out = Vec::new();
-            let chars: Vec<char> = text.chars().collect();
-            for chunk in chars.chunks(step) {
-                lexer.feed(&chunk.iter().collect::<String>(), &mut out);
-            }
-            lexer.finish(&mut out);
-            assert_eq!(out, whole, "chunk step {step}");
-        }
-    }
 
     #[test]
     fn crlf_lines_lex_like_lf_lines() {

@@ -19,14 +19,13 @@
 //! Algorithm 1 together with the shortcut-place redundancy check of
 //! Algorithm 3.
 //!
-//! The `.g` front-end is layered for streaming: the incremental
-//! [`Lexer`] yields spanned tokens from `&str` chunks, the
-//! [`EventParser`] turns them into a nested [`ParseEvent`] stream, and
-//! the [`TreeBuilder`] folds that stream into the [`LenientParse`] the
+//! The `.g` front-end reads one whole text in three layers: a
+//! line-oriented lexer yields spanned [`Token`]s that borrow the source,
+//! [`parse_events`] turns them into a nested [`ParseEvent`] stream, and
+//! [`tree_of_events`] folds that stream into the [`LenientParse`] the
 //! [`parse_astg`]/[`parse_astg_lenient`] facades return. The [`sexp`]
-//! module serializes event streams (plus state graphs) into a lossless,
-//! language-neutral S-expression interchange format and reads parse-tree
-//! dumps back into events — see `docs/interchange.md`.
+//! module writes event streams (plus state graphs) in a language-neutral
+//! S-expression interchange format — see `docs/interchange.md`.
 
 mod events;
 mod lexer;
@@ -40,8 +39,8 @@ mod stg;
 mod tree;
 mod walk;
 
-pub use events::{parse_events, EventParser, ParseEvent, ParseNodeKind};
-pub use lexer::{normalize_source, Lexer, Token, TokenKind};
+pub use events::{parse_events, ParseEvent, ParseNodeKind};
+pub use lexer::{Token, TokenKind};
 pub use mg::{extend_fingerprint, ArcAttr, MgStg, SgKey};
 pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,
@@ -50,5 +49,5 @@ pub use parse::{
 pub use sg::{SgState, StateGraph};
 pub use signal::{Polarity, SignalId, SignalKind, TransitionLabel};
 pub use stg::{Stg, StgError, StgHealth, ALLOCATION_CAP, DEFAULT_GLOBAL_SG_BUDGET};
-pub use tree::{tree_of_events, TreeBuilder};
+pub use tree::tree_of_events;
 pub use walk::{whole_stg_walks, StgAnalysis};

@@ -9,9 +9,9 @@
 //! marking section.
 //!
 //! Two entry points share one implementation — both are thin facades
-//! over the layered streaming front-end (the incremental
-//! [`Lexer`](crate::lexer::Lexer), the [`ParseEvent`](crate::events::ParseEvent)
-//! stream, and the [`TreeBuilder`](crate::tree::TreeBuilder) fold):
+//! over the layered front-end (the line-oriented lexer, the
+//! [`ParseEvent`](crate::events::ParseEvent) stream, and the
+//! [`tree_of_events`](crate::tree::tree_of_events) fold):
 //!
 //! - [`parse_astg`] — strict: stops at the first fatal defect and returns
 //!   it as a [`ParseAstgError`] carrying a byte [`Span`] with 1-based
@@ -34,10 +34,10 @@ use crate::signal::SignalKind;
 use crate::stg::Stg;
 
 /// A byte range in the source text plus the 1-based line and column of its
-/// start. Byte offsets index the CRLF-normalized source (see
-/// [`normalize_source`](crate::lexer::normalize_source)); columns count
-/// **characters** within the line, so diagnostics align on non-ASCII
-/// specifications.
+/// start. Byte offsets index the CRLF-normalized source (the text with
+/// every CRLF replaced by LF, which is the text itself when it has no
+/// CRLF); columns count **characters** within the line, so diagnostics
+/// align on non-ASCII specifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Span {
     /// Byte offset of the first byte, inclusive.
@@ -186,11 +186,9 @@ impl LenientParse {
 /// result carries the best-effort [`Stg`] plus all defects with spans.
 /// Never panics, on any input.
 ///
-/// This is a thin facade over the layered streaming front-end —
+/// This is a thin facade over the layered front-end —
 /// [`parse_events`](crate::events::parse_events) to produce the event
-/// stream, [`tree_of_events`](crate::tree::tree_of_events) to fold it —
-/// and produces bit-identical output (same [`Stg`], same [`SpecSpans`],
-/// same defect order) to the historical single-pass parser.
+/// stream, [`tree_of_events`](crate::tree::tree_of_events) to fold it.
 pub fn parse_astg_lenient(text: &str) -> LenientParse {
     crate::tree::tree_of_events(&crate::events::parse_events(text))
 }

@@ -90,17 +90,23 @@ impl TransitionLabel {
 
     /// Renders the label with a signal-name table (`req+`, `csc0-/2`).
     pub fn display<'a>(&'a self, names: &'a [String]) -> impl fmt::Display + 'a {
-        struct D<'a>(&'a TransitionLabel, &'a [String]);
+        self.named(&names[self.signal.0])
+    }
+
+    /// Renders the label with its signal's name: the one formatting rule
+    /// behind [`Self::display`].
+    pub fn named<'a>(&'a self, name: &'a str) -> impl fmt::Display + 'a {
+        struct D<'a>(&'a TransitionLabel, &'a str);
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}{}", self.1[self.0.signal.0], self.0.polarity)?;
+                write!(f, "{}{}", self.1, self.0.polarity)?;
                 if self.0.occurrence != 1 {
                     write!(f, "/{}", self.0.occurrence)?;
                 }
                 Ok(())
             }
         }
-        D(self, names)
+        D(self, name)
     }
 }
 

@@ -133,7 +133,7 @@ impl Stg {
 
     /// Adds a labelled transition and returns the underlying net id.
     pub fn add_transition(&mut self, label: TransitionLabel) -> TransitionId {
-        let name = label.display(&self.signal_names()).to_string();
+        let name = label.named(self.signal_name(label.signal)).to_string();
         let t = self.net.add_transition(name);
         self.labels.push(label);
         t
@@ -314,7 +314,7 @@ impl Stg {
 
     /// A label rendered with this STG's signal names.
     pub fn label_string(&self, label: TransitionLabel) -> String {
-        label.display(&self.signal_names()).to_string()
+        label.named(self.signal_name(label.signal)).to_string()
     }
 
     /// Checks the well-formedness properties the thesis flow assumes:

@@ -1,13 +1,13 @@
 //! The tree-building layer of the `.g` front-end: folds the
 //! [`ParseEvent`] stream into the [`Stg`] + [`SpecSpans`] + defect list
-//! that [`parse_astg_lenient`](crate::parse::parse_astg_lenient) has
-//! always produced. All semantic recovery lives here — auto-declaring
-//! undeclared signals as inputs, merging duplicate arcs, resolving
-//! implicit `<t1,t2>` places — while the lexer and event layers stay
-//! purely syntactic. Because syntactic defects arrive as
-//! [`ParseEvent::Defect`] entries *interleaved* with the tokens, the
-//! folded defect list preserves the single-pass parser's source order
-//! exactly.
+//! that [`parse_astg_lenient`](crate::parse::parse_astg_lenient) returns.
+//! All semantic recovery lives here — auto-declaring undeclared signals
+//! as inputs, merging duplicate arcs, resolving implicit `<t1,t2>` places
+//! — while the lexer and event layers stay purely syntactic. Because
+//! syntactic defects arrive as [`ParseEvent::Defect`] entries
+//! *interleaved* with the tokens, the folded defect list is in source
+//! order. Names are looked up by the `&str` slices the tokens borrow from
+//! the source; signals by the [`Stg`]'s own table.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,31 +20,31 @@ use crate::signal::{Polarity, SignalKind, TransitionLabel};
 use crate::stg::Stg;
 
 /// What a `.graph` node token denotes, before resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum NodeRef {
-    Transition(String, Polarity, u32),
-    Place(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeRef<'a> {
+    Transition(&'a str, Polarity, u32),
+    Place(&'a str),
 }
 
-fn parse_node(token: &str) -> NodeRef {
+fn parse_node(token: &str) -> NodeRef<'_> {
     let (base, occurrence) = match token.split_once('/') {
         Some((b, occ)) => match occ.parse::<u32>() {
             Ok(n) if n >= 1 => (b, n),
-            _ => return NodeRef::Place(token.to_string()),
+            _ => return NodeRef::Place(token),
         },
         None => (token, 1),
     };
     if let Some(name) = base.strip_suffix('+') {
         if !name.is_empty() {
-            return NodeRef::Transition(name.to_string(), Polarity::Plus, occurrence);
+            return NodeRef::Transition(name, Polarity::Plus, occurrence);
         }
     }
     if let Some(name) = base.strip_suffix('-') {
         if !name.is_empty() {
-            return NodeRef::Transition(name.to_string(), Polarity::Minus, occurrence);
+            return NodeRef::Transition(name, Polarity::Minus, occurrence);
         }
     }
-    NodeRef::Place(token.to_string())
+    NodeRef::Place(token)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -63,16 +63,11 @@ impl NodeKind {
     }
 }
 
-/// Folds [`ParseEvent`]s into a [`LenientParse`]. Push events in stream
-/// order with [`TreeBuilder::push`] (feed-by-feed is fine — the builder
-/// is as incremental as the event source), then take the result with
-/// [`TreeBuilder::finish`].
-#[derive(Debug)]
-pub struct TreeBuilder {
+/// The fold's state between events.
+struct Fold<'a> {
     stg: Stg,
-    declared: BTreeMap<String, SignalKind>,
-    transitions: BTreeMap<(String, Polarity, u32), TransitionId>,
-    places: BTreeMap<String, PlaceId>,
+    transitions: BTreeMap<(&'a str, Polarity, u32), TransitionId>,
+    places: BTreeMap<&'a str, PlaceId>,
     implicit: BTreeMap<(TransitionId, TransitionId), PlaceId>,
     arcs_seen: BTreeSet<((u8, usize), (u8, usize))>,
     errors: Vec<ParseAstgError>,
@@ -84,33 +79,8 @@ pub struct TreeBuilder {
     graph_src: Option<NodeKind>,
 }
 
-impl Default for TreeBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TreeBuilder {
-    /// A fresh builder around an empty `Stg` named `stg` (overwritten by
-    /// a `.model` line, exactly as the single-pass parser did).
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            stg: Stg::new("stg"),
-            declared: BTreeMap::new(),
-            transitions: BTreeMap::new(),
-            places: BTreeMap::new(),
-            implicit: BTreeMap::new(),
-            arcs_seen: BTreeSet::new(),
-            errors: Vec::new(),
-            spans: SpecSpans::default(),
-            decl_kind: None,
-            graph_src: None,
-        }
-    }
-
-    /// Folds one event.
-    pub fn push(&mut self, event: &ParseEvent) {
+impl<'a> Fold<'a> {
+    fn push(&mut self, event: &ParseEvent<'a>) {
         match event {
             ParseEvent::Open { kind, span } => match kind {
                 ParseNodeKind::Model => self.spans.model = Some(*span),
@@ -133,35 +103,24 @@ impl TreeBuilder {
         }
     }
 
-    /// The folded result. No synthetic defects are added here — the
-    /// event source owns syntax (including the missing-`.graph` check).
-    #[must_use]
-    pub fn finish(self) -> LenientParse {
-        LenientParse {
-            stg: self.stg,
-            errors: self.errors,
-            spans: self.spans,
-        }
-    }
-
-    fn token(&mut self, token: &Token) {
+    fn token(&mut self, token: &Token<'a>) {
         match token.kind {
-            TokenKind::Model => self.stg.name = token.text.clone(),
+            TokenKind::Model => self.stg.name = token.text.to_string(),
             TokenKind::Name => {
                 // Outside a declaration node (possible only in hand-built
-                // or foreign event streams) names default to inputs, the
-                // same recovery the parser uses for undeclared signals.
+                // event streams) names default to inputs, the same
+                // recovery the parser uses for undeclared signals.
                 let kind = self.decl_kind.unwrap_or(SignalKind::Input);
-                self.declare(kind, &token.text, token.span);
+                self.declare(kind, token.text, token.span);
             }
             TokenKind::Node => {
-                let node = self.resolve_node(&token.text, token.span);
+                let node = self.resolve_node(token.text, token.span);
                 match self.graph_src {
                     None => self.graph_src = Some(node),
                     Some(src) => self.add_arc(src, node, token.span),
                 }
             }
-            TokenKind::MarkingEntry => self.marking_token(&token.text, token.span),
+            TokenKind::MarkingEntry => self.marking_token(token.text, token.span),
             // Marker kinds never appear inside event streams: the event
             // layer turns them into Open/Close/Defect entries.
             _ => {}
@@ -177,7 +136,7 @@ impl TreeBuilder {
     }
 
     fn declare(&mut self, kind: SignalKind, name: &str, span: Span) {
-        if self.declared.contains_key(name) {
+        if self.stg.signal_by_name(name).is_some() {
             self.error(
                 ParseErrorKind::DuplicateSignal,
                 span,
@@ -185,7 +144,6 @@ impl TreeBuilder {
             );
             return;
         }
-        self.declared.insert(name.to_string(), kind);
         self.stg.add_signal(name, kind);
         self.spans.signals.push(span);
     }
@@ -195,47 +153,48 @@ impl TreeBuilder {
     /// rest of the specification can still be analyzed.
     fn resolve_transition(
         &mut self,
-        name: &str,
+        name: &'a str,
         pol: Polarity,
         occ: u32,
         span: Span,
     ) -> TransitionId {
-        if self.stg.signal_by_name(name).is_none() {
-            self.error(
-                ParseErrorKind::UndeclaredSignal,
-                span,
-                format!("undeclared signal `{name}`"),
-            );
-            self.declared.insert(name.to_string(), SignalKind::Input);
-            self.stg.add_signal(name, SignalKind::Input);
-            self.spans.signals.push(span);
-        }
-        let sig = self.stg.signal_by_name(name).expect("just ensured");
-        if let Some(&t) = self.transitions.get(&(name.to_string(), pol, occ)) {
+        if let Some(&t) = self.transitions.get(&(name, pol, occ)) {
             return t;
         }
+        let sig = match self.stg.signal_by_name(name) {
+            Some(sig) => sig,
+            None => {
+                self.error(
+                    ParseErrorKind::UndeclaredSignal,
+                    span,
+                    format!("undeclared signal `{name}`"),
+                );
+                self.spans.signals.push(span);
+                self.stg.add_signal(name, SignalKind::Input)
+            }
+        };
         let t = self.stg.add_transition(TransitionLabel::new(sig, pol, occ));
-        self.transitions.insert((name.to_string(), pol, occ), t);
+        self.transitions.insert((name, pol, occ), t);
         self.spans.transitions.push(span);
         t
     }
 
-    fn resolve_place(&mut self, name: &str, span: Span) -> PlaceId {
+    fn resolve_place(&mut self, name: &'a str, span: Span) -> PlaceId {
         if let Some(&p) = self.places.get(name) {
             return p;
         }
         let p = self.stg.net_mut().add_place(name, 0);
-        self.places.insert(name.to_string(), p);
+        self.places.insert(name, p);
         self.spans.places.push(span);
         p
     }
 
-    fn resolve_node(&mut self, token: &str, span: Span) -> NodeKind {
+    fn resolve_node(&mut self, token: &'a str, span: Span) -> NodeKind {
         match parse_node(token) {
             NodeRef::Transition(name, pol, occ) => {
-                NodeKind::T(self.resolve_transition(&name, pol, occ, span))
+                NodeKind::T(self.resolve_transition(name, pol, occ, span))
             }
-            NodeRef::Place(name) => NodeKind::P(self.resolve_place(&name, span)),
+            NodeRef::Place(name) => NodeKind::P(self.resolve_place(name, span)),
         }
     }
 
@@ -255,19 +214,18 @@ impl TreeBuilder {
             return;
         }
         match (src, dst) {
+            // A first-seen transition pair has no implicit place yet.
             (NodeKind::T(a), NodeKind::T(b)) => {
-                if !self.implicit.contains_key(&(a, b)) {
-                    let pname = format!(
-                        "<{},{}>",
-                        self.stg.net().transition_name(a),
-                        self.stg.net().transition_name(b)
-                    );
-                    let p = self.stg.net_mut().add_place(pname, 0);
-                    self.stg.net_mut().add_arc_tp(a, p);
-                    self.stg.net_mut().add_arc_pt(p, b);
-                    self.implicit.insert((a, b), p);
-                    self.spans.places.push(dst_span);
-                }
+                let pname = format!(
+                    "<{},{}>",
+                    self.stg.net().transition_name(a),
+                    self.stg.net().transition_name(b)
+                );
+                let p = self.stg.net_mut().add_place(pname, 0);
+                self.stg.net_mut().add_arc_tp(a, p);
+                self.stg.net_mut().add_arc_pt(p, b);
+                self.implicit.insert((a, b), p);
+                self.spans.places.push(dst_span);
             }
             (NodeKind::T(a), NodeKind::P(p)) => self.stg.net_mut().add_arc_tp(a, p),
             (NodeKind::P(p), NodeKind::T(b)) => self.stg.net_mut().add_arc_pt(p, b),
@@ -282,7 +240,7 @@ impl TreeBuilder {
     }
 
     /// One raw marking entry token (`p0`, `<a+,b->`, `<a+,b->=2`).
-    fn marking_token(&mut self, token: &str, span: Span) {
+    fn marking_token(&mut self, token: &'a str, span: Span) {
         let (name, count) = match token.split_once('=') {
             Some((n, k)) => match k.parse::<u32>() {
                 Ok(count) => (n, count),
@@ -300,7 +258,7 @@ impl TreeBuilder {
         self.marking_entry(name, count, span);
     }
 
-    fn marking_entry(&mut self, name: &str, count: u32, span: Span) {
+    fn marking_entry(&mut self, name: &'a str, count: u32, span: Span) {
         if let Some(inner) = name.strip_prefix('<').and_then(|n| n.strip_suffix('>')) {
             let Some((a, b)) = inner.split_once(',') else {
                 self.error(
@@ -310,7 +268,7 @@ impl TreeBuilder {
                 );
                 return;
             };
-            let mut lookup = |tok: &str| -> Option<TransitionId> {
+            let mut lookup = |tok: &'a str| -> Option<TransitionId> {
                 match parse_node(tok.trim()) {
                     NodeRef::Transition(n, pol, occ) => {
                         let t = self.transitions.get(&(n, pol, occ)).copied();
@@ -357,16 +315,29 @@ impl TreeBuilder {
     }
 }
 
-/// Folds a complete event stream into a [`LenientParse`] — the last leg
-/// of the `lexer → events → tree` stack, also reachable from interchange
-/// dumps via [`crate::sexp::read_events`].
-pub fn tree_of_events<'a, I>(events: I) -> LenientParse
-where
-    I: IntoIterator<Item = &'a ParseEvent>,
-{
-    let mut builder = TreeBuilder::new();
+/// Folds a complete event stream into a [`LenientParse`]: the last leg of
+/// the `lexer → events → tree` stack. The `Stg` is named `stg` unless a
+/// `.model` token names it. No synthetic defects are added here — the
+/// event layer owns syntax, including the missing-`.graph` check.
+#[must_use]
+pub fn tree_of_events(events: &[ParseEvent<'_>]) -> LenientParse {
+    let mut fold = Fold {
+        stg: Stg::new("stg"),
+        transitions: BTreeMap::new(),
+        places: BTreeMap::new(),
+        implicit: BTreeMap::new(),
+        arcs_seen: BTreeSet::new(),
+        errors: Vec::new(),
+        spans: SpecSpans::default(),
+        decl_kind: None,
+        graph_src: None,
+    };
     for event in events {
-        builder.push(event);
+        fold.push(event);
     }
-    builder.finish()
+    LenientParse {
+        stg: fold.stg,
+        errors: fold.errors,
+        spans: fold.spans,
+    }
 }

@@ -1,23 +1,14 @@
 //! The layered front-end's load-bearing equivalences, pinned as
 //! properties over the corpus generator's spec envelope:
 //!
-//! 1. the S-expression interchange round-trip (`parse → events → sexp →
-//!    reader → tree`) is lossless — it rebuilds the exact parse the text
-//!    itself produces;
-//! 2. feeding the incremental [`EventParser`] arbitrary chunk boundaries
-//!    yields the same event stream as a one-shot parse;
-//! 3. CRLF line endings and a missing trailing newline parse identically
+//! 1. CRLF line endings and a missing trailing newline parse identically
 //!    to the plain LF text;
-//! 4. the canonical writer is a fixed point of `parse → write` from the
+//! 2. the canonical writer is a fixed point of `parse → write` from the
 //!    first application.
 
 use proptest::prelude::*;
 use si_corpus::{generate, strategies::corpus_case};
-use si_stg::sexp::{read_events, write_events};
-use si_stg::{
-    parse_astg, parse_astg_lenient, parse_events, tree_of_events, write_astg, EventParser,
-    LenientParse,
-};
+use si_stg::{parse_astg, parse_astg_lenient, write_astg, LenientParse};
 
 /// Structural equality of two lenient parses: the rebuilt `Stg`, the
 /// recorded spans and the ordered defect list all have to match.
@@ -30,42 +21,7 @@ fn assert_same_parse(a: &LenientParse, b: &LenientParse, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Property 1: events → sexp → reader → tree is bit-identical to the
-    /// direct parse.
-    #[test]
-    fn sexp_round_trip_is_lossless((spec, seed) in corpus_case()) {
-        let text = generate(&spec, seed).g_text;
-        let direct = parse_astg_lenient(&text);
-        let dump = write_events(&parse_events(&text));
-        let events = read_events(&dump).expect("writer output reads back");
-        let rebuilt = tree_of_events(&events);
-        assert_same_parse(&rebuilt, &direct, "sexp round-trip");
-    }
-
-    /// Property 2: chunked feeding is invisible — the event stream does
-    /// not depend on where the `&str` chunks split, even mid-line or
-    /// mid-UTF-8 *line*, because the lexer buffers to line boundaries.
-    #[test]
-    fn chunked_event_parsing_matches_one_shot(((spec, seed), split) in (corpus_case(), 1usize..97)) {
-        let text = generate(&spec, seed).g_text;
-        let one_shot = parse_events(&text);
-        let mut parser = EventParser::new();
-        let mut chunked = Vec::new();
-        let mut rest = text.as_str();
-        while !rest.is_empty() {
-            let mut at = split.min(rest.len());
-            while !rest.is_char_boundary(at) {
-                at += 1;
-            }
-            let (chunk, tail) = rest.split_at(at);
-            chunked.extend(parser.feed(chunk));
-            rest = tail;
-        }
-        chunked.extend(parser.finish());
-        prop_assert_eq!(chunked, one_shot);
-    }
-
-    /// Property 3: CRLF line endings and a trimmed final newline are
+    /// Property 1: CRLF line endings and a trimmed final newline are
     /// cosmetic — spans, defects and the rebuilt `Stg` all match the LF
     /// text byte-for-byte.
     #[test]
@@ -78,7 +34,7 @@ proptest! {
         assert_same_parse(&parse_astg_lenient(trimmed), &lf, "missing trailing newline");
     }
 
-    /// Property 4: the canonical writer converges immediately —
+    /// Property 2: the canonical writer converges immediately —
     /// `write(parse(write(stg)))` equals `write(stg)`.
     #[test]
     fn writer_is_a_parse_write_fixed_point((spec, seed) in corpus_case()) {

@@ -23,16 +23,13 @@
 //! synthesizer rejects (CSC conflicts in interleaved mode, input-only
 //! bursts) are counted as skipped.
 //!
-//! Two cheap oracles ride along on every seed. The generator's validity
+//! One cheap oracle rides along on every seed, the generator's validity
 //! guarantee: the full-featured engine lints under [`LintPolicy::Deny`],
 //! so a generated circuit with a lint error fails as
 //! [`CorpusError::Lint`], and the front end validates every row, so one
 //! that is not live, safe, free-choice and consistent fails as
-//! [`CoreError::NotWellFormed`]; either breaks the guarantee. And the
-//! spec's parse-event stream must survive the S-expression interchange
-//! round-trip (`parse → events → sexp → reader → tree`,
-//! `docs/interchange.md`) bit-identically. Every such fault is minimized
-//! and reported like an engine mismatch.
+//! [`CoreError::NotWellFormed`]; either breaks the guarantee. Such a
+//! fault is minimized and reported like an engine mismatch.
 //!
 //! Every bail is audited too: the rows whose cold full-featured outcome
 //! is `Diverged` run once more through `run_corpus`, on an engine under
@@ -63,11 +60,10 @@ Differential fuzzing: seeded synthetic circuits through the full-featured
 engine (a cold, an admitting and a warm sharded pass on one shared
 engine) vs the pinned reference; any divergence in constraints, verdicts
 or error values fails the run with a minimized reproducer. The
-generator's validity guarantee (zero lint errors, a well-formed STG)
-and the S-expression interchange round-trip are checked on every seed
-as cheap extra oracles under the same contract, and every `Diverged`
-bail is re-run under the Exhaust policy for 1000 iterations: a bail
-that converges there fails the run too.
+generator's validity guarantee (zero lint errors, a well-formed STG) is
+checked on every seed as a cheap extra oracle under the same contract,
+and every `Diverged` bail is re-run under the Exhaust policy for 1000
+iterations: a bail that converges there fails the run too.
 
 OPTIONS:
         --seeds <N>        number of seeds to scan (default 1000)
@@ -191,39 +187,11 @@ fn bailed(outcome: &CorpusOutcome) -> bool {
     )
 }
 
-/// The interchange oracle: the spec's event stream, dumped to the sexp
-/// format and read back, must rebuild the exact same parse (same `Stg`,
-/// spans and defect list) as parsing the text directly. Returns a
-/// what-differs description on violation.
-fn sexp_divergence(g_text: &str) -> Option<String> {
-    let direct = si_stg::parse_astg_lenient(g_text);
-    let dump = si_stg::sexp::write_events(&si_stg::parse_events(g_text));
-    let events = match si_stg::sexp::read_events(&dump) {
-        Ok(events) => events,
-        Err(e) => return Some(format!("reader rejects the writer's own dump: {e}")),
-    };
-    let rebuilt = si_stg::tree_of_events(&events);
-    if rebuilt.stg != direct.stg {
-        return Some("rebuilt Stg differs from the direct parse".into());
-    }
-    if rebuilt.spans != direct.spans {
-        return Some("rebuilt spans differ from the direct parse".into());
-    }
-    if rebuilt.errors != direct.errors {
-        return Some(format!(
-            "rebuilt defect list differs: {:?} vs {:?}",
-            rebuilt.errors, direct.errors
-        ));
-    }
-    None
-}
-
 /// Describes the first fault one seed's outcomes show: a broken validity
-/// guarantee (a lint error, an STG that is not well formed), the sexp
-/// oracle's finding, a full-featured outcome that differs from the
-/// reference, or an audited bail that converges.
+/// guarantee (a lint error, an STG that is not well formed), a
+/// full-featured outcome that differs from the reference, or an audited
+/// bail that converges.
 fn fault(
-    sexp: Option<&str>,
     full: &CorpusOutcome,
     reference: &CorpusOutcome,
     audit: Option<&CorpusOutcome>,
@@ -238,9 +206,6 @@ fn fault(
     };
     if let Some(detail) = invalid {
         return Some(format!("generator validity guarantee violated: {detail}"));
-    }
-    if let Some(detail) = sexp {
-        return Some(format!("sexp round-trip oracle violated: {detail}"));
     }
     let (full, reference) = (payload(full), payload(reference));
     if full != reference {
@@ -264,12 +229,7 @@ fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<String> {
     let full = run_corpus_entry(&Engine::new(full_config()), &entry);
     let reference = run_corpus_entry(&Engine::new(reference_config()), &entry);
     let audit = bailed(&full).then(|| run_corpus_entry(&Engine::new(audit_config()), &entry));
-    fault(
-        sexp_divergence(&entry.stg_text).as_deref(),
-        &full,
-        &reference,
-        audit.as_ref(),
-    )
+    fault(&full, &reference, audit.as_ref())
 }
 
 /// Greedily shrinks the spec while the fault persists: fewer signals,
@@ -382,14 +342,9 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let end = args.start.saturating_add(args.seeds);
     let seeds: Vec<u64> = (args.start..end).collect();
-    let (manifest, sexp): (Vec<CorpusEntry>, Vec<Option<String>>) =
-        par_map(&seeds, args.jobs, |&seed| {
-            let entry = entry(&CorpusSpec::from_seed(seed, args.max_signals), seed);
-            let sexp = sexp_divergence(&entry.stg_text);
-            (entry, sexp)
-        })
-        .into_iter()
-        .unzip();
+    let manifest: Vec<CorpusEntry> = par_map(&seeds, args.jobs, |&seed| {
+        entry(&CorpusSpec::from_seed(seed, args.max_signals), seed)
+    });
     let reference = run_corpus(&Engine::new(reference_config()), &manifest, args.jobs);
     let mut rerun_diverged = vec![false; manifest.len()];
     let cold = {
@@ -400,7 +355,7 @@ fn main() -> ExitCode {
         for _ in ["admitting", "warm"] {
             let pass = run_corpus(&full, &manifest, args.jobs);
             for (i, outcome) in pass.iter().enumerate() {
-                rerun_diverged[i] |= fault(None, outcome, &reference[i], None).is_some();
+                rerun_diverged[i] |= fault(outcome, &reference[i], None).is_some();
             }
         }
         cold
@@ -411,7 +366,7 @@ fn main() -> ExitCode {
     let suspects: Vec<u64> = (0..manifest.len())
         .filter(|&i| {
             let audit = bails.binary_search(&i).ok().map(|k| &audits[k]);
-            rerun_diverged[i] || fault(sexp[i].as_deref(), &cold[i], &reference[i], audit).is_some()
+            rerun_diverged[i] || fault(&cold[i], &reference[i], audit).is_some()
         })
         .map(|i| seeds[i])
         .collect();

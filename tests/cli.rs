@@ -5,6 +5,8 @@
 //! - `1` — hazard found: the derived constraint set is non-empty;
 //! - `2` — parse/lint/IO/derivation error;
 //! - `3` — usage error.
+//!
+//! Also the `--format sexp` output of `check_hazard` and `si_lint`.
 
 use std::io::Write;
 use std::process::Command;
@@ -305,6 +307,43 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
         .output()
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(3));
+}
+
+#[test]
+fn check_hazard_sexp_output_is_the_constraint_report_document() {
+    let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
+        .args(["--bench", "imec-ram-read-sbuf", "--format", "sexp"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
+    let engine = si_redress::core::Engine::new(si_redress::core::EngineConfig::default());
+    let row = si_redress::suite::run_corpus_entry(&engine, &bench.entry()).expect("derives");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        row.report.report.sexp()
+    );
+}
+
+#[test]
+fn si_lint_suite_sexp_output_is_one_document_per_benchmark() {
+    let output = Command::new(env!("CARGO_BIN_EXE_si_lint"))
+        .args(["--suite", "--format", "sexp"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(stdout.matches("; si-sexp 1 lint-report\n").count(), 13);
 }
 
 #[test]

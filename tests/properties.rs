@@ -256,6 +256,134 @@ proptest! {
     }
 }
 
+/// What an [`TextEdit::Insert`] may add: whitespace (a tab, a bare
+/// `\r`), non-ASCII characters (a two-byte letter, a variation selector,
+/// an emoji) and fragments of the `.g` syntax.
+const INSERTS: &[&str] = &[
+    "\t",
+    " ",
+    "\n",
+    "\r",
+    "é",
+    "\u{fe0f}",
+    "😀",
+    "+",
+    "-",
+    "/",
+    "/0",
+    "<",
+    ">",
+    ",",
+    "=",
+    "{",
+    "}",
+    "#",
+    ".",
+    ".graph\n",
+    ".marking {",
+    ".end\n",
+    ".dummy",
+    "a+",
+    "=99999999999",
+];
+
+/// One edit of a `.g` text. Positions wrap around the text's length.
+#[derive(Debug, Clone, Copy)]
+enum TextEdit {
+    /// One byte deleted; a broken UTF-8 sequence decodes to U+FFFD.
+    DeleteByte(usize),
+    /// `INSERTS[k]` inserted at the character boundary at or before a
+    /// position.
+    Insert(usize, usize),
+    /// A line repeated right after itself.
+    DuplicateLine(usize),
+    /// Two lines swapped.
+    SwapLines(usize, usize),
+    /// Everything from the character boundary at or before a position
+    /// cut.
+    Truncate(usize),
+}
+
+fn text_edit() -> impl Strategy<Value = TextEdit> {
+    (0u8..5, 0usize..1 << 20, 0usize..1 << 20).prop_map(|(kind, a, b)| match kind {
+        0 => TextEdit::DeleteByte(a),
+        1 => TextEdit::Insert(a, b % INSERTS.len()),
+        2 => TextEdit::DuplicateLine(a),
+        3 => TextEdit::SwapLines(a, b),
+        _ => TextEdit::Truncate(a),
+    })
+}
+
+/// The character boundary at or before `at`, wrapped into `0..=len`.
+fn char_boundary(text: &str, at: usize) -> usize {
+    let mut at = at % (text.len() + 1);
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
+fn apply_edit(text: &str, edit: TextEdit) -> String {
+    let mut lines: Vec<&str> = text.split('\n').collect();
+    let n = lines.len();
+    match edit {
+        TextEdit::DeleteByte(_) if text.is_empty() => String::new(),
+        TextEdit::DeleteByte(at) => {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes.remove(at % bytes.len());
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        TextEdit::Insert(at, k) => {
+            let at = char_boundary(text, at);
+            format!("{}{}{}", &text[..at], INSERTS[k], &text[at..])
+        }
+        TextEdit::DuplicateLine(i) => {
+            lines.insert(i % n, lines[i % n]);
+            lines.join("\n")
+        }
+        TextEdit::SwapLines(i, j) => {
+            lines.swap(i % n, j % n);
+            lines.join("\n")
+        }
+        TextEdit::Truncate(at) => text[..char_boundary(text, at)].to_string(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Malformed text through the one-shot front end, from mutants of the
+    /// 13 bundled specs and of generated corpus specs: the lenient parse
+    /// always returns, a defect the strict parser fails on is a lint
+    /// error, and a mutant without `\r` parses exactly like its CRLF twin,
+    /// spans and defects included.
+    #[test]
+    fn mutated_texts_parse_and_lint_consistently(
+        ((spec, seed), pick, edits) in (
+            si_redress::corpus::strategies::corpus_case(),
+            0usize..26,
+            proptest::collection::vec(text_edit(), 1..5),
+        )
+    ) {
+        let mut text = match si_redress::suite::benchmarks().get(pick) {
+            Some(bench) => bench.stg_text.to_string(),
+            None => si_redress::corpus::generate(&spec, seed).g_text,
+        };
+        for &edit in &edits {
+            text = apply_edit(&text, edit);
+        }
+        let parsed = si_redress::stg::parse_astg_lenient(&text);
+        if let Some(fatal) = parsed.first_fatal() {
+            let report = si_redress::lint::lint_parsed(&parsed, &Default::default());
+            prop_assert!(report.has_errors(), "no lint error for `{fatal}` in {text:?}");
+        }
+        if !text.contains('\r') {
+            let crlf = si_redress::stg::parse_astg_lenient(&text.replace('\n', "\r\n"));
+            prop_assert_eq!(crlf, parsed);
+        }
+    }
+}
+
 /// One edit of a corpus STG: each can break a different well-formedness
 /// property.
 #[derive(Debug, Clone, Copy)]

@@ -94,22 +94,20 @@ pub enum CorpusError {
     },
 }
 
+/// Names the input only by its name (a file path, a benchmark or a
+/// corpus row), so the one rendering fits every caller.
 impl fmt::Display for CorpusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CorpusError::Load { name, detail } => {
-                write!(f, "corpus row `{name}` failed to load: {detail}")
-            }
+            CorpusError::Load { name, detail } => write!(f, "`{name}` failed to load: {detail}"),
             CorpusError::Lint { name, errors } => write!(
                 f,
-                "corpus row `{name}` failed the lint pre-flight with {errors} error(s)"
+                "`{name}` failed the lint pre-flight with {errors} error(s)"
             ),
             CorpusError::Derive { name, source } => {
-                write!(f, "corpus row `{name}` failed to derive: {source}")
+                write!(f, "`{name}` failed to derive: {source}")
             }
-            CorpusError::Panicked { name, detail } => {
-                write!(f, "corpus row `{name}` panicked: {detail}")
-            }
+            CorpusError::Panicked { name, detail } => write!(f, "`{name}` panicked: {detail}"),
         }
     }
 }

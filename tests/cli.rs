@@ -407,7 +407,7 @@ fn check_hazard_rejects_a_gate_over_twenty_inputs_with_a_parse_error() {
     assert_eq!(
         String::from_utf8_lossy(&output.stderr),
         format!(
-            "check_hazard: corpus row `{}` failed to load: eqn parse error at line 2: gate `w` \
+            "check_hazard: `{}` failed to load: eqn parse error at line 2: gate `w` \
              reads 21 distinct signals; a gate's support is capped at 20\n",
             stg_path.display()
         )

@@ -95,7 +95,7 @@ impl TransitionLabel {
 
     /// Renders the label with its signal's name: the one formatting rule
     /// behind [`Self::display`].
-    pub fn named<'a>(&'a self, name: &'a str) -> impl fmt::Display + 'a {
+    pub(crate) fn named<'a>(&'a self, name: &'a str) -> impl fmt::Display + 'a {
         struct D<'a>(&'a TransitionLabel, &'a str);
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

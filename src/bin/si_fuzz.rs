@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use si_corpus::{corpus_name, generate, harness_config, CorpusSpec, MarkingStyle, Reproducer};
 use si_redress::core::{
-    par_map, ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig, LintPolicy,
+    ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig, LintPolicy,
 };
 use si_redress::suite::{run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome};
 
@@ -342,9 +342,10 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let end = args.start.saturating_add(args.seeds);
     let seeds: Vec<u64> = (args.start..end).collect();
-    let manifest: Vec<CorpusEntry> = par_map(&seeds, args.jobs, |&seed| {
-        entry(&CorpusSpec::from_seed(seed, args.max_signals), seed)
-    });
+    let manifest: Vec<CorpusEntry> = seeds
+        .iter()
+        .map(|&seed| entry(&CorpusSpec::from_seed(seed, args.max_signals), seed))
+        .collect();
     let reference = run_corpus(&Engine::new(reference_config()), &manifest, args.jobs);
     let mut rerun_diverged = vec![false; manifest.len()];
     let cold = {

@@ -256,7 +256,7 @@ proptest! {
     }
 }
 
-/// What an [`TextEdit::Insert`] may add: whitespace (a tab, a bare
+/// What a [`TextEdit::Insert`] may add: whitespace (a tab, a bare
 /// `\r`), non-ASCII characters (a two-byte letter, a variation selector,
 /// an emoji) and fragments of the `.g` syntax.
 const INSERTS: &[&str] = &[

@@ -17,7 +17,7 @@ fn main() {
     let out = engine.run(&stg, &library).expect("derives");
     let report = &out.report;
     let oracle = AdversaryOracle::new(&stg);
-    let plan = plan_padding(&stg, &oracle, &report.constraints, 5);
+    let plan = plan_padding(&oracle, &report.constraints, 5);
     let mg = MgStg::from_stg_mg(&stg).expect("the FIFO STG is a marked graph");
 
     println!(

@@ -5,7 +5,6 @@
 //! padding plan of Sec. 5.7 for the strong constraints.
 
 use si_core::{derive_timing_constraints, plan_padding, AdversaryOracle, TraceEvent};
-use si_stg::TransitionLabel;
 
 fn main() {
     let trace_mode = std::env::args().any(|a| a == "--trace");
@@ -26,25 +25,23 @@ fn main() {
     println!("Table 7.1 — list of timing constraints (wire < adversary path)");
     println!("{:<24} adversary path", "wire");
     for c in &report.constraints {
-        let (Some(x), Some(y)) = (lookup(&stg, c, true), lookup(&stg, c, false)) else {
-            continue;
-        };
         let wire = format!("{} -> gate {}", c.before, c.gate);
-        match oracle.path(x, y) {
+        match oracle.path_of(c) {
             Some(path) => {
                 let suffix = if path.through_env {
                     " (crosses ENV)"
                 } else {
                     ""
                 };
-                println!("{:<24} {}{}", wire, path.hops.join(" => "), suffix);
+                let hops: Vec<String> = path.hops.iter().map(|&h| stg.label_string(h)).collect();
+                println!("{:<24} {}{}", wire, hops.join(" => "), suffix);
             }
             None => println!("{:<24} (no structural path)", wire),
         }
     }
 
     println!("\nPadding plan for strong (level <= 5) constraints, Sec. 5.7:");
-    let plan = plan_padding(&stg, &oracle, &report.constraints, 5);
+    let plan = plan_padding(&oracle, &report.constraints, 5);
     if plan.entries.is_empty() {
         println!("  (none needed: all adversary paths are long or cross the environment)");
     }
@@ -76,10 +73,4 @@ fn main() {
     } else {
         println!("\n(run with --trace for the per-gate Fig. 7.3 relaxation narrative)");
     }
-}
-
-fn lookup(stg: &si_stg::Stg, c: &si_core::Constraint, before: bool) -> Option<TransitionLabel> {
-    let a = if before { &c.before } else { &c.after };
-    let sig = stg.signal_by_name(&a.signal)?;
-    Some(TransitionLabel::new(sig, a.polarity, a.occurrence))
 }

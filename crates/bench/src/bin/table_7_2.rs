@@ -73,7 +73,7 @@ fn main() {
                 );
                 row_objects.push(format!(
                     "{{\"name\":\"{}\",\"inputs\":{},\"outputs\":{},\"gates\":{},\"states\":{},\"before\":{},\"after\":{},\"lvl5_before\":{},\"lvl5_after\":{},\"lvl3_before\":{},\"lvl3_after\":{},\"cpu_seconds\":{:.6},\"metrics\":{{{}}}}}",
-                    si_lint::json_escape(&row.name),
+                    si_stg::sexp::escape(&row.name),
                     row.inputs,
                     row.outputs,
                     row.gates,

@@ -58,11 +58,8 @@ pub fn table_row(
     let report = &out.report;
     let oracle = AdversaryOracle::new(&stg);
 
-    let within = |set: &BTreeSet<Constraint>, max: u32| {
-        report
-            .constraints_within_level(set, &oracle, &stg, max)
-            .len()
-    };
+    let within =
+        |set: &BTreeSet<Constraint>, max: u32| oracle.constraints_within_level(set, max).len();
     let row = TableRow {
         name: bench.name.to_string(),
         inputs: stg.signals_of_kind(si_stg::SignalKind::Input).len(),
@@ -85,19 +82,10 @@ pub fn strong_constraint_gates(stg: &Stg, report: &ConstraintReport) -> Vec<u32>
     report
         .constraints
         .iter()
-        .filter_map(|c| {
-            let x = label_of(stg, c, true)?;
-            let y = label_of(stg, c, false)?;
-            let path = oracle.path(x, y)?;
-            (!path.through_env).then_some(path.gates)
-        })
+        .filter_map(|c| oracle.path_of(c))
+        .filter(|path| !path.through_env)
+        .map(|path| path.gates)
         .collect()
-}
-
-fn label_of(stg: &Stg, c: &Constraint, before: bool) -> Option<si_stg::TransitionLabel> {
-    let a = if before { &c.before } else { &c.after };
-    let sig = stg.signal_by_name(&a.signal)?;
-    Some(si_stg::TransitionLabel::new(sig, a.polarity, a.occurrence))
 }
 
 #[cfg(test)]

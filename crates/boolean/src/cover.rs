@@ -31,11 +31,6 @@ impl Cover {
         Self::new(n, vec![Cube::top()])
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
     /// The cubes (clauses) of the cover.
     pub fn cubes(&self) -> &[Cube] {
         &self.cubes

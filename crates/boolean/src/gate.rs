@@ -75,11 +75,6 @@ impl Gate {
             .collect()
     }
 
-    /// Index of `name` in the support, if present.
-    pub fn var_index(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| v == name)
-    }
-
     /// Evaluates `f↑` with `values(name)` supplying each support variable.
     pub fn eval_up(&self, values: impl Fn(&str) -> bool) -> bool {
         self.up.eval(self.pack(values))

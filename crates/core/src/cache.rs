@@ -215,14 +215,6 @@ impl<K: PartialEq, V> Memo<K, V> {
             entries: self.lock().values().map(Vec::len).sum(),
         }
     }
-
-    /// Drops every stored value and every `Seen` mark, and resets the
-    /// counters.
-    fn clear(&self) {
-        self.lock().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Request<SgKey> for MgStg {
@@ -278,11 +270,6 @@ impl SgCache {
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.0.stats()
-    }
-
-    /// Drops all stored graphs and `Seen` marks, and resets the counters.
-    pub fn clear(&self) {
-        self.0.clear();
     }
 }
 
@@ -401,12 +388,6 @@ impl ProjCache {
     pub fn stats(&self) -> CacheStats {
         self.0.stats()
     }
-
-    /// Drops all stored projections and `Seen` marks, and resets the
-    /// counters.
-    pub fn clear(&self) {
-        self.0.clear();
-    }
 }
 
 /// The engine's whole reuse stack, held iff
@@ -418,15 +399,6 @@ pub(crate) struct Caches {
     pub sg: SgCache,
     /// Per-gate local-STG projections.
     pub projections: ProjCache,
-}
-
-impl Caches {
-    /// Drops every memoized value and `Seen` mark, and resets the
-    /// counters.
-    pub(crate) fn clear(&self) {
-        self.sg.clear();
-        self.projections.clear();
-    }
 }
 
 #[cfg(test)]
@@ -558,21 +530,6 @@ ack- req+
     }
 
     #[test]
-    fn clear_forgets_the_seen_marks() {
-        let memo: Memo<u8, u8> = Memo::default();
-        memo.get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
-        memo.clear();
-        // After `clear` the next request is a first request again.
-        memo.get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
-        assert_eq!(memo.stats().entries, 0);
-        memo.get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
-        assert_eq!(memo.stats().entries, 1);
-    }
-
-    #[test]
     fn a_repeat_request_that_raced_the_first_is_stored() {
         // The outer computation runs outside the lock, so a request nested
         // in it completes in between, exactly as a concurrent first
@@ -644,18 +601,6 @@ ack- req+
         assert_eq!(format!("{hit}"), format!("{uncached}"));
         // A budget the graph fits in succeeds from cache.
         assert!(cache.of_mg(&mg, 4).expect("fits").1);
-    }
-
-    #[test]
-    fn clear_resets_counters_and_entries() {
-        let cache = SgCache::default();
-        let mg = handshake_mg();
-        cache.of_mg(&mg, 100).expect("consistent");
-        cache.of_mg(&mg, 100).expect("consistent");
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        let (_, hit) = cache.of_mg(&mg, 100).expect("consistent");
-        assert!(!hit);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use si_stg::{Polarity, TransitionLabel};
+use si_stg::{Polarity, SignalId, TransitionLabel};
 
 /// A transition named independently of any particular STG instance, so
 /// constraints survive sub-STG decomposition and cross-component union.
@@ -22,6 +22,18 @@ impl ConstraintAtom {
             polarity: label.polarity,
             occurrence: label.occurrence,
         }
+    }
+
+    /// The label this atom names in a signal-name table, the inverse of
+    /// [`Self::from_label`]: the one place a constraint resolves back to
+    /// an STG's transitions. `None` when the table has no such signal.
+    pub fn to_label(&self, names: &[String]) -> Option<TransitionLabel> {
+        let signal = names.iter().position(|n| *n == self.signal)?;
+        Some(TransitionLabel::new(
+            SignalId(signal),
+            self.polarity,
+            self.occurrence,
+        ))
     }
 }
 
@@ -57,7 +69,6 @@ impl fmt::Display for Constraint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_stg::SignalId;
 
     #[test]
     fn display_matches_thesis_tool_output() {
@@ -74,6 +85,14 @@ mod tests {
             ),
         };
         assert_eq!(c.to_string(), "i0: wenin- < precharged-");
+        let l2 = TransitionLabel {
+            signal: SignalId(1),
+            polarity: Polarity::Plus,
+            occurrence: 2,
+        };
+        let atom = ConstraintAtom::from_label(l2, &names);
+        assert_eq!(atom.to_label(&names), Some(l2));
+        assert_eq!(atom.to_label(&names[..1]), None);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
 use crate::expand::{expand_ctx, ExpandCtx, ExpandOutcome, RelaxationOrder, LOCAL_SG_BUDGET};
 use crate::local::{GateContext, LocalStg};
-use crate::paths::AdversaryOracle;
+use crate::paths::{AdversaryOracle, ArcWeights};
 use crate::pool::{try_par_map, worker_count};
 use crate::report::{ConstraintReport, GateReport};
 use crate::sched::DivergencePolicy;
@@ -341,7 +341,7 @@ impl EngineReport {
             .map(|g| {
                 format!(
                     "{{\"gate\":\"{}\",\"iterations\":{},\"project\":{},\"relax\":{}}}",
-                    si_lint::json_escape(&g.gate),
+                    si_stg::sexp::escape(&g.gate),
                     g.iterations,
                     g.project.json(),
                     g.relax.json()
@@ -451,14 +451,6 @@ impl Engine {
     /// that callers written against it still build.
     pub fn conformance_stats(&self) -> CacheStats {
         CacheStats::default()
-    }
-
-    /// Drops every memoized state graph and projection, and forgets which
-    /// were requested once.
-    pub fn clear_cache(&self) {
-        if let Some(caches) = &self.caches {
-            caches.clear();
-        }
     }
 
     /// Runs the pipeline on a parsed circuit: decompose → project → relax
@@ -582,7 +574,8 @@ impl Engine {
 
     /// One fan-out unit: bind the gate, project its local STGs from every
     /// relevant MG component, record the baseline, pre-check conformance,
-    /// then run the relaxation loop.
+    /// then run the relaxation loop. The unit owns the gate's arc-weight
+    /// memo: a gate runs on one worker, so the memo needs no lock.
     fn run_gate(
         &self,
         stg: &Stg,
@@ -596,8 +589,9 @@ impl Engine {
         let mut locals: Vec<LocalStg> = Vec::new();
         let mut project = StageMetrics::new(Stage::Project);
 
+        let weights = ArcWeights::new(oracle);
         let ectx = ExpandCtx {
-            oracle,
+            weights: &weights,
             order: cfg.order,
             iteration_budget: cfg.expand_budget,
             sg_budget: LOCAL_SG_BUDGET,

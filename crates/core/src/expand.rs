@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use si_stg::{StateGraph, TransitionLabel};
+use si_stg::{MgStg, StateGraph, TransitionLabel};
 
 use crate::cache::Caches;
 use crate::check::{classify_states, conformance, prerequisite_sets, RelaxationCase};
@@ -30,7 +30,7 @@ use crate::orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,
     initial_restrictions, or_causality_decomposition, Restriction,
 };
-use crate::paths::AdversaryOracle;
+use crate::paths::{AdversaryOracle, ArcWeights};
 use crate::relax::relax_arc;
 use crate::sched::{CoveringLedger, DivergencePolicy};
 
@@ -41,13 +41,13 @@ pub(crate) const LOCAL_SG_BUDGET: usize = 200_000;
 const MAX_DEPTH: usize = 32;
 
 /// Everything one relaxation run needs besides the local STG itself: the
-/// oracle, the engine limits and the engine's reuse stack. One instance is
-/// built per gate by the engine (or by the [`expand`] compatibility
-/// wrapper) and threaded through the whole recursion.
+/// gate's arc weights, the engine limits and the engine's reuse stack. One
+/// instance is built per gate by the engine (or by the [`expand`]
+/// compatibility wrapper) and threaded through the whole recursion.
 #[derive(Clone, Copy)]
 pub(crate) struct ExpandCtx<'a> {
-    /// Adversary-path oracle of the implementation STG.
-    pub oracle: &'a AdversaryOracle,
+    /// The gate's adversary-path weights, memoized for its whole run.
+    pub weights: &'a ArcWeights<'a>,
     /// Arc-picking policy.
     pub order: RelaxationOrder,
     /// Relaxation-iteration budget for the gate.
@@ -64,12 +64,12 @@ pub(crate) struct ExpandCtx<'a> {
 impl<'a> ExpandCtx<'a> {
     /// A tightest-first context with the engine-default limits.
     pub fn with_defaults(
-        oracle: &'a AdversaryOracle,
+        weights: &'a ArcWeights<'a>,
         iteration_budget: usize,
         caches: Option<&'a Caches>,
     ) -> Self {
         Self {
-            oracle,
+            weights,
             order: RelaxationOrder::TightestFirst,
             iteration_budget,
             sg_budget: LOCAL_SG_BUDGET,
@@ -238,52 +238,36 @@ fn fall_back(local: &mut LocalStg, x: usize, y: usize, out: &mut ExpandOutcome, 
     emit_constraint(local, x, y, out);
 }
 
+/// Each alive transition's place in the text order of the rendered
+/// labels, indexed by transition id. Relaxation never adds or removes a
+/// transition, and labels are unique in a local STG, so one ranking serves
+/// a whole loop.
+fn label_ranks(mg: &MgStg) -> Vec<usize> {
+    let mut order = mg.transitions();
+    order.sort_by_cached_key(|&t| mg.label_string(t));
+    let mut rank = vec![0; order.iter().max().map_or(0, |&t| t + 1)];
+    for (r, &t) in order.iter().enumerate() {
+        rank[t] = r;
+    }
+    rank
+}
+
 /// Picks the next arc to relax under the chosen policy (Sec. 5.5) from
-/// the caller-supplied relaxable set; weight ties break by label text for
-/// determinism.
+/// the caller-supplied relaxable set; weight ties break by label text
+/// (`rank`, from [`label_ranks`]) for determinism.
 fn find_next_arc(
     local: &LocalStg,
     arcs: &[(usize, usize)],
-    oracle: &AdversaryOracle,
-    order: RelaxationOrder,
+    rank: &[usize],
+    ctx: &ExpandCtx<'_>,
 ) -> Option<(usize, usize)> {
-    // Equivalent to `min_by_key` over `(weight, label_string(a),
-    // label_string(b))`, but renders label text only on weight ties and
-    // into reused buffers — this runs once per relaxation iteration over
-    // every relaxable arc, so per-arc `String`s dominate otherwise.
-    let mut best: Option<((bool, u32), (usize, usize))> = None;
-    let (mut best_a, mut best_b) = (String::new(), String::new());
-    let (mut cand_a, mut cand_b) = (String::new(), String::new());
-    for &(a, b) in arcs {
-        let weight = match order {
-            RelaxationOrder::TightestFirst => {
-                oracle.weight_key(local.mg.label(a), local.mg.label(b))
-            }
+    arcs.iter().copied().min_by_key(|&(a, b)| {
+        let weight = match ctx.order {
+            RelaxationOrder::TightestFirst => ctx.weights.get(local.mg.label(a), local.mg.label(b)),
             RelaxationOrder::Lexicographic => (false, 0),
         };
-        let better = match best {
-            None => true,
-            Some((best_weight, _)) => {
-                if weight != best_weight {
-                    weight < best_weight
-                } else {
-                    cand_a.clear();
-                    cand_b.clear();
-                    local.mg.write_label(a, &mut cand_a);
-                    local.mg.write_label(b, &mut cand_b);
-                    (cand_a.as_str(), cand_b.as_str()) < (best_a.as_str(), best_b.as_str())
-                }
-            }
-        };
-        if better {
-            best_a.clear();
-            best_b.clear();
-            local.mg.write_label(a, &mut best_a);
-            local.mg.write_label(b, &mut best_b);
-            best = Some((weight, (a, b)));
-        }
-    }
-    best.map(|(_, arc)| arc)
+        (weight, rank[a], rank[b])
+    })
 }
 
 /// Expands one local STG to a fixpoint, accumulating constraints into
@@ -301,7 +285,12 @@ pub fn expand(
     budget: usize,
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
-    expand_ctx(local, &ExpandCtx::with_defaults(oracle, budget, None), out)
+    let weights = ArcWeights::new(oracle);
+    expand_ctx(
+        local,
+        &ExpandCtx::with_defaults(&weights, budget, None),
+        out,
+    )
 }
 
 /// Expands one local STG under an explicit engine context — the entry
@@ -325,6 +314,7 @@ fn expand_at(
     // One ledger per loop instance: every decomposition sub-STG and every
     // fallback resume (each constraint emitted is progress) starts afresh.
     let mut ledger = CoveringLedger::for_policy(ctx.divergence_policy);
+    let rank = label_ranks(&local.mg);
     // The arc label is rendered into this buffer, reused across
     // iterations; the trace clones it once, exact-size.
     let mut arc_text = String::new();
@@ -337,7 +327,7 @@ fn expand_at(
             });
         }
         let arcs = local.relaxable_arcs();
-        let Some((x, y)) = find_next_arc(local, &arcs, ctx.oracle, ctx.order) else {
+        let Some((x, y)) = find_next_arc(local, &arcs, &rank, ctx) else {
             return Ok(());
         };
         arc_text.clear();
@@ -645,7 +635,8 @@ o- x+
         // A cold run and an admitting run through the reuse stack equal
         // the reference path; the cold one explores every trial.
         let caches = Caches::default();
-        let ctx = ExpandCtx::with_defaults(&oracle, 1000, Some(&caches));
+        let weights = ArcWeights::new(&oracle);
+        let ctx = ExpandCtx::with_defaults(&weights, 1000, Some(&caches));
         for pass in ["cold", "admitting"] {
             let mut run = ExpandOutcome::default();
             expand_ctx(local.clone(), &ctx, &mut run).expect("expands");

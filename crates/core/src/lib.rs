@@ -38,6 +38,13 @@
 //!   Output is bit-identical to the monolithic call for every
 //!   configuration.
 //!
+//! One [`AdversaryOracle`] answers which adversary path realizes an
+//! ordering, for the paper's three uses of those paths: the tightest-first
+//! relaxation order (Sec. 5.5), the Table 7.2 level columns
+//! ([`AdversaryOracle::constraints_within_level`]) and delay padding
+//! ([`plan_padding`], Sec. 5.7). It is plain data built from the STG; a
+//! constraint resolves to its path through [`AdversaryOracle::path_of`].
+//!
 //! # Example
 //!
 //! ```

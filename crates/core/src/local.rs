@@ -97,13 +97,6 @@ impl GateContext {
     pub fn eval_down(&self, code: u64) -> bool {
         self.gate.down.eval(self.pack(code))
     }
-
-    /// The signals the local STG keeps: output plus fan-in.
-    pub fn operator_signals(&self) -> BTreeSet<SignalId> {
-        let mut set: BTreeSet<SignalId> = self.fanin.iter().copied().collect();
-        set.insert(self.output);
-        set
-    }
 }
 
 /// A local STG under relaxation: the marked graph, the gate context, and

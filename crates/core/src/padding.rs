@@ -13,8 +13,6 @@
 
 use std::collections::BTreeSet;
 
-use si_stg::Stg;
-
 use crate::constraint::Constraint;
 use crate::paths::AdversaryOracle;
 
@@ -53,24 +51,20 @@ impl PaddingPlan {
 /// `max_level` deep (deeper paths and environment-crossing paths are
 /// considered already fulfilled, Sec. 7.1).
 pub fn plan_padding(
-    stg: &Stg,
     oracle: &AdversaryOracle,
     constraints: &BTreeSet<Constraint>,
     max_level: u32,
 ) -> PaddingPlan {
     // Fast sides: the direct wires that must stay fast — wire from the
     // `before` signal to the constrained gate.
-    let fast_sides: BTreeSet<(String, String)> = constraints
+    let fast_sides: BTreeSet<(&str, &str)> = constraints
         .iter()
-        .map(|c| (c.before.signal.clone(), c.gate.clone()))
+        .map(|c| (c.before.signal.as_str(), c.gate.as_str()))
         .collect();
 
     let mut entries = Vec::new();
     for c in constraints {
-        let (Some(x), Some(y)) = (label_of(stg, c, true), label_of(stg, c, false)) else {
-            continue;
-        };
-        let Some(path) = oracle.path(x, y) else {
+        let Some(path) = oracle.path_of(c) else {
             continue;
         };
         if path.level().is_none_or(|l| l > max_level) {
@@ -78,44 +72,32 @@ pub fn plan_padding(
         }
         // Candidate wires along the adversary path, destination-first: the
         // wire hop into the constrained gate, then backwards.
-        let mut hops: Vec<String> = path
+        let mut hops: Vec<&str> = path
             .hops
             .iter()
-            .map(|h| {
-                h.trim_end_matches(|ch: char| {
-                    ch == '+' || ch == '-' || ch.is_ascii_digit() || ch == '/'
-                })
-                .to_string()
-            })
+            .map(|h| oracle.signal_name(h.signal))
             .collect();
         hops.dedup();
-        let mut receivers: Vec<String> = hops.clone();
-        receivers.remove(0);
-        receivers.push(c.gate.clone());
-        // wire i: hops[i] -> receivers[i]; walk from the last wire back.
-        let mut chosen: Option<PaddingPosition> = None;
-        for i in (0..hops.len()).rev() {
-            let wire = (hops[i].clone(), receivers[i].clone());
-            if !fast_sides.contains(&wire) {
-                chosen = Some(PaddingPosition::Wire {
-                    from: wire.0,
-                    to: wire.1,
-                });
-                break;
-            }
-        }
-        let position = chosen.unwrap_or_else(|| PaddingPosition::GateOutput {
-            gate: hops.last().cloned().unwrap_or_else(|| c.gate.clone()),
-        });
+        // Wire i runs from hops[i] into receivers[i].
+        let receivers: Vec<&str> = hops[1..].iter().copied().chain([c.gate.as_str()]).collect();
+        let wire = hops
+            .iter()
+            .copied()
+            .zip(receivers)
+            .rev()
+            .find(|wire| !fast_sides.contains(wire));
+        let position = match wire {
+            Some((from, to)) => PaddingPosition::Wire {
+                from: from.to_string(),
+                to: to.to_string(),
+            },
+            None => PaddingPosition::GateOutput {
+                gate: hops[hops.len() - 1].to_string(),
+            },
+        };
         entries.push((c.clone(), position));
     }
     PaddingPlan { entries }
-}
-
-fn label_of(stg: &Stg, c: &Constraint, before: bool) -> Option<si_stg::TransitionLabel> {
-    let a = if before { &c.before } else { &c.after };
-    let sig = stg.signal_by_name(&a.signal)?;
-    Some(si_stg::TransitionLabel::new(sig, a.polarity, a.occurrence))
 }
 
 #[cfg(test)]
@@ -170,7 +152,7 @@ o- c+
             ("a", Polarity::Plus),
         )]
         .into();
-        let plan = plan_padding(&stg, &oracle, &set, 11);
+        let plan = plan_padding(&oracle, &set, 11);
         assert_eq!(plan.entries.len(), 1);
         match &plan.entries[0].1 {
             PaddingPosition::Wire { from, to } => {
@@ -191,7 +173,7 @@ o- c+
             constraint("o", ("a", Polarity::Plus), ("m", Polarity::Minus)),
         ]
         .into();
-        let plan = plan_padding(&stg, &oracle, &set, 11);
+        let plan = plan_padding(&oracle, &set, 11);
         let first = plan
             .entries
             .iter()
@@ -217,7 +199,7 @@ o- c+
             ("a", Polarity::Plus),
         )]
         .into();
-        let plan = plan_padding(&stg, &oracle, &set, 3); // path is level 5
+        let plan = plan_padding(&oracle, &set, 3); // path is level 5
         assert!(plan.entries.is_empty());
     }
 }

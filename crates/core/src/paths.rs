@@ -8,11 +8,20 @@
 //! tightness — the shortest adversary path first. Paths that cross the
 //! environment (pass through a primary-input transition) are considered
 //! slow and safe (Sec. 7.1).
+//!
+//! The oracle serves all three uses. A path carries the
+//! [`TransitionLabel`]s of its hops, so its level, its weight and the
+//! signals a padding plan names are read off it; printing callers render
+//! the labels with the STG's names. A constraint resolves to labels in one
+//! place, [`ConstraintAtom::to_label`](crate::ConstraintAtom::to_label),
+//! behind [`AdversaryOracle::path_of`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use si_stg::{Stg, TransitionLabel};
+use si_stg::{SignalId, Stg, TransitionLabel};
+
+use crate::constraint::Constraint;
 
 /// Description of the tightest adversary path realizing an ordering.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,8 +31,9 @@ pub struct AdversaryPath {
     /// Whether the path necessarily crosses the environment (some hop is a
     /// primary-input transition).
     pub through_env: bool,
-    /// Transition labels along the tightest path, from `x*` to `y*`.
-    pub hops: Vec<String>,
+    /// Transition labels along the tightest path, from `x*` to `y*`
+    /// ([`Stg::label_string`] renders one).
+    pub hops: Vec<TransitionLabel>,
 }
 
 impl AdversaryPath {
@@ -42,30 +52,15 @@ impl AdversaryPath {
 
 /// Oracle answering adversary-path queries against the implementation STG.
 ///
-/// Queries are memoized: the STG never changes under the oracle, so each
-/// `(x, y)` pair is searched once. The memo is thread-safe — the engine
-/// shares one oracle across the parallel per-gate fan-out.
-#[derive(Debug)]
+/// Plain data, a function of the STG alone: every query is a fresh
+/// breadth-first search, so one oracle serves any number of threads. The
+/// relaxation loop memoizes the searches it repeats, one memo per gate.
+#[derive(Debug, Clone)]
 pub struct AdversaryOracle {
     labels: Vec<TransitionLabel>,
     is_input: Vec<bool>,
     succs: Vec<Vec<usize>>,
     names: Vec<String>,
-    memo: Mutex<HashMap<(TransitionLabel, TransitionLabel), Option<AdversaryPath>>>,
-}
-
-impl Clone for AdversaryOracle {
-    /// Clones the structure; the memo starts empty (it refills on demand
-    /// and never changes answers).
-    fn clone(&self) -> Self {
-        Self {
-            labels: self.labels.clone(),
-            is_input: self.is_input.clone(),
-            succs: self.succs.clone(),
-            names: self.names.clone(),
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl AdversaryOracle {
@@ -93,8 +88,12 @@ impl AdversaryOracle {
             is_input,
             succs,
             names: stg.signal_names(),
-            memo: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Name of signal `s` of the STG, e.g. of a hop's signal.
+    pub(crate) fn signal_name(&self, s: SignalId) -> &str {
+        &self.names[s.0]
     }
 
     fn find_transitions(&self, label: TransitionLabel) -> Vec<usize> {
@@ -113,45 +112,37 @@ impl AdversaryOracle {
             .collect()
     }
 
-    /// Applies `read` to the memoized tightest path of `x* ⇒ y*`, searching
-    /// (outside the lock) and memoizing it first on a miss. A hit reads the
-    /// path in place, so key and level queries never clone its hops.
-    fn with_path<R>(
-        &self,
-        x: TransitionLabel,
-        y: TransitionLabel,
-        read: impl FnOnce(Option<&AdversaryPath>) -> R,
-    ) -> R {
-        if let Some(hit) = self.memo.lock().expect("oracle memo poisoned").get(&(x, y)) {
-            return read(hit.as_ref());
-        }
-        let found = self.search(x, y, false).or_else(|| self.search(x, y, true));
-        let result = read(found.as_ref());
-        self.memo
-            .lock()
-            .expect("oracle memo poisoned")
-            .insert((x, y), found);
-        result
-    }
-
     /// The tightest adversary path realizing `x* ⇒ y*`, if any causal path
     /// exists at all.
     pub fn path(&self, x: TransitionLabel, y: TransitionLabel) -> Option<AdversaryPath> {
-        self.with_path(x, y, |p| p.cloned())
+        self.search(x, y, false).or_else(|| self.search(x, y, true))
     }
 
-    /// Sort key used by `find_tightest_arc` (Sec. 5.5): unknown paths sort
-    /// last.
-    pub fn weight_key(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
-        self.with_path(x, y, |p| {
-            p.map_or((true, u32::MAX), AdversaryPath::weight_key)
-        })
+    /// The tightest adversary path realizing constraint `c`'s ordering
+    /// `before ⇒ after`; `None` when an atom names a signal the STG does
+    /// not declare, or no causal path exists.
+    pub fn path_of(&self, c: &Constraint) -> Option<AdversaryPath> {
+        self.path(
+            c.before.to_label(&self.names)?,
+            c.after.to_label(&self.names)?,
+        )
     }
 
-    /// The Table 7.2 level of a constraint, `None` when the path crosses
-    /// the environment or does not exist.
-    pub fn level(&self, x: TransitionLabel, y: TransitionLabel) -> Option<u32> {
-        self.with_path(x, y, |p| p.and_then(AdversaryPath::level))
+    /// Constraints of `set` whose tightest adversary path has level ≤
+    /// `max_level` (gate-only paths; environment paths never qualify):
+    /// the Table 7.2 level columns.
+    pub fn constraints_within_level<'a>(
+        &self,
+        set: &'a BTreeSet<Constraint>,
+        max_level: u32,
+    ) -> Vec<&'a Constraint> {
+        set.iter()
+            .filter(|c| {
+                self.path_of(c)
+                    .and_then(|p| p.level())
+                    .is_some_and(|l| l <= max_level)
+            })
+            .collect()
     }
 
     fn search(
@@ -166,8 +157,10 @@ impl AdversaryOracle {
             return None;
         }
         // BFS over transitions; hops after the start must be gate-driven
-        // unless `allow_env`.
-        let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
+        // unless `allow_env`. `prev[v]` is `v`'s BFS parent; starts have
+        // none.
+        const NONE: usize = usize::MAX;
+        let mut prev: Vec<usize> = vec![NONE; self.labels.len()];
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut visited: Vec<bool> = vec![false; self.labels.len()];
         for &s in &starts {
@@ -181,7 +174,7 @@ impl AdversaryOracle {
                     continue;
                 }
                 visited[v] = true;
-                prev.insert(v, u);
+                prev[v] = u;
                 if goals.contains(&v) {
                     found = Some(v);
                     break 'bfs;
@@ -189,12 +182,11 @@ impl AdversaryOracle {
                 queue.push_back(v);
             }
         }
-        let goal = found?;
-        let mut hops_rev = vec![goal];
-        let mut cur = goal;
-        while let Some(&p) = prev.get(&cur) {
-            hops_rev.push(p);
-            cur = p;
+        let mut cur = found?;
+        let mut hops_rev = vec![cur];
+        while prev[cur] != NONE {
+            cur = prev[cur];
+            hops_rev.push(cur);
         }
         hops_rev.reverse();
         let gates = hops_rev
@@ -203,14 +195,38 @@ impl AdversaryOracle {
             .filter(|&&t| !self.is_input[t])
             .count() as u32;
         let through_env = hops_rev.iter().skip(1).any(|&t| self.is_input[t]);
-        let hops = hops_rev
-            .iter()
-            .map(|&t| self.labels[t].display(&self.names).to_string())
-            .collect();
         Some(AdversaryPath {
             gates,
             through_env,
-            hops,
+            hops: hops_rev.iter().map(|&t| self.labels[t]).collect(),
+        })
+    }
+}
+
+/// The tightest-first sort keys of one gate's arcs
+/// ([`AdversaryPath::weight_key`]; unknown paths sort last), each pair
+/// searched once. One gate's relaxation runs on one worker, so the memo
+/// takes no lock.
+pub(crate) struct ArcWeights<'a> {
+    oracle: &'a AdversaryOracle,
+    memo: RefCell<HashMap<(TransitionLabel, TransitionLabel), (bool, u32)>>,
+}
+
+impl<'a> ArcWeights<'a> {
+    /// An empty memo over `oracle`.
+    pub(crate) fn new(oracle: &'a AdversaryOracle) -> Self {
+        Self {
+            oracle,
+            memo: RefCell::default(),
+        }
+    }
+
+    /// The sort key of the arc `x* ⇒ y*`.
+    pub(crate) fn get(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
+        *self.memo.borrow_mut().entry((x, y)).or_insert_with(|| {
+            self.oracle
+                .path(x, y)
+                .map_or((true, u32::MAX), |p| p.weight_key())
         })
     }
 }
@@ -286,7 +302,8 @@ a- c+
             .expect("exists");
         assert_eq!(path.gates, 3);
         assert_eq!(path.level(), Some(7));
-        assert_eq!(path.hops, vec!["c+", "m-", "n+", "a+"]);
+        let hops: Vec<String> = path.hops.iter().map(|&h| stg.label_string(h)).collect();
+        assert_eq!(hops, vec!["c+", "m-", "n+", "a+"]);
         // The shorter hop c+ ⇒ m- is level 3.
         let short = oracle
             .path(
@@ -322,7 +339,7 @@ y- x+
         assert!(path.through_env);
         assert_eq!(path.level(), None);
         // env paths sort after every gate-only weight.
-        assert!(oracle.weight_key(xp, yp) > (false, u32::MAX - 1));
+        assert!(ArcWeights::new(&oracle).get(xp, yp) > (false, u32::MAX - 1));
     }
 
     #[test]
@@ -371,6 +388,6 @@ d- c+
         let ap = label(&stg, "a", Polarity::Plus);
         let dp = label(&stg, "d", Polarity::Plus);
         assert!(oracle.path(ap, dp).is_none());
-        assert_eq!(oracle.weight_key(ap, dp), (true, u32::MAX));
+        assert_eq!(ArcWeights::new(&oracle).get(ap, dp), (true, u32::MAX));
     }
 }

@@ -16,11 +16,10 @@ use std::collections::BTreeSet;
 use si_boolean::GateLibrary;
 use si_stg::Stg;
 
-use crate::constraint::{Constraint, ConstraintAtom};
+use crate::constraint::Constraint;
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CoreError;
 use crate::expand::{RelaxationOrder, TraceEvent};
-use crate::paths::AdversaryOracle;
 
 /// Per-gate derivation summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,26 +51,6 @@ pub struct ConstraintReport {
 }
 
 impl ConstraintReport {
-    /// Constraints of `set` whose tightest adversary path has level ≤
-    /// `max_level` (gate-only paths; environment paths never qualify).
-    pub fn constraints_within_level<'a>(
-        &self,
-        set: &'a BTreeSet<Constraint>,
-        oracle: &AdversaryOracle,
-        stg: &Stg,
-        max_level: u32,
-    ) -> Vec<&'a Constraint> {
-        set.iter()
-            .filter(|c| {
-                let (Some(x), Some(y)) = (atom_label(stg, &c.before), atom_label(stg, &c.after))
-                else {
-                    return false;
-                };
-                oracle.level(x, y).is_some_and(|l| l <= max_level)
-            })
-            .collect()
-    }
-
     /// Renders one constraint set in the thesis tool's line format.
     pub fn render(set: &BTreeSet<Constraint>) -> String {
         let mut s = String::new();
@@ -165,11 +144,6 @@ impl ConstraintReport {
         w.close();
         w.finish()
     }
-}
-
-fn atom_label(stg: &Stg, a: &ConstraintAtom) -> Option<si_stg::TransitionLabel> {
-    let sig = stg.signal_by_name(&a.signal)?;
-    Some(si_stg::TransitionLabel::new(sig, a.polarity, a.occurrence))
 }
 
 /// Derives the relative timing constraints sufficient for `stg`'s circuit

@@ -447,11 +447,6 @@ pub fn lint_stg(stg: &Stg, opts: &LintOptions) -> LintReport {
     lint_parsed(&parsed, opts)
 }
 
-/// Convenience predicate used by gate tests: no error-severity findings.
-pub fn is_error_free(text: &str) -> bool {
-    !lint_text(text).has_errors()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

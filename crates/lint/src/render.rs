@@ -4,6 +4,8 @@
 
 use std::fmt::Write as _;
 
+pub use si_stg::sexp::escape as json_escape;
+
 use crate::diag::{Diagnostic, LintReport};
 
 /// Renders a report as human-readable text with source excerpts:
@@ -78,25 +80,6 @@ fn render_text_one(out: &mut String, d: &Diagnostic, source: &str, origin: &str)
     if let Some(fix) = &d.fix {
         let _ = writeln!(out, "   = help: {fix}");
     }
-}
-
-/// Escapes a string for a JSON string literal (no surrounding quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the diagnostics as a JSON array, each line prefixed by

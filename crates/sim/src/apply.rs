@@ -49,7 +49,7 @@ mod tests {
             .expect("loads");
         let report = derive_timing_constraints(&stg, &library).expect("derives");
         let oracle = AdversaryOracle::new(&stg);
-        let plan = plan_padding(&stg, &oracle, &report.constraints, 5);
+        let plan = plan_padding(&oracle, &report.constraints, 5);
         assert!(!plan.entries.is_empty());
 
         let skew = 3000.0;
@@ -76,7 +76,7 @@ mod tests {
             .expect("loads");
         let report = derive_timing_constraints(&stg, &library).expect("derives");
         let oracle = AdversaryOracle::new(&stg);
-        let plan = plan_padding(&stg, &oracle, &report.constraints, 5);
+        let plan = plan_padding(&oracle, &report.constraints, 5);
 
         let mut delays = DelayModel::uniform(40.0, 2.0, 80.0);
         apply_padding(&mut delays, &plan, 100.0);

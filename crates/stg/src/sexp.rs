@@ -30,8 +30,10 @@ use crate::sg::StateGraph;
 /// into every document header.
 pub const SEXP_VERSION: u32 = 1;
 
-/// Escapes a string for a double-quoted sexp payload (JSON rules:
-/// `\" \\ \n \r \t`, other control characters as `\u00XX`).
+/// Escapes a string for a double-quoted sexp payload or JSON string
+/// literal, without the quotes (JSON rules: `\" \\ \n \r \t`, other
+/// control characters as `\u00XX`). The workspace's one escaper; si-lint
+/// re-exports it as `json_escape`.
 #[must_use]
 pub fn escape(s: &str) -> String {
     use fmt::Write;

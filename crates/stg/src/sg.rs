@@ -657,14 +657,6 @@ impl StateGraph {
             .map(|&(_, j)| j)
     }
 
-    /// States where transition `t` is enabled: the excitation region of that
-    /// particular occurrence.
-    pub fn er_of_transition(&self, t: usize) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| self.edges(i).iter().any(|&(u, _)| u == t))
-            .collect()
-    }
-
     /// `ER(signal±)`: states where any occurrence of the edge is enabled.
     pub fn er_states(&self, signal: SignalId, polarity: Polarity) -> Vec<usize> {
         (0..self.states.len())

@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -102,6 +103,8 @@ pub struct Stg {
     pub name: String,
     pub(crate) net: PetriNet,
     pub(crate) signals: Vec<SignalDecl>,
+    /// Name → id index of `signals`, written only by [`Stg::add_signal`].
+    by_name: HashMap<String, SignalId>,
     pub(crate) labels: Vec<TransitionLabel>,
 }
 
@@ -112,6 +115,7 @@ impl Stg {
             name: name.into(),
             net: PetriNet::new(),
             signals: Vec::new(),
+            by_name: HashMap::new(),
             labels: Vec::new(),
         }
     }
@@ -124,11 +128,13 @@ impl Stg {
     pub fn add_signal(&mut self, name: impl Into<String>, kind: SignalKind) -> SignalId {
         let name = name.into();
         assert!(
-            self.signal_by_name(&name).is_none(),
+            !self.by_name.contains_key(&name),
             "signal `{name}` is already declared"
         );
+        let id = SignalId(self.signals.len());
+        self.by_name.insert(name.clone(), id);
         self.signals.push(SignalDecl { name, kind });
-        SignalId(self.signals.len() - 1)
+        id
     }
 
     /// Adds a labelled transition and returns the underlying net id.
@@ -189,10 +195,7 @@ impl Stg {
 
     /// Finds a signal by name.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
-        self.signals
-            .iter()
-            .position(|d| d.name == name)
-            .map(SignalId)
+        self.by_name.get(name).copied()
     }
 
     /// Label of transition `t`.

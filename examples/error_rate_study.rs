@@ -18,22 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oracle = si_redress::core::AdversaryOracle::new(&stg);
 
     // Gate counts of the strong adversary paths.
-    let mut gates: Vec<u32> = Vec::new();
-    for c in &report.constraints {
-        let (Some(b), Some(a)) = (
-            stg.signal_by_name(&c.before.signal),
-            stg.signal_by_name(&c.after.signal),
-        ) else {
-            continue;
-        };
-        let x = si_redress::stg::TransitionLabel::new(b, c.before.polarity, c.before.occurrence);
-        let y = si_redress::stg::TransitionLabel::new(a, c.after.polarity, c.after.occurrence);
-        if let Some(path) = oracle.path(x, y) {
-            if !path.through_env {
-                gates.push(path.gates);
-            }
-        }
-    }
+    let gates: Vec<u32> = report
+        .constraints
+        .iter()
+        .filter_map(|c| oracle.path_of(c))
+        .filter(|path| !path.through_env)
+        .map(|path| path.gates)
+        .collect();
     println!("strong constraints and their adversary depths: {gates:?}\n");
 
     let dist = WireLengthDistribution::with_defaults(1_000_000);

@@ -28,22 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.constraints.len()
     );
     for c in &report.constraints {
-        let path = stg
-            .signal_by_name(&c.before.signal)
-            .zip(stg.signal_by_name(&c.after.signal))
-            .and_then(|(b, a)| {
-                oracle.path(
-                    si_redress::stg::TransitionLabel::new(
-                        b,
-                        c.before.polarity,
-                        c.before.occurrence,
-                    ),
-                    si_redress::stg::TransitionLabel::new(a, c.after.polarity, c.after.occurrence),
-                )
-            });
-        match path {
+        match oracle.path_of(c) {
             Some(p) if p.through_env => println!("  {c}   [crosses ENV: fulfilled]"),
-            Some(p) => println!("  {c}   [adversary: {}]", p.hops.join(" => ")),
+            Some(p) => {
+                let hops: Vec<String> = p.hops.iter().map(|&h| stg.label_string(h)).collect();
+                println!("  {c}   [adversary: {}]", hops.join(" => "));
+            }
             None => println!("  {c}"),
         }
     }
@@ -63,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Padding per Sec. 5.7 for the strong constraints.
-    let plan = plan_padding(&stg, &oracle, &report.constraints, 5);
+    let plan = plan_padding(&oracle, &report.constraints, 5);
     println!(
         "\npadding plan ({} strong constraints):",
         plan.entries.len()

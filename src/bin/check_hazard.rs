@@ -13,9 +13,10 @@
 //!
 //! Exit codes are meaningful: `0` when the circuit needs no relative
 //! timing constraints, `1` when a hazard was found (the derived set is
-//! non-empty), `2` on parse/lint/IO/derivation errors, `3` on usage
-//! errors.
+//! non-empty), `2` on parse/lint/IO/derivation errors (a closed stdout
+//! included), `3` on usage errors.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -60,7 +61,8 @@ OPTIONS:
 EXIT CODES:
     0    clean: the circuit needs no relative timing constraints
     1    hazard found: the derived constraint set is non-empty
-    2    parse, lint, I/O or derivation error
+    2    parse, lint, I/O or derivation error (also when stdout closes
+         early)
     3    usage error
 ";
 
@@ -149,26 +151,31 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        ArgsOutcome::Run(args) => args,
-        ArgsOutcome::Help => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
+    let mut out = io::stdout().lock();
+    let outcome = match parse_args(&argv) {
+        // 0 = no constraints needed, 1 = hazard found (constraints derived).
+        ArgsOutcome::Run(args) => {
+            run(&args, &mut out).map(|hazard| ExitCode::from(u8::from(hazard)))
         }
+        ArgsOutcome::Help => flushed(write!(out, "{USAGE}"), &mut out).map(|()| ExitCode::SUCCESS),
         ArgsOutcome::Error(message) => {
             eprintln!("check_hazard: {message}");
             eprint!("{USAGE}");
             return ExitCode::from(3);
         }
     };
-    match run(&args) {
-        // 0 = no constraints needed, 1 = hazard found (constraints derived).
-        Ok(hazard) => ExitCode::from(u8::from(hazard)),
-        Err(message) => {
-            eprintln!("check_hazard: {message}");
-            ExitCode::from(2)
-        }
-    }
+    outcome.unwrap_or_else(|message| {
+        eprintln!("check_hazard: {message}");
+        ExitCode::from(2)
+    })
+}
+
+/// Flushes what was written to stdout; a write error, a closed stdout
+/// (`BrokenPipe`) included, becomes the message of an I/O error (exit 2).
+fn flushed(written: io::Result<()>, out: &mut impl Write) -> Result<(), String> {
+    written
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
 }
 
 /// Prints the lint pre-flight's findings (if any) to stderr so the
@@ -201,7 +208,7 @@ fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
     })
 }
 
-fn run(args: &Args) -> Result<bool, String> {
+fn run(args: &Args, out: &mut impl Write) -> Result<bool, String> {
     let started = Instant::now();
     let engine = Engine::new(args.config);
     let entry = match &args.source {
@@ -234,27 +241,37 @@ fn run(args: &Args) -> Result<bool, String> {
     report_lint(&row.lint, &entry.stg_text, &entry.name);
     let elapsed = started.elapsed().as_secs_f64();
 
-    match args.format {
-        Format::Text => print_text(&row, elapsed),
-        Format::Json => println!("{}", render_json(&row, &engine, elapsed)),
-        Format::Sexp => print!("{}", row.report.report.sexp()),
-    }
+    let written = match args.format {
+        Format::Text => write_text(out, &row, elapsed),
+        Format::Json => writeln!(out, "{}", render_json(&row, &engine, elapsed)),
+        Format::Sexp => write!(out, "{}", row.report.report.sexp()),
+    };
+    flushed(written, out)?;
     Ok(!row.report.report.constraints.is_empty())
 }
 
-fn print_text(row: &CorpusRow, elapsed: f64) {
+fn write_text(out: &mut impl Write, row: &CorpusRow, elapsed: f64) -> io::Result<()> {
     let report = &row.report.report;
-    println!("The timing constraints in the original specification are:");
+    writeln!(
+        out,
+        "The timing constraints in the original specification are:"
+    )?;
     for c in &report.baseline {
-        println!("{c}");
+        writeln!(out, "{c}")?;
     }
-    println!();
-    println!("The timing constraints for this circuit to work correctly are:");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "The timing constraints for this circuit to work correctly are:"
+    )?;
     for c in &report.constraints {
-        println!("{c}");
+        writeln!(out, "{c}")?;
     }
-    println!();
-    println!("The running time for this program is {elapsed:.6} seconds");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "The running time for this program is {elapsed:.6} seconds"
+    )
 }
 
 /// The row as one JSON object: both constraint sets, the verdict, the

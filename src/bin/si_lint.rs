@@ -11,9 +11,11 @@
 //! ```
 //!
 //! Exit codes: 0 = no errors (warnings allowed unless `--deny-warnings`),
-//! 1 = lint errors found, 2 = usage or I/O error.
+//! 1 = lint errors found, 2 = usage or I/O error (a closed stdout
+//! included).
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -42,7 +44,7 @@ OPTIONS:
 EXIT CODES:
     0    no lint errors
     1    at least one lint error (or warning with --deny-warnings)
-    2    usage or I/O error
+    2    usage or I/O error (also when stdout closes early)
 ";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,12 +190,10 @@ fn gather_inputs(args: &Args) -> Result<Vec<Input>, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let args = match parse_args(&argv) {
         ArgsOutcome::Run(args) => args,
-        ArgsOutcome::Help => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+        ArgsOutcome::Help => return finish(write!(out, "{USAGE}"), &mut out, ExitCode::SUCCESS),
         ArgsOutcome::Error(msg) => {
             eprintln!("error: {msg}\n\n{USAGE}");
             return ExitCode::from(2);
@@ -211,19 +211,49 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    let totals = write_reports(&inputs, &args, &mut out);
+    let code = match totals {
+        Ok((errors, warnings)) if errors > 0 || (args.deny_warnings && warnings > 0) => {
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    };
+    finish(totals.map(drop), &mut out, code)
+}
+
+/// Ends the run with `code` once the output is written and flushed, or
+/// with 2 when it cannot be: a closed stdout (`BrokenPipe`, as in
+/// `si_lint --suite | head -1`) is an I/O error.
+fn finish(written: io::Result<()>, out: &mut impl Write, code: ExitCode) -> ExitCode {
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Lints every input and writes the reports to `out`; returns the error
+/// and warning totals.
+fn write_reports(
+    inputs: &[Input],
+    args: &Args,
+    out: &mut impl Write,
+) -> io::Result<(usize, usize)> {
     let opts = LintOptions {
         state_budget: args.budget,
     };
     let mut errors = 0usize;
     let mut warnings = 0usize;
     let mut json_files = Vec::new();
-    for input in &inputs {
+    for input in inputs {
         let report = lint_text_with(&input.text, &opts);
         errors += report.error_count();
         warnings += report.warning_count();
         match args.format {
-            Format::Text => print!("{}", render_text(&report, &input.text, &input.origin)),
-            Format::Sexp => print!("{}", render_sexp(&report, &input.origin)),
+            Format::Text => write!(out, "{}", render_text(&report, &input.text, &input.origin))?,
+            Format::Sexp => write!(out, "{}", render_sexp(&report, &input.origin))?,
             Format::Json => json_files.push(format!(
                 "    {{\n      \"origin\": \"{}\",\n      \"model\": \"{}\",\n      \
                  \"errors\": {},\n      \"warnings\": {},\n      \"diagnostics\": {}\n    }}",
@@ -236,24 +266,17 @@ fn main() -> ExitCode {
         }
     }
     match args.format {
-        Format::Text => {
-            if inputs.len() > 1 {
-                println!(
-                    "total: {} file(s), {errors} error(s), {warnings} warning(s)",
-                    inputs.len()
-                );
-            }
-        }
-        Format::Json => println!(
+        Format::Text if inputs.len() > 1 => writeln!(
+            out,
+            "total: {} file(s), {errors} error(s), {warnings} warning(s)",
+            inputs.len()
+        )?,
+        Format::Json => writeln!(
+            out,
             "{{\n  \"files\": [\n{}\n  ],\n  \"errors\": {errors},\n  \"warnings\": {warnings}\n}}",
             json_files.join(",\n")
-        ),
-        Format::Sexp => {}
+        )?,
+        _ => {}
     }
-
-    if errors > 0 || (args.deny_warnings && warnings > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok((errors, warnings))
 }

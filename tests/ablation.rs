@@ -47,12 +47,8 @@ fn tightest_first_keeps_fewer_short_adversary_constraints() {
         let lex =
             derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::Lexicographic)
                 .expect("derives");
-        tight5 += tight
-            .constraints_within_level(&tight.constraints, &oracle, &stg, 5)
-            .len();
-        lex5 += lex
-            .constraints_within_level(&lex.constraints, &oracle, &stg, 5)
-            .len();
+        tight5 += oracle.constraints_within_level(&tight.constraints, 5).len();
+        lex5 += oracle.constraints_within_level(&lex.constraints, 5).len();
     }
     assert!(
         tight5 <= lex5,

@@ -6,7 +6,8 @@
 //! - `2` — parse/lint/IO/derivation error;
 //! - `3` — usage error.
 //!
-//! Also the `--format sexp` output of `check_hazard` and `si_lint`.
+//! Also the `--format sexp` output of `check_hazard` and `si_lint`, and
+//! both CLIs on a stdout that is already closed.
 
 use std::io::Write;
 use std::process::Command;
@@ -344,6 +345,46 @@ fn si_lint_suite_sexp_output_is_one_document_per_benchmark() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert_eq!(stdout.matches("; si-sexp 1 lint-report\n").count(), 13);
+}
+
+/// Runs `bin` with `args`, its stdout the write end of a pipe whose read
+/// end was closed before the spawn.
+fn run_on_closed_stdout(bin: &str, args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn both_clis_report_a_closed_stdout_as_an_io_error() {
+    let check_hazard = env!("CARGO_BIN_EXE_check_hazard");
+    let si_lint = env!("CARGO_BIN_EXE_si_lint");
+    let runs: [(&str, &[&str]); 5] = [
+        (si_lint, &["--suite"]),
+        (si_lint, &["--help"]),
+        (check_hazard, &["--bench", "imec-ram-read-sbuf"]),
+        (
+            check_hazard,
+            &["--bench", "imec-ram-read-sbuf", "--format", "json"],
+        ),
+        (check_hazard, &["--help"]),
+    ];
+    for (bin, args) in runs {
+        let output = run_on_closed_stdout(bin, args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        // 2 is the I/O-error code of both contracts (si_lint 0–2,
+        // check_hazard 0–3).
+        assert_eq!(output.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write to stdout"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

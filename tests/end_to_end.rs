@@ -2,7 +2,7 @@
 //! corpus, exercising parser → decomposition → projection → synthesis →
 //! relaxation → constraints → simulation in one flow.
 
-use si_redress::core::AdversaryOracle;
+use si_redress::core::{AdversaryOracle, PaddingPosition};
 use si_redress::prelude::*;
 
 #[test]
@@ -41,13 +41,8 @@ fn every_derived_constraint_has_a_realizable_adversary_path() {
         let report = derive_timing_constraints(&stg, &library).expect("derives");
         let oracle = AdversaryOracle::new(&stg);
         for c in &report.constraints {
-            let b = stg.signal_by_name(&c.before.signal).expect("declared");
-            let a = stg.signal_by_name(&c.after.signal).expect("declared");
-            let x =
-                si_redress::stg::TransitionLabel::new(b, c.before.polarity, c.before.occurrence);
-            let y = si_redress::stg::TransitionLabel::new(a, c.after.polarity, c.after.occurrence);
             assert!(
-                oracle.path(x, y).is_some(),
+                oracle.path_of(c).is_some(),
                 "{}: constraint {c} has no causal path",
                 bench.name
             );
@@ -134,10 +129,26 @@ fn padding_plans_cover_all_strong_constraints() {
         let (stg, library) = bench.circuit().expect("loads");
         let report = derive_timing_constraints(&stg, &library).expect("derives");
         let oracle = AdversaryOracle::new(&stg);
-        let plan = si_redress::core::plan_padding(&stg, &oracle, &report.constraints, 5);
-        let strong = report
-            .constraints_within_level(&report.constraints, &oracle, &stg, 5)
+        let plan = si_redress::core::plan_padding(&oracle, &report.constraints, 5);
+        let strong = oracle
+            .constraints_within_level(&report.constraints, 5)
             .len();
         assert_eq!(plan.entries.len(), strong, "{}", bench.name);
+        // Every position names signals the STG declares. (Not netlist
+        // wires: a pad follows an STG causality hop, which the receiving
+        // gate need not read.)
+        for (c, position) in &plan.entries {
+            let signals = match position {
+                PaddingPosition::Wire { from, to } => vec![from, to],
+                PaddingPosition::GateOutput { gate } => vec![gate],
+            };
+            for signal in signals {
+                assert!(
+                    stg.signal_by_name(signal).is_some(),
+                    "{}: {c} pads {position:?}, and `{signal}` is no signal",
+                    bench.name
+                );
+            }
+        }
     }
 }

@@ -175,20 +175,6 @@ pub fn prerequisite_sets(local: &LocalStg) -> BTreeMap<usize, BTreeSet<Transitio
     map
 }
 
-/// Whether a transition labelled `z` can still fire before `t_out` on some
-/// path from `state` ("z* is pending": it has not yet fired in the current
-/// cycle).
-///
-/// One label, one traversal — the classification hot path uses
-/// `pending_of` instead, which resolves *all* prerequisites of a
-/// `(state, t_out)` pair in a single sweep over a reusable scratch buffer.
-pub fn is_pending(sg: &StateGraph, state: usize, z: TransitionLabel, t_out: usize) -> bool {
-    let mut singleton = BTreeSet::new();
-    singleton.insert(z);
-    let mut seen = Vec::new();
-    !pending_of(sg, state, t_out, &singleton, &mut seen).is_empty()
-}
-
 /// All prerequisite labels of `e` still pending before `t_out` from
 /// `state`, computed in one DFS (skipping `t_out` edges) instead of one
 /// DFS per prerequisite. `seen` is a caller-owned scratch buffer, cleared
@@ -230,19 +216,8 @@ fn pending_of(
     found.into_iter().collect()
 }
 
-/// Classifies one premature state (thesis relaxation cases 2–4).
-pub fn classify_state(
-    sg: &StateGraph,
-    state: usize,
-    t_out: usize,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-    relaxed: Option<(usize, TransitionLabel)>,
-) -> StateClass {
-    let mut seen = Vec::new();
-    classify_state_with(sg, state, t_out, epre, relaxed, &mut seen)
-}
-
-/// [`classify_state`] over a caller-owned scratch buffer.
+/// Classifies one premature state (thesis relaxation cases 2–4), over a
+/// caller-owned scratch buffer.
 fn classify_state_with(
     sg: &StateGraph,
     state: usize,
@@ -455,7 +430,9 @@ o+ z+
         let report = conformance(&local, &sg).expect("checks");
         let &(s, t_out) = report.premature.first().expect("premature state exists");
         let zm = local.mg.transition_by_label("z-").expect("present");
-        assert!(is_pending(&sg, s, local.mg.label(zm), t_out));
+        let z_minus = local.mg.label(zm);
+        let pending = pending_of(&sg, s, t_out, &BTreeSet::from([z_minus]), &mut Vec::new());
+        assert_eq!(pending, [z_minus]);
     }
 
     #[test]

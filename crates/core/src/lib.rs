@@ -94,8 +94,7 @@ mod sched;
 
 pub use cache::{CacheStats, ProjCache, SgCache};
 pub use check::{
-    classify_state, classify_states, conformance, is_pending, prerequisite_sets, ConformanceReport,
-    RelaxationCase, StateClass,
+    classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase, StateClass,
 };
 pub use constraint::{Constraint, ConstraintAtom};
 pub use engine::{

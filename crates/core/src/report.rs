@@ -14,6 +14,7 @@
 use std::collections::BTreeSet;
 
 use si_boolean::GateLibrary;
+use si_stg::sexp::escape;
 use si_stg::Stg;
 
 use crate::constraint::Constraint;
@@ -51,24 +52,15 @@ pub struct ConstraintReport {
 }
 
 impl ConstraintReport {
-    /// Renders one constraint set in the thesis tool's line format.
-    pub fn render(set: &BTreeSet<Constraint>) -> String {
-        let mut s = String::new();
-        for c in set {
-            s.push_str(&c.to_string());
-            s.push('\n');
-        }
-        s
-    }
-
     /// Renders the full report as a deterministic, diff-friendly snapshot:
-    /// the semantic content of the `check_hazard --format json` payload
-    /// (state count, iteration count, both constraint sets, the per-gate
-    /// verdicts and the relaxation trace with its hazard classifications),
-    /// with every volatile field — wall times, cache counters, job counts
-    /// — excluded. The golden conformance suite pins one snapshot per
-    /// bundled benchmark; any change to this format invalidates those
-    /// files (regenerate with `UPDATE_GOLDEN=1 cargo test --test golden`).
+    /// the content of [`Self::json_members`] (state count, iteration
+    /// count, both constraint sets, the per-gate verdicts and the
+    /// relaxation trace with its hazard classifications), with every
+    /// volatile field of the `check_hazard --format json` payload — wall
+    /// times, cache counters, job counts — excluded. The golden
+    /// conformance suite pins one snapshot per bundled benchmark; any
+    /// change to this format invalidates those files (regenerate with
+    /// `UPDATE_GOLDEN=1 cargo test --test golden`).
     pub fn snapshot(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -100,50 +92,45 @@ impl ConstraintReport {
         s
     }
 
-    /// Renders the report in the S-expression interchange format
-    /// (`docs/interchange.md`): a `constraint-report` document carrying
-    /// the same stable content as [`Self::snapshot`] — counts, both
-    /// constraint sets, the per-gate verdicts and the relaxation trace —
-    /// with every volatile field excluded. Constraints and trace events
-    /// ride as quoted strings in their `Display` form.
+    /// The report as JSON object members, for a caller to place inside
+    /// its own object (`check_hazard --format json` does): `baseline`,
+    /// `constraints`, `state_count`, `iterations`, `per_gate` (one
+    /// `{gate, baseline, derived}` object per gate) and `trace` — the
+    /// content of [`Self::snapshot`], constraints and trace events as
+    /// strings in their `Display` form.
     #[must_use]
-    pub fn sexp(&self) -> String {
-        let mut w = si_stg::sexp::SexpWriter::new("constraint-report");
-        w.open("constraint-report");
-        w.open("state-count");
-        w.atom(&self.state_count.to_string());
-        w.close();
-        w.open("iterations");
-        w.atom(&self.iterations.to_string());
-        w.close();
-        let set = |w: &mut si_stg::sexp::SexpWriter, head: &str, set: &BTreeSet<Constraint>| {
-            w.open(head);
-            for c in set {
-                w.open("constraint");
-                w.string(&c.to_string());
-                w.close();
-            }
-            w.close();
-        };
-        set(&mut w, "baseline", &self.baseline);
-        set(&mut w, "constraints", &self.constraints);
-        for gate in &self.per_gate {
-            w.open("gate");
-            w.string(&gate.gate);
-            set(&mut w, "baseline", &gate.baseline);
-            set(&mut w, "derived", &gate.derived);
-            w.close();
-        }
-        w.open("trace");
-        for event in &self.trace {
-            w.open("event");
-            w.string(&event.to_string());
-            w.close();
-        }
-        w.close();
-        w.close();
-        w.finish()
+    pub fn json_members(&self) -> String {
+        let gates: Vec<String> = self
+            .per_gate
+            .iter()
+            .map(|g| {
+                format!(
+                    "{{\"gate\":\"{}\",\"baseline\":{},\"derived\":{}}}",
+                    escape(&g.gate),
+                    json_strings(&g.baseline),
+                    json_strings(&g.derived)
+                )
+            })
+            .collect();
+        format!(
+            "\"baseline\":{},\"constraints\":{},\"state_count\":{},\"iterations\":{},\"per_gate\":[{}],\"trace\":{}",
+            json_strings(&self.baseline),
+            json_strings(&self.constraints),
+            self.state_count,
+            self.iterations,
+            gates.join(","),
+            json_strings(&self.trace)
+        )
     }
+}
+
+/// A JSON array of `items`' `Display` forms.
+fn json_strings<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let strings: Vec<String> = items
+        .into_iter()
+        .map(|item| format!("\"{}\"", escape(&item.to_string())))
+        .collect();
+    format!("[{}]", strings.join(","))
 }
 
 /// Derives the relative timing constraints sufficient for `stg`'s circuit
@@ -242,6 +229,16 @@ o+ z+
         let rendered: Vec<String> = report.constraints.iter().map(|c| c.to_string()).collect();
         assert_eq!(rendered, vec!["o: z+ < y-"]);
         assert!(report.constraints.is_subset(&report.baseline));
+        // The one JSON definition: both sets, the counts, the per-gate
+        // verdicts and the trace, as `Display` strings.
+        assert_eq!(
+            report.json_members(),
+            "\"baseline\":[\"o: y- < z-\",\"o: z+ < y-\"],\"constraints\":[\"o: z+ < y-\"],\
+             \"state_count\":6,\"iterations\":3,\"per_gate\":[{\"gate\":\"o\",\
+             \"baseline\":[\"o: y- < z-\",\"o: z+ < y-\"],\"derived\":[\"o: z+ < y-\"]}],\
+             \"trace\":[\"relax [o] y- => z-: case 1\",\"relax [o] z+ => y-: case 4\",\
+             \"constraint o: z+ < y-\"]"
+        );
     }
 
     #[test]

@@ -38,6 +38,13 @@ pub use spec::{
     corpus_name, generate, generate_named, CorpusSpec, GeneratedCircuit, MarkingStyle, Reproducer,
 };
 
+/// The signal bound at which a seed names its corpus circuit:
+/// `CorpusSpec::from_seed(seed, DEFAULT_MAX_SIGNALS)`. `check_hazard
+/// --bench corpus:<seed>`, `si_fuzz`'s default scan, perfbench's corpus
+/// workloads and `tests/golden/corpus-outcomes.txt` all draw at this
+/// bound, so seed `s` is the same row in each.
+pub const DEFAULT_MAX_SIGNALS: usize = 10;
+
 /// Forces the divergence bail-out for corpus-scale sweeps.
 ///
 /// A small fraction of generated circuits (high-concurrency fork shapes —

@@ -10,7 +10,7 @@
 //! choice). Lint-clean-of-errors therefore implies the strict parser
 //! accepts the file.
 
-use si_stg::{parse_astg_lenient, LenientParse, ParseErrorKind, Span, Stg};
+use si_stg::{parse_astg_lenient, LenientParse, ParseErrorKind, Span};
 
 use crate::diag::{Code, Diagnostic, LintReport, Severity};
 
@@ -435,18 +435,6 @@ fn structural_checks(parsed: &LenientParse, opts: &LintOptions, report: &mut Lin
     }
 }
 
-/// Lints an already-built [`Stg`] (no source text, so no spans): used by
-/// callers that assemble nets programmatically. Parse-level checks do not
-/// apply; structural checks all run.
-pub fn lint_stg(stg: &Stg, opts: &LintOptions) -> LintReport {
-    let parsed = LenientParse {
-        stg: stg.clone(),
-        errors: Vec::new(),
-        spans: si_stg::SpecSpans::default(),
-    };
-    lint_parsed(&parsed, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,13 +699,6 @@ c- p0
             }
         )
         .is_clean());
-    }
-
-    #[test]
-    fn lint_stg_runs_structural_checks_without_spans() {
-        let stg = si_stg::parse_astg(CLEAN).expect("valid");
-        let report = lint_stg(&stg, &LintOptions::default());
-        assert!(report.is_clean());
     }
 
     #[test]

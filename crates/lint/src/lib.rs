@@ -14,9 +14,9 @@
 //!
 //! - [`Code`], [`Severity`], [`Diagnostic`], [`LintReport`] — the
 //!   diagnostics model (`diag` module);
-//! - [`lint_text`] / [`lint_text_with`] / [`lint_parsed`] /
-//!   [`lint_stg`] — the checks, built on the error-recovering
-//!   `si_stg::parse_astg_lenient` front-end (`checks` module);
+//! - [`lint_text`] / [`lint_text_with`] / [`lint_parsed`] — the checks,
+//!   built on the error-recovering `si_stg::parse_astg_lenient`
+//!   front-end (`checks` module);
 //! - [`render_text`] / [`render_json`] / [`json_diagnostics`] — the
 //!   renderers (`render` module).
 //!
@@ -39,6 +39,6 @@ mod checks;
 mod diag;
 mod render;
 
-pub use checks::{lint_parsed, lint_stg, lint_text, lint_text_with, LintOptions};
+pub use checks::{lint_parsed, lint_text, lint_text_with, LintOptions};
 pub use diag::{Code, Diagnostic, LintReport, Related, Severity};
-pub use render::{json_diagnostics, json_escape, render_json, render_sexp, render_text};
+pub use render::{json_diagnostics, json_escape, render_json, render_text};

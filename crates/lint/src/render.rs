@@ -137,48 +137,9 @@ fn json_diagnostic(d: &Diagnostic, indent: &str) -> String {
     format!("{indent}{{\n{}\n{indent}}}", body.join(",\n"))
 }
 
-/// Renders a complete report as a `lint-report` document in the
-/// S-expression interchange format (`docs/interchange.md`). Spans ride in
-/// the same `[start, end, line, col]` shape the parse-tree dumps use.
-pub fn render_sexp(report: &LintReport, origin: &str) -> String {
-    let mut w = si_stg::sexp::SexpWriter::new("lint-report");
-    w.open("lint-report");
-    w.string(origin);
-    w.open("model");
-    w.string(&report.model);
-    w.close();
-    w.open("errors");
-    w.atom(&report.error_count().to_string());
-    w.close();
-    w.open("warnings");
-    w.atom(&report.warning_count().to_string());
-    w.close();
-    for d in &report.diagnostics {
-        w.open("diagnostic");
-        w.atom(&d.code.to_string());
-        w.atom(&d.severity.to_string());
-        if let Some(span) = d.span {
-            w.span(span);
-        }
-        w.string(&d.message);
-        for r in &d.related {
-            w.open("related");
-            w.span(r.span);
-            w.string(&r.message);
-            w.close();
-        }
-        if let Some(fix) = &d.fix {
-            w.open("fix");
-            w.string(fix);
-            w.close();
-        }
-        w.close();
-    }
-    w.close();
-    w.finish()
-}
-
-/// Renders a complete report as a standalone JSON document.
+/// Renders a complete report as a standalone JSON document: `origin`,
+/// `model`, the `errors` and `warnings` counts, and the `diagnostics`
+/// array. `si_lint --format json` lists one per file, indented.
 pub fn render_json(report: &LintReport, origin: &str) -> String {
     format!(
         "{{\n  \"origin\": \"{}\",\n  \"model\": \"{}\",\n  \"errors\": {},\n  \"warnings\": {},\n  \"diagnostics\": {}\n}}\n",
@@ -308,25 +269,5 @@ mod tests {
         let ttext = render_text(&treport, tabbed, "spec.g");
         assert!(ttext.contains(" 3 | \ta+ b+"), "{ttext}");
         assert!(ttext.contains("   | \t   ^^"), "{ttext}");
-    }
-
-    #[test]
-    fn sexp_renderer_round_trips_the_report_shape() {
-        let (report, _) = sample();
-        let sexp = render_sexp(&report, "spec.g");
-        assert!(sexp.starts_with("; si-sexp 1 lint-report\n"), "{sexp}");
-        assert!(sexp.contains("(lint-report \"spec.g\""), "{sexp}");
-        assert!(sexp.contains("(errors 1)"), "{sexp}");
-        assert!(
-            sexp.contains("(diagnostic SI004 error [30, 32, 4, 4] \"undeclared signal `b`\""),
-            "{sexp}"
-        );
-        assert!(sexp.contains("(fix \"declare `b`"), "{sexp}");
-        // Balanced parens outside string payloads.
-        let bare: String = sexp.split('"').step_by(2).collect::<Vec<_>>().join("");
-        assert_eq!(
-            bare.chars().filter(|&c| c == '(').count(),
-            bare.chars().filter(|&c| c == ')').count()
-        );
     }
 }

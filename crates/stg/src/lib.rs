@@ -24,8 +24,9 @@
 //! [`parse_events`] turns them into a nested [`ParseEvent`] stream, and
 //! [`tree_of_events`] folds that stream into the [`LenientParse`] the
 //! [`parse_astg`]/[`parse_astg_lenient`] facades return. The [`sexp`]
-//! module writes event streams (plus state graphs) in a language-neutral
-//! S-expression interchange format — see `docs/interchange.md`.
+//! module writes event streams and state graphs as the S-expression
+//! dumps the compliance fixtures pin (`docs/interchange.md`), and holds
+//! the workspace's one string escaper.
 
 mod events;
 mod lexer;

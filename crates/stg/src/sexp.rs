@@ -1,23 +1,19 @@
-//! S-expression interchange for front-end artifacts, in the styx
+//! S-expression dumps of front-end artifacts, in the styx
 //! compliance-grammar style: every node is
 //! `(kind [start, end, line, col] payload...)`, strings are
 //! JSON-escaped, and each document opens with a versioned header comment
-//! (`; si-sexp 1 <document-kind>`). The format is language-neutral and
-//! diff-friendly, so external implementations can consume — and test
-//! against — our parse trees, state graphs and constraint reports
-//! without linking any Rust. The grammar is documented in
-//! `docs/interchange.md`.
-//!
-//! Two writers and the emitter they share:
+//! (`; si-sexp 1 <document-kind>`). The dumps are compliance fixtures:
+//! two implementations of the `.g` front end agree exactly when their
+//! dumps are byte-identical. The grammar is documented in
+//! `docs/interchange.md`; every machine-readable report is JSON.
 //!
 //! - [`write_events`] dumps a [`ParseEvent`] stream (a parse tree) whole:
 //!   every node, token, span and defect, in stream order — the bytes the
 //!   compliance corpus pins.
 //! - [`write_state_graph`] dumps a [`StateGraph`] with its binary codes
 //!   and labelled edges.
-//! - [`SexpWriter`] is the shared low-level emitter; downstream crates
-//!   (`si-lint` diagnostics, `si-core` constraint reports) build their
-//!   own documents on it.
+//! - [`escape`] is the workspace's one string escaper, shared by these
+//!   dumps and every JSON emitter.
 
 use std::fmt;
 
@@ -54,21 +50,19 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Low-level emitter for si-sexp documents: two-space indentation, one
-/// node per line, leaves on a single line. [`SexpWriter::open`] starts a
-/// child node, the payload helpers append onto the current line, and
-/// [`SexpWriter::close`] ends the innermost node.
-#[derive(Debug)]
-pub struct SexpWriter {
+/// The emitter both dumps share: two-space indentation, one node per
+/// line, leaves on a single line. `open` starts a child node, the payload
+/// helpers append onto the current line, and `close` ends the innermost
+/// node.
+struct SexpWriter {
     out: String,
     depth: usize,
 }
 
 impl SexpWriter {
     /// A writer primed with the versioned header for `document_kind`
-    /// (e.g. `parse-tree`, `state-graph`, `lint-report`).
-    #[must_use]
-    pub fn new(document_kind: &str) -> Self {
+    /// (`parse-tree` or `state-graph`).
+    fn new(document_kind: &str) -> Self {
         Self {
             out: format!("; si-sexp {SEXP_VERSION} {document_kind}\n"),
             depth: 0,
@@ -76,7 +70,7 @@ impl SexpWriter {
     }
 
     /// Opens a node `(head`; nested opens indent by two spaces per level.
-    pub fn open(&mut self, head: &str) {
+    fn open(&mut self, head: &str) {
         if self.depth > 0 || !self.out.ends_with('\n') {
             self.out.push('\n');
             for _ in 0..self.depth {
@@ -89,7 +83,7 @@ impl SexpWriter {
     }
 
     /// Closes the innermost open node.
-    pub fn close(&mut self) {
+    fn close(&mut self) {
         self.depth = self.depth.saturating_sub(1);
         self.out.push(')');
         if self.depth == 0 {
@@ -98,20 +92,20 @@ impl SexpWriter {
     }
 
     /// Appends a bare atom (no quoting) to the current line.
-    pub fn atom(&mut self, s: &str) {
+    fn atom(&mut self, s: &str) {
         self.out.push(' ');
         self.out.push_str(s);
     }
 
     /// Appends a JSON-escaped, double-quoted string payload.
-    pub fn string(&mut self, s: &str) {
+    fn string(&mut self, s: &str) {
         self.out.push_str(" \"");
         self.out.push_str(&escape(s));
         self.out.push('"');
     }
 
     /// Appends a span payload `[start, end, line, col]`.
-    pub fn span(&mut self, span: Span) {
+    fn span(&mut self, span: Span) {
         use fmt::Write;
         let _ = write!(
             self.out,
@@ -121,8 +115,7 @@ impl SexpWriter {
     }
 
     /// The finished document.
-    #[must_use]
-    pub fn finish(self) -> String {
+    fn finish(self) -> String {
         self.out
     }
 }

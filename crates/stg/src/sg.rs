@@ -677,69 +677,6 @@ impl StateGraph {
             .collect()
     }
 
-    /// The indexed excitation regions `ERi(signal±)` of thesis Sec. 3.4:
-    /// the connected components of the excitation region, each sorted, in
-    /// deterministic order.
-    pub fn er_regions(&self, signal: SignalId, polarity: Polarity) -> Vec<Vec<usize>> {
-        self.connected_components(&self.er_states(signal, polarity))
-    }
-
-    /// The indexed quiescent regions `QRi` (`value = true` for `QR(sig+)`).
-    pub fn qr_regions(&self, signal: SignalId, value: bool) -> Vec<Vec<usize>> {
-        self.connected_components(&self.qr_states(signal, value))
-    }
-
-    /// The components of the subgraph `members` induce, edges taken as
-    /// undirected, in order of their first member: linear in states plus
-    /// edges.
-    fn connected_components(&self, members: &[usize]) -> Vec<Vec<usize>> {
-        let n = self.states.len();
-        // Predecessors of every state as CSR: `preds[start[j]..start[j +
-        // 1]]` lists the sources of `j`'s incoming edges.
-        let mut start = vec![0usize; n + 1];
-        for &(_, j) in &self.edges {
-            start[j + 1] += 1;
-        }
-        for j in 0..n {
-            start[j + 1] += start[j];
-        }
-        let mut fill = start.clone();
-        let mut preds = vec![0usize; self.edges.len()];
-        for i in 0..n {
-            for &(_, j) in self.edges(i) {
-                preds[fill[j]] = i;
-                fill[j] += 1;
-            }
-        }
-        let mut member = vec![false; n];
-        for &s in members {
-            member[s] = true;
-        }
-        let mut assigned = vec![false; n];
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        for &first in members {
-            if assigned[first] {
-                continue;
-            }
-            assigned[first] = true;
-            let mut component = Vec::new();
-            let mut stack = vec![first];
-            while let Some(s) = stack.pop() {
-                component.push(s);
-                let succs = self.edges(s).iter().map(|&(_, j)| j);
-                for j in succs.chain(preds[start[s]..start[s + 1]].iter().copied()) {
-                    if member[j] && !assigned[j] {
-                        assigned[j] = true;
-                        stack.push(j);
-                    }
-                }
-            }
-            component.sort_unstable();
-            components.push(component);
-        }
-        components
-    }
-
     /// The next transition of `signal` to fire from state `i`: the unique
     /// transition of the signal first reachable along any path. Returns
     /// `None` if the signal never fires from `i`.
@@ -879,40 +816,6 @@ c- p0
         let stg = parse_astg(crate::parse::IMEC_RAM_READ_SBUF_G).expect("valid");
         let sg = StateGraph::of_stg(&stg, 100_000).expect("consistent");
         assert_eq!(sg.state_count(), 112); // thesis Table 7.2
-    }
-
-    #[test]
-    fn indexed_regions_are_connected_partitions() {
-        // fifo-double style: a signal toggling twice per cycle has two
-        // disjoint positive excitation regions. Use a chain where x rises
-        // twice: x+ a+ x- x+/2 b+ x-/2 (ring).
-        let text = "\
-.model twice
-.inputs a b
-.outputs x
-.graph
-x+ a+
-a+ x-
-x- a-
-a- x+/2
-x+/2 b+
-b+ x-/2
-x-/2 b-
-b- x+
-.marking { <b-,x+> }
-.end
-";
-        let stg = parse_astg(text).expect("valid");
-        let mg = MgStg::from_stg_mg(&stg).expect("marked graph");
-        let sg = StateGraph::of_mg(&mg, 1000).expect("consistent");
-        let x = stg.signal_by_name("x").expect("declared");
-        let ers = sg.er_regions(x, Polarity::Plus);
-        assert_eq!(ers.len(), 2, "two separate ER(x+) components: {ers:?}");
-        let qrs = sg.qr_regions(x, true);
-        assert_eq!(qrs.len(), 2, "two separate QR(x+) components: {qrs:?}");
-        // Regions partition their aggregate sets.
-        let total: usize = ers.iter().map(Vec::len).sum();
-        assert_eq!(total, sg.er_states(x, Polarity::Plus).len());
     }
 
     /// The chain `x+ → y+ → o+ → x- → y- → o- → x+` of the relaxation

@@ -22,9 +22,13 @@ use std::time::Instant;
 
 use si_core::{Engine, EngineConfig, LintPolicy, RelaxationOrder};
 use si_lint::LintReport;
+use si_redress::corpus::DEFAULT_MAX_SIGNALS;
 use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError, CorpusRow};
 
-const USAGE: &str = "\
+/// The help text.
+fn usage() -> String {
+    format!(
+        "\
 usage: check_hazard [OPTIONS] <stg.g> <netlist.eqn>
        check_hazard [OPTIONS] --bench <NAME>
 
@@ -38,24 +42,17 @@ OPTIONS:
                           none) instead of reading the two files;
                           `corpus:<seed>` runs the seeded synthetic
                           corpus circuit for that seed instead — the
-                          canonical spec derivation at 12 signals max
-                          (`si_fuzz`'s default bound), synthesized
-                          netlist, and the corpus-harness divergence
-                          bail-out; perfbench draws at most 10
-                          signals, so there the same seed names a
-                          different circuit
+                          canonical spec derivation at {DEFAULT_MAX_SIGNALS} signals max
+                          (the bound of si_fuzz's default and of
+                          perfbench's rows), synthesized netlist, and
+                          the corpus-harness divergence bail-out
         --lint            strict lint pre-flight: refuse to derive when
                           the specification has lint errors (the default
                           policy only reports them on stderr)
     -j, --jobs <N>        worker threads for the per-gate fan-out
                           (default 1 = sequential, 0 = one per CPU)
-    -f, --format <FMT>    output format: text (default), json or sexp
-                          (the S-expression constraint report of
-                          docs/interchange.md)
+    -f, --format <FMT>    output format: text (default) or json
         --order <ORDER>   relaxation order: tightest (default) or lex
-        --no-cache        run the reference path: marking-keyed state
-                          graphs, no state-graph cache or projection
-                          memo (escape hatch; output is identical)
     -h, --help            print this help and exit
 
 EXIT CODES:
@@ -64,7 +61,9 @@ EXIT CODES:
     2    parse, lint, I/O or derivation error (also when stdout closes
          early)
     3    usage error
-";
+"
+    )
+}
 
 /// Where the circuit comes from.
 enum Source {
@@ -79,7 +78,6 @@ enum Source {
 enum Format {
     Text,
     Json,
-    Sexp,
 }
 
 /// Parsed command line.
@@ -116,15 +114,13 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
             "-f" | "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sexp") => format = Format::Sexp,
-                _ => return ArgsOutcome::Error("--format expects `text`, `json` or `sexp`".into()),
+                _ => return ArgsOutcome::Error("--format expects `text` or `json`".into()),
             },
             "--order" => match it.next().map(String::as_str) {
                 Some("tightest") => config.order = RelaxationOrder::TightestFirst,
                 Some("lex") => config.order = RelaxationOrder::Lexicographic,
                 _ => return ArgsOutcome::Error("--order expects `tightest` or `lex`".into()),
             },
-            "--no-cache" => config.cache = false,
             flag if flag.starts_with('-') => {
                 return ArgsOutcome::Error(format!("unknown option `{flag}`"))
             }
@@ -157,10 +153,12 @@ fn main() -> ExitCode {
         ArgsOutcome::Run(args) => {
             run(&args, &mut out).map(|hazard| ExitCode::from(u8::from(hazard)))
         }
-        ArgsOutcome::Help => flushed(write!(out, "{USAGE}"), &mut out).map(|()| ExitCode::SUCCESS),
+        ArgsOutcome::Help => {
+            flushed(write!(out, "{}", usage()), &mut out).map(|()| ExitCode::SUCCESS)
+        }
         ArgsOutcome::Error(message) => {
             eprintln!("check_hazard: {message}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(3);
         }
     };
@@ -188,9 +186,8 @@ fn report_lint(report: &LintReport, source: &str, origin: &str) {
 
 /// Resolves a `--bench` name to one manifest row: a bundled Table 7.2
 /// benchmark, or `corpus:<seed>` — the seeded corpus circuit of the
-/// canonical spec at 12 signals max, with a synthesized netlist. That is
-/// `si_fuzz`'s default bound; perfbench draws at most 10 signals, so for
-/// it the same seed names a different circuit.
+/// canonical spec at [`DEFAULT_MAX_SIGNALS`], with a synthesized netlist:
+/// the row `si_fuzz` (by default) and perfbench run for that seed.
 fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
     let Some(seed) = name.strip_prefix("corpus:") else {
         return si_redress::suite::benchmark(name)
@@ -200,7 +197,7 @@ fn bench_entry(name: &str) -> Result<CorpusEntry, String> {
     let seed: u64 = seed
         .parse()
         .map_err(|_| format!("`{name}`: expected `corpus:<seed>` with a numeric seed"))?;
-    let spec = si_redress::corpus::CorpusSpec::from_seed(seed, 12);
+    let spec = si_redress::corpus::CorpusSpec::from_seed(seed, DEFAULT_MAX_SIGNALS);
     Ok(CorpusEntry {
         name: si_redress::corpus::corpus_name(seed),
         stg_text: si_redress::corpus::generate(&spec, seed).g_text,
@@ -244,7 +241,6 @@ fn run(args: &Args, out: &mut impl Write) -> Result<bool, String> {
     let written = match args.format {
         Format::Text => write_text(out, &row, elapsed),
         Format::Json => writeln!(out, "{}", render_json(&row, &engine, elapsed)),
-        Format::Sexp => write!(out, "{}", row.report.report.sexp()),
     };
     flushed(written, out)?;
     Ok(!row.report.report.constraints.is_empty())
@@ -274,19 +270,12 @@ fn write_text(out: &mut impl Write, row: &CorpusRow, elapsed: f64) -> io::Result
     )
 }
 
-/// The row as one JSON object: both constraint sets, the verdict, the
-/// lint findings, the run's metrics
-/// ([`si_core::EngineReport::metrics_json`]) and the engine's cache
-/// totals.
+/// The row as one JSON object: the report
+/// ([`si_core::ConstraintReport::json_members`]), the verdict, the lint
+/// findings, the run's metrics ([`si_core::EngineReport::metrics_json`])
+/// and the engine's cache totals.
 fn render_json(row: &CorpusRow, engine: &Engine, elapsed: f64) -> String {
     let out = &row.report;
-    let constraints = |set: &std::collections::BTreeSet<si_core::Constraint>| {
-        let parts: Vec<String> = set
-            .iter()
-            .map(|c| format!("\"{}\"", si_lint::json_escape(&c.to_string())))
-            .collect();
-        format!("[{}]", parts.join(","))
-    };
     let lint = format!(
         "{{\"errors\":{},\"warnings\":{},\"diagnostics\":{}}}",
         row.lint.error_count(),
@@ -294,12 +283,9 @@ fn render_json(row: &CorpusRow, engine: &Engine, elapsed: f64) -> String {
         si_lint::json_diagnostics(&row.lint, ""),
     );
     format!(
-        "{{\"baseline\":{},\"constraints\":{},\"hazard\":{},\"state_count\":{},\"iterations\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"elapsed_seconds\":{elapsed:.6}}}",
-        constraints(&out.report.baseline),
-        constraints(&out.report.constraints),
+        "{{{},\"hazard\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        out.report.json_members(),
         !out.report.constraints.is_empty(),
-        out.report.state_count,
-        out.report.iterations,
         lint,
         out.metrics_json(),
         engine.cache_stats().json(),

@@ -46,13 +46,19 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use si_corpus::{corpus_name, generate, harness_config, CorpusSpec, MarkingStyle, Reproducer};
+use si_corpus::{
+    corpus_name, generate, harness_config, CorpusSpec, MarkingStyle, Reproducer,
+    DEFAULT_MAX_SIGNALS,
+};
 use si_redress::core::{
     ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig, LintPolicy,
 };
 use si_redress::suite::{run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome};
 
-const USAGE: &str = "\
+/// The help text.
+fn usage() -> String {
+    format!(
+        "\
 usage: si_fuzz [OPTIONS]
        si_fuzz --replay '<reproducer line>'
 
@@ -69,7 +75,7 @@ OPTIONS:
         --seeds <N>        number of seeds to scan (default 1000)
         --start <S>        first seed (default 1)
         --max-signals <K>  upper signal-count bound for generated
-                           circuits (default 12, clamped to 2..=24)
+                           circuits (default {DEFAULT_MAX_SIGNALS}, clamped to 2..=24)
     -j, --jobs <N>         workers each pass is sharded over, sharing one
                            engine (default 1, 0 = one per CPU)
         --artifact <PATH>  where to write the reproducer on failure
@@ -82,7 +88,9 @@ EXIT CODES:
     0    no fault over the scanned seeds
     1    fault found; reproducer printed and written to the artifact
     3    usage error
-";
+"
+    )
+}
 
 struct Args {
     seeds: u64,
@@ -97,7 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         seeds: 1000,
         start: 1,
-        max_signals: 12,
+        max_signals: DEFAULT_MAX_SIGNALS,
         jobs: 1,
         artifact: "si_fuzz_failure.txt".into(),
         replay: None,
@@ -304,12 +312,12 @@ fn main() -> ExitCode {
     let args = match parse_args(&argv) {
         Ok(Some(args)) => args,
         Ok(None) => {
-            print!("{USAGE}");
+            print!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(e) => {
             eprintln!("si_fuzz: {e}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(3);
         }
     };

@@ -19,9 +19,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use si_lint::{
-    json_diagnostics, json_escape, lint_text_with, render_sexp, render_text, LintOptions,
-};
+use si_lint::{lint_text_with, render_json, render_text, LintOptions};
 
 const USAGE: &str = "\
 si_lint - static specification analyzer for STGs
@@ -36,7 +34,7 @@ ARGS:
 
 OPTIONS:
     --suite            lint the bundled benchmark suite instead of paths
-    -f, --format FMT   output format: text (default), json or sexp
+    -f, --format FMT   output format: text (default) or json
     --budget N         state-graph budget for the SI016 feasibility check
     --deny-warnings    exit nonzero on warnings too
     -h, --help         print this help
@@ -51,7 +49,6 @@ EXIT CODES:
 enum Format {
     Text,
     Json,
-    Sexp,
 }
 
 #[derive(Debug)]
@@ -86,7 +83,6 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
             "-f" | "--format" => match it.next().map(String::as_str) {
                 Some("text") => args.format = Format::Text,
                 Some("json") => args.format = Format::Json,
-                Some("sexp") => args.format = Format::Sexp,
                 Some(other) => {
                     return ArgsOutcome::Error(format!("unknown format `{other}`"));
                 }
@@ -253,16 +249,14 @@ fn write_reports(
         warnings += report.warning_count();
         match args.format {
             Format::Text => write!(out, "{}", render_text(&report, &input.text, &input.origin))?,
-            Format::Sexp => write!(out, "{}", render_sexp(&report, &input.origin))?,
-            Format::Json => json_files.push(format!(
-                "    {{\n      \"origin\": \"{}\",\n      \"model\": \"{}\",\n      \
-                 \"errors\": {},\n      \"warnings\": {},\n      \"diagnostics\": {}\n    }}",
-                json_escape(&input.origin),
-                json_escape(&report.model),
-                report.error_count(),
-                report.warning_count(),
-                json_diagnostics(&report, "      ")
-            )),
+            // Each file's object, indented into the `files` array.
+            Format::Json => json_files.push(
+                render_json(&report, &input.origin)
+                    .lines()
+                    .map(|line| format!("    {line}"))
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            ),
         }
     }
     match args.format {

@@ -6,13 +6,15 @@
 //! - `2` — parse/lint/IO/derivation error;
 //! - `3` — usage error.
 //!
-//! Also the `--format sexp` output of `check_hazard` and `si_lint`, and
-//! both CLIs on a stdout that is already closed.
+//! Also `check_hazard`'s JSON report, the one machine-readable format of
+//! both CLIs, and both CLIs on a stdout that is already closed.
 
 use std::io::Write;
 use std::process::Command;
 
-use si_redress::core::{Stage, StageMetrics};
+use si_redress::core::{derive_timing_constraints, ConstraintReport, Stage, StageMetrics};
+use si_redress::corpus::{corpus_name, generate, CorpusSpec, DEFAULT_MAX_SIGNALS};
+use si_redress::suite::{run_corpus_entry, CorpusEntry};
 
 fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
@@ -123,23 +125,28 @@ fn check_hazard_help_exits_zero() {
         assert!(stdout.contains("--jobs"));
         assert!(stdout.contains("--format"));
         assert!(stdout.contains("--lint"));
-        assert!(stdout.contains("--no-cache"));
-        // `cache` is the one reuse switch: no per-layer flags.
-        assert!(!stdout.contains("--no-memo"));
-        assert!(!stdout.contains("--no-sigma-cold"));
+        // No reuse flag and no second structured format: JSON is the
+        // one machine-readable output.
+        for gone in ["--no-cache", "--no-memo", "--no-sigma-cold", "sexp"] {
+            assert!(!stdout.contains(gone), "{flag}: {gone}");
+        }
+        // `corpus:<seed>` draws at the corpus crate's one signal bound.
+        assert!(stdout.contains(&format!("at {DEFAULT_MAX_SIGNALS} signals max")));
         assert!(stdout.contains("EXIT CODES"));
     }
 }
 
 #[test]
 fn check_hazard_rejects_unknown_options() {
-    // The removed per-layer reuse flags are unknown options now, and the
-    // removed `contraction` order is an unknown `--order` value.
+    // The removed reuse flags are unknown options now, and the removed
+    // `contraction` order and `sexp` format are unknown values.
     for args in [
         &["--frobnicate"][..],
         &["--no-memo"],
         &["--no-sigma-cold"],
+        &["--no-cache"],
         &["--order", "contraction"],
+        &["--format", "sexp"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
             .args(args)
@@ -199,8 +206,6 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
         }
         assert!(stdout.contains("\"i0: precharged+ < wenin+\""));
         assert!(stdout.contains("\"csc0: wsldin- < i8-\""));
-        // 19 baseline + 12 derived constraint strings.
-        assert_eq!(stdout.matches(" < ").count(), 31, "{input:?}");
         assert!(stdout.contains("\"cache\":{"));
         assert!(stdout.contains("\"projections\":{"));
         // The conformance cache is gone, and so is its JSON object.
@@ -212,6 +217,10 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
             let rest = &stdout[start..];
             &rest[..rest.find(']').expect("array closes")]
         };
+        // 19 baseline + 12 derived constraint strings; the first
+        // `baseline` array is the whole report's, ahead of `per_gate`.
+        assert_eq!(section("baseline").matches(" < ").count(), 19);
+        assert_eq!(section("constraints").matches(" < ").count(), 12);
         let (stages, gates) = (section("stages"), section("gates"));
         assert_eq!(stages.matches("\"stage\":").count(), 7, "{input:?}");
         let gate_count = gates.matches("\"gate\":").count();
@@ -225,6 +234,20 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
 
     let _ = std::fs::remove_file(stg_path);
     let _ = std::fs::remove_file(eqn_path);
+}
+
+/// A report's constraint lines as the text output prints them: baseline,
+/// then derived.
+fn report_lines(report: &ConstraintReport) -> Vec<String> {
+    let sets = report.baseline.iter().chain(&report.constraints);
+    sets.map(ToString::to_string).collect()
+}
+
+/// `bench`'s constraint lines from the library's reference derivation
+/// (`derive_timing_constraints`, pinned to `EngineConfig::reference()`).
+fn reference_lines(bench: &si_redress::suite::Benchmark) -> Vec<String> {
+    let (stg, library) = bench.circuit().expect("bundled circuit loads");
+    report_lines(&derive_timing_constraints(&stg, &library).expect("derives"))
 }
 
 #[test]
@@ -252,12 +275,12 @@ fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
             .map(str::to_string)
             .collect()
     };
-    // Every run is compared against the reference path (`--no-cache`).
-    let reference = constraint_lines(&["--no-cache", "--jobs", "1"]);
+    // Every run is compared against the library's reference derivation.
+    let reference = reference_lines(&bench);
     assert_eq!(reference.len(), 31);
     for args in [
-        &["--jobs", "4"][..],
-        &["--no-cache", "--jobs", "4"],
+        &["--jobs", "1"][..],
+        &["--jobs", "4"],
         &[],
         // The strict lint pre-flight must not change a line either (the
         // spec is clean).
@@ -291,10 +314,9 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
     };
     let default = constraint_lines(&["--bench", "imec-ram-read-sbuf"]);
     assert_eq!(default.len(), 31, "19 baseline + 12 derived");
-    // The CI smoke diff in miniature: the default engine and the
-    // reference path must print identical reports.
-    let reference = constraint_lines(&["--bench", "imec-ram-read-sbuf", "--no-cache"]);
-    assert_eq!(default, reference);
+    // The default engine prints the library reference's report.
+    let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
+    assert_eq!(default, reference_lines(&bench));
 
     // Unknown names are runtime errors (2); mixing --bench with paths is
     // a usage error (3).
@@ -311,9 +333,9 @@ fn check_hazard_bench_mode_runs_bundled_circuits() {
 }
 
 #[test]
-fn check_hazard_sexp_output_is_the_constraint_report_document() {
+fn check_hazard_json_embeds_the_library_report_members() {
     let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-        .args(["--bench", "imec-ram-read-sbuf", "--format", "sexp"])
+        .args(["--bench", "imec-ram-read-sbuf", "--format", "json"])
         .output()
         .expect("binary runs");
     assert_eq!(
@@ -324,27 +346,26 @@ fn check_hazard_sexp_output_is_the_constraint_report_document() {
     );
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let engine = si_redress::core::Engine::new(si_redress::core::EngineConfig::default());
-    let row = si_redress::suite::run_corpus_entry(&engine, &bench.entry()).expect("derives");
-    assert_eq!(
-        String::from_utf8_lossy(&output.stdout),
-        row.report.report.sexp()
-    );
+    let report = run_corpus_entry(&engine, &bench.entry())
+        .expect("derives")
+        .report
+        .report;
+    assert_eq!((report.per_gate.len(), report.trace.len()), (11, 37));
+    // The object opens with the report's members, then the verdict.
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let head = format!("{{{},\"hazard\":true,", report.json_members());
+    assert!(stdout.starts_with(&head), "{stdout}");
 }
 
 #[test]
-fn si_lint_suite_sexp_output_is_one_document_per_benchmark() {
+fn si_lint_rejects_the_sexp_format_as_a_usage_error() {
     let output = Command::new(env!("CARGO_BIN_EXE_si_lint"))
         .args(["--suite", "--format", "sexp"])
         .output()
         .expect("binary runs");
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert_eq!(stdout.matches("; si-sexp 1 lint-report\n").count(), 13);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown format `sexp`"));
+    assert!(output.stdout.is_empty());
 }
 
 /// Runs `bin` with `args`, its stdout the write end of a pipe whose read
@@ -389,30 +410,50 @@ fn both_clis_report_a_closed_stdout_as_an_io_error() {
 
 #[test]
 fn check_hazard_bench_mode_runs_corpus_circuits() {
-    // `corpus:<seed>` mirrors the fuzz harness derivation exactly: the
-    // canonical 12-signal spec for the seed, a synthesized netlist, the
-    // corpus-harness relaxation budget. Seed 42 is a hazard-positive
-    // circuit whose constraint count the corpus goldens also pin.
-    let run = |bench: &str| {
+    // `corpus:<seed>` runs row `<seed>` of the corpus at
+    // `DEFAULT_MAX_SIGNALS`: the canonical spec for the seed, a
+    // synthesized netlist, the divergence bail-out. That is the row
+    // `tests/golden/corpus-outcomes.txt` pins by its snapshot hash and
+    // perfbench's corpus workloads time.
+    let run = |seed: &str| {
         let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-            .args(["--bench", bench])
+            .args(["--bench", &format!("corpus:{seed}")])
             .output()
             .expect("binary runs");
-        let lines = String::from_utf8_lossy(&output.stdout)
+        let lines: Vec<String> = String::from_utf8_lossy(&output.stdout)
             .lines()
             .filter(|l| l.contains(" < "))
-            .count();
+            .map(str::to_string)
+            .collect();
         (output.status.code(), lines)
     };
-    let (code, lines) = run("corpus:42");
-    assert_eq!(code, Some(1), "seed 42 derives hazards");
-    assert_eq!(lines, 18, "generator determinism pins the constraint set");
-    // Seed 1000 synthesizes into a constraint-free netlist: exit 0.
-    let (code, lines) = run("corpus:1000");
+    let library_lines = |seed: u64| -> Vec<String> {
+        let entry = CorpusEntry {
+            name: corpus_name(seed),
+            stg_text: generate(&CorpusSpec::from_seed(seed, DEFAULT_MAX_SIGNALS), seed).g_text,
+            eqn_text: None,
+        };
+        let engine = si_redress::core::Engine::new(si_redress::core::EngineConfig::default());
+        report_lines(
+            &run_corpus_entry(&engine, &entry)
+                .expect("derives")
+                .report
+                .report,
+        )
+    };
+    // Seed 7 is hazard-positive: 4 baseline constraints relax to 2, a
+    // count generator determinism pins.
+    let (code, lines) = run("7");
+    assert_eq!(code, Some(1), "seed 7 derives hazards");
+    assert_eq!(lines.len(), 6);
+    assert_eq!(lines, library_lines(7));
+    // Seed 42 synthesizes into a constraint-free netlist: exit 0.
+    let (code, lines) = run("42");
     assert_eq!(code, Some(0));
-    assert_eq!(lines, 0);
+    assert_eq!(lines, library_lines(42));
+    assert!(lines.is_empty());
     // A malformed seed is a runtime error, like an unknown bench name.
-    let (code, _) = run("corpus:abc");
+    let (code, _) = run("abc");
     assert_eq!(code, Some(2));
 }
 

@@ -27,6 +27,7 @@ use si_redress::core::{
 };
 use si_redress::corpus::{
     corpus_name, generate, generate_named, harness_config, CorpusSpec, MarkingStyle,
+    DEFAULT_MAX_SIGNALS,
 };
 use si_redress::stg::sexp::write_state_graph;
 use si_redress::stg::{MgStg, StateGraph};
@@ -270,10 +271,9 @@ fn golden_snapshot_pins_the_seed_189_divergence() {
 }
 
 /// The corpus rows `corpus-outcomes.txt` pins: seeds 1..=1200 of the
-/// canonical spec at 10 signals, the rows of `perfbench`'s corpus
-/// workloads.
+/// canonical spec at [`DEFAULT_MAX_SIGNALS`], the rows of `perfbench`'s
+/// corpus workloads.
 const OUTCOME_SEEDS: std::ops::RangeInclusive<u64> = 1..=1200;
-const OUTCOME_MAX_SIGNALS: usize = 10;
 
 /// 64-bit FNV-1a of `text`.
 fn fnv1a(text: &str) -> u64 {
@@ -288,7 +288,7 @@ fn fnv1a(text: &str) -> u64 {
 fn corpus_outcome(engine: &Engine, seed: u64) -> (&'static str, String) {
     let entry = CorpusEntry {
         name: corpus_name(seed),
-        stg_text: generate(&CorpusSpec::from_seed(seed, OUTCOME_MAX_SIGNALS), seed).g_text,
+        stg_text: generate(&CorpusSpec::from_seed(seed, DEFAULT_MAX_SIGNALS), seed).g_text,
         eqn_text: None,
     };
     match run_corpus_entry(engine, &entry) {
@@ -322,7 +322,7 @@ fn golden_corpus_outcomes_pin_every_benchmark_row() {
     let name = "corpus-outcomes";
     let engine = Engine::new(harness_config(EngineConfig::default()));
     let mut rendered = format!(
-        "# Outcome of corpus seeds {}..={} (`CorpusSpec::from_seed(seed, {OUTCOME_MAX_SIGNALS})`)\n\
+        "# Outcome of corpus seeds {}..={} (`CorpusSpec::from_seed(seed, {DEFAULT_MAX_SIGNALS})`)\n\
          # through `run_corpus_entry`: seed, outcome kind, and the FNV-1a hash\n\
          # of the report snapshot or of the rendered error. Regenerate with:\n\
          #   UPDATE_GOLDEN=1 cargo test --test golden\n",

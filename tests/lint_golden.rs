@@ -1,7 +1,9 @@
 //! Golden fixture corpus for the `si-lint` diagnostic catalogue: one
 //! `.g` fixture per `SI0xx` code under `tests/lint/`, each pinned to its
 //! exact human-readable (`.txt`) and JSON (`.json`) rendering — spans,
-//! carets, related notes, fix hints and all.
+//! carets, related notes, fix hints and all. `si_lint --format json`
+//! prints the same `render_json` objects, so they pin the binary's JSON
+//! too.
 //!
 //! A fixture may carry a `# lint-budget: N` comment on any line; the
 //! harness passes `N` as the engine's state-graph budget (this is how
@@ -17,6 +19,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use si_redress::lint::{self, Code, LintOptions};
 
@@ -163,4 +166,40 @@ fn lint_fixture_directory_has_no_stale_goldens() {
             _ => panic!("unexpected file in tests/lint: {}", path.display()),
         }
     }
+}
+
+#[test]
+fn si_lint_json_lists_each_fixture_as_its_render_json() {
+    let output = Command::new(env!("CARGO_BIN_EXE_si_lint"))
+        .args(["--format", "json"])
+        .arg(fixture_dir())
+        .output()
+        .expect("binary runs");
+    // The fixtures hold lint errors: exit 1.
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // The binary passes no budget, so SI016's fixture lints without one.
+    let (mut errors, mut warnings) = (0, 0);
+    let files: Vec<String> = fixtures()
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path).expect("readable fixture");
+            let report = lint::lint_text(&text);
+            errors += report.error_count();
+            warnings += report.warning_count();
+            let json = lint::render_json(&report, &path.display().to_string());
+            let lines: Vec<String> = json.lines().map(|l| format!("    {l}")).collect();
+            lines.join("\n")
+        })
+        .collect();
+    let expected = format!(
+        "{{\n  \"files\": [\n{}\n  ],\n  \"errors\": {errors},\n  \"warnings\": {warnings}\n}}\n",
+        files.join(",\n")
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(stdout, expected, "{}", first_diff(&stdout, &expected));
 }

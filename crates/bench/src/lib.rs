@@ -54,7 +54,7 @@ pub fn table_row(
         .map_err(|e| e.to_string())?
         .report;
     let cpu = started.elapsed().as_secs_f64();
-    let stg = bench.stg().map_err(|e| e.to_string())?;
+    let stg = si_stg::parse_astg(bench.stg_text).map_err(|e| e.to_string())?;
     let report = &out.report;
     let oracle = AdversaryOracle::new(&stg);
 

@@ -41,11 +41,6 @@ impl Cover {
         self.cubes.iter().any(|c| c.eval(state))
     }
 
-    /// Enumerates the on-set minterms (over all `2^n` states).
-    pub fn on_set(&self) -> Vec<u64> {
-        (0u64..(1u64 << self.n)).filter(|&s| self.eval(s)).collect()
-    }
-
     /// Whether two covers denote the same function (exhaustive over `2^n`).
     pub fn equivalent(&self, other: &Cover) -> bool {
         self.n == other.n && (0u64..(1u64 << self.n)).all(|s| self.eval(s) == other.eval(s))
@@ -101,11 +96,6 @@ impl Cover {
         Cover::new(self.n, cubes)
     }
 
-    /// Whether the cover denotes the constant-1 function.
-    pub fn is_tautology(&self) -> bool {
-        (0u64..(1u64 << self.n)).all(|s| self.eval(s))
-    }
-
     /// Formats the cover with the given variable names (`a*b' + c`).
     pub fn display<'a>(&'a self, names: &'a [String]) -> impl fmt::Display + 'a {
         struct D<'a>(&'a Cover, &'a [String]);
@@ -156,22 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn on_set_enumerates_minterms() {
-        let f = fig_2_1_up();
-        let on = f.on_set();
-        // a·b + c over 3 vars: ab=11 (2 states) plus c=1 (4 states), overlap 2.
-        assert_eq!(on.len(), 5);
-        assert!(on.contains(&0b011));
-        assert!(on.contains(&0b111));
-        assert!(on.contains(&0b100));
-    }
-
-    #[test]
     fn constants() {
-        assert!(Cover::one(3).eval(0));
-        assert!(!Cover::zero(3).eval(0));
-        assert_eq!(Cover::zero(3).on_set().len(), 0);
-        assert_eq!(Cover::one(3).on_set().len(), 8);
+        for s in 0u64..8 {
+            assert!(Cover::one(3).eval(s));
+            assert!(!Cover::zero(3).eval(s));
+        }
     }
 
     #[test]
@@ -233,8 +212,7 @@ mod tests {
 
     #[test]
     fn tautology_detection() {
-        assert!(Cover::one(3).is_tautology());
-        assert!(!fig_2_1_up().is_tautology());
+        assert!(!fig_2_1_up().equivalent(&Cover::one(3)));
         // a + a' is a tautology.
         let t = Cover::new(
             1,
@@ -243,7 +221,7 @@ mod tests {
                 Cube::from_literals(1, &[(0, false)]),
             ],
         );
-        assert!(t.is_tautology());
+        assert!(t.equivalent(&Cover::one(1)));
     }
 
     #[test]

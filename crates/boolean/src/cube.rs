@@ -99,12 +99,6 @@ impl Cube {
         (state & self.pos) == self.pos && (state & self.neg) == 0
     }
 
-    /// Whether `self` is covered by `other` (`self ⊑ other`): every literal
-    /// of `other` appears in `self`.
-    pub fn covered_by(&self, other: &Cube) -> bool {
-        (other.pos & !self.pos) == 0 && (other.neg & !self.neg) == 0
-    }
-
     /// Removes `var`'s literal, widening the cube.
     pub fn without(&self, var: usize) -> Cube {
         let bit = !(1u64 << var);
@@ -179,12 +173,14 @@ mod tests {
 
     #[test]
     fn containment_follows_literal_subsets() {
+        // A cube implies every cube over a subset of its literals, and
+        // not the other way round.
         let ab = Cube::from_literals(3, &[(0, true), (1, true)]);
         let a = Cube::from_literals(3, &[(0, true)]);
-        assert!(ab.covered_by(&a));
-        assert!(!a.covered_by(&ab));
-        assert!(ab.covered_by(&ab));
-        assert!(ab.covered_by(&Cube::top()));
+        for s in 0u64..8 {
+            assert!(!ab.eval(s) || (a.eval(s) && Cube::top().eval(s)), "{s:03b}");
+        }
+        assert!(a.eval(0b001) && !ab.eval(0b001));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!
 //! whose first three stages belong to the one text front end,
 //! `si_suite::run_corpus_entry`; the engine runs the rest
-//! ([`Engine::run`], [`Engine::run_analyzed`]).
-//!
-//! with three production-minded additions:
+//! ([`Engine::run`], [`Engine::run_analyzed`]). Beyond the thesis
+//! algorithm, the engine adds three production-minded pieces:
 //!
 //! 1. **[`EngineConfig`]** gathers the knobs a caller sets (whole-STG
 //!    state budget, iteration budget, relaxation order, job count, the

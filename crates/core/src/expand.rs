@@ -30,7 +30,7 @@ use crate::orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,
     initial_restrictions, or_causality_decomposition, Restriction,
 };
-use crate::paths::{AdversaryOracle, ArcWeights};
+use crate::paths::ArcWeights;
 use crate::relax::relax_arc;
 use crate::sched::{CoveringLedger, DivergencePolicy};
 
@@ -41,9 +41,8 @@ pub(crate) const LOCAL_SG_BUDGET: usize = 200_000;
 const MAX_DEPTH: usize = 32;
 
 /// Everything one relaxation run needs besides the local STG itself: the
-/// gate's arc weights, the engine limits and the engine's reuse stack. One
-/// instance is built per gate by the engine (or by the [`expand`]
-/// compatibility wrapper) and threaded through the whole recursion.
+/// gate's arc weights, the engine limits and the engine's reuse stack. The
+/// engine builds one per gate and threads it through the whole recursion.
 #[derive(Clone, Copy)]
 pub(crate) struct ExpandCtx<'a> {
     /// The gate's adversary-path weights, memoized for its whole run.
@@ -61,27 +60,7 @@ pub(crate) struct ExpandCtx<'a> {
     pub divergence_policy: DivergencePolicy,
 }
 
-impl<'a> ExpandCtx<'a> {
-    /// A tightest-first context with the engine-default limits.
-    pub fn with_defaults(
-        weights: &'a ArcWeights<'a>,
-        iteration_budget: usize,
-        caches: Option<&'a Caches>,
-    ) -> Self {
-        Self {
-            weights,
-            order: RelaxationOrder::TightestFirst,
-            iteration_budget,
-            sg_budget: LOCAL_SG_BUDGET,
-            caches,
-            // The compatibility wrapper (and through it the monolithic
-            // `derive_timing_constraints`) keeps the historical
-            // exhaust-the-budget semantics: it is the differential oracle
-            // the ledger is measured against.
-            divergence_policy: DivergencePolicy::Exhaust,
-        }
-    }
-
+impl ExpandCtx<'_> {
     /// The local state graph of `mg` — from the reuse stack when there is
     /// one, the marking-keyed reference generation otherwise — recording
     /// cache traffic and exploration work into `metrics`.
@@ -270,32 +249,10 @@ fn find_next_arc(
     })
 }
 
-/// Expands one local STG to a fixpoint, accumulating constraints into
-/// `out` (Algorithm 4). Sub-STGs from OR-causality decompositions are
-/// processed recursively. Runs the reference path: tightest arc first,
-/// nothing memoized.
-///
-/// # Errors
-///
-/// [`CoreError::IterationBudgetExceeded`] when `budget` relaxation steps
-/// are exhausted, plus any STG-level error.
-pub fn expand(
-    local: LocalStg,
-    oracle: &AdversaryOracle,
-    budget: usize,
-    out: &mut ExpandOutcome,
-) -> Result<(), CoreError> {
-    let weights = ArcWeights::new(oracle);
-    expand_ctx(
-        local,
-        &ExpandCtx::with_defaults(&weights, budget, None),
-        out,
-    )
-}
-
-/// Expands one local STG under an explicit engine context — the entry
-/// point the staged [`crate::Engine`] uses, sharing one cache across all
-/// gates.
+/// Expands one local STG to a fixpoint under `ctx`, accumulating
+/// constraints into `out` (Algorithm 4). Sub-STGs from OR-causality
+/// decompositions are processed recursively. The staged [`crate::Engine`]
+/// runs it once per gate, sharing one cache across all gates.
 pub(crate) fn expand_ctx(
     mut local: LocalStg,
     ctx: &ExpandCtx<'_>,
@@ -507,6 +464,7 @@ fn decompose(
 mod tests {
     use super::*;
     use crate::local::GateContext;
+    use crate::paths::AdversaryOracle;
     use si_boolean::{parse_eqn, GateLibrary};
     use si_stg::{parse_astg, MgStg};
 
@@ -536,6 +494,35 @@ y- x+
         (local, AdversaryOracle::new(&stg))
     }
 
+    /// The reference path's context: tightest arc first, the engine's
+    /// local state budget, no covering ledger.
+    fn reference_ctx<'a>(
+        weights: &'a ArcWeights<'a>,
+        iteration_budget: usize,
+        caches: Option<&'a Caches>,
+    ) -> ExpandCtx<'a> {
+        ExpandCtx {
+            weights,
+            order: RelaxationOrder::TightestFirst,
+            iteration_budget,
+            sg_budget: LOCAL_SG_BUDGET,
+            caches,
+            divergence_policy: DivergencePolicy::Exhaust,
+        }
+    }
+
+    /// Expands `local` on the reference path, nothing memoized.
+    fn expand(
+        local: LocalStg,
+        oracle: &AdversaryOracle,
+        budget: usize,
+    ) -> Result<ExpandOutcome, CoreError> {
+        let weights = ArcWeights::new(oracle);
+        let mut out = ExpandOutcome::default();
+        expand_ctx(local, &reference_ctx(&weights, budget, None), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn and_gate_relaxes_rising_order_keeps_cycle_boundary() {
         // o = x·y with x- triggering the fall. The rising-side ordering
@@ -544,8 +531,7 @@ y- x+
         // cycle's x+ overtakes the previous cycle's y-, the gate sees
         // x·y = 1 and pulses early. Exactly one constraint must survive.
         let (local, oracle) = build(AND2, "o = x*y;", "o");
-        let mut out = ExpandOutcome::default();
-        expand(local, &oracle, 1000, &mut out).expect("expands");
+        let out = expand(local, &oracle, 1000).expect("expands");
         let rendered: Vec<String> = out.constraints.iter().map(|c| c.to_string()).collect();
         assert_eq!(rendered, vec!["o: y- < x+"]);
     }
@@ -569,8 +555,7 @@ o+ z+
 .end
 ";
         let (local, oracle) = build(text, "o = y + z;", "o");
-        let mut out = ExpandOutcome::default();
-        expand(local, &oracle, 1000, &mut out).expect("expands");
+        let out = expand(local, &oracle, 1000).expect("expands");
         let rendered: Vec<String> = out.constraints.iter().map(|c| c.to_string()).collect();
         assert_eq!(rendered, vec!["o: z+ < y-"]);
     }
@@ -595,8 +580,7 @@ o- x+
 .end
 ";
         let (local, oracle) = build(text, "o = x + y;", "o");
-        let mut out = ExpandOutcome::default();
-        expand(local, &oracle, 1000, &mut out).expect("expands");
+        let out = expand(local, &oracle, 1000).expect("expands");
         assert!(
             out.trace
                 .iter()
@@ -618,10 +602,8 @@ o- x+
     #[test]
     fn iteration_budget_is_enforced() {
         let (local, oracle) = build(AND2, "o = x*y;", "o");
-        let mut out = ExpandOutcome::default();
-        let err = expand(local, &oracle, 1, &mut out);
         assert!(matches!(
-            err,
+            expand(local, &oracle, 1),
             Err(CoreError::IterationBudgetExceeded { .. })
         ));
     }
@@ -629,14 +611,13 @@ o- x+
     #[test]
     fn cached_expansion_matches_uncached_bit_for_bit() {
         let (local, oracle) = build(AND2, "o = x*y;", "o");
-        let mut plain = ExpandOutcome::default();
-        expand(local.clone(), &oracle, 1000, &mut plain).expect("expands");
+        let plain = expand(local.clone(), &oracle, 1000).expect("expands");
 
         // A cold run and an admitting run through the reuse stack equal
         // the reference path; the cold one explores every trial.
         let caches = Caches::default();
         let weights = ArcWeights::new(&oracle);
-        let ctx = ExpandCtx::with_defaults(&weights, 1000, Some(&caches));
+        let ctx = reference_ctx(&weights, 1000, Some(&caches));
         for pass in ["cold", "admitting"] {
             let mut run = ExpandOutcome::default();
             expand_ctx(local.clone(), &ctx, &mut run).expect("expands");
@@ -680,8 +661,7 @@ c- a+ b+
 .end
 ";
         let (local, oracle) = build(text, "c = a*b + a*c + b*c;", "c");
-        let mut out = ExpandOutcome::default();
-        expand(local, &oracle, 1000, &mut out).expect("expands");
+        let out = expand(local, &oracle, 1000).expect("expands");
         assert!(out.constraints.is_empty());
     }
 }

@@ -101,7 +101,7 @@ pub use engine::{
     Engine, EngineConfig, EngineReport, GateMetrics, LintPolicy, Stage, StageMetrics,
 };
 pub use error::CoreError;
-pub use expand::{expand, ExpandOutcome, RelaxationOrder, TraceEvent};
+pub use expand::{ExpandOutcome, RelaxationOrder, TraceEvent};
 pub use local::{ArcType, GateContext, LocalStg};
 pub use orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,

@@ -60,8 +60,8 @@ pub enum DivergencePolicy {
     Bail,
     /// Keep no ledger and relax until the iteration budget is exhausted —
     /// the historical behaviour, kept by [`crate::EngineConfig::reference`]
-    /// (and the plain [`crate::expand`] entry points) so the differential
-    /// oracle is ledger-free.
+    /// (and through it [`crate::derive_timing_constraints`]) so the
+    /// differential oracle is ledger-free.
     Exhaust,
 }
 
@@ -134,7 +134,7 @@ struct Visit {
 }
 
 /// Per-loop-instance divergence monitor. The relaxation loop builds one
-/// ledger per [`expand_at`](crate::expand) invocation, and only under
+/// ledger per `expand_at` invocation, and only under
 /// [`DivergencePolicy::Bail`]: each decomposition sub-STG, and each
 /// fallback resume (constraint emission is progress), starts afresh.
 pub(crate) struct CoveringLedger {

@@ -5,8 +5,10 @@
 //! matrix and perf number measures the same thirteen circuits. This crate
 //! supplies the missing statistical scale — a deterministic generator
 //! mapping `(CorpusSpec, seed)` onto valid speed-independent control
-//! circuits ([`generate`]), plus the shared property-test strategies the
-//! member crates' proptests draw from ([`strategies`]).
+//! circuits ([`generate`]), the five pinned fixtures the goldens and the
+//! compliance dumps pin ([`PINNED_FIXTURES`]), plus the shared
+//! property-test strategies the member crates' proptests draw from
+//! ([`strategies`]).
 //!
 //! Two guarantees are load-bearing (and pinned by this crate's property
 //! suite):
@@ -36,6 +38,7 @@ pub mod strategies;
 pub use rng::CorpusRng;
 pub use spec::{
     corpus_name, generate, generate_named, CorpusSpec, GeneratedCircuit, MarkingStyle, Reproducer,
+    PINNED_FIXTURES,
 };
 
 /// The signal bound at which a seed names its corpus circuit:

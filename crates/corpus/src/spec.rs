@@ -256,6 +256,69 @@ pub fn generate(spec: &CorpusSpec, seed: u64) -> GeneratedCircuit {
     generate_named(spec, seed, &corpus_name(seed))
 }
 
+/// The base of [`PINNED_FIXTURES`]: a two-phase ring of six signals.
+const RING: CorpusSpec = CorpusSpec {
+    signals: 6,
+    choices: 0,
+    or_density: 0,
+    max_fork: 1,
+    interleave: false,
+    marking: MarkingStyle::ImplicitArcs,
+};
+
+/// Five pinned `(name, spec, seed)` fixtures spanning the spec envelope:
+/// a plain two-phase ring, a wide fork stage, a binary choice, an
+/// OR-causality tail and a mixed shape. All are two-phase, so CSC holds
+/// and synthesis succeeds. Circuit `name` is
+/// [`generate_named`]`(spec, seed, name)`; the golden snapshots, the
+/// compliance dumps and the divergence tests pin these five.
+pub const PINNED_FIXTURES: [(&str, CorpusSpec, u64); 5] = [
+    ("corpus-two-phase-ring", RING, 1),
+    (
+        "corpus-forked-burst",
+        CorpusSpec {
+            signals: 10,
+            max_fork: 3,
+            ..RING
+        },
+        7,
+    ),
+    (
+        "corpus-choice-pair",
+        CorpusSpec {
+            signals: 8,
+            choices: 1,
+            max_fork: 2,
+            marking: MarkingStyle::ExplicitPlace,
+            ..RING
+        },
+        11,
+    ),
+    (
+        "corpus-or-tail",
+        CorpusSpec {
+            signals: 9,
+            choices: 2,
+            or_density: 100,
+            marking: MarkingStyle::ExplicitPlace,
+            ..RING
+        },
+        5,
+    ),
+    (
+        "corpus-mixed",
+        CorpusSpec {
+            signals: 12,
+            choices: 2,
+            or_density: 60,
+            max_fork: 2,
+            marking: MarkingStyle::ExplicitPlace,
+            ..RING
+        },
+        42,
+    ),
+];
+
 /// One transition: signal index plus polarity (`true` = rising).
 type Tr = (usize, bool);
 

@@ -22,7 +22,7 @@ use std::error::Error;
 use std::fmt;
 
 use si_boolean::GateLibrary;
-use si_stg::{Polarity, Stg, StgError};
+use si_stg::{Polarity, Stg, StgError, DEFAULT_GLOBAL_SG_BUDGET};
 
 /// Per-instance delay assignment, picoseconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,7 +216,12 @@ pub fn simulate(
     delays: &DelayModel,
     max_fired: usize,
 ) -> Result<SimOutcome, SimulateError> {
-    let values0 = stg.initial_values()?;
+    // The initial signal values, read off one walk of the reachable
+    // markings.
+    let code = stg.analyze(DEFAULT_GLOBAL_SG_BUDGET)?.initial_code()?;
+    let mut values: Vec<bool> = (0..stg.signal_count())
+        .map(|s| (code >> s) & 1 == 1)
+        .collect();
     let net = stg.net();
 
     let mut gates: Vec<GateInst> = Vec::new();
@@ -234,7 +239,7 @@ pub fn simulate(
         }
         let mut view = 0u64;
         for (i, &sig) in support.iter().enumerate() {
-            if values0[sig] {
+            if values[sig] {
                 view |= 1u64 << i;
             }
         }
@@ -245,7 +250,7 @@ pub fn simulate(
             down: gate.down.clone(),
             support,
             view,
-            out: values0[s.0],
+            out: values[s.0],
             pending: None,
             version: 0,
             pipeline: Vec::new(),
@@ -304,7 +309,6 @@ pub fn simulate(
     }
 
     let mut outcome = SimOutcome::default();
-    let mut values = values0.clone();
     let max_events = 500_000usize;
     let mut processed = 0usize;
 

@@ -386,11 +386,6 @@ impl MgStg {
         self.arcs.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Number of arcs.
-    pub fn arc_count(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Attribute of arc `src ⇒ dst`, if present.
     pub fn arc(&self, src: usize, dst: usize) -> Option<ArcAttr> {
         self.arcs.get(&(src, dst)).copied()
@@ -903,7 +898,7 @@ mod tests {
         tokens.insert_arc(names["b-"], names["a-"], 3, false);
         assert_eq!(tokens.skeleton_fingerprint(), skeleton);
         let grown: Vec<(u32, u32)> = mg.arc_tokens().zip(tokens.arc_tokens()).collect();
-        assert_eq!(grown.len(), mg.arc_count());
+        assert_eq!(grown.len(), mg.arcs().count());
         let changed: Vec<(usize, usize)> = mg
             .arcs()
             .zip(&grown)
@@ -1122,10 +1117,10 @@ ack- req+
     #[test]
     fn remove_transition_drops_incident_arcs() {
         let (mut mg, n) = sr_latch_local();
-        let before = mg.arc_count();
+        let before = mg.arcs().count();
         mg.remove_transition(n["o+"]);
         assert!(!mg.is_alive(n["o+"]));
-        assert!(mg.arc_count() < before);
+        assert!(mg.arcs().count() < before);
         assert!(mg.arcs().all(|((a, b), _)| a != n["o+"] && b != n["o+"]));
     }
 }

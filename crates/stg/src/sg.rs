@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::mg::{weakly_connected, MgStg};
-use crate::signal::{Polarity, SignalId, TransitionLabel};
+use crate::signal::{SignalId, TransitionLabel};
 use crate::stg::{Stg, StgError};
 
 /// End of a [`RowIndex`] bucket chain.
@@ -657,26 +657,6 @@ impl StateGraph {
             .map(|&(_, j)| j)
     }
 
-    /// `ER(signal±)`: states where any occurrence of the edge is enabled.
-    pub fn er_states(&self, signal: SignalId, polarity: Polarity) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| {
-                self.edges(i).iter().any(|&(t, _)| {
-                    let l = self.label(t);
-                    l.signal == signal && l.polarity == polarity
-                })
-            })
-            .collect()
-    }
-
-    /// `QR(signal+)` (`value = true`) or `QR(signal-)` (`value = false`):
-    /// states where the signal is stable at `value`.
-    pub fn qr_states(&self, signal: SignalId, value: bool) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| !self.is_excited(i, signal) && self.value(i, signal) == value)
-            .collect()
-    }
-
     /// The next transition of `signal` to fire from state `i`: the unique
     /// transition of the signal first reachable along any path. Returns
     /// `None` if the signal never fires from `i`.
@@ -721,7 +701,7 @@ impl StateGraph {
 mod tests {
     use super::*;
     use crate::parse::parse_astg;
-    use crate::signal::SignalKind;
+    use crate::signal::{Polarity, SignalKind};
 
     fn handshake_mg() -> (Stg, MgStg) {
         let text = "\
@@ -754,19 +734,17 @@ ack- req+
     fn regions_partition_states() {
         let (stg, mg) = handshake_mg();
         let sg = StateGraph::of_mg(&mg, 100).expect("consistent");
-        let req = stg.signal_by_name("req").expect("declared");
-        let ack = stg.signal_by_name("ack").expect("declared");
-        // ER(ack+) = {state after req+}, one state; QR(ack+) similar.
-        assert_eq!(sg.er_states(ack, Polarity::Plus).len(), 1);
-        assert_eq!(sg.er_states(ack, Polarity::Minus).len(), 1);
-        assert_eq!(sg.qr_states(ack, true).len(), 1);
-        assert_eq!(sg.qr_states(ack, false).len(), 1);
-        // req is an input: every state has req either excited or stable.
-        let total = sg.er_states(req, Polarity::Plus).len()
-            + sg.er_states(req, Polarity::Minus).len()
-            + sg.qr_states(req, true).len()
-            + sg.qr_states(req, false).len();
-        assert_eq!(total, 4);
+        // Every state lies in one region of each signal: ER(s+) (excited
+        // at 0), QR(s-) (stable at 0), ER(s-) (excited at 1) or QR(s+)
+        // (stable at 1). In a handshake each region holds one state.
+        for name in ["req", "ack"] {
+            let s = stg.signal_by_name(name).expect("declared");
+            let mut regions = [0; 4];
+            for i in 0..sg.state_count() {
+                regions[2 * usize::from(sg.value(i, s)) + usize::from(sg.is_excited(i, s))] += 1;
+            }
+            assert_eq!(regions, [1, 1, 1, 1], "{name}");
+        }
     }
 
     #[test]
@@ -1115,7 +1093,12 @@ c- a+
         // concurrent after a+, so both orders exist.
         let b = stg.signal_by_name("b").expect("declared");
         let c = stg.signal_by_name("c").expect("declared");
-        assert_eq!(sg.er_states(b, Polarity::Plus).len(), 2);
-        assert_eq!(sg.er_states(c, Polarity::Plus).len(), 2);
+        // ER(s+): the states where s is excited at 0.
+        let rising = |s| {
+            (0..sg.state_count())
+                .filter(|&i| sg.is_excited(i, s) && !sg.value(i, s))
+                .count()
+        };
+        assert_eq!((rising(b), rising(c)), (2, 2));
     }
 }

@@ -14,14 +14,6 @@ pub enum Polarity {
 }
 
 impl Polarity {
-    /// The opposite polarity.
-    pub fn opposite(self) -> Self {
-        match self {
-            Polarity::Plus => Polarity::Minus,
-            Polarity::Minus => Polarity::Plus,
-        }
-    }
-
     /// The signal value *after* a transition of this polarity fires.
     pub fn target_value(self) -> bool {
         matches!(self, Polarity::Plus)
@@ -116,8 +108,6 @@ mod tests {
 
     #[test]
     fn polarity_round_trip() {
-        assert_eq!(Polarity::Plus.opposite(), Polarity::Minus);
-        assert_eq!(Polarity::Minus.opposite(), Polarity::Plus);
         assert!(Polarity::Plus.target_value());
         assert!(!Polarity::Minus.target_value());
     }

@@ -235,7 +235,9 @@ impl Stg {
     /// makes the first polarity path-independent).
     ///
     /// A walk of its own, over at most [`DEFAULT_GLOBAL_SG_BUDGET`]
-    /// markings. A run reads the initial values off its one walk instead
+    /// markings, kept as the reference `tests/properties.rs` checks the
+    /// one walk against. The run and the simulator read the initial
+    /// values off their one walk instead
     /// ([`StgAnalysis::initial_code`](crate::StgAnalysis::initial_code)).
     ///
     /// # Errors

@@ -394,7 +394,7 @@ pub fn all() -> Vec<Benchmark> {
 #[cfg(test)]
 mod tests {
     use si_core::derive_timing_constraints;
-    use si_stg::{SignalKind, StateGraph};
+    use si_stg::{parse_astg, SignalKind, StateGraph};
     use si_synth::verify_implements;
 
     use super::*;
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn every_benchmark_parses_live_safe_consistent() {
         for b in all() {
-            let stg = b.stg().unwrap_or_else(|e| panic!("{e}"));
+            let stg = parse_astg(b.stg_text).unwrap_or_else(|e| panic!("{}: {e}", b.name));
             assert!(
                 stg.net().is_live(1_000_000).expect("bounded"),
                 "{} is not live",
@@ -462,10 +462,8 @@ mod tests {
             ("vbe5c", 3, 5),
         ];
         for &(name, inputs, outputs) in expected {
-            let stg = crate::benchmark(name)
-                .expect("present")
-                .stg()
-                .expect("parses");
+            let stg =
+                parse_astg(crate::benchmark(name).expect("present").stg_text).expect("parses");
             assert_eq!(
                 stg.signals_of_kind(SignalKind::Input).len(),
                 inputs,
@@ -481,10 +479,8 @@ mod tests {
 
     #[test]
     fn nowick_is_free_choice_with_two_components() {
-        let stg = crate::benchmark("nowick")
-            .expect("present")
-            .stg()
-            .expect("parses");
+        let stg =
+            parse_astg(crate::benchmark("nowick").expect("present").stg_text).expect("parses");
         assert!(stg.net().is_free_choice());
         let analysis = stg.analyze(1_000_000).expect("bounded");
         let comps = stg.mg_components(&analysis, 64).expect("decomposes");

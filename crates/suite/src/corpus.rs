@@ -28,9 +28,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use si_boolean::{parse_eqn, GateLibrary};
-use si_core::{par_map, CoreError, Engine, EngineReport, LintPolicy, Stage, StageMetrics};
+use si_core::{
+    par_map, CoreError, Engine, EngineConfig, EngineReport, LintPolicy, Stage, StageMetrics,
+};
 use si_lint::{LintOptions, LintReport};
-use si_stg::parse_astg_lenient;
+use si_stg::{parse_astg_lenient, Stg, StgAnalysis};
 use si_synth::{synthesize_sg, SynthError};
 
 /// One corpus manifest row: an owned circuit source (generated corpora
@@ -126,15 +128,17 @@ impl Error for CorpusError {
 /// differential contract).
 pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 
-/// Runs one manifest row through `engine` — the one text front end: one
-/// lenient parse, the lint pre-flight over it under the engine's
-/// [`LintPolicy`], the strict verdict (the parse's first fatal defect), a
-/// fixed netlist, one whole-STG walk under the engine's global state
-/// budget ([`si_stg::Stg::analyze`]), validation on the walk (live, safe,
-/// free-choice, consistent), a netlist synthesized from the walk's state
-/// graph when the row gives none, and derivation on the same walk
-/// ([`Engine::run_analyzed`]). The report lists the lint, parse
-/// (synthesis included) and validate stages before the engine's.
+/// Runs one manifest row through `engine` — the one text front end. Its
+/// loading half, which [`Benchmark::circuit`](crate::Benchmark::circuit)
+/// runs alone, makes one lenient parse, the lint pre-flight over it under
+/// the engine's [`LintPolicy`], the strict verdict (the parse's first
+/// fatal defect), a fixed netlist, one whole-STG walk under the engine's
+/// global state budget ([`si_stg::Stg::analyze`]), validation on the walk
+/// (live, safe, free-choice, consistent) and a netlist synthesized from
+/// the walk's state graph when the row gives none. The derivation then
+/// runs on the same walk ([`Engine::run_analyzed`]). The report lists the
+/// lint, parse (synthesis included) and validate stages before the
+/// engine's.
 ///
 /// # Errors
 ///
@@ -144,9 +148,56 @@ pub type CorpusOutcome = Result<CorpusRow, CorpusError>;
 /// ([`CoreError::NotWellFormed`]) and every engine error.
 pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
     let started = Instant::now();
-    let config = engine.config();
-    let parsed = parse_astg_lenient(&entry.stg_text);
-    let lenient_wall = started.elapsed();
+    let loaded = load(
+        engine.config(),
+        &entry.name,
+        &entry.stg_text,
+        entry.eqn_text.as_deref(),
+    )?;
+    let mut report = engine
+        .run_analyzed(&loaded.stg, &loaded.analysis, &loaded.library)
+        .map_err(|source| CorpusError::Derive {
+            name: entry.name.clone(),
+            source,
+        })?;
+    report.stages.splice(0..0, loaded.stages);
+    report.total_wall = started.elapsed();
+    Ok(CorpusRow {
+        name: entry.name.clone(),
+        report,
+        lint: loaded.lint,
+    })
+}
+
+/// A circuit the loading half accepted: what the derivation reads, the
+/// lint findings and the front end's three stages.
+pub(crate) struct Loaded {
+    pub(crate) stg: Stg,
+    /// The circuit's one whole-STG walk.
+    pub(crate) analysis: StgAnalysis,
+    pub(crate) library: GateLibrary,
+    pub(crate) lint: LintReport,
+    /// The lint, parse (synthesis included) and validate stages.
+    pub(crate) stages: [StageMetrics; 3],
+}
+
+/// The loading half of the text front end: everything
+/// [`run_corpus_entry`] does before the derivation, under `config`'s lint
+/// policy and whole-STG budget. [`Benchmark::circuit`](crate::Benchmark::circuit)
+/// runs it alone.
+///
+/// # Errors
+///
+/// As [`run_corpus_entry`], engine errors apart.
+pub(crate) fn load(
+    config: &EngineConfig,
+    name: &str,
+    stg_text: &str,
+    eqn_text: Option<&str>,
+) -> Result<Loaded, CorpusError> {
+    let t = Instant::now();
+    let parsed = parse_astg_lenient(stg_text);
+    let lenient_wall = t.elapsed();
 
     // Stage: lint, over the recovered parse. It sees every defect in one
     // pass, where the strict verdict below stops at the first.
@@ -164,16 +215,16 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
     let lint_metrics = StageMetrics::timed(Stage::Lint, t.elapsed());
     if config.lint == LintPolicy::Deny && lint.has_errors() {
         return Err(CorpusError::Lint {
-            name: entry.name.clone(),
+            name: name.to_string(),
             errors: lint.error_count(),
         });
     }
     let load = |detail: String| CorpusError::Load {
-        name: entry.name.clone(),
+        name: name.to_string(),
         detail,
     };
     let derive = |source: CoreError| CorpusError::Derive {
-        name: entry.name.clone(),
+        name: name.to_string(),
         source,
     };
 
@@ -184,16 +235,14 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
         return Err(load(e.to_string()));
     }
     let stg = parsed.stg;
-    let netlist = entry
-        .eqn_text
-        .as_deref()
+    let netlist = eqn_text
         .map(parse_eqn)
         .transpose()
         .map_err(|e| load(e.to_string()))?;
     let mut parse_wall = lenient_wall + t.elapsed();
 
-    // Stage: validate, on the row's one whole-STG walk, which synthesis
-    // and the derivation then read too.
+    // Stage: validate, on the circuit's one whole-STG walk, which
+    // synthesis and the derivation then read too.
     let t = Instant::now();
     let analysis = stg
         .analyze(config.global_sg_budget)
@@ -224,22 +273,16 @@ pub fn run_corpus_entry(engine: &Engine, entry: &CorpusEntry) -> CorpusOutcome {
     };
     parse_wall += t.elapsed();
 
-    let mut report = engine
-        .run_analyzed(&stg, &analysis, &library)
-        .map_err(derive)?;
-    report.stages.splice(
-        0..0,
-        [
+    Ok(Loaded {
+        stg,
+        analysis,
+        library,
+        lint,
+        stages: [
             lint_metrics,
             StageMetrics::timed(Stage::Parse, parse_wall),
             validate_metrics,
         ],
-    );
-    report.total_wall = started.elapsed();
-    Ok(CorpusRow {
-        name: entry.name.clone(),
-        report,
-        lint,
     })
 }
 
@@ -284,7 +327,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_core::EngineConfig;
 
     const CELEM: &str = "\
 .model celem
@@ -531,24 +573,34 @@ b- a+
             );
         }
         // Two STGs that parse but fail validation, with a fixed netlist
-        // and with a synthesized one. In the first, `a` rises twice in a
-        // row, so rising/falling transitions never alternate; the second
-        // deadlocks after one cycle.
+        // and with a synthesized one, as rows and as bundled circuits
+        // (`Benchmark::circuit` runs the same loading half). In the first,
+        // `a` rises twice in a row, so rising/falling transitions never
+        // alternate; the second deadlocks after one cycle.
         let inconsistent = ".model bad\n.inputs a\n.outputs b\n.graph\na+ a+/2\na+/2 b+\nb+ a+\n.marking { <b+,a+> }\n.end\n";
         let deadlock = ".model deadlock\n.inputs a\n.outputs b\n.graph\np0 a+\na+ b+\nb+ a-\na- b-\nb- p1\n.marking { p0 }\n.end\n";
         for stg_text in [inconsistent, deadlock] {
             for eqn_text in [Some("b = a;"), None] {
-                let outcome = run_corpus_entry(&engine, &row("bad", stg_text, eqn_text));
-                assert!(
-                    matches!(
-                        outcome,
-                        Err(CorpusError::Derive {
-                            source: CoreError::NotWellFormed { .. },
-                            ..
-                        })
-                    ),
-                    "{eqn_text:?}: {outcome:?}"
-                );
+                let bench = crate::Benchmark {
+                    name: "bad",
+                    stg_text,
+                    eqn_text,
+                };
+                for outcome in [
+                    run_corpus_entry(&engine, &bench.entry()).map(drop),
+                    bench.circuit().map(drop),
+                ] {
+                    assert!(
+                        matches!(
+                            outcome,
+                            Err(CorpusError::Derive {
+                                source: CoreError::NotWellFormed { .. },
+                                ..
+                            })
+                        ),
+                        "{eqn_text:?}: {outcome:?}"
+                    );
+                }
             }
         }
     }

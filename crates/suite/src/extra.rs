@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn extended_circuits_validate_like_the_main_suite() {
         for b in super::extended() {
-            let stg = b.stg().unwrap_or_else(|e| panic!("{e}"));
+            let (stg, lib) = b.circuit().unwrap_or_else(|e| panic!("{e}"));
             assert!(
                 stg.net().is_live(1_000_000).expect("bounded"),
                 "{} live",
@@ -99,7 +99,6 @@ mod tests {
                 "{} safe",
                 b.name
             );
-            let (stg, lib) = b.circuit().unwrap_or_else(|e| panic!("{e}"));
             let sg = StateGraph::of_stg(&stg, 1_000_000).expect("consistent");
             assert!(verify_implements(&stg, &sg, &lib).is_empty(), "{}", b.name);
         }

@@ -12,6 +12,13 @@
 //! validated by the suite tests: live, safe, consistent, CSC-clean, and
 //! timing-conformant gate by gate.
 //!
+//! Every circuit, bundled or not, loads through the one text front end.
+//! Its loading half — lint, parse, one whole-STG walk, validation on it,
+//! synthesis from it — runs inside [`run_corpus_entry`] before the
+//! derivation, and alone in [`Benchmark::circuit`] (under
+//! `EngineConfig::default()`), so a spec that is not live, safe,
+//! free-choice and consistent fails the same way on both paths.
+//!
 //! # Example
 //!
 //! ```
@@ -27,12 +34,9 @@
 //! # }
 //! ```
 
-use std::error::Error;
-use std::fmt;
-
-use si_boolean::{parse_eqn, GateLibrary};
-use si_stg::{parse_astg, Stg, DEFAULT_GLOBAL_SG_BUDGET};
-use si_synth::synthesize;
+use si_boolean::GateLibrary;
+use si_core::EngineConfig;
+use si_stg::Stg;
 
 mod circuits;
 mod corpus;
@@ -43,31 +47,6 @@ pub use corpus::{
     run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome, CorpusRow,
 };
 pub use extra::{extended, FIFO_DOUBLE_G, VME_READ_G};
-
-/// Loading/synthesis failure for a benchmark.
-#[derive(Debug)]
-pub struct LoadBenchmarkError {
-    /// The benchmark name.
-    pub name: &'static str,
-    /// The underlying failure.
-    pub source: Box<dyn Error + Send + Sync>,
-}
-
-impl fmt::Display for LoadBenchmarkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "benchmark `{}` failed to load: {}",
-            self.name, self.source
-        )
-    }
-}
-
-impl Error for LoadBenchmarkError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(self.source.as_ref())
-    }
-}
 
 /// One benchmark circuit: an STG plus (optionally) a fixed EQN netlist.
 #[derive(Debug, Clone, Copy)]
@@ -82,27 +61,26 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Parses the STG and produces the gate library (fixed, or synthesized
-    /// under the default whole-STG budget,
-    /// [`si_stg::DEFAULT_GLOBAL_SG_BUDGET`]). Nothing is memoized: the
-    /// measured path is [`Benchmark::entry`] through [`run_corpus_entry`].
+    /// The STG and its gate library, fixed or synthesized, loaded the way
+    /// [`run_corpus_entry`] loads a row: the loading half of the text
+    /// front end under [`EngineConfig::default()`] — lint, parse, one
+    /// whole-STG walk, validation on it, synthesis from it. Nothing is
+    /// memoized.
     ///
     /// # Errors
     ///
-    /// Wraps parse/synthesis failures in [`LoadBenchmarkError`].
-    pub fn circuit(&self) -> Result<(Stg, GateLibrary), LoadBenchmarkError> {
-        let wrap = |e: Box<dyn Error + Send + Sync>| LoadBenchmarkError {
-            name: self.name,
-            source: e,
-        };
-        let stg = parse_astg(self.stg_text).map_err(|e| wrap(Box::new(e)))?;
-        let library = match self.eqn_text {
-            Some(text) => {
-                GateLibrary::from_netlist(&parse_eqn(text).map_err(|e| wrap(Box::new(e)))?)
-            }
-            None => synthesize(&stg, DEFAULT_GLOBAL_SG_BUDGET).map_err(|e| wrap(Box::new(e)))?,
-        };
-        Ok((stg, library))
+    /// As [`run_corpus_entry`], engine errors apart: a spec that is not
+    /// live, safe, free-choice and consistent fails as
+    /// [`CorpusError::Derive`] with
+    /// [`CoreError::NotWellFormed`](si_core::CoreError::NotWellFormed).
+    pub fn circuit(&self) -> Result<(Stg, GateLibrary), CorpusError> {
+        let loaded = corpus::load(
+            &EngineConfig::default(),
+            self.name,
+            self.stg_text,
+            self.eqn_text,
+        )?;
+        Ok((loaded.stg, loaded.library))
     }
 
     /// The benchmark as a manifest row: [`run_corpus_entry`] and
@@ -125,18 +103,6 @@ impl Benchmark {
             stg_text: self.stg_text.to_string(),
             eqn_text: self.eqn_text.map(str::to_string),
         }
-    }
-
-    /// Parses only the STG.
-    ///
-    /// # Errors
-    ///
-    /// Wraps parse failures in [`LoadBenchmarkError`].
-    pub fn stg(&self) -> Result<Stg, LoadBenchmarkError> {
-        parse_astg(self.stg_text).map_err(|e| LoadBenchmarkError {
-            name: self.name,
-            source: Box::new(e),
-        })
     }
 }
 

@@ -9,7 +9,7 @@ use si_redress::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = si_redress::suite::benchmark("nowick").expect("bundled");
-    let stg = bench.stg()?;
+    let (stg, library) = bench.circuit()?;
     println!(
         "`{}` is free-choice: {}",
         stg.name,
@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  component {}: {}", i + 1, labels.join(" "));
     }
 
-    let (stg, library) = bench.circuit()?;
     let report = derive_timing_constraints(&stg, &library)?;
     println!(
         "\nconstraints: {} before relaxation, {} after:",

@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use si_redress::corpus::{generate_named, CorpusSpec, MarkingStyle};
+use si_redress::corpus::{generate_named, PINNED_FIXTURES};
 use si_stg::parse_events;
 use si_stg::sexp::write_events;
 
@@ -53,67 +53,6 @@ fn first_diff(actual: &str, expected: &str) -> String {
     )
 }
 
-/// The five pinned generator fixtures of `tests/golden.rs`, duplicated
-/// verbatim (same names, specs and seeds) so the compliance corpus covers
-/// exactly the circuits the golden conformance suite pins. Keep the two
-/// tables in sync.
-fn corpus_fixtures() -> Vec<(&'static str, CorpusSpec, u64)> {
-    let base = CorpusSpec {
-        signals: 6,
-        choices: 0,
-        or_density: 0,
-        max_fork: 1,
-        interleave: false,
-        marking: MarkingStyle::ImplicitArcs,
-    };
-    vec![
-        ("corpus-two-phase-ring", base, 1),
-        (
-            "corpus-forked-burst",
-            CorpusSpec {
-                signals: 10,
-                max_fork: 3,
-                ..base
-            },
-            7,
-        ),
-        (
-            "corpus-choice-pair",
-            CorpusSpec {
-                signals: 8,
-                choices: 1,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            11,
-        ),
-        (
-            "corpus-or-tail",
-            CorpusSpec {
-                signals: 9,
-                choices: 2,
-                or_density: 100,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            5,
-        ),
-        (
-            "corpus-mixed",
-            CorpusSpec {
-                signals: 12,
-                choices: 2,
-                or_density: 60,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            42,
-        ),
-    ]
-}
-
 /// Every spec in the compliance corpus: the 13 bundled benchmarks plus
 /// the 5 pinned generator fixtures.
 fn corpus() -> Vec<(String, String)> {
@@ -121,7 +60,7 @@ fn corpus() -> Vec<(String, String)> {
         .iter()
         .map(|b| (b.name.to_string(), b.stg_text.to_string()))
         .collect();
-    for (name, spec, seed) in corpus_fixtures() {
+    for (name, spec, seed) in PINNED_FIXTURES {
         specs.push((name.to_string(), generate_named(&spec, seed, name).g_text));
     }
     specs

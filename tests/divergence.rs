@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use si_redress::core::{CoreError, DivergencePolicy, Engine, EngineConfig};
-use si_redress::corpus::{generate, strategies, CorpusSpec, MarkingStyle};
+use si_redress::corpus::{generate, strategies, CorpusSpec, PINNED_FIXTURES};
 use si_redress::synth::synthesize;
 
 /// The canonical diverging specimen: seed 189 (`corpus-000000bd`), whose
@@ -54,62 +54,6 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
     }
 }
 
-/// The five corpus golden fixtures of `tests/golden.rs`, by value (the
-/// generator promises byte-identical output per `(sanitized spec, seed)`
-/// forever, so restating the literals here cannot drift).
-fn corpus_fixture_specs() -> Vec<(CorpusSpec, u64)> {
-    let base = CorpusSpec {
-        signals: 6,
-        choices: 0,
-        or_density: 0,
-        max_fork: 1,
-        interleave: false,
-        marking: MarkingStyle::ImplicitArcs,
-    };
-    vec![
-        (base, 1),
-        (
-            CorpusSpec {
-                signals: 10,
-                max_fork: 3,
-                ..base
-            },
-            7,
-        ),
-        (
-            CorpusSpec {
-                signals: 8,
-                choices: 1,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            11,
-        ),
-        (
-            CorpusSpec {
-                signals: 9,
-                choices: 2,
-                or_density: 100,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            5,
-        ),
-        (
-            CorpusSpec {
-                signals: 12,
-                choices: 2,
-                or_density: 60,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            42,
-        ),
-    ]
-}
-
 #[test]
 fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
     // On every bundled benchmark and corpus golden fixture the loop
@@ -146,8 +90,8 @@ fn scheduler_on_equals_scheduler_off_on_all_converging_circuits() {
             bench.name
         );
     }
-    let near_miss = (CorpusSpec::from_seed(822, 12), 822);
-    for (spec, seed) in corpus_fixture_specs().into_iter().chain([near_miss]) {
+    let near_miss = ("seed 822", CorpusSpec::from_seed(822, 12), 822);
+    for (_, spec, seed) in PINNED_FIXTURES.into_iter().chain([near_miss]) {
         let circuit = generate(&spec, seed);
         let library = synthesize(&circuit.stg, EngineConfig::default().global_sg_budget)
             .expect("fixture synthesizes");

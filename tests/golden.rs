@@ -26,8 +26,8 @@ use si_redress::core::{
     derive_timing_constraints, CoreError, Engine, EngineConfig, GateContext, LocalStg,
 };
 use si_redress::corpus::{
-    corpus_name, generate, generate_named, harness_config, CorpusSpec, MarkingStyle,
-    DEFAULT_MAX_SIGNALS,
+    corpus_name, generate, generate_named, harness_config, CorpusSpec, DEFAULT_MAX_SIGNALS,
+    PINNED_FIXTURES,
 };
 use si_redress::stg::sexp::write_state_graph;
 use si_redress::stg::{MgStg, StateGraph};
@@ -108,77 +108,17 @@ fn golden_snapshots_pin_the_reference_output_for_every_benchmark() {
     }
 }
 
-/// Five pinned generator fixtures spanning the spec envelope: a plain
-/// two-phase ring, a wide fork stage, a binary choice, an OR-causality
-/// tail, and a mixed shape. All two-phase (`interleave: false`), so CSC
-/// holds by construction and synthesis is guaranteed. Because the
-/// generator promises byte-identical `.g` text per `(sanitized spec,
-/// seed)` pair forever, these snapshots pin the *generator* as much as
-/// the engine: a drifting generator shows up here before it silently
-/// reshuffles every fuzz seed.
-fn corpus_fixtures() -> Vec<(&'static str, CorpusSpec, u64)> {
-    let base = CorpusSpec {
-        signals: 6,
-        choices: 0,
-        or_density: 0,
-        max_fork: 1,
-        interleave: false,
-        marking: MarkingStyle::ImplicitArcs,
-    };
-    vec![
-        ("corpus-two-phase-ring", base, 1),
-        (
-            "corpus-forked-burst",
-            CorpusSpec {
-                signals: 10,
-                max_fork: 3,
-                ..base
-            },
-            7,
-        ),
-        (
-            "corpus-choice-pair",
-            CorpusSpec {
-                signals: 8,
-                choices: 1,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            11,
-        ),
-        (
-            "corpus-or-tail",
-            CorpusSpec {
-                signals: 9,
-                choices: 2,
-                or_density: 100,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            5,
-        ),
-        (
-            "corpus-mixed",
-            CorpusSpec {
-                signals: 12,
-                choices: 2,
-                or_density: 60,
-                max_fork: 2,
-                marking: MarkingStyle::ExplicitPlace,
-                ..base
-            },
-            42,
-        ),
-    ]
-}
-
 #[test]
 fn golden_snapshots_pin_the_reference_output_for_corpus_fixtures() {
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let engine = Engine::new(EngineConfig::default());
     let budget = engine.config().global_sg_budget;
-    for (name, spec, seed) in corpus_fixtures() {
+    // The five pinned generator fixtures: the generator promises
+    // byte-identical `.g` text per `(sanitized spec, seed)` forever, so
+    // these snapshots pin the generator as much as the engine — a drifting
+    // generator shows up here before it silently reshuffles every fuzz
+    // seed.
+    for (name, spec, seed) in PINNED_FIXTURES {
         let circuit = generate_named(&spec, seed, name);
         let library = synthesize(&circuit.stg, budget)
             .unwrap_or_else(|e| panic!("corpus fixture `{name}` must synthesize: {e}"));
@@ -451,7 +391,7 @@ fn golden_directory_has_no_stale_snapshots() {
         .iter()
         .map(|b| b.name)
         .collect();
-    names.extend(corpus_fixtures().iter().map(|(name, _, _)| *name));
+    names.extend(PINNED_FIXTURES.iter().map(|(name, _, _)| *name));
     names.push("corpus-000000bd-diverged");
     names.push("corpus-outcomes");
     names.push("imec-ram-read-sbuf-state-graph");

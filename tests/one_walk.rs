@@ -139,6 +139,17 @@ fn a_run_walks_the_whole_stg_once() {
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
 
+#[test]
+fn loading_a_bundled_circuit_walks_the_whole_stg_once() {
+    // `Benchmark::circuit` is the front end's loading half: validation
+    // and synthesis read one walk, with a fixed netlist too.
+    for bench in si_redress::suite::benchmarks() {
+        let (n, circuit) = walks(|| bench.circuit());
+        circuit.expect("loads");
+        assert_eq!(n, 1, "{}", bench.name);
+    }
+}
+
 /// The fastest of `reps` timings of `run`.
 fn fastest(reps: usize, mut run: impl FnMut() -> Duration) -> Duration {
     (0..reps).map(|_| run()).min().expect("at least one rep")

@@ -21,10 +21,7 @@
 //! "not yet risen" with "already fallen" when the relaxation lets another
 //! input overtake — exactly the thesis Fig. 4.1 glitch).
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
-use si_stg::{Polarity, SignalId, StateGraph, TransitionLabel};
+use si_stg::{Polarity, SignalId, StateGraph};
 
 use crate::error::CoreError;
 use crate::local::LocalStg;
@@ -154,42 +151,85 @@ pub fn conformance(local: &LocalStg, sg: &StateGraph) -> Result<ConformanceRepor
     Ok(ConformanceReport { premature, lagging })
 }
 
-/// The prerequisite transition sets `Epre` of every output transition:
-/// labels of its predecessor transitions in the *current* local STG
-/// (computed before the relaxation under test, thesis Sec. 5.4.1).
-pub fn prerequisite_sets(local: &LocalStg) -> BTreeMap<usize, BTreeSet<TransitionLabel>> {
-    let o = local.ctx.output;
-    let mut map = BTreeMap::new();
-    for t in local.mg.transitions() {
-        if local.mg.label(t).signal != o {
-            continue;
-        }
-        let set: BTreeSet<TransitionLabel> = local
-            .mg
-            .preds(t)
-            .into_iter()
-            .map(|p| local.mg.label(p))
-            .collect();
-        map.insert(t, set);
-    }
-    map
+/// The prerequisite sets `Epre` of a local STG's output transitions
+/// (thesis Sec. 5.4.1): each output transition's predecessor transitions,
+/// one bitset over transition ids per output transition.
+///
+/// The sets are taken on the STG *before* the relaxation under test.
+/// Relaxation and the sub-STG builders keep every transition and its id,
+/// so one value serves the trial, its case-2 modification and the
+/// decomposition judged on them, and the relaxation loop rebuilds it only
+/// when it accepts a new local STG.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Prerequisites {
+    /// `u64` words per set.
+    words: usize,
+    /// One set per transition id; only an output transition's can be
+    /// non-empty.
+    bits: Vec<u64>,
 }
 
-/// All prerequisite labels of `e` still pending before `t_out` from
-/// `state`, computed in one DFS (skipping `t_out` edges) instead of one
-/// DFS per prerequisite. `seen` is a caller-owned scratch buffer, cleared
-/// and regrown here so a classification sweep allocates it once. The
-/// result preserves `e`'s (sorted) iteration order.
+impl Prerequisites {
+    /// The prerequisite set of transition `t` (empty unless `t` is an
+    /// output transition).
+    fn set(&self, t: usize) -> &[u64] {
+        self.bits
+            .get(t * self.words..(t + 1) * self.words)
+            .unwrap_or(&[])
+    }
+
+    /// The prerequisites of output transition `t`, ascending ids.
+    pub(crate) fn of(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        members(self.set(t))
+    }
+}
+
+/// The members of a bitset, ascending.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (bit < 64).then_some(i * 64 + bit)
+        })
+    })
+}
+
+/// The prerequisite sets of every output transition: its predecessor
+/// transitions in the *current* local STG (computed before the
+/// relaxation under test, thesis Sec. 5.4.1).
+pub fn prerequisite_sets(local: &LocalStg) -> Prerequisites {
+    let o = local.ctx.output;
+    let ids = local.mg.transitions().last().map_or(0, |&t| t + 1);
+    let words = ids.div_ceil(64);
+    let mut bits = vec![0u64; ids * words];
+    for ((p, t), _) in local.mg.arcs() {
+        if local.mg.label(t).signal == o {
+            bits[t * words + p / 64] |= 1 << (p % 64);
+        }
+    }
+    Prerequisites { words, bits }
+}
+
+/// The prerequisites in `e` still pending before `t_out` from `state`,
+/// written to `pending` as a bitset of `e`'s width, found in one DFS
+/// (skipping `t_out` edges) instead of one DFS per prerequisite. `seen`
+/// and `pending` are caller-owned scratch, cleared and regrown here so a
+/// classification sweep allocates them once.
 fn pending_of(
     sg: &StateGraph,
     state: usize,
     t_out: usize,
-    e: &BTreeSet<TransitionLabel>,
+    e: &[u64],
     seen: &mut Vec<bool>,
-) -> Vec<TransitionLabel> {
-    let mut found = BTreeSet::new();
-    if e.is_empty() {
-        return Vec::new();
+    pending: &mut Vec<u64>,
+) {
+    pending.clear();
+    pending.resize(e.len(), 0);
+    let mut left: u32 = e.iter().map(|w| w.count_ones()).sum();
+    if left == 0 {
+        return;
     }
     seen.clear();
     seen.resize(sg.state_count(), false);
@@ -200,10 +240,11 @@ fn pending_of(
             if t == t_out {
                 continue; // stop at the output transition
             }
-            let l = sg.label(t);
-            if e.contains(&l) {
-                found.insert(l);
-                if found.len() == e.len() {
+            let (word, bit) = (t / 64, 1u64 << (t % 64));
+            if e.get(word).is_some_and(|&w| w & bit != 0) && pending[word] & bit == 0 {
+                pending[word] |= bit;
+                left -= 1;
+                if left == 0 {
                     break 'dfs; // every prerequisite already found pending
                 }
             }
@@ -213,34 +254,30 @@ fn pending_of(
             }
         }
     }
-    found.into_iter().collect()
 }
 
-/// Classifies one premature state (thesis relaxation cases 2–4), over a
-/// caller-owned scratch buffer.
+/// Classifies one premature state (thesis relaxation cases 2–4), over
+/// caller-owned scratch buffers.
 fn classify_state_with(
     sg: &StateGraph,
     state: usize,
     t_out: usize,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
-    relaxed: Option<(usize, TransitionLabel)>,
-    seen: &mut Vec<bool>,
+    epre: &Prerequisites,
+    relaxed: Option<usize>,
+    (seen, pending): (&mut Vec<bool>, &mut Vec<u64>),
 ) -> StateClass {
-    let empty = BTreeSet::new();
-    let e = epre.get(&t_out).unwrap_or(&empty);
-    let pending = pending_of(sg, state, t_out, e, seen);
-    if pending.is_empty() {
+    pending_of(sg, state, t_out, epre.set(t_out), seen, pending);
+    let mut missing = members(pending);
+    let Some(first) = missing.next() else {
         return StateClass::Complete;
-    }
-    if let Some((x, x_label)) = relaxed {
-        // Case 3: x is the sole missing prerequisite, it is excited here,
-        // and firing it enters the excitation region of the same output
-        // occurrence.
-        if pending == [x_label] {
-            if let Some(s2) = sg.successor_by(state, x) {
-                if sg.successor_by(s2, t_out).is_some() {
-                    return StateClass::OrCausal;
-                }
+    };
+    // Case 3: the relaxed transition x is the sole missing prerequisite,
+    // it is excited here, and firing it enters the excitation region of
+    // the same output occurrence.
+    if relaxed == Some(first) && missing.next().is_none() {
+        if let Some(s2) = sg.successor_by(state, first) {
+            if sg.successor_by(s2, t_out).is_some() {
+                return StateClass::OrCausal;
             }
         }
     }
@@ -256,7 +293,7 @@ fn classify_state_with(
 pub fn classify_states(
     local: &LocalStg,
     sg: &StateGraph,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
+    epre: &Prerequisites,
     relaxed: Option<usize>,
 ) -> Result<(RelaxationCase, ConformanceReport), CoreError> {
     let report = conformance(local, sg)?;
@@ -266,11 +303,10 @@ pub fn classify_states(
     if report.premature.is_empty() {
         return Ok((RelaxationCase::LaggingOnly, report));
     }
-    let relaxed_pair = relaxed.map(|x| (x, local.mg.label(x)));
-    let mut seen = Vec::new();
+    let (mut seen, mut pending) = (Vec::new(), Vec::new());
     let mut any_or_causal = false;
     for &(s, t_out) in &report.premature {
-        match classify_state_with(sg, s, t_out, epre, relaxed_pair, &mut seen) {
+        match classify_state_with(sg, s, t_out, epre, relaxed, (&mut seen, &mut pending)) {
             StateClass::Hazard => return Ok((RelaxationCase::Case4, report)),
             StateClass::OrCausal => any_or_causal = true,
             StateClass::Complete => {}
@@ -430,9 +466,11 @@ o+ z+
         let report = conformance(&local, &sg).expect("checks");
         let &(s, t_out) = report.premature.first().expect("premature state exists");
         let zm = local.mg.transition_by_label("z-").expect("present");
-        let z_minus = local.mg.label(zm);
-        let pending = pending_of(&sg, s, t_out, &BTreeSet::from([z_minus]), &mut Vec::new());
-        assert_eq!(pending, [z_minus]);
+        let mut e = vec![0u64; zm / 64 + 1];
+        e[zm / 64] |= 1 << (zm % 64);
+        let mut pending = Vec::new();
+        pending_of(&sg, s, t_out, &e, &mut Vec::new(), &mut pending);
+        assert_eq!(members(&pending).collect::<Vec<_>>(), [zm]);
     }
 
     #[test]
@@ -469,10 +507,10 @@ o- x+
     fn prerequisite_sets_follow_arcs() {
         let local = build(FIG_5_17, "o = x*y;", "o");
         let epre = prerequisite_sets(&local);
-        let op = local.mg.transition_by_label("o+").expect("present");
-        let e = &epre[&op];
-        assert_eq!(e.len(), 1); // only y+ is a direct predecessor
-        let om = local.mg.transition_by_label("o-").expect("present");
-        assert_eq!(epre[&om].len(), 1); // only y-
+        let id = |label: &str| local.mg.transition_by_label(label).expect("present");
+        // Only y+ is a direct predecessor of o+, and only x- of o-.
+        assert_eq!(epre.of(id("o+")).collect::<Vec<_>>(), [id("y+")]);
+        assert_eq!(epre.of(id("o-")).collect::<Vec<_>>(), [id("x-")]);
+        assert_eq!(epre.of(id("x+")).count(), 0, "inputs have no set");
     }
 }

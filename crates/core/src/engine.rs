@@ -51,7 +51,7 @@ use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
 use crate::expand::{expand_ctx, ExpandCtx, ExpandOutcome, RelaxationOrder, LOCAL_SG_BUDGET};
 use crate::local::{GateContext, LocalStg};
-use crate::paths::{AdversaryOracle, ArcWeights};
+use crate::paths::AdversaryOracle;
 use crate::pool::{try_par_map, worker_count};
 use crate::report::{ConstraintReport, GateReport};
 use crate::sched::DivergencePolicy;
@@ -573,8 +573,8 @@ impl Engine {
 
     /// One fan-out unit: bind the gate, project its local STGs from every
     /// relevant MG component, record the baseline, pre-check conformance,
-    /// then run the relaxation loop. The unit owns the gate's arc-weight
-    /// memo: a gate runs on one worker, so the memo needs no lock.
+    /// then run the relaxation loop, one arc-weight table per local STG.
+    /// A gate runs on one worker, so the tables need no lock.
     fn run_gate(
         &self,
         stg: &Stg,
@@ -588,9 +588,8 @@ impl Engine {
         let mut locals: Vec<LocalStg> = Vec::new();
         let mut project = StageMetrics::new(Stage::Project);
 
-        let weights = ArcWeights::new(oracle);
         let ectx = ExpandCtx {
-            weights: &weights,
+            oracle,
             order: cfg.order,
             iteration_budget: cfg.expand_budget,
             sg_budget: LOCAL_SG_BUDGET,

@@ -18,10 +18,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use si_stg::{MgStg, StateGraph, TransitionLabel};
+use si_stg::{StateGraph, TransitionLabel};
 
 use crate::cache::Caches;
-use crate::check::{classify_states, conformance, prerequisite_sets, RelaxationCase};
+use crate::check::{
+    classify_states, conformance, prerequisite_sets, Prerequisites, RelaxationCase,
+};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::engine::{Stage, StageMetrics};
 use crate::error::CoreError;
@@ -30,7 +32,7 @@ use crate::orcausality::{
     build_sub_stgs_case2, build_sub_stgs_case3, find_candidate_clauses, find_candidate_transitions,
     initial_restrictions, or_causality_decomposition, Restriction,
 };
-use crate::paths::ArcWeights;
+use crate::paths::{AdversaryOracle, ArcWeights};
 use crate::relax::relax_arc;
 use crate::sched::{CoveringLedger, DivergencePolicy};
 
@@ -41,12 +43,13 @@ pub(crate) const LOCAL_SG_BUDGET: usize = 200_000;
 const MAX_DEPTH: usize = 32;
 
 /// Everything one relaxation run needs besides the local STG itself: the
-/// gate's arc weights, the engine limits and the engine's reuse stack. The
-/// engine builds one per gate and threads it through the whole recursion.
+/// adversary-path oracle, the engine limits and the engine's reuse stack.
+/// The engine builds one per gate and threads it through the whole
+/// recursion.
 #[derive(Clone, Copy)]
 pub(crate) struct ExpandCtx<'a> {
-    /// The gate's adversary-path weights, memoized for its whole run.
-    pub weights: &'a ArcWeights<'a>,
+    /// The adversary paths that order tightest-first relaxation.
+    pub oracle: &'a AdversaryOracle,
     /// Arc-picking policy.
     pub order: RelaxationOrder,
     /// Relaxation-iteration budget for the gate.
@@ -187,7 +190,11 @@ impl Default for ExpandOutcome {
 }
 
 fn atom(local: &LocalStg, label: TransitionLabel) -> ConstraintAtom {
-    ConstraintAtom::from_label(label, &local.mg.signal_names())
+    ConstraintAtom {
+        signal: local.mg.signal_name(label.signal).to_string(),
+        polarity: label.polarity,
+        occurrence: label.occurrence,
+    }
 }
 
 fn gate_name(local: &LocalStg) -> String {
@@ -217,53 +224,42 @@ fn fall_back(local: &mut LocalStg, x: usize, y: usize, out: &mut ExpandOutcome, 
     emit_constraint(local, x, y, out);
 }
 
-/// Each alive transition's place in the text order of the rendered
-/// labels, indexed by transition id. Relaxation never adds or removes a
-/// transition, and labels are unique in a local STG, so one ranking serves
-/// a whole loop.
-fn label_ranks(mg: &MgStg) -> Vec<usize> {
-    let mut order = mg.transitions();
-    order.sort_by_cached_key(|&t| mg.label_string(t));
-    let mut rank = vec![0; order.iter().max().map_or(0, |&t| t + 1)];
-    for (r, &t) in order.iter().enumerate() {
-        rank[t] = r;
-    }
-    rank
-}
-
 /// Picks the next arc to relax under the chosen policy (Sec. 5.5) from
 /// the caller-supplied relaxable set; weight ties break by label text
-/// (`rank`, from [`label_ranks`]) for determinism.
+/// ([`ArcWeights::rank`]) for determinism.
 fn find_next_arc(
     local: &LocalStg,
     arcs: &[(usize, usize)],
-    rank: &[usize],
-    ctx: &ExpandCtx<'_>,
+    weights: &ArcWeights<'_>,
+    order: RelaxationOrder,
 ) -> Option<(usize, usize)> {
     arcs.iter().copied().min_by_key(|&(a, b)| {
-        let weight = match ctx.order {
-            RelaxationOrder::TightestFirst => ctx.weights.get(local.mg.label(a), local.mg.label(b)),
-            RelaxationOrder::Lexicographic => (false, 0),
+        let weight = match order {
+            RelaxationOrder::TightestFirst => weights.weight(&local.mg, a, b),
+            RelaxationOrder::Lexicographic => 0,
         };
-        (weight, rank[a], rank[b])
+        (weight, weights.rank(a), weights.rank(b))
     })
 }
 
 /// Expands one local STG to a fixpoint under `ctx`, accumulating
 /// constraints into `out` (Algorithm 4). Sub-STGs from OR-causality
-/// decompositions are processed recursively. The staged [`crate::Engine`]
-/// runs it once per gate, sharing one cache across all gates.
+/// decompositions are processed recursively, sharing the local STG's arc
+/// weights. The staged [`crate::Engine`] runs it once per local STG of
+/// every gate, sharing one cache across all gates.
 pub(crate) fn expand_ctx(
     mut local: LocalStg,
     ctx: &ExpandCtx<'_>,
     out: &mut ExpandOutcome,
 ) -> Result<(), CoreError> {
-    expand_at(&mut local, ctx, out, 0)
+    let weights = ArcWeights::new(ctx.oracle, &local.mg);
+    expand_at(&mut local, ctx, &weights, out, 0)
 }
 
 fn expand_at(
     local: &mut LocalStg,
     ctx: &ExpandCtx<'_>,
+    weights: &ArcWeights<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
 ) -> Result<(), CoreError> {
@@ -271,7 +267,9 @@ fn expand_at(
     // One ledger per loop instance: every decomposition sub-STG and every
     // fallback resume (each constraint emitted is progress) starts afresh.
     let mut ledger = CoveringLedger::for_policy(ctx.divergence_policy);
-    let rank = label_ranks(&local.mg);
+    // Epre of the current `local`: a case-4 constraint or a fallback
+    // leaves the graph as it is, so only an accepted relaxation clears it.
+    let mut prerequisites: Option<Prerequisites> = None;
     // The arc label is rendered into this buffer, reused across
     // iterations; the trace clones it once, exact-size.
     let mut arc_text = String::new();
@@ -284,7 +282,7 @@ fn expand_at(
             });
         }
         let arcs = local.relaxable_arcs();
-        let Some((x, y)) = find_next_arc(local, &arcs, &rank, ctx) else {
+        let Some((x, y)) = find_next_arc(local, &arcs, weights, ctx.order) else {
             return Ok(());
         };
         arc_text.clear();
@@ -293,11 +291,11 @@ fn expand_at(
         local.mg.write_label(y, &mut arc_text);
 
         // Epre is computed on the STG *before* this relaxation.
-        let epre = prerequisite_sets(local);
+        let epre = &*prerequisites.get_or_insert_with(|| prerequisite_sets(local));
         let mut trial = local.clone();
         relax_arc(&mut trial.mg, x, y)?;
         let sg = ctx.sg(&trial.mg, &mut out.metrics)?;
-        let (case, report) = classify_states(&trial, &sg, &epre, Some(x))?;
+        let (case, report) = classify_states(&trial, &sg, epre, Some(x))?;
         out.trace.push(TraceEvent::Relaxed {
             gate: gate.clone(),
             arc: arc_text.clone(),
@@ -319,7 +317,10 @@ fn expand_at(
         }
 
         match case {
-            RelaxationCase::Case1 => *local = trial,
+            RelaxationCase::Case1 => {
+                *local = trial;
+                prerequisites = None;
+            }
             RelaxationCase::Case4 => {
                 emit_constraint(local, x, y, out);
             }
@@ -331,22 +332,25 @@ fn expand_at(
                     let mut modified = trial.clone();
                     relax_arc(&mut modified.mg, x, t_out)?;
                     let sg2 = ctx.sg(&modified.mg, &mut out.metrics)?;
-                    let (case2, _) = classify_states(&modified, &sg2, &epre, Some(x))?;
+                    let (case2, _) = classify_states(&modified, &sg2, epre, Some(x))?;
                     if case2 == RelaxationCase::Case1 {
                         out.trace.push(TraceEvent::MadeConcurrentWithOutput {
                             gate: gate.clone(),
                             transition: modified.mg.label_string(x),
                         });
                         *local = modified;
+                        prerequisites = None;
                         continue;
                     }
                     // OR-causality in case 2: decompose from the modified
                     // STG, with candidates judged on the SG before the
                     // modification (thesis Sec. 6.1.1).
-                    let subs = decompose(&trial, &sg, &modified, t_out, x, &epre)
+                    let subs = decompose(&trial, &sg, &modified, t_out, x, epre)
                         .map(|(sol, cands)| build_sub_stgs_case2(&modified, t_out, &sol, &cands));
                     match subs {
-                        Some(subs) => return recurse(subs, local, x, y, ctx, out, depth),
+                        Some(subs) => {
+                            return recurse(subs, local, (x, y), ctx, weights, out, depth)
+                        }
                         None => fall_back(local, x, y, out, "case-2 decomposition dead end"),
                     }
                 } else {
@@ -365,11 +369,11 @@ fn expand_at(
                         }
                     },
                 };
-                let subs = decompose(&trial, &sg, &trial, t_out, x, &epre)
+                let subs = decompose(&trial, &sg, &trial, t_out, x, epre)
                     .map(|(sol, cands)| build_sub_stgs_case3(&trial, t_out, &sol, &cands))
                     .transpose()?;
                 match subs {
-                    Some(subs) => return recurse(subs, local, x, y, ctx, out, depth),
+                    Some(subs) => return recurse(subs, local, (x, y), ctx, weights, out, depth),
                     None => fall_back(local, x, y, out, "case-3 decomposition dead end"),
                 }
             }
@@ -383,9 +387,9 @@ fn expand_at(
 fn recurse(
     subs: Vec<LocalStg>,
     local: &mut LocalStg,
-    x: usize,
-    y: usize,
+    (x, y): (usize, usize),
     ctx: &ExpandCtx<'_>,
+    weights: &ArcWeights<'_>,
     out: &mut ExpandOutcome,
     depth: usize,
 ) -> Result<(), CoreError> {
@@ -395,18 +399,18 @@ fn recurse(
     });
     if depth + 1 >= MAX_DEPTH {
         fall_back(local, x, y, out, "decomposition depth limit");
-        return expand_at(local, ctx, out, depth);
+        return expand_at(local, ctx, weights, out, depth);
     }
     // Verify conformance of each sub-STG before committing to them.
     for sub in &subs {
         let sg = ctx.sg(&sub.mg, &mut out.metrics)?;
         if !conformance(sub, &sg)?.is_conformant() {
             fall_back(local, x, y, out, "non-conformant sub-STG");
-            return expand_at(local, ctx, out, depth);
+            return expand_at(local, ctx, weights, out, depth);
         }
     }
     for mut sub in subs {
-        expand_at(&mut sub, ctx, out, depth + 1)?;
+        expand_at(&mut sub, ctx, weights, out, depth + 1)?;
     }
     Ok(())
 }
@@ -440,11 +444,9 @@ fn decompose(
     base: &LocalStg,
     t_out: usize,
     x: usize,
-    epre: &BTreeMap<usize, BTreeSet<TransitionLabel>>,
+    epre: &Prerequisites,
 ) -> Option<(Solution, BTreeMap<usize, BTreeSet<usize>>)> {
-    let empty = BTreeSet::new();
-    let e = epre.get(&t_out).unwrap_or(&empty);
-    let clauses = find_candidate_clauses(before, sg_before, t_out, e);
+    let clauses = find_candidate_clauses(before, sg_before, t_out, epre);
     if clauses.len() < 2 {
         return None;
     }
@@ -464,7 +466,6 @@ fn decompose(
 mod tests {
     use super::*;
     use crate::local::GateContext;
-    use crate::paths::AdversaryOracle;
     use si_boolean::{parse_eqn, GateLibrary};
     use si_stg::{parse_astg, MgStg};
 
@@ -497,12 +498,12 @@ y- x+
     /// The reference path's context: tightest arc first, the engine's
     /// local state budget, no covering ledger.
     fn reference_ctx<'a>(
-        weights: &'a ArcWeights<'a>,
+        oracle: &'a AdversaryOracle,
         iteration_budget: usize,
         caches: Option<&'a Caches>,
     ) -> ExpandCtx<'a> {
         ExpandCtx {
-            weights,
+            oracle,
             order: RelaxationOrder::TightestFirst,
             iteration_budget,
             sg_budget: LOCAL_SG_BUDGET,
@@ -517,9 +518,8 @@ y- x+
         oracle: &AdversaryOracle,
         budget: usize,
     ) -> Result<ExpandOutcome, CoreError> {
-        let weights = ArcWeights::new(oracle);
         let mut out = ExpandOutcome::default();
-        expand_ctx(local, &reference_ctx(&weights, budget, None), &mut out)?;
+        expand_ctx(local, &reference_ctx(oracle, budget, None), &mut out)?;
         Ok(out)
     }
 
@@ -616,8 +616,7 @@ o- x+
         // A cold run and an admitting run through the reuse stack equal
         // the reference path; the cold one explores every trial.
         let caches = Caches::default();
-        let weights = ArcWeights::new(&oracle);
-        let ctx = reference_ctx(&weights, 1000, Some(&caches));
+        let ctx = reference_ctx(&oracle, 1000, Some(&caches));
         for pass in ["cold", "admitting"] {
             let mut run = ExpandOutcome::default();
             expand_ctx(local.clone(), &ctx, &mut run).expect("expands");

@@ -94,7 +94,8 @@ mod sched;
 
 pub use cache::{CacheStats, ProjCache, SgCache};
 pub use check::{
-    classify_states, conformance, prerequisite_sets, ConformanceReport, RelaxationCase, StateClass,
+    classify_states, conformance, prerequisite_sets, ConformanceReport, Prerequisites,
+    RelaxationCase, StateClass,
 };
 pub use constraint::{Constraint, ConstraintAtom};
 pub use engine::{

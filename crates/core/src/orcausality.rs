@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use si_boolean::Cube;
 use si_stg::{Polarity, StateGraph, TransitionLabel};
 
+use crate::check::Prerequisites;
 use crate::error::CoreError;
 use crate::local::LocalStg;
 use crate::relax::relax_arc;
@@ -32,20 +33,23 @@ fn clause_matches(local: &LocalStg, cube: &Cube, l: TransitionLabel) -> bool {
         .is_some_and(|var| cube.literal(var) == Some(l.polarity.target_value()))
 }
 
-/// Whether `cube` contains literals for every prerequisite transition.
-fn clause_contains_epre(local: &LocalStg, cube: &Cube, epre: &BTreeSet<TransitionLabel>) -> bool {
-    epre.iter().all(|&l| clause_matches(local, cube, l))
+/// Whether `cube` contains literals for every prerequisite transition of
+/// `t_out`.
+fn clause_contains_epre(local: &LocalStg, cube: &Cube, t_out: usize, epre: &Prerequisites) -> bool {
+    epre.of(t_out)
+        .all(|t| clause_matches(local, cube, local.mg.label(t)))
 }
 
 /// Candidate clauses for the OR-causality on output transition `t_out`
 /// (thesis Sec. 6.1): clauses that can newly become true inside the
 /// quiescent region preceding `t_out` (criterion 1, judged on `sg`), plus
-/// the clause containing all prerequisite transitions (criterion 2).
+/// the clause containing all of `t_out`'s prerequisite transitions
+/// (criterion 2, read from `epre`).
 pub fn find_candidate_clauses(
     local: &LocalStg,
     sg: &StateGraph,
     t_out: usize,
-    epre: &BTreeSet<TransitionLabel>,
+    epre: &Prerequisites,
 ) -> Vec<usize> {
     let o = local.ctx.output;
     let pol = local.mg.label(t_out).polarity;
@@ -62,7 +66,7 @@ pub fn find_candidate_clauses(
 
     let mut result = Vec::new();
     for (i, cube) in cover.cubes().iter().enumerate() {
-        let mut is_candidate = clause_contains_epre(local, cube, epre);
+        let mut is_candidate = clause_contains_epre(local, cube, t_out, epre);
         if !is_candidate {
             'scan: for s in 0..sg.state_count() {
                 if !in_qr(s) || f(s) {

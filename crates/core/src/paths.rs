@@ -16,10 +16,10 @@
 //! place, [`ConstraintAtom::to_label`](crate::ConstraintAtom::to_label),
 //! behind [`AdversaryOracle::path_of`].
 
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeSet, VecDeque};
 
-use si_stg::{SignalId, Stg, TransitionLabel};
+use si_stg::{MgStg, SignalId, Stg, TransitionLabel};
 
 use crate::constraint::Constraint;
 
@@ -53,8 +53,9 @@ impl AdversaryPath {
 /// Oracle answering adversary-path queries against the implementation STG.
 ///
 /// Plain data, a function of the STG alone: every query is a fresh
-/// breadth-first search, so one oracle serves any number of threads. The
-/// relaxation loop memoizes the searches it repeats, one memo per gate.
+/// breadth-first search over per-thread scratch, so one oracle serves any
+/// number of threads. The relaxation loop keeps the weights it repeats,
+/// one table per local STG (`ArcWeights`).
 #[derive(Debug, Clone)]
 pub struct AdversaryOracle {
     labels: Vec<TransitionLabel>,
@@ -96,26 +97,106 @@ impl AdversaryOracle {
         &self.names[s.0]
     }
 
-    fn find_transitions(&self, label: TransitionLabel) -> Vec<usize> {
-        let exact: Vec<usize> = (0..self.labels.len())
-            .filter(|&i| self.labels[i] == label)
-            .collect();
-        if !exact.is_empty() {
-            return exact;
+    /// The transitions a query for `label` starts or ends at, as a
+    /// predicate over transition ids: those carrying `label`, or, when
+    /// none does, every transition of its signal edge (occurrence indices
+    /// may have diverged through decomposition).
+    fn matcher(&self, label: TransitionLabel) -> impl Fn(usize) -> bool + '_ {
+        let exact = self.labels.contains(&label);
+        move |t| {
+            let l = self.labels[t];
+            if exact {
+                l == label
+            } else {
+                l.signal == label.signal && l.polarity == label.polarity
+            }
         }
-        // Occurrence indices may have diverged through decomposition; fall
-        // back to any transition of the same edge.
-        (0..self.labels.len())
-            .filter(|&i| {
-                self.labels[i].signal == label.signal && self.labels[i].polarity == label.polarity
-            })
-            .collect()
     }
 
     /// The tightest adversary path realizing `x* ⇒ y*`, if any causal path
     /// exists at all.
     pub fn path(&self, x: TransitionLabel, y: TransitionLabel) -> Option<AdversaryPath> {
-        self.search(x, y, false).or_else(|| self.search(x, y, true))
+        SEARCH_SCRATCH.with_borrow_mut(|scratch| {
+            let goal = self.search(x, y, scratch)?;
+            let (through_env, gates) = scratch.reached(goal).key;
+            let mut hops = vec![self.labels[goal]];
+            let mut cur = goal;
+            while let Some(parent) = scratch.reached(cur).parent {
+                hops.push(self.labels[parent]);
+                cur = parent;
+            }
+            hops.reverse();
+            Some(AdversaryPath {
+                gates,
+                through_env,
+                hops,
+            })
+        })
+    }
+
+    /// The tightest-first sort key of `x* ⇒ y*`: the
+    /// [`AdversaryPath::weight_key`] of [`AdversaryOracle::path`]`(x, y)`,
+    /// or `(true, u32::MAX)`, after every path, when there is none. The
+    /// same search as `path`, without building the hop list.
+    pub fn weight_key(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
+        SEARCH_SCRATCH.with_borrow_mut(|scratch| {
+            self.search(x, y, scratch)
+                .map_or((true, u32::MAX), |goal| scratch.reached(goal).key)
+        })
+    }
+
+    /// The goal the tightest path `x* → y*` ends at, its search tree left
+    /// in `scratch`: a gate-only path if one exists, else one that may
+    /// cross the environment.
+    fn search(
+        &self,
+        x: TransitionLabel,
+        y: TransitionLabel,
+        scratch: &mut SearchScratch,
+    ) -> Option<usize> {
+        self.bfs(x, y, false, scratch)
+            .or_else(|| self.bfs(x, y, true, scratch))
+    }
+
+    /// One breadth-first search over transitions from every start to the
+    /// first goal reached; hops after the start must be gate-driven unless
+    /// `allow_env`.
+    fn bfs(
+        &self,
+        x: TransitionLabel,
+        y: TransitionLabel,
+        allow_env: bool,
+        SearchScratch { queue, reached }: &mut SearchScratch,
+    ) -> Option<usize> {
+        let (start, goal) = (self.matcher(x), self.matcher(y));
+        queue.clear();
+        reached.clear();
+        reached.resize(self.labels.len(), None);
+        for s in (0..self.labels.len()).filter(|&t| start(t)) {
+            reached[s] = Some(Reached {
+                parent: None,
+                key: (false, 0),
+            });
+            queue.push_back(s);
+        }
+        while let Some(u) = queue.pop_front() {
+            let (env, gates) = reached[u].expect("queued transitions are reached").key;
+            for &v in &self.succs[u] {
+                let input = self.is_input[v];
+                if reached[v].is_some() || (!allow_env && input) {
+                    continue;
+                }
+                reached[v] = Some(Reached {
+                    parent: Some(u),
+                    key: (env || input, gates + u32::from(!input)),
+                });
+                if goal(v) {
+                    return Some(v);
+                }
+                queue.push_back(v);
+            }
+        }
+        None
     }
 
     /// The tightest adversary path realizing constraint `c`'s ordering
@@ -144,90 +225,97 @@ impl AdversaryOracle {
             })
             .collect()
     }
+}
 
-    fn search(
-        &self,
-        x: TransitionLabel,
-        y: TransitionLabel,
-        allow_env: bool,
-    ) -> Option<AdversaryPath> {
-        let starts = self.find_transitions(x);
-        let goals = self.find_transitions(y);
-        if starts.is_empty() || goals.is_empty() {
-            return None;
-        }
-        // BFS over transitions; hops after the start must be gate-driven
-        // unless `allow_env`. `prev[v]` is `v`'s BFS parent; starts have
-        // none.
-        const NONE: usize = usize::MAX;
-        let mut prev: Vec<usize> = vec![NONE; self.labels.len()];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut visited: Vec<bool> = vec![false; self.labels.len()];
-        for &s in &starts {
-            queue.push_back(s);
-            visited[s] = true;
-        }
-        let mut found: Option<usize> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &v in &self.succs[u] {
-                if visited[v] || (!allow_env && self.is_input[v]) {
-                    continue;
-                }
-                visited[v] = true;
-                prev[v] = u;
-                if goals.contains(&v) {
-                    found = Some(v);
-                    break 'bfs;
-                }
-                queue.push_back(v);
-            }
-        }
-        let mut cur = found?;
-        let mut hops_rev = vec![cur];
-        while prev[cur] != NONE {
-            cur = prev[cur];
-            hops_rev.push(cur);
-        }
-        hops_rev.reverse();
-        let gates = hops_rev
-            .iter()
-            .skip(1)
-            .filter(|&&t| !self.is_input[t])
-            .count() as u32;
-        let through_env = hops_rev.iter().skip(1).any(|&t| self.is_input[t]);
-        Some(AdversaryPath {
-            gates,
-            through_env,
-            hops: hops_rev.iter().map(|&t| self.labels[t]).collect(),
-        })
+/// How a search reached a transition.
+#[derive(Debug, Clone, Copy)]
+struct Reached {
+    /// The transition it was reached from; `None` for a start.
+    parent: Option<usize>,
+    /// The `(through_env, gates)` key of its search-tree path.
+    key: (bool, u32),
+}
+
+/// The scratch of an adversary-path search.
+struct SearchScratch {
+    queue: VecDeque<usize>,
+    /// Per transition, how the last search reached it; `None` if it did
+    /// not.
+    reached: Vec<Option<Reached>>,
+}
+
+impl SearchScratch {
+    fn reached(&self, t: usize) -> Reached {
+        self.reached[t].expect("the search reached the transition")
     }
 }
 
-/// The tightest-first sort keys of one gate's arcs
-/// ([`AdversaryPath::weight_key`]; unknown paths sort last), each pair
-/// searched once. One gate's relaxation runs on one worker, so the memo
-/// takes no lock.
+thread_local! {
+    static SEARCH_SCRATCH: RefCell<SearchScratch> = const {
+        RefCell::new(SearchScratch {
+            queue: VecDeque::new(),
+            reached: Vec::new(),
+        })
+    };
+}
+
+/// A packed [`AdversaryOracle::weight_key`] no search has filled yet.
+const UNWEIGHED: u64 = u64::MAX;
+
+/// The sort keys of one local STG's arcs for the relaxation loop's pick:
+/// the tightest-first weight ([`AdversaryOracle::weight_key`], packed
+/// `through_env << 32 | gates`) and, to break ties, each transition's
+/// place in the text order of the rendered labels.
+///
+/// Relaxation and the OR-causality sub-STG builders never add, remove or
+/// relabel a transition, so one table serves the local STG's whole
+/// recursion: a dense square over its alive transitions, each weight
+/// searched the first time an arc between the pair is weighed, and the
+/// ranks computed once. One local STG's relaxation runs on one worker, so
+/// the table takes no lock.
 pub(crate) struct ArcWeights<'a> {
     oracle: &'a AdversaryOracle,
-    memo: RefCell<HashMap<(TransitionLabel, TransitionLabel), (bool, u32)>>,
+    /// Per transition id, its row and column in `weights` and its rank
+    /// (unused for dead transitions).
+    slot: Vec<(usize, usize)>,
+    alive: usize,
+    weights: Vec<Cell<u64>>,
 }
 
 impl<'a> ArcWeights<'a> {
-    /// An empty memo over `oracle`.
-    pub(crate) fn new(oracle: &'a AdversaryOracle) -> Self {
+    /// An unfilled table over `mg`'s transitions, ranked.
+    pub(crate) fn new(oracle: &'a AdversaryOracle, mg: &MgStg) -> Self {
+        let mut order = mg.transitions();
+        let mut slot = vec![(0, 0); order.last().map_or(0, |&t| t + 1)];
+        for (i, &t) in order.iter().enumerate() {
+            slot[t].0 = i;
+        }
+        order.sort_by_cached_key(|&t| mg.label_string(t));
+        for (rank, &t) in order.iter().enumerate() {
+            slot[t].1 = rank;
+        }
         Self {
             oracle,
-            memo: RefCell::default(),
+            slot,
+            alive: order.len(),
+            weights: vec![Cell::new(UNWEIGHED); order.len() * order.len()],
         }
     }
 
-    /// The sort key of the arc `x* ⇒ y*`.
-    pub(crate) fn get(&self, x: TransitionLabel, y: TransitionLabel) -> (bool, u32) {
-        *self.memo.borrow_mut().entry((x, y)).or_insert_with(|| {
-            self.oracle
-                .path(x, y)
-                .map_or((true, u32::MAX), |p| p.weight_key())
-        })
+    /// The tightest-first weight of `mg`'s arc `a ⇒ b`, packed; `mg` is
+    /// the table's local STG or one relaxed or decomposed from it.
+    pub(crate) fn weight(&self, mg: &MgStg, a: usize, b: usize) -> u64 {
+        let cell = &self.weights[self.slot[a].0 * self.alive + self.slot[b].0];
+        if cell.get() == UNWEIGHED {
+            let (env, gates) = self.oracle.weight_key(mg.label(a), mg.label(b));
+            cell.set(u64::from(env) << 32 | u64::from(gates));
+        }
+        cell.get()
+    }
+
+    /// Transition `t`'s place in the text order of the rendered labels.
+    pub(crate) fn rank(&self, t: usize) -> usize {
+        self.slot[t].1
     }
 }
 
@@ -339,7 +427,7 @@ y- x+
         assert!(path.through_env);
         assert_eq!(path.level(), None);
         // env paths sort after every gate-only weight.
-        assert!(ArcWeights::new(&oracle).get(xp, yp) > (false, u32::MAX - 1));
+        assert!(oracle.weight_key(xp, yp) > (false, u32::MAX - 1));
     }
 
     #[test]
@@ -388,6 +476,6 @@ d- c+
         let ap = label(&stg, "a", Polarity::Plus);
         let dp = label(&stg, "d", Polarity::Plus);
         assert!(oracle.path(ap, dp).is_none());
-        assert_eq!(ArcWeights::new(&oracle).get(ap, dp), (true, u32::MAX));
+        assert_eq!(oracle.weight_key(ap, dp), (true, u32::MAX));
     }
 }

@@ -3,9 +3,11 @@
 //! Relaxing `x* ⇒ y*` makes the two ordered transitions concurrent while
 //! keeping every other ordering: predecessors of `x*` gain arcs to `y*`,
 //! successors of `y*` gain arcs from `x*`, tokens carry over, the original
-//! arc disappears, and redundant implicit places are swept.
+//! arc disappears, and redundant implicit places are swept. The edit is
+//! si-stg's bypass primitive ([`MgStg::bypass`]), which projection's
+//! hiding step shares.
 
-use si_stg::{MgStg, StgError};
+use si_stg::{Bypass, MgStg, StgError};
 
 /// Relaxes the arc `x ⇒ y` in place (Algorithm 2).
 ///
@@ -39,44 +41,9 @@ pub fn relax_arc(g: &mut MgStg, x: usize, y: usize) -> Result<(), StgError> {
         });
     }
 
-    // Lines 1–6: arcs b ⇒ y for every predecessor b of x.
-    for b in g.preds(x) {
-        let tokens = g.arc(b, x).expect("pred arc").tokens + xy.tokens;
-        if b == y {
-            if tokens == 0 {
-                return Err(StgError::MalformedMarkedGraph {
-                    reason: format!(
-                        "relaxing {} ⇒ {} exposes a token-free self-loop",
-                        g.label_string(x),
-                        g.label_string(y)
-                    ),
-                });
-            }
-            continue; // marked loop-only place: redundant
-        }
-        g.insert_arc(b, y, tokens, false);
-    }
-    // Lines 7–12: arcs x ⇒ d for every successor d of y.
-    for d in g.succs(y) {
-        let tokens = g.arc(y, d).expect("succ arc").tokens + xy.tokens;
-        if d == x {
-            if tokens == 0 {
-                return Err(StgError::MalformedMarkedGraph {
-                    reason: format!(
-                        "relaxing {} ⇒ {} exposes a token-free self-loop",
-                        g.label_string(x),
-                        g.label_string(y)
-                    ),
-                });
-            }
-            continue;
-        }
-        g.insert_arc(x, d, tokens, false);
-    }
-    // Line 16: delete the relaxed arc; line 17: sweep redundancy.
-    g.remove_arc(x, y);
-    g.eliminate_redundant_arcs();
-    Ok(())
+    // Lines 1–12: bypass arcs b ⇒ y and x ⇒ d; line 16: delete the
+    // relaxed arc; line 17: sweep redundancy.
+    g.bypass(Bypass::Relax(x, y))
 }
 
 #[cfg(test)]

@@ -11,16 +11,14 @@
 //! The scratch sweep is the pinned reference; a divergence here means the
 //! cache conflates two graphs or the explorer drifted.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use si_core::{
-    classify_states, prerequisite_sets, ConformanceReport, CoreError, LocalStg, RelaxationCase,
-    SgCache,
+    classify_states, prerequisite_sets, ConformanceReport, CoreError, LocalStg, Prerequisites,
+    RelaxationCase, SgCache,
 };
 use si_corpus::strategies::{random_local_case, Edit, RandomLocal};
-use si_stg::{StateGraph, TransitionLabel};
+use si_stg::StateGraph;
 
 /// The shared [`si_corpus::strategies::random_local_case`] drives these
 /// properties: a random C-element local STG, a random single-arc
@@ -29,7 +27,7 @@ fn random_case() -> impl Strategy<Value = (RandomLocal, Edit, usize)> {
     random_local_case()
 }
 
-type Epre = BTreeMap<usize, BTreeSet<TransitionLabel>>;
+type Epre = Prerequisites;
 type Verdict = Result<(RelaxationCase, ConformanceReport), CoreError>;
 
 /// One trial's verdict the way the relaxation loop obtains it: the graph

@@ -42,7 +42,7 @@ mod walk;
 
 pub use events::{parse_events, ParseEvent, ParseNodeKind};
 pub use lexer::{Token, TokenKind};
-pub use mg::{extend_fingerprint, ArcAttr, MgStg, SgKey};
+pub use mg::{extend_fingerprint, ArcAttr, Bypass, MgStg, SgKey};
 pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,
     SpecSpans, IMEC_RAM_READ_SBUF_G,

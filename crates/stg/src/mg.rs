@@ -7,6 +7,7 @@
 //! relaxation engine needs (precedence, concurrency, liveness, safeness and
 //! the Algorithm 3 shortcut-place redundancy check).
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
@@ -104,7 +105,11 @@ pub(crate) fn weakly_connected(
 /// Transition ids are stable across edits (removed transitions are
 /// tombstoned), so the relaxation engine can hold ids across structural
 /// rewrites. All iteration orders are deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the graph, not how it was last swept: the
+/// redundancy-free mark stays out of it, as it stays out of [`SgKey`] and
+/// both fingerprints.
+#[derive(Debug, Clone)]
 pub struct MgStg {
     /// Model name, inherited from the source STG.
     pub name: String,
@@ -115,6 +120,38 @@ pub struct MgStg {
     transitions: Vec<Option<TransitionLabel>>,
     arcs: BTreeMap<(usize, usize), ArcAttr>,
     initial_code: u64,
+    /// Whether no non-restriction arc is redundant: set by a full sweep
+    /// ([`MgStg::eliminate_redundant_arcs`]) and kept by a bypass edit's
+    /// sweep ([`MgStg::bypass`]), cleared by [`MgStg::insert_arc`].
+    /// Removing arcs or transitions keeps it, since that only removes
+    /// paths.
+    redundancy_free: bool,
+}
+
+impl PartialEq for MgStg {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.signals == other.signals
+            && self.transitions == other.transitions
+            && self.arcs == other.arcs
+            && self.initial_code == other.initial_code
+    }
+}
+
+impl Eq for MgStg {}
+
+/// A bypass edit (Algorithms 1 and 2): two-arc paths through a
+/// transition or an arc collapse into bypass arcs, each carrying the
+/// tokens of the path it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bypass {
+    /// Hides transition `t` (Algorithm 1): every predecessor of `t`
+    /// gains an arc to every successor, and `t` goes with its arcs.
+    Hide(usize),
+    /// Relaxes the arc `x ⇒ y` (Algorithm 2): every predecessor of `x`
+    /// gains an arc to `y`, `x` gains an arc to every successor of `y`,
+    /// and the arc goes.
+    Relax(usize, usize),
 }
 
 impl MgStg {
@@ -140,6 +177,7 @@ impl MgStg {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code,
+            redundancy_free: false,
         };
         for t in comp.net.transitions() {
             let orig = comp.transition_map[t.0];
@@ -378,6 +416,7 @@ impl MgStg {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code: 0,
+            redundancy_free: false,
         }
     }
 
@@ -394,7 +433,9 @@ impl MgStg {
     /// Inserts (or merges into) the arc `src ⇒ dst`.
     ///
     /// Parallel insertions merge to the minimum token count (the binding
-    /// constraint); restriction status is sticky.
+    /// constraint); restriction status is sticky. The graph no longer
+    /// counts as redundancy-free, so the next bypass edit sweeps every
+    /// arc.
     ///
     /// # Panics
     ///
@@ -404,6 +445,7 @@ impl MgStg {
             self.is_alive(src) && self.is_alive(dst),
             "arc endpoints must be alive"
         );
+        self.redundancy_free = false;
         self.arcs
             .entry((src, dst))
             .and_modify(|a| {
@@ -454,11 +496,12 @@ impl MgStg {
     /// A yes/no question about the weight is cheaper to ask through
     /// [`MgStg::has_path_within`].
     pub fn min_token_path(&self, a: usize, b: usize, exclude_direct: bool) -> Option<u32> {
-        let mut paths = PathIndex::new(self);
-        if exclude_direct {
-            paths.hide(a, b);
-        }
-        paths.min_tokens(a, b)
+        with_paths(self, |paths| {
+            if exclude_direct {
+                paths.hide(a, b);
+            }
+            paths.min_tokens(a, b)
+        })
     }
 
     /// Whether a non-empty directed path from `a` to `b` carries at most
@@ -472,11 +515,12 @@ impl MgStg {
         max_tokens: u32,
         exclude_direct: bool,
     ) -> bool {
-        let mut paths = PathIndex::new(self);
-        if exclude_direct {
-            paths.hide(a, b);
-        }
-        paths.within(a, b, max_tokens)
+        with_paths(self, |paths| {
+            if exclude_direct {
+                paths.hide(a, b);
+            }
+            paths.within(a, b, max_tokens)
+        })
     }
 
     /// Whether `a` must fire before `b` in the current cycle: a token-free
@@ -490,8 +534,9 @@ impl MgStg {
         if a == b {
             return false;
         }
-        let mut paths = PathIndex::new(self);
-        !paths.within(a, b, 0) && !paths.within(b, a, 0)
+        with_paths(self, |paths| {
+            !paths.within(a, b, 0) && !paths.within(b, a, 0)
+        })
     }
 
     /// Whether the MG is live: strongly connected over alive transitions
@@ -558,13 +603,14 @@ impl MgStg {
     /// token in any reachable marking. For a live MG the bound of place
     /// `(a, b)` is `tokens(a, b) + min-token-path(b → a)`.
     pub fn is_safe(&self) -> bool {
-        let paths = PathIndex::new(self);
-        self.arcs
-            .iter()
-            .all(|(&(a, b), attr)| match paths.min_tokens(b, a) {
-                Some(back) => attr.tokens + back <= 1,
-                None => attr.tokens <= 1, // no cycle: bound is the initial count
-            })
+        with_paths(self, |paths| {
+            self.arcs
+                .iter()
+                .all(|(&(a, b), attr)| match paths.min_tokens(b, a) {
+                    Some(back) => attr.tokens + back <= 1,
+                    None => attr.tokens <= 1, // no cycle: bound is the initial count
+                })
+        })
     }
 
     /// The Algorithm 3 redundancy check for the implicit place on arc
@@ -575,9 +621,7 @@ impl MgStg {
         let Some(attr) = self.arc(src, dst) else {
             return false;
         };
-        let mut paths = PathIndex::new(self);
-        let e = paths.arc_index(src, dst).expect("the arc exists");
-        paths.sweep_arc(e, src, dst, attr.tokens)
+        with_paths(self, |paths| paths.sweep_arc(src, dst, attr.tokens))
     }
 
     /// Removes every redundant non-restriction arc (thesis Sec. 5.3.3);
@@ -596,21 +640,153 @@ impl MgStg {
     /// flat successor list built per sweep, with one scratch buffer shared
     /// by every candidate. A removed arc is hidden from the later searches
     /// by a flag and leaves the arc map at the end of the pass.
+    ///
+    /// The swept graph is marked redundancy-free, so a later bypass edit
+    /// ([`MgStg::bypass`]) sweeps only the arcs it inserted or merged;
+    /// [`MgStg::insert_arc`] clears the mark.
     pub fn eliminate_redundant_arcs(&mut self) -> Vec<(usize, usize)> {
-        let mut paths = PathIndex::new(self);
-        let removed: Vec<(usize, usize)> = self
-            .arcs
-            .iter()
-            .enumerate()
-            .filter(|&(e, (&(a, b), attr))| {
-                !attr.restriction && paths.sweep_arc(e, a, b, attr.tokens)
-            })
-            .map(|(_, (&k, _))| k)
-            .collect();
-        for k in &removed {
+        let removed = with_paths(self, |paths| paths.sweep(self.arcs()));
+        self.drop_swept(&removed);
+        removed
+    }
+
+    /// Removes the arcs a sweep found redundant; the graph is then
+    /// redundancy-free.
+    fn drop_swept(&mut self, removed: &[(usize, usize)]) {
+        for k in removed {
             self.arcs.remove(k);
         }
-        removed
+        self.redundancy_free = true;
+    }
+
+    /// Applies one bypass edit (Algorithm 1's hiding step or Algorithm 2's
+    /// relaxation), then removes the arcs it made redundant (Algorithm 3).
+    ///
+    /// Each bypass arc carries the tokens of the two-arc path it stands
+    /// for and merges into an existing arc as [`MgStg::insert_arc`] does.
+    /// A bypass that would be a marked self-loop is a loop-only place and
+    /// is dropped.
+    ///
+    /// On a graph marked redundancy-free the sweep tests only the arcs the
+    /// edit inserted or merged, in arc-key order, and leaves exactly what
+    /// [`MgStg::eliminate_redundant_arcs`] would: every path the edit
+    /// creates stands for an old path with the same tokens, so a light
+    /// path past a surviving arc would have made it redundant before the
+    /// edit. The one exception is relaxing a token-free `x ⇒ y` while a
+    /// token-free path `y → x` exists: the old path can then run through
+    /// the surviving arc itself, closing a token-free cycle that a live
+    /// graph never has, and that case, like an unmarked graph, gets the
+    /// full sweep. Debug builds check every edit-local sweep against a
+    /// full sweep of a copy.
+    ///
+    /// # Errors
+    ///
+    /// [`StgError::MalformedMarkedGraph`] if a bypass arc is a token-free
+    /// self-loop (the graph was not live); the graph is then left half
+    /// edited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Hide` names an unknown transition or `Relax` a missing
+    /// arc.
+    pub fn bypass(&mut self, edit: Bypass) -> Result<(), StgError> {
+        let swept = self.redundancy_free;
+        // The bypasses as `(src, dst, tokens)`, and the arcs the edit
+        // deletes.
+        let mut bypasses = Vec::new();
+        let mut deleted = Vec::new();
+        let guard = match edit {
+            Bypass::Hide(t) => {
+                let outs: Vec<(usize, u32)> = self.arcs_out_of(t).collect();
+                for (a, into) in self.arcs_into(t) {
+                    bypasses.extend(outs.iter().map(|&(b, out)| (a, b, into + out)));
+                    deleted.push((a, t));
+                }
+                deleted.extend(outs.iter().map(|&(b, _)| (t, b)));
+                None
+            }
+            Bypass::Relax(x, y) => {
+                let tokens = self.arcs[&(x, y)].tokens;
+                let into = self.arcs_into(x).map(|(b, w)| (b, y, w + tokens));
+                bypasses.extend(into.chain(self.arcs_out_of(y).map(|(d, w)| (x, d, tokens + w))));
+                deleted.push((x, y));
+                (tokens == 0).then_some((y, x))
+            }
+        };
+        for &(a, b, tokens) in &bypasses {
+            if a != b {
+                self.insert_arc(a, b, tokens, false);
+            } else if tokens == 0 {
+                let what = match edit {
+                    Bypass::Hide(t) => format!("hiding `{}`", self.label_string(t)),
+                    Bypass::Relax(x, y) => {
+                        format!(
+                            "relaxing {} ⇒ {}",
+                            self.label_string(x),
+                            self.label_string(y)
+                        )
+                    }
+                };
+                return Err(StgError::MalformedMarkedGraph {
+                    reason: format!("{what} exposes a token-free self-loop"),
+                });
+            }
+        }
+        for k in &deleted {
+            self.arcs.remove(k);
+        }
+        if let Bypass::Hide(t) = edit {
+            self.transitions[t] = None;
+        }
+
+        #[cfg(debug_assertions)]
+        let full = swept.then(|| {
+            let mut full = self.clone();
+            full.eliminate_redundant_arcs();
+            full
+        });
+        let removed = with_paths(self, |paths| {
+            if !swept || guard.is_some_and(|(y, x)| paths.within(y, x, 0)) {
+                return paths.sweep(self.arcs());
+            }
+            // The arcs the edit inserted or merged, in arc-key order; a
+            // bypass out of or into the hidden transition, or onto the
+            // relaxed arc, left with the edit.
+            bypasses.sort_unstable();
+            bypasses.dedup_by_key(|&mut (a, b, _)| (a, b));
+            paths.sweep(
+                bypasses
+                    .iter()
+                    .filter_map(|&(a, b, _)| Some(((a, b), self.arc(a, b)?))),
+            )
+        });
+        self.drop_swept(&removed);
+        #[cfg(debug_assertions)]
+        if let Some(full) = full {
+            assert!(
+                self.arcs == full.arcs,
+                "the sweep after {edit:?} left {:?}, a full sweep {:?}",
+                self.arcs,
+                full.arcs
+            );
+        }
+        Ok(())
+    }
+
+    /// The arcs into `t` as `(src, tokens)`, ascending.
+    fn arcs_into(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.arcs
+            .iter()
+            .filter(move |&(&(_, b), _)| b == t)
+            .map(|(&(a, _), attr)| (a, attr.tokens))
+    }
+
+    /// The arcs out of `t` as `(dst, tokens)`, ascending: one range of
+    /// the arc map.
+    fn arcs_out_of(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.arcs
+            .range((t, 0)..=(t, usize::MAX))
+            .map(|(&(_, b), attr)| (b, attr.tokens))
     }
 
     /// The initial marking as a map from arcs to token counts.
@@ -663,6 +839,10 @@ impl MgStg {
 /// because the arc map is keyed `(src, dst)`, entry `e` of `succ` is arc
 /// `e` of [`MgStg::arcs`]. An arc whose `live` flag is clear is invisible
 /// to every search.
+///
+/// Each thread keeps one, rebuilt in place for every graph queried
+/// ([`with_paths`]), so a query allocates only when a graph outgrows the
+/// buffers.
 struct PathIndex {
     start: Vec<usize>,
     succ: Vec<(usize, u32)>,
@@ -675,25 +855,54 @@ struct PathIndex {
     stack: Vec<(usize, u32)>,
 }
 
+thread_local! {
+    static PATHS: RefCell<PathIndex> = const { RefCell::new(PathIndex::new()) };
+}
+
+/// Runs `query` on this thread's [`PathIndex`], rebuilt over `mg`'s arcs
+/// with every arc shown. The index stays borrowed while `query` runs, so
+/// `query` asks no other path question of any graph (a nested call would
+/// panic); every caller is in this module.
+fn with_paths<R>(mg: &MgStg, query: impl FnOnce(&mut PathIndex) -> R) -> R {
+    PATHS.with_borrow_mut(|paths| {
+        paths.index(mg);
+        query(paths)
+    })
+}
+
 impl PathIndex {
-    fn new(mg: &MgStg) -> Self {
-        let n = mg.transitions.len();
-        let mut start = vec![0usize; n + 1];
-        for &(src, _) in mg.arcs.keys() {
-            start[src + 1] += 1;
-        }
-        for t in 0..n {
-            start[t + 1] += start[t];
-        }
-        let succ: Vec<(usize, u32)> = mg.arcs.iter().map(|(&(_, b), a)| (b, a.tokens)).collect();
+    const fn new() -> Self {
         Self {
-            start,
-            live: vec![true; succ.len()],
-            succ,
-            best: vec![u32::MAX; n],
+            start: Vec::new(),
+            succ: Vec::new(),
+            live: Vec::new(),
+            best: Vec::new(),
             touched: Vec::new(),
             stack: Vec::new(),
         }
+    }
+
+    /// Rebuilds the index over `mg`'s arcs in the existing buffers.
+    fn index(&mut self, mg: &MgStg) {
+        let n = mg.transitions.len();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for &(src, _) in mg.arcs.keys() {
+            self.start[src + 1] += 1;
+        }
+        for t in 0..n {
+            self.start[t + 1] += self.start[t];
+        }
+        self.succ.clear();
+        self.succ
+            .extend(mg.arcs.iter().map(|(&(_, b), a)| (b, a.tokens)));
+        self.live.clear();
+        self.live.resize(self.succ.len(), true);
+        // A search that panicked may have left its scratch behind.
+        self.best.clear();
+        self.best.resize(n, u32::MAX);
+        self.touched.clear();
+        self.stack.clear();
     }
 
     /// The index of arc `a ⇒ b`, if present.
@@ -712,10 +921,26 @@ impl PathIndex {
         }
     }
 
-    /// The Algorithm 3 test of arc `e`, which is `a ⇒ b` holding `tokens`:
-    /// a marked self-loop, or another path `a → b` with at most `tokens`
+    /// The redundant arcs among `candidates`, given as keys with their
+    /// attributes in arc-key order: each non-restriction candidate is
+    /// tested ([`PathIndex::sweep_arc`]) against the arcs still shown at
+    /// its turn.
+    fn sweep(
+        &mut self,
+        candidates: impl IntoIterator<Item = ((usize, usize), ArcAttr)>,
+    ) -> Vec<(usize, usize)> {
+        candidates
+            .into_iter()
+            .filter(|&((a, b), attr)| !attr.restriction && self.sweep_arc(a, b, attr.tokens))
+            .map(|(k, _)| k)
+            .collect()
+    }
+
+    /// The Algorithm 3 test of the arc `a ⇒ b`, which holds `tokens`: a
+    /// marked self-loop, or another path `a → b` with at most `tokens`
     /// tokens. Leaves the arc hidden iff it is redundant.
-    fn sweep_arc(&mut self, e: usize, a: usize, b: usize, tokens: u32) -> bool {
+    fn sweep_arc(&mut self, a: usize, b: usize, tokens: u32) -> bool {
+        let e = self.arc_index(a, b).expect("the arc is indexed");
         self.live[e] = false;
         let redundant = if a == b {
             tokens >= 1
@@ -817,6 +1042,7 @@ mod tests {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code: 0,
+            redundancy_free: false,
         };
         let am = mg.add_transition(TransitionLabel::first(a, Polarity::Minus));
         let ap = mg.add_transition(TransitionLabel::first(a, Polarity::Plus));
@@ -953,6 +1179,7 @@ mod tests {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code: 0,
+            redundancy_free: false,
         };
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
         let yp = mg.add_transition(TransitionLabel::first(y, Polarity::Plus));
@@ -985,6 +1212,7 @@ mod tests {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code: 0,
+            redundancy_free: false,
         };
         let bm = mg.add_transition(TransitionLabel::first(b, Polarity::Minus));
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
@@ -1021,6 +1249,7 @@ mod tests {
             transitions: Vec::new(),
             arcs: BTreeMap::new(),
             initial_code: 0,
+            redundancy_free: false,
         };
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
         let xm = mg.add_transition(TransitionLabel::first(x, Polarity::Minus));
@@ -1028,6 +1257,26 @@ mod tests {
         mg.insert_arc(xm, xp, 1, false);
         assert!(mg.is_live());
         assert!(!mg.is_safe());
+    }
+
+    #[test]
+    fn relaxing_into_a_token_free_cycle_sweeps_every_arc() {
+        // b ⇒ x ⇒ y ⇒ z ⇒ x, all token-free, no arc redundant. Relaxing
+        // x ⇒ y adds b ⇒ y, z ⇒ y and x ⇒ z; the path b ⇒ y ⇒ z ⇒ x then
+        // makes the untouched b ⇒ x redundant, which only a full sweep
+        // finds.
+        let mut stg = Stg::new("cycle");
+        let s = stg.add_signal("s", SignalKind::Input);
+        let mut mg = MgStg::empty_like(&stg);
+        let [b, x, y, z] =
+            [1, 2, 3, 4].map(|i| mg.add_transition(TransitionLabel::new(s, Polarity::Plus, i)));
+        for (src, dst) in [(b, x), (x, y), (y, z), (z, x)] {
+            mg.insert_arc(src, dst, 0, false);
+        }
+        assert!(mg.eliminate_redundant_arcs().is_empty());
+        mg.bypass(Bypass::Relax(x, y)).expect("no self-loop");
+        let arcs: Vec<(usize, usize)> = mg.arcs().map(|(k, _)| k).collect();
+        assert_eq!(arcs, [(b, y), (x, z), (y, z), (z, x), (z, y)]);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! Hiding a transition `t` replaces it with arcs from every predecessor to
 //! every successor, summing tokens along the collapsed path; redundant arcs
-//! are eliminated after each hiding step.
+//! are eliminated after each hiding step ([`MgStg::bypass`]).
 
 use std::collections::BTreeSet;
 
-use crate::mg::MgStg;
+use crate::mg::{Bypass, MgStg};
 use crate::signal::SignalId;
 use crate::stg::StgError;
 
@@ -23,35 +23,9 @@ impl MgStg {
     pub fn project(&self, keep: &BTreeSet<SignalId>) -> Result<MgStg, StgError> {
         let mut g = self.clone();
         for t in g.transitions() {
-            if keep.contains(&g.label(t).signal) {
-                continue;
+            if !keep.contains(&g.label(t).signal) {
+                g.bypass(Bypass::Hide(t))?;
             }
-            let preds = g.preds(t);
-            let succs = g.succs(t);
-            for &a in &preds {
-                let in_tokens = g.arc(a, t).expect("pred arc").tokens;
-                for &b in &succs {
-                    let out_tokens = g.arc(t, b).expect("succ arc").tokens;
-                    let tokens = in_tokens + out_tokens;
-                    if a == b {
-                        // The collapsed path closes a cycle a → t → a. In a
-                        // live MG it must carry a token, making the
-                        // self-loop a redundant loop-only place: drop it.
-                        if tokens == 0 {
-                            return Err(StgError::MalformedMarkedGraph {
-                                reason: format!(
-                                    "hiding `{}` exposes a token-free self-loop",
-                                    self.label_string(t)
-                                ),
-                            });
-                        }
-                        continue;
-                    }
-                    g.insert_arc(a, b, tokens, false);
-                }
-            }
-            g.remove_transition(t);
-            g.eliminate_redundant_arcs();
         }
         Ok(g)
     }

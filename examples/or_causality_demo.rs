@@ -48,8 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("relaxing x+ => y+ gives relaxation case 3 (OR-causality)");
 
     let (_, t_out) = report.premature[0];
-    let e = epre.get(&t_out).cloned().unwrap_or_default();
-    let clauses = find_candidate_clauses(&local, &sg, t_out, &e);
+    let clauses = find_candidate_clauses(&local, &sg, t_out, &epre);
     println!("candidate clauses of f_up = x + y: {} of 2", clauses.len());
 
     let mut cands = std::collections::BTreeMap::new();

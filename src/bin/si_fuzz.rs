@@ -37,8 +37,13 @@
 //! covering ledger's token-pump sign is a heuristic, so a bailed seed that
 //! converges there is a fault, minimized and reported like the others.
 //!
-//! Minimization and replay judge one seed at a time with
-//! [`run_corpus_entry`] on fresh engines, immune to shared-cache state.
+//! A row that panics on any side is a fault too, even when both sides
+//! panic alike: debug builds assert internal checks (every edit-local
+//! redundancy sweep against a full one), and the reference engine runs
+//! the same checks.
+//!
+//! Minimization and replay judge one seed at a time with a one-row
+//! [`run_corpus`] on fresh engines, immune to shared-cache state.
 //!
 //! Exit codes: `0` no fault, `1` fault found (reproducer on stdout and in
 //! the artifact file), `3` usage error.
@@ -53,7 +58,7 @@ use si_corpus::{
 use si_redress::core::{
     ConstraintReport, CoreError, DivergencePolicy, Engine, EngineConfig, LintPolicy,
 };
-use si_redress::suite::{run_corpus, run_corpus_entry, CorpusEntry, CorpusError, CorpusOutcome};
+use si_redress::suite::{run_corpus, CorpusEntry, CorpusError, CorpusOutcome};
 
 /// The help text.
 fn usage() -> String {
@@ -196,14 +201,26 @@ fn bailed(outcome: &CorpusOutcome) -> bool {
 }
 
 /// Describes the first fault one seed's outcomes show: a broken validity
-/// guarantee (a lint error, an STG that is not well formed), a
-/// full-featured outcome that differs from the reference, or an audited
-/// bail that converges.
+/// guarantee (a lint error, an STG that is not well formed), a panic on
+/// any side (the same panic on both sides too: it is a failed check, such
+/// as a debug build's sweep assertion, not an outcome), a full-featured
+/// outcome that differs from the reference, or an audited bail that
+/// converges.
 fn fault(
     full: &CorpusOutcome,
     reference: &CorpusOutcome,
     audit: Option<&CorpusOutcome>,
 ) -> Option<String> {
+    let sides = [
+        ("full-featured", Some(full)),
+        ("reference", Some(reference)),
+        ("exhaust", audit),
+    ];
+    for (side, outcome) in sides {
+        if let Some(Err(panic @ CorpusError::Panicked { .. })) = outcome {
+            return Some(format!("the {side} engine panicked: {panic}"));
+        }
+    }
     let invalid = match full {
         Err(CorpusError::Lint { errors, .. }) => Some(format!("{errors} lint error(s)")),
         Err(CorpusError::Derive {
@@ -233,10 +250,12 @@ fn fault(
 /// Checks one `(spec, seed)` case with **fresh, cold** engines — the
 /// verification and minimization oracle, immune to shared-cache state.
 fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<String> {
-    let entry = entry(spec, seed);
-    let full = run_corpus_entry(&Engine::new(full_config()), &entry);
-    let reference = run_corpus_entry(&Engine::new(reference_config()), &entry);
-    let audit = bailed(&full).then(|| run_corpus_entry(&Engine::new(audit_config()), &entry));
+    let entry = [entry(spec, seed)];
+    // A one-row `run_corpus` catches a panic as the scan does.
+    let run = |config| run_corpus(&Engine::new(config), &entry, 1).remove(0);
+    let full = run(full_config());
+    let reference = run(reference_config());
+    let audit = bailed(&full).then(|| run(audit_config()));
     fault(&full, &reference, audit.as_ref())
 }
 
@@ -421,5 +440,36 @@ fn main() -> ExitCode {
             println!("no divergence");
             ExitCode::SUCCESS
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn panicked(detail: &str) -> CorpusOutcome {
+        Err(CorpusError::Panicked {
+            name: "corpus-0001".into(),
+            detail: detail.into(),
+        })
+    }
+
+    fn rejected() -> CorpusOutcome {
+        Err(CorpusError::Load {
+            name: "corpus-0001".into(),
+            detail: "synthesis rejected the STG".into(),
+        })
+    }
+
+    #[test]
+    fn a_panic_on_any_side_is_a_fault() {
+        // Equal outcomes are no fault, unless they are the same panic.
+        assert_eq!(fault(&rejected(), &rejected(), None), None);
+        let same = fault(&panicked("sweep"), &panicked("sweep"), None);
+        assert!(same.is_some_and(|f| f.contains("full-featured engine panicked")));
+        let reference = fault(&rejected(), &panicked("sweep"), None);
+        assert!(reference.is_some_and(|f| f.contains("reference engine panicked")));
+        let audit = fault(&rejected(), &rejected(), Some(&panicked("sweep")));
+        assert!(audit.is_some_and(|f| f.contains("exhaust engine panicked")));
     }
 }

@@ -51,6 +51,53 @@ fn every_derived_constraint_has_a_realizable_adversary_path() {
 }
 
 #[test]
+fn weight_only_search_matches_the_path_search() {
+    // The arc pick's weight builds no hop list; on every ordered pair of
+    // transitions of the bundled circuits and the pinned corpus fixtures
+    // it must give the key read off the hops of the path `path` finds.
+    let mut stgs: Vec<(String, Stg)> = si_redress::suite::benchmarks()
+        .into_iter()
+        .map(|bench| (bench.name.to_string(), bench.circuit().expect("loads").0))
+        .collect();
+    for (name, spec, seed) in si_redress::corpus::PINNED_FIXTURES {
+        let stg = si_redress::corpus::generate_named(&spec, seed, name).stg;
+        stgs.push((name.to_string(), stg));
+    }
+    // Pairs by kind: gate-only path, environment-crossing path, none.
+    let mut kinds = [0usize; 3];
+    for (name, stg) in &stgs {
+        let oracle = AdversaryOracle::new(stg);
+        let labels: Vec<_> = stg.net().transitions().map(|t| stg.label(t)).collect();
+        for &x in &labels {
+            for &y in &labels {
+                let pair = format!("{name}: {} => {}", stg.label_string(x), stg.label_string(y));
+                let expected = oracle.path(x, y).map_or((true, u32::MAX), |p| {
+                    // The hops after `x*`: does one cross the environment,
+                    // and how many are gate-driven?
+                    let driven: Vec<bool> = p.hops[1..]
+                        .iter()
+                        .map(|h| stg.signal_kind(h.signal).is_gate_driven())
+                        .collect();
+                    let key = (
+                        driven.contains(&false),
+                        driven.iter().filter(|&&d| d).count() as u32,
+                    );
+                    assert_eq!(p.weight_key(), key, "{pair}");
+                    key
+                });
+                assert_eq!(oracle.weight_key(x, y), expected, "{pair}");
+                kinds[match expected {
+                    (false, _) => 0,
+                    (true, u32::MAX) => 2,
+                    (true, _) => 1,
+                }] += 1;
+            }
+        }
+    }
+    assert!(kinds.iter().all(|&n| n > 0), "pairs by kind: {kinds:?}");
+}
+
+#[test]
 fn synthesized_netlists_also_roundtrip_through_eqn() {
     // Write every synthesized netlist to the restricted EQN format, parse
     // it back, and confirm the same constraint sets fall out.

@@ -13,7 +13,7 @@
 //!
 //! `--json [PATH]` additionally writes the whole run — rows with their
 //! stage and gate metrics (the front end's lint, parse and validate
-//! stages first), totals, cache-tier traffic — as one JSON object
+//! stages first), totals, state-graph cache traffic — as one JSON object
 //! (default `BENCH_table72.json`).
 
 use si_bench::table_row;
@@ -108,35 +108,29 @@ fn main() {
     println!("Thesis totals for reference: 63.9% (all), 60.0% (<=5), 57.5% (<=3)");
 
     let cache = engine.cache_stats();
-    let projections = engine.projection_stats();
     println!();
     let jobs = match engine.config().jobs {
         0 => format!("auto ({})", worker_count(0, usize::MAX)),
         n => n.to_string(),
     };
     println!(
-        "Engine: {jobs} jobs, SG cache {} hits / {} misses ({:.0}% hit rate, {} entries), \
-         projection memo {} hits / {} misses ({} entries); a cache stores a value on its \
-         second request",
+        "Engine: {jobs} jobs, SG cache {} hits / {} misses ({:.0}% hit rate, {} entries); \
+         the cache stores a graph on its second request",
         cache.hits,
         cache.misses,
         100.0 * cache.hit_ratio(),
         cache.entries,
-        projections.hits,
-        projections.misses,
-        projections.entries,
     );
 
     if let Some(path) = json_path {
         let json = format!(
-            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{},\"projections\":{}}}",
+            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{}}}",
             engine.config().jobs,
             row_objects.join(","),
             pct(ta, tb),
             pct(t5a, t5b),
             pct(t3a, t3b),
             cache.json(),
-            projections.json(),
         );
         if let Err(e) = std::fs::write(&path, json + "\n") {
             eprintln!("table_7_2: cannot write `{path}`: {e}");

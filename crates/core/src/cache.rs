@@ -1,5 +1,5 @@
-//! Fingerprint-keyed memoization of state-graph generation and local-STG
-//! projection — the engine's reuse stack.
+//! Fingerprint-keyed memoization of state-graph generation — the engine's
+//! one cache.
 //!
 //! The relaxation loop rebuilds local state graphs after every arc edit,
 //! and the same `MgStg` structure can recur across the conformance
@@ -9,10 +9,10 @@
 //! canonical [`SgKey`] of the input, so structurally identical MGs
 //! (regardless of signal names or restriction flags) share one stored
 //! graph. Every miss is one σ-space exploration
-//! ([`StateGraph::of_mg_sigma`]). [`ProjCache`] plays the same role for
-//! [`MgStg::project_on_gate`]: warm runs of a circuit re-project identical
-//! components onto identical gates, and the memo turns those projections
-//! into lookups.
+//! ([`StateGraph::of_mg_sigma`]). Projection is not memoized: with
+//! edit-local sweeps, [`MgStg::project_on_gate`] is cheap enough that a
+//! memo of it cost cold passes more than it saved warm ones
+//! (`docs/perf.md`, "The projection memo, deleted").
 //!
 //! **Admission on the second request.** Most graphs are asked for exactly
 //! once: a cold pass over the benchmark corpus requests 16 344 of its
@@ -34,18 +34,17 @@
 //! One counting rule: a hit is a stored value served, a miss is a value
 //! computed, and entries are values stored — so `misses − entries` counts
 //! first requests that were not kept. Errors are never stored, never
-//! marked and never counted. The graph cache is budget-exact: a hit whose
+//! marked and never counted. The cache is budget-exact: a hit whose
 //! stored graph exceeds the caller's state budget reports the same
 //! budget-exhaustion error an uncached generation would, so cached and
-//! uncached runs are behaviourally indistinguishable. Both caches are
+//! uncached runs are behaviourally indistinguishable. The cache is
 //! `Sync` — one instance is shared across the parallel per-gate fan-out
-//! and across corpus shards. No caller code runs while a cache's lock is
-//! held, and a lock poisoned by a panic elsewhere is taken over as is, so
-//! one panicking corpus row cannot disable the cache for the others.
+//! and across corpus shards. No caller code runs while its lock is held,
+//! and a lock poisoned by a panic elsewhere is taken over as is, so one
+//! panicking corpus row cannot disable the cache for the others.
 //!
-//! The engine holds the two caches as one `Caches` bundle when
-//! [`crate::EngineConfig::cache`] is on, and no bundle at all when it is
-//! off.
+//! The engine holds one [`SgCache`] when [`crate::EngineConfig::cache`]
+//! is on, and none when it is off.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -53,10 +52,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use si_stg::{extend_fingerprint, MgStg, SgKey, SignalId, SignalKind, StateGraph, StgError};
+use si_stg::{MgStg, SgKey, StateGraph, StgError};
 
-/// Counters of a [`SgCache`] or [`ProjCache`], readable at any point of an
-/// engine run.
+/// Counters of an [`SgCache`], readable at any point of an engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -130,7 +128,7 @@ type Slot<K, V> = Vec<(K, Arc<V>)>;
 /// The slots of a [`Memo`], keyed by fingerprint.
 type Slots<K, V> = HashMap<u64, Slot<K, V>, BuildHasherDefault<PassThrough>>;
 
-/// The memo behind both caches: a mutex map of fingerprint slots plus hit
+/// The memo behind [`SgCache`]: a mutex map of fingerprint slots plus hit
 /// and miss counters, admitting a value on its fingerprint's second
 /// request.
 #[derive(Debug)]
@@ -271,134 +269,6 @@ impl SgCache {
     pub fn stats(&self) -> CacheStats {
         self.0.stats()
     }
-}
-
-/// Canonical key of one local-STG projection: the full structural identity
-/// of the component (its [`SgKey`] plus everything the key deliberately
-/// leaves out — model name, signal table, restriction arcs) together with
-/// the gate's output and fan-in. Projection is a pure function of exactly
-/// these inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ProjKey {
-    component: SgKey,
-    name: String,
-    signals: Vec<(String, SignalKind)>,
-    restrictions: Vec<(usize, usize)>,
-    output: usize,
-    fanin: Vec<usize>,
-}
-
-/// One projection request: a component and the gate it is projected on.
-struct ProjRequest<'a> {
-    component: &'a MgStg,
-    output: SignalId,
-    fanin: &'a [SignalId],
-}
-
-impl ProjRequest<'_> {
-    /// The component's restriction arcs, as [`ProjKey`] lists them.
-    fn restrictions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.component
-            .arcs()
-            .filter(|&(_, attr)| attr.restriction)
-            .map(|(k, _)| k)
-    }
-}
-
-impl Request<ProjKey> for ProjRequest<'_> {
-    /// The component's [`MgStg::sg_fingerprint`] extended with its model
-    /// name and the gate; the signal table and the restriction arcs are
-    /// left to the key.
-    fn fingerprint(&self) -> u64 {
-        let name = self.component.name.bytes().map(u64::from);
-        let gate = std::iter::once(self.output.0)
-            .chain(self.fanin.iter().map(|s| s.0))
-            .map(|s| s as u64);
-        extend_fingerprint(self.component.sg_fingerprint(), name.chain(gate))
-    }
-
-    fn matches(&self, key: &ProjKey) -> bool {
-        let c = self.component;
-        key.output == self.output.0
-            && key.fanin.iter().copied().eq(self.fanin.iter().map(|s| s.0))
-            && key.name == c.name
-            && key.component.matches(c)
-            && key.signals.len() == c.signal_count()
-            && key.signals.iter().enumerate().all(|(i, (name, kind))| {
-                c.signal_name(SignalId(i)) == name && c.signal_kind(SignalId(i)) == *kind
-            })
-            && key.restrictions.iter().copied().eq(self.restrictions())
-    }
-
-    fn key(&self) -> ProjKey {
-        let c = self.component;
-        ProjKey {
-            component: c.sg_key(),
-            name: c.name.clone(),
-            signals: (0..c.signal_count())
-                .map(|i| {
-                    let s = SignalId(i);
-                    (c.signal_name(s).to_string(), c.signal_kind(s))
-                })
-                .collect(),
-            restrictions: self.restrictions().collect(),
-            output: self.output.0,
-            fanin: self.fanin.iter().map(|s| s.0).collect(),
-        }
-    }
-}
-
-/// A thread-safe memoization cache for [`MgStg::project_on_gate`] — the
-/// engine-level projection memo that makes warm runs of a circuit skip
-/// the per-gate hiding/redundancy sweeps entirely.
-#[derive(Debug, Default)]
-pub struct ProjCache(Memo<ProjKey, MgStg>);
-
-impl ProjCache {
-    /// The projection of `component` onto `output` + `fanin`, memoized
-    /// from its second request on. The boolean is `true` on a cache hit.
-    /// The returned graph is owned — the relaxation loop mutates it
-    /// freely.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`MgStg::project_on_gate`]. Errors are never
-    /// cached.
-    pub fn project_on_gate(
-        &self,
-        component: &MgStg,
-        output: SignalId,
-        fanin: &[SignalId],
-    ) -> Result<(MgStg, bool), StgError> {
-        let request = ProjRequest {
-            component,
-            output,
-            fanin,
-        };
-        let (mg, hit) = self.0.get_or_compute(
-            &request,
-            |_| Ok(()),
-            || component.project_on_gate(output, fanin),
-        )?;
-        // A projection that was not stored is moved out, not cloned.
-        Ok((Arc::try_unwrap(mg).unwrap_or_else(|mg| (*mg).clone()), hit))
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        self.0.stats()
-    }
-}
-
-/// The engine's whole reuse stack, held iff
-/// [`crate::EngineConfig::cache`] is on: the two caches, shared across
-/// gates, runs and circuits.
-#[derive(Debug, Default)]
-pub(crate) struct Caches {
-    /// Local state graphs.
-    pub sg: SgCache,
-    /// Per-gate local-STG projections.
-    pub projections: ProjCache,
 }
 
 #[cfg(test)]
@@ -617,29 +487,5 @@ ack- req+
             .is_err());
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
-    }
-
-    #[test]
-    fn projection_cache_round_trips_and_hits() {
-        let mg = handshake_mg();
-        let req = mg.signal_by_name("req").expect("declared");
-        let ack = mg.signal_by_name("ack").expect("declared");
-        let cache = ProjCache::default();
-        let direct = mg.project_on_gate(ack, &[req]).expect("projects");
-        let (first, hit1) = cache.project_on_gate(&mg, ack, &[req]).expect("projects");
-        let (second, hit2) = cache.project_on_gate(&mg, ack, &[req]).expect("projects");
-        let (third, hit3) = cache.project_on_gate(&mg, ack, &[req]).expect("projects");
-        assert!(!hit1 && !hit2 && hit3);
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
-        assert_eq!(third, direct);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 2);
-        // A different fan-in is a different entry.
-        for _ in 0..2 {
-            let (_, hit) = cache.project_on_gate(&mg, ack, &[]).expect("projects");
-            assert!(!hit);
-        }
-        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -20,13 +20,13 @@
 //!    tunes — the local state budget, the MG-decomposition allocation cap
 //!    and the OR-causality recursion depth — are constants.
 //! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
-//!    σ-space exploration on every state-graph miss and the state-graph
-//!    and projection caches ([`crate::SgCache`], [`crate::ProjCache`],
-//!    which store a value on its second request), shared across the
-//!    relaxation loop, the OR-causality sub-STG checks, the conformance
-//!    pre-checks — and across circuits when one engine serves a whole
-//!    batch. Off, the engine runs the reference path with nothing
-//!    memoized.
+//!    σ-space exploration on every state-graph miss and one state-graph
+//!    cache ([`crate::SgCache`], which stores a graph on its second
+//!    request), shared across the relaxation loop, the OR-causality
+//!    sub-STG checks, the conformance pre-checks — and across circuits
+//!    when one engine serves a whole batch. Off, the engine runs the
+//!    reference path with nothing memoized. Either way every run projects
+//!    each component afresh ([`MgStg::project_on_gate`]).
 //! 3. **Parallel per-gate fan-out**: gates are independent (the same
 //!    independence that per-block timing extraction under process
 //!    variations exploits), so the projection + relaxation of each gate
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use si_boolean::GateLibrary;
 use si_stg::{MgStg, SignalId, Stg, StgAnalysis, ALLOCATION_CAP, DEFAULT_GLOBAL_SG_BUDGET};
 
-use crate::cache::{CacheStats, Caches};
+use crate::cache::{CacheStats, SgCache};
 use crate::check::{classify_states, prerequisite_sets, RelaxationCase};
 use crate::constraint::{Constraint, ConstraintAtom};
 use crate::error::CoreError;
@@ -92,13 +92,12 @@ pub struct EngineConfig {
     pub jobs: usize,
     /// The one reuse switch. On, the engine runs its whole reuse stack:
     /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
-    /// state-graph miss, the state-graph and projection caches
-    /// ([`crate::SgCache`], [`crate::ProjCache`]; each stores a value on
-    /// its second request), both shared across gates and runs. Off, it
-    /// runs the reference path:
-    /// [`si_stg::StateGraph::of_mg`] and
-    /// [`si_stg::MgStg::project_on_gate`] on every call, nothing memoized.
-    /// Output is bit-identical either way.
+    /// state-graph miss and the state-graph cache ([`crate::SgCache`],
+    /// which stores a graph on its second request), shared across gates
+    /// and runs. Off, it runs the reference path:
+    /// [`si_stg::StateGraph::of_mg`] on every call, nothing memoized.
+    /// Projection ([`si_stg::MgStg::project_on_gate`]) runs on every call
+    /// either way. Output is bit-identical either way.
     pub cache: bool,
     /// What to do with static-lint findings on source text (the text
     /// front end, `si_suite::run_corpus_entry`, only — [`Engine::run`]
@@ -217,10 +216,6 @@ pub struct StageMetrics {
     pub sg_cache_hits: usize,
     /// Local state graphs generated by a cold exploration.
     pub sg_cache_misses: usize,
-    /// Local-STG projections answered from the projection memo.
-    pub proj_memo_hits: usize,
-    /// Local-STG projections computed by the stage.
-    pub proj_memo_misses: usize,
     /// Distinct keys (local-STG skeleton plus guaranteed-set size)
     /// recorded by the relaxation loop's covering ledger.
     pub sched_fingerprints: usize,
@@ -240,8 +235,6 @@ impl StageMetrics {
             states_explored: 0,
             sg_cache_hits: 0,
             sg_cache_misses: 0,
-            proj_memo_hits: 0,
-            proj_memo_misses: 0,
             sched_fingerprints: 0,
         }
     }
@@ -253,20 +246,16 @@ impl StageMetrics {
         self.states_explored += other.states_explored;
         self.sg_cache_hits += other.sg_cache_hits;
         self.sg_cache_misses += other.sg_cache_misses;
-        self.proj_memo_hits += other.proj_memo_hits;
-        self.proj_memo_misses += other.proj_memo_misses;
         self.sched_fingerprints += other.sched_fingerprints;
     }
 
     /// The counters as `(name, value)` pairs in schema order — the one
     /// list of counter names every JSON emitter and doc table follows.
-    pub fn counters(&self) -> [(&'static str, usize); 6] {
+    pub fn counters(&self) -> [(&'static str, usize); 4] {
         [
             ("states_explored", self.states_explored),
             ("sg_cache_hits", self.sg_cache_hits),
             ("sg_cache_misses", self.sg_cache_misses),
-            ("proj_memo_hits", self.proj_memo_hits),
-            ("proj_memo_misses", self.proj_memo_misses),
             ("sched_fingerprints", self.sched_fingerprints),
         ]
     }
@@ -304,7 +293,7 @@ pub struct GateMetrics {
 
 /// The extended result of an engine run: the classic [`ConstraintReport`]
 /// plus stage and gate metrics. Engine-lifetime cache totals come from
-/// [`Engine::cache_stats`] and [`Engine::projection_stats`].
+/// [`Engine::cache_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineReport {
     /// The derivation result — bit-identical to the sequential monolithic
@@ -404,8 +393,8 @@ struct GateRun {
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    /// The reuse stack; `None` runs the reference path.
-    caches: Option<Caches>,
+    /// The state-graph cache; `None` runs the reference path.
+    cache: Option<SgCache>,
 }
 
 impl Default for Engine {
@@ -421,7 +410,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Self {
             config,
-            caches: config.cache.then(Caches::default),
+            cache: config.cache.then(SgCache::default),
         }
     }
 
@@ -432,22 +421,23 @@ impl Engine {
 
     /// Current state-graph cache counters (zero on the reference path).
     pub fn cache_stats(&self) -> CacheStats {
-        self.caches
+        self.cache
             .as_ref()
-            .map_or_else(CacheStats::default, |c| c.sg.stats())
+            .map_or_else(CacheStats::default, SgCache::stats)
     }
 
-    /// Current projection-memo counters (zero on the reference path).
+    /// Always zero. The engine no longer memoizes projections: with
+    /// edit-local sweeps the memo cost cold passes more than it saved warm
+    /// ones, so it was deleted (see `docs/perf.md`, "The projection memo,
+    /// deleted"). Kept only because `perfbench` still calls it.
     pub fn projection_stats(&self) -> CacheStats {
-        self.caches
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.projections.stats())
+        CacheStats::default()
     }
 
     /// Always zero. The engine no longer memoizes classification verdicts:
     /// a conformance sweep costs less than building and hashing its key,
-    /// so the cache was deleted (see `docs/perf.md`, "Admission"). Kept so
-    /// that callers written against it still build.
+    /// so the cache was deleted (see `docs/perf.md`, "Admission"). Kept
+    /// only because `perfbench` still calls it.
     pub fn conformance_stats(&self) -> CacheStats {
         CacheStats::default()
     }
@@ -593,7 +583,7 @@ impl Engine {
             order: cfg.order,
             iteration_budget: cfg.expand_budget,
             sg_budget: LOCAL_SG_BUDGET,
-            caches: self.caches.as_ref(),
+            cache: self.cache.as_ref(),
             divergence_policy: cfg.divergence_policy,
         };
         let precheck = ExpandCtx {
@@ -617,19 +607,8 @@ impl Engine {
             {
                 continue;
             }
-            let (mg, proj_hit) = match &self.caches {
-                Some(caches) => caches
-                    .projections
-                    .project_on_gate(component, ctx.output, &ctx.fanin)?,
-                None => (component.project_on_gate(ctx.output, &ctx.fanin)?, false),
-            };
-            if proj_hit {
-                project.proj_memo_hits += 1;
-            } else {
-                project.proj_memo_misses += 1;
-            }
             let local = LocalStg {
-                mg,
+                mg: component.project_on_gate(ctx.output, &ctx.fanin)?,
                 ctx: ctx.clone(),
                 guaranteed: BTreeSet::new(),
             };
@@ -645,7 +624,7 @@ impl Engine {
             }
 
             // Precondition: the initial local STG must be conformant. The
-            // pre-check shares the engine caches (and the global budget, as
+            // pre-check shares the engine's cache (and the global budget, as
             // the monolithic driver did).
             let sg = precheck.sg(&local.mg, &mut project)?;
             let (case, _) = classify_states(&local, &sg, &prerequisite_sets(&local), None)?;
@@ -752,9 +731,7 @@ c- a+ b+
         let first = engine.run(&stg, &lib).expect("derives");
         let second = engine.run(&stg, &lib).expect("derives");
         assert_eq!(first.report, second.report);
-        for stats in [engine.cache_stats(), engine.projection_stats()] {
-            assert_eq!(stats, CacheStats::default());
-        }
+        assert_eq!(engine.cache_stats(), CacheStats::default());
         let explored = |out: &EngineReport| -> usize {
             [Stage::Project, Stage::Relax]
                 .iter()

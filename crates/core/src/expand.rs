@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use si_stg::{StateGraph, TransitionLabel};
 
-use crate::cache::Caches;
+use crate::cache::SgCache;
 use crate::check::{
     classify_states, conformance, prerequisite_sets, Prerequisites, RelaxationCase,
 };
@@ -56,8 +56,8 @@ pub(crate) struct ExpandCtx<'a> {
     pub iteration_budget: usize,
     /// State budget per local state graph.
     pub sg_budget: usize,
-    /// The engine's reuse stack; `None` runs the reference path.
-    pub caches: Option<&'a Caches>,
+    /// The engine's state-graph cache; `None` runs the reference path.
+    pub cache: Option<&'a SgCache>,
     /// Whether the loop keeps a covering ledger and bails on detected
     /// divergence, or lets the loop exhaust its iteration budget.
     pub divergence_policy: DivergencePolicy,
@@ -72,8 +72,8 @@ impl ExpandCtx<'_> {
         mg: &si_stg::MgStg,
         metrics: &mut StageMetrics,
     ) -> Result<Arc<StateGraph>, CoreError> {
-        let (sg, hit) = match self.caches {
-            Some(caches) => caches.sg.of_mg(mg, self.sg_budget)?,
+        let (sg, hit) = match self.cache {
+            Some(cache) => cache.of_mg(mg, self.sg_budget)?,
             None => (Arc::new(StateGraph::of_mg(mg, self.sg_budget)?), false),
         };
         if hit {
@@ -500,14 +500,14 @@ y- x+
     fn reference_ctx<'a>(
         oracle: &'a AdversaryOracle,
         iteration_budget: usize,
-        caches: Option<&'a Caches>,
+        cache: Option<&'a SgCache>,
     ) -> ExpandCtx<'a> {
         ExpandCtx {
             oracle,
             order: RelaxationOrder::TightestFirst,
             iteration_budget,
             sg_budget: LOCAL_SG_BUDGET,
-            caches,
+            cache,
             divergence_policy: DivergencePolicy::Exhaust,
         }
     }
@@ -615,8 +615,8 @@ o- x+
 
         // A cold run and an admitting run through the reuse stack equal
         // the reference path; the cold one explores every trial.
-        let caches = Caches::default();
-        let ctx = reference_ctx(&oracle, 1000, Some(&caches));
+        let cache = SgCache::default();
+        let ctx = reference_ctx(&oracle, 1000, Some(&cache));
         for pass in ["cold", "admitting"] {
             let mut run = ExpandOutcome::default();
             expand_ctx(local.clone(), &ctx, &mut run).expect("expands");

@@ -31,10 +31,10 @@
 //!   parallel per-gate fan-out, per-stage/per-gate metrics in the
 //!   extended [`EngineReport`], and one reuse stack behind one switch
 //!   ([`EngineConfig::cache`]): allocation-free σ-space exploration on
-//!   every state-graph miss, and two memoization caches shared across
-//!   gates and runs (state graphs in [`SgCache`], projections in
-//!   [`ProjCache`]), each storing a value on its second request. With the
-//!   switch off the engine runs the reference path, nothing memoized.
+//!   every state-graph miss, and one state-graph cache shared across
+//!   gates and runs ([`SgCache`]), storing a graph on its second request.
+//!   Projection is not memoized. With the switch off the engine runs the
+//!   reference path, nothing memoized.
 //!   Output is bit-identical to the monolithic call for every
 //!   configuration.
 //!
@@ -92,7 +92,7 @@ mod relax;
 mod report;
 mod sched;
 
-pub use cache::{CacheStats, ProjCache, SgCache};
+pub use cache::{CacheStats, SgCache};
 pub use check::{
     classify_states, conformance, prerequisite_sets, ConformanceReport, Prerequisites,
     RelaxationCase, StateClass,

@@ -7,10 +7,9 @@
 //! synthetic corpus is the opposite shape — many small circuits — so
 //! [`run_corpus`] shards across *circuits* instead, on the same worker
 //! pool that fans out the engine's gates ([`si_core::par_map`]). Every
-//! row runs through **one shared engine**, so the structural `SgCache` /
-//! `ProjCache` tiers are shared across shards — a graph that
-//! shape-identical circuits request twice is stored, whichever worker
-//! meets it, and served from then on.
+//! row runs through **one shared engine**, so its structural `SgCache` is
+//! shared across shards — a graph that shape-identical circuits request
+//! twice is stored, whichever worker meets it, and served from then on.
 //!
 //! Results land in manifest order, and each row's *payload* (constraint
 //! report, lint findings, error value) is bit-identical to a sequential
@@ -490,7 +489,7 @@ b- a+
     }
 
     #[test]
-    fn run_source_goes_through_all_seven_stages() {
+    fn run_corpus_entry_goes_through_all_seven_stages() {
         let engine = Engine::new(EngineConfig::default());
         let out =
             run_corpus_entry(&engine, &row("celem", CELEM, Some(CELEM_EQN))).expect("derives");
@@ -560,7 +559,7 @@ b- a+
     }
 
     #[test]
-    fn run_source_reports_parse_and_validation_errors() {
+    fn run_corpus_entry_reports_parse_and_validation_errors() {
         let engine = Engine::new(EngineConfig::default());
         for entry in [
             row("broken", ".model broken\n.inputs a\n", Some("a = b;")),

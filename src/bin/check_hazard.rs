@@ -273,7 +273,7 @@ fn write_text(out: &mut impl Write, row: &CorpusRow, elapsed: f64) -> io::Result
 /// The row as one JSON object: the report
 /// ([`si_core::ConstraintReport::json_members`]), the verdict, the lint
 /// findings, the run's metrics ([`si_core::EngineReport::metrics_json`])
-/// and the engine's cache totals.
+/// and the engine's state-graph cache totals.
 fn render_json(row: &CorpusRow, engine: &Engine, elapsed: f64) -> String {
     let out = &row.report;
     let lint = format!(
@@ -283,12 +283,11 @@ fn render_json(row: &CorpusRow, engine: &Engine, elapsed: f64) -> String {
         si_lint::json_diagnostics(&row.lint, ""),
     );
     format!(
-        "{{{},\"hazard\":{},\"lint\":{},{},\"cache\":{},\"projections\":{},\"elapsed_seconds\":{elapsed:.6}}}",
+        "{{{},\"hazard\":{},\"lint\":{},{},\"cache\":{},\"elapsed_seconds\":{elapsed:.6}}}",
         out.report.json_members(),
         !out.report.constraints.is_empty(),
         lint,
         out.metrics_json(),
         engine.cache_stats().json(),
-        engine.projection_stats().json(),
     )
 }

@@ -7,10 +7,10 @@
 //! **reference engine** ([`EngineConfig::reference`]: uncached,
 //! marking-keyed), then three times — cold, admitting, warm — on one
 //! shared **full-featured engine** ([`EngineConfig::default`]: σ-space
-//! exploration and both caches). Every row of every full pass must match
-//! the reference row: the same constraint report (baseline and relaxed
-//! sets, per-gate cases) or the same error value. A difference is a
-//! soundness bug in one of the reuse layers or in the sharded runner; the
+//! exploration and the state-graph cache). Every row of every full pass
+//! must match the reference row: the same constraint report (baseline and
+//! relaxed sets, per-gate cases) or the same error value. A difference is
+//! a soundness bug in one of the reuse layers or in the sharded runner; the
 //! harness then *minimizes* the spec (fewer signals, choices, forks;
 //! two-phase; no OR tail) while the fault persists and prints a one-line
 //! reproducer:
@@ -132,6 +132,14 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--replay" => args.replay = Some(value("--replay")?.parse()?),
             other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    if args.start.checked_add(args.seeds).is_none() {
+        return Err(format!(
+            "--start {} --seeds {}: the seed range ends past {}",
+            args.start,
+            args.seeds,
+            u64::MAX
+        ));
     }
     Ok(Some(args))
 }
@@ -358,7 +366,7 @@ fn main() -> ExitCode {
     // One manifest, sharded over the workers in every pass. The reference
     // engine is stateless by construction; the full-featured engine is
     // shared by its three passes — exactly how a corpus batch exercises
-    // the reuse stack — and its caches store a graph on its second
+    // the reuse stack — and its cache stores a graph on its second
     // request, so the passes are cold, admitting and warm. Both sides run
     // with the divergence bail-out forced on (see
     // `si_corpus::harness_config`) at the real default iteration budget:
@@ -367,7 +375,8 @@ fn main() -> ExitCode {
     // compared payload. Suspects are re-verified with fresh cold engines
     // before being reported.
     let started = Instant::now();
-    let end = args.start.saturating_add(args.seeds);
+    // `parse_args` rejected a range past `u64::MAX`.
+    let end = args.start + args.seeds;
     let seeds: Vec<u64> = (args.start..end).collect();
     let manifest: Vec<CorpusEntry> = seeds
         .iter()
@@ -471,5 +480,19 @@ mod tests {
         assert!(reference.is_some_and(|f| f.contains("reference engine panicked")));
         let audit = fault(&rejected(), &rejected(), Some(&panicked("sweep")));
         assert!(audit.is_some_and(|f| f.contains("exhaust engine panicked")));
+    }
+
+    #[test]
+    fn a_seed_range_past_the_last_seed_is_a_usage_error() {
+        let parse = |start: u64, seeds: u64| {
+            let (start, seeds) = (start.to_string(), seeds.to_string());
+            let argv = ["--start", &start, "--seeds", &seeds].map(String::from);
+            parse_args(&argv).map(|args| args.is_some())
+        };
+        let err = parse(u64::MAX, 2).expect_err("ends past u64::MAX");
+        assert!(err.contains("ends past"), "{err}");
+        assert!(parse(1, u64::MAX).is_err());
+        // The last range that fits ends at `u64::MAX`, exclusive.
+        assert_eq!(parse(u64::MAX - 2, 2), Ok(true));
     }
 }

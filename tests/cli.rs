@@ -207,9 +207,11 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
         assert!(stdout.contains("\"i0: precharged+ < wenin+\""));
         assert!(stdout.contains("\"csc0: wsldin- < i8-\""));
         assert!(stdout.contains("\"cache\":{"));
-        assert!(stdout.contains("\"projections\":{"));
-        // The conformance cache is gone, and so is its JSON object.
+        // The conformance cache and the projection memo are gone, and so
+        // are their JSON objects and counters.
         assert!(!stdout.contains("\"conformance\""));
+        assert!(!stdout.contains("\"projections\""));
+        assert!(!stdout.contains("_memo_"));
         // Every counter of the one metrics record appears once per stage
         // object and twice per gate object (its project and relax records).
         let section = |key: &str| -> &str {

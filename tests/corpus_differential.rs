@@ -6,7 +6,7 @@
 //! findings, error value — is bit-identical to an explicit sequential
 //! [`run_corpus_entry`] loop over the same manifest on a fresh engine.
 //! This suite pins that for jobs 1, 4 and 8, over a cold, an admitting
-//! and a warm pass (the caches store a graph on its second request), on a
+//! and a warm pass (the cache stores a graph on its second request), on a
 //! generated manifest that deliberately includes defective rows (parse
 //! failures, lint-rejected specs) so the error path is part of the
 //! contract too.

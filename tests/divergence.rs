@@ -43,7 +43,7 @@ fn seed_189_verdict_is_identical_across_the_differential_matrix() {
                 jobs,
                 ..EngineConfig::default()
             };
-            // The caches store a graph on its second request: the second
+            // The cache stores a graph on its second request: the second
             // run stores what the first one marked, and the third is warm.
             let engine = Engine::new(config);
             for pass in ["cold", "admitting", "warm"] {

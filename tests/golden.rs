@@ -6,8 +6,8 @@
 //!
 //! The files are generated from the *pinned sequential reference path*
 //! (`derive_timing_constraints`: uncached, marking-keyed); the test then
-//! runs the full-featured engine (σ-space exploration, caches, projection
-//! memo) and requires its output to be bit-identical.
+//! runs the full-featured engine (σ-space exploration and the state-graph
+//! cache) and requires its output to be bit-identical.
 //! Any divergence between the fast path and the reference is caught here,
 //! suite-wide.
 //!

@@ -6,13 +6,13 @@
 //! binaries.
 
 use si_bench::strong_constraint_gates;
-use si_core::{Engine, EngineConfig};
+use si_core::Engine;
 use si_sim::{circuit_error_rate, ErrorRateConfig, ForkStyle, NODES};
 
 fn main() {
     let bench = si_suite::benchmark("fifo").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
-    let engine = Engine::new(EngineConfig::parallel(0));
+    let engine = Engine::default();
     let out = engine.run(&stg, &library).expect("derives");
     let report = &out.report;
     let gates = strong_constraint_gates(&stg, report);

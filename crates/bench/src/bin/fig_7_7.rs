@@ -5,7 +5,7 @@
 //! Fig. 7.4). Padding positions come from the Sec. 5.7 greedy planner;
 //! the pad magnitude counters the maximum direct-wire delay at each node.
 
-use si_core::{plan_padding, AdversaryOracle, Engine, EngineConfig, PaddingPosition};
+use si_core::{plan_padding, AdversaryOracle, Engine, PaddingPosition};
 use si_sim::{cycle_time, DelayAssignment, NODES};
 use si_stg::MgStg;
 
@@ -13,7 +13,7 @@ fn main() {
     let bench = si_suite::benchmark("fifo").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
     // The staged engine, like the table binaries.
-    let engine = Engine::new(EngineConfig::parallel(0));
+    let engine = Engine::default();
     let out = engine.run(&stg, &library).expect("derives");
     let report = &out.report;
     let oracle = AdversaryOracle::new(&stg);

@@ -4,8 +4,8 @@
 //! the implementation-STG state count and the CPU time; the bottom line is
 //! the total after/before ratio — the paper's headline ≈40 % reduction.
 //!
-//! All rows run through **one shared engine** (parallel per-gate fan-out,
-//! reuse stack shared across circuits); the footer reports its cache
+//! All rows run through **one shared engine** (the default configuration,
+//! its reuse stack shared across circuits); the footer reports its cache
 //! traffic. The CPU column is one run of the row from `.g` text to report
 //! through the text front end (`si_suite::run_corpus_entry`: lint, parse,
 //! synthesis, validation, derivation); repeated timing lives in
@@ -17,7 +17,7 @@
 //! (default `BENCH_table72.json`).
 
 use si_bench::table_row;
-use si_core::{worker_count, Engine, EngineConfig};
+use si_core::Engine;
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -37,7 +37,7 @@ fn main() {
         }
     }
 
-    let engine = Engine::new(EngineConfig::parallel(0));
+    let engine = Engine::default();
     println!("Table 7.2 — Comparison of the timing constraints");
     println!(
         "{:<20} {:>3} {:>4} {:>5} {:>7} | {:>7} {:>6} | {:>8} {:>7} | {:>8} {:>7} | {:>8}",
@@ -109,12 +109,8 @@ fn main() {
 
     let cache = engine.cache_stats();
     println!();
-    let jobs = match engine.config().jobs {
-        0 => format!("auto ({})", worker_count(0, usize::MAX)),
-        n => n.to_string(),
-    };
     println!(
-        "Engine: {jobs} jobs, SG cache {} hits / {} misses ({:.0}% hit rate, {} entries); \
+        "Engine: SG cache {} hits / {} misses ({:.0}% hit rate, {} entries); \
          the cache stores a graph on its second request",
         cache.hits,
         cache.misses,
@@ -124,8 +120,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = format!(
-            "{{\"table\":\"7.2\",\"jobs\":{},\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{}}}",
-            engine.config().jobs,
+            "{{\"table\":\"7.2\",\"rows\":[{}],\"totals\":{{\"before\":{tb},\"after\":{ta},\"ratio_pct\":{:.1},\"lvl5_pct\":{:.1},\"lvl3_pct\":{:.1}}},\"cache\":{}}}",
             row_objects.join(","),
             pct(ta, tb),
             pct(t5a, t5b),

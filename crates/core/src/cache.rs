@@ -19,7 +19,7 @@
 //! 17 339 distinct state graphs a single time (`docs/perf.md`,
 //! "Admission"). So the memo stores a value only when its fingerprint is
 //! requested a second time. The first request leaves a `Seen` mark in the
-//! fingerprint's slot and returns the computed value, with no key built
+//! fingerprint's slot and returns the explored graph, with no key built
 //! and nothing stored. This is the doorkeeper of TinyLFU (Einziger,
 //! Friedman & Manes, ACM TOS 2017) in front of an exact table: a circuit
 //! run twice on one engine explores most of its graphs twice, and its
@@ -29,17 +29,17 @@
 //! a slot. A slot holds every stored key with its fingerprint, and a
 //! lookup compares each one with the request in place
 //! ([`SgKey::matches`]), so a fingerprint collision can never serve the
-//! wrong value.
+//! wrong graph.
 //!
-//! One counting rule: a hit is a stored value served, a miss is a value
-//! computed, and entries are values stored — so `misses − entries` counts
+//! One counting rule: a hit is a stored graph served, a miss is a graph
+//! explored, and entries are graphs stored — so `misses − entries` counts
 //! first requests that were not kept. Errors are never stored, never
 //! marked and never counted. The cache is budget-exact: a hit whose
 //! stored graph exceeds the caller's state budget reports the same
 //! budget-exhaustion error an uncached generation would, so cached and
 //! uncached runs are behaviourally indistinguishable. The cache is
-//! `Sync` — one instance is shared across the parallel per-gate fan-out
-//! and across corpus shards. No caller code runs while its lock is held,
+//! `Sync` — one instance is shared by every gate of a run and across the
+//! corpus runner's shards. No exploration runs while its lock is held,
 //! and a lock poisoned by a panic elsewhere is taken over as is, so one
 //! panicking corpus row cannot disable the cache for the others.
 //!
@@ -52,6 +52,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use si_petri::PetriError;
 use si_stg::{MgStg, SgKey, StateGraph, StgError};
 
 /// Counters of an [`SgCache`], readable at any point of an engine run.
@@ -85,17 +86,6 @@ impl CacheStats {
     }
 }
 
-/// A request to a [`Memo`]: it names its slot, recognises its stored key
-/// in place, and builds that key only when its value is admitted.
-trait Request<K> {
-    /// The slot. Equal keys must give equal fingerprints.
-    fn fingerprint(&self) -> u64;
-    /// Whether `key` is this request's key, without building it.
-    fn matches(&self, key: &K) -> bool;
-    /// The canonical key.
-    fn key(&self) -> K;
-}
-
 /// The hasher of the slot map: its keys are fingerprints, already mixed,
 /// so hashing one again would only cost time. A fingerprint is a fixed
 /// function of the graph, so inputs whose fingerprints collide would
@@ -121,119 +111,24 @@ impl Hasher for PassThrough {
     }
 }
 
-/// One fingerprint's slot: the values stored under it, one per distinct
+/// One fingerprint's slot: the graphs stored under it, one per distinct
 /// key. An empty slot is the `Seen` mark of a fingerprint requested once.
-type Slot<K, V> = Vec<(K, Arc<V>)>;
+type Slot = Vec<(SgKey, Arc<StateGraph>)>;
 
-/// The slots of a [`Memo`], keyed by fingerprint.
-type Slots<K, V> = HashMap<u64, Slot<K, V>, BuildHasherDefault<PassThrough>>;
-
-/// The memo behind [`SgCache`]: a mutex map of fingerprint slots plus hit
-/// and miss counters, admitting a value on its fingerprint's second
-/// request.
-#[derive(Debug)]
-struct Memo<K, V> {
-    slots: Mutex<Slots<K, V>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl<K, V> Default for Memo<K, V> {
-    fn default() -> Self {
-        Self {
-            slots: Mutex::default(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<K: PartialEq, V> Memo<K, V> {
-    /// The value stored under `request`'s key once `replay` accepts it (a
-    /// hit), or else `compute`'s value (a miss), which is stored iff the
-    /// request's fingerprint was requested before. The boolean is `true`
-    /// on a hit. An error from either closure is returned as is: counted
-    /// as neither, stored and marked nowhere.
-    fn get_or_compute<E>(
-        &self,
-        request: &impl Request<K>,
-        replay: impl FnOnce(&V) -> Result<(), E>,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(Arc<V>, bool), E> {
-        let fingerprint = request.fingerprint();
-        let (stored, seen) = match self.lock().get(&fingerprint) {
-            None => (None, false),
-            Some(slot) => (
-                slot.iter()
-                    .find(|(key, _)| request.matches(key))
-                    .map(|(_, value)| Arc::clone(value)),
-                true,
-            ),
-        };
-        // Neither closure runs under the lock.
-        if let Some(value) = stored {
-            replay(&value)?;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((value, true));
-        }
-        let value = Arc::new(compute()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let key = seen.then(|| request.key());
-        match self.lock().entry(fingerprint) {
-            Entry::Vacant(slot) => {
-                slot.insert(Vec::new());
-            }
-            Entry::Occupied(slot) => {
-                // A repeat request. Its key is built under the lock only
-                // when a concurrent first request marked the slot after
-                // this one looked.
-                let key = key.unwrap_or_else(|| request.key());
-                let slot = slot.into_mut();
-                // Concurrent gates may race on the same key; the values
-                // are identical, so the first one stored stays.
-                if !slot.iter().any(|(stored, _)| *stored == key) {
-                    slot.push((key, Arc::clone(&value)));
-                }
-            }
-        }
-        Ok((value, false))
-    }
-
-    /// The slots. No caller code runs under the lock and every update
-    /// leaves the map valid, so a lock poisoned by a panic elsewhere is
-    /// taken over as is.
-    fn lock(&self) -> MutexGuard<'_, Slots<K, V>> {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.lock().values().map(Vec::len).sum(),
-        }
-    }
-}
-
-impl Request<SgKey> for MgStg {
-    fn fingerprint(&self) -> u64 {
-        self.sg_fingerprint()
-    }
-
-    fn matches(&self, key: &SgKey) -> bool {
-        key.matches(self)
-    }
-
-    fn key(&self) -> SgKey {
-        self.sg_key()
-    }
-}
+/// The slots of an [`SgCache`], keyed by fingerprint.
+type Slots = HashMap<u64, Slot, BuildHasherDefault<PassThrough>>;
 
 /// A thread-safe memoization cache for state-graph generation: every miss
 /// is one σ-space exploration ([`StateGraph::of_mg_sigma`]), bit-identical
-/// to [`StateGraph::of_mg`].
+/// to [`StateGraph::of_mg`]. A mutex map of fingerprint slots plus hit
+/// and miss counters, admitting a graph on its fingerprint's second
+/// request.
 #[derive(Debug, Default)]
-pub struct SgCache(Memo<SgKey, StateGraph>);
+pub struct SgCache {
+    slots: Mutex<Slots>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+}
 
 impl SgCache {
     /// The state graph of `mg`, memoized from its second request on. The
@@ -242,32 +137,87 @@ impl SgCache {
     /// # Errors
     ///
     /// Exactly the errors of [`StateGraph::of_mg`] under `budget` —
-    /// including [`si_petri::PetriError::StateBudgetExceeded`] when a
-    /// cached graph (generated under a larger budget) has more states than
-    /// `budget` allows, which is precisely when an uncached generation
-    /// would have failed.
+    /// including [`PetriError::StateBudgetExceeded`] when a cached graph
+    /// (generated under a larger budget) has more states than `budget`
+    /// allows, which is precisely when an uncached generation would have
+    /// failed.
     pub fn of_mg(&self, mg: &MgStg, budget: usize) -> Result<(Arc<StateGraph>, bool), StgError> {
-        self.0.get_or_compute(
-            mg,
+        self.lookup(mg.sg_fingerprint(), mg, budget, || {
+            StateGraph::of_mg_sigma(mg, budget)
+        })
+    }
+
+    /// [`SgCache::of_mg`] under a given slot and exploration, so tests can
+    /// force fingerprint collisions and nest requests. The graph stored
+    /// under `mg`'s key once its state count fits `budget` (a hit), or else
+    /// `explore`'s graph (a miss), which is stored iff `fingerprint` was
+    /// requested before. A stored graph over `budget` and an error from
+    /// `explore` are returned as errors: counted as neither, stored and
+    /// marked nowhere.
+    fn lookup(
+        &self,
+        fingerprint: u64,
+        mg: &MgStg,
+        budget: usize,
+        explore: impl FnOnce() -> Result<StateGraph, StgError>,
+    ) -> Result<(Arc<StateGraph>, bool), StgError> {
+        let (stored, seen) = match self.lock().get(&fingerprint) {
+            None => (None, false),
+            Some(slot) => (
+                slot.iter()
+                    .find(|(key, _)| key.matches(mg))
+                    .map(|(_, sg)| Arc::clone(sg)),
+                true,
+            ),
+        };
+        // Nothing below runs under the lock.
+        if let Some(sg) = stored {
             // Generation fails iff the reachable state count exceeds the
             // budget; replay that outcome for graphs cached under a larger
             // one.
-            |sg| {
-                if sg.state_count() > budget {
-                    Err(StgError::Petri(si_petri::PetriError::StateBudgetExceeded {
-                        budget,
-                    }))
-                } else {
-                    Ok(())
+            if sg.state_count() > budget {
+                return Err(StgError::Petri(PetriError::StateBudgetExceeded { budget }));
+            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((sg, true));
+        }
+        let sg = Arc::new(explore()?);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let key = seen.then(|| mg.sg_key());
+        match self.lock().entry(fingerprint) {
+            Entry::Vacant(slot) => {
+                slot.insert(Vec::new());
+            }
+            Entry::Occupied(slot) => {
+                // A repeat request. Its key is built under the lock only
+                // when a concurrent first request marked the slot after
+                // this one looked.
+                let key = key.unwrap_or_else(|| mg.sg_key());
+                let slot = slot.into_mut();
+                // Concurrent corpus rows may race on the same key; the
+                // graphs are identical, so the first one stored stays.
+                if !slot.iter().any(|(stored, _)| *stored == key) {
+                    slot.push((key, Arc::clone(&sg)));
                 }
-            },
-            || StateGraph::of_mg_sigma(mg, budget),
-        )
+            }
+        }
+        Ok((sg, false))
+    }
+
+    /// The slots. No exploration runs under the lock and every update
+    /// leaves the map valid, so a lock poisoned by a panic elsewhere is
+    /// taken over as is.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        self.0.stats()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.lock().values().map(Vec::len).sum(),
+        }
     }
 }
 
@@ -276,79 +226,51 @@ mod tests {
     use super::*;
     use si_stg::parse_astg;
 
-    fn handshake_mg() -> MgStg {
-        let stg = parse_astg(
-            "\
-.model handshake
-.inputs req
-.outputs ack
-.graph
-req+ ack+
-ack+ req-
-req- ack-
-ack- req+
-.marking { <ack-,req+> }
-.end
-",
-        )
-        .expect("valid");
-        MgStg::from_stg_mg(&stg).expect("marked graph")
+    /// The marked graph of a ring of `n` signals that rise in turn and then
+    /// fall in turn: `2n` states. `ring(2)` is a four-phase handshake.
+    fn ring(n: usize) -> MgStg {
+        let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+        let events: Vec<String> = ["+", "-"]
+            .iter()
+            .flat_map(|sign| names.iter().map(move |name| format!("{name}{sign}")))
+            .collect();
+        let mut text = format!(".model ring\n.inputs {}\n.graph\n", names.join(" "));
+        for (i, event) in events.iter().enumerate() {
+            text += &format!("{event} {}\n", events[(i + 1) % events.len()]);
+        }
+        text += &format!(
+            ".marking {{ <{},{}> }}\n.end\n",
+            events[2 * n - 1],
+            events[0]
+        );
+        MgStg::from_stg_mg(&parse_astg(&text).expect("valid")).expect("marked graph")
     }
 
-    /// A memo request with a chosen fingerprint, so tests can force
-    /// collisions.
-    struct Probe {
-        fingerprint: u64,
-        key: u8,
-    }
-
-    impl Request<u8> for Probe {
-        fn fingerprint(&self) -> u64 {
-            self.fingerprint
-        }
-
-        fn matches(&self, key: &u8) -> bool {
-            *key == self.key
-        }
-
-        fn key(&self) -> u8 {
-            self.key
-        }
-    }
-
-    fn probe(key: u8) -> Probe {
-        Probe {
-            fingerprint: u64::from(key),
-            key,
-        }
-    }
-
-    fn accept(_: &u8) -> Result<(), ()> {
-        Ok(())
+    /// The exploration `of_mg` runs on a miss.
+    fn explore(mg: &MgStg) -> Result<StateGraph, StgError> {
+        StateGraph::of_mg_sigma(mg, 100)
     }
 
     #[test]
     fn the_second_request_stores_and_the_third_hits() {
-        let memo: Memo<u8, u8> = Memo::default();
-        let (first, hit1) = memo
-            .get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
+        let cache = SgCache::default();
+        let mg = ring(2);
+        let (first, hit1) = cache.of_mg(&mg, 100).expect("consistent");
         assert!(!hit1);
-        assert_eq!((*first, memo.stats().entries), (7, 0), "nothing stored");
-        let (second, hit2) = memo
-            .get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
+        assert_eq!(first.state_count(), 4);
+        assert_eq!(cache.stats().entries, 0, "nothing stored");
+        let (second, hit2) = cache.of_mg(&mg, 100).expect("consistent");
         assert!(!hit2);
-        assert_eq!(memo.stats().entries, 1, "the repeat is stored");
-        let (third, hit3) = memo
-            .get_or_compute(&probe(1), accept, || -> Result<u8, ()> {
-                panic!("a stored value is served, not computed")
+        assert_eq!(cache.stats().entries, 1, "the repeat is stored");
+        let (third, hit3) = cache
+            .lookup(mg.sg_fingerprint(), &mg, 100, || {
+                panic!("a stored graph is served, not explored")
             })
-            .expect("ok");
+            .expect("consistent");
         assert!(hit3);
         assert!(Arc::ptr_eq(&second, &third));
         assert_eq!(
-            memo.stats(),
+            cache.stats(),
             CacheStats {
                 hits: 1,
                 misses: 2,
@@ -359,63 +281,55 @@ ack- req+
 
     #[test]
     fn colliding_fingerprints_serve_each_key_its_own_value() {
-        let memo: Memo<u8, u8> = Memo::default();
-        let forced = |key| Probe {
-            fingerprint: 42,
-            key,
-        };
+        let cache = SgCache::default();
+        let forced = |mg: &MgStg| cache.lookup(42, mg, 100, || explore(mg));
+        let (two, three) = (ring(2), ring(3));
         for _ in 0..2 {
-            for key in [1, 2] {
-                memo.get_or_compute(&forced(key), accept, || Ok(key * 10))
-                    .expect("ok");
+            for mg in [&two, &three] {
+                forced(mg).expect("consistent");
             }
         }
-        assert_eq!(memo.stats().entries, 2, "one slot, two keys");
-        for key in [1, 2] {
-            let (value, hit) = memo
-                .get_or_compute(&forced(key), accept, || Ok(0))
-                .expect("ok");
+        assert_eq!(cache.stats().entries, 2, "one slot, two keys");
+        for (mg, states) in [(&two, 4), (&three, 6)] {
+            let (sg, hit) = forced(mg).expect("consistent");
             assert!(hit);
-            assert_eq!(*value, key * 10);
+            assert_eq!(sg.state_count(), states);
         }
-        // A third key on the same slot is computed, not served.
-        let (value, hit) = memo
-            .get_or_compute(&forced(3), accept, || Ok(30))
-            .expect("ok");
+        // A third key on the same slot is explored, not served.
+        let (sg, hit) = forced(&ring(4)).expect("consistent");
         assert!(!hit);
-        assert_eq!(*value, 30);
+        assert_eq!(sg.state_count(), 8);
     }
 
     #[test]
     fn a_failing_computation_leaves_no_seen_mark() {
-        let memo: Memo<u8, u8> = Memo::default();
-        assert!(memo.get_or_compute(&probe(1), accept, || Err(())).is_err());
+        let cache = SgCache::default();
+        let mg = ring(2);
+        assert!(cache.of_mg(&mg, 2).is_err(), "4 states exceed 2");
         // Had the failure marked the slot, this success would be stored.
-        memo.get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
-        assert_eq!(memo.stats().entries, 0);
-        memo.get_or_compute(&probe(1), accept, || Ok(7))
-            .expect("ok");
-        assert_eq!(memo.stats().entries, 1);
+        cache.of_mg(&mg, 100).expect("consistent");
+        assert_eq!(cache.stats().entries, 0);
+        cache.of_mg(&mg, 100).expect("consistent");
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
     fn a_repeat_request_that_raced_the_first_is_stored() {
-        // The outer computation runs outside the lock, so a request nested
+        // The outer exploration runs outside the lock, so a request nested
         // in it completes in between, exactly as a concurrent first
         // request would: it marks the slot after the outer one looked.
-        let memo: Memo<u8, u8> = Memo::default();
-        memo.get_or_compute(&probe(1), accept, || {
-            memo.get_or_compute(&probe(1), accept, || Ok(7))
-                .map(|(value, _)| *value)
-        })
-        .expect("ok");
-        assert_eq!(memo.stats().entries, 1, "two requests, one stored value");
-        let (value, hit) = memo
-            .get_or_compute(&probe(1), accept, || Ok(0))
-            .expect("ok");
+        let cache = SgCache::default();
+        let mg = ring(2);
+        cache
+            .lookup(mg.sg_fingerprint(), &mg, 100, || {
+                cache.of_mg(&mg, 100)?;
+                explore(&mg)
+            })
+            .expect("consistent");
+        assert_eq!(cache.stats().entries, 1, "two requests, one stored graph");
+        let (sg, hit) = cache.of_mg(&mg, 100).expect("consistent");
         assert!(hit);
-        assert_eq!(*value, 7);
+        assert_eq!(sg.state_count(), 4);
     }
 
     #[test]
@@ -423,7 +337,7 @@ ack- req+
         // The first request explores and keeps nothing, the second
         // explores and stores; the lookup after that hits.
         let cache = SgCache::default();
-        let mg = handshake_mg();
+        let mg = ring(2);
         for _ in 0..2 {
             let (_, hit) = cache.of_mg(&mg, 100).expect("consistent");
             assert!(!hit);
@@ -448,7 +362,7 @@ ack- req+
         // Every miss is a σ-space exploration: its graph and its budget
         // error must both equal the marking-keyed generator's.
         let cache = SgCache::default();
-        let mg = handshake_mg();
+        let mg = ring(2);
         let (cached, _) = cache.of_mg(&mg, 100).expect("consistent");
         let direct = StateGraph::of_mg(&mg, 100).expect("consistent");
         assert_eq!(*cached, direct);
@@ -460,7 +374,7 @@ ack- req+
     #[test]
     fn hit_replays_budget_exhaustion_exactly() {
         let cache = SgCache::default();
-        let mg = handshake_mg(); // 4 states
+        let mg = ring(2); // 4 states
         cache.of_mg(&mg, 100).expect("consistent");
         cache.of_mg(&mg, 100).expect("consistent");
         assert_eq!(cache.stats().entries, 1);
@@ -475,17 +389,16 @@ ack- req+
 
     #[test]
     fn errors_count_as_neither_hit_nor_miss() {
-        let memo: Memo<u8, u8> = Memo::default();
-        assert!(memo.get_or_compute(&probe(1), accept, || Err(())).is_err());
-        assert_eq!(memo.stats(), CacheStats::default());
+        let cache = SgCache::default();
+        let mg = ring(2);
+        assert!(cache.of_mg(&mg, 2).is_err());
+        assert_eq!(cache.stats(), CacheStats::default());
         for _ in 0..2 {
-            assert!(memo.get_or_compute(&probe(1), accept, || Ok(7)).is_ok());
+            assert!(cache.of_mg(&mg, 100).is_ok());
         }
-        // A stored value the replay rejects is not served either.
-        assert!(memo
-            .get_or_compute(&probe(1), |_| Err(()), || Ok(7))
-            .is_err());
-        let stats = memo.stats();
+        // A stored graph the budget replay rejects is not served either.
+        assert!(cache.of_mg(&mg, 2).is_err());
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
     }
 }

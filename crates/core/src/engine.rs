@@ -11,14 +11,16 @@
 //!
 //! whose first three stages belong to the one text front end,
 //! `si_suite::run_corpus_entry`; the engine runs the rest
-//! ([`Engine::run`], [`Engine::run_analyzed`]). Beyond the thesis
-//! algorithm, the engine adds three production-minded pieces:
+//! ([`Engine::run`], [`Engine::run_analyzed`]), projecting and relaxing
+//! one gate after another in the calling thread. Beyond the thesis
+//! algorithm, the engine adds two production-minded pieces:
 //!
 //! 1. **[`EngineConfig`]** gathers the knobs a caller sets (whole-STG
-//!    state budget, iteration budget, relaxation order, job count, the
-//!    reuse switch, the lint and divergence policies). The limits nobody
-//!    tunes — the local state budget, the MG-decomposition allocation cap
-//!    and the OR-causality recursion depth — are constants.
+//!    state budget, iteration budget, relaxation order, the corpus
+//!    runner's worker count, the reuse switch, the lint and divergence
+//!    policies). The limits nobody tunes — the local state budget, the
+//!    MG-decomposition allocation cap and the OR-causality recursion
+//!    depth — are constants.
 //! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
 //!    σ-space exploration on every state-graph miss and one state-graph
 //!    cache ([`crate::SgCache`], which stores a graph on its second
@@ -27,13 +29,13 @@
 //!    when one engine serves a whole batch. Off, the engine runs the
 //!    reference path with nothing memoized. Either way every run projects
 //!    each component afresh ([`MgStg::project_on_gate`]).
-//! 3. **Parallel per-gate fan-out**: gates are independent (the same
-//!    independence that per-block timing extraction under process
-//!    variations exploits), so the projection + relaxation of each gate
-//!    runs on the crate's one worker pool ([`crate::try_par_map`]).
-//!    Results are merged in gate order, so the output is bit-identical to
-//!    the sequential path — constraint sets, per-gate reports, trace,
-//!    iteration counts and all.
+//!
+//! Parallel work runs one level up: a corpus is many small circuits, so
+//! `si_suite::run_corpus` shards its rows over [`EngineConfig::jobs`]
+//! workers of the crate's one pool ([`crate::par_map`]), all sharing one
+//! engine. A whole circuit's projection and relaxation are too little
+//! work to pay for spawning workers for its gates (`docs/perf.md`, "The
+//! per-gate fan-out, deleted").
 //!
 //! Per-stage and per-gate metrics (wall time, states explored, cache
 //! traffic) ride along in the extended [`EngineReport`].
@@ -52,7 +54,6 @@ use crate::error::CoreError;
 use crate::expand::{expand_ctx, ExpandCtx, ExpandOutcome, RelaxationOrder, LOCAL_SG_BUDGET};
 use crate::local::{GateContext, LocalStg};
 use crate::paths::AdversaryOracle;
-use crate::pool::{try_par_map, worker_count};
 use crate::report::{ConstraintReport, GateReport};
 use crate::sched::DivergencePolicy;
 
@@ -87,8 +88,10 @@ pub struct EngineConfig {
     pub expand_budget: usize,
     /// Arc-picking policy of the relaxation loop.
     pub order: RelaxationOrder,
-    /// Worker threads for the per-gate fan-out: `1` = sequential in the
-    /// calling thread, `0` = one per available CPU.
+    /// Worker threads `si_suite::run_corpus` shards a manifest's rows
+    /// over, all sharing this engine: `1` = sequential in the calling
+    /// thread, `0` = one per available CPU. A single run ignores it: it
+    /// relaxes its gates one after another in the calling thread.
     pub jobs: usize,
     /// The one reuse switch. On, the engine runs its whole reuse stack:
     /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
@@ -140,15 +143,6 @@ impl EngineConfig {
         }
     }
 
-    /// A parallel cached configuration; `jobs = 0` sizes the pool to the
-    /// available CPUs.
-    pub fn parallel(jobs: usize) -> Self {
-        Self {
-            jobs,
-            ..Self::default()
-        }
-    }
-
     /// The same configuration under a different relaxation order.
     pub fn with_order(self, order: RelaxationOrder) -> Self {
         Self { order, ..self }
@@ -174,7 +168,7 @@ pub enum Stage {
     /// Per-gate binding, local-STG projection, baseline extraction and the
     /// conformance pre-check.
     Project,
-    /// The per-gate relaxation loops (Algorithm 4 fan-out).
+    /// The per-gate relaxation loops (Algorithm 4).
     Relax,
     /// Union of the per-gate results in deterministic gate order.
     Merge,
@@ -196,13 +190,11 @@ impl Stage {
 }
 
 /// Wall time and work counters of one pipeline stage — the one metrics
-/// record. A gate's share of the fanned-out stages is the same record
-/// ([`GateMetrics::project`], [`GateMetrics::relax`]), and so is the
-/// relaxation loop's own tally ([`ExpandOutcome::metrics`]).
-///
-/// For the fanned-out stages ([`Stage::Project`], [`Stage::Relax`]) `wall`
-/// is the *aggregate* across gates — comparable between job counts; the
-/// elapsed wall-clock of the whole fan-out is [`EngineReport::fanout_wall`].
+/// record. A gate's share of the per-gate stages ([`Stage::Project`],
+/// [`Stage::Relax`]) is the same record ([`GateMetrics::project`],
+/// [`GateMetrics::relax`]), and so is the relaxation loop's own tally
+/// ([`ExpandOutcome::metrics`]); a per-gate stage's record is the sum of
+/// its gates' shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Which stage.
@@ -277,7 +269,7 @@ impl StageMetrics {
     }
 }
 
-/// Per-gate breakdown of the fan-out stages: the gate's share of
+/// Per-gate breakdown of the per-gate stages: the gate's share of
 /// [`Stage::Project`] and of [`Stage::Relax`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateMetrics {
@@ -303,10 +295,6 @@ pub struct EngineReport {
     pub stages: Vec<StageMetrics>,
     /// Per-gate metrics in gate order.
     pub gates: Vec<GateMetrics>,
-    /// Worker threads actually used by the fan-out.
-    pub jobs: usize,
-    /// Wall-clock of the whole fan-out (projection + relaxation).
-    pub fanout_wall: Duration,
     /// Wall-clock of the whole run.
     pub total_wall: Duration,
 }
@@ -318,8 +306,8 @@ impl EngineReport {
     }
 
     /// The run's metrics as JSON object members, for a caller to place
-    /// inside its own object: `jobs`, `fanout_wall_us`, `total_wall_us`,
-    /// `stages` (one [`StageMetrics::json`] object each) and `gates`
+    /// inside its own object: `total_wall_us`, `stages` (one
+    /// [`StageMetrics::json`] object each) and `gates`
     /// (`gate`, `iterations`, and the `project` and `relax` records).
     pub fn metrics_json(&self) -> String {
         let stages: Vec<String> = self.stages.iter().map(StageMetrics::json).collect();
@@ -337,9 +325,7 @@ impl EngineReport {
             })
             .collect();
         format!(
-            "\"jobs\":{},\"fanout_wall_us\":{},\"total_wall_us\":{},\"stages\":[{}],\"gates\":[{}]",
-            self.jobs,
-            self.fanout_wall.as_micros(),
+            "\"total_wall_us\":{},\"stages\":[{}],\"gates\":[{}]",
             self.total_wall.as_micros(),
             stages.join(","),
             gates.join(",")
@@ -347,14 +333,14 @@ impl EngineReport {
     }
 }
 
-/// What one gate's fan-out unit produces.
+/// What one gate's projection and relaxation produce.
 struct GateRun {
     baseline: BTreeSet<Constraint>,
     outcome: ExpandOutcome,
     metrics: GateMetrics,
 }
 
-/// The staged, cacheable, parallelizable derivation pipeline.
+/// The staged, cacheable derivation pipeline.
 ///
 /// An engine owns its reuse stack (under [`EngineConfig::cache`]); running
 /// several circuits (or the same circuit repeatedly) through one engine
@@ -383,7 +369,7 @@ struct GateRun {
 /// .end
 /// ")?;
 /// let library = GateLibrary::from_netlist(&parse_eqn("c = a*b + a*c + b*c;")?);
-/// let engine = Engine::new(EngineConfig::parallel(2));
+/// let engine = Engine::new(EngineConfig::default());
 /// let out = engine.run(&stg, &library)?;
 /// assert!(out.report.constraints.is_empty());
 /// assert_eq!(out.report.state_count, 8);
@@ -484,7 +470,6 @@ impl Engine {
         library: &GateLibrary,
     ) -> Result<EngineReport, CoreError> {
         let started = Instant::now();
-        let cfg = &self.config;
 
         // Stage: decompose. MG components, starting at the walk's initial
         // code, plus the whole-STG state count (the Table 7.2 column).
@@ -494,26 +479,19 @@ impl Engine {
         let state_count = analysis.state_graph()?.state_count();
         let decompose_metrics = StageMetrics::timed(Stage::Decompose, t.elapsed());
 
-        // One fan-out unit per gate signal; binding happens inside the
-        // unit so that, as in the sequential driver, the error of the
+        // Stages: project + relax, one gate after another. Binding
+        // happens inside `run_gate` and the loop stops at the first
+        // failing gate, so under every configuration the error of the
         // lowest-indexed failing gate wins regardless of failure kind
         // (missing gate vs non-conformance vs budget).
-        let gate_jobs: Vec<(SignalId, String)> = stg
+        let runs = stg
             .gate_signals()
             .into_iter()
-            .map(|a| (a, stg.signal_name(a).to_string()))
-            .collect();
+            .map(|a| self.run_gate(stg, library, a, &components, &oracle))
+            .collect::<Result<Vec<_>, _>>()?;
 
-        // Stages: project + relax, fanned out per gate.
-        let fanout_started = Instant::now();
-        let jobs = worker_count(cfg.jobs, gate_jobs.len());
-        let runs = try_par_map(&gate_jobs, jobs, |job| {
-            self.run_gate(stg, library, job, &components, &oracle)
-        })?;
-        let fanout_wall = fanout_started.elapsed();
-
-        // Stage: merge, in gate order — bit-identical to the sequential
-        // driver's accumulation.
+        // Stage: merge, in gate order, so every configuration accumulates
+        // the same sets, per-gate reports and trace.
         let t = Instant::now();
         let mut baseline: BTreeSet<Constraint> = BTreeSet::new();
         let mut constraints: BTreeSet<Constraint> = BTreeSet::new();
@@ -555,25 +533,23 @@ impl Engine {
                 merge_metrics,
             ],
             gates,
-            jobs,
-            fanout_wall,
             total_wall: started.elapsed(),
         })
     }
 
-    /// One fan-out unit: bind the gate, project its local STGs from every
-    /// relevant MG component, record the baseline, pre-check conformance,
-    /// then run the relaxation loop, one arc-weight table per local STG.
-    /// A gate runs on one worker, so the tables need no lock.
+    /// One gate `a`: bind it, project its local STGs from every relevant
+    /// MG component, record the baseline, pre-check conformance, then run
+    /// the relaxation loop, one arc-weight table per local STG.
     fn run_gate(
         &self,
         stg: &Stg,
         library: &GateLibrary,
-        (a, name): &(SignalId, String),
+        a: SignalId,
         components: &[MgStg],
         oracle: &AdversaryOracle,
     ) -> Result<GateRun, CoreError> {
         let cfg = &self.config;
+        let name = stg.signal_name(a).to_string();
         let mut baseline: BTreeSet<Constraint> = BTreeSet::new();
         let mut locals: Vec<LocalStg> = Vec::new();
         let mut project = StageMetrics::new(Stage::Project);
@@ -592,7 +568,7 @@ impl Engine {
         };
 
         let project_started = Instant::now();
-        let gate = library.gate(name).ok_or_else(|| CoreError::MissingGate {
+        let gate = library.gate(&name).ok_or_else(|| CoreError::MissingGate {
             signal: name.clone(),
         })?;
         let ctx = Arc::new(GateContext::bind(gate, stg)?);
@@ -603,7 +579,7 @@ impl Engine {
             if !component
                 .transitions()
                 .iter()
-                .any(|&t| component.label(t).signal == *a)
+                .any(|&t| component.label(t).signal == a)
             {
                 continue;
             }
@@ -643,7 +619,7 @@ impl Engine {
         out.metrics.wall = relax_started.elapsed();
 
         let metrics = GateMetrics {
-            gate: name.clone(),
+            gate: name,
             iterations: out.iterations,
             project,
             relax: out.metrics,
@@ -689,11 +665,7 @@ c- a+ b+
     fn engine_matches_monolithic_driver() {
         let (stg, lib) = celem();
         let reference = derive_timing_constraints(&stg, &lib).expect("derives");
-        for config in [
-            EngineConfig::reference(),
-            EngineConfig::default(),
-            EngineConfig::parallel(2),
-        ] {
+        for config in [EngineConfig::reference(), EngineConfig::default()] {
             let out = Engine::new(config).run(&stg, &lib).expect("derives");
             assert_eq!(out.report, reference, "{config:?}");
         }
@@ -747,7 +719,7 @@ c- a+ b+
         let stg = parse_astg(CELEM).expect("valid");
         let lib = GateLibrary::default();
         assert!(matches!(
-            Engine::new(EngineConfig::parallel(2)).run(&stg, &lib),
+            Engine::default().run(&stg, &lib),
             Err(CoreError::MissingGate { .. })
         ));
     }
@@ -756,7 +728,7 @@ c- a+ b+
     fn lowest_indexed_gate_error_wins_regardless_of_failure_kind() {
         // Gate `b` (index 0) is non-conformant (`b = a'` inverts the
         // acknowledged polarity) while gate `c` (index 1) has no library
-        // entry at all. The sequential driver reported gate 0's failure;
+        // entry at all. The reference derivation reports gate 0's failure;
         // every engine configuration must do the same.
         let stg = parse_astg(
             "\
@@ -776,7 +748,7 @@ c- a+
         )
         .expect("valid");
         let lib = GateLibrary::from_netlist(&parse_eqn("b = a';").expect("valid"));
-        for config in [EngineConfig::reference(), EngineConfig::parallel(2)] {
+        for config in [EngineConfig::reference(), EngineConfig::default()] {
             match Engine::new(config).run(&stg, &lib) {
                 Err(CoreError::NotConformant { gate }) => assert_eq!(gate, "b", "{config:?}"),
                 other => panic!("{config:?}: expected NotConformant for `b`, got {other:?}"),

@@ -27,16 +27,19 @@
 //! - [`derive_timing_constraints`] — the classic monolithic call
 //!   (sequential, uncached; the differential reference);
 //! - [`Engine`] — the staged pipeline (parse → validate → decompose →
-//!   project → relax → merge) with an explicit [`EngineConfig`], a
-//!   parallel per-gate fan-out, per-stage/per-gate metrics in the
-//!   extended [`EngineReport`], and one reuse stack behind one switch
-//!   ([`EngineConfig::cache`]): allocation-free σ-space exploration on
-//!   every state-graph miss, and one state-graph cache shared across
-//!   gates and runs ([`SgCache`]), storing a graph on its second request.
-//!   Projection is not memoized. With the switch off the engine runs the
-//!   reference path, nothing memoized.
-//!   Output is bit-identical to the monolithic call for every
+//!   project → relax → merge) with an explicit [`EngineConfig`],
+//!   per-stage/per-gate metrics in the extended [`EngineReport`], and
+//!   one reuse stack behind one switch ([`EngineConfig::cache`]):
+//!   allocation-free σ-space exploration on every state-graph miss, and
+//!   one state-graph cache shared across gates and runs ([`SgCache`]),
+//!   storing a graph on its second request. Projection is not memoized.
+//!   With the switch off the engine runs the reference path, nothing
+//!   memoized. Output is bit-identical to the monolithic call for every
 //!   configuration.
+//!
+//! Both relax a circuit's gates one after another in the calling thread.
+//! Parallel work is one level up: `si_suite::run_corpus` shards a corpus's
+//! circuits over [`par_map`], the crate's one worker pool.
 //!
 //! One [`AdversaryOracle`] answers which adversary path realizes an
 //! ordering, for the paper's three uses of those paths: the tightest-first
@@ -111,7 +114,7 @@ pub use orcausality::{
 };
 pub use padding::{plan_padding, PaddingPlan, PaddingPosition};
 pub use paths::{AdversaryOracle, AdversaryPath};
-pub use pool::{par_map, try_par_map, worker_count};
+pub use pool::par_map;
 pub use relax::relax_arc;
 pub use report::{
     derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,

@@ -53,8 +53,8 @@ impl AdversaryPath {
 /// Oracle answering adversary-path queries against the implementation STG.
 ///
 /// Plain data, a function of the STG alone: every query is a fresh
-/// breadth-first search over per-thread scratch, so one oracle serves any
-/// number of threads. The relaxation loop keeps the weights it repeats,
+/// breadth-first search over the calling thread's search buffers, reused
+/// from query to query. The relaxation loop keeps the weights it repeats,
 /// one table per local STG (`ArcWeights`).
 #[derive(Debug, Clone)]
 pub struct AdversaryOracle {
@@ -271,8 +271,8 @@ const UNWEIGHED: u64 = u64::MAX;
 /// relabel a transition, so one table serves the local STG's whole
 /// recursion: a dense square over its alive transitions, each weight
 /// searched the first time an arc between the pair is weighed, and the
-/// ranks computed once. One local STG's relaxation runs on one worker, so
-/// the table takes no lock.
+/// ranks computed once. The table belongs to one relaxation loop, which
+/// runs in one thread, so it takes no lock.
 pub(crate) struct ArcWeights<'a> {
     oracle: &'a AdversaryOracle,
     /// Per transition id, its row and column in `weights` and its rank

@@ -3,20 +3,22 @@
 //! ([`Benchmark::entry`](crate::Benchmark::entry) makes a Table 7.2
 //! circuit a manifest row).
 //!
-//! The engine parallelizes inside one circuit (per-gate fan-out); a
-//! synthetic corpus is the opposite shape — many small circuits — so
-//! [`run_corpus`] shards across *circuits* instead, on the same worker
-//! pool that fans out the engine's gates ([`si_core::par_map`]). Every
-//! row runs through **one shared engine**, so its structural `SgCache` is
-//! shared across shards — a graph that shape-identical circuits request
-//! twice is stored, whichever worker meets it, and served from then on.
+//! This is the workspace's one level of parallelism. One engine run
+//! relaxes its gates one after another in the calling thread: a whole
+//! circuit's gates are too little work to pay for spawning workers. A
+//! synthetic corpus is many small circuits, so [`run_corpus`] shards its
+//! *circuits* over the engine's [`EngineConfig::jobs`] workers of
+//! si-core's one pool ([`si_core::par_map`]). Every row runs through **one
+//! shared engine**, so its structural `SgCache` is shared across shards —
+//! a graph that shape-identical circuits request twice is stored,
+//! whichever worker meets it, and served from then on.
 //!
 //! Results land in manifest order, and each row's *payload* (constraint
 //! report, lint findings, error value) is bit-identical to a sequential
 //! single-engine loop over the same manifest — sharding affects wall
 //! clock and cache traffic only. `tests/corpus_differential.rs` pins
-//! this for jobs 1, 4 and 8, over a cold, an admitting and a warm pass,
-//! and `si_fuzz -j N` checks it on every scan against the reference
+//! this for 1, 4 and 8 workers, over a cold, an admitting and a warm
+//! pass, and `si_fuzz -j N` checks it on every scan against the reference
 //! engine. A row that panics becomes a [`CorpusError::Panicked`] in its
 //! own slot; the other rows still run.
 
@@ -286,15 +288,17 @@ pub(crate) fn load(
 }
 
 /// Runs a whole corpus manifest through one shared `engine`, sharded
-/// across `jobs` workers of the pool ([`si_core::worker_count`]: `0` =
-/// one per CPU, `1` = sequential in the calling thread). Results are
-/// returned in manifest row order regardless of which worker ran which
-/// row, and every row's payload is identical to what a sequential loop
-/// over [`run_corpus_entry`] produces. A row that panics comes back as
-/// [`CorpusError::Panicked`].
+/// across the engine's [`EngineConfig::jobs`] workers of the pool
+/// ([`si_core::par_map`]: `0` = one per CPU, `1` = sequential in the
+/// calling thread). Results are returned in manifest row order regardless
+/// of which worker ran which row, and every row's payload is identical to
+/// what a sequential loop over [`run_corpus_entry`] produces. A row that
+/// panics comes back as [`CorpusError::Panicked`].
 #[must_use]
-pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry], jobs: usize) -> Vec<CorpusOutcome> {
-    shard(manifest, jobs, |entry| run_corpus_entry(engine, entry))
+pub fn run_corpus(engine: &Engine, manifest: &[CorpusEntry]) -> Vec<CorpusOutcome> {
+    shard(manifest, engine.config().jobs, |entry| {
+        run_corpus_entry(engine, entry)
+    })
 }
 
 /// Runs `run` on every row of `manifest` over `jobs` workers, each row
@@ -362,6 +366,14 @@ c- a+ b+
         })
     }
 
+    /// An engine whose `run_corpus` shards over `jobs` workers.
+    fn sharded(jobs: usize) -> Engine {
+        Engine::new(EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        })
+    }
+
     fn tiny_manifest() -> Vec<CorpusEntry> {
         // A handshake ring, a second copy under a different name (cache
         // sharing pays off on the repeat), and one defective row.
@@ -390,10 +402,9 @@ b- a+
 
     #[test]
     fn rows_come_back_in_manifest_order_with_errors_in_place() {
-        let engine = Engine::new(EngineConfig::default());
         let manifest = tiny_manifest();
         for jobs in [1, 2, 8, 0] {
-            let rows = run_corpus(&engine, &manifest, jobs);
+            let rows = run_corpus(&sharded(jobs), &manifest);
             assert_eq!(rows.len(), 3);
             assert_eq!(rows[0].as_ref().expect("derives").name, "ring");
             assert_eq!(rows[1].as_ref().expect("derives").name, "ring-again");
@@ -413,8 +424,8 @@ b- a+
         manifest[2] = manifest[0].clone();
         manifest[2].name = "ring-third".into();
         for jobs in [1, 2] {
-            let engine = Engine::new(EngineConfig::default());
-            let rows = run_corpus(&engine, &manifest, jobs);
+            let engine = sharded(jobs);
+            let rows = run_corpus(&engine, &manifest);
             let reports: Vec<_> = rows
                 .iter()
                 .map(|row| &row.as_ref().expect("derives").report.report)
@@ -431,7 +442,7 @@ b- a+
 
     #[test]
     fn a_panicking_row_is_contained_in_its_slot() {
-        let engine = Engine::new(EngineConfig::default());
+        let engine = sharded(2);
         let mut manifest = tiny_manifest();
         manifest[2] = manifest[0].clone();
         manifest[2].name = "ring-third".into();
@@ -452,7 +463,7 @@ b- a+
             assert!(rows[2].is_ok(), "jobs {jobs}");
         }
         // The engine the panic interrupted keeps serving rows.
-        assert!(run_corpus(&engine, &manifest, 2).iter().all(Result::is_ok));
+        assert!(run_corpus(&engine, &manifest).iter().all(Result::is_ok));
     }
 
     #[test]
@@ -474,14 +485,14 @@ b- a+
     fn deny_policy_fails_defective_rows_without_aborting_the_run() {
         let mut manifest = tiny_manifest();
         manifest.push(row("undeclared", UNDECLARED, Some("b = a;")));
-        let rows = run_corpus(&engine_with(LintPolicy::Deny), &manifest, 1);
+        let rows = run_corpus(&engine_with(LintPolicy::Deny), &manifest);
         assert!(rows[0].is_ok());
         for row in &rows[2..] {
             assert!(matches!(row, Err(CorpusError::Lint { .. })), "{row:?}");
         }
         // Off skips the pre-flight; the strict parser then rejects the
         // same rows at load time instead.
-        let rows = run_corpus(&engine_with(LintPolicy::Off), &manifest, 1);
+        let rows = run_corpus(&engine_with(LintPolicy::Off), &manifest);
         assert!(rows[0].is_ok());
         for row in &rows[2..] {
             assert!(matches!(row, Err(CorpusError::Load { .. })), "{row:?}");

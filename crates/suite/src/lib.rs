@@ -89,9 +89,9 @@ impl Benchmark {
     /// # Example
     ///
     /// ```
-    /// use si_core::{Engine, EngineConfig};
+    /// use si_core::Engine;
     ///
-    /// let engine = Engine::new(EngineConfig::parallel(2));
+    /// let engine = Engine::default();
     /// let imec = si_suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     /// let row = si_suite::run_corpus_entry(&engine, &imec.entry()).expect("derives");
     /// assert_eq!(row.report.report.baseline.len(), 19);

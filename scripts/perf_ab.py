@@ -2,7 +2,8 @@
 """A/B the benchmark in one command: a base commit against the working tree.
 
 Builds `perfbench` twice under the git-ignored `.bench_build/` — once from
-`git archive` of the base commit, once from the working tree — then runs
+`git archive` of the base commit, once from the working tree, whose
+`perfbench/Cargo.lock` it restores afterwards — then runs
 N pairs per workload of `BENCHMARK.json`, each pair one base run and one
 change run at the declared `run_seconds`, with the pair number as the
 workload seed (counted from `--first-seed`, so that a claim can be
@@ -68,6 +69,21 @@ def build(side, source):
         check=True,
     )
     return target / "release" / "perfbench"
+
+
+def build_working_tree():
+    """Builds the working tree's `perfbench` and restores its lock file.
+
+    Cargo rewrites a stale `perfbench/Cargo.lock` while it builds. Left
+    rewritten, the lock would dirty the tree, and the next run's default
+    base would be HEAD: the change compared with itself.
+    """
+    lock = ROOT / "perfbench" / "Cargo.lock"
+    saved = lock.read_bytes()
+    try:
+        return build("change", ROOT)
+    finally:
+        lock.write_bytes(saved)
 
 
 def extract(rev):
@@ -189,7 +205,7 @@ def main():
         print(f"base: {base_rev} ({sha}); change: the working tree", flush=True)
         binaries = {
             "base": build("base", extract(base_rev)),
-            "change": build("change", ROOT),
+            "change": build_working_tree(),
         }
     except subprocess.CalledProcessError as e:
         print(f"perf_ab: {e}", file=sys.stderr)

@@ -49,8 +49,6 @@ OPTIONS:
         --lint            strict lint pre-flight: refuse to derive when
                           the specification has lint errors (the default
                           policy only reports them on stderr)
-    -j, --jobs <N>        worker threads for the per-gate fan-out
-                          (default 1 = sequential, 0 = one per CPU)
     -f, --format <FMT>    output format: text (default) or json
         --order <ORDER>   relaxation order: tightest (default) or lex
     -h, --help            print this help and exit
@@ -107,10 +105,6 @@ fn parse_args(argv: &[String]) -> ArgsOutcome {
                 None => return ArgsOutcome::Error("--bench expects a benchmark name".into()),
             },
             "--lint" => config.lint = LintPolicy::Deny,
-            "-j" | "--jobs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => config.jobs = n,
-                _ => return ArgsOutcome::Error("--jobs expects a non-negative integer".into()),
-            },
             "-f" | "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,

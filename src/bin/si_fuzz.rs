@@ -3,17 +3,17 @@
 //! Turns the scanned seeds into a manifest of generated circuits
 //! ([`si_corpus::generate`] under the canonical [`CorpusSpec::from_seed`]
 //! derivation, netlists synthesized by the runner) and runs it through
-//! [`si_suite::run_corpus`], sharded over `-j` workers: once on the pinned
-//! **reference engine** ([`EngineConfig::reference`]: uncached,
-//! marking-keyed), then three times — cold, admitting, warm — on one
-//! shared **full-featured engine** ([`EngineConfig::default`]: σ-space
-//! exploration and the state-graph cache). Every row of every full pass
-//! must match the reference row: the same constraint report (baseline and
-//! relaxed sets, per-gate cases) or the same error value. A difference is
-//! a soundness bug in one of the reuse layers or in the sharded runner; the
-//! harness then *minimizes* the spec (fewer signals, choices, forks;
-//! two-phase; no OR tail) while the fault persists and prints a one-line
-//! reproducer:
+//! [`si_suite::run_corpus`], sharded over `-j` workers (each engine's
+//! [`EngineConfig::jobs`]): once on the pinned **reference engine**
+//! ([`EngineConfig::reference`]: uncached, marking-keyed), then three
+//! times — cold, admitting, warm — on one shared **full-featured engine**
+//! ([`EngineConfig::default`]: σ-space exploration and the state-graph
+//! cache). Every row of every full pass must match the reference row: the
+//! same constraint report (baseline and relaxed sets, per-gate cases) or
+//! the same error value. A difference is a soundness bug in one of the
+//! reuse layers or in the sharded runner; the harness then *minimizes* the
+//! spec (fewer signals, choices, forks; two-phase; no OR tail) while the
+//! fault persists and prints a one-line reproducer:
 //!
 //! ```text
 //! seed=42 signals=7 choices=1 or=60 fork=3 interleave=0 marking=place
@@ -77,7 +77,7 @@ and every `Diverged` bail is re-run under the Exhaust policy for 1000
 iterations: a bail that converges there fails the run too.
 
 OPTIONS:
-        --seeds <N>        number of seeds to scan (default 1000)
+        --seeds <N>        number of seeds to scan, at least 1 (default 1000)
         --start <S>        first seed (default 1)
         --max-signals <K>  upper signal-count bound for generated
                            circuits (default {DEFAULT_MAX_SIGNALS}, clamped to 2..=24)
@@ -132,6 +132,9 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--replay" => args.replay = Some(value("--replay")?.parse()?),
             other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    if args.seeds == 0 && args.replay.is_none() {
+        return Err("--seeds 0: the scan would compare nothing".into());
     }
     if args.start.checked_add(args.seeds).is_none() {
         return Err(format!(
@@ -260,7 +263,7 @@ fn fault(
 fn fault_of(spec: &CorpusSpec, seed: u64) -> Option<String> {
     let entry = [entry(spec, seed)];
     // A one-row `run_corpus` catches a panic as the scan does.
-    let run = |config| run_corpus(&Engine::new(config), &entry, 1).remove(0);
+    let run = |config| run_corpus(&Engine::new(config), &entry).remove(0);
     let full = run(full_config());
     let reference = run(reference_config());
     let audit = bailed(&full).then(|| run(audit_config()));
@@ -382,15 +385,21 @@ fn main() -> ExitCode {
         .iter()
         .map(|&seed| entry(&CorpusSpec::from_seed(seed, args.max_signals), seed))
         .collect();
-    let reference = run_corpus(&Engine::new(reference_config()), &manifest, args.jobs);
+    let sharded = |config| {
+        Engine::new(EngineConfig {
+            jobs: args.jobs,
+            ..config
+        })
+    };
+    let reference = run_corpus(&sharded(reference_config()), &manifest);
     let mut rerun_diverged = vec![false; manifest.len()];
     let cold = {
-        let full = Engine::new(full_config());
-        let cold = run_corpus(&full, &manifest, args.jobs);
+        let full = sharded(full_config());
+        let cold = run_corpus(&full, &manifest);
         // The admitting and warm passes are judged as they finish and
         // dropped, and so is the engine's warm cache, before the audits.
         for _ in ["admitting", "warm"] {
-            let pass = run_corpus(&full, &manifest, args.jobs);
+            let pass = run_corpus(&full, &manifest);
             for (i, outcome) in pass.iter().enumerate() {
                 rerun_diverged[i] |= fault(outcome, &reference[i], None).is_some();
             }
@@ -399,7 +408,7 @@ fn main() -> ExitCode {
     };
     let bails: Vec<usize> = (0..manifest.len()).filter(|&i| bailed(&cold[i])).collect();
     let audit_manifest: Vec<CorpusEntry> = bails.iter().map(|&i| manifest[i].clone()).collect();
-    let audits = run_corpus(&Engine::new(audit_config()), &audit_manifest, args.jobs);
+    let audits = run_corpus(&sharded(audit_config()), &audit_manifest);
     let suspects: Vec<u64> = (0..manifest.len())
         .filter(|&i| {
             let audit = bails.binary_search(&i).ok().map(|k| &audits[k]);
@@ -494,5 +503,19 @@ mod tests {
         assert!(parse(1, u64::MAX).is_err());
         // The last range that fits ends at `u64::MAX`, exclusive.
         assert_eq!(parse(u64::MAX - 2, 2), Ok(true));
+    }
+
+    #[test]
+    fn a_scan_of_zero_seeds_is_a_usage_error() {
+        let parse = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|arg| (*arg).to_string()).collect();
+            parse_args(&argv).map(|args| args.is_some())
+        };
+        let err = parse(&["--seeds", "0"]).expect_err("nothing to compare");
+        assert!(err.contains("--seeds 0"), "{err}");
+        assert_eq!(parse(&["--seeds", "1"]), Ok(true));
+        // A replay scans no range, so it ignores `--seeds`.
+        let replay = ["--seeds", "0", "--replay", "seed=7 signals=4"];
+        assert_eq!(parse(&replay), Ok(true));
     }
 }

@@ -22,7 +22,7 @@
 //! - [`core`]: the paper's contribution — arc relaxation, the four-case
 //!   hazard criterion, OR-causality decomposition, constraint derivation,
 //!   delay padding — and the staged [`core::Engine`] pipeline (explicit
-//!   config, state-graph memoization, parallel per-gate fan-out);
+//!   config, state-graph memoization, per-stage and per-gate metrics);
 //! - [`sim`]: event-driven timing simulation, technology models,
 //!   error-rate and cycle-time analysis;
 //! - [`corpus`]: the seeded synthetic circuit generator (deterministic

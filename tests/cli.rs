@@ -122,12 +122,18 @@ fn check_hazard_help_exits_zero() {
         assert!(output.status.success(), "{flag} must exit 0");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(stdout.contains("usage"), "{flag}: {stdout}");
-        assert!(stdout.contains("--jobs"));
         assert!(stdout.contains("--format"));
         assert!(stdout.contains("--lint"));
-        // No reuse flag and no second structured format: JSON is the
+        // No reuse flag, no worker count (a run relaxes its gates in the
+        // calling thread) and no second structured format: JSON is the
         // one machine-readable output.
-        for gone in ["--no-cache", "--no-memo", "--no-sigma-cold", "sexp"] {
+        for gone in [
+            "--no-cache",
+            "--no-memo",
+            "--no-sigma-cold",
+            "--jobs",
+            "sexp",
+        ] {
             assert!(!stdout.contains(gone), "{flag}: {gone}");
         }
         // `corpus:<seed>` draws at the corpus crate's one signal bound.
@@ -138,13 +144,16 @@ fn check_hazard_help_exits_zero() {
 
 #[test]
 fn check_hazard_rejects_unknown_options() {
-    // The removed reuse flags are unknown options now, and the removed
-    // `contraction` order and `sexp` format are unknown values.
+    // The removed reuse and worker-count flags are unknown options now,
+    // and the removed `contraction` order and `sexp` format are unknown
+    // values.
     for args in [
         &["--frobnicate"][..],
         &["--no-memo"],
         &["--no-sigma-cold"],
         &["--no-cache"],
+        &["--jobs", "4"],
+        &["-j", "4"],
         &["--order", "contraction"],
         &["--format", "sexp"],
     ] {
@@ -162,7 +171,7 @@ fn check_hazard_rejects_unknown_options() {
 }
 
 #[test]
-fn check_hazard_parallel_json_reports_the_gold_circuit() {
+fn check_hazard_json_reports_the_gold_circuit() {
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let stg_path = write_temp("imec-json.g", bench.stg_text);
     let eqn_path = write_temp("imec-json.eqn", bench.eqn_text.expect("verbatim netlist"));
@@ -172,7 +181,7 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
     let bench_args = ["--bench", "imec-ram-read-sbuf"].map(std::ffi::OsStr::new);
     for input in [&files[..], &bench_args[..]] {
         let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
-            .args(["--jobs", "4", "--format", "json"])
+            .args(["--format", "json"])
             .args(input)
             .output()
             .expect("binary runs");
@@ -186,7 +195,6 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
         // One JSON object with the thesis numbers and the stage metrics.
         assert!(stdout.trim_start().starts_with('{'), "not JSON: {stdout}");
         assert!(stdout.contains("\"state_count\":112"));
-        assert!(stdout.contains("\"jobs\":4"));
         assert!(stdout.contains("\"hazard\":true"));
         // The lint pre-flight payload: the gold circuit is clean.
         assert!(stdout.contains("\"lint\":{\"errors\":0,\"warnings\":0,\"diagnostics\":[]}"));
@@ -207,11 +215,19 @@ fn check_hazard_parallel_json_reports_the_gold_circuit() {
         assert!(stdout.contains("\"i0: precharged+ < wenin+\""));
         assert!(stdout.contains("\"csc0: wsldin- < i8-\""));
         assert!(stdout.contains("\"cache\":{"));
-        // The conformance cache and the projection memo are gone, and so
-        // are their JSON objects and counters.
+        // The conformance cache, the projection memo and the per-gate
+        // fan-out are gone, and so are their JSON objects and keys.
         assert!(!stdout.contains("\"conformance\""));
         assert!(!stdout.contains("\"projections\""));
         assert!(!stdout.contains("_memo_"));
+        assert!(!stdout.contains("\"jobs\""));
+        // The one run-level wall is the whole run's: no other `…_wall_us`
+        // key (a stage's own wall is `wall_us`).
+        assert_eq!(
+            stdout.matches("_wall_us\":").count(),
+            stdout.matches("\"total_wall_us\":").count(),
+            "{input:?}"
+        );
         // Every counter of the one metrics record appears once per stage
         // object and twice per gate object (its project and relax records).
         let section = |key: &str| -> &str {
@@ -253,10 +269,10 @@ fn reference_lines(bench: &si_redress::suite::Benchmark) -> Vec<String> {
 }
 
 #[test]
-fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
+fn check_hazard_text_output_matches_the_reference_derivation() {
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
-    let stg_path = write_temp("imec-jobs.g", bench.stg_text);
-    let eqn_path = write_temp("imec-jobs.eqn", bench.eqn_text.expect("verbatim netlist"));
+    let stg_path = write_temp("imec-text.g", bench.stg_text);
+    let eqn_path = write_temp("imec-text.eqn", bench.eqn_text.expect("verbatim netlist"));
 
     let constraint_lines = |args: &[&str]| -> Vec<String> {
         let output = Command::new(env!("CARGO_BIN_EXE_check_hazard"))
@@ -281,9 +297,7 @@ fn check_hazard_text_output_is_identical_across_jobs_and_cache_settings() {
     let reference = reference_lines(&bench);
     assert_eq!(reference.len(), 31);
     for args in [
-        &["--jobs", "1"][..],
-        &["--jobs", "4"],
-        &[],
+        &[][..],
         // The strict lint pre-flight must not change a line either (the
         // spec is clean).
         &["--lint"],

@@ -1,12 +1,13 @@
 //! The sharded corpus runner's merge contract, pinned differentially.
 //!
 //! [`si_suite::run_corpus`] promises that sharding affects wall clock and
-//! cache traffic *only*: for any job count, the merged rows come back in
-//! manifest order and every row's payload — constraint report, lint
-//! findings, error value — is bit-identical to an explicit sequential
-//! [`run_corpus_entry`] loop over the same manifest on a fresh engine.
-//! This suite pins that for jobs 1, 4 and 8, over a cold, an admitting
-//! and a warm pass (the cache stores a graph on its second request), on a
+//! cache traffic *only*: for any worker count ([`EngineConfig::jobs`]),
+//! the merged rows come back in manifest order and every row's payload —
+//! constraint report, lint findings, error value — is bit-identical to an
+//! explicit sequential [`run_corpus_entry`] loop over the same manifest
+//! on a fresh engine. This suite pins that for 1, 4 and 8 workers, over a
+//! cold, an admitting and a warm pass (the cache stores a graph on its
+//! second request), on a
 //! generated manifest that deliberately includes defective rows (parse
 //! failures, lint-rejected specs) so the error path is part of the
 //! contract too.
@@ -58,18 +59,22 @@ fn manifest(seeds: std::ops::RangeInclusive<u64>, max_signals: usize) -> Vec<Cor
     rows
 }
 
-fn engine() -> Engine {
+/// An engine whose `run_corpus` shards over `jobs` workers.
+fn engine(jobs: usize) -> Engine {
     // The corpus-harness divergence bail-out, exactly as `si_fuzz` runs:
     // pathological relaxation shapes become deterministic `Diverged`
     // errors, which the payload comparison covers like any other row.
-    Engine::new(harness_config(EngineConfig::default()))
+    Engine::new(harness_config(EngineConfig {
+        jobs,
+        ..EngineConfig::default()
+    }))
 }
 
 #[test]
 fn sharded_runs_match_the_sequential_reference_cold_and_warm() {
     let manifest = manifest(1..=40, 8);
     // Sequential reference: fresh engine, explicit row-order loop.
-    let seq_engine = engine();
+    let seq_engine = engine(1);
     let seq: Vec<String> = manifest
         .iter()
         .map(|entry| payload(&run_corpus_entry(&seq_engine, entry)))
@@ -79,9 +84,9 @@ fn sharded_runs_match_the_sequential_reference_cold_and_warm() {
         "the manifest must exercise the error path"
     );
     for jobs in [1, 4, 8] {
-        let shard_engine = engine();
+        let shard_engine = engine(jobs);
         for pass in ["cold", "admitting", "warm"] {
-            let rows = run_corpus(&shard_engine, &manifest, jobs);
+            let rows = run_corpus(&shard_engine, &manifest);
             assert_eq!(rows.len(), seq.len());
             for (i, (row, reference)) in rows.iter().zip(&seq).enumerate() {
                 assert_eq!(
@@ -111,8 +116,8 @@ fn defective_rows_fail_in_place_under_deny_policy() {
         .iter()
         .map(|entry| payload(&run_corpus_entry(&seq_engine, entry)))
         .collect();
-    let shard_engine = Engine::new(config);
-    let rows = run_corpus(&shard_engine, &manifest, 4);
+    let shard_engine = Engine::new(EngineConfig { jobs: 4, ..config });
+    let rows = run_corpus(&shard_engine, &manifest);
     let got: Vec<String> = rows.iter().map(payload).collect();
     assert_eq!(got, seq);
 }

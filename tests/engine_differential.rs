@@ -1,63 +1,62 @@
 //! Differential property of the staged engine: for every bundled
-//! benchmark, the parallel + memoized pipeline must produce results
-//! **bit-identical** to the sequential uncached path (the seed's
-//! monolithic driver) — same baseline, same derived constraints, same
-//! per-gate breakdown, same trace, same iteration counts. The
-//! configuration matrix below covers the one reuse switch (`cache`: the
-//! whole reuse stack vs the reference path) with the job-count dimension,
-//! over three passes per engine — cold, admitting (the cache stores what
-//! is requested a second time) and warm — so no configuration can
-//! silently diverge from the reference.
+//! benchmark, the memoized pipeline, run alone or sharded over corpus
+//! workers, must produce results **bit-identical** to the sequential
+//! uncached path (the seed's monolithic entry point) — same baseline, same
+//! derived constraints, same per-gate breakdown, same trace, same
+//! iteration counts. The configuration matrix below covers the one reuse
+//! switch (`cache`: the whole reuse stack vs the reference path), over
+//! three passes per engine — cold, admitting (the cache stores what is
+//! requested a second time) and warm — so no configuration can silently
+//! diverge from the reference.
 
 use std::time::Duration;
 
 use si_redress::core::{CacheStats, Engine, EngineConfig, RelaxationOrder, Stage, StageMetrics};
 use si_redress::prelude::*;
 
+/// An engine whose `run_corpus` shards over `jobs` workers.
+fn sharded(jobs: usize) -> Engine {
+    Engine::new(EngineConfig {
+        jobs,
+        ..EngineConfig::default()
+    })
+}
+
 #[test]
 fn parallel_memoized_engine_is_bit_identical_to_the_sequential_uncached_path() {
-    // One shared engine for the whole suite: the cache carries across
-    // circuits, which is exactly the configuration that must not leak
-    // state between benchmarks.
-    let engine = Engine::new(EngineConfig::parallel(4));
-    for bench in si_redress::suite::benchmarks() {
-        let (stg, library) = bench.circuit().expect("loads");
-        let reference = derive_timing_constraints(&stg, &library).expect("derives");
-        let staged = engine.run(&stg, &library).expect("derives");
-        assert_eq!(
-            staged.report, reference,
-            "{}: parallel+memoized output diverged from the sequential uncached path",
-            bench.name
-        );
+    // One shared engine for the whole suite, its rows sharded over four
+    // workers: the cache carries across circuits and workers, which is
+    // exactly the configuration that must not leak state between
+    // benchmarks. Three passes: cold, admitting and warm.
+    let engine = sharded(4);
+    for pass in ["cold", "admitting", "warm"] {
+        let rows = si_redress::suite::run_corpus(&engine, &suite_manifest());
+        assert_rows_match_the_reference(rows, RelaxationOrder::TightestFirst, pass);
     }
 }
 
 #[test]
 fn every_reuse_layer_configuration_is_bit_identical_to_the_reference() {
-    // {cache} × {jobs 1, jobs 4}, three passes each: 4 configurations per
-    // benchmark, every one compared against the sequential uncached
-    // reference. The cache stores a graph on its second request, so the
-    // second pass is the one that stores and the third runs the all-hits
-    // path; memo bugs typically only bite there.
+    // The cache on and off, three passes each, every one compared against
+    // the sequential uncached reference. The cache stores a graph on its
+    // second request, so the second pass is the one that stores and the
+    // third runs the all-hits path; memo bugs typically only bite there.
     for bench in si_redress::suite::benchmarks() {
         let (stg, library) = bench.circuit().expect("loads");
         let reference = derive_timing_constraints(&stg, &library).expect("derives");
         for cache in [false, true] {
-            for jobs in [1usize, 4] {
-                let config = EngineConfig {
-                    cache,
-                    jobs,
-                    ..EngineConfig::default()
-                };
-                let engine = Engine::new(config);
-                for pass in ["cold", "admitting", "warm"] {
-                    let out = engine.run(&stg, &library).expect("derives");
-                    assert_eq!(
-                        out.report, reference,
-                        "{}: {pass} run diverged under {config:?}",
-                        bench.name
-                    );
-                }
+            let config = EngineConfig {
+                cache,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(config);
+            for pass in ["cold", "admitting", "warm"] {
+                let out = engine.run(&stg, &library).expect("derives");
+                assert_eq!(
+                    out.report, reference,
+                    "{}: {pass} run diverged under {config:?}",
+                    bench.name
+                );
             }
         }
     }
@@ -108,18 +107,28 @@ fn suite_manifest() -> Vec<si_redress::suite::CorpusEntry> {
         .collect()
 }
 
+/// Asserts that `rows`, one per bundled benchmark in suite order, carry
+/// exactly the reference path's report under `order`.
+fn assert_rows_match_the_reference(
+    rows: Vec<si_redress::suite::CorpusOutcome>,
+    order: RelaxationOrder,
+    run: &str,
+) {
+    assert_eq!(rows.len(), 13);
+    for (row, bench) in rows.into_iter().zip(si_redress::suite::benchmarks()) {
+        let row = row.expect("derives");
+        let (stg, library) = bench.circuit().expect("loads");
+        let reference =
+            si_redress::core::derive_timing_constraints_with_order(&stg, &library, order)
+                .expect("derives");
+        assert_eq!(row.report.report, reference, "{}: {run}", row.name);
+    }
+}
+
 #[test]
 fn batch_entry_point_matches_per_circuit_runs() {
-    let engine = Engine::new(EngineConfig::parallel(2));
-    let rows = si_redress::suite::run_corpus(&engine, &suite_manifest(), 2);
-    assert_eq!(rows.len(), 13);
-    for row in rows {
-        let row = row.expect("derives");
-        let bench = si_redress::suite::benchmark(&row.name).expect("bundled");
-        let (stg, library) = bench.circuit().expect("loads");
-        let reference = derive_timing_constraints(&stg, &library).expect("derives");
-        assert_eq!(row.report.report, reference, "{}", row.name);
-    }
+    let rows = si_redress::suite::run_corpus(&sharded(2), &suite_manifest());
+    assert_rows_match_the_reference(rows, RelaxationOrder::TightestFirst, "two workers");
 }
 
 #[test]
@@ -132,7 +141,7 @@ fn memoization_pays_off_within_a_single_suite_pass() {
     // number of distinct graphs it requested.
     let engine = Engine::new(EngineConfig::default());
     let pass = || {
-        for row in si_redress::suite::run_corpus(&engine, &suite_manifest(), 1) {
+        for row in si_redress::suite::run_corpus(&engine, &suite_manifest()) {
             row.expect("derives");
         }
         engine.cache_stats()
@@ -160,18 +169,18 @@ fn memoization_pays_off_within_a_single_suite_pass() {
 
 #[test]
 fn relaxation_order_is_respected_under_parallel_fanout() {
-    let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
-    let (stg, library) = bench.circuit().expect("loads");
+    // The suite's rows fanned out over four workers: every shard must
+    // relax in the engine's order.
     for order in [
         RelaxationOrder::TightestFirst,
         RelaxationOrder::Lexicographic,
     ] {
-        let reference =
-            si_redress::core::derive_timing_constraints_with_order(&stg, &library, order)
-                .expect("derives");
-        let engine = Engine::new(EngineConfig::parallel(4).with_order(order));
-        let staged = engine.run(&stg, &library).expect("derives");
-        assert_eq!(staged.report, reference, "{order:?}");
+        let engine = Engine::new(EngineConfig {
+            jobs: 4,
+            ..EngineConfig::default().with_order(order)
+        });
+        let rows = si_redress::suite::run_corpus(&engine, &suite_manifest());
+        assert_rows_match_the_reference(rows, order, &format!("{order:?}"));
     }
 }
 
@@ -183,51 +192,47 @@ fn engine_report_metrics_are_coherent() {
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
     for cache in [false, true] {
-        for jobs in [1usize, 4] {
-            let config = EngineConfig {
-                cache,
-                jobs,
-                ..EngineConfig::default()
-            };
-            let engine = Engine::new(config);
-            for pass in ["cold", "admitting", "warm"] {
-                let out = engine.run(&stg, &library).expect("derives");
-                assert_eq!(out.jobs, jobs, "{config:?}");
-                assert_eq!(out.gates.len(), out.report.per_gate.len());
-                let gate_iterations: usize = out.gates.iter().map(|g| g.iterations).sum();
-                assert_eq!(gate_iterations, out.report.iterations);
-                for stage in [Stage::Project, Stage::Relax] {
-                    let parts: Vec<&StageMetrics> = out
-                        .gates
-                        .iter()
-                        .map(|g| match stage {
-                            Stage::Project => &g.project,
-                            _ => &g.relax,
-                        })
-                        .collect();
-                    assert!(parts.iter().all(|part| part.stage == stage));
-                    let reported = out.stage(stage).expect("ran");
-                    let wall: Duration = parts.iter().map(|part| part.wall).sum();
-                    assert_eq!(wall, reported.wall);
-                    for (i, (name, value)) in reported.counters().into_iter().enumerate() {
-                        let total: usize = parts.iter().map(|part| part.counters()[i].1).sum();
-                        assert_eq!(total, value, "{stage:?} {name}, {pass}, {config:?}");
-                    }
+        let config = EngineConfig {
+            cache,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(config);
+        for pass in ["cold", "admitting", "warm"] {
+            let out = engine.run(&stg, &library).expect("derives");
+            assert_eq!(out.gates.len(), out.report.per_gate.len());
+            let gate_iterations: usize = out.gates.iter().map(|g| g.iterations).sum();
+            assert_eq!(gate_iterations, out.report.iterations);
+            for stage in [Stage::Project, Stage::Relax] {
+                let parts: Vec<&StageMetrics> = out
+                    .gates
+                    .iter()
+                    .map(|g| match stage {
+                        Stage::Project => &g.project,
+                        _ => &g.relax,
+                    })
+                    .collect();
+                assert!(parts.iter().all(|part| part.stage == stage));
+                let reported = out.stage(stage).expect("ran");
+                let wall: Duration = parts.iter().map(|part| part.wall).sum();
+                assert_eq!(wall, reported.wall);
+                for (i, (name, value)) in reported.counters().into_iter().enumerate() {
+                    let total: usize = parts.iter().map(|part| part.counters()[i].1).sum();
+                    assert_eq!(total, value, "{stage:?} {name}, {pass}, {config:?}");
                 }
-                let project = out.stage(Stage::Project).expect("ran");
-                assert!(
-                    project.sg_cache_misses + project.sg_cache_hits > 0,
-                    "the conformance pre-check generates SGs in the project stage: {project:?}"
-                );
-                // The decompose stage explores the Table 7.2 state count
-                // on every run.
-                assert_eq!(
-                    out.stage(Stage::Decompose).expect("ran").states_explored,
-                    112,
-                    "{pass}, {config:?}"
-                );
-                assert_eq!(out.report.state_count, 112);
             }
+            let project = out.stage(Stage::Project).expect("ran");
+            assert!(
+                project.sg_cache_misses + project.sg_cache_hits > 0,
+                "the conformance pre-check generates SGs in the project stage: {project:?}"
+            );
+            // The decompose stage explores the Table 7.2 state count
+            // on every run.
+            assert_eq!(
+                out.stage(Stage::Decompose).expect("ran").states_explored,
+                112,
+                "{pass}, {config:?}"
+            );
+            assert_eq!(out.report.state_count, 112);
         }
     }
 }

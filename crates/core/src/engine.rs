@@ -142,11 +142,29 @@ impl EngineConfig {
             ..Self::default()
         }
     }
+}
 
-    /// The same configuration under a different relaxation order.
-    pub fn with_order(self, order: RelaxationOrder) -> Self {
-        Self { order, ..self }
+/// Checks the derivation's precondition on `analysis`, the whole-STG walk
+/// of the STG named `name`: it must be live, safe, free-choice and
+/// consistent. [`Engine::run`] checks its own walk, and the text front
+/// end (`si_suite::run_corpus_entry`) checks in its validate stage.
+///
+/// # Errors
+///
+/// The walk's failures ([`StgAnalysis::health`]), and
+/// [`CoreError::NotWellFormed`] listing the four checks when one fails.
+pub fn check_well_formed(name: &str, analysis: &StgAnalysis) -> Result<(), CoreError> {
+    let health = analysis.health()?;
+    if health.is_well_formed() {
+        return Ok(());
     }
+    Err(CoreError::NotWellFormed {
+        name: name.to_string(),
+        detail: format!(
+            "live: {}, safe: {}, free-choice: {}, consistent: {}",
+            health.live, health.safe, health.free_choice, health.consistent
+        ),
+    })
 }
 
 /// The pipeline stages, in execution order. The first three are
@@ -430,18 +448,21 @@ impl Engine {
 
     /// Runs the pipeline on a parsed circuit: decompose → project → relax
     /// → merge. The decompose stage walks the whole STG once
-    /// ([`Stg::analyze`]) and counts the walk's states; then
-    /// [`Engine::run_analyzed`].
+    /// ([`Stg::analyze`]), checks on the walk that the STG is well formed
+    /// ([`check_well_formed`], as the text front end's validate stage
+    /// does) and counts the walk's states; then [`Engine::run_analyzed`].
     ///
     /// # Errors
     ///
     /// Exactly the errors of
     /// [`derive_timing_constraints`](crate::derive_timing_constraints):
-    /// [`CoreError::MissingGate`], [`CoreError::NotConformant`],
-    /// decomposition and state-graph failures.
+    /// [`CoreError::NotWellFormed`], [`CoreError::MissingGate`],
+    /// [`CoreError::NotConformant`], decomposition and state-graph
+    /// failures.
     pub fn run(&self, stg: &Stg, library: &GateLibrary) -> Result<EngineReport, CoreError> {
         let started = Instant::now();
         let analysis = stg.analyze(self.config.global_sg_budget)?;
+        check_well_formed(&stg.name, &analysis)?;
         let walk = started.elapsed();
         let mut out = self.run_analyzed(stg, &analysis, library)?;
         let decompose = out

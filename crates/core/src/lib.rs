@@ -102,7 +102,8 @@ pub use check::{
 };
 pub use constraint::{Constraint, ConstraintAtom};
 pub use engine::{
-    Engine, EngineConfig, EngineReport, GateMetrics, LintPolicy, Stage, StageMetrics,
+    check_well_formed, Engine, EngineConfig, EngineReport, GateMetrics, LintPolicy, Stage,
+    StageMetrics,
 };
 pub use error::CoreError;
 pub use expand::{ExpandOutcome, RelaxationOrder, TraceEvent};
@@ -116,7 +117,5 @@ pub use padding::{plan_padding, PaddingPlan, PaddingPosition};
 pub use paths::{AdversaryOracle, AdversaryPath};
 pub use pool::par_map;
 pub use relax::relax_arc;
-pub use report::{
-    derive_timing_constraints, derive_timing_constraints_with_order, ConstraintReport, GateReport,
-};
+pub use report::{derive_timing_constraints, ConstraintReport, GateReport};
 pub use sched::{DivergenceKind, DivergencePolicy, DivergenceWitness};

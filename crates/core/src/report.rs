@@ -5,11 +5,10 @@
 //! constraints, runs the relaxation loop, and unions the per-gate results.
 //!
 //! Since the staged-pipeline refactor the heavy lifting lives in
-//! [`crate::Engine`]; the two `derive_timing_constraints*` functions here
-//! are the classic monolithic entry points, pinned to the engine's
-//! sequential, uncached [`crate::EngineConfig::reference`] configuration
-//! (the differential baseline every other configuration is tested
-//! against).
+//! [`crate::Engine`]; [`derive_timing_constraints`] here is the classic
+//! monolithic entry point, pinned to the engine's sequential, uncached
+//! [`crate::EngineConfig::reference`] configuration (the differential
+//! baseline every other configuration is tested against).
 
 use std::collections::BTreeSet;
 
@@ -20,7 +19,7 @@ use si_stg::Stg;
 use crate::constraint::Constraint;
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CoreError;
-use crate::expand::{RelaxationOrder, TraceEvent};
+use crate::expand::TraceEvent;
 
 /// Per-gate derivation summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,31 +138,19 @@ fn json_strings<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> Str
 ///
 /// # Errors
 ///
+/// - [`CoreError::NotWellFormed`] when the STG is not live, safe,
+///   free-choice and consistent (the method's precondition on the
+///   specification);
 /// - [`CoreError::MissingGate`] when a non-input signal has no gate;
 /// - [`CoreError::NotConformant`] when the netlist does not implement the
 ///   STG hazard-free under the isochronic-fork assumption (the method's
-///   precondition);
+///   precondition on the circuit);
 /// - plus decomposition/state-graph errors for malformed inputs.
 pub fn derive_timing_constraints(
     stg: &Stg,
     library: &GateLibrary,
 ) -> Result<ConstraintReport, CoreError> {
-    derive_timing_constraints_with_order(stg, library, RelaxationOrder::TightestFirst)
-}
-
-/// [`derive_timing_constraints`] under an explicit relaxation-order policy
-/// (the Sec. 5.5 ablation: naive orders can only produce equal-or-stronger
-/// constraint sets).
-///
-/// # Errors
-///
-/// Same as [`derive_timing_constraints`].
-pub fn derive_timing_constraints_with_order(
-    stg: &Stg,
-    library: &GateLibrary,
-    order: RelaxationOrder,
-) -> Result<ConstraintReport, CoreError> {
-    Engine::new(EngineConfig::reference().with_order(order))
+    Engine::new(EngineConfig::reference())
         .run(stg, library)
         .map(|out| out.report)
 }
@@ -291,5 +278,23 @@ c- a+ b+
             derive_timing_constraints(&stg, &lib),
             Err(CoreError::NotConformant { .. })
         ));
+    }
+
+    #[test]
+    fn a_spec_that_is_not_well_formed_is_rejected() {
+        // One cycle, then a deadlock: the STG is not live. The engine
+        // checks its own walk, so the monolithic call rejects it as the
+        // text front end does, instead of deriving a clean empty set.
+        let stg = parse_astg(
+            ".model deadlock\n.inputs a\n.outputs b\n.graph\np0 a+\na+ b+\nb+ a-\na- b-\nb- p1\n.marking { p0 }\n.end\n",
+        )
+        .expect("valid");
+        let lib = GateLibrary::from_netlist(&parse_eqn("b = a;").expect("valid"));
+        let err = derive_timing_constraints(&stg, &lib).expect_err("not live");
+        assert!(
+            matches!(&err, CoreError::NotWellFormed { name, detail }
+                if name == "deadlock" && detail.starts_with("live: false")),
+            "{err:?}"
+        );
     }
 }

@@ -6,6 +6,12 @@
 //! transitions plus token-counted arcs, with the structural predicates the
 //! relaxation engine needs (precedence, concurrency, liveness, safeness and
 //! the Algorithm 3 shortcut-place redundancy check).
+//!
+//! The arcs live in one array sorted by `(src, dst)`, so the arcs out of a
+//! transition form one contiguous run. The path searches read those runs
+//! in place, the redundancy sweep removes each redundant arc from the
+//! array as it finds it, and the reference token game's markings are
+//! aligned with the array.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -47,7 +53,7 @@ pub struct SgKey {
 
 impl SgKey {
     /// Whether this is `mg`'s key: the same answer as `*self ==
-    /// mg.sg_key()`, found by walking `mg`'s transitions and arc map in
+    /// mg.sg_key()`, found by walking `mg`'s transitions and arc array in
     /// place, with no allocation.
     pub fn matches(&self, mg: &MgStg) -> bool {
         self.initial_code == mg.initial_code
@@ -60,8 +66,8 @@ impl SgKey {
 /// Extends `fingerprint` with `words`, one multiply-rotate step per word,
 /// then folds the result's high half into its low half — the mixing of
 /// [`MgStg::sg_fingerprint`], which is this function applied to the key
-/// content from 0. For memo keys that add content to a marked graph's
-/// fingerprint.
+/// content from 0. The relaxation loop's covering ledger adds its
+/// guaranteed-arc count to [`MgStg::skeleton_fingerprint`] with it.
 pub fn extend_fingerprint(fingerprint: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     let h = words.into_iter().fold(fingerprint, mix_word);
     // The last product mixes its input only upward, and a hash table
@@ -100,6 +106,25 @@ pub(crate) fn weakly_connected(
     nodes.all(|n| root(parent, n) == r)
 }
 
+/// The scratch of [`MgStg::has_path_within`]'s search. Each thread keeps
+/// one, reset at the start of every search, so a search allocates only
+/// when a graph outgrows it.
+struct Search {
+    /// Per transition, the fewest tokens the search has reached it with
+    /// (`u32::MAX` = unreached).
+    best: Vec<u32>,
+    stack: Vec<(usize, u32)>,
+}
+
+thread_local! {
+    static SEARCH: RefCell<Search> = const {
+        RefCell::new(Search {
+            best: Vec::new(),
+            stack: Vec::new(),
+        })
+    };
+}
+
 /// A marked-graph STG over transition-level arcs.
 ///
 /// Transition ids are stable across edits (removed transitions are
@@ -118,7 +143,10 @@ pub struct MgStg {
     /// trial — sharing it keeps those clones off the heap.
     signals: Arc<Vec<SignalDecl>>,
     transitions: Vec<Option<TransitionLabel>>,
-    arcs: BTreeMap<(usize, usize), ArcAttr>,
+    /// Every arc `((src, dst), attr)`, sorted by key with no key twice —
+    /// the order of [`MgStg::arcs`] — so the arcs out of a transition form
+    /// one contiguous run ([`MgStg::arcs_out_of`]).
+    arcs: Vec<((usize, usize), ArcAttr)>,
     initial_code: u64,
     /// Whether no non-restriction arc is redundant: set by a full sweep
     /// ([`MgStg::eliminate_redundant_arcs`]) and kept by a bypass edit's
@@ -171,14 +199,8 @@ impl MgStg {
         comp: &MgComponent,
         initial_code: u64,
     ) -> Result<Self, StgError> {
-        let mut mg = Self {
-            name: stg.name.clone(),
-            signals: Arc::new(stg.signals.clone()),
-            transitions: Vec::new(),
-            arcs: BTreeMap::new(),
-            initial_code,
-            redundancy_free: false,
-        };
+        let mut mg = Self::empty_like(stg);
+        mg.initial_code = initial_code;
         for t in comp.net.transitions() {
             let orig = comp.transition_map[t.0];
             mg.transitions.push(Some(stg.label(orig)));
@@ -223,7 +245,7 @@ impl MgStg {
 
     /// The canonical [`SgKey`] of this MG — the memoization key for
     /// [`crate::StateGraph::of_mg`]. Deterministic: alive transitions in
-    /// ascending id order, arcs in `BTreeMap` key order.
+    /// ascending id order, arcs in key order.
     pub fn sg_key(&self) -> SgKey {
         SgKey {
             initial_code: self.initial_code,
@@ -243,7 +265,7 @@ impl MgStg {
 
     /// The arc skeleton with token counts, as [`SgKey`] lists it.
     fn key_arcs(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
-        self.arcs.iter().map(|(&(a, b), attr)| (a, b, attr.tokens))
+        self.arcs.iter().map(|&((a, b), attr)| (a, b, attr.tokens))
     }
 
     /// A cheap 64-bit fingerprint of exactly the content [`MgStg::sg_key`]
@@ -270,10 +292,10 @@ impl MgStg {
         self.fingerprint_with(|attr| u64::from(attr.restriction))
     }
 
-    /// The token count of every arc, in arc-key order (the order of
+    /// The token count of every arc, in key order (the order of
     /// [`MgStg::arcs`]).
     pub fn arc_tokens(&self) -> impl Iterator<Item = u32> + '_ {
-        self.arcs.values().map(|attr| attr.tokens)
+        self.arcs.iter().map(|(_, attr)| attr.tokens)
     }
 
     /// The one word stream behind both fingerprints: the initial code, the
@@ -295,7 +317,7 @@ impl MgStg {
         let arcs = self
             .arcs
             .iter()
-            .flat_map(|(&(a, b), &attr)| [a as u64, b as u64, arc_word(attr)]);
+            .flat_map(|&((a, b), attr)| [a as u64, b as u64, arc_word(attr)]);
         let words = std::iter::once(self.initial_code)
             .chain(transitions)
             .chain(arcs);
@@ -318,7 +340,7 @@ impl MgStg {
         weakly_connected(
             &mut Vec::new(),
             self.transitions.len(),
-            self.arcs.keys().copied(),
+            self.arcs.iter().map(|&(k, _)| k),
             self.alive_labels().map(|(t, _)| t),
         )
     }
@@ -414,20 +436,41 @@ impl MgStg {
             name: stg.name.clone(),
             signals: Arc::new(stg.signals.clone()),
             transitions: Vec::new(),
-            arcs: BTreeMap::new(),
+            arcs: Vec::new(),
             initial_code: 0,
             redundancy_free: false,
         }
     }
 
-    /// All arcs `((src, dst), attr)` in deterministic order.
+    /// All arcs `((src, dst), attr)`, ascending by key.
     pub fn arcs(&self) -> impl Iterator<Item = ((usize, usize), ArcAttr)> + '_ {
-        self.arcs.iter().map(|(&k, &v)| (k, v))
+        self.arcs.iter().copied()
+    }
+
+    /// Where arc `src ⇒ dst` sits in the arc array: `Ok` with its index
+    /// if present, else `Err` with the index that keeps the array sorted.
+    fn position(&self, src: usize, dst: usize) -> Result<usize, usize> {
+        self.arcs.binary_search_by_key(&(src, dst), |&(k, _)| k)
+    }
+
+    /// The arcs out of `t`, ascending: one run of the arc array.
+    fn arcs_out_of(&self, t: usize) -> &[((usize, usize), ArcAttr)] {
+        let start = self.arcs.partition_point(|&((src, _), _)| src < t);
+        let len = self.arcs[start..].partition_point(|&((src, _), _)| src == t);
+        &self.arcs[start..start + len]
+    }
+
+    /// The arcs into `t` as `(src, tokens)`, ascending.
+    fn arcs_into(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.arcs
+            .iter()
+            .filter(move |&&((_, b), _)| b == t)
+            .map(|&((a, _), attr)| (a, attr.tokens))
     }
 
     /// Attribute of arc `src ⇒ dst`, if present.
     pub fn arc(&self, src: usize, dst: usize) -> Option<ArcAttr> {
-        self.arcs.get(&(src, dst)).copied()
+        self.position(src, dst).ok().map(|i| self.arcs[i].1)
     }
 
     /// Inserts (or merges into) the arc `src ⇒ dst`.
@@ -446,45 +489,45 @@ impl MgStg {
             "arc endpoints must be alive"
         );
         self.redundancy_free = false;
-        self.arcs
-            .entry((src, dst))
-            .and_modify(|a| {
-                a.tokens = a.tokens.min(tokens);
-                a.restriction |= restriction;
-            })
-            .or_insert(ArcAttr {
-                tokens,
-                restriction,
-            });
+        match self.position(src, dst) {
+            Ok(i) => {
+                let attr = &mut self.arcs[i].1;
+                attr.tokens = attr.tokens.min(tokens);
+                attr.restriction |= restriction;
+            }
+            Err(i) => self.arcs.insert(
+                i,
+                (
+                    (src, dst),
+                    ArcAttr {
+                        tokens,
+                        restriction,
+                    },
+                ),
+            ),
+        }
     }
 
     /// Removes the arc `src ⇒ dst`; returns its attributes if it existed.
     pub fn remove_arc(&mut self, src: usize, dst: usize) -> Option<ArcAttr> {
-        self.arcs.remove(&(src, dst))
+        let i = self.position(src, dst).ok()?;
+        Some(self.arcs.remove(i).1)
     }
 
     /// Removes a transition and all incident arcs.
     pub fn remove_transition(&mut self, t: usize) {
         self.transitions[t] = None;
-        self.arcs.retain(|&(a, b), _| a != t && b != t);
+        self.arcs.retain(|&((a, b), _)| a != t && b != t);
     }
 
     /// Predecessor transitions of `t` (thesis `/t`).
     pub fn preds(&self, t: usize) -> Vec<usize> {
-        self.arcs
-            .keys()
-            .filter(|&&(_, b)| b == t)
-            .map(|&(a, _)| a)
-            .collect()
+        self.arcs_into(t).map(|(a, _)| a).collect()
     }
 
     /// Successor transitions of `t` (thesis `t.`).
     pub fn succs(&self, t: usize) -> Vec<usize> {
-        self.arcs
-            .keys()
-            .filter(|&&(a, _)| a == t)
-            .map(|&(_, b)| b)
-            .collect()
+        self.arcs_out_of(t).iter().map(|&((_, b), _)| b).collect()
     }
 
     /// Minimum-token weight of a non-empty directed path from `a` to `b`
@@ -496,18 +539,39 @@ impl MgStg {
     /// A yes/no question about the weight is cheaper to ask through
     /// [`MgStg::has_path_within`].
     pub fn min_token_path(&self, a: usize, b: usize, exclude_direct: bool) -> Option<u32> {
-        with_paths(self, |paths| {
-            if exclude_direct {
-                paths.hide(a, b);
+        let skip = exclude_direct.then_some((a, b));
+        let mut dist: Vec<Option<u32>> = vec![None; self.transitions.len()];
+        // Start from `a` at distance 0 without giving it one, so that paths
+        // are non-empty: `a` gets a distance only if a cycle reaches it.
+        let mut heap = BinaryHeap::from([Reverse((0, a))]);
+        while let Some(Reverse((d, n))) = heap.pop() {
+            if dist[n].is_some_and(|seen| d > seen) {
+                continue;
             }
-            paths.min_tokens(a, b)
-        })
+            for &(key @ (_, dst), attr) in self.arcs_out_of(n) {
+                if Some(key) == skip {
+                    continue;
+                }
+                let nd = d + attr.tokens;
+                if dist[dst].is_none_or(|seen| nd < seen) {
+                    dist[dst] = Some(nd);
+                    heap.push(Reverse((nd, dst)));
+                }
+            }
+        }
+        dist[b]
     }
 
     /// Whether a non-empty directed path from `a` to `b` carries at most
     /// `max_tokens` tokens — `min_token_path(a, b, exclude_direct)` being
     /// at most `max_tokens`, answered by a search that stops at `b` or at
     /// the bound instead of computing the minimum.
+    ///
+    /// The search is depth-first over the arcs' runs, read in place. It
+    /// never extends a path past `max_tokens` tokens and revisits a
+    /// transition only when reaching it with fewer tokens than before, so
+    /// each transition is expanded at most `max_tokens + 1` times; it
+    /// stops at the first arrival at `b`.
     pub fn has_path_within(
         &self,
         a: usize,
@@ -515,11 +579,34 @@ impl MgStg {
         max_tokens: u32,
         exclude_direct: bool,
     ) -> bool {
-        with_paths(self, |paths| {
-            if exclude_direct {
-                paths.hide(a, b);
+        let skip = exclude_direct.then_some((a, b));
+        SEARCH.with_borrow_mut(|Search { best, stack }| {
+            best.clear();
+            best.resize(self.transitions.len(), u32::MAX);
+            stack.clear();
+            // The seed entry records no arrival at `a`, so the paths
+            // searched are non-empty: `a` is reached only if a cycle leads
+            // back to it.
+            stack.push((a, 0));
+            while let Some((n, d)) = stack.pop() {
+                if d > best[n] {
+                    continue; // superseded by a cheaper arrival
+                }
+                for &(key @ (_, dst), attr) in self.arcs_out_of(n) {
+                    if attr.tokens > max_tokens - d || Some(key) == skip {
+                        continue;
+                    }
+                    if dst == b {
+                        return true;
+                    }
+                    let nd = d + attr.tokens;
+                    if nd < best[dst] {
+                        best[dst] = nd;
+                        stack.push((dst, nd));
+                    }
+                }
             }
-            paths.within(a, b, max_tokens)
+            false
         })
     }
 
@@ -531,12 +618,7 @@ impl MgStg {
 
     /// Whether `a` and `b` are concurrent (neither precedes the other).
     pub fn concurrent(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        with_paths(self, |paths| {
-            !paths.within(a, b, 0) && !paths.within(b, a, 0)
-        })
+        a != b && !self.has_path_within(a, b, 0, false) && !self.has_path_within(b, a, 0, false)
     }
 
     /// Whether the MG is live: strongly connected over alive transitions
@@ -556,7 +638,7 @@ impl MgStg {
             let mut stack = vec![alive[0]];
             seen.insert(alive[0]);
             while let Some(n) = stack.pop() {
-                for &(a, b) in self.arcs.keys() {
+                for &((a, b), _) in &self.arcs {
                     let (from, to) = if forward { (a, b) } else { (b, a) };
                     if from == n && seen.insert(to) {
                         stack.push(to);
@@ -573,7 +655,7 @@ impl MgStg {
     fn zero_token_acyclic(&self, alive: &[usize]) -> bool {
         // Kahn's algorithm on the token-free subgraph.
         let mut indeg: BTreeMap<usize, usize> = alive.iter().map(|&t| (t, 0)).collect();
-        for (&(_, b), attr) in &self.arcs {
+        for &((_, b), attr) in &self.arcs {
             if attr.tokens == 0 {
                 *indeg.get_mut(&b).expect("alive") += 1;
             }
@@ -586,8 +668,8 @@ impl MgStg {
         let mut removed = 0usize;
         while let Some(n) = queue.pop() {
             removed += 1;
-            for (&(a, b), attr) in &self.arcs {
-                if attr.tokens == 0 && a == n {
+            for &((_, b), attr) in self.arcs_out_of(n) {
+                if attr.tokens == 0 {
                     let d = indeg.get_mut(&b).expect("alive");
                     *d -= 1;
                     if *d == 0 {
@@ -603,14 +685,12 @@ impl MgStg {
     /// token in any reachable marking. For a live MG the bound of place
     /// `(a, b)` is `tokens(a, b) + min-token-path(b → a)`.
     pub fn is_safe(&self) -> bool {
-        with_paths(self, |paths| {
-            self.arcs
-                .iter()
-                .all(|(&(a, b), attr)| match paths.min_tokens(b, a) {
-                    Some(back) => attr.tokens + back <= 1,
-                    None => attr.tokens <= 1, // no cycle: bound is the initial count
-                })
-        })
+        self.arcs
+            .iter()
+            .all(|&((a, b), attr)| match self.min_token_path(b, a, false) {
+                Some(back) => attr.tokens + back <= 1,
+                None => attr.tokens <= 1, // no cycle: bound is the initial count
+            })
     }
 
     /// The Algorithm 3 redundancy check for the implicit place on arc
@@ -618,16 +698,25 @@ impl MgStg {
     /// carries no more tokens than the arc itself, or the arc is a marked
     /// self-loop ("loop-only place").
     pub fn is_redundant_arc(&self, src: usize, dst: usize) -> bool {
-        let Some(attr) = self.arc(src, dst) else {
-            return false;
-        };
-        with_paths(self, |paths| paths.sweep_arc(src, dst, attr.tokens))
+        self.arc(src, dst)
+            .is_some_and(|attr| self.redundant(src, dst, attr.tokens))
+    }
+
+    /// The Algorithm 3 test of the arc `a ⇒ b`, which holds `tokens`: a
+    /// marked self-loop, or another path `a → b` with at most `tokens`
+    /// tokens.
+    fn redundant(&self, a: usize, b: usize, tokens: u32) -> bool {
+        if a == b {
+            tokens >= 1
+        } else {
+            self.has_path_within(a, b, tokens, true)
+        }
     }
 
     /// Removes every redundant non-restriction arc (thesis Sec. 5.3.3);
     /// returns the removed arcs in removal order.
     ///
-    /// One pass in arc-key order, each arc tested against the arcs still
+    /// One pass in key order, each arc tested against the arcs still
     /// present at its turn, is exact: it removes the same arcs, in the
     /// same order, as repeating the pass until a round removes nothing.
     /// An arc's test asks only whether some *other* path carries at most
@@ -636,27 +725,36 @@ impl MgStg {
     /// and a second pass would remove nothing. (A self-loop's test reads
     /// its own token count alone.)
     ///
-    /// Each test is a bounded search ([`MgStg::has_path_within`]) over one
-    /// flat successor list built per sweep, with one scratch buffer shared
-    /// by every candidate. A removed arc is hidden from the later searches
-    /// by a flag and leaves the arc map at the end of the pass.
+    /// Each test is a bounded search ([`MgStg::has_path_within`]) over the
+    /// arc array, and a redundant arc leaves the array as soon as its
+    /// test finds it, so later tests no longer see it.
     ///
     /// The swept graph is marked redundancy-free, so a later bypass edit
     /// ([`MgStg::bypass`]) sweeps only the arcs it inserted or merged;
     /// [`MgStg::insert_arc`] clears the mark.
     pub fn eliminate_redundant_arcs(&mut self) -> Vec<(usize, usize)> {
-        let removed = with_paths(self, |paths| paths.sweep(self.arcs()));
-        self.drop_swept(&removed);
-        removed
+        let keys: Vec<(usize, usize)> = self.arcs.iter().map(|&(k, _)| k).collect();
+        self.sweep(&keys)
     }
 
-    /// Removes the arcs a sweep found redundant; the graph is then
-    /// redundancy-free.
-    fn drop_swept(&mut self, removed: &[(usize, usize)]) {
-        for k in removed {
-            self.arcs.remove(k);
+    /// Removes, in the order given, each non-restriction arc among
+    /// `candidates` that is redundant at its turn; a candidate that is no
+    /// arc is passed over. Returns the removed arcs; the graph is then
+    /// marked redundancy-free.
+    fn sweep(&mut self, candidates: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let mut removed = Vec::new();
+        for &(a, b) in candidates {
+            let Ok(i) = self.position(a, b) else {
+                continue;
+            };
+            let attr = self.arcs[i].1;
+            if !attr.restriction && self.redundant(a, b, attr.tokens) {
+                self.arcs.remove(i);
+                removed.push((a, b));
+            }
         }
         self.redundancy_free = true;
+        removed
     }
 
     /// Applies one bypass edit (Algorithm 1's hiding step or Algorithm 2's
@@ -668,7 +766,7 @@ impl MgStg {
     /// is dropped.
     ///
     /// On a graph marked redundancy-free the sweep tests only the arcs the
-    /// edit inserted or merged, in arc-key order, and leaves exactly what
+    /// edit inserted or merged, in key order, and leaves exactly what
     /// [`MgStg::eliminate_redundant_arcs`] would: every path the edit
     /// creates stands for an old path with the same tokens, so a light
     /// path past a surviving arc would have made it redundant before the
@@ -691,25 +789,24 @@ impl MgStg {
     /// arc.
     pub fn bypass(&mut self, edit: Bypass) -> Result<(), StgError> {
         let swept = self.redundancy_free;
-        // The bypasses as `(src, dst, tokens)`, and the arcs the edit
-        // deletes.
+        // The bypasses as `(src, dst, tokens)`.
         let mut bypasses = Vec::new();
-        let mut deleted = Vec::new();
         let guard = match edit {
             Bypass::Hide(t) => {
-                let outs: Vec<(usize, u32)> = self.arcs_out_of(t).collect();
+                let outs = self.arcs_out_of(t);
                 for (a, into) in self.arcs_into(t) {
-                    bypasses.extend(outs.iter().map(|&(b, out)| (a, b, into + out)));
-                    deleted.push((a, t));
+                    bypasses.extend(outs.iter().map(|&((_, b), out)| (a, b, into + out.tokens)));
                 }
-                deleted.extend(outs.iter().map(|&(b, _)| (t, b)));
                 None
             }
             Bypass::Relax(x, y) => {
-                let tokens = self.arcs[&(x, y)].tokens;
+                let tokens = self.arc(x, y).expect("the relaxed arc is present").tokens;
                 let into = self.arcs_into(x).map(|(b, w)| (b, y, w + tokens));
-                bypasses.extend(into.chain(self.arcs_out_of(y).map(|(d, w)| (x, d, tokens + w))));
-                deleted.push((x, y));
+                let out = self
+                    .arcs_out_of(y)
+                    .iter()
+                    .map(|&((_, d), w)| (x, d, tokens + w.tokens));
+                bypasses.extend(into.chain(out));
                 (tokens == 0).then_some((y, x))
             }
         };
@@ -732,11 +829,11 @@ impl MgStg {
                 });
             }
         }
-        for k in &deleted {
-            self.arcs.remove(k);
-        }
-        if let Bypass::Hide(t) = edit {
-            self.transitions[t] = None;
+        match edit {
+            Bypass::Hide(t) => self.remove_transition(t),
+            Bypass::Relax(x, y) => {
+                self.remove_arc(x, y);
+            }
         }
 
         #[cfg(debug_assertions)]
@@ -745,22 +842,18 @@ impl MgStg {
             full.eliminate_redundant_arcs();
             full
         });
-        let removed = with_paths(self, |paths| {
-            if !swept || guard.is_some_and(|(y, x)| paths.within(y, x, 0)) {
-                return paths.sweep(self.arcs());
-            }
-            // The arcs the edit inserted or merged, in arc-key order; a
-            // bypass out of or into the hidden transition, or onto the
-            // relaxed arc, left with the edit.
-            bypasses.sort_unstable();
-            bypasses.dedup_by_key(|&mut (a, b, _)| (a, b));
-            paths.sweep(
-                bypasses
-                    .iter()
-                    .filter_map(|&(a, b, _)| Some(((a, b), self.arc(a, b)?))),
-            )
-        });
-        self.drop_swept(&removed);
+        if !swept || guard.is_some_and(|(y, x)| self.has_path_within(y, x, 0, false)) {
+            self.eliminate_redundant_arcs();
+        } else {
+            // The arcs the edit inserted or merged, in key order; a bypass
+            // out of or into the hidden transition, or onto the relaxed
+            // arc, left with the edit and is passed over.
+            let mut touched: Vec<(usize, usize)> =
+                bypasses.iter().map(|&(a, b, _)| (a, b)).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            self.sweep(&touched);
+        }
         #[cfg(debug_assertions)]
         if let Some(full) = full {
             assert!(
@@ -773,252 +866,37 @@ impl MgStg {
         Ok(())
     }
 
-    /// The arcs into `t` as `(src, tokens)`, ascending.
-    fn arcs_into(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.arcs
-            .iter()
-            .filter(move |&(&(_, b), _)| b == t)
-            .map(|(&(a, _), attr)| (a, attr.tokens))
+    /// The initial marking of the reference token game: the token count
+    /// of every arc, aligned with [`MgStg::arcs`].
+    pub fn initial_marking(&self) -> Vec<u32> {
+        self.arc_tokens().collect()
     }
 
-    /// The arcs out of `t` as `(dst, tokens)`, ascending: one range of
-    /// the arc map.
-    fn arcs_out_of(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.arcs
-            .range((t, 0)..=(t, usize::MAX))
-            .map(|(&(_, b), attr)| (b, attr.tokens))
-    }
-
-    /// The initial marking as a map from arcs to token counts.
-    pub fn initial_marking(&self) -> BTreeMap<(usize, usize), u32> {
-        self.arcs
-            .iter()
-            .map(|(&k, attr)| (k, attr.tokens))
-            .collect()
-    }
-
-    /// Whether transition `t` is enabled in `marking`.
-    pub fn enabled_in(&self, t: usize, marking: &BTreeMap<(usize, usize), u32>) -> bool {
+    /// Whether transition `t` is enabled in `marking` (aligned with
+    /// [`MgStg::arcs`]): alive, with a token on every arc into it.
+    pub fn enabled_in(&self, t: usize, marking: &[u32]) -> bool {
+        debug_assert_eq!(marking.len(), self.arcs.len(), "a marking of this graph");
         self.is_alive(t)
             && self
                 .arcs
-                .keys()
-                .filter(|&&(_, b)| b == t)
-                .all(|k| marking.get(k).copied().unwrap_or(0) > 0)
+                .iter()
+                .zip(marking)
+                .all(|(&((_, b), _), &tokens)| b != t || tokens > 0)
     }
 
-    /// Fires `t` in `marking`, returning the successor marking.
+    /// Fires `t` in `marking`, returning the successor marking: one token
+    /// off every arc into `t`, one onto every arc out of it.
     ///
     /// # Panics
     ///
     /// Panics if `t` is not enabled.
-    pub fn fire_in(
-        &self,
-        t: usize,
-        marking: &BTreeMap<(usize, usize), u32>,
-    ) -> BTreeMap<(usize, usize), u32> {
+    pub fn fire_in(&self, t: usize, marking: &[u32]) -> Vec<u32> {
         assert!(self.enabled_in(t, marking), "transition {t} is not enabled");
-        let mut next = marking.clone();
-        for &(a, b) in self.arcs.keys() {
-            if b == t {
-                *next.get_mut(&(a, b)).expect("incoming arc") -= 1;
-            }
-        }
-        for &(a, b) in self.arcs.keys() {
-            if a == t {
-                *next.get_mut(&(a, b)).expect("outgoing arc") += 1;
-            }
-        }
-        next
-    }
-}
-
-/// The arcs of an [`MgStg`] as flat successor lists (compressed sparse
-/// rows), with the scratch of the path searches over them. The arcs
-/// leaving `t` are `succ[start[t]..start[t + 1]]` as `(dst, tokens)`;
-/// because the arc map is keyed `(src, dst)`, entry `e` of `succ` is arc
-/// `e` of [`MgStg::arcs`]. An arc whose `live` flag is clear is invisible
-/// to every search.
-///
-/// Each thread keeps one, rebuilt in place for every graph queried
-/// ([`with_paths`]), so a query allocates only when a graph outgrows the
-/// buffers.
-struct PathIndex {
-    start: Vec<usize>,
-    succ: Vec<(usize, u32)>,
-    live: Vec<bool>,
-    /// Per transition, the fewest tokens [`PathIndex::within`] has reached
-    /// it with (`u32::MAX` = unreached); reset through `touched` after
-    /// each search.
-    best: Vec<u32>,
-    touched: Vec<usize>,
-    stack: Vec<(usize, u32)>,
-}
-
-thread_local! {
-    static PATHS: RefCell<PathIndex> = const { RefCell::new(PathIndex::new()) };
-}
-
-/// Runs `query` on this thread's [`PathIndex`], rebuilt over `mg`'s arcs
-/// with every arc shown. The index stays borrowed while `query` runs, so
-/// `query` asks no other path question of any graph (a nested call would
-/// panic); every caller is in this module.
-fn with_paths<R>(mg: &MgStg, query: impl FnOnce(&mut PathIndex) -> R) -> R {
-    PATHS.with_borrow_mut(|paths| {
-        paths.index(mg);
-        query(paths)
-    })
-}
-
-impl PathIndex {
-    const fn new() -> Self {
-        Self {
-            start: Vec::new(),
-            succ: Vec::new(),
-            live: Vec::new(),
-            best: Vec::new(),
-            touched: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-
-    /// Rebuilds the index over `mg`'s arcs in the existing buffers.
-    fn index(&mut self, mg: &MgStg) {
-        let n = mg.transitions.len();
-        self.start.clear();
-        self.start.resize(n + 1, 0);
-        for &(src, _) in mg.arcs.keys() {
-            self.start[src + 1] += 1;
-        }
-        for t in 0..n {
-            self.start[t + 1] += self.start[t];
-        }
-        self.succ.clear();
-        self.succ
-            .extend(mg.arcs.iter().map(|(&(_, b), a)| (b, a.tokens)));
-        self.live.clear();
-        self.live.resize(self.succ.len(), true);
-        // A search that panicked may have left its scratch behind.
-        self.best.clear();
-        self.best.resize(n, u32::MAX);
-        self.touched.clear();
-        self.stack.clear();
-    }
-
-    /// The index of arc `a ⇒ b`, if present.
-    fn arc_index(&self, a: usize, b: usize) -> Option<usize> {
-        let first = self.start[a];
-        self.succ[first..self.start[a + 1]]
-            .binary_search_by_key(&b, |&(dst, _)| dst)
-            .ok()
-            .map(|i| first + i)
-    }
-
-    /// Hides arc `a ⇒ b` from every later search.
-    fn hide(&mut self, a: usize, b: usize) {
-        if let Some(e) = self.arc_index(a, b) {
-            self.live[e] = false;
-        }
-    }
-
-    /// The redundant arcs among `candidates`, given as keys with their
-    /// attributes in arc-key order: each non-restriction candidate is
-    /// tested ([`PathIndex::sweep_arc`]) against the arcs still shown at
-    /// its turn.
-    fn sweep(
-        &mut self,
-        candidates: impl IntoIterator<Item = ((usize, usize), ArcAttr)>,
-    ) -> Vec<(usize, usize)> {
-        candidates
-            .into_iter()
-            .filter(|&((a, b), attr)| !attr.restriction && self.sweep_arc(a, b, attr.tokens))
-            .map(|(k, _)| k)
+        self.arcs
+            .iter()
+            .zip(marking)
+            .map(|(&((a, b), _), &tokens)| tokens - u32::from(b == t) + u32::from(a == t))
             .collect()
-    }
-
-    /// The Algorithm 3 test of the arc `a ⇒ b`, which holds `tokens`: a
-    /// marked self-loop, or another path `a → b` with at most `tokens`
-    /// tokens. Leaves the arc hidden iff it is redundant.
-    fn sweep_arc(&mut self, a: usize, b: usize, tokens: u32) -> bool {
-        let e = self.arc_index(a, b).expect("the arc is indexed");
-        self.live[e] = false;
-        let redundant = if a == b {
-            tokens >= 1
-        } else {
-            self.within(a, b, tokens)
-        };
-        self.live[e] = !redundant;
-        redundant
-    }
-
-    /// Whether a non-empty path `a → b` over live arcs carries at most
-    /// `bound` tokens. A depth-first search that never extends a path
-    /// past `bound` tokens and revisits a transition only when reaching it
-    /// with fewer tokens than before, so each transition is expanded at
-    /// most `bound + 1` times; it stops at the first arrival at `b`.
-    fn within(&mut self, a: usize, b: usize, bound: u32) -> bool {
-        let found = self.search(a, b, bound);
-        for &t in &self.touched {
-            self.best[t] = u32::MAX;
-        }
-        self.touched.clear();
-        self.stack.clear();
-        found
-    }
-
-    fn search(&mut self, a: usize, b: usize, bound: u32) -> bool {
-        // The seed entry records no arrival at `a`, so the paths searched
-        // are non-empty: `a` is reached only if a cycle leads back to it.
-        self.stack.push((a, 0));
-        while let Some((n, d)) = self.stack.pop() {
-            if d > self.best[n] {
-                continue; // superseded by a cheaper arrival
-            }
-            for e in self.start[n]..self.start[n + 1] {
-                let (dst, tokens) = self.succ[e];
-                if !self.live[e] || tokens > bound - d {
-                    continue;
-                }
-                if dst == b {
-                    return true;
-                }
-                let nd = d + tokens;
-                if nd < self.best[dst] {
-                    if self.best[dst] == u32::MAX {
-                        self.touched.push(dst);
-                    }
-                    self.best[dst] = nd;
-                    self.stack.push((dst, nd));
-                }
-            }
-        }
-        false
-    }
-
-    /// Minimum tokens over non-empty paths `a → b` on live arcs
-    /// (Dijkstra); `a == b` asks for the lightest cycle through `a`.
-    fn min_tokens(&self, a: usize, b: usize) -> Option<u32> {
-        let mut dist: Vec<Option<u32>> = vec![None; self.start.len() - 1];
-        // Start from `a` at distance 0 without giving it one, so that paths
-        // are non-empty: `a` gets a distance only if a cycle reaches it.
-        let mut heap = BinaryHeap::from([Reverse((0, a))]);
-        while let Some(Reverse((d, n))) = heap.pop() {
-            if dist[n].is_some_and(|seen| d > seen) {
-                continue;
-            }
-            for e in self.start[n]..self.start[n + 1] {
-                let (dst, tokens) = self.succ[e];
-                if !self.live[e] {
-                    continue;
-                }
-                let nd = d + tokens;
-                if dist[dst].is_none_or(|seen| nd < seen) {
-                    dist[dst] = Some(nd);
-                    heap.push(Reverse((nd, dst)));
-                }
-            }
-        }
-        dist[b]
     }
 }
 
@@ -1036,14 +914,7 @@ mod tests {
         let a = stg.add_signal("a", SignalKind::Input);
         let b = stg.add_signal("b", SignalKind::Input);
         let o = stg.add_signal("o", SignalKind::Output);
-        let mut mg = MgStg {
-            name: "sr".into(),
-            signals: Arc::new(stg.signals.clone()),
-            transitions: Vec::new(),
-            arcs: BTreeMap::new(),
-            initial_code: 0,
-            redundancy_free: false,
-        };
+        let mut mg = MgStg::empty_like(&stg);
         let am = mg.add_transition(TransitionLabel::first(a, Polarity::Minus));
         let ap = mg.add_transition(TransitionLabel::first(a, Polarity::Plus));
         let bm = mg.add_transition(TransitionLabel::first(b, Polarity::Minus));
@@ -1173,14 +1044,7 @@ mod tests {
         let mut stg = Stg::new("fig514a");
         let x = stg.add_signal("x", SignalKind::Input);
         let y = stg.add_signal("y", SignalKind::Input);
-        let mut mg = MgStg {
-            name: "fig514a".into(),
-            signals: Arc::new(stg.signals.clone()),
-            transitions: Vec::new(),
-            arcs: BTreeMap::new(),
-            initial_code: 0,
-            redundancy_free: false,
-        };
+        let mut mg = MgStg::empty_like(&stg);
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
         let yp = mg.add_transition(TransitionLabel::first(y, Polarity::Plus));
         let xm = mg.add_transition(TransitionLabel::first(x, Polarity::Minus));
@@ -1206,14 +1070,7 @@ mod tests {
         let x = stg.add_signal("x", SignalKind::Input);
         let y = stg.add_signal("y", SignalKind::Input);
         let b = stg.add_signal("b", SignalKind::Input);
-        let mut mg = MgStg {
-            name: "fig514b".into(),
-            signals: Arc::new(stg.signals.clone()),
-            transitions: Vec::new(),
-            arcs: BTreeMap::new(),
-            initial_code: 0,
-            redundancy_free: false,
-        };
+        let mut mg = MgStg::empty_like(&stg);
         let bm = mg.add_transition(TransitionLabel::first(b, Polarity::Minus));
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
         let yp = mg.add_transition(TransitionLabel::first(y, Polarity::Plus));
@@ -1243,14 +1100,7 @@ mod tests {
     fn two_tokens_in_cycle_is_unsafe() {
         let mut stg = Stg::new("unsafe");
         let x = stg.add_signal("x", SignalKind::Input);
-        let mut mg = MgStg {
-            name: "unsafe".into(),
-            signals: Arc::new(stg.signals.clone()),
-            transitions: Vec::new(),
-            arcs: BTreeMap::new(),
-            initial_code: 0,
-            redundancy_free: false,
-        };
+        let mut mg = MgStg::empty_like(&stg);
         let xp = mg.add_transition(TransitionLabel::first(x, Polarity::Plus));
         let xm = mg.add_transition(TransitionLabel::first(x, Polarity::Minus));
         mg.insert_arc(xp, xm, 1, false);
@@ -1354,7 +1204,7 @@ ack- req+
         .expect("valid");
         let mg = MgStg::from_stg_mg(&stg).expect("marked graph");
         let mut restricted = mg.clone();
-        let (&(a, b), attr) = mg.arcs.iter().next().expect("has arcs");
+        let ((a, b), attr) = mg.arcs().next().expect("has arcs");
         restricted.remove_arc(a, b);
         restricted.insert_arc(a, b, attr.tokens, true);
         assert_eq!(mg.sg_key(), restricted.sg_key());

@@ -469,39 +469,28 @@ impl SigmaScratch {
 
 impl StateGraph {
     /// Generates the state graph of a marked-graph STG (the `Write_sg` step
-    /// of Algorithm 4), checking consistency along the way.
+    /// of Algorithm 4), checking consistency along the way: the token game
+    /// of [`MgStg::fire_in`] from [`MgStg::initial_marking`], one state per
+    /// reachable marking, indexed by the marking itself.
     ///
     /// # Errors
     ///
     /// [`StgError::Inconsistent`] if rising/falling transitions do not
     /// alternate, [`StgError::Petri`] via budget exhaustion.
     pub fn of_mg(mg: &MgStg, budget: usize) -> Result<Self, StgError> {
-        let arc_keys: Vec<(usize, usize)> = mg.arcs().map(|(k, _)| k).collect();
-        let pack = |m: &std::collections::BTreeMap<(usize, usize), u32>| -> Vec<u32> {
-            arc_keys
-                .iter()
-                .map(|k| m.get(k).copied().unwrap_or(0))
-                .collect()
-        };
         let alive = mg.transitions();
-        let mut labels: Vec<Option<TransitionLabel>> = Vec::new();
+        let mut labels = vec![None; alive.last().map_or(0, |&t| t + 1)];
         for &t in &alive {
-            while labels.len() <= t {
-                labels.push(None);
-            }
             labels[t] = Some(mg.label(t));
         }
 
         let m0 = mg.initial_marking();
-        let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut markings = vec![m0.clone()];
         let mut graph = SgBuilder::new();
         graph.add_state(mg.initial_code());
-        index.insert(pack(&m0), 0);
-        let mut frontier = vec![0usize];
+        let mut index: HashMap<Vec<u32>, usize> = HashMap::from([(m0.clone(), 0)]);
+        let mut frontier = vec![(0usize, m0)];
 
-        while let Some(i) = frontier.pop() {
-            let m = markings[i].clone();
+        while let Some((i, m)) = frontier.pop() {
             let code = graph.code(i);
             graph.expand(i);
             for &t in &alive {
@@ -518,8 +507,7 @@ impl StateGraph {
                 }
                 let next_code = code ^ bit;
                 let next_m = mg.fire_in(t, &m);
-                let key = pack(&next_m);
-                let j = match index.get(&key) {
+                let j = match index.get(&next_m) {
                     Some(&j) => {
                         if graph.code(j) != next_code {
                             return Err(StgError::Inconsistent {
@@ -529,23 +517,21 @@ impl StateGraph {
                         j
                     }
                     None => {
-                        if markings.len() >= budget {
+                        if graph.len() >= budget {
                             return Err(StgError::Petri(
                                 si_petri::PetriError::StateBudgetExceeded { budget },
                             ));
                         }
-                        let j = markings.len();
-                        markings.push(next_m);
-                        graph.add_state(next_code);
-                        index.insert(key, j);
-                        frontier.push(j);
+                        let j = graph.add_state(next_code);
+                        index.insert(next_m.clone(), j);
+                        frontier.push((j, next_m));
                         j
                     }
                 };
                 graph.edge(i, t, j);
             }
         }
-        Ok(graph.graph(labels))
+        Ok(graph.into_graph(labels))
     }
 
     /// Generates the state graph of a *weakly connected* marked-graph STG

@@ -13,12 +13,20 @@
 //!   edit leaves exactly the graph that the edit applied by hand and
 //!   followed by a full [`MgStg::eliminate_redundant_arcs`] leaves, so
 //!   the edit-local sweep on a graph marked redundancy-free removes what
-//!   a full sweep removes.
+//!   a full sweep removes;
+//! - along chains of arc insertions and removals, transition removals
+//!   and bypass edits, the arc array stays sorted, the arc lookups equal
+//!   filters over [`MgStg::arcs`], the path queries equal a Bellman–Ford
+//!   written here (so [`MgStg::min_token_path`] is checked too, not only
+//!   trusted as an oracle), and the token game moves one token per arc
+//!   of the fired transition.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use si_corpus::strategies::{edit, random_mg_case, Edit, RandomMg};
-use si_stg::{Bypass, MgStg, StgError};
+use si_stg::{ArcAttr, Bypass, MgStg, StgError};
 
 /// The redundancy sweep as it was specified: candidates in arc-key
 /// order, each tested with a Dijkstra over the arcs still present, the
@@ -179,6 +187,147 @@ fn check_bypass(g: &mut MgStg, edit: Bypass) -> Result<bool, TestCaseError> {
     Ok(result.is_ok())
 }
 
+/// Minimum tokens over non-empty paths `a → b`, without the arc `a ⇒ b`
+/// under `exclude_direct`: Bellman–Ford over [`MgStg::arcs`] alone, so
+/// it shares no code with the graph's own searches. A lightest non-empty
+/// path is simple or one simple cycle, so it has at most as many arcs as
+/// there are transitions.
+fn bellman_ford(mg: &MgStg, a: usize, b: usize, exclude_direct: bool) -> Option<u32> {
+    let arcs: Vec<((usize, usize), u32)> = mg
+        .arcs()
+        .filter(|&(k, _)| !(exclude_direct && k == (a, b)))
+        .map(|(k, attr)| (k, attr.tokens))
+        .collect();
+    // Paths of one arc, then one more arc per round.
+    let mut dist: BTreeMap<usize, u32> = BTreeMap::new();
+    let improve = |dist: &mut BTreeMap<usize, u32>, t: usize, d: u32| {
+        let best = dist.entry(t).or_insert(d);
+        *best = (*best).min(d);
+    };
+    for &((src, dst), w) in &arcs {
+        if src == a {
+            improve(&mut dist, dst, w);
+        }
+    }
+    for _ in 1..mg.transitions().len() {
+        for &((src, dst), w) in &arcs {
+            if let Some(&d) = dist.get(&src) {
+                improve(&mut dist, dst, d + w);
+            }
+        }
+    }
+    dist.get(&b).copied()
+}
+
+/// Checks `mg`'s arc array, lookups, path queries and token game against
+/// [`MgStg::arcs`] and [`bellman_ford`].
+fn check_against_the_oracle(mg: &MgStg) -> Result<(), TestCaseError> {
+    let arcs: Vec<((usize, usize), ArcAttr)> = mg.arcs().collect();
+    prop_assert!(
+        arcs.windows(2).all(|w| w[0].0 < w[1].0),
+        "arcs not strictly ascending: {:?}",
+        arcs
+    );
+    let ts = mg.transitions();
+    for &t in &ts {
+        let preds: Vec<usize> = arcs
+            .iter()
+            .filter(|(k, _)| k.1 == t)
+            .map(|(k, _)| k.0)
+            .collect();
+        let succs: Vec<usize> = arcs
+            .iter()
+            .filter(|(k, _)| k.0 == t)
+            .map(|(k, _)| k.1)
+            .collect();
+        prop_assert_eq!((t, mg.preds(t)), (t, preds));
+        prop_assert_eq!((t, mg.succs(t)), (t, succs));
+    }
+    for &a in &ts {
+        for &b in &ts {
+            let attr = arcs
+                .iter()
+                .find(|(k, _)| *k == (a, b))
+                .map(|&(_, attr)| attr);
+            prop_assert_eq!(((a, b), mg.arc(a, b)), ((a, b), attr));
+            for exclude_direct in [false, true] {
+                let min = bellman_ford(mg, a, b, exclude_direct);
+                let query = (a, b, exclude_direct);
+                prop_assert_eq!(
+                    (query, mg.min_token_path(a, b, exclude_direct)),
+                    (query, min)
+                );
+                for k in 0..=2 {
+                    prop_assert_eq!(
+                        (query, k, mg.has_path_within(a, b, k, exclude_direct)),
+                        (query, k, min.is_some_and(|w| w <= k))
+                    );
+                }
+            }
+            let precedes = a != b && bellman_ford(mg, a, b, false) == Some(0);
+            let follows = a != b && bellman_ford(mg, b, a, false) == Some(0);
+            prop_assert_eq!(((a, b), mg.precedes(a, b)), ((a, b), precedes));
+            prop_assert_eq!(
+                ((a, b), mg.concurrent(a, b)),
+                ((a, b), a != b && !precedes && !follows)
+            );
+        }
+    }
+    // A few firings of the first enabled transition from the initial
+    // marking, which holds every arc's tokens in arc order.
+    let mut marking = mg.initial_marking();
+    prop_assert_eq!(&marking, &mg.arc_tokens().collect::<Vec<_>>());
+    for _ in 0..4 {
+        let enabled = |m: &[u32], t: usize| {
+            arcs.iter()
+                .zip(m)
+                .all(|(&((_, dst), _), &tokens)| dst != t || tokens > 0)
+        };
+        for &t in &ts {
+            prop_assert_eq!((t, mg.enabled_in(t, &marking)), (t, enabled(&marking, t)));
+        }
+        let Some(t) = ts.iter().copied().find(|&t| enabled(&marking, t)) else {
+            break;
+        };
+        let next = mg.fire_in(t, &marking);
+        prop_assert_eq!(next.len(), arcs.len());
+        for (i, &((src, dst), _)) in arcs.iter().enumerate() {
+            let moved = marking[i] - u32::from(dst == t) + u32::from(src == t);
+            prop_assert_eq!(((t, src, dst), next[i]), ((t, src, dst), moved));
+        }
+        marking = next;
+    }
+    Ok(())
+}
+
+/// One step of an oracle chain; indices wrap over the current alive
+/// transitions or arcs.
+#[derive(Debug, Clone)]
+enum Change {
+    /// Insert (or merge into) an arc, maybe a restriction arc.
+    Insert(usize, usize, u32, bool),
+    /// Remove an arc.
+    Remove(usize),
+    /// Remove a transition with its arcs.
+    RemoveTransition(usize),
+    /// Hide a transition ([`Bypass::Hide`]).
+    Hide(usize),
+    /// Relax a non-restriction arc ([`Bypass::Relax`]).
+    Relax(usize),
+}
+
+fn change() -> impl Strategy<Value = Change> {
+    (0u8..5, 0usize..32, 0usize..32, 0u32..=1, 0u8..4).prop_map(|(kind, i, j, tokens, flag)| {
+        match kind {
+            0 => Change::Insert(i, j, tokens, flag == 0),
+            1 => Change::Remove(i),
+            2 => Change::RemoveTransition(i),
+            3 => Change::Hide(i),
+            _ => Change::Relax(i),
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -283,6 +432,60 @@ proptest! {
                     prop_assert_eq!(mg.is_redundant_arc(a, b), redundant);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn arc_array_and_path_queries_match_an_independent_oracle(
+        ((spec, _), changes) in (random_mg_case(), proptest::collection::vec(change(), 0..8))
+    ) {
+        // Random graphs may have token-free cycles (not live) or marked
+        // self-loops; both stay in the chain.
+        let mut g = spec.build();
+        check_against_the_oracle(&g)?;
+        for change in changes {
+            let ts = g.transitions();
+            let arcs: Vec<(usize, usize)> = g.arcs().map(|(k, _)| k).collect();
+            match change {
+                Change::Insert(i, j, tokens, restriction) => {
+                    let (a, b) = (ts[i % ts.len()], ts[j % ts.len()]);
+                    let merged = g.arc(a, b).map_or(ArcAttr { tokens, restriction }, |old| {
+                        ArcAttr {
+                            tokens: old.tokens.min(tokens),
+                            restriction: old.restriction || restriction,
+                        }
+                    });
+                    g.insert_arc(a, b, tokens, restriction);
+                    prop_assert_eq!(g.arc(a, b), Some(merged));
+                }
+                Change::Remove(i) if !arcs.is_empty() => {
+                    let (a, b) = arcs[i % arcs.len()];
+                    let attr = g.arc(a, b);
+                    prop_assert_eq!(g.remove_arc(a, b), attr);
+                    prop_assert_eq!(g.arc(a, b), None);
+                    prop_assert_eq!(g.remove_arc(a, b), None);
+                }
+                Change::RemoveTransition(i) if ts.len() > 1 => {
+                    g.remove_transition(ts[i % ts.len()]);
+                }
+                Change::Hide(i) if ts.len() > 2 => {
+                    if g.bypass(Bypass::Hide(ts[i % ts.len()])).is_err() {
+                        break;
+                    }
+                }
+                Change::Relax(i) => {
+                    let arcs = relaxable(&g);
+                    if arcs.is_empty() {
+                        continue;
+                    }
+                    let (x, y) = arcs[i % arcs.len()];
+                    if g.bypass(Bypass::Relax(x, y)).is_err() {
+                        break;
+                    }
+                }
+                _ => continue,
+            }
+            check_against_the_oracle(&g)?;
         }
     }
 }

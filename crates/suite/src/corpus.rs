@@ -30,7 +30,8 @@ use std::time::Instant;
 
 use si_boolean::{parse_eqn, GateLibrary};
 use si_core::{
-    par_map, CoreError, Engine, EngineConfig, EngineReport, LintPolicy, Stage, StageMetrics,
+    check_well_formed, par_map, CoreError, Engine, EngineConfig, EngineReport, LintPolicy, Stage,
+    StageMetrics,
 };
 use si_lint::{LintOptions, LintReport};
 use si_stg::{parse_astg_lenient, Stg, StgAnalysis};
@@ -248,16 +249,7 @@ pub(crate) fn load(
     let analysis = stg
         .analyze(config.global_sg_budget)
         .map_err(|e| derive(e.into()))?;
-    let health = analysis.health().map_err(|e| derive(e.into()))?;
-    if !health.is_well_formed() {
-        return Err(derive(CoreError::NotWellFormed {
-            name: stg.name.clone(),
-            detail: format!(
-                "live: {}, safe: {}, free-choice: {}, consistent: {}",
-                health.live, health.safe, health.free_choice, health.consistent
-            ),
-        }));
-    }
+    check_well_formed(&stg.name, &analysis).map_err(derive)?;
     let validate_metrics = StageMetrics {
         states_explored: analysis.state_count(),
         ..StageMetrics::timed(Stage::Validate, t.elapsed())

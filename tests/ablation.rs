@@ -4,20 +4,27 @@
 //! tightest-first set preferentially discharges the short (dangerous)
 //! adversary paths.
 
-use si_redress::core::{derive_timing_constraints_with_order, AdversaryOracle, RelaxationOrder};
+use si_redress::core::{AdversaryOracle, RelaxationOrder};
 use si_redress::prelude::*;
+
+/// The reference derivation under relaxation order `order`.
+fn derive_with_order(stg: &Stg, library: &GateLibrary, order: RelaxationOrder) -> ConstraintReport {
+    Engine::new(EngineConfig {
+        order,
+        ..EngineConfig::reference()
+    })
+    .run(stg, library)
+    .expect("derives")
+    .report
+}
 
 #[test]
 fn both_orders_are_sound_and_tightest_first_is_never_worse() {
     let (mut tight_total, mut lex_total) = (0usize, 0usize);
     for bench in si_redress::suite::benchmarks() {
         let (stg, library) = bench.circuit().expect("loads");
-        let tight =
-            derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::TightestFirst)
-                .expect("derives");
-        let lex =
-            derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::Lexicographic)
-                .expect("derives");
+        let tight = derive_with_order(&stg, &library, RelaxationOrder::TightestFirst);
+        let lex = derive_with_order(&stg, &library, RelaxationOrder::Lexicographic);
         // Both runs share the baseline and both reduce it.
         assert_eq!(tight.baseline, lex.baseline, "{}", bench.name);
         assert!(tight.constraints.len() <= tight.baseline.len());
@@ -41,12 +48,8 @@ fn tightest_first_keeps_fewer_short_adversary_constraints() {
     for bench in si_redress::suite::benchmarks() {
         let (stg, library) = bench.circuit().expect("loads");
         let oracle = AdversaryOracle::new(&stg);
-        let tight =
-            derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::TightestFirst)
-                .expect("derives");
-        let lex =
-            derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::Lexicographic)
-                .expect("derives");
+        let tight = derive_with_order(&stg, &library, RelaxationOrder::TightestFirst);
+        let lex = derive_with_order(&stg, &library, RelaxationOrder::Lexicographic);
         tight5 += oracle.constraints_within_level(&tight.constraints, 5).len();
         lex5 += oracle.constraints_within_level(&lex.constraints, 5).len();
     }
@@ -61,8 +64,6 @@ fn default_order_is_tightest_first() {
     let bench = si_redress::suite::benchmark("imec-ram-read-sbuf").expect("bundled");
     let (stg, library) = bench.circuit().expect("loads");
     let default = derive_timing_constraints(&stg, &library).expect("derives");
-    let explicit =
-        derive_timing_constraints_with_order(&stg, &library, RelaxationOrder::TightestFirst)
-            .expect("derives");
+    let explicit = derive_with_order(&stg, &library, RelaxationOrder::TightestFirst);
     assert_eq!(default.constraints, explicit.constraints);
 }

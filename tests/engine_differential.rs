@@ -118,10 +118,13 @@ fn assert_rows_match_the_reference(
     for (row, bench) in rows.into_iter().zip(si_redress::suite::benchmarks()) {
         let row = row.expect("derives");
         let (stg, library) = bench.circuit().expect("loads");
-        let reference =
-            si_redress::core::derive_timing_constraints_with_order(&stg, &library, order)
-                .expect("derives");
-        assert_eq!(row.report.report, reference, "{}: {run}", row.name);
+        let reference = Engine::new(EngineConfig {
+            order,
+            ..EngineConfig::reference()
+        })
+        .run(&stg, &library)
+        .expect("derives");
+        assert_eq!(row.report.report, reference.report, "{}: {run}", row.name);
     }
 }
 
@@ -177,7 +180,8 @@ fn relaxation_order_is_respected_under_parallel_fanout() {
     ] {
         let engine = Engine::new(EngineConfig {
             jobs: 4,
-            ..EngineConfig::default().with_order(order)
+            order,
+            ..EngineConfig::default()
         });
         let rows = si_redress::suite::run_corpus(&engine, &suite_manifest());
         assert_rows_match_the_reference(rows, order, &format!("{order:?}"));

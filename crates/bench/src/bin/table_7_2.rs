@@ -15,6 +15,10 @@
 //! stage and gate metrics (the front end's lint, parse and validate
 //! stages first), totals, state-graph cache traffic — as one JSON object
 //! (default `BENCH_table72.json`).
+//!
+//! A row that fails prints `ERROR` in its place and stays out of the
+//! totals and the JSON; the run still prints the whole table and writes
+//! the file, then exits 2.
 
 use si_bench::table_row;
 use si_core::Engine;
@@ -57,6 +61,7 @@ fn main() {
     let (mut tb, mut ta) = (0usize, 0usize);
     let (mut t5b, mut t5a, mut t3b, mut t3a) = (0usize, 0usize, 0usize, 0usize);
     let mut row_objects: Vec<String> = Vec::new();
+    let mut failed = false;
     for bench in si_suite::benchmarks() {
         match table_row(&engine, &bench) {
             Ok((row, out)) => {
@@ -88,7 +93,10 @@ fn main() {
                     out.metrics_json(),
                 ));
             }
-            Err(e) => println!("{:<20} ERROR: {e}", bench.name),
+            Err(e) => {
+                println!("{:<20} ERROR: {e}", bench.name);
+                failed = true;
+            }
         }
     }
     println!();
@@ -132,5 +140,9 @@ fn main() {
             std::process::exit(2);
         }
         println!("Wrote {path}");
+    }
+    if failed {
+        eprintln!("table_7_2: a row failed");
+        std::process::exit(2);
     }
 }

@@ -39,7 +39,7 @@ pub struct TableRow {
 /// which is what the CPU column times — and classifies constraint levels
 /// (Table 7.2 columns), keeping the whole [`EngineReport`] for
 /// machine-readable output (`table_7_2 --json`). Batch drivers share one
-/// engine (one cache, one job pool) across all thirteen rows.
+/// engine, and with it its state-graph cache, across all thirteen rows.
 ///
 /// # Errors
 ///

@@ -124,6 +124,28 @@ impl GateLibrary {
         Self { gates }
     }
 
+    /// The library as an EQN netlist: each gate's pull-up cover, one
+    /// product term per cube, which [`write_eqn`](crate::write_eqn)
+    /// renders and [`GateLibrary::from_netlist`] reads back.
+    pub fn netlist(&self) -> Netlist {
+        let gates = self.gates.iter().map(|gate| EqnGate {
+            output: gate.output.clone(),
+            terms: gate
+                .up
+                .cubes()
+                .iter()
+                .map(|cube| {
+                    cube.literals()
+                        .map(|(v, positive)| (gate.vars[v].clone(), positive))
+                        .collect()
+                })
+                .collect(),
+        });
+        Netlist {
+            gates: gates.collect(),
+        }
+    }
+
     /// Finds a gate by output name.
     pub fn gate(&self, output: &str) -> Option<&Gate> {
         self.gates.iter().find(|g| g.output == output)

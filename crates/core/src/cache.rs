@@ -8,8 +8,8 @@
 //! circuit. [`SgCache`] memoizes state-graph generation keyed on the
 //! canonical [`SgKey`] of the input, so structurally identical MGs
 //! (regardless of signal names or restriction flags) share one stored
-//! graph. Every miss is one σ-space exploration
-//! ([`StateGraph::of_mg_sigma`]). Projection is not memoized: with
+//! graph. Every miss is one exploration
+//! ([`StateGraph::of_mg_interned`]). Projection is not memoized: with
 //! edit-local sweeps, [`MgStg::project_on_gate`] is cheap enough that a
 //! memo of it cost cold passes more than it saved warm ones
 //! (`docs/perf.md`, "The projection memo, deleted").
@@ -119,7 +119,7 @@ type Slot = Vec<(SgKey, Arc<StateGraph>)>;
 type Slots = HashMap<u64, Slot, BuildHasherDefault<PassThrough>>;
 
 /// A thread-safe memoization cache for state-graph generation: every miss
-/// is one σ-space exploration ([`StateGraph::of_mg_sigma`]), bit-identical
+/// is one exploration ([`StateGraph::of_mg_interned`]), bit-identical
 /// to [`StateGraph::of_mg`]. A mutex map of fingerprint slots plus hit
 /// and miss counters, admitting a graph on its fingerprint's second
 /// request.
@@ -143,7 +143,7 @@ impl SgCache {
     /// failed.
     pub fn of_mg(&self, mg: &MgStg, budget: usize) -> Result<(Arc<StateGraph>, bool), StgError> {
         self.lookup(mg.sg_fingerprint(), mg, budget, || {
-            StateGraph::of_mg_sigma(mg, budget)
+            StateGraph::of_mg_interned(mg, budget)
         })
     }
 
@@ -248,7 +248,7 @@ mod tests {
 
     /// The exploration `of_mg` runs on a miss.
     fn explore(mg: &MgStg) -> Result<StateGraph, StgError> {
-        StateGraph::of_mg_sigma(mg, 100)
+        StateGraph::of_mg_interned(mg, 100)
     }
 
     #[test]
@@ -359,8 +359,8 @@ mod tests {
 
     #[test]
     fn cached_result_equals_uncached() {
-        // Every miss is a σ-space exploration: its graph and its budget
-        // error must both equal the marking-keyed generator's.
+        // Every miss is an interning exploration: its graph and its
+        // budget error must both equal the reference generator's.
         let cache = SgCache::default();
         let mg = ring(2);
         let (cached, _) = cache.of_mg(&mg, 100).expect("consistent");

@@ -22,7 +22,7 @@
 //!    MG-decomposition allocation cap and the OR-causality recursion
 //!    depth — are constants.
 //! 2. **One reuse stack behind one switch** ([`EngineConfig::cache`]):
-//!    σ-space exploration on every state-graph miss and one state-graph
+//!    the interning explorer on every state-graph miss and one state-graph
 //!    cache ([`crate::SgCache`], which stores a graph on its second
 //!    request), shared across the relaxation loop, the OR-causality
 //!    sub-STG checks, the conformance pre-checks — and across circuits
@@ -94,8 +94,8 @@ pub struct EngineConfig {
     /// relaxes its gates one after another in the calling thread.
     pub jobs: usize,
     /// The one reuse switch. On, the engine runs its whole reuse stack:
-    /// σ-space exploration ([`si_stg::StateGraph::of_mg_sigma`]) on every
-    /// state-graph miss and the state-graph cache ([`crate::SgCache`],
+    /// the interning explorer ([`si_stg::StateGraph::of_mg_interned`]) on
+    /// every state-graph miss and the state-graph cache ([`crate::SgCache`],
     /// which stores a graph on its second request), shared across gates
     /// and runs. Off, it runs the reference path:
     /// [`si_stg::StateGraph::of_mg`] on every call, nothing memoized.

@@ -30,7 +30,7 @@
 //!   project → relax → merge) with an explicit [`EngineConfig`],
 //!   per-stage/per-gate metrics in the extended [`EngineReport`], and
 //!   one reuse stack behind one switch ([`EngineConfig::cache`]):
-//!   allocation-free σ-space exploration on every state-graph miss, and
+//!   the allocation-free interning explorer on every state-graph miss, and
 //!   one state-graph cache shared across gates and runs ([`SgCache`]),
 //!   storing a graph on its second request. Projection is not memoized.
 //!   With the switch off the engine runs the reference path, nothing

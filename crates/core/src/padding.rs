@@ -20,6 +20,12 @@ use crate::paths::AdversaryOracle;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PaddingPosition {
     /// On the wire between two gates (delays one branch only).
+    ///
+    /// The wire is one causality hop `from* ⇒ to*` of the STG's adversary
+    /// path, which need not be a wire of the netlist: the receiving gate
+    /// may not read `from` at all. The FIFO's `g0: d- < l+` pads `d → l`,
+    /// but its gate `l` reads no `d`, so `si_sim::apply_padding` delays a
+    /// wire its simulator never uses.
     Wire {
         /// Driving signal.
         from: String,
@@ -50,6 +56,11 @@ impl PaddingPlan {
 /// Plans padding for every constraint whose adversary path is at most
 /// `max_level` deep (deeper paths and environment-crossing paths are
 /// considered already fulfilled, Sec. 7.1).
+///
+/// The plan reads the STG, not the netlist: a [`PaddingPosition::Wire`]
+/// names two consecutive signals of the adversary path, a causality hop
+/// that need not be a netlist wire (the FIFO's `g0: d- < l+` pads
+/// `d → l`, and gate `l` reads no `d`).
 pub fn plan_padding(
     oracle: &AdversaryOracle,
     constraints: &BTreeSet<Constraint>,

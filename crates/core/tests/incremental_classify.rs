@@ -1,9 +1,9 @@
 //! Property tests for classifying relaxation trials: on a random local STG
 //! and a random single-arc edit, the verdicts the relaxation loop works
-//! from — each trial's state graph served by the [`SgCache`] (σ-space
+//! from — each trial's state graph served by the [`SgCache`] (one
 //! exploration on every miss, stored on the second request), then swept
 //! by [`classify_states`] — must agree with the from-scratch sweep
-//! ([`classify_states`] over the marking-keyed [`StateGraph::of_mg`])
+//! ([`classify_states`] over the reference [`StateGraph::of_mg`])
 //! *exactly*: the same [`RelaxationCase`], the same [`ConformanceReport`]
 //! (premature pairs and lagging states in the same order) and the same
 //! error, whether the graph was computed cold, computed and stored, or

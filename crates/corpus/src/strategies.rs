@@ -1,7 +1,7 @@
 //! Shared property-test strategies.
 //!
 //! The random-ring generators and the single-arc [`Edit`] space used by
-//! the σ-space explorer proptests (`si-stg`) and the trial classification
+//! the state-graph explorer proptests (`si-stg`) and the trial classification
 //! proptests (`si-core`) live here once, instead of being duplicated per
 //! test file. The corpus generator itself is also exposed as a strategy
 //! ([`corpus_case`]) for end-to-end properties over whole circuits.
@@ -33,25 +33,39 @@ impl RandomMg {
     /// Materializes the marked graph.
     #[must_use]
     pub fn build(&self) -> MgStg {
+        Self::side_by_side(std::slice::from_ref(self))
+    }
+
+    /// Materializes `rings` side by side in one marked graph: each ring's
+    /// extra arcs stay inside it, so no arc joins two rings. Signals are
+    /// numbered `s0`, `s1`, … across the rings in order.
+    #[must_use]
+    pub fn side_by_side(rings: &[RandomMg]) -> MgStg {
         let mut stg = Stg::new("prop");
-        let sigs: Vec<_> = (0..self.signals)
+        let signals = rings.iter().map(|spec| spec.signals).sum();
+        let sigs: Vec<_> = (0..signals)
             .map(|i| stg.add_signal(format!("s{i}"), SignalKind::Input))
             .collect();
         let mut mg = MgStg::empty_like(&stg);
-        let mut ring = Vec::new();
-        for &s in &sigs {
-            ring.push(mg.add_transition(TransitionLabel::first(s, Polarity::Plus)));
-        }
-        for &s in &sigs {
-            ring.push(mg.add_transition(TransitionLabel::first(s, Polarity::Minus)));
-        }
-        for w in 0..ring.len() {
-            let next = (w + 1) % ring.len();
-            let tokens = u32::from(next == 0);
-            mg.insert_arc(ring[w], ring[next], tokens, false);
-        }
-        for &(a, b, tokens) in &self.extras {
-            mg.insert_arc(ring[a % ring.len()], ring[b % ring.len()], tokens, false);
+        let mut first = 0;
+        for spec in rings {
+            let ring_sigs = &sigs[first..first + spec.signals];
+            first += spec.signals;
+            let mut ring = Vec::new();
+            for &s in ring_sigs {
+                ring.push(mg.add_transition(TransitionLabel::first(s, Polarity::Plus)));
+            }
+            for &s in ring_sigs {
+                ring.push(mg.add_transition(TransitionLabel::first(s, Polarity::Minus)));
+            }
+            for w in 0..ring.len() {
+                let next = (w + 1) % ring.len();
+                let tokens = u32::from(next == 0);
+                mg.insert_arc(ring[w], ring[next], tokens, false);
+            }
+            for &(a, b, tokens) in &spec.extras {
+                mg.insert_arc(ring[a % ring.len()], ring[b % ring.len()], tokens, false);
+            }
         }
         mg
     }
@@ -175,15 +189,19 @@ pub fn edit() -> impl Strategy<Value = Edit> {
     })
 }
 
-/// A random ring MG plus a random single-arc edit — the case shape of
-/// the σ-space explorer proptests.
-pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
-    let mg = (
+/// A random ring MG: 2–5 signals and up to three extra arcs.
+pub fn random_mg() -> impl Strategy<Value = RandomMg> {
+    (
         2usize..=5,
         proptest::collection::vec((0usize..10, 0usize..10, 0u32..=1), 0..4),
     )
-        .prop_map(|(signals, extras)| RandomMg { signals, extras });
-    (mg, edit())
+        .prop_map(|(signals, extras)| RandomMg { signals, extras })
+}
+
+/// A random ring MG plus a random single-arc edit — the case shape of
+/// the state-graph explorer proptests.
+pub fn random_mg_case() -> impl Strategy<Value = (RandomMg, Edit)> {
+    (random_mg(), edit())
 }
 
 /// A random local STG, a random single-arc edit, and a wrapped relaxed

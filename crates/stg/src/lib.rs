@@ -11,11 +11,11 @@
 //! ([`Stg::analyze`]: the state graph, the initial code, liveness and
 //! safeness in one [`StgAnalysis`]), generates binary-coded state graphs
 //! ([`StateGraph`], every edge in one flat array read per state through
-//! [`StateGraph::edges`]) with the region machinery of thesis Sec. 3.4 — including the σ-space
-//! explorer ([`StateGraph::of_mg_sigma`]) that keys marked-graph states by
-//! normalized firing counts, works in per-thread scratch buffers and
-//! allocates only the graph it returns, checked against the marking-keyed
-//! [`StateGraph::of_mg`] — and implements the local-STG projection of
+//! [`StateGraph::edges`]) with the region machinery of thesis Sec. 3.4 — including the
+//! engine's marked-graph explorer ([`StateGraph::of_mg_interned`]) that
+//! interns markings like the whole-STG walk, works in per-thread scratch
+//! buffers and allocates only the graph it returns, checked against the
+//! reference [`StateGraph::of_mg`] — and implements the local-STG projection of
 //! Algorithm 1 together with the shortcut-place redundancy check of
 //! Algorithm 3.
 //!

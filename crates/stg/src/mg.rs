@@ -75,37 +75,6 @@ pub fn extend_fingerprint(fingerprint: u64, words: impl IntoIterator<Item = u64>
     h ^ (h >> 32)
 }
 
-/// Whether `edges`, taken as undirected, connect all of `nodes` (false
-/// for no nodes): union-find over `parent`, one entry per node id below
-/// `ids`, which the caller may reuse across calls.
-pub(crate) fn weakly_connected(
-    parent: &mut Vec<usize>,
-    ids: usize,
-    edges: impl IntoIterator<Item = (usize, usize)>,
-    nodes: impl IntoIterator<Item = usize>,
-) -> bool {
-    fn root(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            // Path halving: point `x` at its grandparent as we climb.
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    parent.clear();
-    parent.extend(0..ids);
-    for (a, b) in edges {
-        let (ra, rb) = (root(parent, a), root(parent, b));
-        parent[ra] = rb;
-    }
-    let mut nodes = nodes.into_iter();
-    let Some(first) = nodes.next() else {
-        return false;
-    };
-    let r = root(parent, first);
-    nodes.all(|n| root(parent, n) == r)
-}
-
 /// The scratch of [`MgStg::has_path_within`]'s search. Each thread keeps
 /// one, reset at the start of every search, so a search allocates only
 /// when a graph outgrows it.
@@ -327,22 +296,6 @@ impl MgStg {
     /// Overrides the initial state code.
     pub fn set_initial_code(&mut self, code: u64) {
         self.initial_code = code;
-    }
-
-    /// Whether every alive transition lies in one weakly connected
-    /// component of the arc graph (arcs taken as undirected edges).
-    ///
-    /// This is the condition under which a reachable marking determines the
-    /// transition firing-count vector up to a constant shift, which lets
-    /// the σ-space explorer ([`crate::StateGraph::of_mg_sigma`]) identify
-    /// states by normalized firing counts instead of full markings.
-    pub fn arcs_weakly_connected(&self) -> bool {
-        weakly_connected(
-            &mut Vec::new(),
-            self.transitions.len(),
-            self.arcs.iter().map(|&(k, _)| k),
-            self.alive_labels().map(|(t, _)| t),
-        )
     }
 
     /// Number of signals in the signal table.

@@ -3,19 +3,19 @@
 //! A [`StateGraph`] keeps every edge in one flat array, one contiguous
 //! run per state, read through [`StateGraph::edges`]; all generators fill
 //! it through one builder. Marked-graph STGs have two generators that
-//! must agree bit for bit: the marking-keyed [`StateGraph::of_mg`], kept
-//! as the reference oracle, and the σ-space explorer
-//! [`StateGraph::of_mg_sigma`], which keys states by normalized
-//! firing-count rows interned in one flat arena, hashes a successor row
-//! in O(1) from its parent's hash, and works in buffers reused per thread,
-//! so it allocates only the graph it returns. [`StateGraph::of_stg`]
-//! keeps the graph of a full (free-choice) STG's one walk
-//! ([`Stg::analyze`](crate::Stg::analyze)).
+//! must agree bit for bit: [`StateGraph::of_mg`], kept as the reference
+//! oracle, and the engine's [`StateGraph::of_mg_interned`]. Both key a
+//! state by its marking; the engine's explorer interns markings in one
+//! flat arena, hashes a successor in O(1) from its parent's hash, and
+//! works in buffers reused per thread, so it allocates only the graph it
+//! returns. [`StateGraph::of_stg`] keeps the graph of a full
+//! (free-choice) STG's one walk ([`Stg::analyze`](crate::Stg::analyze)),
+//! which interns its markings the same way.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::mg::{weakly_connected, MgStg};
+use crate::mg::MgStg;
 use crate::signal::{SignalId, TransitionLabel};
 use crate::stg::{Stg, StgError};
 
@@ -25,11 +25,11 @@ const NO_ROW: u32 = u32::MAX;
 /// Buckets of a fresh [`RowIndex`] (a power of two).
 const INITIAL_BUCKETS: usize = 64;
 
-/// Row-arena bytes past which an exploration frees the σ-explorer
+/// Row-arena bytes past which an exploration frees the explorer's
 /// scratch instead of keeping it for the thread's next call; every other
-/// buffer grows with the state count too. The largest corpus graph (903
-/// states × 16 columns) takes 56 KiB of rows and about 200 KiB of
-/// scratch in all, so only outliers give their buffers back.
+/// buffer grows with the state count too. The largest corpus graph (846
+/// states × 30 arcs) takes 99 KiB of rows in an arena grown to 192 KiB,
+/// so only outliers give their buffers back.
 const SCRATCH_RETAIN_ROW_BYTES: usize = 256 * 1024;
 
 /// One step of the Fx-style multiply-rotate word hash behind
@@ -40,9 +40,10 @@ pub(crate) fn mix_word(h: u64, word: u64) -> u64 {
 }
 
 /// The default weight of row column `k` (a SplitMix64 output). A row's
-/// hash is `Σ w[k] · row[k]`: linear, so one firing changes it by one
-/// weight, and with pairwise unrelated 64-bit weights distinct rows
-/// collide only by chance.
+/// hash is `Σ w[k] · row[k]` over sign-extended entries: linear, so one
+/// firing changes it by a fixed delta (the weights of the columns it adds
+/// a token to, minus those it takes one from), and with pairwise
+/// unrelated 64-bit weights distinct rows collide only by chance.
 pub(crate) fn column_weight(k: usize) -> u64 {
     let z = (k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -265,30 +266,24 @@ impl SgBuilder {
     }
 }
 
-/// The σ explorer's working buffers. Each thread keeps one between
-/// calls, reset at the start of every exploration, so a warmed-up thread
-/// explores without allocating anything but the graph it returns.
-struct SigmaScratch {
-    /// Alive transition ids, ascending: row column `k` is `alive[k]`.
-    alive: Vec<usize>,
-    /// Label of every column.
-    column_labels: Vec<TransitionLabel>,
-    /// Row column of each alive transition id.
-    column: Vec<usize>,
-    /// The arcs as `(source column, target column, tokens)`.
-    arcs: Vec<(usize, usize, i64)>,
-    /// Union-find parents of the weak-connectivity check, per column.
-    parent: Vec<usize>,
-    /// Incoming arcs of every column as CSR: `preds[start[k]..start[k +
-    /// 1]]` lists `(source column, tokens)`.
+/// The marked-graph explorer's working buffers. Each thread keeps one
+/// between calls, reset at the start of every exploration, so a
+/// warmed-up thread explores without allocating anything but the graph
+/// it returns.
+struct ExploreScratch {
+    /// Alive transitions with their labels, ascending.
+    alive: Vec<(usize, TransitionLabel)>,
+    /// The arcs out of transition `t` are marking entries `out[t]..out[t +
+    /// 1]`: its run of the sorted arc array.
+    out: Vec<usize>,
+    /// The arcs into every transition as CSR: `into[start[t]..start[t +
+    /// 1]]` lists their marking entries.
     start: Vec<usize>,
-    preds: Vec<(usize, i64)>,
-    /// Row-hash weight of every column.
-    weights: Vec<u64>,
+    into: Vec<usize>,
+    /// Per transition, the change of the marking hash when it fires.
+    deltas: Vec<u64>,
     index: RowIndex,
-    /// Zero entries of every interned row.
-    zeros: Vec<usize>,
-    /// The row being expanded, and its successor under construction.
+    /// The marking being expanded, and its successor under construction.
     cur: Vec<i32>,
     next: Vec<i32>,
     frontier: Vec<usize>,
@@ -296,22 +291,19 @@ struct SigmaScratch {
 }
 
 thread_local! {
-    static SIGMA_SCRATCH: RefCell<SigmaScratch> = const { RefCell::new(SigmaScratch::new()) };
+    static EXPLORE_SCRATCH: RefCell<ExploreScratch> =
+        const { RefCell::new(ExploreScratch::new()) };
 }
 
-impl SigmaScratch {
+impl ExploreScratch {
     const fn new() -> Self {
         Self {
             alive: Vec::new(),
-            column_labels: Vec::new(),
-            column: Vec::new(),
-            arcs: Vec::new(),
-            parent: Vec::new(),
+            out: Vec::new(),
             start: Vec::new(),
-            preds: Vec::new(),
-            weights: Vec::new(),
+            into: Vec::new(),
+            deltas: Vec::new(),
             index: RowIndex::new(),
-            zeros: Vec::new(),
             cur: Vec::new(),
             next: Vec::new(),
             frontier: Vec::new(),
@@ -319,7 +311,7 @@ impl SigmaScratch {
         }
     }
 
-    /// [`StateGraph::explore_sigma`] in these buffers.
+    /// [`StateGraph::explore_interned`] in these buffers.
     fn explore(
         &mut self,
         mg: &MgStg,
@@ -328,114 +320,93 @@ impl SigmaScratch {
     ) -> Result<StateGraph, StgError> {
         let Self {
             alive,
-            column_labels,
-            column,
-            arcs,
-            parent,
+            out,
             start,
-            preds,
-            weights,
+            into,
+            deltas,
             index,
-            zeros,
             cur,
             next,
             frontier,
             graph,
         } = self;
         alive.clear();
-        column_labels.clear();
-        for (t, label) in mg.alive_labels() {
-            alive.push(t);
-            column_labels.push(label);
-        }
-        let width = alive.len();
-        let ids = alive.last().map_or(0, |&t| t + 1);
-        column.clear();
-        column.resize(ids, 0);
-        for (k, &t) in alive.iter().enumerate() {
-            column[t] = k;
-        }
-        arcs.clear();
-        arcs.extend(
-            mg.arcs()
-                .map(|((a, b), attr)| (column[a], column[b], i64::from(attr.tokens))),
-        );
-        if !weakly_connected(
-            parent,
-            width,
-            arcs.iter().map(|&(a, b, _)| (a, b)),
-            0..width,
-        ) {
-            return StateGraph::of_mg(mg, budget);
-        }
+        alive.extend(mg.alive_labels());
+        let ids = alive.last().map_or(0, |&(t, _)| t + 1);
+        // Marking entry `e` is arc `e` of the sorted array, so counting
+        // arcs per source and per target gives both offset arrays. The
+        // marking hash is linear in the entries, sign-extended, so firing
+        // `t` changes it by `deltas[t]`: the weights of its out-arcs minus
+        // those of its in-arcs.
+        out.clear();
+        out.resize(ids + 1, 0);
         start.clear();
-        start.resize(width + 1, 0);
-        for &(_, b, _) in arcs.iter() {
+        start.resize(ids + 1, 0);
+        deltas.clear();
+        deltas.resize(ids, 0);
+        cur.clear();
+        let mut h0 = 0u64;
+        for (e, ((a, b), attr)) in mg.arcs().enumerate() {
+            out[a + 1] += 1;
             start[b + 1] += 1;
+            let w = weight(e);
+            deltas[a] = deltas[a].wrapping_add(w);
+            deltas[b] = deltas[b].wrapping_sub(w);
+            // The `u32` token count's bits: the game fires with wrapping
+            // arithmetic and tests entries against zero only.
+            let tokens = attr.tokens as i32;
+            h0 = h0.wrapping_add(w.wrapping_mul(tokens as i64 as u64));
+            cur.push(tokens);
         }
-        for k in 0..width {
-            start[k + 1] += start[k];
+        for t in 0..ids {
+            out[t + 1] += out[t];
+            start[t + 1] += start[t];
         }
-        preds.clear();
-        preds.resize(start[width], (0, 0));
-        // Fill with `start[k]` as column k's cursor, which leaves it at
-        // column k's end; shifting the array back restores the starts.
-        for &(a, b, tokens) in arcs.iter() {
-            preds[start[b]] = (a, tokens);
+        let width = cur.len();
+        into.clear();
+        into.resize(width, 0);
+        // Fill with `start[t]` as t's cursor, which leaves it at t's end;
+        // shifting the array back restores the starts.
+        for (e, ((_, b), _)) in mg.arcs().enumerate() {
+            into[start[b]] = e;
             start[b] += 1;
         }
-        start.copy_within(0..width, 1);
+        start.copy_within(0..ids, 1);
         start[0] = 0;
-        weights.clear();
-        weights.extend((0..width).map(weight));
-        let weight_sum = weights.iter().fold(0u64, |s, &w| s.wrapping_add(w));
         let inconsistent = |label: TransitionLabel| StgError::Inconsistent {
             signal: mg.signal_name(label.signal).to_string(),
         };
 
         index.clear(width);
-        zeros.clear();
         graph.clear();
         frontier.clear();
-        cur.clear();
-        cur.resize(width, 0);
-        next.clear();
-        next.resize(width, 0);
-        // State 0 is the all-zero row, whose hash is 0.
-        index.insert(cur, 0);
-        zeros.push(width);
+        next.clone_from(cur);
+        index.insert(cur, h0);
         graph.add_state(mg.initial_code());
         frontier.push(0);
 
         while let Some(i) = frontier.pop() {
             cur.copy_from_slice(index.row(i));
-            let (h, row_zeros, code) = (index.hash(i), zeros[i], graph.code(i));
+            let (h, code) = (index.hash(i), graph.code(i));
             graph.expand(i);
-            for k in 0..width {
-                let here = i64::from(cur[k]);
-                if !preds[start[k]..start[k + 1]]
-                    .iter()
-                    .all(|&(a, tokens)| tokens + i64::from(cur[a]) - here > 0)
-                {
+            for &(t, label) in alive.iter() {
+                let pre = &into[start[t]..start[t + 1]];
+                if !pre.iter().all(|&e| cur[e] != 0) {
                     continue;
                 }
-                let label = column_labels[k];
                 let bit = 1u64 << label.signal.0;
                 if (code & bit != 0) == label.polarity.target_value() {
                     return Err(inconsistent(label));
                 }
                 let next_code = code ^ bit;
-                // The successor row: one more firing of column k. It
-                // renormalizes (every entry drops by one) exactly when k
-                // held the row's only 0, and its hash follows suit.
-                let renormalize = cur[k] == 0 && row_zeros == 1;
                 next.copy_from_slice(cur);
-                next[k] += 1;
-                let mut next_hash = h.wrapping_add(weights[k]);
-                if renormalize {
-                    next.iter_mut().for_each(|v| *v -= 1);
-                    next_hash = next_hash.wrapping_sub(weight_sum);
+                for &e in pre {
+                    next[e] = next[e].wrapping_sub(1);
                 }
+                for k in &mut next[out[t]..out[t + 1]] {
+                    *k = k.wrapping_add(1);
+                }
+                let next_hash = h.wrapping_add(deltas[t]);
                 let j = match index.find(next, next_hash) {
                     Some(j) => {
                         if graph.code(j) != next_code {
@@ -450,17 +421,16 @@ impl SigmaScratch {
                             ));
                         }
                         let j = index.insert(next, next_hash);
-                        zeros.push(next.iter().filter(|&&v| v == 0).count());
                         graph.add_state(next_code);
                         frontier.push(j);
                         j
                     }
                 };
-                graph.edge(i, alive[k], j);
+                graph.edge(i, t, j);
             }
         }
         let mut labels = vec![None; ids];
-        for (&t, &label) in alive.iter().zip(column_labels.iter()) {
+        for &(t, label) in alive.iter() {
             labels[t] = Some(label);
         }
         Ok(graph.graph(labels))
@@ -534,50 +504,44 @@ impl StateGraph {
         Ok(graph.into_graph(labels))
     }
 
-    /// Generates the state graph of a *weakly connected* marked-graph STG
-    /// in σ-space: a state is keyed by its normalized firing-count row
-    /// instead of its marking. In a weakly connected marked graph a
-    /// reachable marking determines the firing counts up to a constant
-    /// shift, so the row with its minimum subtracted is a faithful key,
-    /// and enabledness reduces to the per-arc test
-    /// `tokens + σ(src) − σ(dst) > 0`.
-    ///
-    /// Rows hold one `i32` per alive transition and live in one flat
-    /// arena behind a chained hash index; predecessor arcs are CSR lists.
-    /// A row's hash is linear in its entries, so a successor's hash is its
-    /// parent's plus the fired column's weight, minus the weight sum when
-    /// the row renormalizes — which a per-row zero count decides. Every
-    /// buffer lives in a per-thread scratch reset at the start of each
-    /// call; the graph is copied out of it exactly sized, so a call
-    /// allocates only the graph it returns. A call that grows the scratch
-    /// past a fixed size frees it afterwards.
+    /// Generates the state graph of a marked-graph STG exactly as
+    /// [`StateGraph::of_mg`] does, in buffers reused per thread: the
+    /// engine's explorer. A state is keyed by its marking, one `i32` per
+    /// arc of [`MgStg::arcs`] holding the arc's `u32` token count bit for
+    /// bit, interned in one flat arena behind a chained hash index, as
+    /// [`Stg::analyze`] keys its states. The marking hash is linear in the
+    /// entries, so a successor's hash is its parent's plus the fired
+    /// transition's delta, computed once per call. The arcs into each
+    /// transition are one CSR list, and the arcs out of it are its run of
+    /// the sorted arc array. Every buffer lives in a per-thread scratch
+    /// reset at the start of each call; the graph is copied out of it
+    /// exactly sized, so a call allocates only the graph it returns. A
+    /// call that grows the scratch past a fixed size frees it afterwards.
     ///
     /// The output contract is exact equivalence with [`StateGraph::of_mg`]:
     /// the same LIFO frontier and ascending transition order visit the
-    /// same states under either key, so the returned graph — and every
-    /// failure, raised at the same exploration point — is bit-identical.
-    /// Inputs that are not weakly connected fall back to
-    /// [`StateGraph::of_mg`] transparently.
+    /// same states, so the returned graph — and every failure, raised at
+    /// the same exploration point — is bit-identical.
     ///
     /// # Errors
     ///
     /// Exactly the errors of [`StateGraph::of_mg`] under `budget`.
-    pub fn of_mg_sigma(mg: &MgStg, budget: usize) -> Result<Self, StgError> {
-        Self::explore_sigma(mg, budget, column_weight)
+    pub fn of_mg_interned(mg: &MgStg, budget: usize) -> Result<Self, StgError> {
+        Self::explore_interned(mg, budget, column_weight)
     }
 
-    /// [`StateGraph::of_mg_sigma`] under explicit row-hash column weights,
-    /// in this thread's scratch.
-    fn explore_sigma(
+    /// [`StateGraph::of_mg_interned`] under explicit hash weights per
+    /// marking entry, in this thread's scratch.
+    fn explore_interned(
         mg: &MgStg,
         budget: usize,
         weight: fn(usize) -> u64,
     ) -> Result<Self, StgError> {
-        SIGMA_SCRATCH.with(|cell| {
+        EXPLORE_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             let result = scratch.explore(mg, budget, weight);
             if scratch.index.row_bytes() > SCRATCH_RETAIN_ROW_BYTES {
-                *scratch = SigmaScratch::new();
+                *scratch = ExploreScratch::new();
             }
             result
         })
@@ -845,18 +809,18 @@ o- x+
     }
 
     #[test]
-    fn sigma_cold_generation_matches_marking_keyed_generation() {
+    fn interned_exploration_matches_the_reference() {
         let (_, mg) = handshake_mg();
         let (parent, _) = chain_and_relaxed();
         for mg in [&mg, &parent] {
             assert_eq!(
-                StateGraph::of_mg_sigma(mg, 1000).expect("consistent"),
+                StateGraph::of_mg_interned(mg, 1000).expect("consistent"),
                 StateGraph::of_mg(mg, 1000).expect("consistent")
             );
             // Budget failures replay at the same point.
             for budget in 1..=6 {
                 assert_eq!(
-                    StateGraph::of_mg_sigma(mg, budget),
+                    StateGraph::of_mg_interned(mg, budget),
                     StateGraph::of_mg(mg, budget),
                     "budget {budget}"
                 );
@@ -864,66 +828,66 @@ o- x+
         }
     }
 
-    // Every relaxation trial regenerates the local graph of an edited MG
-    // through the σ explorer; the marking-keyed generator is the reference.
+    // Every relaxation trial explores the local graph of an edited MG
+    // through the interning explorer; `of_mg` is the reference.
 
     #[test]
-    fn incremental_regeneration_matches_scratch_after_relaxation_edit() {
+    fn exploration_after_a_relaxation_edit_matches_the_reference() {
         let (parent, child) = chain_and_relaxed();
-        let parent_sg = StateGraph::of_mg_sigma(&parent, 1000).expect("consistent");
-        let regenerated = StateGraph::of_mg_sigma(&child, 1000).expect("consistent");
+        let parent_sg = StateGraph::of_mg_interned(&parent, 1000).expect("consistent");
+        let explored = StateGraph::of_mg_interned(&child, 1000).expect("consistent");
         assert_eq!(
-            regenerated,
+            explored,
             StateGraph::of_mg(&child, 1000).expect("consistent")
         );
         assert!(
-            regenerated.state_count() > parent_sg.state_count(),
+            explored.state_count() > parent_sg.state_count(),
             "relaxation grows the interleaving space: {} vs {}",
-            regenerated.state_count(),
+            explored.state_count(),
             parent_sg.state_count()
         );
     }
 
     #[test]
-    fn incremental_regeneration_matches_scratch_after_token_move() {
+    fn exploration_after_a_token_move_matches_the_reference() {
         let (_, mg) = handshake_mg();
-        let parent_sg = StateGraph::of_mg_sigma(&mg, 100).expect("consistent");
+        let parent_sg = StateGraph::of_mg_interned(&mg, 100).expect("consistent");
         let moved = handshake_token_moved();
-        let regenerated = StateGraph::of_mg_sigma(&moved, 100).expect("consistent");
+        let explored = StateGraph::of_mg_interned(&moved, 100).expect("consistent");
         assert_eq!(
-            regenerated,
+            explored,
             StateGraph::of_mg(&moved, 100).expect("consistent")
         );
         // The same cycle entered one firing later: as many states, but the
         // initial code has `req` high.
-        assert_eq!(regenerated.state_count(), parent_sg.state_count());
-        assert_ne!(regenerated.code(0), parent_sg.code(0));
+        assert_eq!(explored.state_count(), parent_sg.state_count());
+        assert_ne!(explored.code(0), parent_sg.code(0));
     }
 
     #[test]
-    fn incremental_regeneration_replays_failures_exactly() {
+    fn exploration_replays_the_reference_failures_exactly() {
         // Under every budget — including ones neither graph fits in — the
-        // regenerated child must reproduce the scratch result, Ok or Err
-        // alike.
+        // explorer must reproduce the reference result, Ok or Err alike.
         let (_, child) = chain_and_relaxed();
         for budget in 1..=10 {
-            let scratch = StateGraph::of_mg(&child, budget);
-            let sigma = StateGraph::of_mg_sigma(&child, budget);
-            assert_eq!(sigma, scratch, "budget {budget}");
+            assert_eq!(
+                StateGraph::of_mg_interned(&child, budget),
+                StateGraph::of_mg(&child, budget),
+                "budget {budget}"
+            );
         }
         // An inconsistent edit (removing y+'s only ordering toward o+
         // leaves o+ racing) must fail identically on both paths.
         let bad = chain_inconsistent();
-        let scratch = StateGraph::of_mg(&bad, 1000);
-        assert!(scratch.is_err(), "edit must be inconsistent");
-        assert_eq!(StateGraph::of_mg_sigma(&bad, 1000), scratch);
+        let reference = StateGraph::of_mg(&bad, 1000);
+        assert!(reference.is_err(), "edit must be inconsistent");
+        assert_eq!(StateGraph::of_mg_interned(&bad, 1000), reference);
     }
 
     #[test]
-    fn sigma_generation_falls_back_on_disconnected_arcs() {
+    fn disconnected_arcs_explore_like_the_reference() {
         // Two independent handshakes side by side: the arc skeleton is not
-        // weakly connected, so firing counts are no faithful key and the
-        // explorer must hand over to the marking-keyed generator.
+        // weakly connected, and the product of the two cycles is explored.
         let (stg, _) = handshake_mg();
         let mut mg = MgStg::empty_like(&stg);
         for s in [SignalId(0), SignalId(1)] {
@@ -932,10 +896,26 @@ o- x+
             mg.insert_arc(up, down, 0, false);
             mg.insert_arc(down, up, 1, false);
         }
-        assert!(!mg.arcs_weakly_connected());
-        let sg = StateGraph::of_mg_sigma(&mg, 100).expect("consistent");
+        let sg = StateGraph::of_mg_interned(&mg, 100).expect("consistent");
         assert_eq!(sg.state_count(), 4);
         assert_eq!(sg, StateGraph::of_mg(&mg, 100).expect("consistent"));
+    }
+
+    #[test]
+    fn an_arc_holding_two_to_the_31_tokens_enables_its_transition() {
+        // A marking entry holds the arc's `u32` count bit for bit: 1 << 31
+        // is `i32::MIN`, non-zero, so it enables `req+`, and the firings
+        // wrap it to `i32::MAX` and back.
+        let (_, mut mg) = handshake_mg();
+        let reqm = mg.transition_by_label("req-").expect("present");
+        let reqp = mg.transition_by_label("req+").expect("present");
+        mg.insert_arc(reqm, reqp, 1 << 31, false);
+        let reference = StateGraph::of_mg(&mg, 100).expect("consistent");
+        assert_eq!(reference.state_count(), 4);
+        assert_eq!(
+            StateGraph::of_mg_interned(&mg, 100).expect("consistent"),
+            reference
+        );
     }
 
     /// The linear row hash under column weights `weight`.
@@ -970,9 +950,9 @@ o- x+
     }
 
     #[test]
-    fn sigma_generation_under_one_hash_matches_marking_keyed_generation() {
-        // All-zero column weights hash every row to 0, putting every row
-        // in one bucket chain: the explorer leans on the element-wise
+    fn exploration_under_one_hash_matches_the_reference() {
+        // All-zero weights hash every marking to 0, putting every row in
+        // one bucket chain: the explorer leans on the element-wise
         // comparison alone — graphs and errors must not move.
         let (_, mg) = handshake_mg();
         let (parent, child) = chain_and_relaxed();
@@ -981,7 +961,7 @@ o- x+
         for mg in [&mg, &parent, &child, &moved, &bad] {
             for budget in [3, 1000] {
                 assert_eq!(
-                    StateGraph::explore_sigma(mg, budget, |_| 0),
+                    StateGraph::explore_interned(mg, budget, |_| 0),
                     StateGraph::of_mg(mg, budget)
                 );
             }
@@ -990,7 +970,7 @@ o- x+
 
     /// `k` output handshakes forked from and joined into one input:
     /// `a+ → (b0+ ∥ … ∥ bk-1+) → a- → (b0- ∥ … ∥ bk-1-) → a+`, whose
-    /// concurrency yields `2^(k + 1)` states over `2k + 2` columns.
+    /// concurrency yields `2^(k + 1)` markings of `4k` arcs.
     fn fork_join(k: usize) -> MgStg {
         let mut stg = Stg::new("fork-join");
         let a = stg.add_signal("a", SignalKind::Input);
@@ -1012,18 +992,18 @@ o- x+
     }
 
     #[test]
-    fn sigma_scratch_is_kept_for_small_graphs_and_released_after_large_ones() {
+    fn explorer_scratch_is_kept_for_small_graphs_and_released_after_large_ones() {
         // Bytes of the row arena and edges of the edge array: any
         // retained scratch holds both.
         let retained = || {
-            SIGMA_SCRATCH.with(|cell| {
+            EXPLORE_SCRATCH.with(|cell| {
                 let scratch = cell.borrow();
                 (scratch.index.row_bytes(), scratch.graph.edges.capacity())
             })
         };
         let large = fork_join(12);
         let small = fork_join(3);
-        let explore = |mg: &MgStg| StateGraph::of_mg_sigma(mg, 100_000).expect("consistent");
+        let explore = |mg: &MgStg| StateGraph::of_mg_interned(mg, 100_000).expect("consistent");
         // Start from a released scratch, whatever ran on this thread before.
         assert_eq!(explore(&large).state_count(), 1 << 13);
         assert_eq!(retained(), (0, 0), "a large exploration frees the scratch");

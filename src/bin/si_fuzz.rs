@@ -7,7 +7,7 @@
 //! [`EngineConfig::jobs`]): once on the pinned **reference engine**
 //! ([`EngineConfig::reference`]: uncached, marking-keyed), then three
 //! times — cold, admitting, warm — on one shared **full-featured engine**
-//! ([`EngineConfig::default`]: σ-space exploration and the state-graph
+//! ([`EngineConfig::default`]: the interning explorer and the state-graph
 //! cache). Every row of every full pass must match the reference row: the
 //! same constraint report (baseline and relaxed sets, per-gate cases) or
 //! the same error value. A difference is a soundness bug in one of the

@@ -105,24 +105,7 @@ fn synthesized_netlists_also_roundtrip_through_eqn() {
         let bench = si_redress::suite::benchmark(name).expect("bundled");
         let (stg, library) = bench.circuit().expect("loads");
 
-        let mut netlist = si_redress::boolean::Netlist::default();
-        for gate in &library.gates {
-            let terms = gate
-                .up
-                .cubes()
-                .iter()
-                .map(|cube| {
-                    cube.literals()
-                        .map(|(v, pos)| (gate.vars[v].clone(), pos))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            netlist.gates.push(si_redress::boolean::EqnGate {
-                output: gate.output.clone(),
-                terms,
-            });
-        }
-        let text = si_redress::boolean::write_eqn(&netlist);
+        let text = si_redress::boolean::write_eqn(&library.netlist());
         let reparsed = GateLibrary::from_netlist(&parse_eqn(&text).expect("valid"));
 
         let direct = derive_timing_constraints(&stg, &library).expect("derives");
@@ -198,4 +181,33 @@ fn padding_plans_cover_all_strong_constraints() {
             }
         }
     }
+}
+
+#[test]
+fn the_fifo_pads_a_causality_hop_that_is_no_netlist_wire() {
+    // A padding wire is a hop of the STG's adversary path. The FIFO's
+    // `g0: d- < l+` pads `d → l`, which gate `l` does not read: a later
+    // change to the padding model moves this entry on purpose.
+    let bench = si_redress::suite::benchmark("fifo").expect("bundled");
+    let (stg, library) = bench.circuit().expect("loads");
+    let report = derive_timing_constraints(&stg, &library).expect("derives");
+    let plan = si_redress::core::plan_padding(&AdversaryOracle::new(&stg), &report.constraints, 5);
+    let (_, position) = plan
+        .entries
+        .iter()
+        .find(|(c, _)| c.to_string() == "g0: d- < l+")
+        .expect("a strong FIFO constraint");
+    assert_eq!(
+        *position,
+        PaddingPosition::Wire {
+            from: "d".into(),
+            to: "l".into()
+        }
+    );
+    let l = library.gate("l").expect("gate of the netlist");
+    assert!(
+        !l.vars.iter().any(|v| v == "d"),
+        "gate `l` reads {:?}",
+        l.vars
+    );
 }

@@ -6,8 +6,8 @@
 //!
 //! The files are generated from the *pinned sequential reference path*
 //! (`derive_timing_constraints`: uncached, marking-keyed); the test then
-//! runs the full-featured engine (σ-space exploration and the state-graph
-//! cache) and requires its output to be bit-identical.
+//! runs the full-featured engine (the interning explorer and the
+//! state-graph cache) and requires its output to be bit-identical.
 //! Any divergence between the fast path and the reference is caught here,
 //! suite-wide.
 //!
@@ -99,7 +99,7 @@ fn golden_snapshots_pin_the_reference_output_for_every_benchmark() {
             "golden snapshot mismatch for `{}` ({}).\n{}\n\
              If the output change is intentional, regenerate the snapshots\n\
              with `UPDATE_GOLDEN=1 cargo test --test golden` and review the\n\
-             diff; otherwise the memoized σ-space engine has diverged\n\
+             diff; otherwise the memoized engine has diverged\n\
              from the pinned sequential reference.",
             bench.name,
             path.display(),
@@ -320,7 +320,7 @@ fn golden_corpus_outcomes_pin_every_benchmark_row() {
     );
 }
 
-/// The gate whose σ-explored local graph the state-graph golden dumps:
+/// The gate whose local graph the state-graph golden dumps:
 /// the one with the most local states (8).
 const DUMPED_GATE: &str = "i0";
 
@@ -330,8 +330,8 @@ const DUMPED_GATE: &str = "i0";
 /// every edge in per-state order, so it pins the generators' state
 /// numbering and edge order along with the format. Like the other
 /// snapshots, the file comes from the reference path (the local graph
-/// from the marking-keyed `StateGraph::of_mg`) and the test renders the
-/// σ-explored graph the engine uses.
+/// from `StateGraph::of_mg`) and the test renders the graph of the
+/// engine's explorer (`StateGraph::of_mg_interned`).
 #[test]
 fn golden_state_graph_dump_pins_imec_ram_read_sbuf() {
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
@@ -352,8 +352,8 @@ fn golden_state_graph_dump_pins_imec_ram_read_sbuf() {
     let dump = |local_sg: &StateGraph| {
         format!(
             "# State-graph dump (`write_state_graph`) of benchmark `imec-ram-read-sbuf`:\n\
-             # the full graph (`StateGraph::of_stg`), then the σ-explored local\n\
-             # graph (`StateGraph::of_mg_sigma`) of gate `{DUMPED_GATE}`. Regenerate with:\n\
+             # the full graph (`StateGraph::of_stg`), then the local graph\n\
+             # (`StateGraph::of_mg_interned`) of gate `{DUMPED_GATE}`. Regenerate with:\n\
              #   UPDATE_GOLDEN=1 cargo test --test golden\n{}{}",
             write_state_graph(&full, &names),
             write_state_graph(local_sg, &names),
@@ -365,7 +365,7 @@ fn golden_state_graph_dump_pins_imec_ram_read_sbuf() {
         fs::write(&path, dump(&reference))
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     }
-    let rendered = dump(&StateGraph::of_mg_sigma(&local.mg, budget).expect("consistent"));
+    let rendered = dump(&StateGraph::of_mg_interned(&local.mg, budget).expect("consistent"));
     let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden snapshot `{}`: {e}\n\

@@ -258,7 +258,7 @@ proptest! {
 
 /// What a [`TextEdit::Insert`] may add: whitespace (a tab, a bare
 /// `\r`), non-ASCII characters (a two-byte letter, a variation selector,
-/// an emoji) and fragments of the `.g` syntax.
+/// an emoji) and fragments of the `.g` and `.eqn` syntax.
 const INSERTS: &[&str] = &[
     "\t",
     " ",
@@ -285,9 +285,14 @@ const INSERTS: &[&str] = &[
     ".dummy",
     "a+",
     "=99999999999",
+    ";",
+    "*",
+    "'",
+    "(",
 ];
 
-/// One edit of a `.g` text. Positions wrap around the text's length.
+/// One edit of a `.g` or `.eqn` text. Positions wrap around the text's
+/// length.
 #[derive(Debug, Clone, Copy)]
 enum TextEdit {
     /// One byte deleted; a broken UTF-8 sequence decodes to U+FFFD.
@@ -380,6 +385,60 @@ proptest! {
         if !text.contains('\r') {
             let crlf = si_redress::stg::parse_astg_lenient(&text.replace('\n', "\r\n"));
             prop_assert_eq!(crlf, parsed);
+        }
+    }
+}
+
+/// Every benchmark's `.g` text with a netlist to mutate: imec's bundled
+/// `.eqn` text, else the `write_eqn` rendering of the synthesized
+/// netlist. Synthesized once per test binary.
+fn netlist_texts() -> &'static [(si_redress::suite::Benchmark, String)] {
+    static TEXTS: std::sync::OnceLock<Vec<(si_redress::suite::Benchmark, String)>> =
+        std::sync::OnceLock::new();
+    TEXTS.get_or_init(|| {
+        si_redress::suite::benchmarks()
+            .into_iter()
+            .map(|bench| {
+                let eqn = bench.eqn_text.map_or_else(
+                    || {
+                        let (_, library) = bench.circuit().expect("loads");
+                        si_redress::boolean::write_eqn(&library.netlist())
+                    },
+                    str::to_string,
+                );
+                (bench, eqn)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Malformed `.eqn` text through the one text front end
+    /// (`run_corpus_entry` on a reference engine), each mutant with its
+    /// benchmark's unmutated `.g`: nothing panics, and a mutant that
+    /// fails fails to load or to derive.
+    #[test]
+    fn mutated_netlists_fail_to_load_or_derive(
+        (pick, edits) in (0usize..1 << 10, proptest::collection::vec(text_edit(), 1..5))
+    ) {
+        use si_redress::suite::{run_corpus_entry, CorpusEntry, CorpusError};
+        let texts = netlist_texts();
+        let (bench, eqn) = &texts[pick % texts.len()];
+        let mut text = eqn.clone();
+        for &edit in &edits {
+            text = apply_edit(&text, edit);
+        }
+        let engine = si_redress::core::Engine::new(si_redress::core::EngineConfig::reference());
+        let entry = CorpusEntry {
+            name: bench.name.to_string(),
+            stg_text: bench.stg_text.to_string(),
+            eqn_text: Some(text),
+        };
+        match run_corpus_entry(&engine, &entry) {
+            Ok(_) | Err(CorpusError::Load { .. } | CorpusError::Derive { .. }) => {}
+            Err(other) => prop_assert!(false, "{other} for {:?}", entry.eqn_text),
         }
     }
 }

@@ -63,13 +63,6 @@ impl Cover {
         support
     }
 
-    /// Whether variable `var` is a redundant literal source: the function
-    /// does not depend on it (thesis Sec. 5.3.2 requires gates without
-    /// redundant literals).
-    pub fn is_redundant_var(&self, var: usize) -> bool {
-        self.semantic_support() & (1u64 << var) == 0
-    }
-
     /// The irredundant prime cover of the complement (`f̄`), computed
     /// exactly over the `2^n` state space.
     ///
@@ -163,8 +156,7 @@ mod tests {
                 Cube::from_literals(2, &[(0, true), (1, false)]),
             ],
         );
-        assert!(f.is_redundant_var(1));
-        assert!(!f.is_redundant_var(0));
+        assert_eq!(f.semantic_support(), 0b01);
     }
 
     #[test]

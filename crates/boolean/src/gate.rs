@@ -99,7 +99,8 @@ impl Gate {
     /// Whether any support variable is semantically redundant in both
     /// covers (thesis Sec. 5.3.2: relaxation assumes no redundant literals).
     pub fn has_redundant_literal(&self) -> bool {
-        (0..self.vars.len()).any(|v| self.up.is_redundant_var(v) && self.down.is_redundant_var(v))
+        let support = self.up.semantic_support() | self.down.semantic_support();
+        (0..self.vars.len()).any(|v| support & (1u64 << v) == 0)
     }
 }
 

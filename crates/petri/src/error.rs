@@ -28,11 +28,6 @@ pub enum PetriError {
         /// transition.
         place: String,
     },
-    /// A referenced node does not exist in the net.
-    UnknownNode {
-        /// The missing node's name.
-        name: String,
-    },
 }
 
 impl fmt::Display for PetriError {
@@ -62,7 +57,6 @@ impl fmt::Display for PetriError {
                     "allocation reduced to a non-MG component at place `{place}`"
                 )
             }
-            PetriError::UnknownNode { name } => write!(f, "unknown node `{name}`"),
         }
     }
 }

@@ -19,17 +19,17 @@
 //! Algorithm 1 together with the shortcut-place redundancy check of
 //! Algorithm 3.
 //!
-//! The `.g` front-end reads one whole text in three layers: a
-//! line-oriented lexer yields spanned [`Token`]s that borrow the source,
-//! [`parse_events`] turns them into a nested [`ParseEvent`] stream, and
-//! [`tree_of_events`] folds that stream into the [`LenientParse`] the
-//! [`parse_astg`]/[`parse_astg_lenient`] facades return. The [`sexp`]
+//! The `.g` front-end reads one whole text in two layers: the
+//! line-oriented reader [`parse_events`] classifies each line and emits
+//! a nested [`ParseEvent`] stream whose payload [`Token`]s borrow the
+//! source, and [`tree_of_events`] folds that stream into the
+//! [`LenientParse`] the [`parse_astg`]/[`parse_astg_lenient`] facades
+//! return. The [`sexp`]
 //! module writes event streams and state graphs as the S-expression
 //! dumps the compliance fixtures pin (`docs/interchange.md`), and holds
 //! the workspace's one string escaper.
 
 mod events;
-mod lexer;
 mod mg;
 mod parse;
 mod project;
@@ -40,8 +40,7 @@ mod stg;
 mod tree;
 mod walk;
 
-pub use events::{parse_events, ParseEvent, ParseNodeKind};
-pub use lexer::{Token, TokenKind};
+pub use events::{parse_events, ParseEvent, ParseNodeKind, Token, TokenKind};
 pub use mg::{extend_fingerprint, ArcAttr, Bypass, MgStg, SgKey};
 pub use parse::{
     parse_astg, parse_astg_lenient, write_astg, LenientParse, ParseAstgError, ParseErrorKind, Span,

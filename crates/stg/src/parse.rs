@@ -9,7 +9,8 @@
 //! marking section.
 //!
 //! Two entry points share one implementation — both are thin facades
-//! over the layered front-end (the line-oriented lexer, the
+//! over the two-layer front-end (the line reader
+//! [`parse_events`](crate::events::parse_events), which emits the
 //! [`ParseEvent`](crate::events::ParseEvent) stream, and the
 //! [`tree_of_events`](crate::tree::tree_of_events) fold):
 //!
@@ -186,9 +187,9 @@ impl LenientParse {
 /// result carries the best-effort [`Stg`] plus all defects with spans.
 /// Never panics, on any input.
 ///
-/// This is a thin facade over the layered front-end —
-/// [`parse_events`](crate::events::parse_events) to produce the event
-/// stream, [`tree_of_events`](crate::tree::tree_of_events) to fold it.
+/// This is a thin facade over the two-layer front-end —
+/// [`parse_events`](crate::events::parse_events) reads the lines into the
+/// event stream, [`tree_of_events`](crate::tree::tree_of_events) folds it.
 pub fn parse_astg_lenient(text: &str) -> LenientParse {
     crate::tree::tree_of_events(&crate::events::parse_events(text))
 }
@@ -643,8 +644,8 @@ p0 p1
     #[test]
     fn crlf_input_parses_identically_to_lf() {
         let crlf = HANDSHAKE.replace('\n', "\r\n");
-        // Spans included: the lexer normalizes CRLF to LF before any
-        // offset is computed.
+        // Spans included: the line reader normalizes CRLF to LF before
+        // any offset is computed.
         assert_eq!(parse_astg_lenient(&crlf), parse_astg_lenient(HANDSHAKE));
     }
 

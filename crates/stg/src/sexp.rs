@@ -17,8 +17,7 @@
 
 use std::fmt;
 
-use crate::events::ParseEvent;
-use crate::lexer::{Token, TokenKind};
+use crate::events::{ParseEvent, Token, TokenKind};
 use crate::parse::{ParseErrorKind, Span};
 use crate::sg::StateGraph;
 
@@ -158,8 +157,6 @@ pub fn write_events(events: &[ParseEvent<'_>]) -> String {
                 TokenKind::Name => leaf(&mut w, "name", token),
                 TokenKind::Node => leaf(&mut w, "node", token),
                 TokenKind::MarkingEntry => leaf(&mut w, "entry", token),
-                // Marker kinds never appear inside event streams.
-                _ => {}
             },
             ParseEvent::Defect(e) => {
                 w.open("defect");

@@ -43,11 +43,6 @@ pub enum StgError {
         /// Explanation.
         reason: String,
     },
-    /// A referenced signal does not exist.
-    UnknownSignal {
-        /// The missing name.
-        name: String,
-    },
 }
 
 impl fmt::Display for StgError {
@@ -66,7 +61,6 @@ impl fmt::Display for StgError {
             StgError::MalformedMarkedGraph { reason } => {
                 write!(f, "malformed marked graph: {reason}")
             }
-            StgError::UnknownSignal { name } => write!(f, "unknown signal `{name}`"),
         }
     }
 }

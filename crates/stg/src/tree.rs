@@ -3,7 +3,8 @@
 //! that [`parse_astg_lenient`](crate::parse::parse_astg_lenient) returns.
 //! All semantic recovery lives here — auto-declaring undeclared signals
 //! as inputs, merging duplicate arcs, resolving implicit `<t1,t2>` places
-//! — while the lexer and event layers stay purely syntactic. Because
+//! — while the line reader ([`parse_events`](crate::events::parse_events))
+//! stays purely syntactic. Because
 //! syntactic defects arrive as [`ParseEvent::Defect`] entries
 //! *interleaved* with the tokens, the folded defect list is in source
 //! order. Names are looked up by the `&str` slices the tokens borrow from
@@ -13,8 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use si_petri::{PlaceId, TransitionId};
 
-use crate::events::{ParseEvent, ParseNodeKind};
-use crate::lexer::{Token, TokenKind};
+use crate::events::{ParseEvent, ParseNodeKind, Token, TokenKind};
 use crate::parse::{LenientParse, ParseAstgError, ParseErrorKind, Span, SpecSpans};
 use crate::signal::{Polarity, SignalKind, TransitionLabel};
 use crate::stg::Stg;
@@ -121,9 +121,6 @@ impl<'a> Fold<'a> {
                 }
             }
             TokenKind::MarkingEntry => self.marking_token(token.text, token.span),
-            // Marker kinds never appear inside event streams: the event
-            // layer turns them into Open/Close/Defect entries.
-            _ => {}
         }
     }
 
@@ -315,10 +312,12 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Folds a complete event stream into a [`LenientParse`]: the last leg of
-/// the `lexer → events → tree` stack. The `Stg` is named `stg` unless a
-/// `.model` token names it. No synthetic defects are added here — the
-/// event layer owns syntax, including the missing-`.graph` check.
+/// Folds a complete event stream into a [`LenientParse`]: the second of
+/// the front end's two layers, after the line reader
+/// ([`parse_events`](crate::events::parse_events)). The `Stg` is named
+/// `stg` unless a `.model` token names it. No synthetic defects are added
+/// here — the line reader owns syntax, including the missing-`.graph`
+/// check.
 #[must_use]
 pub fn tree_of_events(events: &[ParseEvent<'_>]) -> LenientParse {
     let mut fold = Fold {

@@ -1,4 +1,4 @@
-//! The layered front-end's load-bearing equivalences, pinned as
+//! The `.g` front-end's load-bearing equivalences, pinned as
 //! properties over the corpus generator's spec envelope:
 //!
 //! 1. CRLF line endings and a missing trailing newline parse identically

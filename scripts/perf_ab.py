@@ -22,9 +22,13 @@ of pairs the change wins, and a verdict:
   differ by more than the base's interquartile range;
 - neutral: none of the above.
 
-Each side's `correct` runs and `failed` rows are printed per workload; an
-incorrect change run, or a larger share of failed rows than the base's,
-is a regression too. Exit code 0 means no regression, 1 a
+Each side's `correct` runs, `failed` rows and median passes per run are
+printed per workload; an incorrect change run, or a larger share of
+failed rows than the base's, is a regression too. perfbench keeps one
+sample per pass in each row's vectors, so `peak_rss_mb` steps up when a
+run's pass count crosses a power of two; a note says when the two
+sides' median pass counts fall on different sides of one. The note
+changes no verdict. Exit code 0 means no regression, 1 a
 regression or a failed row, 2 a usage or build error.
 
     python3 scripts/perf_ab.py                      # base: HEAD, or HEAD~1 on a clean tree
@@ -34,6 +38,7 @@ regression or a failed row, 2 a usage or build error.
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -101,7 +106,8 @@ def extract(rev):
 
 
 def run(binary, workload, seed, seconds, trace):
-    """One perfbench run; returns its last-line JSON object."""
+    """One perfbench run; returns its last-line JSON object, with the
+    `untraced_passes` of its `scope` line added as `passes`."""
     out = subprocess.run(
         [
             str(binary), "--workload", workload, "--seed", str(seed),
@@ -112,7 +118,10 @@ def run(binary, workload, seed, seconds, trace):
     lines = out.stdout.strip().splitlines()
     if out.returncode not in (0, 1) or not lines:
         sys.exit(f"perfbench {workload} seed {seed} failed:\n{out.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    scope = next((l for l in lines if l.startswith("scope ")), None)
+    result["passes"] = json.loads(scope[len("scope "):])["untraced_passes"] if scope else None
+    return result
 
 
 def quartiles(values):
@@ -125,6 +134,12 @@ def quartiles(values):
 def fmt(value):
     """Counts in full, everything else to four significant digits."""
     return f"{value:.0f}" if float(value).is_integer() and abs(value) < 1e12 else f"{value:.4g}"
+
+
+def sample_capacity(passes):
+    """The power of two a vector grows to while it takes `passes`
+    samples, one per pass."""
+    return 1 << max(0, math.ceil(passes) - 1).bit_length()
 
 
 def relative(spread, median):
@@ -156,16 +171,28 @@ def report(workload, results, spec):
     names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
     present = [n for n in names if all(n in r["metrics"] for r in base + change)]
     print(f"\n## {workload} ({len(base)} pairs)\n")
-    share = {}
+    share, passes = {}, {}
     for side, runs in (("base", base), ("change", change)):
         correct = sum(bool(r["correct"]) for r in runs)
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
         share[side] = failed / attempted if attempted else 0.0
+        counts = [r["passes"] for r in runs if r["passes"] is not None]
+        passes[side] = statistics.median(counts) if counts else None
         print(
             f"{side}: {correct} of {len(runs)} runs correct; "
-            f"{failed} of {attempted} rows failed"
+            f"{failed} of {attempted} rows failed; "
+            f"median {fmt(passes[side]) if counts else 'n/a'} passes per run"
         )
+    if None not in passes.values():
+        caps = {side: sample_capacity(n) for side, n in passes.items()}
+        if caps["base"] != caps["change"]:
+            edge = min(caps.values())
+            print(
+                f"note: the median pass counts fall on different sides of {edge}; "
+                "perfbench's per-row sample vectors double there, so "
+                "peak_rss_mb moves with the pass count"
+            )
     print()
     print("| metric | base median [q1, q3] | change median [q1, q3] | change | wins | verdict |")
     print("|---|---|---|---|---|---|")

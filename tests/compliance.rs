@@ -1,10 +1,10 @@
 //! Compliance corpus: one S-expression parse-tree dump per bundled
 //! benchmark and per pinned generator fixture (`tests/compliance/*.sexp`,
 //! grammar in `docs/interchange.md`). Each file is the whole event
-//! stream of the spec — every node, token, span and defect the layered
-//! front-end produces — so any drift in the lexer, the event layer or the
-//! interchange writer shows up as a reviewable diff here before it
-//! reaches a downstream tool.
+//! stream of the spec — every node, token, span and defect the line
+//! reader produces — so any drift in the line reader or the interchange
+//! writer shows up as a reviewable diff here before it reaches a
+//! downstream tool.
 //!
 //! To regenerate after an intentional format or front-end change:
 //!
@@ -94,7 +94,7 @@ fn compliance_dumps_pin_the_event_stream_for_every_spec() {
             "compliance dump mismatch for `{name}` ({}).\n{}\n\
              If the format or front-end change is intentional, regenerate\n\
              with `UPDATE_GOLDEN=1 cargo test --test compliance` and review\n\
-             the diff; otherwise the lexer/event/interchange layers drifted.",
+             the diff; otherwise the line reader or the interchange writer drifted.",
             path.display(),
             first_diff(&dump, &expected),
         );
